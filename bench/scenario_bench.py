@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ledger import scenario_report_bytes
+from repro.ledger import report_bytes
 from repro.serve.scenarios import SCENARIOS, ScenarioRunner, get_scenario
 
 #: --quick shrinks every scenario window to this factor (rates and the
@@ -70,8 +70,8 @@ def run_scenario_entry(name: str, scale: float) -> dict:
     registry, cuts = first.registry, first.cuts
     second = ScenarioRunner(scenario, registry=registry, cuts=cuts)
     replay = second.run()
-    deterministic = (scenario_report_bytes(report)
-                     == scenario_report_bytes(replay))
+    deterministic = (report_bytes(report)
+                     == report_bytes(replay))
 
     cache_exact = True
     if scenario.cache_capacity > 0:

@@ -53,7 +53,7 @@ from .data.io import read_libsvm, write_libsvm
 from .data.synthetic import make_classification
 from .systems import make_system
 from .systems.advisor import recommend
-from .systems.costmodel import WorkloadShape
+from .systems.costmodel import WorkloadShape, workload_of
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -564,14 +564,9 @@ def cmd_serve_bench(args) -> int:
           f"p95={stats.p95_s * 1e3:.2f}ms p99={stats.p99_s * 1e3:.2f}ms "
           f"throughput={stats.throughput_rps:.0f}rps")
     if swaps:
-        single = all(
-            len({r.model_version for r in report.records
-                 if r.batch_id == b.batch_id}) == 1
-            for b in report.batches
-        )
         print(f"hot-swap at t={swaps[0][0] * 1e3:.1f}ms: versions served "
               f"{report.versions_served()}, "
-              f"single-version batches={single}")
+              f"single-version batches={report.single_version_batches()}")
     if args.shards > 1:
         import numpy as _np
 
@@ -675,9 +670,9 @@ def _advise_adaptive(args, shape: WorkloadShape, rec) -> None:
 
     network = NetworkModel(bandwidth_gbps=args.bandwidth_gbps)
     if args.report:
-        from .ledger import load_report
+        from .ledger import SCHEMA, load_report
 
-        report = load_report(args.report)
+        report = load_report(args.report, SCHEMA)
         if not report["plan_history"] or not report["num_trees"]:
             raise SystemExit(f"{args.report} records no trained trees")
         plan = get_plan(report["plan_history"][-1])
@@ -707,15 +702,6 @@ def _advise_adaptive(args, shape: WorkloadShape, rec) -> None:
             ),
             args.candidates,
         )
-        probe_shape = WorkloadShape(
-            num_instances=probe.num_instances,
-            num_features=probe.num_features,
-            num_workers=args.workers,
-            num_layers=args.layers,
-            num_candidates=args.candidates,
-            num_classes=shape.num_classes,
-        )
-        probe_nnz = probe.binned.nnz / probe.num_instances
         config = TrainConfig(
             num_trees=2, num_layers=args.layers,
             num_candidates=args.candidates,
@@ -726,6 +712,7 @@ def _advise_adaptive(args, shape: WorkloadShape, rec) -> None:
         )
         cluster = ClusterConfig(num_workers=args.workers,
                                 network=network)
+        probe_shape, probe_nnz = workload_of(probe, config, cluster)
         result = plan.build(config, cluster).fit(probe)
         constants = calibrate_constants(
             probe_shape, probe_nnz, plan, result.tree_reports, network,
@@ -758,9 +745,9 @@ def _advise_adaptive(args, shape: WorkloadShape, rec) -> None:
 
 
 def cmd_ledger(args) -> int:
-    from .ledger import format_report, load_report
+    from .ledger import SCHEMA, format_report, load_report
 
-    print(format_report(load_report(args.report)))
+    print(format_report(load_report(args.report, SCHEMA)))
     return 0
 
 
@@ -768,8 +755,8 @@ def cmd_scenarios(args) -> int:
     """``repro scenarios list|run|report``."""
     import os
 
-    from .ledger import (format_scenario_report, load_scenario_report,
-                         save_scenario_report)
+    from .ledger import (SCENARIO_SCHEMA, format_report, load_report,
+                         save_report)
     from .serve.scenarios import SCENARIOS, ScenarioRunner, get_scenario
 
     if args.scenario_command == "list":
@@ -783,7 +770,7 @@ def cmd_scenarios(args) -> int:
         return 0
 
     if args.scenario_command == "report":
-        print(format_scenario_report(load_scenario_report(args.report)))
+        print(format_report(load_report(args.report, SCENARIO_SCHEMA)))
         return 0
 
     names = args.names or list(SCENARIOS)
@@ -805,7 +792,7 @@ def cmd_scenarios(args) -> int:
                 scenario, num_shards=args.shards, num_workers=workers,
                 cache_capacity=0)
         report = ScenarioRunner(scenario).run()
-        print(format_scenario_report(report))
+        print(format_report(report))
         if position + 1 < len(names):
             print()
         if not all(report["invariants"].values()):
@@ -816,7 +803,7 @@ def cmd_scenarios(args) -> int:
             else:
                 os.makedirs(args.report_out, exist_ok=True)
                 path = os.path.join(args.report_out, f"{name}.json")
-            save_scenario_report(report, path)
+            save_report(report, path)
     if failed:
         print("FAIL: a scenario violated a ledger invariant "
               "(see above)")
@@ -826,13 +813,13 @@ def cmd_scenarios(args) -> int:
 
 def cmd_deploy(args) -> int:
     """``repro deploy`` — one closed-loop canary deployment episode."""
-    from .ledger import (format_deploy_report, load_deploy_report,
-                         save_deploy_report)
+    from .ledger import (DEPLOY_SCHEMA, format_report, load_report,
+                         save_report)
     from .serve.deploy import CanaryPolicy, DeployController
     from .serve.scenarios import get_scenario
 
     if args.show:
-        print(format_deploy_report(load_deploy_report(args.show)))
+        print(format_report(load_report(args.show, DEPLOY_SCHEMA)))
         return 0
 
     if args.smoke:
@@ -845,7 +832,7 @@ def cmd_deploy(args) -> int:
             scenario = get_scenario(args.scenario, scale=0.25)
             report = DeployController(scenario,
                                       canary_model=model).run()
-            print(format_deploy_report(report))
+            print(format_report(report))
             print()
             if report["verdict"] != want:
                 print(f"FAIL: {model} canary ended "
@@ -863,9 +850,9 @@ def cmd_deploy(args) -> int:
                           shadow=args.shadow)
     report = DeployController(scenario, canary=policy,
                               canary_model=args.canary).run()
-    print(format_deploy_report(report))
+    print(format_report(report))
     if args.report_out:
-        save_deploy_report(report, args.report_out)
+        save_report(report, args.report_out)
     if not all(report["invariants"].values()):
         print("FAIL: the episode violated a ledger invariant "
               "(see above)")

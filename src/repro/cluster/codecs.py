@@ -64,6 +64,26 @@ def sparse_cutoff_density(gradient_dim: int) -> float:
     return dense_slot / sparse_entry_bytes(gradient_dim)
 
 
+class CodecOverflowError(OverflowError):
+    """A lossy codec was handed a finite value its narrow wire dtype
+    cannot represent (e.g. a bin sum above 65,504 for ``f16``)."""
+
+
+def _narrow(values: np.ndarray, dtype: np.dtype, codec: str) -> np.ndarray:
+    """``values`` rounded to the narrow wire ``dtype``; fails loud when
+    that turns a finite value into ``inf``, which would otherwise flow
+    silently into split finding or served scores."""
+    with np.errstate(over="ignore"):
+        narrow = values.astype(dtype)
+    finite = np.isfinite(narrow)
+    if not finite.all() and np.isfinite(values[~finite]).any():
+        raise CodecOverflowError(
+            f"codec {codec!r}: a finite value exceeds the largest finite "
+            f"{dtype.name} ({np.finfo(dtype).max:g}); use a wider codec"
+        )
+    return narrow
+
+
 @dataclass(frozen=True)
 class Encoded:
     """One encoded payload: wire size, dense baseline, decode inputs.
@@ -241,8 +261,8 @@ class LowPrecisionHistogramCodec(HistogramCodec):
 
     def encode(self, hist: Histogram) -> Encoded:
         raw = hist.nbytes
-        grad = hist.grad.astype(self.dtype)
-        hess = hist.hess.astype(self.dtype)
+        grad = _narrow(hist.grad, self.dtype, self.name)
+        hess = _narrow(hist.hess, self.dtype, self.name)
         nbytes = (HISTOGRAM_HEADER_BYTES + grad.nbytes + hess.nbytes)
         return Encoded(
             self.name, nbytes, raw,
@@ -312,7 +332,7 @@ class LowPrecisionScoreCodec(ScoreCodec):
 
     def encode(self, scores: np.ndarray) -> Encoded:
         arr = np.ascontiguousarray(scores, dtype=np.float64)
-        narrow = arr.astype(self.dtype)
+        narrow = _narrow(arr, self.dtype, self.name)
         return Encoded(self.name, narrow.nbytes, arr.nbytes, (narrow,))
 
     def decode(self, enc: Encoded) -> np.ndarray:

@@ -169,6 +169,35 @@ def record_collective(
     return seconds
 
 
+def _sum_histograms(hists: Sequence[Histogram], what: str) -> Histogram:
+    """Element-wise sum in worker order (the order fixes the floats)."""
+    if not hists:
+        raise ValueError(f"{what} requires at least one histogram")
+    total = hists[0].copy()
+    for hist in hists[1:]:
+        total.add_inplace(hist)
+    return total
+
+
+def scatter_features(total: Histogram,
+                     feature_shards: Sequence[np.ndarray],
+                     ) -> List[Histogram]:
+    """Slice ``total`` by feature: piece ``w`` holds the features in
+    ``feature_shards[w]``, renumbered from 0."""
+    grad_view = total.grad_view()
+    hess_view = total.hess_view()
+    shards: List[Histogram] = []
+    for features in feature_shards:
+        features = np.asarray(features, dtype=np.int64)
+        piece = Histogram(max(features.size, 1), total.num_bins,
+                          total.gradient_dim)
+        if features.size:
+            piece.grad[:] = grad_view[features].reshape(piece.grad.shape)
+            piece.hess[:] = hess_view[features].reshape(piece.hess.shape)
+        shards.append(piece)
+    return shards
+
+
 def allreduce_histograms(
     hists: Sequence[Histogram], net: Optional[SimulatedNetwork],
     kind: str = "allreduce-hist",
@@ -178,11 +207,7 @@ def allreduce_histograms(
     Pass ``net=None`` to perform only the data movement and charge the
     traffic separately (layer batching via :func:`record_collective`).
     """
-    if not hists:
-        raise ValueError("allreduce requires at least one histogram")
-    result = hists[0].copy()
-    for hist in hists[1:]:
-        result.add_inplace(hist)
+    result = _sum_histograms(hists, "allreduce")
     if net is not None:
         record_collective(net, kind, result.nbytes, len(hists),
                           "allreduce")
@@ -200,26 +225,11 @@ def reduce_scatter_histograms(
 
     Pass ``net=None`` to charge the traffic separately (layer batching).
     """
-    if not hists:
-        raise ValueError("reduce-scatter requires at least one histogram")
-    total = hists[0].copy()
-    for hist in hists[1:]:
-        total.add_inplace(hist)
+    total = _sum_histograms(hists, "reduce-scatter")
     if net is not None:
         record_collective(net, kind, total.nbytes, len(hists),
                           "reducescatter")
-    grad_view = total.grad_view()
-    hess_view = total.hess_view()
-    shards: List[Histogram] = []
-    for features in feature_shards:
-        features = np.asarray(features, dtype=np.int64)
-        piece = Histogram(max(features.size, 1), total.num_bins,
-                          total.gradient_dim)
-        if features.size:
-            piece.grad[:] = grad_view[features].reshape(piece.grad.shape)
-            piece.hess[:] = hess_view[features].reshape(piece.hess.shape)
-        shards.append(piece)
-    return shards
+    return scatter_features(total, feature_shards)
 
 
 def ps_push_histograms(
@@ -230,11 +240,7 @@ def ps_push_histograms(
 
     Pass ``net=None`` to charge the traffic separately (layer batching).
     """
-    if not hists:
-        raise ValueError("ps push requires at least one histogram")
-    result = hists[0].copy()
-    for hist in hists[1:]:
-        result.add_inplace(hist)
+    result = _sum_histograms(hists, "ps push")
     if net is not None:
         record_collective(net, kind, result.nbytes, len(hists), "ps")
     return result

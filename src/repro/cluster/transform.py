@@ -28,7 +28,6 @@ accounted bytes/objects.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -122,14 +121,19 @@ def horizontal_to_vertical(
     )
     report.load_data_seconds = per_worker_disk / DISK_BYTES_PER_SECOND
 
-    # Steps 1-2: sketches -> merged -> candidate splits (measured).
-    start = time.perf_counter()
-    cuts, sketch_bytes = _sketch_candidates(
-        raw_shards, dataset.num_features, num_candidates, sketch_eps
-    )
+    # Steps 1-2: sketches -> merged -> candidate splits (measured; the
+    # workers sketch their shards in parallel, each paying a W-th).
+    # Imported here: repro.systems.executor imports this module.
+    from ..systems.base import WorkerClock
+
+    with WorkerClock(num_workers).timed() as sketching:
+        cuts, sketch_bytes = _sketch_candidates(
+            raw_shards, dataset.num_features, num_candidates, sketch_eps
+        )
     report.get_splits_seconds = (
-        time.perf_counter() - start
-    ) / num_workers + net.model.transfer_time(sketch_bytes)
+        sketching.seconds / num_workers
+        + net.model.transfer_time(sketch_bytes)
+    )
     report.sketch_bytes = sketch_bytes
     net.record("sketch-repartition", sketch_bytes,
                net.model.transfer_time(sketch_bytes))

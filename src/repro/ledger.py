@@ -1,4 +1,4 @@
-"""Run-report persistence and pretty-printing (``repro ledger``).
+"""Report persistence and pretty-printing (``repro ledger``).
 
 A run report is the JSON-serializable record of one distributed
 training run: the per-kind wire ledger (including the ``migrate:``,
@@ -7,13 +7,17 @@ compute breakdown, peak memory, and — for adaptive sessions — the full
 migration and decision trail.  ``repro train --report-out`` saves one;
 ``repro ledger`` renders it; ``repro advise --adaptive --report``
 recalibrates the cost model against it.
+
+Serving's scenario and deploy reports share the codec: whatever its
+``"schema"`` tag, a report is written by :func:`save_report`, read by
+:func:`load_report` and rendered by :func:`format_report`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -73,22 +77,54 @@ def run_report(result, system: str = "", dataset: str = "",
     }
 
 
+def _check_schema(report: dict, what: str,
+                  expected: Optional[str] = None) -> str:
+    """The report's schema tag, if it is ``expected`` (any of the three
+    known tags when ``None``); ``what`` names the report in the error."""
+    schema = report.get("schema")
+    if expected is not None and schema != expected:
+        raise ValueError(
+            f"{what} is not a {_SCHEMAS[expected][0]} "
+            f"(schema {schema!r}, expected {expected!r})"
+        )
+    if schema not in _SCHEMAS:
+        raise ValueError(
+            f"{what} has unknown schema {schema!r}: " + ", ".join(
+                f"not a {name} ({tag!r})"
+                for tag, (name, _) in _SCHEMAS.items())
+        )
+    return schema
+
+
+def report_bytes(report: dict) -> bytes:
+    """The canonical byte encoding of any report dict.
+
+    Sorted keys, two-space indent, trailing newline — the exact bytes
+    :func:`save_report` writes and the determinism conformance tests
+    compare, so "byte-identical reports" means what it says.
+    """
+    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+
+
 def save_report(report: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write a report of any known schema as its canonical bytes."""
+    _check_schema(report, "report")
+    with open(path, "wb") as fh:
+        fh.write(report_bytes(report))
 
 
-def load_report(path: str) -> dict:
+def load_report(path: str, schema: Optional[str] = None) -> dict:
+    """Read a saved report back; ``schema`` pins which of the known
+    tags the file must carry (any of them when ``None``)."""
     with open(path, encoding="utf-8") as fh:
         report = json.load(fh)
-    schema = report.get("schema")
-    if schema != SCHEMA:
-        raise ValueError(
-            f"{path} is not a run report (schema {schema!r}, "
-            f"expected {SCHEMA!r})"
-        )
+    _check_schema(report, path, schema)
     return report
+
+
+def format_report(report: dict) -> str:
+    """Human-readable rendering of a report of any known schema."""
+    return _SCHEMAS[_check_schema(report, "report")][1](report)
 
 
 def percentile_summary(values) -> Dict[str, float]:
@@ -113,44 +149,7 @@ def percentile_summary(values) -> Dict[str, float]:
     }
 
 
-def report_bytes(report: dict) -> bytes:
-    """The canonical byte encoding of any report dict.
-
-    Sorted keys, two-space indent, trailing newline — the exact bytes
-    the save functions write and the determinism conformance tests
-    compare, so "byte-identical reports" means what it says.
-    """
-    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
-
-
-def scenario_report_bytes(report: dict) -> bytes:
-    """The canonical byte encoding of a scenario report."""
-    return report_bytes(report)
-
-
-def save_scenario_report(report: dict, path: str) -> None:
-    if report.get("schema") != SCENARIO_SCHEMA:
-        raise ValueError(
-            f"not a scenario report (schema {report.get('schema')!r}, "
-            f"expected {SCENARIO_SCHEMA!r})"
-        )
-    with open(path, "wb") as fh:
-        fh.write(scenario_report_bytes(report))
-
-
-def load_scenario_report(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
-    schema = report.get("schema")
-    if schema != SCENARIO_SCHEMA:
-        raise ValueError(
-            f"{path} is not a scenario report (schema {schema!r}, "
-            f"expected {SCENARIO_SCHEMA!r})"
-        )
-    return report
-
-
-def format_scenario_report(report: dict) -> str:
+def _format_scenario_report(report: dict) -> str:
     """Human-readable rendering of a ``scenario-report/v1``."""
     lines: List[str] = []
     totals = report["totals"]
@@ -211,33 +210,11 @@ def format_scenario_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def save_deploy_report(report: dict, path: str) -> None:
-    if report.get("schema") != DEPLOY_SCHEMA:
-        raise ValueError(
-            f"not a deploy report (schema {report.get('schema')!r}, "
-            f"expected {DEPLOY_SCHEMA!r})"
-        )
-    with open(path, "wb") as fh:
-        fh.write(report_bytes(report))
-
-
-def load_deploy_report(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
-    schema = report.get("schema")
-    if schema != DEPLOY_SCHEMA:
-        raise ValueError(
-            f"{path} is not a deploy report (schema {schema!r}, "
-            f"expected {DEPLOY_SCHEMA!r})"
-        )
-    return report
-
-
 def _fmt_metric(value) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
-def format_deploy_report(report: dict) -> str:
+def _format_deploy_report(report: dict) -> str:
     """Human-readable rendering of a ``deploy-report/v1``."""
     lines: List[str] = []
     versions = report["versions"]
@@ -318,8 +295,8 @@ def _dimension_of(kind: str) -> str:
     return "base"
 
 
-def format_report(report: dict) -> str:
-    """Human-readable rendering of a run report."""
+def _format_run_report(report: dict) -> str:
+    """Human-readable rendering of a ``repro-run-report/v1``."""
     lines: List[str] = []
     head = report.get("system") or "/".join(report.get("plan_history", []))
     title = f"run report — {head}" if head else "run report"
@@ -430,3 +407,11 @@ def format_report(report: dict) -> str:
                 f" — {d.get('reason')}"
             )
     return "\n".join(lines)
+
+
+#: the schemas the codec knows: tag -> (name in messages, renderer)
+_SCHEMAS = {
+    SCHEMA: ("run report", _format_run_report),
+    SCENARIO_SCHEMA: ("scenario report", _format_scenario_report),
+    DEPLOY_SCHEMA: ("deploy report", _format_deploy_report),
+}

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -35,6 +36,9 @@ from .registry import ModelRegistry
 #: a hot-swap scheduled on the simulated clock: ``(time_s, action)``;
 #: the action receives the swap time (e.g. to stamp a deploy)
 SwapEvent = Tuple[float, Callable[[float], None]]
+
+#: one batch ready to dispatch: ``(feature rows, request ids, close_s)``
+Batch = Tuple[np.ndarray, np.ndarray, float]
 
 
 @dataclass(frozen=True)
@@ -340,6 +344,17 @@ class ServingReport:
                 seen.append(record.model_version)
         return seen
 
+    def single_version_batches(self) -> bool:
+        """No batch's requests were served by two model versions — the
+        hot-swap atomicity audit, in one pass over the records."""
+        version_of_batch: dict = {}
+        for record in self.records:
+            if version_of_batch.setdefault(
+                    record.batch_id,
+                    record.model_version) != record.model_version:
+                return False
+        return True
+
 
 class ModelServer:
     """Single-worker serving backend.
@@ -437,21 +452,52 @@ class MicroBatcher:
         swap lands exactly on a batch boundary and no batch straddles
         two versions.
 
-        With a bounded queue (``policy.max_queue > 0``) the run takes
+        With a bounded queue (``policy.max_queue > 0``) batches form on
         the admission-controlled path: overflowing requests are dropped
         per ``policy.overload`` and appear in ``report.dropped``.
         """
-        if self.policy.bounded:
-            return self._run_bounded(trace, swaps, collect_scores)
+        arrivals = trace.arrivals
+        pending_swaps = sorted(swaps, key=lambda s: s[0])
+        report = ServingReport()
+        scores: List[np.ndarray] = []
+        swap_i = 0
+        batches = (self._bounded_batches(trace, report)
+                   if self.policy.bounded else self._batches(trace))
+        for features, ids, close in batches:
+            while swap_i < len(pending_swaps) \
+                    and pending_swaps[swap_i][0] <= close:
+                when, action = pending_swaps[swap_i]
+                action(when)
+                swap_i += 1
+            result = self._dispatch(features, close, ids)
+            served = dict(
+                batch_id=len(report.batches), start_s=result.start_s,
+                completion_s=result.completion_s, worker=result.worker,
+                model_version=result.model_version,
+            )
+            report.batches.append(BatchRecord(
+                size=ids.size, close_s=close, **served))
+            for request in ids.tolist():
+                report.records.append(RequestRecord(
+                    request_id=request,
+                    arrival_s=float(arrivals[request]), **served))
+            if collect_scores:
+                scores.append(result.scores)
+        # late swaps (after the last close) still fire so a scheduled
+        # deploy is never silently skipped
+        for when, action in pending_swaps[swap_i:]:
+            action(when)
+        if collect_scores:
+            report.scores = (np.concatenate(scores, axis=0) if scores
+                             else np.zeros((0, 0)))
+        return report
+
+    def _batches(self, trace: RequestTrace) -> Iterator[Batch]:
+        """Unbounded queue: batches are consecutive runs of the trace."""
         policy = self.policy
         arrivals = trace.arrivals
         total = trace.num_requests
-        pending_swaps = sorted(swaps, key=lambda s: s[0])
-        report = ServingReport()
-        if collect_scores:
-            scores: Optional[List[np.ndarray]] = []
         i = 0
-        swap_i = 0
         while i < total:
             first = arrivals[i]
             # the batch closes when full, when the oldest request times
@@ -468,44 +514,9 @@ class MicroBatcher:
                 int(np.searchsorted(arrivals, close, side="right")) - i,
                 policy.max_batch_size,
             )
-            while swap_i < len(pending_swaps) \
-                    and pending_swaps[swap_i][0] <= close:
-                when, action = pending_swaps[swap_i]
-                action(when)
-                swap_i += 1
-            result = self._dispatch(
-                trace.features[i:i + size], float(close),
-                np.arange(i, i + size, dtype=np.int64),
-            )
-            batch_id = len(report.batches)
-            report.batches.append(BatchRecord(
-                batch_id=batch_id, size=size, close_s=float(close),
-                start_s=result.start_s,
-                completion_s=result.completion_s,
-                worker=result.worker,
-                model_version=result.model_version,
-            ))
-            for k in range(size):
-                report.records.append(RequestRecord(
-                    request_id=i + k,
-                    arrival_s=float(arrivals[i + k]),
-                    batch_id=batch_id,
-                    start_s=result.start_s,
-                    completion_s=result.completion_s,
-                    worker=result.worker,
-                    model_version=result.model_version,
-                ))
-            if collect_scores:
-                scores.append(result.scores)
+            yield (trace.features[i:i + size],
+                   np.arange(i, i + size, dtype=np.int64), float(close))
             i += size
-        # late swaps (after the last close) still fire so a scheduled
-        # deploy is never silently skipped
-        for when, action in pending_swaps[swap_i:]:
-            action(when)
-        if collect_scores:
-            report.scores = (np.concatenate(scores, axis=0) if scores
-                             else np.zeros((0, 0)))
-        return report
 
     @staticmethod
     def _shed_victim(trace: RequestTrace, backlog: List[int],
@@ -530,11 +541,11 @@ class MicroBatcher:
                 return pos
         raise AssertionError("unreachable: lowest class vanished")
 
-    def _run_bounded(self, trace: RequestTrace,
-                     swaps: Sequence[SwapEvent],
-                     collect_scores: bool) -> ServingReport:
-        """Admission-controlled replay: a queue of at most ``max_queue``
-        requests, overflow resolved by the overload policy.
+    def _bounded_batches(self, trace: RequestTrace,
+                         report: ServingReport) -> Iterator[Batch]:
+        """Admission-controlled batching: a queue of at most
+        ``max_queue`` requests, overflow resolved by the overload policy
+        and written to ``report.dropped``.
 
         Requests are admitted at their arrival instant.  A full queue
         either turns the newcomer away (``reject``) or evicts a queued
@@ -542,20 +553,14 @@ class MicroBatcher:
         priority class present, see :meth:`_shed_victim`); evicting the
         head restarts the delay budget from the new head, so a shedding
         queue under sustained overload keeps dispatching full, fresh
-        batches.  ``report.records`` follows dispatch order (with
-        shedding this is not request order); ``report.scores`` rows
-        align with it.
+        batches.  Batches come in dispatch order (with shedding this is
+        not request order); ``report.scores`` rows align with it.
         """
         policy = self.policy
         arrivals = trace.arrivals
         total = trace.num_requests
-        pending_swaps = sorted(swaps, key=lambda s: s[0])
-        report = ServingReport()
-        if collect_scores:
-            scores: List[np.ndarray] = []
         backlog: List[int] = []
         i = 0
-        swap_i = 0
         while i < total or backlog:
             if not backlog:
                 backlog.append(i)
@@ -578,17 +583,14 @@ class MicroBatcher:
                 now = float(arrivals[i])
                 if len(backlog) < policy.max_queue:
                     backlog.append(i)
-                elif policy.overload == "reject":
-                    report.dropped.append(DropRecord(
-                        i, now, now, "reject",
-                        tenant=trace.tenant_of(i),
-                        priority=trace.priority_of(i)))
                 else:
-                    victim_pos = self._shed_victim(trace, backlog, i)
+                    victim_pos = None if policy.overload == "reject" \
+                        else self._shed_victim(trace, backlog, i)
                     if victim_pos is None:
-                        # the newcomer is strictly the lowest admission
-                        # class present — it is turned away instead of
-                        # evicting anyone more important
+                        # drop-tail — by policy, or because the newcomer
+                        # is strictly the lowest admission class present
+                        # and is turned away instead of evicting anyone
+                        # more important
                         report.dropped.append(DropRecord(
                             i, now, now, "reject",
                             tenant=trace.tenant_of(i),
@@ -606,38 +608,5 @@ class MicroBatcher:
             size = min(len(backlog), policy.max_batch_size)
             batch_ids = backlog[:size]
             del backlog[:size]
-            while swap_i < len(pending_swaps) \
-                    and pending_swaps[swap_i][0] <= close:
-                when, action = pending_swaps[swap_i]
-                action(when)
-                swap_i += 1
-            result = self._dispatch(
-                trace.features[batch_ids], float(close),
-                np.asarray(batch_ids, dtype=np.int64),
-            )
-            batch_id = len(report.batches)
-            report.batches.append(BatchRecord(
-                batch_id=batch_id, size=size, close_s=float(close),
-                start_s=result.start_s,
-                completion_s=result.completion_s,
-                worker=result.worker,
-                model_version=result.model_version,
-            ))
-            for request in batch_ids:
-                report.records.append(RequestRecord(
-                    request_id=request,
-                    arrival_s=float(arrivals[request]),
-                    batch_id=batch_id,
-                    start_s=result.start_s,
-                    completion_s=result.completion_s,
-                    worker=result.worker,
-                    model_version=result.model_version,
-                ))
-            if collect_scores:
-                scores.append(result.scores)
-        for when, action in pending_swaps[swap_i:]:
-            action(when)
-        if collect_scores:
-            report.scores = (np.concatenate(scores, axis=0) if scores
-                             else np.zeros((0, 0)))
-        return report
+            yield (trace.features[batch_ids],
+                   np.asarray(batch_ids, dtype=np.int64), float(close))

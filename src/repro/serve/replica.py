@@ -53,6 +53,30 @@ DEPLOY_KIND = "deploy:model"
 _BALANCERS = ("round-robin", "least-loaded")
 
 
+def resolve_version(registry: ModelRegistry,
+                    version: Union[int, ModelVersion, None]
+                    ) -> ModelVersion:
+    """The registry entry ``version`` names: a version id, an entry
+    itself, or ``None`` for the registry's active version."""
+    if version is None:
+        return registry.active
+    if isinstance(version, ModelVersion):
+        return version
+    return registry.get(int(version))
+
+
+def deployer(fleet, version: Union[int, ModelVersion, None] = None
+             ) -> Callable[[float], None]:
+    """A swap action for :meth:`MicroBatcher.run`: activates (when
+    given a version id) and deploys at the swap's simulated time.
+    Every fleet backend binds this as its ``deployer`` method."""
+    def action(at_s: float) -> None:
+        if isinstance(version, int):
+            fleet.registry.activate(version)
+        fleet.deploy(version, at_s=at_s)
+    return action
+
+
 class ReplicaSet:
     """``W`` simulated workers serving one registry behind a balancer.
 
@@ -125,12 +149,7 @@ class ReplicaSet:
         ``codec:deploy:model`` savings dimension reports what the deltas
         avoided shipping.
         """
-        if version is None:
-            entry = self.registry.active
-        elif isinstance(version, ModelVersion):
-            entry = version
-        else:
-            entry = self.registry.get(int(version))
+        entry = resolve_version(self.registry, version)
         targets = (range(self.num_workers) if workers is None
                    else self._check_pool(workers))
         delta_nbytes: dict = {}   # predecessor version -> delta wire size
@@ -176,15 +195,7 @@ class ReplicaSet:
             return None
         return len(canonical_payload_bytes(delta))
 
-    def deployer(self, version: Union[int, ModelVersion, None] = None
-                 ) -> Callable[[float], None]:
-        """A swap action for :meth:`MicroBatcher.run`: activates (when
-        given a version id) and deploys at the swap's simulated time."""
-        def action(at_s: float) -> None:
-            if isinstance(version, int):
-                self.registry.activate(version)
-            self.deploy(version, at_s=at_s)
-        return action
+    deployer = deployer
 
     def deployed_versions(self) -> list:
         """Per-worker deployed version id (``None`` before any deploy)."""

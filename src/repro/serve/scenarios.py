@@ -687,11 +687,6 @@ class ScenarioRunner:
         )
         conservation = (len(report.records) + len(report.dropped)
                         == trace.num_requests)
-        single_version = all(
-            len({r.model_version for r in report.records
-                 if r.batch_id == b.batch_id}) <= 1
-            for b in report.batches
-        )
         return {
             "schema": SCENARIO_SCHEMA,
             "scenario": s.name,
@@ -731,7 +726,7 @@ class ScenarioRunner:
                 "conservation_ok": conservation,
                 "priority_admission_ok":
                     audit_priority_admission(trace, report),
-                "single_version_batches": single_version,
+                "single_version_batches": report.single_version_batches(),
                 "scores_exact": self._scores_exact(trace, report),
             },
         }

@@ -59,6 +59,7 @@ from ..cluster.network import SimulatedNetwork
 from .batcher import DispatchResult
 from .compiler import CompiledEnsemble
 from .registry import ModelRegistry, ModelShard, ModelVersion
+from .replica import deployer, resolve_version
 
 #: ledger kind of the partial-score carry (the reduce half)
 PARTIAL_KIND = "serve:partial"
@@ -191,12 +192,7 @@ class ShardedReplicaSet:
         — versus ``R * S *`` full payload for a replicated fleet of the
         same size — and per-worker model bytes scale as ``~1/S``.
         """
-        if version is None:
-            entry = self.registry.active
-        elif isinstance(version, ModelVersion):
-            entry = version
-        else:
-            entry = self.registry.get(int(version))
+        entry = resolve_version(self.registry, version)
         shards = self.registry.shards(entry.version, self.num_shards)
         for row in range(self.num_rows):
             for j, shard in enumerate(shards):
@@ -207,15 +203,7 @@ class ShardedReplicaSet:
                 self._deployed[worker] = shard
         return entry
 
-    def deployer(self, version: Union[int, ModelVersion, None] = None
-                 ) -> Callable[[float], None]:
-        """A swap action for :meth:`MicroBatcher.run`: activates (when
-        given a version id) and deploys at the swap's simulated time."""
-        def action(at_s: float) -> None:
-            if isinstance(version, int):
-                self.registry.activate(version)
-            self.deploy(version, at_s=at_s)
-        return action
+    deployer = deployer
 
     def deployed_versions(self) -> list:
         """Per-worker deployed version id (``None`` before any deploy)."""

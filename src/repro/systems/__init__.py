@@ -41,7 +41,7 @@ from .advisor import (AdaptDecision, AdaptivePolicy, CalibratedConstants,
                       recommend)
 from .base import (DistEvalRecord, DistributedGBDT, DistTrainResult,
                    MemoryReport, TreeReport)
-from .costmodel import WorkloadShape
+from .costmodel import WorkloadShape, workload_of
 from .executor import (PlanExecutor, SessionCheckpoint, SessionState,
                        TrainingSession)
 from .migration import MigrationRecord, PlanMigrator
@@ -49,41 +49,25 @@ from .plans import (ALIASES, PLANS, DimBoostStyle, ExecutionPlan,
                     LightGBMFeatureParallel, LightGBMStyle, Vero,
                     XGBoostStyle, YggdrasilStyle, get_plan, plan_keys)
 
-#: names that resolve to a dedicated alias class (kwargs accepted)
-_SYSTEMS = {
-    "qd1": XGBoostStyle,
-    "xgboost": XGBoostStyle,
-    "qd2": LightGBMStyle,
-    "lightgbm": LightGBMStyle,
-    "qd2-ps": DimBoostStyle,
-    "dimboost": DimBoostStyle,
-    "qd3": YggdrasilStyle,
-    "yggdrasil": YggdrasilStyle,
-    "qd4": Vero,
-    "vero": Vero,
-    "qd2-fp": LightGBMFeatureParallel,
-    "lightgbm-fp": LightGBMFeatureParallel,
-}
-
 
 def make_system(
     name: str, config: TrainConfig, cluster: ClusterConfig, **kwargs
 ) -> DistributedGBDT:
-    """Factory over system names and plan registry keys (case-insensitive).
+    """Factory over plan registry keys and aliases (case-insensitive).
 
-    Accepted names: qd1/xgboost, qd2/lightgbm, qd2-ps/dimboost,
-    qd3/yggdrasil (``index_mode=`` kwarg), qd4/vero, qd2-fp/lightgbm-fp,
-    plus any other :data:`~repro.systems.plans.PLANS` key (e.g.
-    ``qd3-pure``, ``qd4-blocked``).
+    Accepted names: every :data:`~repro.systems.plans.PLANS` key (qd1,
+    qd2, qd2-ps, qd2-fp, qd3, qd3-pure, vero, qd4-blocked) and
+    :data:`~repro.systems.plans.ALIASES` spelling (xgboost, lightgbm,
+    dimboost, lightgbm-fp, yggdrasil, qd4).  Only qd3/yggdrasil takes a
+    keyword argument (``index_mode=``, see :class:`YggdrasilStyle`).
     """
-    cls = _SYSTEMS.get(name.lower())
-    if cls is not None:
-        return cls(config, cluster, **kwargs)
     try:
         plan = get_plan(name)
     except KeyError:
-        known = ", ".join(sorted(set(_SYSTEMS) | set(PLANS) | set(ALIASES)))
+        known = ", ".join(sorted(set(PLANS) | set(ALIASES)))
         raise KeyError(f"unknown system {name!r}; known: {known}") from None
+    if plan.key == "qd3":
+        return YggdrasilStyle(config, cluster, **kwargs)
     if kwargs:
         raise TypeError(
             f"plan {plan.key!r} takes no keyword arguments; got "
@@ -113,16 +97,7 @@ def make_adaptive_session(
         _adaptive_start_system(config, cluster, train, start_plan),
         train, valid=valid,
     )
-    binned = session.binned
-    shape = WorkloadShape(
-        num_instances=binned.num_instances,
-        num_features=binned.num_features,
-        num_workers=cluster.num_workers,
-        num_layers=config.num_layers,
-        num_candidates=config.num_candidates,
-        num_classes=config.gradient_dim,
-    )
-    avg_nnz = binned.binned.nnz / max(binned.num_instances, 1)
+    shape, avg_nnz = workload_of(session.binned, config, cluster)
     session.policy = AdaptivePolicy(
         shape, avg_nnz, cluster.network,
         every=every if every is not None else (config.adapt or 4),
@@ -142,15 +117,7 @@ def _adaptive_start_system(config, cluster, train, start_plan):
 
     binned = train if isinstance(train, BinnedDataset) \
         else bin_dataset(train, config.num_candidates)
-    shape = WorkloadShape(
-        num_instances=binned.num_instances,
-        num_features=binned.num_features,
-        num_workers=cluster.num_workers,
-        num_layers=config.num_layers,
-        num_candidates=config.num_candidates,
-        num_classes=config.gradient_dim,
-    )
-    avg_nnz = binned.binned.nnz / max(binned.num_instances, 1)
+    shape, avg_nnz = workload_of(binned, config, cluster)
     verdict = recommend(shape, avg_nnz, cluster.network,
                         codec=config.codec or "none",
                         backend=config.backend)

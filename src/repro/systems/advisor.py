@@ -26,8 +26,9 @@ from ..core.kernels import compute_factor
 from .costmodel import (WorkloadShape, expected_recovery_seconds_per_tree,
                         horizontal_comm_bytes_per_tree,
                         horizontal_comm_bytes_per_tree_encoded,
-                        migration_seconds, sizehist_bytes,
-                        vertical_comm_bytes_per_tree)
+                        horizontal_histogram_memory_bytes,
+                        migration_seconds, vertical_comm_bytes_per_tree,
+                        vertical_histogram_memory_bytes)
 from .plans import PLANS, ExecutionPlan, get_plan
 
 #: key-value pair accesses per second of one worker core; the default is
@@ -110,27 +111,6 @@ class Recommendation:
         return self.best.plan
 
 
-def _access_counts(shape: WorkloadShape, avg_nnz: float) -> Dict[str, float]:
-    """Stored-entry accesses per tree for each quadrant's kernel plan
-    (Section 3.2.4), including histogram-subtraction savings."""
-    layers = shape.num_layers - 1
-    nnz = shape.num_instances * avg_nnz
-    # with subtraction, layers below the root scan about half the data
-    subtracted = nnz + (layers - 1) * nnz / 2 if layers > 1 else nnz
-    full = layers * nnz
-    per_column = max(nnz / max(shape.num_features, 1), 2.0)
-    search_penalty = math.log2(per_column)
-    return {
-        # column + instance-to-node: full scan, no subtraction
-        "QD1": full / shape.num_workers,
-        # row + node-to-instance: subtraction
-        "QD2": subtracted / shape.num_workers,
-        # column + hybrid index: subtraction, but search/filter overhead
-        "QD3": subtracted * search_penalty / shape.num_workers,
-        "QD4": subtracted / shape.num_workers,
-    }
-
-
 def estimate(
     shape: WorkloadShape,
     avg_nnz_per_instance: float,
@@ -164,38 +144,21 @@ def estimate(
         raise ValueError("scan_rate must be > 0")
     if network is None:
         network = NetworkModel()
-    scan_rate = scan_rate * compute_factor(backend)
-    accesses = _access_counts(shape, avg_nnz_per_instance)
-    if codec == "none":
-        horizontal_bytes = horizontal_comm_bytes_per_tree(shape)
-    else:
-        horizontal_bytes = horizontal_comm_bytes_per_tree_encoded(
-            shape, avg_nnz_per_instance, codec)
-    vertical_bytes = vertical_comm_bytes_per_tree(shape)
-    bps = network.bytes_per_second
-    layers = shape.num_layers - 1
-    horizontal_comm = (
-        horizontal_bytes / shape.num_workers / bps
-        + layers * 2 * shape.num_workers * network.latency_s
-    )
-    vertical_comm = (
-        vertical_bytes / shape.num_workers / bps
-        + layers * 2 * network.latency_s
-    )
-    hist_mem_h = float(sizehist_bytes(shape)) * 2 ** (shape.num_layers - 2)
-    hist_mem_v = hist_mem_h / shape.num_workers
+    costs = price_plans(shape, avg_nnz_per_instance, network,
+                        backend_constants(scan_rate, backend), codec=codec)
     out = {}
-    for quadrant in QUADRANTS:
-        horizontal = quadrant in ("QD1", "QD2")
+    for quadrant, plan_key in PLAN_OF_QUADRANT.items():
+        vertical = PLANS[plan_key].partition == "vertical"
         out[quadrant] = QuadrantEstimate(
             quadrant=quadrant,
-            comp_seconds=accesses[quadrant] / scan_rate,
-            comm_seconds=horizontal_comm if horizontal else vertical_comm,
-            histogram_memory_bytes=hist_mem_h if horizontal else
-            hist_mem_v,
+            comp_seconds=costs[plan_key].comp_seconds,
+            comm_seconds=costs[plan_key].comm_seconds,
+            histogram_memory_bytes=(
+                vertical_histogram_memory_bytes(shape) if vertical
+                else float(horizontal_histogram_memory_bytes(shape))),
             recovery_seconds=expected_recovery_seconds_per_tree(
-                shape, avg_nnz_per_instance, bps, crash_rate,
-                vertical=not horizontal,
+                shape, avg_nnz_per_instance, network.bytes_per_second,
+                crash_rate, vertical=vertical,
             ),
         )
     return out
@@ -316,29 +279,29 @@ def calibrate_scan_rate(sample_seconds: float,
 # Adaptive re-planning (DESIGN.md §13)
 # ---------------------------------------------------------------------------
 
-def _plan_comp_profile(plan: ExecutionPlan) -> str:
-    """Which Section 3.2.4 access-count profile prices a plan's compute.
+def plan_accesses(shape: WorkloadShape, avg_nnz_per_instance: float,
+                  plan: ExecutionPlan) -> float:
+    """Per-worker stored-entry accesses per tree of ``plan``'s kernels
+    (Section 3.2.4), including histogram-subtraction savings.
 
     Derived from the axes, not the registry key, so derived/custom plans
-    price correctly: a full instance-to-node pass is the QD1 profile, a
-    column store with a search-based index the QD3 profile; everything
-    else builds from a row-major node-to-instance scan with subtraction
-    (the QD2/QD4 profile — identical per-worker access counts).
+    price correctly: a level-wise instance-to-node pass scans every
+    entry at every layer; every other index plan builds with
+    subtraction, and over a column store additionally pays the
+    search/filter overhead of locating a node's rows in each column.
+    Row-major node-to-instance scans cost the same per worker however
+    the data is partitioned.
     """
+    layers = shape.num_layers - 1
+    nnz = shape.num_instances * avg_nnz_per_instance
     if plan.index == "instance-to-node":
-        return "QD1"
+        return layers * nnz / shape.num_workers
+    # with subtraction, layers below the root scan about half the data
+    subtracted = nnz + (layers - 1) * nnz / 2 if layers > 1 else nnz
     if plan.storage == "column":
-        return "QD3"
-    return "QD2" if plan.partition in ("horizontal", "replicated") \
-        else "QD4"
-
-
-def plan_access_counts(shape: WorkloadShape,
-                       avg_nnz_per_instance: float) -> Dict[str, float]:
-    """Per-worker stored-entry accesses per tree, for every registry plan."""
-    base = _access_counts(shape, avg_nnz_per_instance)
-    return {key: base[_plan_comp_profile(plan)]
-            for key, plan in PLANS.items()}
+        per_column = max(nnz / max(shape.num_features, 1), 2.0)
+        return subtracted * math.log2(per_column) / shape.num_workers
+    return subtracted / shape.num_workers
 
 
 def plan_comm_seconds(
@@ -390,6 +353,17 @@ class CalibratedConstants:
     prior_scan_rate: float = DEFAULT_SCAN_RATE
 
 
+def backend_constants(scan_rate: float,
+                      backend: str = "") -> CalibratedConstants:
+    """Prior constants for a kernel backend: ``scan_rate`` scaled by the
+    backend's relative histogram throughput (numpy 1.0, numba the
+    bench-pinned speedup), the wire at the network model's own speed."""
+    return CalibratedConstants(
+        scan_rate=scan_rate * compute_factor(backend), comm_scale=1.0,
+        trees_observed=0, prior_scan_rate=scan_rate,
+    )
+
+
 @dataclass(frozen=True)
 class PlanCost:
     """Per-tree cost of one registry plan under some constants."""
@@ -424,11 +398,7 @@ def calibrate_constants(
         raise ValueError("calibration needs at least one observed tree")
     comp_obs = sum(r.comp_seconds for r in reports) / len(reports)
     comm_obs = sum(r.comm_seconds for r in reports) / len(reports)
-    accesses = plan_access_counts(shape, avg_nnz_per_instance).get(
-        plan.key)
-    if accesses is None:
-        accesses = _access_counts(
-            shape, avg_nnz_per_instance)[_plan_comp_profile(plan)]
+    accesses = plan_accesses(shape, avg_nnz_per_instance, plan)
     scan_rate = accesses / comp_obs if comp_obs > 0 else prior_scan_rate
     comm_pred = plan_comm_seconds(shape, plan, network,
                                   avg_nnz_per_instance, codec)
@@ -450,12 +420,12 @@ def price_plans(
     (the prior cost model when ``constants`` is ``None``)."""
     scan_rate = constants.scan_rate if constants else DEFAULT_SCAN_RATE
     comm_scale = constants.comm_scale if constants else 1.0
-    accesses = plan_access_counts(shape, avg_nnz_per_instance)
     out: Dict[str, PlanCost] = {}
     for key, plan in PLANS.items():
         out[key] = PlanCost(
             plan_key=key,
-            comp_seconds=accesses[key] / scan_rate,
+            comp_seconds=plan_accesses(
+                shape, avg_nnz_per_instance, plan) / scan_rate,
             comm_seconds=comm_scale * plan_comm_seconds(
                 shape, plan, network, avg_nnz_per_instance, codec),
         )

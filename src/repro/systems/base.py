@@ -169,6 +169,16 @@ class WorkerClock:
         self.seconds += scaled
         self.phase_seconds[phase] += scaled
 
+    def timed(self, worker: Optional[int] = None,
+              phase: str = "histogram") -> "_Timed":
+        """``with clock.timed(worker, phase):`` wall-clocks the block and
+        charges it to ``worker`` (:meth:`charge`), or to every worker
+        when ``worker`` is ``None`` (:meth:`charge_all`); a block that
+        raises charges nothing.  The context keeps the unscaled
+        measurement as ``.seconds``.
+        """
+        return _Timed(self, worker, phase)
+
     @property
     def elapsed(self) -> float:
         return float(self.seconds.max()) if self.seconds.size else 0.0
@@ -179,6 +189,30 @@ class WorkerClock:
             phase: float(per_worker.max()) if per_worker.size else 0.0
             for phase, per_worker in self.phase_seconds.items()
         }
+
+
+class _Timed:
+    """One :meth:`WorkerClock.timed` block (slotted: the trainer opens
+    thousands per tree, so no generator frame per block)."""
+
+    __slots__ = ("_clock", "_worker", "_phase", "_start", "seconds")
+
+    def __init__(self, clock: WorkerClock, worker: Optional[int],
+                 phase: str) -> None:
+        self._clock, self._worker, self._phase = clock, worker, phase
+
+    def __enter__(self) -> "_Timed":
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        self.seconds = time.perf_counter() - self._start
+        if exc_type is not None:
+            return
+        if self._worker is None:
+            self._clock.charge_all(self.seconds, self._phase)
+        else:
+            self._clock.charge(self._worker, self.seconds, self._phase)
 
 
 class HistogramStore:

@@ -8,6 +8,7 @@ worked example of Section 3.1.4 (the industrial *Age* dataset) exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from ..cluster.codecs import sparse_entry_bytes
 from ..core.histogram import histogram_size_bytes
@@ -29,6 +30,21 @@ class WorkloadShape:
                self.num_layers, self.num_candidates,
                self.num_classes) < 1:
             raise ValueError("all shape parameters must be >= 1")
+
+
+def workload_of(binned, config, cluster) -> Tuple[WorkloadShape, float]:
+    """The shape of training ``binned`` under ``config`` on ``cluster``,
+    with its mean stored entries per instance (the ``d`` the density and
+    access-count formulas take) — the advisor's two workload inputs."""
+    shape = WorkloadShape(
+        num_instances=binned.num_instances,
+        num_features=binned.num_features,
+        num_workers=cluster.num_workers,
+        num_layers=config.num_layers,
+        num_candidates=config.num_candidates,
+        num_classes=config.gradient_dim,
+    )
+    return shape, binned.binned.nnz / max(binned.num_instances, 1)
 
 
 def sizehist_bytes(shape: WorkloadShape) -> int:

@@ -34,9 +34,8 @@ the final model is bit-identical to the fault-free run.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -93,11 +92,10 @@ class TreeCheckpoint:
         """Bytes of placement state a full restore must ship."""
         return sum(arr.nbytes for arr in self.index_state)
 
-    def worker_state_bytes(self, worker: int) -> int:
-        """Placement-state bytes of one worker's index replica."""
-        if len(self.index_state) == 1:
-            return self.index_state[0].nbytes
-        return self.index_state[worker].nbytes
+    def worker_state(self, worker: int) -> np.ndarray:
+        """The snapshot of the index replica ``worker`` reads (the
+        shared one when the plan keeps a single physical replica)."""
+        return self.index_state[worker if len(self.index_state) > 1 else 0]
 
 
 @dataclass(frozen=True)
@@ -217,31 +215,42 @@ class PlanExecutor(DistributedGBDT):
 
     def _take_checkpoint(self, tree_index: int) -> TreeCheckpoint:
         """Snapshot trainer state at the tree boundary (post-reset)."""
-        if self.partition.key == "horizontal":
-            index_state = tuple(
-                index.node_of_instance.copy() for index in self.indexes
-            )
-        else:
-            index_state = (self.index.node_of_instance.copy(),)
         return TreeCheckpoint(
             tree_index=tree_index,
             model_bytes=self._model_state_bytes(),
-            index_state=index_state,
+            index_state=tuple(
+                index.node_of_instance.copy()
+                for index in self.partition.index_replicas(self)
+            ),
             network_snapshot=self.net.snapshot(),
         )
 
     def _restore_checkpoint(self, checkpoint: TreeCheckpoint) -> None:
         """Rebuild per-tree state from the checkpoint's snapshots."""
         self._reset_tree_state()
-        if self.partition.key == "horizontal":
-            self.indexes = [
-                NodeToInstanceIndex.from_assignment(arr)
-                for arr in checkpoint.index_state
-            ]
-        else:
-            self.index = NodeToInstanceIndex.from_assignment(
-                checkpoint.index_state[0]
-            )
+        self.partition.adopt_index_replicas(self, [
+            NodeToInstanceIndex.from_assignment(arr)
+            for arr in checkpoint.index_state
+        ])
+
+    def _ship_index_state(self, snapshots: Sequence[np.ndarray],
+                          clock: WorkerClock) -> int:
+        """Wire bytes of placement snapshots crossing the network.
+
+        The identity stack ships them raw.  Any other stack ships them
+        through the index codec, and the decode is exercised for real
+        (lossless, so restoring from the local snapshot equals restoring
+        the decoded payload); the kernels are charged to every worker.
+        """
+        if self.codec.is_identity:
+            return sum(arr.nbytes for arr in snapshots)
+        wire = 0
+        with clock.timed(None, "codec"):
+            for arr in snapshots:
+                enc = self.codec.index.encode(arr)
+                self.codec.index.decode(enc)
+                wire += enc.nbytes
+        return wire
 
     def _recover(self, event: CrashEvent, checkpoint: TreeCheckpoint,
                  attempt_mark: int, clock: WorkerClock) -> None:
@@ -264,21 +273,8 @@ class PlanExecutor(DistributedGBDT):
         net = self.net
         net.relabel_since(attempt_mark, RECOVERY_PREFIX)
         policy = self.aggregation.recovery_policy
-        state_raw = checkpoint.worker_state_bytes(event.worker)
-        state_wire = state_raw
-        if not self.codec.is_identity:
-            # ship the placement state through the index codec; the
-            # decode is exercised for real (lossless, so restoring from
-            # the local snapshot equals restoring the decoded payload)
-            if len(checkpoint.index_state) == 1:
-                state_arr = checkpoint.index_state[0]
-            else:
-                state_arr = checkpoint.index_state[event.worker]
-            start = time.perf_counter()
-            enc = self.codec.index.encode(state_arr)
-            self.codec.index.decode(enc)
-            clock.charge_all(time.perf_counter() - start, phase="codec")
-            state_wire = enc.nbytes
+        state = checkpoint.worker_state(event.worker)
+        state_wire = self._ship_index_state([state], clock)
         restore_bytes = checkpoint.model_bytes + state_wire
         if policy == "reshard":
             data_bytes = (
@@ -295,7 +291,7 @@ class PlanExecutor(DistributedGBDT):
         net.transfer(
             "recovery:checkpoint",
             checkpoint.model_bytes + state_wire,
-            raw_nbytes=checkpoint.model_bytes + state_raw,
+            raw_nbytes=checkpoint.model_bytes + state.nbytes,
         )
         self.recovery_log.append(RecoveryRecord(
             tree=event.tree, layer=event.layer, worker=event.worker,

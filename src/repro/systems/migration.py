@@ -38,11 +38,11 @@ loop); mid-migration crashes are injected via
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..cluster.faults import CrashEvent, RECOVERY_PREFIX
+from .base import WorkerClock
 from .executor import PlanExecutor, RecoveryRecord, WorkerCrashError
 from .plans import ExecutionPlan, get_plan
 
@@ -166,22 +166,15 @@ class PlanMigrator:
         old._reset_tree_state()
         checkpoint = old._take_checkpoint(session.state.tree_index)
         old.last_checkpoint = checkpoint
-        state_raw = checkpoint.state_bytes
-        state_wire = state_raw
-        if not old.codec.is_identity:
-            start = time.perf_counter()
-            state_wire = 0
-            for arr in checkpoint.index_state:
-                enc = old.codec.index.encode(arr)
-                old.codec.index.decode(enc)
-                state_wire += enc.nbytes
-            # codec kernel time is real compute; fold it into the
-            # simulated clock via the migration bill
-            seconds += time.perf_counter() - start
+        # codec kernel time is real compute; fold it into the simulated
+        # clock via the migration bill
+        clock = WorkerClock(num_workers)
+        state_wire = old._ship_index_state(checkpoint.index_state, clock)
+        seconds += clock.elapsed
         checkpoint_bytes = checkpoint.model_bytes + state_wire
         seconds += net.transfer(
             "migrate:checkpoint", checkpoint_bytes,
-            raw_nbytes=checkpoint.model_bytes + state_raw,
+            raw_nbytes=checkpoint.model_bytes + checkpoint.state_bytes,
         )
         self._maybe_crash(session.state.tree_index)
 

@@ -185,48 +185,39 @@ def get_plan(key: str) -> ExecutionPlan:
 # Classic class-name aliases over the registry entries
 # ---------------------------------------------------------------------------
 #
-# These lived in per-quadrant modules (systems/qd1.py, qd2.py, qd3.py,
-# vero.py, feature_parallel.py) when each quadrant was a real subclass;
-# since the ExecutionPlan refactor they are one-line wrappers, so they
-# live here with the registry — the single source of plan truth.  The
-# old module paths remain as deprecation shims.
+# Each quadrant was a real subclass before the ExecutionPlan refactor;
+# the names survive as constructors of one registry entry, declared here
+# next to the registry — the single source of plan truth.
 
 from .executor import PlanExecutor  # noqa: E402 — needs no plan symbols
 
 
-def _deprecated_alias_module(name: str) -> None:
-    """The deprecation shim shared by the folded per-quadrant modules."""
-    import warnings
+class _PlanAlias(PlanExecutor):
+    """A classic class name: the executor of the ``plan_key`` entry."""
 
-    warnings.warn(
-        f"{name} is deprecated; import the alias classes from "
-        "repro.systems (they live in repro.systems.plans now)",
-        DeprecationWarning, stacklevel=3,
-    )
+    plan_key: str
+
+    def __init__(self, config: "TrainConfig",
+                 cluster: "ClusterConfig") -> None:
+        super().__init__(config, cluster, get_plan(self.plan_key))
 
 
-class XGBoostStyle(PlanExecutor):
+class XGBoostStyle(_PlanAlias):
     """QD1: horizontal + column-store with all-reduce aggregation."""
 
-    def __init__(self, config: "TrainConfig",
-                 cluster: "ClusterConfig") -> None:
-        super().__init__(config, cluster, get_plan("qd1"))
+    plan_key = "qd1"
 
 
-class LightGBMStyle(PlanExecutor):
+class LightGBMStyle(_PlanAlias):
     """QD2: horizontal + row-store with reduce-scatter aggregation."""
 
-    def __init__(self, config: "TrainConfig",
-                 cluster: "ClusterConfig") -> None:
-        super().__init__(config, cluster, get_plan("qd2"))
+    plan_key = "qd2"
 
 
-class DimBoostStyle(PlanExecutor):
+class DimBoostStyle(_PlanAlias):
     """QD2 with parameter-server aggregation (DimBoost architecture)."""
 
-    def __init__(self, config: "TrainConfig",
-                 cluster: "ClusterConfig") -> None:
-        super().__init__(config, cluster, get_plan("qd2-ps"))
+    plan_key = "qd2-ps"
 
 
 class YggdrasilStyle(PlanExecutor):
@@ -247,17 +238,13 @@ class YggdrasilStyle(PlanExecutor):
         self.index_mode = index_mode
 
 
-class Vero(PlanExecutor):
+class Vero(_PlanAlias):
     """QD4: vertical + row-store (the paper's system)."""
 
-    def __init__(self, config: "TrainConfig",
-                 cluster: "ClusterConfig") -> None:
-        super().__init__(config, cluster, get_plan("vero"))
+    plan_key = "vero"
 
 
-class LightGBMFeatureParallel(PlanExecutor):
+class LightGBMFeatureParallel(_PlanAlias):
     """Feature-parallel LightGBM: full data copy per worker (App. D)."""
 
-    def __init__(self, config: "TrainConfig",
-                 cluster: "ClusterConfig") -> None:
-        super().__init__(config, cluster, get_plan("qd2-fp"))
+    plan_key = "qd2-fp"

@@ -34,8 +34,8 @@ trees and identical traffic against the frozen legacy classes.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Sequence, Set, TYPE_CHECKING, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
+                    TYPE_CHECKING, Tuple)
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from ..cluster.blocks import BlockedColumnGroup, blockify_shard
 from ..cluster.comm import (SPLIT_INFO_BYTES, allreduce_histograms,
                             broadcast_bytes, exchange_split_infos,
                             ps_push_histograms, record_collective,
-                            reduce_scatter_histograms)
+                            reduce_scatter_histograms, scatter_features)
 from ..cluster.partition import horizontal_shards, vertical_shards
 from ..core.histogram import ColumnwiseIndex, Histogram, node_totals
 from ..core.indexing import NodeToInstanceIndex
@@ -62,31 +62,90 @@ if TYPE_CHECKING:
 LEADER = 0
 
 
-def _encode_worker_hists(ex, node: int, clock: WorkerClock,
-                         enc_bytes: List[int],
-                         enc_seconds: List[float]) -> Tuple[List, float]:
-    """Encode every worker's histogram of ``node`` with the executor's
-    codec and decode at the receiving end.
+def _layer_hists_over_wire(
+    ex: "PlanExecutor", nodes: Sequence[int], clock: WorkerClock,
+    pattern: str,
+) -> Iterator[Tuple[int, List[Histogram]]]:
+    """Every worker's histograms of one layer as the aggregating end
+    receives them, node by node; once the last node has been handed out
+    the layer's single batched collective is charged (real systems batch
+    a layer's histograms into one collective).
 
-    The encode kernel is charged to the owning worker, the decode time
-    is returned for the caller to charge where the aggregated result
-    materializes.  Returns the decoded per-worker histograms (for a
-    lossless codec these are bit-identical to the originals, so the
-    downstream sum — in unchanged order — reproduces the dense model
-    exactly) and the accumulated decode seconds.
+    On the identity stack the stores' histograms come back untouched: no
+    encode, no copy, nothing charged.  Otherwise each histogram takes
+    the round trip through the executor's histogram codec — the encode
+    kernel charged to the owning worker, the decode to every worker (the
+    decoded payload materializes wherever the aggregate does) — and the
+    collective is charged the encoded sizes.  A lossless codec hands
+    back bit-identical histograms, so the downstream sum, in unchanged
+    worker order, reproduces the dense model exactly.
     """
-    codec = ex.codec.histogram
-    decoded = []
-    dec_seconds = 0.0
-    for worker, store in enumerate(ex.stores):
-        start = time.perf_counter()
-        enc = codec.encode(store.get(node))
-        enc_seconds[worker] += time.perf_counter() - start
-        enc_bytes[worker] += enc.nbytes
-        start = time.perf_counter()
-        decoded.append(codec.decode(enc))
-        dec_seconds += time.perf_counter() - start
-    return decoded, dec_seconds
+    num_workers = ex.cluster.num_workers
+    codec = None if ex.codec.is_identity else ex.codec.histogram
+    enc_bytes = None if codec is None else [0] * num_workers
+    payload = 0
+    for node in nodes:
+        hists = [store.get(node) for store in ex.stores]
+        payload += hists[0].nbytes
+        if codec is not None:
+            for worker, hist in enumerate(hists):
+                with clock.timed(worker, "codec"):
+                    enc = codec.encode(hist)
+                enc_bytes[worker] += enc.nbytes
+                with clock.timed(None, "codec"):
+                    hists[worker] = codec.decode(enc)
+        yield node, hists
+    record_collective(ex.net, "hist-aggregation", payload, num_workers,
+                      pattern, encoded_worker_bytes=enc_bytes)
+
+
+def _elect_split(
+    ex: "PlanExecutor", node: int,
+    worker_features: Sequence[np.ndarray],
+    hist_of: Callable[[int], Histogram], clock: WorkerClock,
+) -> Optional[SplitInfo]:
+    """Global best split of ``node`` from per-worker local proposals.
+
+    Worker ``w`` proposes the best split of ``hist_of(w)``, whose rows
+    are the features ``worker_features[w]`` (a reduce-scatter slice, a
+    server shard or a vertical column group); the proposal's local
+    feature id is mapped back to the global one and the winner elected
+    by :meth:`SplitInfo.better_than`.  Workers owning no features sit
+    the election out.
+    """
+    bins = ex._binned.bins_per_feature
+    best: Optional[SplitInfo] = None
+    for worker, features in enumerate(worker_features):
+        if features.size == 0:
+            continue
+        with clock.timed(worker, "split-find"):
+            candidate = ex._decide_split(
+                hist_of(worker), ex.stats[node],
+                ex.partition.node_count(ex, node), bins[features],
+            )
+        if candidate is not None:
+            candidate = SplitInfo(
+                feature=int(features[candidate.feature]),
+                bin=candidate.bin,
+                default_left=candidate.default_left,
+                gain=candidate.gain,
+            )
+            if candidate.better_than(best):
+                best = candidate
+    return best
+
+
+def _activate_children(ex: "PlanExecutor", splits: Dict[int, SplitInfo],
+                       grad: np.ndarray, hess: np.ndarray,
+                       active: Set[int], clock: WorkerClock) -> None:
+    """Every index replica has applied ``splits``: compute the children's
+    node statistics and swap them in for their parents."""
+    for node in sorted(splits):
+        left, right = 2 * node + 1, 2 * node + 2
+        ex.partition.compute_stats(ex, left, grad, hess, clock)
+        ex.partition.compute_stats(ex, right, grad, hess, clock)
+        active.discard(node)
+        active.update((left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +182,17 @@ class PartitionStrategy:
     def worker_index(self, ex: "PlanExecutor",
                      worker: int) -> NodeToInstanceIndex:
         """The node/instance index tracking the worker's local rows."""
+        raise NotImplementedError
+
+    def index_replicas(self, ex: "PlanExecutor",
+                       ) -> List[NodeToInstanceIndex]:
+        """Every physical index replica, in worker order."""
+        raise NotImplementedError
+
+    def adopt_index_replicas(self, ex: "PlanExecutor",
+                             replicas: List[NodeToInstanceIndex]) -> None:
+        """Install restored replicas (as :meth:`index_replicas` lists
+        them) in place of the current ones."""
         raise NotImplementedError
 
     def gradient_instances(self, ex: "PlanExecutor") -> int:
@@ -187,6 +257,12 @@ class HorizontalPartition(PartitionStrategy):
 
     def worker_index(self, ex, worker):
         return ex.indexes[worker]
+
+    def index_replicas(self, ex):
+        return ex.indexes
+
+    def adopt_index_replicas(self, ex, replicas) -> None:
+        ex.indexes = replicas
 
     def gradient_instances(self, ex) -> int:
         """Each worker computes gradients for its own rows only."""
@@ -260,6 +336,13 @@ class VerticalPartition(PartitionStrategy):
     def worker_index(self, ex, worker):
         return ex.index
 
+    def index_replicas(self, ex):
+        """One physical index stands in for the identical replicas."""
+        return [ex.index]
+
+    def adopt_index_replicas(self, ex, replicas) -> None:
+        (ex.index,) = replicas
+
     def gradient_instances(self, ex) -> int:
         return ex._binned.num_instances
 
@@ -268,9 +351,9 @@ class VerticalPartition(PartitionStrategy):
 
     def compute_stats(self, ex, node, grad, hess, clock) -> None:
         """Node totals — computed identically on every worker."""
-        start = time.perf_counter()
-        ex.stats[node] = node_totals(ex.index.rows_of(node), grad, hess)
-        clock.charge_all(time.perf_counter() - start, phase="split-find")
+        with clock.timed(None, "split-find"):
+            ex.stats[node] = node_totals(ex.index.rows_of(node), grad,
+                                         hess)
 
     def retire_node(self, ex, node) -> None:
         ex.index.retire_node(node)
@@ -479,10 +562,9 @@ class InstanceToNodePlan(IndexPlan):
             local_g, local_h = ex.partition.worker_grad(ex, worker,
                                                         grad, hess)
             index = ex.partition.worker_index(ex, worker)
-            start = time.perf_counter()
-            hists = ex.storage.build_layer_hists(ex, worker, nodes,
-                                                 local_g, local_h, index)
-            clock.charge(worker, time.perf_counter() - start)
+            with clock.timed(worker):
+                hists = ex.storage.build_layer_hists(
+                    ex, worker, nodes, local_g, local_h, index)
             store = ex.stores[worker]
             for node, hist in zip(nodes, hists):
                 store.put(node, hist)
@@ -522,21 +604,20 @@ class NodeToInstancePlan(IndexPlan):
                                                         grad, hess)
             index = ex.partition.worker_index(ex, worker)
             store = ex.stores[worker]
-            start = time.perf_counter()
-            for op, node, other in actions:
-                if op == "build":
-                    store.put(node, self.build_node_hist(
-                        ex, worker, node, index.rows_of(node),
-                        local_g, local_h, index))
-                else:  # subtract: node = parent_hist - other(sibling)
-                    parent = (node - 1) // 2
-                    store.put(node, ex.hist_builder.subtract(
-                        store.get(parent), store.get(other)))
-            # parents consumed this layer are no longer needed
-            for op, node, _ in actions:
-                if op == "subtract":
-                    store.pop((node - 1) // 2)
-            clock.charge(worker, time.perf_counter() - start)
+            with clock.timed(worker):
+                for op, node, other in actions:
+                    if op == "build":
+                        store.put(node, self.build_node_hist(
+                            ex, worker, node, index.rows_of(node),
+                            local_g, local_h, index))
+                    else:  # subtract: node = parent_hist - other(sibling)
+                        parent = (node - 1) // 2
+                        store.put(node, ex.hist_builder.subtract(
+                            store.get(parent), store.get(other)))
+                # parents consumed this layer are no longer needed
+                for op, node, _ in actions:
+                    if op == "subtract":
+                        store.pop((node - 1) // 2)
 
     def after_layer(self, ex, nodes, split_nodes, clock) -> None:
         if not ex.use_subtraction:
@@ -578,12 +659,10 @@ class ColumnwiseIndexPlan(NodeToInstancePlan):
             children = [c for n in split_nodes
                         for c in (2 * n + 1, 2 * n + 2)]
             for worker, column_index in enumerate(ex.column_indexes):
-                start = time.perf_counter()
-                column_index.update_after_split(
-                    ex.index.node_of_instance, children,
-                )
-                clock.charge(worker, time.perf_counter() - start,
-                             phase="node-split")
+                with clock.timed(worker, "node-split"):
+                    column_index.update_after_split(
+                        ex.index.node_of_instance, children,
+                    )
         super().after_layer(ex, nodes, split_nodes, clock)
 
 
@@ -655,19 +734,13 @@ class _LocalPlacementMixin:
             tree.set_split(node, split,
                            binned.threshold_of(split.feature, split.bin))
         for worker, index in enumerate(ex.indexes):
-            start = time.perf_counter()
-            placements = ex.storage.placements(ex, worker, index, splits)
-            for node in splits:
-                left, right = 2 * node + 1, 2 * node + 2
-                index.split_node(node, placements[node], left, right)
-            clock.charge(worker, time.perf_counter() - start,
-                         phase="node-split")
-        for node in splits:
-            left, right = 2 * node + 1, 2 * node + 2
-            ex.partition.compute_stats(ex, left, grad, hess, clock)
-            ex.partition.compute_stats(ex, right, grad, hess, clock)
-            active.discard(node)
-            active.update((left, right))
+            with clock.timed(worker, "node-split"):
+                placements = ex.storage.placements(ex, worker, index,
+                                                   splits)
+                for node in splits:
+                    left, right = 2 * node + 1, 2 * node + 2
+                    index.split_node(node, placements[node], left, right)
+        _activate_children(ex, splits, grad, hess, active, clock)
 
 
 class AllReduceAggregation(_LocalPlacementMixin, AggregationStrategy):
@@ -682,49 +755,21 @@ class AllReduceAggregation(_LocalPlacementMixin, AggregationStrategy):
     recovery_policy = "reshard"
 
     def find_splits(self, ex, nodes, clock) -> Dict[int, SplitInfo]:
-        aggregated: Dict[int, Histogram] = {}
-        payload = 0
-        num_workers = ex.cluster.num_workers
-        if ex.codec.is_identity:
-            for node in nodes:
-                aggregated[node] = allreduce_histograms(
-                    [store.get(node) for store in ex.stores], net=None,
-                )
-                payload += aggregated[node].nbytes
-            record_collective(ex.net, "hist-aggregation", payload,
-                              num_workers, "allreduce")
-        else:
-            # each worker encodes its local histograms; the reduction
-            # runs over the decoded payloads in the same worker order,
-            # so a lossless codec reproduces the dense model exactly
-            enc_bytes = [0] * num_workers
-            enc_seconds = [0.0] * num_workers
-            dec_seconds = 0.0
-            for node in nodes:
-                decoded, node_dec = _encode_worker_hists(
-                    ex, node, clock, enc_bytes, enc_seconds)
-                dec_seconds += node_dec
-                aggregated[node] = allreduce_histograms(decoded, net=None)
-                payload += aggregated[node].nbytes
-            for worker, seconds in enumerate(enc_seconds):
-                clock.charge(worker, seconds, phase="codec")
-            # all-reduce materializes the result on every worker
-            clock.charge_all(dec_seconds, phase="codec")
-            record_collective(ex.net, "hist-aggregation", payload,
-                              num_workers, "allreduce",
-                              encoded_worker_bytes=enc_bytes)
+        aggregated: Dict[int, Histogram] = {
+            node: allreduce_histograms(hists, net=None)
+            for node, hists in _layer_hists_over_wire(
+                ex, nodes, clock, "allreduce")
+        }
         splits: Dict[int, SplitInfo] = {}
         bins = ex._binned.bins_per_feature
-        start = time.perf_counter()
-        for node in nodes:
-            split = ex._decide_split(
-                aggregated[node], ex.stats[node],
-                ex.partition.node_count(ex, node), bins,
-            )
-            if split is not None:
-                splits[node] = split
-        clock.charge(LEADER, time.perf_counter() - start,
-                     phase="split-find")
+        with clock.timed(LEADER, "split-find"):
+            for node in nodes:
+                split = ex._decide_split(
+                    aggregated[node], ex.stats[node],
+                    ex.partition.node_count(ex, node), bins,
+                )
+                if split is not None:
+                    splits[node] = split
         broadcast_bytes(len(splits) * SPLIT_INFO_BYTES,
                         ex.cluster.num_workers, ex.net,
                         kind="split-broadcast")
@@ -746,74 +791,23 @@ class ReduceScatterAggregation(_LocalPlacementMixin, AggregationStrategy):
     #: collective pattern used to aggregate one layer's histograms
     pattern = "reducescatter"
 
-    def aggregate_node(self, ex, node: int,
-                       hists: Optional[List[Histogram]] = None,
-                       ) -> List[Histogram]:
-        """Aggregated feature-slice histograms, one per worker.
-
-        ``hists`` overrides the per-worker inputs (the codec path passes
-        decoded payloads).  The traffic is charged per layer in
-        :meth:`find_splits` (real systems batch a layer's histograms
-        into one collective)."""
-        if hists is None:
-            hists = [store.get(node) for store in ex.stores]
+    def aggregate_node(self, ex,
+                       hists: List[Histogram]) -> List[Histogram]:
+        """Aggregated feature-slice histograms, one per worker, from the
+        per-worker histograms of one node as received over the wire."""
         return reduce_scatter_histograms(
             hists, ex.feature_ranges, net=None,
         )
 
     def find_splits(self, ex, nodes, clock) -> Dict[int, SplitInfo]:
         splits: Dict[int, SplitInfo] = {}
-        bins = ex._binned.bins_per_feature
-        payload = 0
-        num_workers = ex.cluster.num_workers
-        encode = not ex.codec.is_identity
-        enc_bytes = [0] * num_workers
-        enc_seconds = [0.0] * num_workers
-        dec_seconds = 0.0
-        for node in nodes:
-            payload += ex.stores[0].get(node).nbytes
-            if encode:
-                decoded, node_dec = _encode_worker_hists(
-                    ex, node, clock, enc_bytes, enc_seconds)
-                dec_seconds += node_dec
-                slices = self.aggregate_node(ex, node, decoded)
-            else:
-                slices = self.aggregate_node(ex, node)
-            best: Optional[SplitInfo] = None
-            for worker, piece in enumerate(slices):
-                features = ex.feature_ranges[worker]
-                if features.size == 0:
-                    continue
-                start = time.perf_counter()
-                candidate = ex._decide_split(
-                    piece, ex.stats[node],
-                    ex.partition.node_count(ex, node), bins[features],
-                )
-                clock.charge(worker, time.perf_counter() - start,
-                             phase="split-find")
-                if candidate is not None:
-                    candidate = SplitInfo(
-                        feature=candidate.feature + int(features[0]),
-                        bin=candidate.bin,
-                        default_left=candidate.default_left,
-                        gain=candidate.gain,
-                    )
-                    if candidate.better_than(best):
-                        best = candidate
+        for node, hists in _layer_hists_over_wire(ex, nodes, clock,
+                                                  self.pattern):
+            slices = self.aggregate_node(ex, hists)
+            best = _elect_split(ex, node, ex.feature_ranges,
+                                slices.__getitem__, clock)
             if best is not None:
                 splits[node] = best
-        if encode:
-            for worker, seconds in enumerate(enc_seconds):
-                clock.charge(worker, seconds, phase="codec")
-            # decoded slices materialize on the scatter owners; the
-            # parallel decode is bounded by the full decode work
-            clock.charge_all(dec_seconds, phase="codec")
-            record_collective(ex.net, "hist-aggregation", payload,
-                              num_workers, self.pattern,
-                              encoded_worker_bytes=enc_bytes)
-        else:
-            record_collective(ex.net, "hist-aggregation", payload,
-                              num_workers, self.pattern)
         exchange_split_infos(len(nodes), ex.cluster.num_workers, ex.net)
         return splits
 
@@ -837,25 +831,10 @@ class ParameterServerAggregation(ReduceScatterAggregation):
                 "support multi-classification (Section 5.3 of the paper)"
             )
 
-    def aggregate_node(self, ex, node: int,
-                       hists: Optional[List[Histogram]] = None,
-                       ) -> List[Histogram]:
-        if hists is None:
-            hists = [store.get(node) for store in ex.stores]
-        total = ps_push_histograms(hists, net=None)
-        grad_view = total.grad_view()
-        hess_view = total.hess_view()
-        slices: List[Histogram] = []
-        for features in ex.feature_ranges:
-            piece = Histogram(max(features.size, 1), total.num_bins,
-                              total.gradient_dim)
-            if features.size:
-                piece.grad[:] = grad_view[features].reshape(
-                    piece.grad.shape)
-                piece.hess[:] = hess_view[features].reshape(
-                    piece.hess.shape)
-            slices.append(piece)
-        return slices
+    def aggregate_node(self, ex,
+                       hists: List[Histogram]) -> List[Histogram]:
+        return scatter_features(ps_push_histograms(hists, net=None),
+                                ex.feature_ranges)
 
 
 class _LocalElectionMixin:
@@ -865,28 +844,10 @@ class _LocalElectionMixin:
 
     def find_splits(self, ex, nodes, clock) -> Dict[int, SplitInfo]:
         splits: Dict[int, SplitInfo] = {}
-        bins = ex._binned.bins_per_feature
         for node in nodes:
-            best: Optional[SplitInfo] = None
-            for worker, group in enumerate(ex.groups):
-                if group.size == 0:
-                    continue
-                start = time.perf_counter()
-                candidate = ex._decide_split(
-                    ex.stores[worker].get(node), ex.stats[node],
-                    ex.index.count_of(node), bins[group],
-                )
-                clock.charge(worker, time.perf_counter() - start,
-                             phase="split-find")
-                if candidate is not None:
-                    candidate = SplitInfo(
-                        feature=int(group[candidate.feature]),
-                        bin=candidate.bin,
-                        default_left=candidate.default_left,
-                        gain=candidate.gain,
-                    )
-                    if candidate.better_than(best):
-                        best = candidate
+            best = _elect_split(
+                ex, node, ex.groups,
+                lambda worker: ex.stores[worker].get(node), clock)
             if best is not None:
                 splits[node] = best
         # one exchange covers every node of the layer
@@ -937,35 +898,27 @@ class BitmapBroadcastAggregation(_LocalElectionMixin,
         wire_bytes = 0
         raw_bytes = 0
         for owner, local_splits in by_owner.items():
-            start = time.perf_counter()
-            owner_placements = ex.storage.placements(
-                ex, owner, ex.index, local_splits)
-            for node, go_left in owner_placements.items():
-                enc = codec.encode(go_left)
-                payloads[node] = enc
-                wire_bytes += enc.nbytes
-                raw_bytes += enc.raw_nbytes
-            clock.charge(owner, time.perf_counter() - start,
-                         phase="node-split")
+            with clock.timed(owner, "node-split"):
+                owner_placements = ex.storage.placements(
+                    ex, owner, ex.index, local_splits)
+                for node, go_left in owner_placements.items():
+                    enc = codec.encode(go_left)
+                    payloads[node] = enc
+                    wire_bytes += enc.nbytes
+                    raw_bytes += enc.raw_nbytes
             placements.update(owner_placements)
         # one placement broadcast per layer (Section 3.1.3); the default
         # bitmap codec charges exactly ceil(N/8) per node, an adaptive
         # codec may beat it and accounts the saving as codec:<kind>
         broadcast_bytes(wire_bytes, ex.cluster.num_workers, ex.net,
                         kind="placement-bitmap", raw_nbytes=raw_bytes)
-        start = time.perf_counter()
-        for node in sorted(splits):
-            decoded = codec.decode(payloads[node],
-                                   placements[node].size)
-            left, right = 2 * node + 1, 2 * node + 2
-            ex.index.split_node(node, decoded, left, right)
-        clock.charge_all(time.perf_counter() - start, phase="node-split")
-        for node in sorted(splits):
-            left, right = 2 * node + 1, 2 * node + 2
-            ex.partition.compute_stats(ex, left, grad, hess, clock)
-            ex.partition.compute_stats(ex, right, grad, hess, clock)
-            active.discard(node)
-            active.update((left, right))
+        with clock.timed(None, "node-split"):
+            for node in sorted(splits):
+                decoded = codec.decode(payloads[node],
+                                       placements[node].size)
+                left, right = 2 * node + 1, 2 * node + 2
+                ex.index.split_node(node, decoded, left, right)
+        _activate_children(ex, splits, grad, hess, active, clock)
 
 
 class LocalApplyAggregation(_LocalElectionMixin, AggregationStrategy):
@@ -983,22 +936,17 @@ class LocalApplyAggregation(_LocalElectionMixin, AggregationStrategy):
     def apply_splits(self, ex, tree, splits, grad, hess, active,
                      clock) -> None:
         by_owner = self._owner_splits(ex, tree, splits)
-        start = time.perf_counter()
-        placements: Dict[int, np.ndarray] = {}
-        for owner, local_splits in by_owner.items():
-            placements.update(
-                ex.storage.placements(ex, owner, ex.index, local_splits)
-            )
-        for node in sorted(splits):
-            left, right = 2 * node + 1, 2 * node + 2
-            ex.index.split_node(node, placements[node], left, right)
-        clock.charge_all(time.perf_counter() - start, phase="node-split")
-        for node in sorted(splits):
-            left, right = 2 * node + 1, 2 * node + 2
-            ex.partition.compute_stats(ex, left, grad, hess, clock)
-            ex.partition.compute_stats(ex, right, grad, hess, clock)
-            active.discard(node)
-            active.update((left, right))
+        with clock.timed(None, "node-split"):
+            placements: Dict[int, np.ndarray] = {}
+            for owner, local_splits in by_owner.items():
+                placements.update(
+                    ex.storage.placements(ex, owner, ex.index,
+                                          local_splits)
+                )
+            for node in sorted(splits):
+                left, right = 2 * node + 1, 2 * node + 2
+                ex.index.split_node(node, placements[node], left, right)
+        _activate_children(ex, splits, grad, hess, active, clock)
 
 
 # ---------------------------------------------------------------------------

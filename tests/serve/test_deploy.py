@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.ledger import (format_deploy_report, load_deploy_report,
-                          report_bytes, save_deploy_report)
+from repro.ledger import (DEPLOY_SCHEMA, format_report, load_report,
+                          report_bytes, save_report)
 from repro.serve.deploy import (CanaryPolicy, DeployController,
                                 DriftMonitor, RollbackPolicy,
                                 audit_deploy, degrade_payload,
@@ -353,18 +353,18 @@ class TestReportIO:
     def test_save_load_roundtrip(self, degraded, tmp_path):
         _, report = degraded
         path = tmp_path / "deploy.json"
-        save_deploy_report(report, str(path))
-        assert load_deploy_report(str(path)) == json.loads(
+        save_report(report, str(path))
+        assert load_report(str(path), DEPLOY_SCHEMA) == json.loads(
             json.dumps(report))
 
     def test_save_rejects_wrong_schema(self, tmp_path):
         with pytest.raises(ValueError, match="not a deploy report"):
-            save_deploy_report({"schema": "nope"},
+            save_report({"schema": "nope"},
                                str(tmp_path / "x.json"))
 
     def test_format_mentions_the_story(self, degraded):
         _, report = degraded
-        text = format_deploy_report(report)
+        text = format_report(report)
         assert "verdict: rollback" in text
         assert "drift monitor" in text
         assert "deploy:rollback" in text

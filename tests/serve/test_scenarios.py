@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.ledger import (format_scenario_report, load_scenario_report,
-                          save_scenario_report, scenario_report_bytes)
+from repro.ledger import (SCENARIO_SCHEMA, format_report, load_report,
+                          report_bytes, save_report)
 from repro.serve import RequestTrace
 from repro.serve.batcher import (BatchRecord, DropRecord, RequestRecord,
                                  ServingReport)
@@ -131,16 +131,16 @@ def flash_report():
 class TestDeterminism:
     def test_byte_identical_replay(self, flash_report):
         again = ScenarioRunner(get_scenario("flash-crowd")).run()
-        assert scenario_report_bytes(flash_report) \
-            == scenario_report_bytes(again)
+        assert report_bytes(flash_report) \
+            == report_bytes(again)
 
     def test_golden_fixture_byte_for_byte(self, flash_report):
         assert GOLDEN.exists(), (
             "golden fixture missing — regenerate with "
-            "save_scenario_report(ScenarioRunner(get_scenario("
+            "save_report(ScenarioRunner(get_scenario("
             "'flash-crowd')).run(), ...)"
         )
-        assert scenario_report_bytes(flash_report) == GOLDEN.read_bytes()
+        assert report_bytes(flash_report) == GOLDEN.read_bytes()
 
 
 class TestRunner:
@@ -210,20 +210,20 @@ class TestAudit:
 class TestLedgerIO:
     def test_save_load_round_trip(self, flash_report, tmp_path):
         path = tmp_path / "report.json"
-        save_scenario_report(flash_report, str(path))
-        assert load_scenario_report(str(path)) == flash_report
-        assert path.read_bytes() == scenario_report_bytes(flash_report)
+        save_report(flash_report, str(path))
+        assert load_report(str(path), SCENARIO_SCHEMA) == flash_report
+        assert path.read_bytes() == report_bytes(flash_report)
 
     def test_schema_enforced(self, tmp_path):
         with pytest.raises(ValueError, match="not a scenario report"):
-            save_scenario_report({"schema": "wrong"}, "/dev/null")
+            save_report({"schema": "wrong"}, "/dev/null")
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": "repro-run-report/v1"}))
         with pytest.raises(ValueError, match="not a scenario report"):
-            load_scenario_report(str(path))
+            load_report(str(path), SCENARIO_SCHEMA)
 
     def test_format_mentions_every_tenant(self, flash_report):
-        text = format_scenario_report(flash_report)
+        text = format_report(flash_report)
         for tenant in flash_report["tenants"]:
             assert tenant in text
         assert "invariants" in text and "p99" in text
@@ -241,7 +241,7 @@ class TestCli:
         path = tmp_path / "steady.json"
         assert main(["scenarios", "run", "steady", "--scale", "0.1",
                      "--report-out", str(path)]) == 0
-        report = load_scenario_report(str(path))
+        report = load_report(str(path), SCENARIO_SCHEMA)
         assert report["scenario"] == "steady"
         assert all(report["invariants"].values())
 

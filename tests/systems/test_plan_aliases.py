@@ -1,9 +1,6 @@
-"""The folded alias modules: one home in ``plans``, shims elsewhere."""
+"""The classic alias classes: one home in ``plans``."""
 
 from __future__ import annotations
-
-import importlib
-import sys
 
 import pytest
 
@@ -11,30 +8,9 @@ from repro import ClusterConfig, TrainConfig
 from repro.systems import (DimBoostStyle, LightGBMFeatureParallel,
                            LightGBMStyle, Vero, XGBoostStyle,
                            YggdrasilStyle)
-from repro.systems import plans as plans_module
-
-SHIMS = {
-    "repro.systems.qd1": ("XGBoostStyle",),
-    "repro.systems.qd2": ("LightGBMStyle", "DimBoostStyle"),
-    "repro.systems.qd3": ("YggdrasilStyle",),
-    "repro.systems.vero": ("Vero",),
-    "repro.systems.feature_parallel": ("LightGBMFeatureParallel",),
-}
 
 CONFIG = TrainConfig(num_trees=1, num_layers=3, num_candidates=4)
 CLUSTER = ClusterConfig(num_workers=2)
-
-
-@pytest.mark.parametrize("module_name,class_names",
-                         sorted(SHIMS.items()))
-def test_shim_warns_and_reexports(module_name, class_names):
-    sys.modules.pop(module_name, None)
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        module = importlib.import_module(module_name)
-    for name in class_names:
-        # the shim re-exports the canonical class object, not a copy
-        assert getattr(module, name) is getattr(plans_module, name)
-    assert sorted(module.__all__) == sorted(class_names)
 
 
 @pytest.mark.parametrize("cls,plan_key", [
