@@ -18,15 +18,15 @@ from repro.cluster.transform import horizontal_to_vertical
 
 DATASETS = ("rcv1", "rcv1-multi", "synthesis")
 SCALE = 0.25
+CLUSTER = ClusterConfig(num_workers=8)
 
 
 @pytest.fixture(scope="module")
 def transform_reports():
-    cluster = ClusterConfig(num_workers=8)
     reports = {}
     for name in DATASETS:
         dataset = load_catalog(name, scale=SCALE)
-        result = horizontal_to_vertical(dataset, cluster,
+        result = horizontal_to_vertical(dataset, CLUSTER,
                                         num_candidates=20)
         reports[name] = result.report
     return reports
@@ -65,7 +65,10 @@ def test_table5_transformation_cost(benchmark, transform_reports,
         # the compression is ~4x (Section 4.2.1)
         assert report.compression_ratio >= 4.0, name
         # the extra steps of vertical partitioning stay a modest share of
-        # load + sketch time (Appendix A: 10-24% on the real datasets)
+        # load + sketch time (Appendix A: 10-24% on the real datasets).
+        # Simulated terms only — disk load and sketch transfer — so the
+        # host-timed part of get-splits cannot decide the assertion.
         extra = seconds["blockified"] + report.broadcast_label_seconds
-        base = report.load_data_seconds + report.get_splits_seconds
+        base = (report.load_data_seconds
+                + CLUSTER.network.transfer_time(report.sketch_bytes))
         assert extra < 0.5 * base, name

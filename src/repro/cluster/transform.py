@@ -35,7 +35,7 @@ import numpy as np
 
 from ..config import ClusterConfig
 from ..data.dataset import BinnedDataset, Dataset, apply_cuts
-from ..data.matrix import CSRMatrix
+from ..data.matrix import CSCMatrix, CSRMatrix
 from ..sketch.proposer import propose_candidates
 from ..sketch.quantile import MergingSketch
 from .blocks import BlockedColumnGroup, blockify_shard
@@ -142,13 +142,13 @@ def horizontal_to_vertical(
     net.record("split-broadcast", split_bytes,
                net.model.transfer_time(split_bytes))
 
-    # Step 3: bin each shard and regroup columns by destination worker.
-    binned_shards = [apply_cuts(shard, cuts) for shard in raw_shards]
-    pairs_per_feature = np.zeros(dataset.num_features, dtype=np.int64)
-    for shard in binned_shards:
-        counts = np.bincount(shard.indices,
-                             minlength=dataset.num_features)
-        pairs_per_feature += counts
+    # Step 3: bin (one pass over the whole matrix — binning is per entry,
+    # so the shards are row slices of it) and regroup columns by
+    # destination worker.
+    binned = apply_cuts(dataset.features, cuts)
+    binned_shards = [binned.select_rows(rows) for rows in ranges]
+    pairs_per_feature = np.bincount(binned.indices,
+                                    minlength=dataset.num_features)
     groups = greedy_column_groups(pairs_per_feature, num_workers)
 
     # Step 4: repartition — account all three encodings, materialize blocks.
@@ -177,8 +177,7 @@ def horizontal_to_vertical(
 
     # Materialize the per-worker vertical BinnedDatasets for training.
     global_binned = BinnedDataset(
-        _concat_rows(binned_shards, dataset.num_features),
-        list(cuts), dataset.labels, num_candidates, dataset.task,
+        binned, list(cuts), dataset.labels, num_candidates, dataset.task,
         dataset.num_classes, name=dataset.name,
     )
     shards = [
@@ -196,28 +195,71 @@ def _sketch_candidates(
     num_candidates: int,
     sketch_eps: float,
 ) -> Tuple[List[np.ndarray], int]:
-    """Steps 1-2: per-worker sketches, merge, propose candidates."""
-    merged: List[Optional[MergingSketch]] = [None] * num_features
-    sketch_bytes = 0
-    for shard in raw_shards:
-        csc = shard.to_csc()
-        for j in range(num_features):
+    """Steps 1-2: per-worker sketches, merge, propose candidates.
+
+    A :class:`MergingSketch` only ever drops a point when it compacts
+    more than ``max_summary`` of them, so for a *light* feature — at most
+    ``max_summary`` stored values over all shards — every local sketch and
+    the merged one are the sorted values at weight 1: what they would
+    answer, and what they would weigh on the wire, follows from one sort
+    (:func:`_light_candidates`).  Only the heavy features are sketched.
+    """
+    columns = [shard.to_csc() for shard in raw_shards]
+    totals = np.sum([csc.col_lengths() for csc in columns], axis=0)
+    light = totals <= MergingSketch(eps=sketch_eps).max_summary
+    cuts = _light_candidates(columns, light, num_candidates)
+    sketch_bytes = 16 * int(totals[light].sum())
+    for j in np.flatnonzero(~light):
+        merged: Optional[MergingSketch] = None
+        for csc in columns:
             _, vals = csc.col(j)
             if vals.size == 0:
                 continue
             local = MergingSketch(eps=sketch_eps)
             local.update(vals)
             sketch_bytes += local.serialized_nbytes
-            if merged[j] is None:
-                merged[j] = local
-            else:
-                merged[j] = merged[j].merge(local)
-    cuts = [
-        propose_candidates(sketch, num_candidates)
-        if sketch is not None else np.empty(0, dtype=np.float64)
-        for sketch in merged
-    ]
+            merged = local if merged is None else merged.merge(local)
+        cuts[j] = propose_candidates(merged, num_candidates)
     return cuts, sketch_bytes
+
+
+def _light_candidates(
+    columns: List[CSCMatrix], light: np.ndarray, num_candidates: int
+) -> List[np.ndarray]:
+    """What :func:`propose_candidates` returns for every ``light`` feature
+    (an empty array for the others), from one sort of their values.
+
+    With ``n`` points of weight 1 the sketch's cumulative weights are
+    ``1..n``, so its answer to ``p`` is the sorted value at rank
+    ``ceil(p * n) - 1``.
+    """
+    if num_candidates < 1:
+        raise ValueError(
+            f"num_candidates must be >= 1, got {num_candidates}"
+        )
+    features = np.concatenate([csc.col_of_entries() for csc in columns])
+    values = np.concatenate([csc.values for csc in columns])
+    kept = light[features]
+    features = features[kept]
+    values = values[kept].astype(np.float64, copy=False)
+    values = values[np.lexsort((values, features))]
+    counts = np.bincount(features, minlength=light.size)
+    present = np.flatnonzero(counts)
+    size = counts[present][:, None]
+    first = (np.cumsum(counts) - counts)[present][:, None]
+
+    probs = np.arange(1, num_candidates) / num_candidates
+    ranks = np.ceil(probs * size.astype(np.float64)).astype(np.int64) - 1
+    picked = values[first + np.minimum(ranks, size - 1)]
+    # np.unique on a sorted row, then the "< maximum" filter
+    keep = picked < values[first + size - 1]
+    keep[:, 1:] &= picked[:, 1:] != picked[:, :-1]
+
+    cuts = [np.empty(0, dtype=np.float64)] * light.size
+    pieces = np.split(picked[keep], np.cumsum(keep.sum(axis=1))[:-1])
+    for j, piece in zip(present.tolist(), pieces):
+        cuts[j] = piece
+    return cuts
 
 
 def _account_repartition(
@@ -254,16 +296,3 @@ def _account_repartition(
         report.repartition_seconds[name] = transfer + serialization
     net.record("repartition", report.repartition_bytes["blockified"],
                report.repartition_seconds["blockified"])
-
-
-def _concat_rows(shards: List[CSRMatrix], num_cols: int) -> CSRMatrix:
-    """Stack horizontal shards back into one matrix (row order preserved)."""
-    indptrs = [shards[0].indptr]
-    for shard in shards[1:]:
-        indptrs.append(shard.indptr[1:] + indptrs[-1][-1])
-    return CSRMatrix(
-        np.concatenate(indptrs),
-        np.concatenate([s.indices for s in shards]),
-        np.concatenate([s.values for s in shards]),
-        num_cols,
-    )

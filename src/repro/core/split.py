@@ -77,61 +77,95 @@ def find_best_split(
     ``feature_offset`` converts local column ids into global feature ids for
     vertically partitioned shards.
 
+    When at most half of the histogram is occupied — the usual case on
+    high-dimensional sparse data — only bins whose ``(grad, hess)`` prefix
+    differs from the previous bin's are scanned, plus bin 0: an unchanged
+    prefix means a gain equal bit for bit at a higher bin index, which the
+    tie order never picks.
+
     Returns ``None`` when no split has positive gain.
     """
     grad_total = np.asarray(grad_total, dtype=np.float64)
     hess_total = np.asarray(hess_total, dtype=np.float64)
     bins_per_feature = np.asarray(bins_per_feature)
-    if bins_per_feature.size != hist.num_features:
+    num_features, num_bins = hist.num_features, hist.num_bins
+    if bins_per_feature.size != num_features:
         raise ValueError(
             "bins_per_feature length must equal the histogram feature count"
         )
 
-    grad = hist.grad_view()          # (D, q, C)
-    hess = hist.hess_view()
-    grad_prefix = np.cumsum(grad, axis=1)
-    hess_prefix = np.cumsum(hess, axis=1)
-    present_grad = grad_prefix[:, -1:, :]   # (D, 1, C)
-    present_hess = hess_prefix[:, -1:, :]
-    missing_grad = grad_total - present_grad
-    missing_hess = hess_total - present_hess
+    # scalar gradients: no class axis to carry, none to sum over
+    classes = (hist.gradient_dim,) if hist.gradient_dim > 1 else ()
+    if not classes:
+        grad_total, hess_total = grad_total.reshape(()), hess_total.reshape(())
 
-    parent_score = _score(grad_total, hess_total, reg_lambda)
+    def over_classes(values: np.ndarray) -> np.ndarray:
+        return values.sum(axis=-1) if classes else values
 
-    # Option 0 — missing goes right: left = prefix.
-    gl_right = grad_prefix
-    hl_right = hess_prefix
-    # Option 1 — missing goes left: left = prefix + missing bucket.
-    gl_left = grad_prefix + missing_grad
-    hl_left = hess_prefix + missing_hess
+    grad_prefix = np.cumsum(
+        hist.grad.reshape(num_features, num_bins, *classes), axis=1)
+    hess_prefix = np.cumsum(
+        hist.hess.reshape(num_features, num_bins, *classes), axis=1)
+    missing_grad = grad_total - grad_prefix[:, -1]     # (D, *classes)
+    missing_hess = hess_total - hess_prefix[:, -1]
 
-    gains = np.empty((2, hist.num_features, hist.num_bins), dtype=np.float64)
-    for option, (gl, hl) in enumerate(
-        ((gl_right, hl_right), (gl_left, hl_left))
-    ):
-        gr = grad_total - gl
-        hr = hess_total - hl
-        gains[option] = 0.5 * (
-            _score(gl, hl, reg_lambda) + _score(gr, hr, reg_lambda)
+    # A split at bin b needs b <= bins(f) - 2.
+    scanned = np.arange(num_bins) < bins_per_feature[:, None] - 1
+    compact = 2 * np.count_nonzero(hist.hess) <= hist.hess.size
+    if compact:
+        # ... and, to be scanned, a prefix of its own.
+        changed = ((grad_prefix[:, 1:] != grad_prefix[:, :-1])
+                   | (hess_prefix[:, 1:] != hess_prefix[:, :-1]))
+        scanned[:, 1:] &= changed.any(axis=-1) if classes else changed
+        positions = np.flatnonzero(scanned)
+        if positions.size == 0:
+            return None
+        features = positions // num_bins
+        grad_left = grad_prefix.reshape(-1, *classes)[positions]
+        hess_left = hess_prefix.reshape(-1, *classes)[positions]
+        missing_grad = missing_grad[features]
+        missing_hess = missing_hess[features]
+    else:
+        # most bins are occupied: finding and gathering the rest would
+        # cost more than scanning them all
+        grad_left, hess_left = grad_prefix, hess_prefix
+        missing_grad = missing_grad[:, None]
+        missing_hess = missing_hess[:, None]
+
+    def score(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+        return over_classes(grad * grad / (hess + reg_lambda))
+
+    parent_score = score(grad_total, hess_total)
+
+    def gains_of(grad_left: np.ndarray, hess_left: np.ndarray) -> np.ndarray:
+        grad_right = grad_total - grad_left
+        hess_right = hess_total - hess_left
+        gains = 0.5 * (
+            score(grad_left, hess_left) + score(grad_right, hess_right)
             - parent_score
         ) - reg_gamma
         # Children must both receive some hessian mass; empty children give
         # a spurious "gain" equal to -gamma and are never useful.
-        hl_sum = hl.sum(axis=-1)
-        hr_sum = hr.sum(axis=-1)
-        gains[option][(hl_sum <= 0.0) | (hr_sum <= 0.0)] = -np.inf
+        gains[(over_classes(hess_left) <= 0.0)
+              | (over_classes(hess_right) <= 0.0)] = -np.inf
+        return gains
 
-    # Mask invalid bins: a split at bin b needs b <= bins(f) - 2.
-    bin_ids = np.arange(hist.num_bins)
-    invalid = bin_ids[None, :] >= (bins_per_feature[:, None] - 1)
-    gains[:, invalid] = -np.inf
+    # Row 0 — missing goes right: left = prefix.  Row 1 — missing goes
+    # left: left = prefix + missing bucket.
+    missing_right = gains_of(grad_left, hess_left).reshape(-1)
+    gains = np.empty((2, missing_right.size))
+    gains[0] = missing_right
+    gains[1] = gains_of(grad_left + missing_grad,
+                        hess_left + missing_hess).reshape(-1)
+    if not compact:
+        gains[:, ~scanned.reshape(-1)] = -np.inf
 
-    flat = int(np.argmax(gains))
-    best_gain = float(gains.reshape(-1)[flat])
+    option, position = divmod(int(np.argmax(gains)), gains.shape[1])
+    best_gain = float(gains[option, position])
     if not np.isfinite(best_gain) or best_gain <= 0.0:
         return None
-    option, rest = divmod(flat, hist.num_features * hist.num_bins)
-    feature, bin_id = divmod(rest, hist.num_bins)
+    feature, bin_id = divmod(
+        int(positions[position]) if compact else position, num_bins)
     return SplitInfo(
         feature=feature + feature_offset,
         bin=bin_id,

@@ -219,13 +219,14 @@ def apply_cuts(csr: CSRMatrix, cuts: List[np.ndarray]) -> CSRMatrix:
     """
     if len(cuts) != csr.num_cols:
         raise ValueError("one cuts array per feature required")
-    max_cuts = max((c.size for c in cuts), default=0)
+    sizes = np.fromiter((c.size for c in cuts), np.int64, len(cuts))
+    max_cuts = int(sizes.max(initial=0))
     binned_vals = np.zeros(csr.nnz, dtype=np.int32)
     if max_cuts > 0 and csr.nnz > 0:
         cut_matrix = np.full((csr.num_cols, max_cuts), np.inf)
-        for j, c in enumerate(cuts):
-            cut_matrix[j, : c.size] = c
-        chunk = 1 << 20
+        cut_matrix[np.arange(max_cuts) < sizes[:, None]] = \
+            np.concatenate(cuts)
+        chunk = 1 << 16     # bounds the (chunk, q-1) float temporary
         for lo in range(0, csr.nnz, chunk):
             hi = min(lo + chunk, csr.nnz)
             rows_cuts = cut_matrix[csr.indices[lo:hi]]

@@ -238,23 +238,25 @@ class MergingSketch:
         return 16 * self._summary_values.size
 
     def query(self, quantile: float) -> float:
-        if not 0.0 <= quantile <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {quantile}")
+        return float(self.quantiles((quantile,))[0])
+
+    def quantiles(self, probs: Sequence[float]) -> np.ndarray:
+        """Values at the weighted ranks ``probs * count``, all from one
+        fold and one cumulative sum; ``0`` and ``1`` answer the exact
+        minimum and maximum."""
+        probs = np.asarray(probs, dtype=np.float64)
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):
+            raise ValueError(f"quantiles must be in [0, 1], got {probs}")
         if self._count == 0:
             raise ValueError("cannot query an empty sketch")
         self._fold_buffer()
-        if quantile <= 0.0:
-            return self._min
-        if quantile >= 1.0:
-            return self._max
         cum = np.cumsum(self._summary_weights)
-        target = quantile * self._count
-        idx = int(np.searchsorted(cum, target, side="left"))
-        idx = min(idx, self._summary_values.size - 1)
-        return float(self._summary_values[idx])
-
-    def quantiles(self, probs: Sequence[float]) -> np.ndarray:
-        return np.array([self.query(p) for p in probs])
+        idx = np.searchsorted(cum, probs * self._count, side="left")
+        idx = np.minimum(idx, self._summary_values.size - 1)
+        values = self._summary_values[idx]
+        values[probs <= 0.0] = self._min
+        values[probs >= 1.0] = self._max
+        return values
 
 
 def _compact(

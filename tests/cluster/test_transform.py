@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster.transform import (compressed_pair_bytes,
+from repro.cluster.transform import (_sketch_candidates,
+                                     compressed_pair_bytes,
                                      horizontal_to_vertical)
 from repro.config import ClusterConfig
+from repro.data.matrix import CSRMatrix
 from repro.data.synthetic import make_classification
+from repro.sketch.proposer import propose_candidates
+from repro.sketch.quantile import MergingSketch
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +135,101 @@ class TestTrainingOnTransformed:
         assert len(result.ensemble) == 4
         assert result.evals[-1].metric_value > 0.7
         assert transform.report.compression_ratio >= 4.0
+
+
+def sketch_every_feature(raw_shards, num_features, num_candidates, eps):
+    """Steps 1-2 with one ``MergingSketch`` per feature per shard — the
+    path ``_sketch_candidates`` keeps for heavy features only."""
+    merged = [None] * num_features
+    sketch_bytes = 0
+    for shard in raw_shards:
+        csc = shard.to_csc()
+        for j in range(num_features):
+            _, vals = csc.col(j)
+            if vals.size == 0:
+                continue
+            local = MergingSketch(eps=eps)
+            local.update(vals)
+            sketch_bytes += local.serialized_nbytes
+            merged[j] = local if merged[j] is None \
+                else merged[j].merge(local)
+    cuts = [propose_candidates(sketch, num_candidates)
+            if sketch is not None else np.empty(0, dtype=np.float64)
+            for sketch in merged]
+    return cuts, sketch_bytes
+
+
+def spread(total, num_shards, rng):
+    """``total`` stored values dealt over the shards, some left empty."""
+    return np.bincount(rng.integers(0, num_shards, size=total),
+                       minlength=num_shards)
+
+
+#: feature kind -> (per-shard counts, value sampler)
+FEATURE_KINDS = {
+    "empty": lambda w, rng: (np.zeros(w, dtype=np.int64), None),
+    "few": lambda w, rng: (
+        spread(int(rng.integers(1, 40)), w, rng), rng.standard_normal),
+    "constant": lambda w, rng: (
+        spread(int(rng.integers(1, 60)), w, rng),
+        lambda n: np.full(n, -2.5)),
+    "duplicates": lambda w, rng: (
+        spread(int(rng.integers(1, 300)), w, rng),
+        lambda n: rng.integers(-3, 4, size=n).astype(np.float64)),
+    "at-max-summary": lambda w, rng: (
+        spread(int(rng.choice([399, 400, 401])), w, rng),
+        rng.standard_normal),
+    "heavy": lambda w, rng: (
+        spread(int(rng.integers(402, 3000)), w, rng),
+        lambda n: np.round(rng.standard_normal(n), 2)),
+    "at-buffer-size": lambda w, rng: (
+        np.roll(np.r_[int(rng.choice([8191, 8192, 8193])),
+                      spread(50, w, rng)[1:]], int(rng.integers(w))),
+        rng.standard_normal),
+}
+
+
+def shards_of(kinds, num_shards, rng):
+    """One CSR shard per worker; feature ``j`` is of ``kinds[j]``."""
+    counts, samplers = zip(*(FEATURE_KINDS[kind](num_shards, rng)
+                             for kind in kinds))
+    counts = np.array(counts)                     # (D, W)
+    shards = []
+    for w in range(num_shards):
+        rows = max(int(counts[:, w].max()), 1)
+        present = np.zeros((rows, len(kinds)), dtype=bool)
+        dense = np.zeros((rows, len(kinds)))
+        for j, sampler in enumerate(samplers):
+            held = rng.permutation(rows)[:counts[j, w]]
+            present[held, j] = True
+            if held.size:
+                dense[held, j] = sampler(held.size)
+        row_of, col_of = np.nonzero(present)
+        indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1))))
+        shards.append(CSRMatrix(indptr, col_of, dense[row_of, col_of],
+                                len(kinds)))
+    return shards
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(sorted(FEATURE_KINDS)), min_size=1,
+                   max_size=8),
+    num_shards=st.integers(1, 8),
+    num_candidates=st.sampled_from([1, 2, 7, 20, 64]),
+    seed=st.integers(0, 100_000),
+)
+def test_blocked_sketching_equals_per_feature_sketches(
+        kinds, num_shards, num_candidates, seed):
+    """Light features sorted in one block and heavy ones sketched return
+    the cuts and the sketch bytes of sketching every feature."""
+    shards = shards_of(kinds, num_shards, np.random.default_rng(seed))
+    cuts, sketch_bytes = _sketch_candidates(
+        shards, len(kinds), num_candidates, 0.005)
+    expected_cuts, expected_bytes = sketch_every_feature(
+        shards, len(kinds), num_candidates, 0.005)
+    assert sketch_bytes == expected_bytes
+    assert len(cuts) == len(expected_cuts)
+    for got, expected in zip(cuts, expected_cuts):
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)

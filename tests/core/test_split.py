@@ -1,5 +1,6 @@
-"""Split finding tests: vectorized search against brute-force enumeration,
-default-direction handling, and the determinism contract."""
+"""Split finding tests: vectorized search against brute-force enumeration
+and against the full-histogram reference finder, default-direction
+handling, and the determinism contract."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from repro.core.histogram import Histogram
 from repro.core.split import (SplitInfo, find_best_split, leaf_weight,
                               split_gain_of)
+
+from .reference_split import reference_find_best_split
 
 
 def random_histogram(rng, num_features=4, num_bins=5, gradient_dim=1,
@@ -192,3 +195,47 @@ def test_property_matches_brute_force(seed, lam, gradient_dim):
         assert split.gain == pytest.approx(ref.gain)
         assert (split.feature, split.bin, split.default_left) == \
             (ref.feature, ref.bin, ref.default_left)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 100_000),
+    num_features=st.integers(1, 12),
+    num_bins=st.integers(1, 8),
+    gradient_dim=st.sampled_from([1, 3]),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    occupancy=st.sampled_from([1.0, 0.5, 0.05]),
+    duplicate=st.booleans(),
+    lam=st.sampled_from([0.0, 0.5, 1.0]),
+    gamma=st.sampled_from([0.0, 0.01]),
+    feature_offset=st.integers(0, 5),
+)
+def test_property_equals_reference_finder(
+        seed, num_features, num_bins, gradient_dim, dtype, occupancy,
+        duplicate, lam, gamma, feature_offset):
+    """Scanning only the bins with a prefix of their own picks the split
+    the full scan picks — same feature, bin, direction and gain bits, ties
+    and all — on either side of the occupancy that skips the compaction."""
+    rng = np.random.default_rng(seed)
+    hist = Histogram(num_features, num_bins, gradient_dim, dtype=dtype)
+    occupied = rng.random((num_features * num_bins, 1)) < occupancy
+    hist.grad[:] = rng.standard_normal(hist.grad.shape) * occupied
+    hist.hess[:] = (rng.random(hist.hess.shape) + 0.01) * occupied
+    if duplicate:       # equal features tie on every bin
+        hist.grad_view()[-1] = hist.grad_view()[0]
+        hist.hess_view()[-1] = hist.hess_view()[0]
+    if rng.random() < 0.3:
+        hist.grad_view()[num_features // 2] = 0.0
+        hist.hess_view()[num_features // 2] = 0.0
+    grad_total = hist.grad_view()[0].sum(axis=0).astype(np.float64)
+    hess_total = hist.hess_view()[0].sum(axis=0).astype(np.float64)
+    if rng.random() < 0.7:
+        grad_total += rng.standard_normal(gradient_dim)
+        hess_total += rng.random(gradient_dim)
+    bins = rng.integers(1, num_bins + 1, size=num_features)
+    with np.errstate(all="ignore"):      # lam == 0 divides by empty bins
+        found, expected = (
+            finder(hist, grad_total, hess_total, lam, gamma, bins,
+                   feature_offset)
+            for finder in (find_best_split, reference_find_best_split))
+    assert found == expected

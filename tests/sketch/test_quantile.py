@@ -131,6 +131,29 @@ class TestMergingSketch:
         assert out.shape == (3,)
         assert np.all(np.diff(out) >= 0)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_quantiles_equal_one_rank_query_each(self, rng, weighted):
+        """The vectorized lookup answers what a cumulative sum and a
+        ``searchsorted`` per probability answer, ends included."""
+        values = np.round(rng.standard_normal(30_000), 2)
+        sketch = MergingSketch(eps=0.01, buffer_size=4096)
+        sketch.update(values, rng.random(values.size) if weighted else None)
+        probs = np.r_[0.0, np.arange(1, 64) / 64, rng.random(20), 1.0]
+        out = sketch.quantiles(probs)
+        cum = np.cumsum(sketch._summary_weights)
+        for p, got in zip(probs[1:-1], out[1:-1]):
+            idx = min(int(np.searchsorted(cum, p * sketch.count)),
+                      cum.size - 1)
+            assert got == sketch._summary_values[idx] == sketch.query(p)
+        assert (out[0], out[-1]) == (values.min(), values.max())
+
+    def test_quantiles_reject_out_of_range(self):
+        sketch = MergingSketch()
+        sketch.update(np.arange(10.0))
+        for bad in ([0.5, 1.5], [-0.1], [float("nan")]):
+            with pytest.raises(ValueError):
+                sketch.quantiles(bad)
+
 
 @settings(max_examples=25, deadline=None)
 @given(
