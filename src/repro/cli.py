@@ -448,8 +448,13 @@ def cmd_predict(args) -> int:
 def cmd_serve_bench(args) -> int:
     import time as _time
 
+    import numpy as _np
+
     from .serve import (BatchPolicy, MicroBatcher, ModelRegistry,
-                        ReplicaSet, synthetic_trace)
+                        reduce_shard_scores, synthetic_trace)
+    from .serve.sharded import fleet_class
+    from .systems.costmodel import (price_serving_layouts,
+                                    recommend_serving_layout)
 
     if args.smoke:
         args.requests = min(args.requests, 200)
@@ -534,20 +539,12 @@ def cmd_serve_bench(args) -> int:
                   f"({fast_s / max(quant_s, 1e-12):.2f}x vs compiled), "
                   f"exact={qexact}")
 
-    if args.shards > 1:
-        from .serve import ShardedReplicaSet
-
-        replicas = ShardedReplicaSet(
-            registry, ClusterConfig(num_workers=args.serve_workers),
-            num_shards=args.shards, balancer=args.balancer,
-        )
-        print(f"tree-sharded fleet: {args.shards} shard groups x "
-              f"{replicas.num_rows} replica rows")
-    else:
-        replicas = ReplicaSet(
-            registry, ClusterConfig(num_workers=args.serve_workers),
-            balancer=args.balancer,
-        )
+    replicas = fleet_class(args.shards)(
+        registry, ClusterConfig(num_workers=args.serve_workers),
+        num_shards=args.shards, balancer=args.balancer,
+    )
+    print(f"fleet: {replicas.num_rows} replica rows x "
+          f"{replicas.num_shards} tree-shard groups")
     replicas.deploy()
     swaps = []
     if len(registry) > 1:
@@ -567,50 +564,39 @@ def cmd_serve_bench(args) -> int:
         print(f"hot-swap at t={swaps[0][0] * 1e3:.1f}ms: versions served "
               f"{report.versions_served()}, "
               f"single-version batches={report.single_version_batches()}")
-    if args.shards > 1:
-        import numpy as _np
-
-        from .serve import reduce_shard_scores
-        from .systems.costmodel import (price_serving_layouts,
-                                        recommend_serving_layout)
-
-        shards = registry.shards(entry.version, args.shards)
-        chained = reduce_shard_scores(
-            [shard.compiled for shard in shards], trace.features)
-        direct = registry.get(entry.version).compiled.raw_scores(
-            trace.features)
-        exact = bool(_np.array_equal(chained, direct))
-        print(f"sharded scores bit-identical to the full predictor: "
-              f"{exact}")
-        # same rollouts (v1 plus the hot-swap) priced replicated
-        replicated = sum(registry.get(v).nbytes
-                         for v in range(1, len(registry) + 1)) \
-            * args.serve_workers
-        print(f"deploy:shard traffic: {replicas.deploy_bytes} bytes "
-              f"(replicated would ship {replicated} bytes); per-worker "
-              f"model footprint {replicas.model_bytes_per_worker()} "
-              f"of {entry.nbytes}")
-        print(f"score reduction traffic: serve:partial="
-              f"{replicas.partial_bytes} serve:reduce="
-              f"{replicas.reduce_bytes} bytes over "
-              f"{len(report.batches)} batches")
-        network = NetworkModel()
-        layouts = price_serving_layouts(
-            entry.nbytes,
-            {1: [entry.nbytes],
-             args.shards: [s.nbytes for s in shards]},
-            args.serve_workers, args.max_batch,
-            shards[0].compiled.gradient_dim,
-            network.bytes_per_second, network.latency_s,
-        )
-        pick = recommend_serving_layout(layouts)
-        print(f"cost model recommends S={pick['num_shards']} "
-              f"({pick['model_bytes_per_worker']} bytes/worker, "
-              f"{pick['reduction_seconds_per_batch'] * 1e3:.2f}ms "
-              f"reduction/batch)")
-    else:
-        print(f"deploy:model traffic: {replicas.deploy_bytes} bytes "
-              f"({len(registry)} deploys x {args.serve_workers} workers)")
+    shards = registry.shards(entry.version, args.shards)
+    chained = reduce_shard_scores(
+        [shard.compiled for shard in shards], trace.features)
+    direct = registry.get(entry.version).compiled.raw_scores(
+        trace.features)
+    print(f"chain fold over {args.shards} shard(s) bit-identical to the "
+          f"full predictor: {bool(_np.array_equal(chained, direct))}")
+    # the same rollouts priced fully replicated (S = 1 on these workers)
+    replicated = sum(registry.get(v).nbytes
+                     for v in range(1, len(registry) + 1)) \
+        * args.serve_workers
+    print(f"{replicas.deploy_kind} traffic: {replicas.deploy_bytes} bytes "
+          f"({len(registry)} deploys x {args.serve_workers} workers; "
+          f"S=1 would ship {replicated} bytes); per-worker model "
+          f"footprint {replicas.model_bytes_per_worker()} of "
+          f"{entry.nbytes}")
+    print(f"score reduction traffic: serve:partial="
+          f"{replicas.partial_bytes} serve:reduce="
+          f"{replicas.reduce_bytes} bytes over "
+          f"{len(report.batches)} batches")
+    network = NetworkModel()
+    layouts = price_serving_layouts(
+        entry.nbytes,
+        {1: [entry.nbytes], args.shards: [s.nbytes for s in shards]},
+        args.serve_workers, args.max_batch,
+        shards[0].compiled.gradient_dim,
+        network.bytes_per_second, network.latency_s,
+    )
+    pick = recommend_serving_layout(layouts)
+    print(f"cost model recommends S={pick['num_shards']} "
+          f"({pick['model_bytes_per_worker']} bytes/worker, "
+          f"{pick['reduction_seconds_per_batch'] * 1e3:.2f}ms "
+          f"reduction/batch)")
     return 0
 
 

@@ -561,11 +561,14 @@ class MicroBatcher:
         total = trace.num_requests
         backlog: List[int] = []
         i = 0
+        # asked once per batch, not per admission event: backend free
+        # time (and a router's serve pool) only changes at a dispatch or
+        # a swap, and both happen while this generator is suspended
+        free = self.backend.next_free_s()
         while i < total or backlog:
             if not backlog:
                 backlog.append(i)
                 i += 1
-            free = self.backend.next_free_s()
             if len(backlog) >= policy.max_batch_size:
                 # a full batch closes as soon as capacity frees (its
                 # fill arrival is necessarily in the past)
@@ -610,3 +613,4 @@ class MicroBatcher:
             del backlog[:size]
             yield (trace.features[batch_ids],
                    np.asarray(batch_ids, dtype=np.int64), float(close))
+            free = self.backend.next_free_s()

@@ -44,15 +44,14 @@ from __future__ import annotations
 import copy
 import dataclasses
 import heapq
+import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..config import ClusterConfig, NetworkModel, TrainConfig
-from ..cluster.faults import FaultInjector, FaultPlan
-from ..cluster.network import SimulatedNetwork
+from ..config import ClusterConfig, TrainConfig
 from ..core.metrics import auc as _auc
 from ..core.metrics import logloss as _logloss
 from ..core.serialize import canonical_payload_bytes, ensemble_to_dict
@@ -60,7 +59,8 @@ from ..ledger import DEPLOY_SCHEMA, percentile_summary
 from .batcher import DispatchResult, MicroBatcher, ServingReport
 from .registry import ModelRegistry
 from .replica import ReplicaSet
-from .scenarios import LabelStream, Scenario, build_trace, emit_labels
+from .scenarios import (LabelStream, Scenario, build_fleet, build_trace,
+                        emit_labels)
 
 #: wire ledger kinds of the deployment control plane
 CANARY_KIND = "deploy:canary"
@@ -98,8 +98,9 @@ class CanaryPolicy:
 
     ``fraction`` of batches route to the canary worker slice once it is
     live (ignored in ``shadow`` mode, where the incumbent serves
-    everything and the canary only scores).  ``canary_workers`` workers
-    — the highest-numbered ids — form the slice.  The canary goes live
+    everything and the canary only scores).  ``canary_workers`` replica
+    rows — the highest-numbered; a row is one worker unless the fleet is
+    tree-sharded — form the slice.  The canary goes live
     at ``start_frac`` of the scenario window, so scaled (smoke) runs
     keep the same episode shape.  ``seed`` fixes the routing draws.
     """
@@ -298,7 +299,7 @@ class CanaryRouter:
 
     Wraps a :class:`~repro.serve.replica.ReplicaSet` whose fleet is
     partitioned into an incumbent pool and a canary pool (the
-    highest-numbered ``canary_workers`` ids).  Each dispatched batch
+    highest-numbered ``canary_workers`` rows).  Each dispatched batch
     routes to exactly one pool — a seeded Bernoulli draw per batch once
     the canary is live — so the mixed-version invariant (every request
     served by exactly one version) holds by construction and is
@@ -324,11 +325,13 @@ class CanaryRouter:
                  incumbent_version: int, canary_version: int,
                  canary_compiled=None,
                  on_rollback=None) -> None:
-        k = canary_policy.canary_workers
-        if k >= replicas.num_workers:
+        # pools name replica rows: a canary lands on whole rows, and a
+        # row is one worker on a replicated (``S = 1``) fleet
+        k, rows = canary_policy.canary_workers, replicas.num_rows
+        if k >= rows:
             raise ValueError(
                 f"canary pool of {k} worker(s) must leave at least one "
-                f"incumbent worker (fleet has {replicas.num_workers})"
+                f"incumbent worker (fleet has {rows})"
             )
         self.replicas = replicas
         self.monitor = monitor
@@ -341,9 +344,8 @@ class CanaryRouter:
         #: the router never touches the registry on the hot path)
         self.canary_compiled = canary_compiled
         self.on_rollback = on_rollback
-        self.incumbent_pool = list(range(replicas.num_workers - k))
-        self.canary_pool = list(range(replicas.num_workers - k,
-                                      replicas.num_workers))
+        self.incumbent_pool = list(range(rows - k))
+        self.canary_pool = list(range(rows - k, rows))
         self._rng = np.random.default_rng(canary_policy.seed)
         self._heap: List[Tuple[float, int, int, float]] = []
         self.canary_live = False
@@ -442,12 +444,16 @@ class CanaryRouter:
 
         The canary's answers go to the monitor only; its compute is
         billed to the least-loaded canary worker via
-        :meth:`ReplicaSet.occupy`, so shadow capacity cost is real in
-        the clock even though no client ever sees a shadow score.
+        :meth:`ReplicaSet.occupy` — the service model's seconds, or the
+        scoring call's wall clock when the fleet has none — so shadow
+        capacity cost is real in the clock even though no client ever
+        sees a shadow score.
         """
+        began = time.perf_counter()
         raw = self.canary_compiled.raw_scores(features)
+        measured = time.perf_counter() - began
         probs = _sigmoid(np.asarray(raw)[:, 0])
-        baseline = (0.0 if self.replicas.service_model is None
+        baseline = (measured if self.replicas.service_model is None
                     else float(self.replicas.service_model(
                         features.shape[0])))
         self.replicas.occupy(self.canary_pool, close_s, baseline)
@@ -714,20 +720,8 @@ class DeployController:
             mean_delay, s.seed,
         )
 
-        injector = None
-        if s.faults:
-            injector = FaultInjector(
-                FaultPlan.parse(s.faults), num_workers=s.num_workers,
-                num_trees=1, num_layers=2,
-            )
-        network = SimulatedNetwork(NetworkModel(), injector=injector)
-        self.replicas = ReplicaSet(
-            self.registry, ClusterConfig(num_workers=s.num_workers),
-            network=network, balancer=s.balancer,
-            service_model=lambda k: s.service_base_s
-            + s.service_per_row_s * k,
-            delta_deploys=True,
-        )
+        self.replicas = build_fleet(s, self.registry, delta_deploys=True)
+        network = self.replicas.network
         self.monitor = DriftMonitor(self.policy.window)
         self.router = CanaryRouter(
             self.replicas, self.monitor, self.canary, self.policy,
@@ -756,7 +750,8 @@ class DeployController:
                 canary_version,
                 ("shadow scoring on " if self.canary.shadow
                  else f"{self.canary.fraction:.0%} of traffic to ")
-                + f"{len(self.router.canary_pool)} canary worker(s)",
+                + f"{len(self.router.canary_pool) * s.num_shards} "
+                "canary worker(s)",
                 wire_bytes=self._wire_delta(wire0),
             )
 

@@ -1,61 +1,75 @@
-"""Replicated serving over the simulated cluster.
+"""The serving fleet: an ``R x S`` grid over the simulated cluster.
 
 A :class:`ReplicaSet` serves one :class:`~repro.serve.registry.ModelRegistry`
-from ``W`` simulated workers.  It follows the training-side simulation
-contract exactly: prediction *computation* is real (the compiled
-predictor runs and is wall-clocked, unless a deterministic
-``service_model`` substitutes), while *model distribution* is simulated
-network traffic — every deploy ships the model's canonical payload bytes
-to each worker through :class:`~repro.cluster.network.SimulatedNetwork`
-under the ``deploy:model`` ledger kind, so serving rollouts share the
-byte/time accounting used for the paper's training communication results.
+from ``W = R * S`` simulated workers: ``R`` replica rows of ``S``
+tree-shard groups, worker ``r * S + j`` holding shard ``j`` (a
+:class:`~repro.serve.registry.ModelShard`) of the version deployed to
+row ``r``.  Replicated serving is the ``S = 1`` row of that grid — every
+worker is its own row and its one shard *is* the whole payload (same
+bytes, same checksum); tree-sharded serving (:mod:`repro.serve.sharded`,
+which documents the chain fold's exactness and accounting) is ``S >= 2``.
+The layout is a parameter, not a second code base, so a
+replicate-vs-shard comparison isolates the layout alone.
 
-Two load balancers are provided:
+The training-side simulation contract holds: prediction *computation*
+is real (wall-clocked, unless a deterministic ``service_model``
+substitutes); *model distribution* and *score reduction* are simulated
+traffic — a deploy ships each shard's canonical payload bytes through
+:class:`~repro.cluster.network.SimulatedNetwork` under ``deploy:model``
+(``deploy:shard`` when ``S >= 2``, so the layouts' rollout bytes stay
+separable), and a batch's partial scores chain along its row under
+``serve:partial`` / ``serve:reduce``.  An ``S = 1`` row has no link to
+cross: it pays no collective and writes neither key.
 
-- ``round-robin`` — workers take batches in a fixed cycle; fair under
-  homogeneous workers, oblivious to stragglers;
-- ``least-loaded`` — each batch goes to the worker that frees earliest
-  (ties break to the lowest id); adapts to heterogeneous
-  ``worker_speeds`` at the cost of determinism under ties.
+Balancers: ``round-robin`` (rows in a fixed cycle, oblivious to
+stragglers) and ``least-loaded`` (the row ready earliest, ties to the
+lowest id; adapts to heterogeneous ``worker_speeds``).
 
-Workers serve whatever model version was last *deployed to them* — a
-registry ``activate`` alone changes nothing on the replicas until a
-:meth:`ReplicaSet.deploy` ships it, which is how real fleets behave and
-what makes the hot-swap byte accounting honest.
-
-Deployments can target a *subset* of workers (``deploy(workers=...)``)
-under a caller-chosen ledger kind (``deploy:canary``,
-``deploy:rollback``), which is what a canary rollout is: the fleet holds
-two versions at once, partitioned by worker, and the dispatch path takes
-an optional worker *pool* so a router can pin each batch to one side of
-the partition.  The mixed-version invariant holds by construction — a
-batch lands on exactly one worker and a worker holds exactly one version,
-so every request is served by exactly one version, whatever the mix.
+Rows serve whatever version was last *deployed to them* — a registry
+``activate`` changes nothing until :meth:`ReplicaSet.deploy` ships it.
+A deploy can target a *subset* of rows (a row is one worker at
+``S = 1``) under a caller-chosen kind (``deploy:canary``): the fleet
+then holds two versions partitioned by row, and ``dispatch`` takes a row
+*pool* so a router can pin a batch to one side.  A batch lands on one
+row and a row holds one version, so every request is served by exactly
+one version, whatever the mix.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..config import ClusterConfig
-from ..cluster.codecs import apply_model_delta, encode_model_delta
+from ..cluster.codecs import (CodecStack, apply_model_delta,
+                              encode_model_delta, get_codec_stack)
+from ..cluster.comm import record_collective
 from ..cluster.network import SimulatedNetwork
 from ..core.serialize import canonical_payload_bytes, payload_checksum
 from .batcher import DispatchResult
-from .registry import ModelRegistry, ModelVersion
+from .registry import ModelRegistry, ModelShard, ModelVersion
 
-#: ledger kind for model distribution traffic
-DEPLOY_KIND = "deploy:model"
+#: ledger kinds of model distribution: an ``S = 1`` fleet's, a sharded one's
+DEPLOY_KIND, SHARD_DEPLOY_KIND = "deploy:model", "deploy:shard"
+#: ledger kinds of the partial-score carry (the reduce half) and of the
+#: reduced-score redistribution (the all-gather half)
+PARTIAL_KIND, REDUCE_KIND = "serve:partial", "serve:reduce"
 
 _BALANCERS = ("round-robin", "least-loaded")
+_REDUCTIONS = ("gather", "allreduce")
+
+#: why a fleet (and a scenario) refuses ``cache`` with ``num_shards > 1``
+CACHE_SHARDING_CONFLICT = (
+    "prediction cache and tree sharding are mutually exclusive: cache "
+    "entries hold full-model scores, but a sharded row only ever "
+    "computes per-shard partials"
+)
 
 
 def resolve_version(registry: ModelRegistry,
-                    version: Union[int, ModelVersion, None]
-                    ) -> ModelVersion:
+                    version: Union[int, ModelVersion, None]) -> ModelVersion:
     """The registry entry ``version`` names: a version id, an entry
     itself, or ``None`` for the registry's active version."""
     if version is None:
@@ -69,7 +83,7 @@ def deployer(fleet, version: Union[int, ModelVersion, None] = None
              ) -> Callable[[float], None]:
     """A swap action for :meth:`MicroBatcher.run`: activates (when
     given a version id) and deploys at the swap's simulated time.
-    Every fleet backend binds this as its ``deployer`` method."""
+    The fleet binds this as its ``deployer`` method."""
     def action(at_s: float) -> None:
         if isinstance(version, int):
             fleet.registry.activate(version)
@@ -78,14 +92,22 @@ def deployer(fleet, version: Union[int, ModelVersion, None] = None
 
 
 class ReplicaSet:
-    """``W`` simulated workers serving one registry behind a balancer.
+    """``R x S`` grid of simulated workers serving one registry.
 
     Satisfies the :class:`~repro.serve.batcher.MicroBatcher` backend
-    contract (``next_free_s`` / ``dispatch``).  ``service_model`` maps a
-    batch size to baseline service seconds (measured wall-clock when
-    omitted); per-worker time divides by ``cluster.speed_of(w)``, so
-    stragglers configured via ``worker_speeds`` serve slower, exactly as
-    they train slower.
+    contract (``next_free_s`` / ``dispatch``).  A batch occupies one
+    whole replica row (the default ``num_shards=1`` makes every worker
+    its own row — plain replication) and its score is the ordered chain
+    fold of the row's shards.  ``cluster.num_workers`` must be a
+    multiple of ``num_shards``.
+
+    ``service_model`` maps a batch size to baseline seconds *for the
+    full model* (measured wall-clock when omitted); each row member is
+    billed its tree fraction of that over ``cluster.speed_of(w)``, so
+    stragglers serve slower exactly as they train slower.  ``reduction``
+    is ``"gather"`` (result on the row's last worker) or ``"allreduce"``
+    (plus redistribution); ``codec`` is the partial-score wire format
+    (``f32``/``f16`` quantize the carry at every hop).
     """
 
     def __init__(self, registry: ModelRegistry,
@@ -93,100 +115,177 @@ class ReplicaSet:
                  network: Optional[SimulatedNetwork] = None,
                  balancer: str = "round-robin",
                  service_model: Optional[Callable[[int], float]] = None,
-                 delta_deploys: bool = False,
-                 cache=None) -> None:
-        if balancer not in _BALANCERS:
-            raise ValueError(
-                f"unknown balancer {balancer!r}; choose from {_BALANCERS}"
-            )
+                 delta_deploys: bool = False, cache=None,
+                 num_shards: int = 1, reduction: str = "gather",
+                 codec: Union[str, CodecStack, None] = None) -> None:
+        for option, value, allowed in (("balancer", balancer, _BALANCERS),
+                                       ("reduction", reduction, _REDUCTIONS)):
+            if value not in allowed:
+                raise ValueError(
+                    f"unknown {option} {value!r}; choose from {allowed}")
+        if num_shards < 1:
+            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
+        if num_shards > 1 and cache is not None:
+            raise ValueError(CACHE_SHARDING_CONFLICT)
         self.registry = registry
         self.cluster = cluster or ClusterConfig()
+        if self.cluster.num_workers % num_shards != 0:
+            raise ValueError(
+                f"fleet of {self.cluster.num_workers} workers cannot "
+                f"hold {num_shards} shard groups evenly; num_workers "
+                "must be a multiple of num_shards")
         self.network = network or SimulatedNetwork(self.cluster.network)
         self.balancer = balancer
         self.service_model = service_model
         self.delta_deploys = delta_deploys
-        #: opt-in :class:`~repro.serve.cache.PredictionCache`; shared by
-        #: every replica (the fleet-wide score store a real deployment
-        #: would put in front of the workers), consulted per dispatch —
-        #: only the rows that miss are billed to the service model
+        #: opt-in fleet-wide :class:`~repro.serve.cache.PredictionCache`
+        #: (``S = 1`` only): only rows that miss are billed
         self.cache = cache
+        self.num_shards = num_shards
+        self.reduction = reduction
+        self.codec = (codec if isinstance(codec, CodecStack)
+                      else get_codec_stack(codec or "none"))
         self.num_workers = self.cluster.num_workers
-        self._free = np.zeros(self.num_workers)
-        self._deployed: list = [None] * self.num_workers
-        self._rr_next = 0
-        #: independent round-robin cursor per worker pool, so canary
-        #: and incumbent pools cycle fairly regardless of the split
-        self._rr_cursors: Dict[Tuple[int, ...], int] = {}
+        self.num_rows = self.num_workers // num_shards
+        #: kind of a fleet-wide rollout, read by :attr:`deploy_bytes` —
+        #: set by the layout, not by the class name
+        self.deploy_kind = (SHARD_DEPLOY_KIND if num_shards > 1
+                            else DEPLOY_KIND)
+        # plain lists: the free-time read sits on the batcher's path
+        self._free: List[float] = [0.0] * self.num_workers
+        self._deployed = [None] * self.num_workers  # ModelShard each
+        self._all_rows = range(self.num_rows)
+        #: round-robin cursors: ``None`` is the whole fleet's; each row
+        #: pool keeps its own, so canary and incumbent cycle fairly
+        self._rr_cursors: Dict[Optional[Tuple[int, ...]], int] = {}
 
-    # -- model distribution ------------------------------------------------
+    # -- the grid ----------------------------------------------------------
 
-    def deploy(self, version: Union[int, ModelVersion, None] = None,
-               at_s: float = 0.0,
-               workers: Optional[Sequence[int]] = None,
-               kind: str = DEPLOY_KIND) -> ModelVersion:
-        """Ship a model version to every worker (or a targeted subset).
+    def row_workers(self, row: int) -> range:
+        """Worker ids of replica row ``row`` (one per shard group)."""
+        self._check_pool((row,))
+        return range(row * self.num_shards, (row + 1) * self.num_shards)
 
-        ``version`` may be a version id, a :class:`ModelVersion`, or
-        ``None`` for the registry's active version.  Each worker receives
-        the canonical JSON payload as one simulated ``deploy:model``
-        transfer; the worker is busy installing for the transfer's
-        duration, so in-flight traffic queues behind the rollout rather
-        than racing it.
-
-        ``workers`` restricts the rollout to a subset of worker ids —
-        how a canary lands on its slice of the fleet — and ``kind``
-        labels the traffic in the wire ledger (``deploy:canary`` and
-        ``deploy:rollback`` keep canary and rollback bytes separable
-        from steady-state rollouts).
-
-        With ``delta_deploys`` enabled, a worker that already holds
-        another version receives only the tree-suffix delta against it
-        (:func:`~repro.cluster.codecs.encode_model_delta`) — the common
-        append-only rollout ships new trees, not the whole ensemble.
-        The delta is applied and checksum-verified before its bytes are
-        believed; an incompatible pair falls back to the full payload.
-        The ledger keeps ``raw_nbytes`` at the full payload size, so the
-        ``codec:deploy:model`` savings dimension reports what the deltas
-        avoided shipping.
-        """
-        entry = resolve_version(self.registry, version)
-        targets = (range(self.num_workers) if workers is None
-                   else self._check_pool(workers))
-        delta_nbytes: dict = {}   # predecessor version -> delta wire size
-        for worker in targets:
-            wire = entry.nbytes
-            prev = self._deployed[worker]
-            if (self.delta_deploys and prev is not None
-                    and prev.payload is not None
-                    and entry.payload is not None):
-                if prev.version not in delta_nbytes:
-                    delta_nbytes[prev.version] = self._delta_bytes(
-                        prev, entry)
-                wire = min(delta_nbytes[prev.version] or wire,
-                           entry.nbytes)
-            seconds = self.network.transfer(kind, wire,
-                                            raw_nbytes=entry.nbytes)
-            self._free[worker] = max(self._free[worker], at_s) + seconds
-            self._deployed[worker] = entry
-        return entry
+    def row_ready_s(self, row: int) -> float:
+        """Instant every worker of ``row`` is free — a batch needs the
+        whole row, so the row's readiness is its slowest member's."""
+        lo = row * self.num_shards
+        return max(self._free[lo:lo + self.num_shards])
 
     def _check_pool(self, pool: Sequence[int]) -> Sequence[int]:
         if len(pool) == 0:
             raise ValueError("worker pool must not be empty")
-        for worker in pool:
-            if not (0 <= worker < self.num_workers):
-                raise ValueError(
-                    f"worker {worker} out of range "
-                    f"(fleet has {self.num_workers} workers)"
-                )
+        for row in pool:
+            if not (0 <= row < self.num_rows):
+                raise ValueError(f"row {row} out of range (fleet has "
+                                 f"{self.num_rows} rows)")
         return pool
 
+    def _pick_row(self, pool: Optional[Sequence[int]] = None,
+                  take: bool = False, least_loaded: bool = False) -> int:
+        """The row the next batch (of ``pool``, or of the whole fleet)
+        lands on; ``take`` moves the round-robin cursor past it,
+        ``least_loaded`` overrides the balancer.  Ties on readiness
+        break to the earliest candidate."""
+        rows = self._all_rows if pool is None else self._check_pool(pool)
+        if least_loaded or self.balancer != "round-robin":
+            return int(min(rows, key=self.row_ready_s))
+        key = None if pool is None else tuple(pool)
+        cursor = self._rr_cursors.get(key, 0)
+        if take:
+            self._rr_cursors[key] = (cursor + 1) % len(rows)
+        return int(rows[cursor])
+
+    def _row_shards(self, row: int) -> List[ModelShard]:
+        """What ``row`` serves from: all deployed, all of one version."""
+        lo = row * self.num_shards
+        shards = self._deployed[lo:lo + self.num_shards]
+        if None in shards:
+            raise RuntimeError(
+                f"row {row} has undeployed workers (no model to serve "
+                "from); call deploy() before serving traffic")
+        versions = {shard.version for shard in shards}
+        if len(versions) != 1:
+            raise RuntimeError(
+                f"row {row} holds mixed versions {sorted(versions)}; "
+                "a batch must be served by exactly one version")
+        return shards
+
+    def _tree_shares(self, shards: Sequence[ModelShard],
+                     full_model_seconds: float) -> List[float]:
+        """Each row member's tree fraction of ``full_model_seconds``."""
+        trees = sum(shard.num_trees for shard in shards)
+        return [full_model_seconds * (shard.num_trees / trees if trees
+                                      else 1.0 / self.num_shards)
+                for shard in shards]
+
+    def _bill(self, row: int, at_s: float, baselines: Sequence[float],
+              collective_seconds: float = 0.0) -> Tuple[float, float]:
+        """Occupy ``row`` from ``max(at_s, its readiness)``: member ``j``
+        computes ``baselines[j]`` seconds at its own ``speed_of``, and
+        every member is held until the slowest is done and the
+        collective completes.  Returns ``(start_s, completion_s)``."""
+        lo = row * self.num_shards
+        start = max(at_s, self.row_ready_s(row))
+        done = start + max(
+            seconds / self.cluster.speed_of(lo + j)
+            for j, seconds in enumerate(baselines)) + collective_seconds
+        self._free[lo:lo + self.num_shards] = [done] * self.num_shards
+        return start, done
+
+    # -- model distribution ------------------------------------------------
+
+    def deploy(self, version: Union[int, ModelVersion, None] = None,
+               at_s: float = 0.0, workers: Optional[Sequence[int]] = None,
+               kind: Optional[str] = None) -> ModelVersion:
+        """Ship a model version to every row (or a targeted subset).
+
+        ``version`` is a version id, a :class:`ModelVersion`, or ``None``
+        for the registry's active one.  Worker ``r * S + j`` receives
+        shard ``j``'s canonical payload as one simulated transfer and is
+        busy installing for its duration, so traffic queues behind the
+        rollout.  A rollout ships ``~R *`` full payload at any ``S``
+        (``W *`` at ``S = 1``); per-worker model bytes scale as ``~1/S``.
+
+        ``workers`` restricts the rollout to a subset of replica *rows*
+        (worker ``w`` sits in row ``w // S``; the ids coincide only at
+        ``S = 1``) — how a canary lands on its slice — and ``kind``
+        labels the traffic (default :attr:`deploy_kind`).  With
+        ``delta_deploys``, a worker already holding another version's
+        shard receives only the tree-suffix delta against it, applied
+        and checksum-verified before its bytes are believed; without a
+        verified delta the full shard ships.  ``raw_nbytes`` stays the
+        full shard size, so ``codec:<kind>`` reports what the deltas
+        avoided shipping.
+        """
+        entry = resolve_version(self.registry, version)
+        shards = self.registry.shards(entry.version, self.num_shards)
+        rows = (self._all_rows if workers is None
+                else self._check_pool(workers))
+        kind = kind or self.deploy_kind
+        # (predecessor version, shard group) -> verified delta wire size
+        delta_nbytes: dict = {}
+        for row in rows:
+            for j, shard in enumerate(shards):
+                worker = row * self.num_shards + j
+                wire = shard.nbytes
+                prev = self._deployed[worker]
+                if self.delta_deploys and prev is not None:
+                    key = (prev.version, j)
+                    if key not in delta_nbytes:
+                        delta_nbytes[key] = self._delta_bytes(prev, shard)
+                    wire = min(delta_nbytes[key] or wire, shard.nbytes)
+                seconds = self.network.transfer(kind, wire,
+                                                raw_nbytes=shard.nbytes)
+                self._free[worker] = max(self._free[worker],
+                                         at_s) + seconds
+                self._deployed[worker] = shard
+        return entry
+
     @staticmethod
-    def _delta_bytes(prev: ModelVersion,
-                     new: ModelVersion) -> Optional[int]:
-        """Wire size of the delta from ``prev`` to ``new``, verified by
-        reconstructing ``new`` and checking its checksum; ``None`` when
-        the pair has no usable delta."""
+    def _delta_bytes(prev: ModelShard, new: ModelShard) -> Optional[int]:
+        """Wire size of the delta ``prev`` -> ``new``, verified by
+        rebuilding ``new`` to its checksum; ``None`` without one."""
         delta = encode_model_delta(prev.payload, new.payload)
         if delta is None:
             return None
@@ -199,123 +298,124 @@ class ReplicaSet:
 
     def deployed_versions(self) -> list:
         """Per-worker deployed version id (``None`` before any deploy)."""
-        return [None if entry is None else entry.version
-                for entry in self._deployed]
+        return [None if shard is None else shard.version
+                for shard in self._deployed]
 
     def workers_serving(self, version: int) -> list:
-        """Worker ids currently holding ``version``."""
-        return [w for w, entry in enumerate(self._deployed)
-                if entry is not None and entry.version == version]
+        """Worker ids holding (a shard of) ``version`` — row ids, which
+        ``workers=`` / ``pool=`` take, are these ``// num_shards``."""
+        return [w for w, held in enumerate(self.deployed_versions())
+                if held == version]
 
     # -- MicroBatcher backend contract -------------------------------------
 
-    def _pick_worker(self, pool: Optional[Sequence[int]] = None) -> int:
-        if pool is None:
-            if self.balancer == "round-robin":
-                return self._rr_next
-            return int(np.argmin(self._free))   # ties -> lowest id
-        pool = self._check_pool(pool)
-        if self.balancer == "round-robin":
-            cursor = self._rr_cursors.get(tuple(pool), 0)
-            return int(pool[cursor % len(pool)])
-        free = self._free[np.asarray(pool, dtype=np.int64)]
-        return int(pool[int(np.argmin(free))])
-
     def next_free_s(self, pool: Optional[Sequence[int]] = None) -> float:
-        """Free time of the worker the *next* batch will land on."""
-        return float(self._free[self._pick_worker(pool)])
+        """Readiness of the row the *next* batch will land on."""
+        return self.row_ready_s(self._pick_row(pool))
 
     def occupy(self, pool: Sequence[int], at_s: float,
                baseline_seconds: float) -> Tuple[int, float, float]:
-        """Bill ``baseline_seconds`` of compute to the least-loaded
-        worker of ``pool`` without serving traffic from it.
+        """Bill ``baseline_seconds`` of full-model compute to the
+        least-loaded row of ``pool`` without serving traffic from it.
 
-        Shadow scoring uses this: the canary workers score every batch
-        for the monitor, so their clocks must advance exactly as if they
-        served it — the shadow's cost is real in the ledger even though
-        its answers never reach a client.  Returns ``(worker, start_s,
-        completion_s)``.
-        """
-        pool = self._check_pool(pool)
-        free = self._free[np.asarray(pool, dtype=np.int64)]
-        worker = int(pool[int(np.argmin(free))])
-        seconds = baseline_seconds / self.cluster.speed_of(worker)
-        start = max(at_s, float(self._free[worker]))
-        self._free[worker] = start + seconds
-        return worker, start, start + seconds
+        Shadow scoring uses this: canary rows score every batch for the
+        monitor, so their clocks advance as if they served it.  Returns
+        ``(worker, start_s, completion_s)``, the worker the row's tail."""
+        row = self._pick_row(pool, least_loaded=True)
+        start, done = self._bill(row, at_s, self._tree_shares(
+            self._row_shards(row), baseline_seconds))
+        return (row + 1) * self.num_shards - 1, start, done
 
     def dispatch(self, features: np.ndarray, close_s: float,
                  pool: Optional[Sequence[int]] = None) -> DispatchResult:
-        worker = self._pick_worker(pool)
-        if self.balancer == "round-robin":
-            if pool is None:
-                self._rr_next = (self._rr_next + 1) % self.num_workers
-            else:
-                key = tuple(pool)
-                self._rr_cursors[key] = (self._rr_cursors.get(key, 0)
-                                         + 1) % len(pool)
-        entry = self._deployed[worker]
-        if entry is None:
-            raise RuntimeError(
-                f"worker {worker} has no model; call deploy() before "
-                "serving traffic"
-            )
+        row = self._pick_row(pool, take=True)
+        shards = self._row_shards(row)
+        version = shards[0].version
+
+        # the chain fold: the head scores from a zero carry (the fused
+        # backend kernel, bit-identical to folding into zeros); each
+        # later member receives the carry — encoded, so a lossy codec's
+        # precision cost is real — and folds its own trees into it
+        head = shards[0].compiled.raw_scores
         began = time.perf_counter()
         if self.cache is None:
-            scores = entry.compiled.raw_scores(features)
-            billable = features.shape[0]
+            acc, billable = head(features), features.shape[0]
         else:
-            scores, billable = self.cache.serve(
-                entry.version, features, entry.compiled.raw_scores)
-        measured = time.perf_counter() - began
-        baseline = (measured if self.service_model is None
-                    else float(self.service_model(billable)))
-        seconds = baseline / self.cluster.speed_of(worker)
-        start = max(close_s, float(self._free[worker]))
-        self._free[worker] = start + seconds
+            acc, billable = self.cache.serve(version, features, head)
+        measured = [time.perf_counter() - began]
+        score_codec = self.codec.scores
+        encoded_nbytes: Optional[int] = None
+        for shard in shards[1:]:
+            if not self.codec.is_identity:
+                enc = score_codec.encode(acc)
+                encoded_nbytes = enc.nbytes
+                if not score_codec.lossless:
+                    acc = score_codec.decode(enc)
+            began = time.perf_counter()
+            shard.compiled.add_raw_scores(features, acc)
+            measured.append(time.perf_counter() - began)
+
+        # the carry crosses S - 1 links; a one-worker row has none
+        reduce_seconds = 0.0
+        if self.num_shards > 1:
+            payload = acc.nbytes   # the dense float64 baseline
+            encoded = (None if encoded_nbytes is None
+                       else [encoded_nbytes] * self.num_shards)
+            kinds = ((PARTIAL_KIND, REDUCE_KIND)
+                     if self.reduction == "allreduce" else (PARTIAL_KIND,))
+            for kind in kinds:
+                reduce_seconds += record_collective(
+                    self.network, kind, payload, self.num_shards,
+                    "reducescatter", encoded_worker_bytes=encoded)
+        baselines = (measured if self.service_model is None
+                     else self._tree_shares(
+                         shards, float(self.service_model(billable))))
+        start, done = self._bill(row, close_s, baselines, reduce_seconds)
         return DispatchResult(
-            start_s=start, completion_s=start + seconds, worker=worker,
-            model_version=entry.version, scores=scores,
-        )
+            start_s=start, completion_s=done, model_version=version,
+            worker=(row + 1) * self.num_shards - 1,   # the chain's tail
+            scores=acc)
 
     # -- introspection -----------------------------------------------------
 
+    def _ledger_bytes(self, kind: str, raw: bool = False) -> int:
+        snapshot = self.network.snapshot()
+        return (snapshot.raw_bytes_by_kind if raw
+                else snapshot.bytes_by_kind).get(kind, 0)
+
     @property
     def deploy_bytes(self) -> int:
-        """Total wire bytes shipped under ``deploy:model`` so far.
-
-        Covers **only** the steady-state kind: subset deploys made under
-        a caller-chosen kind (``deploy(workers=..., kind="deploy:canary")``,
-        per-shard rollouts under ``deploy:shard``) are attributed to
-        *that* kind and do not appear here — use
-        :meth:`deploy_bytes_by_kind` for the full per-kind breakdown.
-        """
-        return self.network.snapshot().bytes_by_kind.get(DEPLOY_KIND, 0)
+        """Wire bytes shipped under :attr:`deploy_kind` so far — **only**
+        that kind: a subset deploy under a caller-chosen kind is
+        attributed to its own (see :meth:`deploy_bytes_by_kind`)."""
+        return self._ledger_bytes(self.deploy_kind)
 
     @property
     def deploy_raw_bytes(self) -> int:
-        """Pre-encoding bytes of every ``deploy:model`` transfer — what
-        full-payload rollouts would have shipped.
+        """Pre-encoding bytes of the same transfers — what full-payload
+        rollouts would have shipped (a delta-encoded canary keeps its
+        ``raw_nbytes`` under its own kind, never inflating this one)."""
+        return self._ledger_bytes(self.deploy_kind, raw=True)
 
-        Like :attr:`deploy_bytes`, this reads only the steady-state
-        kind; delta-encoded subset deploys keep their ``raw_nbytes`` (the
-        full payload size) under the caller's kind, so the
-        ``codec:deploy:canary`` savings dimension reports what a canary's
-        deltas avoided shipping without inflating the steady-state
-        numbers.
-        """
-        return self.network.snapshot().raw_bytes_by_kind.get(
-            DEPLOY_KIND, 0)
+    @property
+    def partial_bytes(self) -> int:
+        """Wire bytes of the partial-score carries (``serve:partial``)."""
+        return self._ledger_bytes(PARTIAL_KIND)
+
+    @property
+    def reduce_bytes(self) -> int:
+        """Wire bytes of reduced-score redistribution (``serve:reduce``)."""
+        return self._ledger_bytes(REDUCE_KIND)
+
+    def model_bytes_per_worker(self) -> int:
+        """Largest deployed shard payload — the per-worker model wire
+        footprint sharding buys down to ``~1/S``."""
+        return max((shard.nbytes for shard in self._deployed
+                    if shard is not None), default=0)
 
     def deploy_bytes_by_kind(self) -> Dict[str, Tuple[int, int]]:
-        """``kind -> (wire_bytes, raw_bytes)`` of every ``deploy:*`` kind.
-
-        The per-kind ledger view that keeps subset and per-shard deploy
-        accounting attributable: steady-state rollouts land under
-        ``deploy:model``, canary slices under the kind their caller
-        chose, sharded rollouts under ``deploy:shard`` — each with the
-        raw (pre-delta, pre-codec) baseline alongside the wire bytes.
-        """
+        """``kind -> (wire_bytes, raw_bytes)`` of every ``deploy:*``
+        kind (rollouts, canary slices), raw the pre-delta baseline."""
         snapshot = self.network.snapshot()
         return {
             kind: (nbytes, snapshot.raw_bytes_by_kind.get(kind, nbytes))
@@ -324,6 +424,7 @@ class ReplicaSet:
         }
 
     def __repr__(self) -> str:
-        return (f"ReplicaSet(workers={self.num_workers}, "
-                f"balancer={self.balancer!r}, "
+        return (f"{type(self).__name__}(rows={self.num_rows}, "
+                f"shards={self.num_shards}, balancer={self.balancer!r}, "
+                f"reduction={self.reduction!r}, "
                 f"deployed={self.deployed_versions()})")

@@ -56,7 +56,8 @@ from ..ledger import percentile_summary
 from .batcher import BatchPolicy, MicroBatcher, RequestTrace, ServingReport
 from .cache import PredictionCache
 from .registry import ModelRegistry
-from .replica import ReplicaSet
+from .replica import CACHE_SHARDING_CONFLICT, ReplicaSet
+from .sharded import fleet_class
 
 #: schema tag of the runner's JSON report
 SCENARIO_SCHEMA = "scenario-report/v1"
@@ -196,10 +197,10 @@ class Scenario:
     max_queue: int = 256
     overload: str = "shed-oldest"
     num_workers: int = 2
-    #: tree-shard groups of the fleet: 1 replicates the full model to
-    #: every worker (a ReplicaSet); > 1 serves through a
-    #: ShardedReplicaSet of ``num_workers / num_shards`` replica rows,
-    #: so ``num_workers`` must divide evenly
+    #: tree-shard groups ``S`` of the one ``R x S`` fleet
+    #: (``ReplicaSet(..., num_shards=S)``): 1 replicates the full model
+    #: to every worker, > 1 gives ``num_workers / num_shards`` replica
+    #: rows of tree-range shards, so ``num_workers`` must divide evenly
     num_shards: int = 1
     balancer: str = "round-robin"
     service_base_s: float = 0.002
@@ -240,11 +241,7 @@ class Scenario:
                 "row holds one worker per shard group"
             )
         if self.num_shards > 1 and self.cache_capacity > 0:
-            raise ValueError(
-                "prediction cache and tree sharding are mutually "
-                "exclusive: cache entries hold full-model scores, but "
-                "a sharded row only ever computes per-shard partials"
-            )
+            raise ValueError(CACHE_SHARDING_CONFLICT)
         self.policy  # validate the batching knobs eagerly
 
     @property
@@ -505,6 +502,28 @@ def audit_priority_admission(trace: RequestTrace,
 # The runner
 # ---------------------------------------------------------------------------
 
+def build_fleet(scenario: Scenario, registry: ModelRegistry,
+                **options) -> ReplicaSet:
+    """The fleet a scenario declares: its fault plan on the deploy path
+    of a fresh simulated network, under an ``R x S`` grid with the
+    scenario's balancer and deterministic affine service model.
+    ``options`` pass through to the fleet (``cache``, ``delta_deploys``).
+    """
+    s = scenario
+    injector = None
+    if s.faults:
+        injector = FaultInjector(
+            FaultPlan.parse(s.faults), num_workers=s.num_workers,
+            num_trees=1, num_layers=2)
+    return fleet_class(s.num_shards)(
+        registry, ClusterConfig(num_workers=s.num_workers),
+        num_shards=s.num_shards,
+        network=SimulatedNetwork(NetworkModel(), injector=injector),
+        balancer=s.balancer,
+        service_model=lambda k: s.service_base_s + s.service_per_row_s * k,
+        **options)
+
+
 class ScenarioRunner:
     """Replay one scenario through the full serving stack.
 
@@ -573,12 +592,6 @@ class ScenarioRunner:
         trace = build_trace(s)
         self.trace = trace
 
-        injector = None
-        if s.faults:
-            plan = FaultPlan.parse(s.faults)
-            injector = FaultInjector(plan, num_workers=s.num_workers,
-                                     num_trees=1, num_layers=2)
-        network = SimulatedNetwork(NetworkModel(), injector=injector)
         cache = (PredictionCache(s.cache_capacity, cuts=self.cuts)
                  if s.cache_capacity > 0 else None)
         self.cache = cache
@@ -588,24 +601,7 @@ class ScenarioRunner:
             # would let a rolled-back version's entries linger until
             # the next lookup
             self.registry.attach_cache(cache)
-        if s.num_shards > 1:
-            from .sharded import ShardedReplicaSet
-            replicas = ShardedReplicaSet(
-                self.registry, ClusterConfig(num_workers=s.num_workers),
-                num_shards=s.num_shards,
-                network=network, balancer=s.balancer,
-                service_model=lambda k: s.service_base_s
-                + s.service_per_row_s * k,
-            )
-        else:
-            replicas = ReplicaSet(
-                self.registry,
-                ClusterConfig(num_workers=s.num_workers),
-                network=network, balancer=s.balancer,
-                service_model=lambda k: s.service_base_s
-                + s.service_per_row_s * k,
-                cache=cache,
-            )
+        replicas = build_fleet(s, self.registry, cache=cache)
         self.replicas = replicas
         replicas.deploy(1)
         swaps = []

@@ -3,13 +3,18 @@ version resolution and the deployer swap action."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import ClusterConfig, GBDT, TrainConfig
-from repro.serve import (BatchPolicy, MicroBatcher, ModelRegistry,
-                         ReplicaSet, ServingReport, ShardedReplicaSet,
-                         synthetic_trace)
+from repro.serve import (BatchPolicy, CanaryPolicy, CanaryRouter,
+                         DeployController, DriftMonitor, MicroBatcher,
+                         ModelRegistry,
+                         PredictionCache, ReplicaSet, RollbackPolicy,
+                         ServingReport, ShardedReplicaSet, emit_labels,
+                         get_scenario, synthetic_trace)
 from repro.serve.batcher import BatchRecord, RequestRecord
 from repro.serve.replica import deployer, resolve_version
 
@@ -141,3 +146,221 @@ def test_deployer_with_an_entry_or_none_leaves_the_pointer_alone(registry):
         assert set(fleet.deployed_versions()) == {2}
         fleet.deployer()(1.0)       # None: whatever is active, i.e. v1
         assert set(fleet.deployed_versions()) == {1}
+
+
+# -- one R x S fleet under two names --------------------------------------
+
+@pytest.fixture(scope="module")
+def append_registry(small_binary):
+    """v2 extends v1 by two trees (boosting is deterministic, so v1's
+    trees are v2's prefix) — the append-only rollout shape."""
+    registry = ModelRegistry()
+    for trees in (2, 4):
+        registry.publish(GBDT(TrainConfig(
+            num_trees=trees, num_layers=4, num_candidates=8,
+        )).fit(small_binary).ensemble)
+    return registry
+
+
+def _replay(fleet_class, registry, num_shards):
+    """One hot-swapped trace through a 4-worker grid of ``num_shards``
+    shard groups built under ``fleet_class``."""
+    fleet = fleet_class(registry, ClusterConfig(num_workers=4),
+                        num_shards=num_shards, balancer="least-loaded",
+                        service_model=lambda k: 2e-4 + 1e-5 * k)
+    fleet.deploy(1)
+    trace = synthetic_trace(
+        240, registry.get(1).compiled.num_features, 20_000.0, seed=6)
+    report = MicroBatcher(
+        fleet, BatchPolicy(max_batch_size=8, max_delay_s=0.0005,
+                           max_queue=32, overload="shed-oldest"),
+    ).run(trace, swaps=[(float(trace.arrivals[120]),
+                         fleet.deployer(registry.get(2)))],
+          collect_scores=True)
+    return fleet, trace, report
+
+
+def _ledger(fleet):
+    snapshot = fleet.network.snapshot()
+    return (dict(snapshot.bytes_by_kind), dict(snapshot.raw_bytes_by_kind),
+            snapshot.total_seconds)
+
+
+@pytest.mark.parametrize("num_shards", [1, 2, 4])
+def test_the_class_name_changes_nothing(registry, num_shards):
+    plain, trace, report = _replay(ReplicaSet, registry, num_shards)
+    named, _, report2 = _replay(ShardedReplicaSet, registry, num_shards)
+    assert report.records == report2.records
+    assert report.batches == report2.batches
+    assert report.dropped == report2.dropped
+    np.testing.assert_array_equal(report.scores, report2.scores)
+    assert _ledger(plain) == _ledger(named)
+    assert plain.deploy_bytes_by_kind() == named.deploy_bytes_by_kind()
+    assert plain.deploy_bytes == named.deploy_bytes > 0
+    # and the layout never shows in the scores: every S serves what the
+    # version's own compiled predictor says
+    assert report.versions_served() == [1, 2]
+    ids = np.array([r.request_id for r in report.records])
+    served_by = np.array([r.model_version for r in report.records])
+    for version in (1, 2):
+        mask = served_by == version
+        np.testing.assert_array_equal(
+            report.scores[mask],
+            registry.get(version).compiled.raw_scores(
+                trace.features[ids[mask]]))
+
+
+@pytest.mark.parametrize("fleet_class", [ReplicaSet, ShardedReplicaSet])
+def test_one_shard_group_is_a_replicated_fleet(registry, fleet_class):
+    fleet, _, _ = _replay(fleet_class, registry, 1)
+    kinds = set(fleet.network.snapshot().bytes_by_kind)
+    assert kinds == {"deploy:model"}        # no serve:partial / :reduce
+    assert fleet.partial_bytes == fleet.reduce_bytes == 0
+    assert fleet.deploy_bytes == 4 * (registry.get(1).nbytes
+                                      + registry.get(2).nbytes)
+    shard = registry.shards(1, 1)[0]       # the whole payload, verbatim
+    assert (shard.nbytes, shard.checksum) == (registry.get(1).nbytes,
+                                              registry.get(1).checksum)
+    assert fleet.model_bytes_per_worker() == registry.get(2).nbytes
+
+
+def test_default_layouts_by_name(registry):
+    cluster = ClusterConfig(num_workers=4)
+    assert ReplicaSet(registry, cluster).num_shards == 1
+    assert ShardedReplicaSet(registry, cluster).num_shards == 2
+    assert [name for name, value in vars(ShardedReplicaSet).items()
+            if callable(value)] == ["__init__", "deploy", "dispatch"]
+    assert ShardedReplicaSet.deploy is ReplicaSet.deploy
+    assert ShardedReplicaSet.dispatch is ReplicaSet.dispatch
+
+
+def test_pools_name_replica_rows(registry):
+    fleet = ReplicaSet(registry, ClusterConfig(num_workers=8),
+                       num_shards=2, service_model=lambda k: 1e-4)
+    assert fleet.num_rows == 4
+    assert list(fleet.row_workers(1)) == [2, 3]
+    fleet.deploy(1)
+    steady = fleet.deploy_bytes
+    free = list(fleet._free)
+    fleet.deploy(2, workers=[1], kind="deploy:canary", at_s=1.0)
+    assert fleet.deployed_versions() == [1, 1, 2, 2, 1, 1, 1, 1]
+    assert fleet.workers_serving(2) == [2, 3]
+    assert [w for w in range(8) if fleet._free[w] != free[w]] == [2, 3]
+    by_kind = fleet.deploy_bytes_by_kind()
+    assert by_kind["deploy:canary"][0] == sum(
+        shard.nbytes for shard in registry.shards(2, 2))
+    assert fleet.deploy_bytes == steady     # the canary kind stays apart
+    rows = np.zeros((3, registry.get(1).compiled.num_features))
+    for _ in range(3):
+        result = fleet.dispatch(rows, 2.0, pool=[1])
+        assert (result.worker, result.model_version) == (3, 2)
+    assert fleet.dispatch(rows, 2.0).worker == 1    # row 0's tail
+    with pytest.raises(ValueError, match="out of range"):
+        fleet.dispatch(rows, 2.0, pool=[4])         # rows, not workers
+    worker, start, done = fleet.occupy([1], 5.0, 0.5)
+    assert (worker, start) == (3, 5.0)
+    # each member is billed its tree share; the row frees together
+    assert fleet._free[2] == fleet._free[3] == done < 5.5
+
+
+def test_delta_deploys_run_per_shard(append_registry):
+    registry = append_registry
+    fleet = ReplicaSet(registry, ClusterConfig(num_workers=2),
+                       num_shards=2, delta_deploys=True,
+                       service_model=lambda k: 1e-4)
+    fleet.deploy(1)
+    assert fleet.deploy_bytes == fleet.deploy_raw_bytes   # no predecessor
+    before = len(fleet.network.records)
+    fleet.deploy(2)
+    head, tail = fleet.network.records[before:]
+    new = registry.shards(2, 2)
+    # shard 0 grew by appended trees: a verified delta ships; shard 1's
+    # tree range shares no prefix with its predecessor: the full shard
+    assert 0 < head.nbytes < head.raw_nbytes == new[0].nbytes
+    assert tail.nbytes == tail.raw_nbytes == new[1].nbytes
+    assert fleet.deploy_raw_bytes - fleet.deploy_bytes \
+        == head.raw_nbytes - head.nbytes
+    features = np.random.default_rng(1).standard_normal(
+        (16, registry.get(2).compiled.num_features))
+    np.testing.assert_array_equal(
+        fleet.dispatch(features, 0.0).scores,
+        registry.get(2).compiled.raw_scores(features))
+
+
+def test_a_sharded_fleet_refuses_a_cache_like_a_scenario_does(registry):
+    cache = PredictionCache(8)
+    with pytest.raises(ValueError, match="mutually exclusive") as fleet:
+        ReplicaSet(registry, ClusterConfig(num_workers=2), num_shards=2,
+                   cache=cache)
+    with pytest.raises(ValueError) as scenario:
+        dataclasses.replace(get_scenario("diurnal"), num_shards=2)
+    assert str(fleet.value) == str(scenario.value)
+    ReplicaSet(registry, ClusterConfig(num_workers=2), cache=cache)
+
+
+def test_a_deploy_episode_canaries_whole_rows_of_a_sharded_fleet():
+    scenario = get_scenario("sharded-steady", scale=0.1)
+    assert (scenario.num_workers, scenario.num_shards) == (4, 2)
+    controller = DeployController(scenario, canary_model="degraded")
+    report = controller.run()
+    fleet, router = controller.replicas, controller.router
+    assert type(fleet) is ShardedReplicaSet and fleet.num_rows == 2
+    # the pools partition rows, so the canary took workers 2-3 together
+    assert (router.incumbent_pool, router.canary_pool) == ([0], [1])
+    assert [d["kind"] for d in report["decisions"]][:2] \
+        == ["deploy", "canary-start"]
+    assert "2 canary worker(s)" in report["decisions"][1]["reason"]
+    canary_batches = [b for b in controller.serving_report.batches
+                      if b.model_version == 2]
+    assert canary_batches and {b.worker for b in canary_batches} == {3}
+    assert report["verdict"] == "rollback"
+    assert fleet.deployed_versions() == [1, 1, 1, 1]
+    assert all(v is True for k, v in report["invariants"].items()
+               if k != "split")
+    kinds = fleet.network.snapshot().bytes_by_kind
+    assert kinds["deploy:shard"] > 0 and "deploy:model" not in kinds
+    assert kinds["serve:partial"] > 0
+    # a canary must still leave one incumbent *row*
+    with pytest.raises(ValueError, match="incumbent worker"):
+        DeployController(scenario, canary=CanaryPolicy(canary_workers=2),
+                         canary_model="degraded").run()
+
+
+# -- satellites: shadow billing, per-batch polling -------------------------
+
+def test_shadow_compute_is_billed_under_wall_clock_service(registry):
+    fleet = ReplicaSet(registry, ClusterConfig(num_workers=2))
+    assert fleet.service_model is None
+    trace = synthetic_trace(
+        8, registry.get(1).compiled.num_features, 1000.0, seed=1)
+    router = CanaryRouter(
+        fleet, DriftMonitor(window=8),
+        CanaryPolicy(fraction=0.5, canary_workers=1, shadow=True, seed=1),
+        RollbackPolicy(window=8, min_labels=4),
+        emit_labels(trace, registry.get(1).compiled, 0.01, 1), 1, 2,
+        canary_compiled=registry.get(2).compiled)
+    fleet.deploy(1)
+    fleet.deploy(2, workers=router.canary_pool, kind="deploy:canary")
+    router.mark_canary_started(0.0)
+    close_s = 10.0
+    result = router.dispatch(trace.features, close_s,
+                             ids=np.arange(8, dtype=np.int64))
+    assert result.model_version == 1 and router.shadow_batches == 1
+    assert fleet._free[router.canary_pool[0]] > close_s
+
+
+def test_the_bounded_batcher_asks_for_free_time_once_per_batch(registry):
+    fleet = ReplicaSet(registry, ClusterConfig(num_workers=1),
+                       service_model=lambda k: 2e-3)
+    fleet.deploy(1)
+    asked = []
+    ask = fleet.next_free_s
+    fleet.next_free_s = lambda: asked.append(1) or ask()
+    trace = synthetic_trace(
+        400, registry.get(1).compiled.num_features, 20_000.0, seed=5)
+    report = MicroBatcher(
+        fleet, BatchPolicy(max_batch_size=8, max_delay_s=0.001,
+                           max_queue=16, overload="shed-oldest"),
+    ).run(trace)
+    assert len(report.dropped) > 100        # plenty of admission events
+    assert len(asked) == len(report.batches) + 1
