@@ -10,8 +10,11 @@ owns the innermost kernels —
   :class:`~repro.core.histogram.HistogramBuilder` construction kernel
   (scatter-add gradients/hessians of binned entries into per-node bins);
 * the **level-synchronous predictor** behind
-  :class:`~repro.serve.compiler.CompiledEnsemble` (advance every row of
-  a batch one tree layer per step) and its uint8 bin-quantized variant.
+  :class:`~repro.serve.compiler.CompiledEnsemble` and its uint8
+  bin-quantized variant: one entry point,
+  :meth:`KernelBackend.fold_scores`, adds an ensemble's scores into an
+  accumulator (numpy advances every row of a batch through *all* trees
+  of a block one layer per step; the loop kernels walk row by row).
 
 Three backends are registered:
 
@@ -57,6 +60,12 @@ CHILD_SHIFT = FEATURE_BITS + 1
 
 #: reserved uint8 bin value marking a missing entry in quantized batches
 MISSING_BIN = 255
+
+#: entries of the ``(trees x rows)`` position matrix one numpy traversal
+#: block may hold: a small batch walks many trees per numpy call, a batch
+#: this large walks one tree at a time, and the per-step temporaries stay
+#: cache-sized whatever the ensemble
+WALK_BLOCK = 1 << 16
 
 #: environment variable listing backend names detection must treat as
 #: unavailable (comma-separated) — the CI numpy-only job's switch
@@ -317,70 +326,64 @@ class KernelBackend:
 
     # -- predictor ---------------------------------------------------------
 
-    def advance(self, packed: np.ndarray, threshold: np.ndarray,
-                flat: np.ndarray, num: int, root: int, depth: int,
-                has_nan: bool) -> np.ndarray:
-        """Slot of every row after walking one whole tree
-        (level-synchronous: three gathers per layer)."""
+    def walk(self, packed: np.ndarray, threshold: np.ndarray,
+             roots: np.ndarray, depth: int, flat: np.ndarray, num: int,
+             has_missing: bool) -> np.ndarray:
+        """``(trees, rows)`` slot of every row in every tree rooted at
+        ``roots`` after ``depth`` level-synchronous steps (three gathers
+        per step, whatever the number of trees).
+
+        ``flat`` is the feature-major batch flattened, so row ``i``'s
+        value of feature ``f`` lives at ``f * num + i``: ``float64``
+        values against ``float64`` cuts (``NaN`` missing), or ``uint8``
+        bins against ``int16`` bin cuts (``MISSING_BIN`` missing) — the
+        compare and the missing rule are the only difference.  A tree
+        shallower than ``depth`` parks on its self-looping leaves, whose
+        threshold (``+inf`` / ``MISSING_BIN``) sends no value right.
+        """
+        quantized = flat.dtype == np.uint8
         rows = np.arange(num, dtype=np.int64)
-        pos = np.full(num, root, dtype=np.int64)
+        pos = np.repeat(np.asarray(roots, dtype=np.int64)[:, None], num,
+                        axis=1)
         for _ in range(depth):
-            meta = np.take(packed, pos)
-            values = np.take(flat, (meta & FEATURE_MASK) * num + rows)
-            go_right = values > np.take(threshold, pos)
-            if has_nan:
+            meta = packed.take(pos)
+            values = flat.take((meta & FEATURE_MASK) * num + rows)
+            cut = threshold.take(pos)
+            go_right = values > cut
+            if has_missing and quantized:
+                missing = values == MISSING_BIN
+                go_right &= ~missing
+                go_right |= (missing & ((meta & MISS_BIT) != 0)
+                             & (cut != MISSING_BIN))
+            elif has_missing:
                 go_right |= np.isnan(values) & ((meta & MISS_BIT) != 0)
             pos = meta >> CHILD_SHIFT
             pos += go_right
         return pos
 
-    def raw_scores(self, packed: np.ndarray, threshold: np.ndarray,
-                   scaled: np.ndarray, tree_root: np.ndarray,
-                   tree_depth: np.ndarray, flat: np.ndarray, num: int,
-                   has_nan: bool, use: int) -> np.ndarray:
-        """Summed shrunken scores of every row over trees ``0..use``."""
-        scores = np.zeros((num, scaled.shape[1]), dtype=np.float64)
-        for t in range(use):
-            pos = self.advance(packed, threshold, flat, num,
-                               int(tree_root[t]), int(tree_depth[t]),
-                               has_nan)
-            scores += np.take(scaled, pos, axis=0)
-        return scores
+    def fold_scores(self, packed: np.ndarray, threshold: np.ndarray,
+                    scaled: np.ndarray, tree_root: np.ndarray,
+                    tree_depth: np.ndarray, flat: np.ndarray, num: int,
+                    has_missing: bool, use: int, out: np.ndarray) -> None:
+        """Add the shrunken scores of trees ``0..use`` into ``out``.
 
-    def advance_quantized(self, packed: np.ndarray,
-                          threshold_bin: np.ndarray,
-                          flat_bins: np.ndarray, num: int, root: int,
-                          depth: int, has_missing: bool) -> np.ndarray:
-        """Quantized traversal of one tree over uint8 bin values."""
-        rows = np.arange(num, dtype=np.int64)
-        pos = np.full(num, root, dtype=np.int64)
-        for _ in range(depth):
-            meta = np.take(packed, pos)
-            values = np.take(flat_bins, (meta & FEATURE_MASK) * num + rows)
-            thr = np.take(threshold_bin, pos)
-            go_right = values > thr
-            if has_missing:
-                missing = values == MISSING_BIN
-                go_right &= ~missing
-                go_right |= (missing & ((meta & MISS_BIT) != 0)
-                             & (thr != MISSING_BIN))
-            pos = meta >> CHILD_SHIFT
-            pos += go_right
-        return pos
-
-    def raw_scores_quantized(self, packed: np.ndarray,
-                             threshold_bin: np.ndarray,
-                             scaled: np.ndarray, tree_root: np.ndarray,
-                             tree_depth: np.ndarray,
-                             flat_bins: np.ndarray, num: int,
-                             has_missing: bool, use: int) -> np.ndarray:
-        scores = np.zeros((num, scaled.shape[1]), dtype=np.float64)
-        for t in range(use):
-            pos = self.advance_quantized(packed, threshold_bin, flat_bins,
-                                         num, int(tree_root[t]),
-                                         int(tree_depth[t]), has_missing)
-            scores += np.take(scaled, pos, axis=0)
-        return scores
+        The one predictor entry point of a backend: float and quantized
+        batches (told apart by ``flat.dtype``, see :meth:`walk`), from a
+        zero ``out`` (``raw_scores``) or a carried one (the sharded
+        chain fold).  Trees advance together, ``WALK_BLOCK`` entries of
+        position matrix at a time, and their leaf rows are gathered
+        once per block; the fold itself stays **one ``+=`` per tree, in
+        tree order**, so every element of ``out`` sees the float
+        additions of a tree-at-a-time predictor in the same order.
+        """
+        step = max(WALK_BLOCK // max(num, 1), 1)
+        for lo in range(0, use, step):
+            hi = min(lo + step, use)
+            pos = self.walk(packed, threshold, tree_root[lo:hi],
+                            int(tree_depth[lo:hi].max()), flat, num,
+                            has_missing)
+            for leaves in scaled.take(pos, axis=0):
+                out += leaves
 
 
 class NumpyBackend(KernelBackend):
@@ -449,21 +452,14 @@ class PyLoopBackend(KernelBackend):
             hist.grad[:] = grad_out[s * size:(s + 1) * size]
             hist.hess[:] = hess_out[s * size:(s + 1) * size]
 
-    def raw_scores(self, packed, threshold, scaled, tree_root, tree_depth,
-                   flat, num, has_nan, use):
-        out = np.zeros((num, scaled.shape[1]), dtype=np.float64)
-        self._kernels["predict"](packed, threshold, scaled, tree_root,
-                                 tree_depth, flat, num, has_nan, use, out)
-        return out
-
-    def raw_scores_quantized(self, packed, threshold_bin, scaled,
-                             tree_root, tree_depth, flat_bins, num,
-                             has_missing, use):
-        out = np.zeros((num, scaled.shape[1]), dtype=np.float64)
-        self._kernels["predict_quantized"](
-            packed, threshold_bin, scaled, tree_root, tree_depth,
-            flat_bins, num, has_missing, use, out)
-        return out
+    def fold_scores(self, packed, threshold, scaled, tree_root, tree_depth,
+                    flat, num, has_missing, use, out):
+        # the loop kernels accumulate into ``out`` row by row, tree by
+        # tree — the carry-in fold is the kernel itself
+        kernel = ("predict_quantized" if flat.dtype == np.uint8
+                  else "predict")
+        self._kernels[kernel](packed, threshold, scaled, tree_root,
+                              tree_depth, flat, num, has_missing, use, out)
 
 
 #: compiled kernel cache shared by every NumbaBackend instance

@@ -23,6 +23,7 @@ on a batch boundary.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import (Callable, Iterator, List, Optional, Sequence, Tuple,
                     Union)
@@ -477,10 +478,11 @@ class MicroBatcher:
             )
             report.batches.append(BatchRecord(
                 size=ids.size, close_s=close, **served))
-            for request in ids.tolist():
-                report.records.append(RequestRecord(
-                    request_id=request,
-                    arrival_s=float(arrivals[request]), **served))
+            report.records.extend(
+                RequestRecord(request_id=request, arrival_s=arrival,
+                              **served)
+                for request, arrival in zip(ids.tolist(),
+                                            arrivals[ids].tolist()))
             if collect_scores:
                 scores.append(result.scores)
         # late swaps (after the last close) still fire so a scheduled
@@ -518,29 +520,6 @@ class MicroBatcher:
                    np.arange(i, i + size, dtype=np.int64), float(close))
             i += size
 
-    @staticmethod
-    def _shed_victim(trace: RequestTrace, backlog: List[int],
-                     newcomer: int) -> Optional[int]:
-        """Backlog position the shed policy evicts to admit ``newcomer``,
-        or ``None`` when the newcomer itself must be refused.
-
-        Unprioritized traces shed the queue head (plain drop-head).
-        With priorities, admission is class-aware: the victim is the
-        *oldest request of the lowest priority class queued* — so a
-        higher-priority request is never dropped while a lower-priority
-        one sits in the queue — and a newcomer below every queued class
-        is refused rather than admitted over anyone's head.
-        """
-        if trace.priorities is None:
-            return 0
-        lowest = min(trace.priority_of(r) for r in backlog)
-        if trace.priority_of(newcomer) < lowest:
-            return None
-        for pos, request in enumerate(backlog):
-            if trace.priority_of(request) == lowest:
-                return pos
-        raise AssertionError("unreachable: lowest class vanished")
-
     def _bounded_batches(self, trace: RequestTrace,
                          report: ServingReport) -> Iterator[Batch]:
         """Admission-controlled batching: a queue of at most
@@ -549,16 +528,36 @@ class MicroBatcher:
 
         Requests are admitted at their arrival instant.  A full queue
         either turns the newcomer away (``reject``) or evicts a queued
-        victim (``shed-oldest``: the oldest request of the lowest
-        priority class present, see :meth:`_shed_victim`); evicting the
-        head restarts the delay budget from the new head, so a shedding
-        queue under sustained overload keeps dispatching full, fresh
-        batches.  Batches come in dispatch order (with shedding this is
-        not request order); ``report.scores`` rows align with it.
+        victim (``shed-oldest``).  Shedding is class-aware: the victim
+        is the *oldest request of the lowest priority class queued* — so
+        a higher-priority request is never dropped while a
+        lower-priority one sits in the queue — and a newcomer below
+        every queued class is refused rather than admitted over
+        anyone's head; an unprioritized trace is one class, which makes
+        that plain drop-head.  Evicting the head restarts the delay
+        budget from the new head, so a shedding queue under sustained
+        overload keeps dispatching full, fresh batches.  Batches come in
+        dispatch order (with shedding this is not request order);
+        ``report.scores`` rows align with it.
+
+        The queue is kept twice: ``backlog`` in arrival order (what a
+        batch is cut from) and one arrival-ordered deque per priority
+        class (whose lowest non-empty head is the victim, found without
+        scanning the backlog).  A batch takes the oldest queued ids, so
+        each of them is the head of its class deque when it leaves.
         """
         policy = self.policy
-        arrivals = trace.arrivals
         total = trace.num_requests
+        # read once as Python lists: the loop below touches single
+        # elements, where numpy scalar indexing costs more than the work
+        arrivals = trace.arrivals.tolist()
+        tenants = ([0] * total if trace.tenants is None
+                   else trace.tenants.tolist())
+        priorities = ([0] * total if trace.priorities is None
+                      else trace.priorities.tolist())
+        # class -> its queued ids, oldest first; iterates lowest class first
+        queue_of = {c: deque() for c in sorted(set(priorities))}
+        shed = policy.overload == "shed-oldest"
         backlog: List[int] = []
         i = 0
         # asked once per batch, not per admission event: backend free
@@ -568,49 +567,51 @@ class MicroBatcher:
         while i < total or backlog:
             if not backlog:
                 backlog.append(i)
+                queue_of[priorities[i]].append(i)
                 i += 1
             if len(backlog) >= policy.max_batch_size:
                 # a full batch closes as soon as capacity frees (its
                 # fill arrival is necessarily in the past)
-                close = max(
-                    float(arrivals[backlog[policy.max_batch_size - 1]]),
-                    free)
+                close = max(arrivals[backlog[policy.max_batch_size - 1]],
+                            free)
             else:
-                close = max(
-                    float(arrivals[backlog[0]]) + policy.max_delay_s,
-                    free)
+                close = max(arrivals[backlog[0]] + policy.max_delay_s,
+                            free)
             if i < total and arrivals[i] <= close:
                 # the next arrival lands before this batch dispatches:
                 # an admission event — the queue absorbs it while there
                 # is room, otherwise the overload policy picks a victim
-                now = float(arrivals[i])
+                now = arrivals[i]
                 if len(backlog) < policy.max_queue:
                     backlog.append(i)
+                    queue_of[priorities[i]].append(i)
                 else:
-                    victim_pos = None if policy.overload == "reject" \
-                        else self._shed_victim(trace, backlog, i)
-                    if victim_pos is None:
+                    # the lowest class queued (a full queue holds someone)
+                    lowest, queued = next(
+                        entry for entry in queue_of.items() if entry[1])
+                    if shed and priorities[i] >= lowest:
+                        victim = queued.popleft()
+                        backlog.remove(victim)
+                        report.dropped.append(DropRecord(
+                            victim, arrivals[victim], now, "shed-oldest",
+                            tenant=tenants[victim], priority=lowest))
+                        backlog.append(i)
+                        queue_of[priorities[i]].append(i)
+                    else:
                         # drop-tail — by policy, or because the newcomer
                         # is strictly the lowest admission class present
                         # and is turned away instead of evicting anyone
                         # more important
                         report.dropped.append(DropRecord(
-                            i, now, now, "reject",
-                            tenant=trace.tenant_of(i),
-                            priority=trace.priority_of(i)))
-                    else:
-                        victim = backlog.pop(victim_pos)
-                        report.dropped.append(DropRecord(
-                            victim, float(arrivals[victim]), now,
-                            "shed-oldest",
-                            tenant=trace.tenant_of(victim),
-                            priority=trace.priority_of(victim)))
-                        backlog.append(i)
+                            i, now, now, "reject", tenant=tenants[i],
+                            priority=priorities[i]))
                 i += 1
                 continue
             size = min(len(backlog), policy.max_batch_size)
             batch_ids = backlog[:size]
             del backlog[:size]
+            for request in batch_ids:
+                queue_of[priorities[request]].popleft()
             yield (trace.features[batch_ids],
                    np.asarray(batch_ids, dtype=np.int64), float(close))
             free = self.backend.next_free_s()

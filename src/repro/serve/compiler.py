@@ -9,10 +9,12 @@ feature ids, ``float64`` thresholds, absolute left/right child offsets,
 default directions, a leaf-weight matrix), laid out breadth-first per
 tree so the two children of any split occupy adjacent slots.
 
-Prediction is level-synchronous: all rows of a batch advance one tree
-layer per step, so the cost per tree is ``O(depth)`` vectorized
-operations instead of ``O(nodes)`` mask scans.  Three tricks keep each
-step down to three gathers:
+Prediction is level-synchronous over a ``(trees x rows)`` position
+matrix: all rows of a batch advance one layer of *every* tree of a block
+per step, so an ensemble costs ``O(depth)`` vectorized operations per
+block — not per tree, which is what a six-row serving batch needs —
+instead of ``O(nodes)`` mask scans.  Three tricks keep each step down to
+three gathers:
 
 * slot metadata (left-child offset, missing-goes-right bit, feature id)
   is packed into one ``int64`` per slot and fetched with a single
@@ -215,35 +217,39 @@ class CompiledEnsemble:
         """Final (leaf) slot of every row of an already-densified
         row-major batch in one tree (level-synchronous traversal)."""
         transposed = np.ascontiguousarray(dense.T)
-        return self._advance(transposed.reshape(-1), dense.shape[0],
-                             tree, bool(np.isnan(dense).any()))
+        return self.backend.walk(
+            self._packed, self.threshold, self.tree_root[tree:tree + 1],
+            int(self.tree_depth[tree]), transposed.reshape(-1),
+            dense.shape[0], bool(np.isnan(dense).any()))[0]
 
-    def _advance(self, flat: np.ndarray, num: int, tree: int,
-                 has_nan: bool) -> np.ndarray:
-        """Slot of every row after walking one whole tree (backend
-        dispatch).
-
-        ``flat`` is the feature-major batch flattened, so row ``i``'s
-        value of feature ``f`` lives at ``f * num + i``.
-        """
-        return self.backend.advance(self._packed, self.threshold, flat,
-                                    num, int(self.tree_root[tree]),
-                                    int(self.tree_depth[tree]), has_nan)
+    def _fold(self, features: FeatureBatch, use: int,
+              out: Optional[np.ndarray]) -> np.ndarray:
+        """Fold trees ``0..use`` into ``out`` (zeros when ``None``) —
+        the body :meth:`raw_scores` and :meth:`add_raw_scores` share."""
+        transposed = self._transposed(features)
+        num = transposed.shape[1]
+        if out is None:
+            out = np.zeros((num, self.gradient_dim), dtype=np.float64)
+        elif out.shape != (num, self.gradient_dim):
+            raise ValueError(
+                f"accumulator shape {out.shape} does not match "
+                f"({num}, {self.gradient_dim})"
+            )
+        elif out.dtype != np.float64:
+            raise ValueError("accumulator must be float64")
+        self.backend.fold_scores(
+            self._packed, self.threshold, self._scaled_by_slot,
+            self.tree_root, self.tree_depth, transposed.reshape(-1), num,
+            bool(np.isnan(transposed).any()), use, out)
+        return out
 
     def raw_scores(self, features: FeatureBatch,
                    num_trees: Optional[int] = None) -> np.ndarray:
         """Summed (shrunken) raw scores; bit-identical to
         :meth:`TreeEnsemble.raw_scores` on the same rows."""
-        transposed = self._transposed(features)
-        num = transposed.shape[1]
-        flat = transposed.reshape(-1)
-        has_nan = bool(np.isnan(transposed).any())
         use = (self.num_trees if num_trees is None
                else min(num_trees, self.num_trees))
-        return self.backend.raw_scores(
-            self._packed, self.threshold, self._scaled_by_slot,
-            self.tree_root, self.tree_depth, flat, num, has_nan, use,
-        )
+        return self._fold(features, use, None)
 
     def add_raw_scores(self, features: FeatureBatch,
                        out: np.ndarray) -> np.ndarray:
@@ -251,32 +257,19 @@ class CompiledEnsemble:
 
         Performs, per element, the same float64 additions in the same
         order as :meth:`raw_scores` — one ``+=`` of the gathered scaled
-        leaf row per tree, in tree order.  This is the carry-in half of
-        the sharded score reduction (:mod:`repro.serve.sharded`): folding
-        shard ``j``'s trees into the running sum carried from shards
-        ``0..j-1`` reproduces the monolithic predictor's summation order
-        exactly, which is what makes tree-sharded serving bit-identical
-        to the unsharded predictor despite float addition being
-        non-associative.  Starting from zeros, the fold equals
-        :meth:`raw_scores` bit for bit.
+        leaf row per tree, in tree order, through the same backend entry
+        point (:meth:`KernelBackend.fold_scores
+        <repro.core.kernels.KernelBackend.fold_scores>`).  This is the
+        carry-in half of the sharded score reduction
+        (:mod:`repro.serve.sharded`): folding shard ``j``'s trees into
+        the running sum carried from shards ``0..j-1`` reproduces the
+        monolithic predictor's summation order exactly, which is what
+        makes tree-sharded serving bit-identical to the unsharded
+        predictor despite float addition being non-associative.
+        Starting from zeros, the fold equals :meth:`raw_scores` bit for
+        bit.
         """
-        transposed = self._transposed(features)
-        num = transposed.shape[1]
-        if out.shape != (num, self.gradient_dim):
-            raise ValueError(
-                f"accumulator shape {out.shape} does not match "
-                f"({num}, {self.gradient_dim})"
-            )
-        if out.dtype != np.float64:
-            raise ValueError("accumulator must be float64")
-        flat = transposed.reshape(-1)
-        has_nan = bool(np.isnan(transposed).any())
-        for t in range(self.num_trees):
-            pos = self.backend.advance(
-                self._packed, self.threshold, flat, num,
-                int(self.tree_root[t]), int(self.tree_depth[t]), has_nan)
-            out += np.take(self._scaled_by_slot, pos, axis=0)
-        return out
+        return self._fold(features, self.num_trees, out)
 
 
 def compile_ensemble(ensemble: TreeEnsemble,
@@ -586,11 +579,13 @@ class QuantizedEnsemble:
         has_missing = bool((binned == MISSING_BIN).any())
         use = (self.num_trees if num_trees is None
                else min(num_trees, self.num_trees))
-        return self.backend.raw_scores_quantized(
+        out = np.zeros((num, self.gradient_dim), dtype=np.float64)
+        self.backend.fold_scores(
             self.compiled._packed, self.threshold_bin,
             self.compiled._scaled_by_slot, self.compiled.tree_root,
             self.compiled.tree_depth, flat_bins, num, has_missing, use,
-        )
+            out)
+        return out
 
     def raw_scores(self, features: FeatureBatch,
                    num_trees: Optional[int] = None) -> np.ndarray:

@@ -332,10 +332,10 @@ class ReplicaSet:
         shards = self._row_shards(row)
         version = shards[0].version
 
-        # the chain fold: the head scores from a zero carry (the fused
-        # backend kernel, bit-identical to folding into zeros); each
-        # later member receives the carry — encoded, so a lossy codec's
+        # the chain fold: the head scores from a zero carry; each later
+        # member receives the carry — encoded, so a lossy codec's
         # precision cost is real — and folds its own trees into it
+        # (both halves run the same backend kernel, fold_scores)
         head = shards[0].compiled.raw_scores
         began = time.perf_counter()
         if self.cache is None:

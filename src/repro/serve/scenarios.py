@@ -470,9 +470,18 @@ def audit_priority_admission(trace: RequestTrace,
     closes (served) or it is dropped.  The check is ledger-only — it
     re-derives occupancy from the records rather than trusting the
     scheduler — so it catches a broken shed policy, not just a broken
-    report.  (Requests arriving at exactly the drop instant are treated
-    as not-yet-queued; arrivals are continuous draws, so exact ties do
-    not occur in generated scenarios.)
+    report.
+
+    Occupancy is counted, not scanned: with one priority class's
+    arrivals ``A`` and departures ``D`` each sorted once, the members
+    queued at a shed instant ``t`` number ``#{A < t} - #{D <= t}``, two
+    binary searches per shed.  Ties are strict on both sides — a request
+    arriving at exactly ``t`` is not yet queued, one departing at
+    exactly ``t`` (the victim itself included) is already gone — and a
+    request that never waited (``departure <= arrival``: a reject, or an
+    admission at its batch's close instant) is left out, since it can
+    hold no instant strictly inside its stay and would otherwise count
+    ``-1`` at a shed that ties with it.
     """
     if trace.priorities is None:
         return True
@@ -487,13 +496,19 @@ def audit_priority_admission(trace: RequestTrace,
         departure[d.request_id] = d.drop_s
     ids = np.fromiter(departure, np.int64, len(departure))
     arr = trace.arrivals[ids]
-    dep = np.fromiter((departure[int(r)] for r in ids), np.float64,
-                      ids.size)
-    pri = trace.priorities[ids]
-    for drop in sheds:
-        occupied = ((arr < drop.drop_s) & (dep > drop.drop_s)
-                    & (pri < drop.priority) & (ids != drop.request_id))
-        if occupied.any():
+    dep = np.fromiter(departure.values(), np.float64, ids.size)
+    waited = dep > arr
+    arr, dep, pri = arr[waited], dep[waited], trace.priorities[ids[waited]]
+    shed_s = np.fromiter((d.drop_s for d in sheds), np.float64, len(sheds))
+    shed_pri = np.fromiter((d.priority for d in sheds), np.int64,
+                           len(sheds))
+    for cls in np.unique(pri[pri < shed_pri.max()]):
+        members = pri == cls
+        at = shed_s[shed_pri > cls]
+        queued = (
+            np.searchsorted(np.sort(arr[members]), at, side="left")
+            - np.searchsorted(np.sort(dep[members]), at, side="right"))
+        if (queued > 0).any():
             return False
     return True
 
@@ -641,19 +656,23 @@ class ScenarioRunner:
         stats = report.latency_stats()
         arrivals_per_tenant = np.bincount(
             trace.tenants, minlength=len(s.tenants))
-        served_lat: Dict[int, List[float]] = {
-            i: [] for i in range(len(s.tenants))}
-        for record in report.records:
-            served_lat[trace.tenant_of(record.request_id)].append(
-                record.latency_s)
-        dropped_per_tenant = np.zeros(len(s.tenants), dtype=np.int64)
-        for drop in report.dropped:
-            dropped_per_tenant[drop.tenant] += 1
+        # read per-record columns once, then select per tenant with a
+        # mask: record order is kept, so every percentile and mean sees
+        # the same array it would from a per-record append
+        served = len(report.records)
+        served_tenant = trace.tenants[np.fromiter(
+            (r.request_id for r in report.records), np.int64, served)]
+        served_lat = np.fromiter(
+            (r.latency_s for r in report.records), np.float64, served)
+        dropped_per_tenant = np.bincount(
+            np.fromiter((d.tenant for d in report.dropped), np.int64,
+                        len(report.dropped)),
+            minlength=len(s.tenants))
 
         tenants: Dict[str, dict] = {}
         total_violations = 0
         for index, tenant in enumerate(s.tenants):
-            lat = np.asarray(served_lat[index], dtype=np.float64)
+            lat = served_lat[served_tenant == index]
             offered = int(arrivals_per_tenant[index])
             dropped = int(dropped_per_tenant[index])
             violations = int((lat > tenant.slo_s).sum()) + dropped

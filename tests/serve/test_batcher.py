@@ -13,6 +13,10 @@ from repro import GBDT, TrainConfig
 from repro.serve import (BatchPolicy, MicroBatcher, ModelRegistry,
                          ModelServer, RequestTrace, compile_ensemble,
                          synthetic_trace)
+from repro.serve.batcher import ServingReport
+
+from .reference_batcher import (SimulatedWorker,
+                                reference_bounded_batches)
 
 
 def trace_at(times, num_features=3):
@@ -389,6 +393,97 @@ class TestBoundedQueue:
             RequestTrace(features=np.zeros((2, 1)),
                          arrivals=np.array([0.0, 1.0]),
                          priorities=np.zeros(2))
+
+
+def overloaded_trace(seed, classes, tied):
+    """~3x the worker's capacity; ``tied`` snaps arrivals to a coarse
+    clock so simultaneous arrivals (and arrivals landing exactly on a
+    close instant) occur; ``classes`` are the priority values in play,
+    ``None`` for an unprioritized trace."""
+    rng = np.random.default_rng(seed)
+    num = 700
+    arrivals = np.cumsum(rng.exponential(1.0 / 18_000.0, num))
+    if tied:
+        arrivals = np.round(arrivals, 4)
+    annotations = {}
+    if classes is not None:
+        annotations = dict(
+            priorities=rng.choice(np.asarray(classes, dtype=np.int32),
+                                  num),
+            tenants=rng.integers(0, 5, num).astype(np.int32))
+    return RequestTrace(
+        features=rng.standard_normal((num, 2)), arrivals=arrivals,
+        **annotations)
+
+
+def formed(batches, backend):
+    """Drain a batch generator against ``backend``: the ``(ids, close,
+    feature bytes)`` sequence it formed."""
+    out = []
+    for features, ids, close in batches:
+        assert ids.dtype == np.int64 and type(close) is float
+        out.append((ids.tolist(), close, features.tobytes()))
+        backend.serve(ids.size, close)
+    return out
+
+
+class TestBoundedQueueAgainstReference:
+    """The class-deque queue forms the batches, and writes the drops,
+    of the backlog-scanning queue it replaced."""
+
+    @pytest.mark.parametrize("stall_every", [0, 4])
+    @pytest.mark.parametrize("queue_x", [1.0, 1.5, 4.0])
+    @pytest.mark.parametrize("overload", ["reject", "shed-oldest"])
+    @pytest.mark.parametrize("classes", [None, (0,), (0, 1), (5, 0, 2),
+                                         (0, 1, 3, 7)])
+    def test_same_batches_and_drops(self, classes, overload, queue_x,
+                                    stall_every):
+        policy = BatchPolicy(16, max_delay_s=0.002,
+                             max_queue=int(16 * queue_x),
+                             overload=overload)
+        dropped = 0
+        for seed in range(4):
+            trace = overloaded_trace(seed, classes, tied=seed % 2 == 1)
+            got_backend = SimulatedWorker(stall_every)
+            got_report = ServingReport()
+            got = formed(
+                MicroBatcher(got_backend, policy)._bounded_batches(
+                    trace, got_report), got_backend)
+            want_backend = SimulatedWorker(stall_every)
+            want_report = ServingReport()
+            want = formed(
+                reference_bounded_batches(want_backend, policy, trace,
+                                          want_report), want_backend)
+            assert got == want
+            assert got_report.dropped == want_report.dropped
+            for drop in got_report.dropped:
+                assert type(drop.arrival_s) is float \
+                    and type(drop.drop_s) is float
+                assert type(drop.tenant) is int \
+                    and type(drop.priority) is int
+            dropped += len(got_report.dropped)
+            served = sum(len(ids) for ids, _, _ in got)
+            assert served + len(got_report.dropped) == trace.num_requests
+        assert dropped > 200    # the sweep is about overload
+
+    def test_victim_is_the_oldest_of_its_class(self, compiled):
+        # 0 dispatches alone and holds the worker; the queue fills with
+        # [1(pri 0), 2(pri 0), 3(pri 1)]; newcomers 4 and 5 evict the
+        # lowest class oldest-first: 1, then 2 — never the newer first
+        trace = RequestTrace(
+            features=np.arange(12.0).reshape(6, 2),
+            arrivals=np.array([0.0, 0.001, 0.002, 0.003, 0.004, 0.005]),
+            priorities=np.array([0, 0, 0, 1, 1, 1], dtype=np.int32),
+        )
+        report = MicroBatcher(
+            server(compiled, per_batch=0.050),
+            BatchPolicy(3, max_delay_s=0.0005, max_queue=3,
+                        overload="shed-oldest"),
+        ).run(trace)
+        assert [(d.request_id, d.reason, d.drop_s)
+                for d in report.dropped] == [
+            (1, "shed-oldest", 0.004), (2, "shed-oldest", 0.005)]
+        assert [r.request_id for r in report.records] == [0, 3, 4, 5]
 
 
 class TestModelServer:

@@ -12,11 +12,14 @@ import numpy as np
 import pytest
 
 from repro import ClusterConfig, GBDT, TrainConfig, make_system
+from repro.core import kernels
 from repro.core.split import SplitInfo
 from repro.core.tree import Tree, TreeEnsemble
 from repro.data.matrix import CSRMatrix
-from repro.serve import compile_ensemble
+from repro.serve import (RequestTrace, compile_ensemble, quantize_ensemble,
+                         shard_ensemble)
 from repro.serve.compiler import _FEATURE_MASK
+from repro.serve.sharded import reduce_shard_scores
 from repro.systems import PLANS
 
 
@@ -205,6 +208,205 @@ class TestInputHandling:
             assert np.all(compiled.leaf_slot[slots] >= 0)
             assert np.all(slots >= compiled.tree_root[tree])
             assert np.all(slots < compiled.tree_root[tree + 1])
+
+
+#: per-feature cut grid of the hand-grown ensembles below: thresholds
+#: sit on it (so the ensembles quantize) and so do batch values (so the
+#: ``value == threshold`` boundary is hit routinely)
+_CUTS = np.array([-1.5, -0.5, 0.0, 0.25, 1.0, 2.0])
+_NUM_FEATURES = 5
+#: steps below the root of each tree's deepest leaf — unequal inside
+#: any block, a single-leaf tree first, last and in the middle
+_DEPTHS = (0, 3, 1, 4, 0, 2, 4, 1, 3, 0)
+
+
+def grown_tree(rng, depth, dim):
+    """A random tree whose deepest leaf sits ``depth`` steps below the
+    root.  Leaf weights span 32 orders of magnitude, so a running sum
+    over trees depends on the order the trees are added in."""
+    tree = Tree(max(depth + 1, 2), dim)
+
+    def fill(node_id, layer, spine):
+        if layer == depth or not (spine or rng.random() < 0.6):
+            tree.set_leaf(node_id, rng.standard_normal(dim)
+                          * rng.choice([1e16, 1.0, 1e-16]))
+            return
+        tree.set_split(node_id, SplitInfo(
+            feature=int(rng.integers(_NUM_FEATURES)), bin=0,
+            default_left=bool(rng.random() < 0.5), gain=1.0),
+            float(rng.choice(_CUTS)))
+        # one child carries the spine down to the full depth
+        spine_left = rng.random() < 0.5
+        fill(2 * node_id + 1, layer + 1, spine and spine_left)
+        fill(2 * node_id + 2, layer + 1, spine and not spine_left)
+
+    fill(0, 0, True)
+    return tree
+
+
+def grown_ensemble(dim, depths=_DEPTHS, seed=5):
+    rng = np.random.default_rng(seed)
+    ensemble = TreeEnsemble(dim, learning_rate=0.3)
+    for depth in depths:
+        ensemble.append(grown_tree(rng, depth, dim))
+    return ensemble
+
+
+def grid_batch(num_rows, with_nan, seed=9):
+    rng = np.random.default_rng(seed)
+    dense = rng.choice(np.concatenate([_CUTS, _CUTS + 0.1, [-9.0, 9.0]]),
+                       size=(num_rows, _NUM_FEATURES))
+    if with_nan:
+        dense[rng.random(dense.shape) < 0.3] = np.nan
+    return dense
+
+
+def tree_at_a_time(ensemble, dense, carry=None, num_trees=None):
+    """The fold the compiled predictor must reproduce bit for bit: one
+    ``+=`` per tree, in tree order, on ``Tree.predict``'s own routing —
+    nothing of the compiled traversal is involved."""
+    csc = RequestTrace(features=dense,
+                       arrivals=np.zeros(dense.shape[0])).csc()
+    out = (np.zeros((dense.shape[0], ensemble.gradient_dim))
+           if carry is None else carry.copy())
+    for tree in ensemble.trees[:num_trees]:
+        out += ensemble.learning_rate * tree.predict(csc)
+    return out
+
+
+class TestAllTreesTraversal:
+    """Every tree of a block advances in one position matrix; the fold
+    into the accumulator must still be the tree-at-a-time one."""
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("with_nan", [False, True])
+    @pytest.mark.parametrize("num_rows", [1, 6, 64])
+    def test_unequal_depths_in_one_block(self, dim, with_nan, num_rows):
+        ensemble = grown_ensemble(dim)
+        compiled = compile_ensemble(ensemble)
+        assert sorted(set(compiled.tree_depth)) == [0, 1, 2, 3, 4]
+        assert num_rows * compiled.num_trees < kernels.WALK_BLOCK
+        dense = grid_batch(num_rows, with_nan)
+        want = tree_at_a_time(ensemble, dense)
+        np.testing.assert_array_equal(compiled.raw_scores(dense), want)
+        # the order-sensitive weights make the oracle worth having:
+        # the same trees summed back to front give other floats
+        backwards = TreeEnsemble(dim, ensemble.learning_rate)
+        for tree in reversed(ensemble.trees):
+            backwards.append(tree)
+        assert not np.array_equal(tree_at_a_time(backwards, dense), want)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_tree_prefixes(self, dim):
+        ensemble = grown_ensemble(dim)
+        compiled = compile_ensemble(ensemble)
+        dense = grid_batch(6, with_nan=True)
+        for use in (0, 1, 2, 5, len(_DEPTHS), len(_DEPTHS) + 3):
+            np.testing.assert_array_equal(
+                compiled.raw_scores(dense, num_trees=use),
+                tree_at_a_time(ensemble, dense, num_trees=use))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("with_nan", [False, True])
+    def test_block_boundary_inside_the_ensemble(self, dim, with_nan):
+        ensemble = grown_ensemble(dim)
+        compiled = compile_ensemble(ensemble)
+        num_rows = kernels.WALK_BLOCK // 3
+        # three trees fit a block, the ensemble has ten: 3 + 3 + 3 + 1
+        assert 1 < kernels.WALK_BLOCK // num_rows < compiled.num_trees
+        dense = grid_batch(num_rows, with_nan)
+        np.testing.assert_array_equal(compiled.raw_scores(dense),
+                                      tree_at_a_time(ensemble, dense))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("num_rows", [1, 6, 64])
+    def test_carry_in_fold(self, dim, num_rows):
+        ensemble = grown_ensemble(dim)
+        compiled = compile_ensemble(ensemble)
+        dense = grid_batch(num_rows, with_nan=True)
+        carry = np.random.default_rng(2).standard_normal(
+            (num_rows, dim)) * 1e8
+        acc = carry.copy()
+        assert compiled.add_raw_scores(dense, acc) is acc
+        np.testing.assert_array_equal(
+            acc, tree_at_a_time(ensemble, dense, carry=carry))
+
+    def test_single_leaf_tree_alone(self):
+        ensemble = grown_ensemble(3, depths=(0,))
+        compiled = compile_ensemble(ensemble)
+        assert compiled.num_slots == 1 and compiled.tree_depth[0] == 0
+        dense = grid_batch(6, with_nan=True)
+        np.testing.assert_array_equal(compiled.raw_scores(dense),
+                                      tree_at_a_time(ensemble, dense))
+
+    def test_empty_ensemble(self):
+        compiled = compile_ensemble(TreeEnsemble(3, 0.3))
+        dense = grid_batch(6, with_nan=True)
+        np.testing.assert_array_equal(compiled.raw_scores(dense),
+                                      np.zeros((6, 3)))
+        carry = np.arange(18.0).reshape(6, 3)
+        np.testing.assert_array_equal(
+            compiled.add_raw_scores(dense, carry.copy()), carry)
+
+    def test_accumulator_validated(self):
+        compiled = compile_ensemble(grown_ensemble(3))
+        dense = grid_batch(6, with_nan=False)
+        with pytest.raises(ValueError, match="accumulator shape"):
+            compiled.add_raw_scores(dense, np.zeros((6, 1)))
+        with pytest.raises(ValueError, match="accumulator shape"):
+            compiled.add_raw_scores(dense, np.zeros((5, 3)))
+        with pytest.raises(ValueError, match="float64"):
+            compiled.add_raw_scores(dense,
+                                    np.zeros((6, 3), dtype=np.float32))
+
+    @pytest.mark.parametrize("with_nan", [False, True])
+    @pytest.mark.parametrize("num_rows",
+                             [1, 6, 64, kernels.WALK_BLOCK // 3])
+    def test_quantized_walk_takes_the_same_step(self, with_nan, num_rows):
+        ensemble = grown_ensemble(3)
+        quant = quantize_ensemble(compile_ensemble(ensemble),
+                                  [_CUTS] * _NUM_FEATURES)
+        dense = grid_batch(num_rows, with_nan)
+        want = tree_at_a_time(ensemble, dense)
+        np.testing.assert_array_equal(quant.raw_scores(dense), want)
+        np.testing.assert_array_equal(
+            quant.raw_scores(dense, num_trees=4),
+            tree_at_a_time(ensemble, dense, num_trees=4))
+
+
+class TestLoopBackendChainFold:
+    """A model compiled for a loop backend runs *its* kernel on every
+    member of a sharded chain, not only on the head."""
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("num_shards", [2, 3, 4])
+    def test_pyloop_chain_equals_numpy_equals_monolithic(self, dim,
+                                                         num_shards):
+        ensemble = grown_ensemble(dim)
+        dense = grid_batch(6, with_nan=True)
+        folds = {}
+        for backend in ("numpy", "pyloop"):
+            compiled = compile_ensemble(ensemble, backend=backend)
+            shards = shard_ensemble(compiled, num_shards)
+            assert all(s.backend.name == backend for s in shards)
+            folds[backend] = reduce_shard_scores(shards, dense)
+            np.testing.assert_array_equal(folds[backend],
+                                          compiled.raw_scores(dense))
+        np.testing.assert_array_equal(folds["pyloop"], folds["numpy"])
+        np.testing.assert_array_equal(folds["numpy"],
+                                      tree_at_a_time(ensemble, dense))
+
+    def test_non_head_shards_run_the_loop_kernel(self, monkeypatch):
+        compiled = compile_ensemble(grown_ensemble(1), backend="pyloop")
+        calls = []
+        real = kernels.LOOP_KERNELS["predict"]
+        monkeypatch.setitem(
+            compiled.backend._kernels, "predict",
+            lambda *args: (calls.append(args[8]), real(*args))[1])
+        shards = shard_ensemble(compiled, 3)
+        reduce_shard_scores(shards, grid_batch(6, with_nan=True))
+        # one kernel launch per chain member, over that member's trees
+        assert calls == [s.num_trees for s in shards]
 
 
 class TestEveryPlan:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.ledger import (SCENARIO_SCHEMA, format_report, load_report,
-                          report_bytes, save_report)
+                          percentile_summary, report_bytes, save_report)
 from repro.serve import RequestTrace
 from repro.serve.batcher import (BatchRecord, DropRecord, RequestRecord,
                                  ServingReport)
@@ -23,6 +23,8 @@ from repro.serve.scenarios import (SCENARIOS, LoadShape, Scenario,
                                    ScenarioRunner, TenantSpec,
                                    audit_priority_admission, build_trace,
                                    expected_requests, get_scenario)
+
+from .reference_audit import reference_audit_priority_admission
 
 GOLDEN = Path(__file__).resolve().parent.parent / "data" / "golden" \
     / "scenario_flash_crowd_v1.json"
@@ -161,6 +163,27 @@ class TestRunner:
         assert min(by_priority[0]) > max(by_priority[1])
         assert max(by_priority[2]) == 0.0
 
+    def test_per_tenant_stats_follow_the_records(self):
+        # the report selects each tenant's latencies with a mask over
+        # one gathered column; it must see what a record-by-record
+        # walk through the single-request accessors sees, in that order
+        runner = ScenarioRunner(get_scenario("heavy-tail", scale=0.3))
+        report = runner.run()
+        trace, ledger = runner.trace, runner.serving_report
+        for index, tenant in enumerate(runner.scenario.tenants):
+            lat = np.asarray(
+                [r.latency_s for r in ledger.records
+                 if trace.tenant_of(r.request_id) == index])
+            stats = report["tenants"][tenant.name]
+            summary = percentile_summary(lat)
+            assert stats["served"] == lat.size > 0
+            for key in ("p50_s", "p95_s", "p99_s", "max_s"):
+                assert stats[key] == summary[key]
+            assert stats["dropped"] == sum(
+                d.tenant == index for d in ledger.dropped)
+            assert stats["slo_violations"] == stats["dropped"] \
+                + int((lat > tenant.slo_s).sum())
+
     def test_hot_swap_under_fire(self):
         runner = ScenarioRunner(get_scenario("hot-swap-under-fire"))
         report = runner.run()
@@ -201,10 +224,12 @@ class TestAudit:
             report.records.append(RequestRecord(rid, trace.arrivals[rid],
                                                 0, 2.0, 3.0, 0, 1))
         assert not audit_priority_admission(trace, report)
+        assert not reference_audit_priority_admission(trace, report)
         # same ledger without priorities: nothing to audit
         bare = RequestTrace(features=np.zeros((3, 2)),
                             arrivals=np.array([0.0, 0.5, 1.0]))
         assert audit_priority_admission(bare, report)
+        assert reference_audit_priority_admission(bare, report)
 
 
 class TestLedgerIO:
