@@ -69,6 +69,11 @@ class CodecOverflowError(OverflowError):
     cannot represent (e.g. a bin sum above 65,504 for ``f16``)."""
 
 
+class CodecPayloadError(ValueError):
+    """A histogram payload is malformed, or does not match the ``into=``
+    accumulator it is to be added to; raised before anything is written."""
+
+
 def _narrow(values: np.ndarray, dtype: np.dtype, codec: str) -> np.ndarray:
     """``values`` rounded to the narrow wire ``dtype``; fails loud when
     that turns a finite value into ``inf``, which would otherwise flow
@@ -82,6 +87,16 @@ def _narrow(values: np.ndarray, dtype: np.dtype, codec: str) -> np.ndarray:
             f"{dtype.name} ({np.finfo(dtype).max:g}); use a wider codec"
         )
     return narrow
+
+
+def _check_into(into: Histogram, shape: tuple, dtype, codec: str) -> None:
+    """``Histogram._check_compatible``'s rule, as the typed error."""
+    have = (into.num_features, into.num_bins, into.gradient_dim)
+    if have != tuple(shape) or into.dtype != dtype:
+        raise CodecPayloadError(
+            f"codec {codec!r}: cannot accumulate a {tuple(shape)} "
+            f"{np.dtype(dtype).name} payload into a {have} "
+            f"{into.dtype.name} histogram")
 
 
 @dataclass(frozen=True)
@@ -174,7 +189,14 @@ def varint_decode(payload: bytes, count: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class HistogramCodec:
-    """Encode/decode one node's gradient histogram."""
+    """Encode/decode one node's gradient histogram.
+
+    ``decode(enc)`` returns the payload as a fresh histogram;
+    ``decode(enc, into=acc)`` **adds** it to ``acc`` in place and returns
+    ``acc`` — the receiving end of an aggregation sums payloads as they
+    arrive, a sparse one at the cost of its occupied slots.  An ``acc``
+    that does not match raises :class:`CodecPayloadError`, untouched.
+    """
 
     name: str = "abstract"
     #: whether ``decode(encode(h))`` is bit-identical to ``h``
@@ -183,7 +205,8 @@ class HistogramCodec:
     def encode(self, hist: Histogram) -> Encoded:
         raise NotImplementedError
 
-    def decode(self, enc: Encoded) -> Histogram:
+    def decode(self, enc: Encoded,
+               into: Optional[Histogram] = None) -> Histogram:
         raise NotImplementedError
 
 
@@ -196,8 +219,13 @@ class DenseHistogramCodec(HistogramCodec):
     def encode(self, hist: Histogram) -> Encoded:
         return Encoded("dense", hist.nbytes, hist.nbytes, (hist,))
 
-    def decode(self, enc: Encoded) -> Histogram:
+    def decode(self, enc: Encoded,
+               into: Optional[Histogram] = None) -> Histogram:
         hist = enc.payload[0]
+        if into is not None:
+            _check_into(into, (hist.num_features, hist.num_bins,
+                               hist.gradient_dim), hist.dtype, enc.codec)
+            return into.add_inplace(hist)
         out = Histogram(hist.num_features, hist.num_bins,
                         hist.gradient_dim)
         out.grad[:] = hist.grad
@@ -208,21 +236,25 @@ class DenseHistogramCodec(HistogramCodec):
 class SparseHistogramCodec(HistogramCodec):
     """Zero-suppressed sparse layout with a density-cutoff dense fallback.
 
-    Occupied slots (any nonzero grad or hess component) ship as
-    ``(int32 index, float64 grad[C], float64 hess[C])``; payloads whose
-    density exceeds :func:`sparse_cutoff_density` fall back to the dense
-    layout, so the encoded size never exceeds dense + 1 scheme byte.
-    Decoding scatters into a zeroed histogram — exact zeros restore as
-    exact zeros, so the round trip is bit-identical.
+    Occupied slots (any nonzero grad or hess component: NaN is, ``-0.0``
+    is not) ship as ``(int32 index, float64 grad[C], float64 hess[C])``;
+    payloads whose density exceeds :func:`sparse_cutoff_density` fall back
+    to the dense layout, so the encoded size never exceeds dense + 1
+    scheme byte.  Decoding scatters into a zeroed histogram — exact zeros
+    restore as exact zeros, so the round trip is bit-identical — or adds
+    the occupied slots to ``into`` without materializing the empty ones.
     """
 
     name = "sparse"
 
     def encode(self, hist: Histogram) -> Encoded:
         raw = hist.nbytes
-        occupied = np.flatnonzero(
-            hist.grad.any(axis=1) | hist.hess.any(axis=1)
-        )
+        # flat compares, column by column: ``any(axis=1)`` over an axis
+        # of length C pays a reduction per slot
+        mask = hist.grad[:, 0] != 0
+        for column in (*hist.grad.T[1:], *hist.hess.T):
+            mask |= column != 0
+        occupied = np.flatnonzero(mask)
         nnz = occupied.size
         sparse_nbytes = (HISTOGRAM_HEADER_BYTES
                          + nnz * sparse_entry_bytes(hist.gradient_dim))
@@ -231,18 +263,43 @@ class SparseHistogramCodec(HistogramCodec):
         idx = occupied.astype(np.int32)
         return Encoded(
             "sparse", sparse_nbytes, raw,
-            (idx, hist.grad[occupied].copy(), hist.hess[occupied].copy(),
+            (idx, hist.grad[occupied], hist.hess[occupied],
              (hist.num_features, hist.num_bins, hist.gradient_dim)),
         )
 
-    def decode(self, enc: Encoded) -> Histogram:
+    def decode(self, enc: Encoded,
+               into: Optional[Histogram] = None) -> Histogram:
         if enc.codec == "sparse/dense-fallback":
-            return DenseHistogramCodec().decode(enc)
+            return DenseHistogramCodec().decode(enc, into)
         idx, grad, hess, shape = enc.payload
-        out = Histogram(*shape)
-        out.grad[idx] = grad
-        out.hess[idx] = hess
-        return out
+        self._check_entries(idx, grad, hess, shape)
+        if into is None:
+            out = Histogram(*shape)
+            out.grad[idx] = grad
+            out.hess[idx] = hess
+            return out
+        _check_into(into, shape, np.float64, self.name)
+        # the indices are distinct, so the fancy ``+=`` adds every entry
+        into.grad[idx] += grad
+        into.hess[idx] += hess
+        return into
+
+    def _check_entries(self, idx, grad, hess, shape) -> None:
+        """A repeated index would drop mass under the fancy ``+=`` and a
+        negative one wrap around: fail before anything is written."""
+        slots, dim = shape[0] * shape[1], shape[2]
+        if idx.dtype != np.int32 or idx.ndim != 1:
+            defect = f"slot indices are {idx.ndim}-D {idx.dtype.name}"
+        elif not grad.shape == hess.shape == (idx.size, dim):
+            defect = (f"{idx.size} slot indices with grad {grad.shape} "
+                      f"and hess {hess.shape}")
+        elif (idx[1:] <= idx[:-1]).any():
+            defect = "slot indices are not strictly increasing"
+        elif idx.size and not 0 <= idx[0] <= idx[-1] < slots:
+            defect = f"slot index outside [0, {slots})"
+        else:
+            return
+        raise CodecPayloadError(f"codec {self.name!r}: {defect}")
 
 
 class LowPrecisionHistogramCodec(HistogramCodec):
@@ -270,8 +327,15 @@ class LowPrecisionHistogramCodec(HistogramCodec):
              (hist.num_features, hist.num_bins, hist.gradient_dim)),
         )
 
-    def decode(self, enc: Encoded) -> Histogram:
+    def decode(self, enc: Encoded,
+               into: Optional[Histogram] = None) -> Histogram:
         grad, hess, shape = enc.payload
+        if into is not None:
+            _check_into(into, shape, np.float64, self.name)
+            # widening is exact, so the ufunc's own cast is the decode
+            into.grad += grad
+            into.hess += hess
+            return into
         out = Histogram(*shape)
         out.grad[:] = grad.astype(np.float64)
         out.hess[:] = hess.astype(np.float64)

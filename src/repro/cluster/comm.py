@@ -24,7 +24,7 @@ bins, bitmap placements at one bit per instance.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -169,8 +169,14 @@ def record_collective(
     return seconds
 
 
-def _sum_histograms(hists: Sequence[Histogram], what: str) -> Histogram:
-    """Element-wise sum in worker order (the order fixes the floats)."""
+def _sum_histograms(hists: Union[Histogram, Sequence[Histogram]],
+                    what: str) -> Histogram:
+    """Element-wise sum in worker order (the order fixes the floats).  A
+    single :class:`Histogram` is a sum the receiving end already took, in
+    that order, while decoding (``HistogramCodec.decode(enc, into=)``):
+    it is handed back as it is, not copied again."""
+    if isinstance(hists, Histogram):
+        return hists
     if not hists:
         raise ValueError(f"{what} requires at least one histogram")
     total = hists[0].copy()
@@ -184,28 +190,40 @@ def scatter_features(total: Histogram,
                      ) -> List[Histogram]:
     """Slice ``total`` by feature: piece ``w`` holds the features in
     ``feature_shards[w]``, renumbered from 0."""
+    feature_shards = [np.asarray(features, dtype=np.int64)
+                      for features in feature_shards]
+    # ``take`` fills ``out`` in one copy only when it never has to raise
+    # (``mode="raise"`` buffers ``out``), so the ids are checked here
+    ids = np.concatenate(feature_shards) if feature_shards else np.empty(0)
+    if ids.size and not (0 <= ids.min() and ids.max() < total.num_features):
+        raise IndexError(
+            f"feature ids must lie in [0, {total.num_features})")
     grad_view = total.grad_view()
     hess_view = total.hess_view()
     shards: List[Histogram] = []
     for features in feature_shards:
-        features = np.asarray(features, dtype=np.int64)
         piece = Histogram(max(features.size, 1), total.num_bins,
                           total.gradient_dim)
         if features.size:
-            piece.grad[:] = grad_view[features].reshape(piece.grad.shape)
-            piece.hess[:] = hess_view[features].reshape(piece.hess.shape)
+            np.take(grad_view, features, axis=0, out=piece.grad_view(),
+                    mode="clip")
+            np.take(hess_view, features, axis=0, out=piece.hess_view(),
+                    mode="clip")
         shards.append(piece)
     return shards
 
 
 def allreduce_histograms(
-    hists: Sequence[Histogram], net: Optional[SimulatedNetwork],
+    hists: Union[Histogram, Sequence[Histogram]],
+    net: Optional[SimulatedNetwork],
     kind: str = "allreduce-hist",
 ) -> Histogram:
     """Element-wise sum of per-worker histograms, result on every worker.
 
     Pass ``net=None`` to perform only the data movement and charge the
     traffic separately (layer batching via :func:`record_collective`).
+    Like the two collectives below it takes, with ``net=None``, the one
+    histogram an accumulate-decoding receiver already summed instead.
     """
     result = _sum_histograms(hists, "allreduce")
     if net is not None:
@@ -215,7 +233,7 @@ def allreduce_histograms(
 
 
 def reduce_scatter_histograms(
-    hists: Sequence[Histogram],
+    hists: Union[Histogram, Sequence[Histogram]],
     feature_shards: Sequence[np.ndarray],
     net: Optional[SimulatedNetwork],
     kind: str = "reducescatter-hist",
@@ -233,7 +251,8 @@ def reduce_scatter_histograms(
 
 
 def ps_push_histograms(
-    hists: Sequence[Histogram], net: Optional[SimulatedNetwork],
+    hists: Union[Histogram, Sequence[Histogram]],
+    net: Optional[SimulatedNetwork],
     kind: str = "ps-push-hist",
 ) -> Histogram:
     """Parameter-server aggregation (DimBoost flavour).

@@ -36,7 +36,7 @@ import numpy as np
 from ..config import ClusterConfig
 from ..data.dataset import BinnedDataset, Dataset, apply_cuts
 from ..data.matrix import CSCMatrix, CSRMatrix
-from ..sketch.proposer import propose_candidates
+from ..sketch.proposer import distinct_cuts_below, propose_candidates
 from ..sketch.quantile import MergingSketch
 from .blocks import BlockedColumnGroup, blockify_shard
 from .network import SimulatedNetwork
@@ -251,12 +251,9 @@ def _light_candidates(
     probs = np.arange(1, num_candidates) / num_candidates
     ranks = np.ceil(probs * size.astype(np.float64)).astype(np.int64) - 1
     picked = values[first + np.minimum(ranks, size - 1)]
-    # np.unique on a sorted row, then the "< maximum" filter
-    keep = picked < values[first + size - 1]
-    keep[:, 1:] &= picked[:, 1:] != picked[:, :-1]
+    pieces = distinct_cuts_below(picked, values[first + size - 1])
 
     cuts = [np.empty(0, dtype=np.float64)] * light.size
-    pieces = np.split(picked[keep], np.cumsum(keep.sum(axis=1))[:-1])
     for j, piece in zip(present.tolist(), pieces):
         cuts[j] = piece
     return cuts

@@ -18,9 +18,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..sketch.proposer import propose_candidates, propose_candidates_exact
+from ..sketch.proposer import (distinct_cuts_below, propose_candidates,
+                               propose_candidates_exact)
 from ..sketch.quantile import MergingSketch
 from .matrix import CSCMatrix, CSRMatrix
+
+#: bounds the ``(columns, n)`` block one ``np.quantile`` call of
+#: :func:`_exact_cuts` gathers: a long column goes alone
+EXACT_BLOCK_ENTRIES = 1 << 16
 
 
 class Dataset:
@@ -237,6 +242,31 @@ def apply_cuts(csr: CSRMatrix, cuts: List[np.ndarray]) -> CSRMatrix:
                      csr.num_cols)
 
 
+def _exact_cuts(csc: CSCMatrix, num_bins: int) -> List[np.ndarray]:
+    """:func:`propose_candidates_exact` of every column, at one
+    ``np.quantile`` call per distinct column length: the columns storing
+    ``n`` values are ranked together as a ``(columns, n)`` block — the
+    same rank arithmetic on the same values, so every cut is identical."""
+    if num_bins < 1:
+        raise ValueError(f"num_candidates must be >= 1, got {num_bins}")
+    probs = np.arange(1, num_bins) / num_bins
+    values = csc.values.astype(np.float64, copy=False)
+    lengths = csc.col_lengths()
+    cuts = [np.empty(0, dtype=np.float64)] * csc.num_cols
+    for n in np.unique(lengths[lengths > 0]).tolist():
+        cols = np.flatnonzero(lengths == n)
+        step = max(EXACT_BLOCK_ENTRIES // n, 1)
+        for lo in range(0, cols.size, step):
+            part = cols[lo:lo + step]
+            block = values[csc.indptr[part][:, None] + np.arange(n)]
+            picked = np.quantile(block, probs, axis=1, method="lower").T
+            pieces = distinct_cuts_below(
+                picked, block.max(axis=1, keepdims=True))
+            for j, piece in zip(part.tolist(), pieces):
+                cuts[j] = piece
+    return cuts
+
+
 def bin_dataset(
     dataset: Dataset,
     num_bins: int,
@@ -253,15 +283,18 @@ def bin_dataset(
     if method not in ("exact", "sketch"):
         raise ValueError(f"unknown binning method: {method!r}")
     csc = dataset.csc()
-    cuts: List[np.ndarray] = []
-    for j in range(csc.num_cols):
-        _, vals = csc.col(j)
-        if method == "exact" or vals.size == 0:
-            cuts.append(propose_candidates_exact(vals, num_bins))
-        else:
-            sketch = MergingSketch(eps=sketch_eps)
-            sketch.update(vals)
-            cuts.append(propose_candidates(sketch, num_bins))
+    if method == "exact":
+        cuts = _exact_cuts(csc, num_bins)
+    else:
+        cuts = []
+        for j in range(csc.num_cols):
+            _, vals = csc.col(j)
+            if vals.size == 0:
+                cuts.append(propose_candidates_exact(vals, num_bins))
+            else:
+                sketch = MergingSketch(eps=sketch_eps)
+                sketch.update(vals)
+                cuts.append(propose_candidates(sketch, num_bins))
     binned = apply_cuts(dataset.features, cuts)
     return BinnedDataset(
         binned, cuts, dataset.labels, num_bins, dataset.task,

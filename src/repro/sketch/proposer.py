@@ -64,6 +64,17 @@ def propose_candidates_exact(
     return cuts[cuts < values.max()]
 
 
+def distinct_cuts_below(picked: np.ndarray,
+                        maximum: np.ndarray) -> List[np.ndarray]:
+    """Per row of ``picked`` — ``(features, q - 1)`` quantile values,
+    ascending along each row — what ``np.unique`` then the "strictly
+    below the feature's maximum" filter of :func:`propose_candidates`
+    keep, as one array per row; ``maximum`` is ``(features, 1)``."""
+    keep = picked < maximum
+    keep[:, 1:] &= picked[:, 1:] != picked[:, :-1]
+    return np.split(picked[keep], np.cumsum(keep.sum(axis=1))[:-1])
+
+
 def propose_candidates_weighted(
     values: np.ndarray,
     weights: np.ndarray,

@@ -35,7 +35,7 @@ trees and identical traffic against the frozen legacy classes.
 from __future__ import annotations
 
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
-                    TYPE_CHECKING, Tuple)
+                    TYPE_CHECKING, Tuple, Union)
 
 import numpy as np
 
@@ -65,20 +65,23 @@ LEADER = 0
 def _layer_hists_over_wire(
     ex: "PlanExecutor", nodes: Sequence[int], clock: WorkerClock,
     pattern: str,
-) -> Iterator[Tuple[int, List[Histogram]]]:
-    """Every worker's histograms of one layer as the aggregating end
-    receives them, node by node; once the last node has been handed out
-    the layer's single batched collective is charged (real systems batch
-    a layer's histograms into one collective).
+) -> Iterator[Tuple[int, Union[Histogram, List[Histogram]]]]:
+    """One layer's histograms as the aggregating end receives them, node
+    by node; once the last node has been handed out the layer's single
+    batched collective is charged (real systems batch a layer's
+    histograms into one collective).
 
-    On the identity stack the stores' histograms come back untouched: no
-    encode, no copy, nothing charged.  Otherwise each histogram takes
-    the round trip through the executor's histogram codec — the encode
+    On the identity stack the stores' histograms come back untouched, one
+    per worker: no encode, no copy, nothing charged.  Otherwise each
+    histogram goes through the executor's histogram codec — the encode
     kernel charged to the owning worker, the decode to every worker (the
-    decoded payload materializes wherever the aggregate does) — and the
-    collective is charged the encoded sizes.  A lossless codec hands
-    back bit-identical histograms, so the downstream sum, in unchanged
-    worker order, reproduces the dense model exactly.
+    payload is decoded wherever the aggregate is) — and the collective is
+    charged the encoded sizes.  The receiving end accumulate-decodes:
+    worker 0's payload becomes a fresh histogram (never a store's: those
+    feed the next layer's subtraction), every later one is added into it
+    in worker order, and the node comes back as that one aggregate.  A
+    lossless codec ships bit-identical values, so the sum is the dense
+    model's exactly.
     """
     num_workers = ex.cluster.num_workers
     codec = None if ex.codec.is_identity else ex.codec.histogram
@@ -88,12 +91,14 @@ def _layer_hists_over_wire(
         hists = [store.get(node) for store in ex.stores]
         payload += hists[0].nbytes
         if codec is not None:
+            total = None
             for worker, hist in enumerate(hists):
                 with clock.timed(worker, "codec"):
                     enc = codec.encode(hist)
                 enc_bytes[worker] += enc.nbytes
                 with clock.timed(None, "codec"):
-                    hists[worker] = codec.decode(enc)
+                    total = codec.decode(enc, into=total)
+            hists = total
         yield node, hists
     record_collective(ex.net, "hist-aggregation", payload, num_workers,
                       pattern, encoded_worker_bytes=enc_bytes)
@@ -791,10 +796,10 @@ class ReduceScatterAggregation(_LocalPlacementMixin, AggregationStrategy):
     #: collective pattern used to aggregate one layer's histograms
     pattern = "reducescatter"
 
-    def aggregate_node(self, ex,
-                       hists: List[Histogram]) -> List[Histogram]:
+    def aggregate_node(self, ex, hists) -> List[Histogram]:
         """Aggregated feature-slice histograms, one per worker, from the
-        per-worker histograms of one node as received over the wire."""
+        histograms of one node as received over the wire (what
+        :func:`_layer_hists_over_wire` hands out)."""
         return reduce_scatter_histograms(
             hists, ex.feature_ranges, net=None,
         )
@@ -831,8 +836,7 @@ class ParameterServerAggregation(ReduceScatterAggregation):
                 "support multi-classification (Section 5.3 of the paper)"
             )
 
-    def aggregate_node(self, ex,
-                       hists: List[Histogram]) -> List[Histogram]:
+    def aggregate_node(self, ex, hists) -> List[Histogram]:
         return scatter_features(ps_push_histograms(hists, net=None),
                                 ex.feature_ranges)
 

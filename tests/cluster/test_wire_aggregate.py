@@ -1,0 +1,316 @@
+"""Accumulate-decode against the wire path it replaced.
+
+``reference_wire`` is the parent's path (row-reduction mask, allocate-and-
+scatter decode, copy-and-add sum).  The accumulate-decoding path must hand
+the collective the same aggregate bit for bit, ship the same ``Encoded``
+sizes, leave the ledger and the trained model unchanged, never touch the
+stores' histograms, and refuse a malformed payload before it writes.
+"""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import ClusterConfig, TrainConfig, get_plan
+from repro.cluster.codecs import (CodecPayloadError, DenseHistogramCodec,
+                                  Encoded, LowPrecisionHistogramCodec,
+                                  SparseHistogramCodec, get_codec_stack)
+from repro.cluster.network import SimulatedNetwork
+from repro.core.histogram import Histogram
+from repro.core.serialize import ensemble_to_dict
+from repro.data.dataset import bin_dataset
+from repro.systems import strategies
+from repro.systems.base import WorkerClock
+
+from .reference_wire import (reference_aggregate, reference_decode,
+                             reference_encode,
+                             reference_layer_hists_over_wire,
+                             reference_occupied)
+
+#: every stack whose histograms take the codec round trip
+STACKS = ("sparse", "delta", "f32", "f16")
+OCCUPANCIES = (0.0, 0.05, 0.5, 0.85, 1.0)
+
+
+def hist_bytes(hist: Histogram) -> bytes:
+    return hist.grad.tobytes() + hist.hess.tobytes()
+
+
+def worker_hist(features, bins, dim, occupancy, rng) -> Histogram:
+    """Occupied slots hold values spread over seven decades, so a sum
+    taken in another order differs in its last bits."""
+    hist = Histogram(features, bins, dim)
+    slots = features * bins
+    idx = rng.choice(slots, size=int(round(occupancy * slots)),
+                     replace=False)
+    scale = 10.0 ** rng.integers(-3, 4, size=(idx.size, dim))
+    hist.grad[idx] = rng.standard_normal((idx.size, dim)) * scale
+    hist.hess[idx] = (rng.random((idx.size, dim)) + 0.01) * scale
+    return hist
+
+
+class _Store:
+    def __init__(self, hist):
+        self.hist = hist
+
+    def get(self, node):
+        return self.hist
+
+
+def over_wire(stack: str, hists):
+    """One node through the real ``_layer_hists_over_wire`` on a stub
+    executor: what the collective is handed, and the ledger."""
+    cluster = ClusterConfig(len(hists))
+    ex = SimpleNamespace(cluster=cluster, codec=get_codec_stack(stack),
+                         stores=[_Store(hist) for hist in hists],
+                         net=SimulatedNetwork(cluster.network))
+    clock = WorkerClock(len(hists))
+    ((_, received),) = strategies._layer_hists_over_wire(
+        ex, [0], clock, "reducescatter")
+    return received, ex.net.records
+
+
+# -- (i) the aggregate ------------------------------------------------------
+
+class TestAggregateEqualsTheOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(stack=st.sampled_from(STACKS), dim=st.sampled_from((1, 3)),
+           occupancies=st.lists(st.sampled_from(OCCUPANCIES),
+                                min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_sum_sizes_and_untouched_inputs(
+            self, stack, dim, occupancies, seed):
+        rng = np.random.default_rng(seed)
+        hists = [worker_hist(6, 5, dim, occupancy, rng)
+                 for occupancy in occupancies]
+        before = [hist_bytes(hist) for hist in hists]
+        codec = get_codec_stack(stack).histogram
+
+        expected, shipped = reference_aggregate(codec, hists)
+        aggregate, records = over_wire(stack, hists)
+
+        assert isinstance(aggregate, Histogram)
+        assert hist_bytes(aggregate) == hist_bytes(expected)
+        assert aggregate.grad.dtype == np.float64
+        assert all(aggregate is not hist for hist in hists)
+        assert [hist_bytes(hist) for hist in hists] == before
+        for hist, old in zip(hists, shipped):
+            new = codec.encode(hist)
+            assert (new.codec, new.nbytes, new.raw_nbytes) \
+                == (old.codec, old.nbytes, old.raw_nbytes)
+        if len(hists) > 1:
+            (record,) = records
+            share = (len(hists) - 1) / len(hists)
+            assert record.nbytes == int(sum(share * enc.nbytes
+                                            for enc in shipped))
+
+    def test_sparse_and_dense_fallback_payloads_mix_in_one_sum(self):
+        rng = np.random.default_rng(5)
+        hists = [worker_hist(6, 5, 1, occupancy, rng)
+                 for occupancy in (0.05, 1.0, 0.5, 0.85, 0.0)]
+        codec = SparseHistogramCodec()
+        assert [codec.encode(hist).codec for hist in hists] == [
+            "sparse", "sparse/dense-fallback", "sparse",
+            "sparse/dense-fallback", "sparse"]
+        expected, _ = reference_aggregate(codec, hists)
+        aggregate, _ = over_wire("sparse", hists)
+        assert hist_bytes(aggregate) == hist_bytes(expected)
+
+    @pytest.mark.parametrize("stack", STACKS)
+    def test_decode_without_into_is_the_old_decode(self, stack):
+        codec = get_codec_stack(stack).histogram
+        rng = np.random.default_rng(3)
+        for occupancy in OCCUPANCIES:
+            hist = worker_hist(6, 5, 3, occupancy, rng)
+            enc = codec.encode(hist)
+            fresh = codec.decode(enc)
+            assert fresh is not hist
+            assert hist_bytes(fresh) == hist_bytes(reference_decode(enc))
+
+    def test_identity_stack_is_not_aggregated(self):
+        rng = np.random.default_rng(1)
+        hists = [worker_hist(6, 5, 1, 0.5, rng) for _ in range(3)]
+        received, _ = over_wire("none", hists)
+        assert all(got is hist for got, hist in zip(received, hists))
+
+
+# -- (ii) the occupancy scan ------------------------------------------------
+
+def _special_hists(dim):
+    nan = Histogram(4, 3, dim)
+    nan.grad[2, dim - 1] = np.nan
+    nan.hess[7, 0] = np.nan
+    negative_zero = Histogram(4, 3, dim)
+    negative_zero.grad[:] = -0.0
+    negative_zero.hess[5, 0] = -0.0
+    negative_zero.grad[9, dim - 1] = 1.5
+    grad_only = Histogram(4, 3, dim)
+    grad_only.grad[[1, 6], dim - 1] = (0.25, -3.0)
+    hess_only = Histogram(4, 3, dim)
+    hess_only.hess[[0, 11], dim - 1] = (2.0, 1e-300)
+    full = Histogram(4, 3, dim)
+    full.grad[:] = 1.0
+    full.hess[:] = 2.0
+    return {"nan": nan, "negative-zero": negative_zero,
+            "grad-only": grad_only, "hess-only": hess_only,
+            "all-zero": Histogram(4, 3, dim), "full": full}
+
+
+class TestOccupancyScan:
+    @pytest.mark.parametrize("dim", (1, 3))
+    @pytest.mark.parametrize("case", ("nan", "negative-zero", "grad-only",
+                                      "hess-only", "all-zero", "full"))
+    def test_same_occupied_set_and_payload_as_the_row_reduction(
+            self, case, dim):
+        hist = _special_hists(dim)[case]
+        codec = SparseHistogramCodec()
+        new, old = codec.encode(hist), reference_encode(codec, hist)
+        assert (new.codec, new.nbytes, new.raw_nbytes) \
+            == (old.codec, old.nbytes, old.raw_nbytes)
+        if new.codec == "sparse":
+            assert new.payload[0].dtype == np.int32
+            assert new.payload[0].tolist() \
+                == reference_occupied(hist).tolist()
+            for got, want in zip(new.payload[:3], old.payload[:3]):
+                assert got.tobytes() == want.tobytes()
+            assert new.payload[3] == old.payload[3]
+        else:
+            assert new.payload[0] is hist
+
+    def test_expected_occupied_sets(self):
+        occupied = {case: reference_occupied(hist).tolist()
+                    for case, hist in _special_hists(3).items()}
+        assert occupied["nan"] == [2, 7]
+        assert occupied["negative-zero"] == [9]
+        assert occupied["grad-only"] == [1, 6]
+        assert occupied["hess-only"] == [0, 11]
+        assert occupied["all-zero"] == []
+
+
+# -- (iv) ledger and model --------------------------------------------------
+
+class TestLedgerAndModelUnchanged:
+    @pytest.fixture(scope="class")
+    def binned(self, small_sparse):
+        return bin_dataset(small_sparse, 8)
+
+    @staticmethod
+    def _fit(plan, stack, binned):
+        config = TrainConfig(num_trees=2, num_layers=4, num_candidates=8,
+                             codec=stack)
+        system = get_plan(plan).build(config, ClusterConfig(4))
+        result = system.fit(binned)
+        ledger = [(r.nbytes, r.raw_nbytes, r.seconds)
+                  for r in system.net.records
+                  if r.kind == "hist-aggregation"]
+        return ledger, ensemble_to_dict(result.ensemble)
+
+    @pytest.mark.parametrize("stack", STACKS)
+    @pytest.mark.parametrize("plan", ("qd1", "qd2", "qd2-ps"))
+    def test_equal_to_the_oracle_path(self, plan, stack, binned,
+                                      monkeypatch):
+        ledger, model = self._fit(plan, stack, binned)
+        monkeypatch.setattr(strategies, "_layer_hists_over_wire",
+                            reference_layer_hists_over_wire)
+        old_ledger, old_model = self._fit(plan, stack, binned)
+        assert ledger and ledger == old_ledger
+        assert model == old_model
+
+
+# -- (v) fail closed --------------------------------------------------------
+
+def _sparse_payload(dim=1):
+    """A well-formed 3-entry payload of a 4 x 3 histogram."""
+    idx = np.array([1, 4, 10], dtype=np.int32)
+    grad = np.arange(1.0, 1.0 + 3 * dim).reshape(3, dim)
+    return idx, grad, grad + 0.5, (4, 3, dim)
+
+
+def _encoded(idx, grad, hess, shape) -> Encoded:
+    return Encoded("sparse", 0, 0, (idx, grad, hess, shape))
+
+
+def _accumulator(shape=(4, 3, 1), dtype=np.float64) -> Histogram:
+    into = Histogram(*shape, dtype=dtype)
+    into.grad[:] = 7.0
+    into.hess[:] = 9.0
+    return into
+
+
+class TestFailClosed:
+    def test_a_well_formed_payload_adds_into_the_accumulator(self):
+        idx, grad, hess, shape = _sparse_payload()
+        into = _accumulator()
+        out = SparseHistogramCodec().decode(
+            _encoded(idx, grad, hess, shape), into=into)
+        assert out is into
+        expected = np.full((12, 1), 7.0)
+        expected[idx] += grad
+        assert into.grad.tobytes() == expected.tobytes()
+        expected = np.full((12, 1), 9.0)
+        expected[idx] += hess
+        assert into.hess.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("defect, bad_idx", [
+        ("duplicate", np.array([1, 4, 4], dtype=np.int32)),
+        ("descending", np.array([10, 4, 1], dtype=np.int32)),
+        ("negative", np.array([-1, 4, 10], dtype=np.int32)),
+        ("past-the-end", np.array([1, 4, 12], dtype=np.int32)),
+        ("int64", np.array([1, 4, 10], dtype=np.int64)),
+        ("float", np.array([1.0, 4.0, 10.0])),
+        ("2-D", np.array([[1], [4], [10]], dtype=np.int32)),
+    ])
+    @pytest.mark.parametrize("accumulate", (True, False))
+    def test_bad_indices(self, defect, bad_idx, accumulate):
+        _, grad, hess, shape = _sparse_payload()
+        into = _accumulator() if accumulate else None
+        before = hist_bytes(into) if accumulate else None
+        with pytest.raises(CodecPayloadError, match="sparse"):
+            SparseHistogramCodec().decode(
+                _encoded(bad_idx, grad, hess, shape), into=into)
+        if accumulate:
+            assert hist_bytes(into) == before
+
+    @pytest.mark.parametrize("defect", ("short-grad", "short-hess",
+                                        "wrong-width"))
+    def test_ragged_values(self, defect):
+        idx, grad, hess, shape = _sparse_payload()
+        if defect == "short-grad":
+            grad = grad[:2]
+        elif defect == "short-hess":
+            hess = hess[:2]
+        else:
+            grad, hess = np.hstack([grad, grad]), np.hstack([hess, hess])
+        into = _accumulator()
+        before = hist_bytes(into)
+        with pytest.raises(CodecPayloadError, match="sparse"):
+            SparseHistogramCodec().decode(
+                _encoded(idx, grad, hess, shape), into=into)
+        assert hist_bytes(into) == before
+
+    @pytest.mark.parametrize("codec", [
+        SparseHistogramCodec(), DenseHistogramCodec(),
+        LowPrecisionHistogramCodec(np.float32, "f32"),
+        LowPrecisionHistogramCodec(np.float16, "f16"),
+    ], ids=lambda codec: codec.name)
+    @pytest.mark.parametrize("occupancy", (0.05, 1.0))
+    @pytest.mark.parametrize("into_shape, into_dtype", [
+        ((4, 4, 1), np.float64), ((3, 3, 1), np.float64),
+        ((4, 3, 3), np.float64), ((4, 3, 1), np.float32),
+    ])
+    def test_mismatched_accumulator(self, codec, occupancy, into_shape,
+                                    into_dtype):
+        hist = worker_hist(4, 3, 1, occupancy, np.random.default_rng(2))
+        into = _accumulator(into_shape, into_dtype)
+        before = hist_bytes(into)
+        with pytest.raises(CodecPayloadError, match=codec.name):
+            codec.decode(codec.encode(hist), into=into)
+        assert hist_bytes(into) == before
+
+    def test_the_error_is_a_value_error(self):
+        assert issubclass(CodecPayloadError, ValueError)

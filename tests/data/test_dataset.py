@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data import dataset as dataset_module
 from repro.data.dataset import BinnedDataset, Dataset, apply_cuts, \
     bin_dataset
 from repro.data.matrix import CSRMatrix
 from repro.data.synthetic import make_classification
+from repro.sketch.proposer import propose_candidates_exact
 
 
 class TestDatasetValidation:
@@ -128,6 +130,75 @@ class TestBinDataset:
     def test_unknown_method(self, small_binary):
         with pytest.raises(ValueError):
             bin_dataset(small_binary, 8, method="magic")
+
+
+def assert_cuts_equal_the_per_feature_loop(dataset, q):
+    """Exact binning groups columns by stored-value count; the oracle
+    proposes one column at a time."""
+    csc = dataset.csc()
+    expected = [propose_candidates_exact(csc.col(j)[1], q)
+                for j in range(csc.num_cols)]
+    cuts = bin_dataset(dataset, q).cuts
+    assert len(cuts) == len(expected)
+    for got, want in zip(cuts, expected):
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+    return cuts
+
+
+def dataset_of(dense):
+    dense = np.asarray(dense, dtype=np.float64)
+    return Dataset(CSRMatrix.from_dense(dense),
+                   np.arange(dense.shape[0]) % 2)
+
+
+class TestGroupedExactCuts:
+    def test_degenerate_columns(self):
+        rows = 12
+        ramp = np.arange(1.0, rows + 1)
+        dense = np.column_stack([
+            np.zeros(rows),                          # empty
+            np.full(rows, 2.5),                      # constant
+            np.repeat([1.0, 2.0, 3.0], 4),           # duplicated
+            -ramp,                                   # negative
+            np.where(ramp == 5, 7.0, 0.0),           # a single value
+            np.where(ramp > 9, -1.0, 0.0),           # one distinct, thrice
+            ramp * 0.1,                              # same length as others
+            ramp[::-1] ** 2,                         # ... tied on length
+        ])
+        for q in (1, 2, 3, 4, 8, 20):
+            cuts = assert_cuts_equal_the_per_feature_loop(
+                dataset_of(dense), q)
+            assert cuts[0].size == cuts[1].size == cuts[4].size == 0
+
+    def test_interpolation_is_lower(self):
+        # (n - 1) * p is fractional at every p: "linear" would
+        # interpolate between stored values, "lower" returns one of them
+        dense = np.column_stack([[1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
+                                 [3.0, 5.0, 9.0, 17.0, 33.0, 65.0]])
+        cuts = assert_cuts_equal_the_per_feature_loop(dataset_of(dense), 4)
+        assert set(cuts[0]) <= set(dense[:, 0])
+
+    @pytest.mark.parametrize("bound", (1, 12, 64, 1 << 16))
+    def test_blocks_straddling_the_entry_bound(self, bound, monkeypatch):
+        monkeypatch.setattr(dataset_module, "EXACT_BLOCK_ENTRIES", bound)
+        rng = np.random.default_rng(bound)
+        # eleven columns of 5 stored values, four of 9, three of 1
+        dense = np.zeros((9, 18))
+        for j, n in enumerate([5] * 11 + [9] * 4 + [1] * 3):
+            dense[rng.choice(9, n, replace=False), j] = \
+                rng.standard_normal(n).round(1) + 0.05
+        assert_cuts_equal_the_per_feature_loop(dataset_of(dense), 5)
+
+    @pytest.mark.parametrize("density", (1.0, 0.01))
+    def test_dense_and_one_percent_dense_matrices(self, density):
+        dataset = make_classification(800, 60, density=density, seed=21)
+        cuts = assert_cuts_equal_the_per_feature_loop(dataset, 20)
+        assert any(c.size for c in cuts)
+
+    def test_rejects_bad_q(self, small_binary):
+        with pytest.raises(ValueError, match="num_candidates"):
+            bin_dataset(small_binary, 0)
 
 
 class TestBinnedSelection:

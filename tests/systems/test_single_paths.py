@@ -257,23 +257,31 @@ class TestLayerHistsOverWire:
 
     def test_codec_stack_round_trips_and_charges_the_codec_phase(
             self, binned):
+        from repro.core.histogram import Histogram
         from repro.systems.strategies import _layer_hists_over_wire
 
         system = self._executor("sparse", binned)
         clock = WorkerClock(3)
         shipped = dict(_layer_hists_over_wire(system, [0], clock,
                                               "reducescatter"))
-        for got, store in zip(shipped[0], system.stores):
-            assert got is not store.get(0)
-            assert np.array_equal(got.grad, store.get(0).grad)
-            assert np.array_equal(got.hess, store.get(0).hess)
+        # the receiving end accumulate-decodes: one aggregate per node,
+        # the worker-order sum of the stores' histograms bit for bit
+        stored = [store.get(0) for store in system.stores]
+        aggregate = shipped[0]
+        assert isinstance(aggregate, Histogram)
+        assert all(aggregate is not hist for hist in stored)
+        expected = stored[0].copy()
+        for hist in stored[1:]:
+            expected.add_inplace(hist)
+        assert aggregate.grad.tobytes() == expected.grad.tobytes()
+        assert aggregate.hess.tobytes() == expected.hess.tobytes()
         assert (clock.phase_seconds["codec"] > 0).all()
         assert clock.seconds.tolist() \
             == clock.phase_seconds["codec"].tolist()
         # the collective is charged the encoded sizes, not the dense ones
         codec = system.codec.histogram
-        encoded = [codec.encode(store.get(0)).nbytes
-                   for store in system.stores]
+        encoded = [codec.encode(hist).nbytes for hist in stored]
         (record,) = system.net.records
+        assert record.kind == "hist-aggregation"
         assert record.nbytes == int(sum(2 / 3 * nbytes
                                         for nbytes in encoded))
