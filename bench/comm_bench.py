@@ -1,62 +1,44 @@
 """Wire-codec benchmark: raw vs encoded bytes and codec throughput.
 
 Trains every registry plan on an RCV1-like sparse synthetic workload
-twice — dense wire format vs the ``sparse`` codec stack — and records,
-per plan, the raw and encoded bytes of each ledger kind plus the model
-bit-identity verdict.  Separately measures encode/decode throughput of
-each codec kernel so the compute-for-bytes trade is quantified, and
-writes everything to ``BENCH_comm.json``.
+under the ``sparse`` codec stack and records, per plan, the raw and
+encoded bytes of each ledger kind.  Separately measures encode/decode
+throughput of each codec kernel so the compute-for-bytes trade is
+quantified, and writes everything to ``BENCH_comm.json``.
 
 Usage::
 
     PYTHONPATH=src python bench/comm_bench.py            # full workload
     PYTHONPATH=src python bench/comm_bench.py --quick    # CI-sized
-    PYTHONPATH=src python bench/comm_bench.py --check    # enforce targets
 
-Targets (from the codec-stack issue): >=3x histogram-aggregation byte
-reduction with the sparse codec on the sparse workload, and a model
-bit-identical to the dense baseline on every plan.
+No gates: both former ones are exact, so tier-1 asserts them — a model
+bit-identical to the dense baseline on every plan
+(``tests/systems/test_chaos.py::TestChaosWithCodec``) and the >= 3x
+histogram-aggregation byte reduction on this shape
+(``tests/cluster/test_wire_aggregate.py::TestLedgerAndModelUnchanged``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import time
-from pathlib import Path
-
 import numpy as np
 
+from _harness import Bench, time_ops
 from repro.cluster.codecs import (AdaptivePlacementCodec, DeltaIndexCodec,
                                   SparseHistogramCodec, varint_decode,
                                   varint_encode)
 from repro.config import ClusterConfig, TrainConfig
 from repro.core.histogram import Histogram
-from repro.core.serialize import ensemble_to_dict
 from repro.data.dataset import bin_dataset
 from repro.data.synthetic import make_classification
 from repro.systems import make_system
 from repro.systems.plans import plan_keys
 
 HIST_KIND = "hist-aggregation"
-HIST_REDUCTION_MIN = 3.0
 
 
-def time_mbps(fn, nbytes: int, min_seconds: float, windows: int = 3
-              ) -> float:
-    """Best-of-``windows`` MB/s of ``fn`` over a ``nbytes`` payload."""
-    fn()  # warmup
-    best = 0.0
-    for _ in range(windows):
-        reps = 0
-        start = time.perf_counter()
-        elapsed = 0.0
-        while elapsed < min_seconds and reps < 2000:
-            fn()
-            reps += 1
-            elapsed = time.perf_counter() - start
-        best = max(best, reps * nbytes / elapsed / 1e6)
-    return best
+def time_mbps(fn, nbytes: int, min_seconds: float) -> float:
+    """Best-of-windows MB/s of ``fn`` over a ``nbytes`` payload."""
+    return time_ops(fn, min_seconds) * nbytes / 1e6
 
 
 def bench_throughput(quick: bool) -> dict:
@@ -113,7 +95,8 @@ def bench_throughput(quick: bool) -> dict:
 
 
 def bench_plans(quick: bool) -> dict:
-    """Dense vs sparse-codec bytes and bit-identity on every plan."""
+    """Raw (what the dense wire format ships) vs sparse-codec bytes of
+    every plan, per ledger kind."""
     if quick:
         rows, cols, trees, layers = 600, 800, 2, 4
     else:
@@ -121,84 +104,38 @@ def bench_plans(quick: bool) -> dict:
     dataset = make_classification(rows, cols, density=0.01, seed=7)
     binned = bin_dataset(dataset, 16)
     cluster = ClusterConfig(num_workers=4)
+    config = TrainConfig(num_trees=trees, num_layers=layers,
+                         num_candidates=16, codec="sparse")
     results = {}
     for plan_key in plan_keys():
-        dense_cfg = TrainConfig(num_trees=trees, num_layers=layers,
-                                num_candidates=16)
-        codec_cfg = TrainConfig(num_trees=trees, num_layers=layers,
-                                num_candidates=16, codec="sparse")
-        dense = make_system(plan_key, dense_cfg, cluster).fit(binned)
-        encoded = make_system(plan_key, codec_cfg, cluster).fit(binned)
-        identical = (ensemble_to_dict(dense.ensemble)
-                     == ensemble_to_dict(encoded.ensemble))
+        comm = make_system(plan_key, config, cluster).fit(binned).comm
         kinds = {}
-        for kind, wire in sorted(encoded.comm.bytes_by_kind.items()):
-            raw = encoded.comm.raw_bytes_by_kind[kind]
+        for kind, wire in sorted(comm.bytes_by_kind.items()):
+            raw = comm.raw_bytes_by_kind[kind]
             kinds[kind] = {
                 "raw_bytes": int(raw),
                 "wire_bytes": int(wire),
                 "reduction": round(raw / wire, 3) if wire else None,
             }
-        entry = {
-            "bit_identical": bool(identical),
-            "dense_total_bytes": int(dense.comm.total_bytes),
-            "encoded_total_bytes": int(encoded.comm.total_bytes),
+        results[plan_key] = {
+            "dense_total_bytes": int(comm.total_raw_bytes),
+            "encoded_total_bytes": int(comm.total_bytes),
             "kinds": kinds,
         }
         hist = kinds.get(HIST_KIND)
-        ratio = hist["reduction"] if hist else None
-        results[plan_key] = entry
-        print(f"  {plan_key:12s} identical={identical!s:5s} "
-              f"total {dense.comm.total_bytes:>12,} -> "
-              f"{encoded.comm.total_bytes:>12,}"
-              + (f"  hist {ratio:.2f}x" if ratio else ""))
+        print(f"  {plan_key:12s} total {comm.total_raw_bytes:>12,} -> "
+              f"{comm.total_bytes:>12,}"
+              + (f"  hist {hist['reduction']:.2f}x" if hist else ""))
     return results
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized workload")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero if codec targets are missed")
-    parser.add_argument("--out", type=Path,
-                        default=Path(__file__).resolve().parent.parent
-                        / "BENCH_comm.json")
-    args = parser.parse_args()
-
-    mode = "quick" if args.quick else "full"
-    print(f"comm bench ({mode} workload, RCV1-like sparse synthetic)")
-    print("plan sweep (dense vs sparse codec):")
-    plans = bench_plans(args.quick)
+    bench = Bench("comm", __doc__)
+    print("plan sweep (RCV1-like sparse synthetic, dense vs sparse codec):")
+    plans = bench_plans(bench.quick)
     print("codec kernel throughput:")
-    throughput = bench_throughput(args.quick)
-
-    report = {
-        "generated_by": "bench/comm_bench.py",
-        "mode": mode,
-        "numpy": np.__version__,
-        "targets": {"hist_reduction_min": HIST_REDUCTION_MIN,
-                    "bit_identical": True},
-        "plans": plans,
-        "throughput_mbps": throughput,
-    }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.out}")
-
-    ok = True
-    for plan_key, entry in plans.items():
-        if not entry["bit_identical"]:
-            ok = False
-            print(f"MISSED: {plan_key} model not bit-identical under "
-                  f"the sparse codec")
-        hist = entry["kinds"].get(HIST_KIND)
-        if hist and hist["reduction"] < HIST_REDUCTION_MIN:
-            ok = False
-            print(f"MISSED: {plan_key} hist-aggregation reduction "
-                  f"{hist['reduction']}x < {HIST_REDUCTION_MIN}x")
-    if ok:
-        print("all codec targets met")
-    return 0 if (ok or not args.check) else 1
+    throughput = bench_throughput(bench.quick)
+    return bench.finish({"plans": plans, "throughput_mbps": throughput})
 
 
 if __name__ == "__main__":

@@ -5,70 +5,50 @@ Four sections, written to ``BENCH_serving.json``:
 * ``speedup`` — best-of-3 throughput of the naive per-tree loop
   (``TreeEnsemble.raw_scores``) vs the compiled level-synchronous
   predictor on a 10k-row batch of a trained paper-default model
-  (``num_layers = 8``), with exactness asserted before any timing;
+  (``num_layers = 8``);
 * ``latency`` — p50/p95/p99 and throughput of a Poisson trace replayed
   through the micro-batcher over a replica set, per load balancer
   (service time is the measured wall-clock of the compiled predictor —
   computation real, coordination simulated);
 * ``hot_swap`` — a mid-traffic deploy of a second model version:
-  versions served, the single-version-per-batch invariant, and the
-  exact ``deploy:model`` byte accounting;
+  versions served and the ``deploy:model`` bytes;
 * ``sharded`` — the replicate-vs-shard grid: shard counts ``S in
   {1, 2, 4, 8}`` x batch size x model shape over a fixed 8-worker
-  fleet.  Every cell asserts bit-identity of the sharded chain fold
-  against the full predictor and that the ``serve:partial`` ledger
-  bytes equal the ring reduce-scatter closed form; the summary pins the
-  measured crossover (the smallest ``S >= 2`` whose rollout ships fewer
-  deploy bytes than replication — per-worker model bytes scale ``~1/S``
-  while the reduction adds ``S - 1`` latency rounds per batch).
+  fleet, with the measured deploy-byte crossover (the smallest ``S >= 2``
+  whose rollout ships fewer deploy bytes than replication — per-worker
+  model bytes scale ``~1/S`` while the reduction adds ``S - 1`` latency
+  rounds per batch) and the layout the cost model recommends.
 
 Usage::
 
     PYTHONPATH=src python bench/serving_bench.py            # full workload
     PYTHONPATH=src python bench/serving_bench.py --quick    # CI-sized
-    PYTHONPATH=src python bench/serving_bench.py --check    # enforce targets
+    PYTHONPATH=src python bench/serving_bench.py --check    # enforce gate
 
-Target (from the serving issue): compiled >= 5x naive at batch 10k.
+Gate: compiled >= 5x naive at batch 10k (a live-vs-live ratio; needs
+bench scale).  Every exact property this script once re-checked —
+compiled and sharded bit-identity, single-version batches, deploy and
+``serve:partial`` byte closed forms, the S=2 crossover, ``~1/S`` shard
+sizes — is tier-1's (``tests/serve/test_compiler.py``,
+``test_replica.py``, ``test_sharded.py``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import time
-from pathlib import Path
-
 import numpy as np
 
-from repro.config import ClusterConfig, TrainConfig
+from _harness import Bench, time_ops
+from repro.config import ClusterConfig, NetworkModel, TrainConfig
 from repro.core.gbdt import GBDT
 from repro.data.synthetic import make_classification
 from repro.serve import (BatchPolicy, MicroBatcher, ModelRegistry,
                          ReplicaSet, synthetic_trace)
+from repro.systems.costmodel import (price_serving_layouts,
+                                     recommend_serving_layout)
 
 BATCH_SIZE = 10_000
 SPEEDUP_TARGET = 5.0
 NUM_FEATURES = 100
-
-
-def time_ops(fn, min_seconds: float, max_reps: int = 2000,
-             windows: int = 3) -> float:
-    """Best-of-``windows`` ops/sec of ``fn`` (same protocol as
-    ``bench/kernel_bench.py``: each window runs at least ``min_seconds``
-    and the fastest window wins, so one scheduler hiccup cannot tank
-    either side of a comparison)."""
-    fn()  # warmup
-    best = 0.0
-    for _ in range(windows):
-        reps = 0
-        start = time.perf_counter()
-        elapsed = 0.0
-        while elapsed < min_seconds and reps < max_reps:
-            fn()
-            reps += 1
-            elapsed = time.perf_counter() - start
-        best = max(best, reps / elapsed)
-    return best
 
 
 def train_models(quick: bool):
@@ -94,9 +74,10 @@ def bench_speedup(registry, primary, quick: bool) -> dict:
     trace = synthetic_trace(BATCH_SIZE, NUM_FEATURES, rate_rps=1e5,
                             seed=1)
     csc = trace.csc()
-    exact = bool(np.array_equal(primary.raw_scores(csc),
-                                compiled.raw_scores(trace.features)))
-    assert exact, "compiled predictor diverged from TreeEnsemble"
+    # a ratio between two predictors only means something if they agree
+    assert np.array_equal(primary.raw_scores(csc),
+                          compiled.raw_scores(trace.features)), \
+        "compiled predictor diverged from TreeEnsemble"
     min_s = 0.25 if quick else 0.75
     naive_ops = time_ops(lambda: primary.raw_scores(csc), min_s)
     compiled_ops = time_ops(
@@ -104,7 +85,7 @@ def bench_speedup(registry, primary, quick: bool) -> dict:
     )
     speedup = compiled_ops / naive_ops
     print(f"  {'raw_scores_10k':24s} {naive_ops:8.2f} -> "
-          f"{compiled_ops:8.2f} batches/s ({speedup:5.2f}x) exact={exact}")
+          f"{compiled_ops:8.2f} batches/s ({speedup:5.2f}x)")
     return {
         "batch_size": BATCH_SIZE,
         "num_trees": compiled.num_trees,
@@ -112,7 +93,6 @@ def bench_speedup(registry, primary, quick: bool) -> dict:
         "naive_ops": round(naive_ops, 3),
         "compiled_ops": round(compiled_ops, 3),
         "speedup": round(speedup, 3),
-        "exact": exact,
     }
 
 
@@ -140,8 +120,7 @@ def bench_latency(registry, quick: bool) -> dict:
 
 def bench_hot_swap(registry, quick: bool) -> dict:
     requests = 1_000 if quick else 5_000
-    workers = 4
-    replicas = ReplicaSet(registry, ClusterConfig(num_workers=workers),
+    replicas = ReplicaSet(registry, ClusterConfig(num_workers=4),
                           balancer="least-loaded")
     replicas.deploy(1)
     trace = synthetic_trace(requests, NUM_FEATURES, rate_rps=20_000.0,
@@ -150,28 +129,17 @@ def bench_hot_swap(registry, quick: bool) -> dict:
     report = MicroBatcher(
         replicas, BatchPolicy(max_batch_size=128, max_delay_s=0.002)
     ).run(trace, swaps=[(swap_at, replicas.deployer(2))])
-    single_version = all(
-        len({r.model_version for r in report.records
-             if r.batch_id == batch.batch_id}) == 1
-        for batch in report.batches
-    )
-    expected = workers * (registry.get(1).nbytes
-                          + registry.get(2).nbytes)
     entry = {
         "swap_at_s": round(swap_at, 6),
         "versions_served": report.versions_served(),
-        "single_version_batches": single_version,
         "requests_v1": sum(r.model_version == 1 for r in report.records),
         "requests_v2": sum(r.model_version == 2 for r in report.records),
         "deploy_bytes": replicas.deploy_bytes,
-        "expected_deploy_bytes": expected,
     }
     print(f"  hot-swap at t={swap_at * 1e3:.1f}ms: versions "
           f"{entry['versions_served']} "
           f"(v1={entry['requests_v1']}, v2={entry['requests_v2']}), "
-          f"single-version={single_version}, "
-          f"deploy bytes={entry['deploy_bytes']} "
-          f"(expected {expected})")
+          f"deploy bytes={entry['deploy_bytes']}")
     return entry
 
 
@@ -180,56 +148,28 @@ def bench_sharded(registry, quick: bool) -> dict:
 
     Model shapes come free from the registry: v1 is the full bench
     model, v2 its half-size hot-swap retrain — same depth, half the
-    trees.  Per cell the sharded chain fold is checked bit-identical to
-    the full predictor and the ``serve:partial`` bytes against the ring
-    reduce-scatter closed form; per (shape, batch) the summary records
-    the deploy-byte crossover and the layout the cost model recommends.
+    trees.  Per (shape, batch) the summary records the deploy-byte
+    crossover and the layout the cost model recommends.
     """
-    from repro.config import NetworkModel
-    from repro.serve import ShardedReplicaSet, reduce_shard_scores
-    from repro.systems.costmodel import (price_serving_layouts,
-                                         recommend_serving_layout,
-                                         score_reduction_bytes_per_batch)
-
     workers = 8
     shard_counts = (1, 2, 4, 8)
     batch_sizes = (64, 256) if quick else (64, 256, 1024)
     network = NetworkModel()
     cells = []
     crossovers = []
-    all_exact = True
-    formulas_ok = True
-    crossover_ok = True
-    footprint_ok = True
     for version in (1, 2):
         entry = registry.get(version)
         compiled = entry.compiled
         for batch in batch_sizes:
             trace = synthetic_trace(batch, NUM_FEATURES,
                                     rate_rps=1e5, seed=7 + version)
-            direct = compiled.raw_scores(trace.features)
             deploy_by_s = {}
             for num_shards in shard_counts:
-                shards = registry.shards(version, num_shards)
-                chained = reduce_shard_scores(
-                    [shard.compiled for shard in shards], trace.features)
-                exact = bool(np.array_equal(chained, direct))
-                all_exact &= exact
-                replicas = ShardedReplicaSet(
+                replicas = ReplicaSet(
                     registry, ClusterConfig(num_workers=workers),
                     num_shards=num_shards)
                 replicas.deploy(version)
                 result = replicas.dispatch(trace.features, close_s=0.0)
-                expected_partial = score_reduction_bytes_per_batch(
-                    batch, compiled.gradient_dim, num_shards)
-                formulas_ok &= replicas.partial_bytes == expected_partial
-                per_worker = replicas.model_bytes_per_worker()
-                # ~1/S with slack for the repeated metadata keys and
-                # the one-tree granularity of the contiguous ranges
-                footprint_ok &= (per_worker
-                                 <= entry.nbytes / num_shards
-                                 + entry.nbytes
-                                 / max(compiled.num_trees, 1) + 512)
                 deploy_by_s[num_shards] = replicas.deploy_bytes
                 cells.append({
                     "model_version": version,
@@ -237,12 +177,11 @@ def bench_sharded(registry, quick: bool) -> dict:
                     "batch": batch,
                     "num_shards": num_shards,
                     "rows": replicas.num_rows,
-                    "exact": exact,
-                    "model_bytes_per_worker": per_worker,
+                    "model_bytes_per_worker":
+                        replicas.model_bytes_per_worker(),
                     "model_bytes_full": entry.nbytes,
                     "deploy_bytes": replicas.deploy_bytes,
                     "partial_bytes_per_batch": replicas.partial_bytes,
-                    "expected_partial_bytes": expected_partial,
                     "reduction_rounds": max(num_shards - 1, 0),
                     "batch_latency_s": round(
                         result.completion_s - result.start_s, 6),
@@ -250,7 +189,6 @@ def bench_sharded(registry, quick: bool) -> dict:
             crossover = next(
                 (s for s in shard_counts[1:]
                  if deploy_by_s[s] <= deploy_by_s[1]), None)
-            crossover_ok &= crossover == 2
             layouts = price_serving_layouts(
                 entry.nbytes,
                 {s: [m.nbytes for m in registry.shards(version, s)]
@@ -278,76 +216,22 @@ def bench_sharded(registry, quick: bool) -> dict:
         "batch_sizes": list(batch_sizes),
         "cells": cells,
         "crossover": crossovers,
-        "all_exact": all_exact,
-        "partial_bytes_match_formula": formulas_ok,
-        "deploy_crossover_at_2": crossover_ok,
-        "per_worker_bytes_scale": footprint_ok,
     }
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized workload")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero if targets are missed")
-    parser.add_argument("--out", type=Path,
-                        default=Path(__file__).resolve().parent.parent
-                        / "BENCH_serving.json")
-    args = parser.parse_args()
-
-    mode = "quick" if args.quick else "full"
-    print(f"serving bench ({mode} workload)")
-    registry, primary = train_models(args.quick)
-    speedup = bench_speedup(registry, primary, args.quick)
-    latency = bench_latency(registry, args.quick)
-    hot_swap = bench_hot_swap(registry, args.quick)
-    sharded = bench_sharded(registry, args.quick)
-
-    report = {
-        "generated_by": "bench/serving_bench.py",
-        "mode": mode,
-        "numpy": np.__version__,
+    bench = Bench("serving", __doc__)
+    registry, primary = train_models(bench.quick)
+    speedup = bench_speedup(registry, primary, bench.quick)
+    bench.gate(speedup["speedup"] >= SPEEDUP_TARGET,
+               f"speedup {speedup['speedup']}x < {SPEEDUP_TARGET}x")
+    return bench.finish({
         "targets": {"speedup_min": SPEEDUP_TARGET},
         "speedup": speedup,
-        "latency": latency,
-        "hot_swap": hot_swap,
-        "sharded": sharded,
-    }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.out}")
-
-    ok = True
-    if speedup["speedup"] < SPEEDUP_TARGET:
-        ok = False
-        print(f"MISSED: speedup {speedup['speedup']}x "
-              f"< {SPEEDUP_TARGET}x")
-    if not speedup["exact"]:
-        ok = False
-        print("MISSED: compiled predictor not bit-identical")
-    if not hot_swap["single_version_batches"]:
-        ok = False
-        print("MISSED: a batch straddled two model versions")
-    if hot_swap["deploy_bytes"] != hot_swap["expected_deploy_bytes"]:
-        ok = False
-        print("MISSED: deploy:model byte accounting off")
-    if not sharded["all_exact"]:
-        ok = False
-        print("MISSED: a sharded cell diverged from the full predictor")
-    if not sharded["partial_bytes_match_formula"]:
-        ok = False
-        print("MISSED: serve:partial bytes off the reduce-scatter "
-              "closed form")
-    if not sharded["deploy_crossover_at_2"]:
-        ok = False
-        print("MISSED: sharded rollout failed to undercut replicated "
-              "deploy bytes at S=2")
-    if not sharded["per_worker_bytes_scale"]:
-        ok = False
-        print("MISSED: per-worker model bytes do not scale ~1/S")
-    if ok:
-        print("all serving targets met")
-    return 0 if (ok or not args.check) else 1
+        "latency": bench_latency(registry, bench.quick),
+        "hot_swap": bench_hot_swap(registry, bench.quick),
+        "sharded": bench_sharded(registry, bench.quick),
+    })
 
 
 if __name__ == "__main__":

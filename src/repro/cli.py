@@ -340,7 +340,12 @@ def cmd_train(args) -> int:
         result = session.run()
         system = session.system
     else:
-        system = make_system(config.plan or args.system, config, cluster)
+        try:
+            system = make_system(config.plan or args.system, config,
+                                 cluster)
+        except KeyError as err:
+            print(err.args[0], file=sys.stderr)
+            raise SystemExit(2) from None
         result = system.fit(train, valid=valid)
     last = result.evals[-1]
     print(f"system={system.name} quadrant={system.quadrant} "

@@ -391,20 +391,6 @@ class DistributedGBDT:
         return leaf_weight(stats[0], stats[1], self.config.reg_lambda)
 
 
-def _leaf_scores(tree: Tree, leaf_of_instance: np.ndarray) -> np.ndarray:
-    """Per-instance leaf weights from the training-time assignment.
-
-    One lookup-table gather instead of a boolean mask per leaf; ids of
-    ``-1`` (untracked rows) land on the trailing all-zero row.
-    """
-    max_node = max(tree.nodes) if tree.nodes else 0
-    lut = np.zeros((max_node + 2, tree.gradient_dim))
-    for node_id, node in tree.nodes.items():
-        if node.is_leaf:
-            lut[node_id] = node.weight
-    return lut[leaf_of_instance]
-
-
 def subtraction_schedule(
     nodes: Sequence[int], counts: Dict[int, int], have_parent: Set[int]
 ) -> List[Tuple[str, int, int]]:

@@ -45,13 +45,12 @@ from ..cluster.faults import (CrashEvent, FaultInjector, FaultPlan,
 from ..cluster.network import CommStats
 from ..cluster.transform import TransformResult, horizontal_to_vertical
 from ..config import ClusterConfig, TrainConfig
-from ..core.gbdt import evaluate
+from ..core.gbdt import evaluate, leaf_matrix
 from ..core.indexing import NodeToInstanceIndex
 from ..core.tree import Tree, TreeEnsemble, layer_nodes
 from ..data.dataset import BinnedDataset, Dataset, bin_dataset
 from .base import (DistEvalRecord, DistributedGBDT, DistTrainResult,
-                   HistogramStore, MemoryReport, TreeReport, WorkerClock,
-                   _leaf_scores)
+                   HistogramStore, MemoryReport, TreeReport, WorkerClock)
 from .strategies import AGGREGATIONS, INDEX_PLANS, PARTITIONS, STORAGES
 
 if TYPE_CHECKING:
@@ -496,7 +495,7 @@ class TrainingSession:
                          phase="gradient")
         tree, leaf_of_instance = system._train_tree(grad, hess, clock)
         self.ensemble.append(tree)
-        state.scores += cfg.learning_rate * _leaf_scores(tree,
+        state.scores += cfg.learning_rate * leaf_matrix(tree,
                                                          leaf_of_instance)
         comm_delta = system.net.snapshot().minus(comm_before)
         report = TreeReport(

@@ -21,7 +21,7 @@ from repro.core.histogram import (ColumnwiseIndex, Histogram,
                                   build_rowstore, default_builder)
 from repro.core.tree import Tree
 from repro.data.matrix import CSRMatrix
-from repro.systems.base import HistogramStore, _leaf_scores
+from repro.systems.base import HistogramStore
 
 
 def make_binned(rng, num_rows=40, num_features=6, num_bins=5,
@@ -279,17 +279,15 @@ class TestLeafLookupTables:
                     out[mask] = node.weight
         return out
 
-    @pytest.mark.parametrize("fn", [leaf_matrix, _leaf_scores])
-    def test_matches_masked_loop(self, rng, fn):
+    def test_matches_masked_loop(self, rng):
         tree = self._make_tree()
         leaf_of = rng.choice([1, 2], size=30).astype(np.int32)
-        assert np.array_equal(fn(tree, leaf_of),
+        assert np.array_equal(leaf_matrix(tree, leaf_of),
                               self._reference(tree, leaf_of))
 
-    @pytest.mark.parametrize("fn", [leaf_matrix, _leaf_scores])
-    def test_subsampled_rows_get_zero(self, rng, fn):
+    def test_subsampled_rows_get_zero(self, rng):
         tree = self._make_tree()
         leaf_of = rng.choice([1, 2, -1], size=30).astype(np.int32)
-        got = fn(tree, leaf_of)
+        got = leaf_matrix(tree, leaf_of)
         assert np.array_equal(got, self._reference(tree, leaf_of))
         assert np.all(got[leaf_of == -1] == 0.0)

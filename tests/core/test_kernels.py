@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import TrainConfig
+from repro.config import ClusterConfig, TrainConfig
 from repro.core.gbdt import GBDT
 from repro.core.histogram import (ColumnwiseIndex, Histogram,
                                   HistogramBuilder, HistogramPool)
@@ -28,9 +28,11 @@ from repro.core.kernels import (BACKENDS, DISABLE_ENV, BackendUnavailableError,
                                 detect_backends, make_backend,
                                 resolve_backend_name)
 from repro.core.loss import make_loss
+from repro.core.serialize import ensemble_to_dict
 from repro.data.dataset import Dataset, bin_dataset
 from repro.data.synthetic import make_classification
 from repro.selfcheck import check_available_backends, check_backend
+from repro.systems.plans import get_plan, plan_keys
 
 from .test_hist_builder import make_binned
 
@@ -194,8 +196,11 @@ class TestScatterBitIdentity:
         assert np.array_equal(via_generic.grad, via_fast.grad)
         assert np.array_equal(via_generic.hess, via_fast.hess)
 
-    def test_training_bit_identical(self, backend):
-        """End-to-end: identical trees for logistic and square loss."""
+    @pytest.mark.parametrize("plan_key", [None, *plan_keys()])
+    def test_training_bit_identical(self, backend, plan_key):
+        """End-to-end: identical trees for logistic and square loss, from
+        the reference trainer (``None``) and from every registry plan on
+        four workers."""
         clf = make_classification(250, 15, density=0.4, seed=21)
         reg = Dataset(clf.features,
                       np.asarray(clf.labels, dtype=np.float64) - 0.5,
@@ -207,10 +212,13 @@ class TestScatterBitIdentity:
                 cfg = TrainConfig(num_trees=3, num_layers=4,
                                   num_candidates=10, objective=objective,
                                   backend=name)
-                models[name] = GBDT(cfg).fit(dataset, binned=binned)
-            ref = models["numpy"].ensemble.raw_scores(dataset.csc())
-            got = models[backend].ensemble.raw_scores(dataset.csc())
-            assert np.array_equal(ref, got)
+                if plan_key is None:
+                    result = GBDT(cfg).fit(dataset, binned=binned)
+                else:
+                    result = get_plan(plan_key).build(
+                        cfg, ClusterConfig(num_workers=4)).fit(binned)
+                models[name] = ensemble_to_dict(result.ensemble)
+            assert models["numpy"] == models[backend]
 
 
 class TestBuilderWiring:

@@ -61,6 +61,27 @@ def shadow(scenario):
     return controller, controller.run()
 
 
+@pytest.fixture(scope="module")
+def healthy_shadow(scenario):
+    controller = DeployController(
+        scenario, canary=CanaryPolicy(shadow=True),
+        canary_model="healthy",
+    )
+    return controller, controller.run()
+
+
+#: the {healthy, degraded} x {serve, shadow} grid of
+#: ``bench/deploy_bench.py``: episode fixture -> the verdict it must reach
+GRID = {"healthy": "promote", "healthy_shadow": "promote",
+        "degraded": "rollback", "shadow": "rollback"}
+
+
+@pytest.fixture(params=list(GRID))
+def cell(request):
+    controller, report = request.getfixturevalue(request.param)
+    return controller, report, GRID[request.param]
+
+
 def decision_kinds(report):
     return [d["kind"] for d in report["decisions"]]
 
@@ -261,18 +282,25 @@ class TestHealthyEpisode:
             "1": "published", "2": "active",
         }
 
-    def test_split_near_target(self, healthy):
-        _, report = healthy
+
+class TestEveryCell:
+    def test_split_near_target(self, cell):
+        _, report, _ = cell
         split = report["split"]
+        if report["mode"] == "shadow":
+            assert split["canary_batches"] == 0
+            return
         n = split["window_batches"]
         p = split["target_fraction"]
         sigma = (p * (1 - p) / n) ** 0.5
         assert abs(split["observed_fraction"] - p) < 4 * sigma + 1e-9
 
-    def test_invariants_and_byte_identity(self, scenario, healthy):
-        _, report = healthy
-        assert all(report["invariants"].values())
-        again = run_deploy(scenario, canary_model="healthy")
+    def test_invariants_and_byte_identity(self, scenario, cell):
+        controller, report, verdict = cell
+        assert report["verdict"] == verdict
+        assert all(report["invariants"].values()), report["invariants"]
+        again = run_deploy(scenario, canary=controller.canary,
+                           canary_model=controller.canary_model)
         assert report_bytes(again) == report_bytes(report)
 
 

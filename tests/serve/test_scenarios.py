@@ -130,11 +130,32 @@ def flash_report():
     return ScenarioRunner(get_scenario("flash-crowd")).run()
 
 
+def _model_grid_cell(trees, layers, batch):
+    """One cell of ``bench/scenario_bench.py``'s batch x trees x depth
+    sweep over ``steady``: the served model's shape, the batching window
+    and the per-row service cost all move together."""
+    base = get_scenario("steady", scale=0.4)
+    offered_rate = sum(t.rate_rps for t in base.tenants)
+    return dataclasses.replace(
+        base, name=f"grid-t{trees}-l{layers}-b{batch}",
+        model_trees=trees, model_layers=layers, max_batch_size=batch,
+        max_delay_s=batch / offered_rate,
+        service_per_row_s=base.service_per_row_s * trees * layers / 16)
+
+
+#: every shipped scenario, plus the corners of the bench's model grid
+REPLAYED = {name: get_scenario(name) for name in SCENARIOS}
+REPLAYED.update((cell.name, cell) for cell in (
+    _model_grid_cell(4, 3, 32), _model_grid_cell(16, 5, 128)))
+
+
 class TestDeterminism:
-    def test_byte_identical_replay(self, flash_report):
-        again = ScenarioRunner(get_scenario("flash-crowd")).run()
-        assert report_bytes(flash_report) \
-            == report_bytes(again)
+    @pytest.mark.parametrize("name", REPLAYED)
+    def test_byte_identical_replay(self, name):
+        report = ScenarioRunner(REPLAYED[name]).run()
+        assert all(report["invariants"].values()), report["invariants"]
+        again = ScenarioRunner(REPLAYED[name]).run()
+        assert report_bytes(report) == report_bytes(again)
 
     def test_golden_fixture_byte_for_byte(self, flash_report):
         assert GOLDEN.exists(), (
@@ -192,10 +213,33 @@ class TestRunner:
         assert report["wire"]["retry_bytes"] > 0      # faults fired
         assert report["cache"]["invalidations"] >= 1  # swap flushed it
 
-    def test_diurnal_cache_absorbs_repeats(self):
-        report = ScenarioRunner(get_scenario("diurnal", scale=0.4)).run()
+    @pytest.mark.parametrize("name", [
+        name for name, scenario in REPLAYED.items()
+        if scenario.cache_capacity > 0])
+    def test_cache_absorbs_repeats_and_never_changes_a_score(self, name):
+        scenario = REPLAYED[name]
+        cached = ScenarioRunner(scenario)
+        report = cached.run()
         assert report["cache"]["hit_rate"] > 0.1
         assert all(report["invariants"].values())
+        # the cache changes the billing schedule, never a score: the
+        # same replay with the cache off serves every request the same
+        # bits (compared per request id)
+        bare = ScenarioRunner(
+            dataclasses.replace(scenario, cache_capacity=0),
+            registry=cached.registry, cuts=cached.cuts)
+        bare.run()
+
+        def scores_by_request(runner):
+            ledger = runner.serving_report
+            return {record.request_id: ledger.scores[pos]
+                    for pos, record in enumerate(ledger.records)}
+
+        with_cache, without = scores_by_request(cached), \
+            scores_by_request(bare)
+        assert with_cache.keys() == without.keys()
+        for request, row in with_cache.items():
+            assert np.array_equal(row, without[request])
 
     def test_injected_registry_reused(self):
         scenario = get_scenario("steady", scale=0.1)

@@ -24,6 +24,7 @@ from repro.serve import (BatchPolicy, MicroBatcher, ModelRegistry,
                          reduce_shard_scores, shard_bounds,
                          shard_ensemble, shard_payload, synthetic_trace)
 from repro.serve.registry import payload_checksum
+from repro.systems.costmodel import score_reduction_bytes_per_batch
 from repro.systems.plans import PLANS
 
 from .test_property import ensembles_and_batches
@@ -177,12 +178,17 @@ class TestRegistryShards:
 
     def test_shard_sizes_sum_close_to_full(self, registry):
         entry = registry.get(1)
-        for num_shards in (2, 4):
+        for num_shards in (2, 4, 8):
             shards = registry.shards(1, num_shards)
             total = sum(s.nbytes for s in shards)
             # only the few metadata keys repeat per shard
             assert entry.nbytes <= total <= entry.nbytes \
                 + num_shards * 200
+            # so what one worker holds scales ~1/S, with slack for those
+            # keys and the one-tree granularity of the contiguous ranges
+            assert max(s.nbytes for s in shards) \
+                <= entry.nbytes / num_shards \
+                + entry.nbytes / entry.compiled.num_trees + 512
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +237,7 @@ class TestShardedDispatch:
         assert len(report.records) + len(report.dropped) \
             == trace.num_requests
 
-    @pytest.mark.parametrize("num_shards", [2, 3, 4])
+    @pytest.mark.parametrize("num_shards", [2, 3, 4, 8])
     def test_partial_bytes_match_collective_closed_form(self, registry,
                                                         num_shards):
         replicas = make_fleet(registry, num_shards,
@@ -245,6 +251,10 @@ class TestShardedDispatch:
         )
         assert replicas.partial_bytes == expected
         assert replicas.reduce_bytes == 0   # gather mode
+        # the layout pricer quotes the same number
+        assert expected == sum(
+            score_reduction_bytes_per_batch(batch.size, 1, num_shards)
+            for batch in report.batches)
 
     def test_allreduce_charges_both_halves(self, registry):
         num_shards = 4

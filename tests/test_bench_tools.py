@@ -157,3 +157,27 @@ class TestBinnedCacheIdentity:
         kept_dataset, kept_binned = cache._cache[stale_key]
         assert kept_binned is binned_first
         assert kept_dataset.num_instances == 50
+
+
+class TestComponentBenchHarness:
+    """``bench/_harness.py``: where a report lands follows the mode."""
+
+    @pytest.mark.parametrize("flags, expected", [
+        ([], "BENCH_comm.json"),
+        (["--quick"], "bench/out/comm-quick.json"),
+    ])
+    def test_quick_never_targets_the_committed_snapshot(
+            self, flags, expected, monkeypatch, capsys):
+        import importlib.util
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "_harness", root / "bench" / "_harness.py")
+        harness = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(harness)
+        monkeypatch.setattr("sys.argv", ["comm_bench.py", *flags])
+        bench = harness.Bench("comm", "doc")
+        capsys.readouterr()
+        assert bench.mode == ("quick" if flags else "full")
+        assert bench.out == root / expected

@@ -56,6 +56,16 @@ class TestTrainPredict:
         with pytest.raises(SystemExit, match="exactly one"):
             main(["train", "--trees", "1"])
 
+    @pytest.mark.parametrize("flag", ["--system", "--plan"])
+    def test_unknown_system_or_plan_exits_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--catalog", "higgs", "--scale", "0.02",
+                  "--trees", "1", flag, "bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown system 'bogus'; known: " in err
+        assert "Traceback" not in err
+
     def test_multiclass_predict_rows(self, tmp_path):
         from repro import TrainConfig, GBDT, make_classification, \
             save_ensemble
