@@ -19,13 +19,11 @@ def encode_placement(go_left: np.ndarray) -> bytes:
 
 
 def decode_placement(payload: bytes, count: int) -> np.ndarray:
-    """Inverse of :func:`encode_placement` for ``count`` instances."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    available = len(payload) * 8
-    if count > available:
+    """Inverse of :func:`encode_placement` for ``count`` instances; the
+    payload must be exactly ``bitmap_nbytes(count)`` bytes."""
+    if len(payload) != bitmap_nbytes(count):
         raise ValueError(
-            f"payload holds {available} bits, {count} requested"
+            f"payload holds {len(payload) * 8} bits, {count} requested"
         )
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8),
                          count=count)

@@ -70,8 +70,9 @@ class CodecOverflowError(OverflowError):
 
 
 class CodecPayloadError(ValueError):
-    """A histogram payload is malformed, or does not match the ``into=``
-    accumulator it is to be added to; raised before anything is written."""
+    """A histogram, placement, index or varint payload is malformed, or a
+    histogram does not match the ``into=`` accumulator it is to be added
+    to; raised before anything is written."""
 
 
 def _narrow(values: np.ndarray, dtype: np.dtype, codec: str) -> np.ndarray:
@@ -164,24 +165,28 @@ def varint_encode(values: np.ndarray) -> bytes:
 
 
 def varint_decode(payload: bytes, count: int) -> np.ndarray:
-    """Inverse of :func:`varint_encode` for ``count`` values."""
-    if count == 0:
-        return np.empty(0, dtype=np.uint64)
+    """Inverse of :func:`varint_encode`: the payload must be exactly
+    ``count`` varints of at most 10 bytes / 64 bits."""
     raw = np.frombuffer(payload, dtype=np.uint8)
     ends = np.flatnonzero(raw < 0x80)
-    if ends.size < count:
-        raise ValueError(
-            f"payload holds {ends.size} varints, {count} requested"
-        )
-    ends = ends[:count]
     starts = np.concatenate(([0], ends[:-1] + 1))
     lengths = ends - starts + 1
-    values = np.zeros(count, dtype=np.uint64)
-    for k in range(int(lengths.max())):
-        mask = lengths > k
-        chunk = raw[starts[mask] + k].astype(np.uint64) & np.uint64(0x7F)
-        values[mask] |= chunk << np.uint64(7 * k)
-    return values
+    if not 0 <= count <= ends.size:
+        defect = f"payload holds {ends.size} varints, {count} requested"
+    elif ends.size > count or (raw.size and raw[-1] >= 0x80):
+        defect = f"bytes past the {count} requested varints"
+    elif (lengths > 10).any():
+        defect = "a varint longer than 10 bytes"
+    elif (raw[ends[lengths == 10]] > 1).any():
+        defect = "a varint wider than 64 bits"
+    else:
+        values = np.zeros(count, dtype=np.uint64)
+        for k in range(int(lengths.max(initial=0))):
+            mask = lengths > k
+            chunk = raw[starts[mask] + k].astype(np.uint64) & np.uint64(0x7F)
+            values[mask] |= chunk << np.uint64(7 * k)
+        return values
+    raise CodecPayloadError(f"codec 'varint': {defect}")
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +412,14 @@ class LowPrecisionScoreCodec(ScoreCodec):
 # placement codec (bitmap vs varint-packed minority indices)
 # ---------------------------------------------------------------------------
 
+def _decode_bitmap(payload: bytes, count: int, codec: str) -> np.ndarray:
+    """:func:`decode_placement`, failing with the typed error."""
+    try:
+        return decode_placement(payload, count)
+    except ValueError as err:
+        raise CodecPayloadError(f"codec {codec!r}: {err}") from None
+
+
 class PlacementCodec:
     """Encode one node's ``go_left`` boolean placement array."""
 
@@ -431,7 +444,7 @@ class BitmapPlacementCodec(PlacementCodec):
                        (encode_placement(go_left),))
 
     def decode(self, enc: Encoded, count: int) -> np.ndarray:
-        return decode_placement(enc.payload[0], count)
+        return _decode_bitmap(enc.payload[0], count, self.name)
 
 
 class AdaptivePlacementCodec(PlacementCodec):
@@ -463,14 +476,19 @@ class AdaptivePlacementCodec(PlacementCodec):
 
     def decode(self, enc: Encoded, count: int) -> np.ndarray:
         if enc.codec == "bitmap":
-            return decode_placement(enc.payload[0], count)
+            return _decode_bitmap(enc.payload[0], count, self.name)
         packed, nnz, minority_left = enc.payload
-        minority = np.cumsum(
-            zigzag_decode(zigzag_encode(
-                varint_decode(packed, nnz).astype(np.int64))))
-        out = np.full(count, not minority_left, dtype=bool)
-        out[minority] = minority_left
-        return out
+        # a delta past 2**63 wraps the sum; the order check catches it
+        minority = np.cumsum(varint_decode(packed, nnz).astype(np.int64))
+        if (minority[1:] <= minority[:-1]).any():
+            defect = "minority indices are not strictly increasing"
+        elif minority.size and not 0 <= minority[0] <= minority[-1] < count:
+            defect = f"minority index outside [0, {count})"
+        else:
+            out = np.full(count, not minority_left, dtype=bool)
+            out[minority] = minority_left
+            return out
+        raise CodecPayloadError(f"codec {self.name!r}: {defect}")
 
 
 # ---------------------------------------------------------------------------

@@ -189,27 +189,22 @@ def scatter_features(total: Histogram,
                      feature_shards: Sequence[np.ndarray],
                      ) -> List[Histogram]:
     """Slice ``total`` by feature: piece ``w`` holds the features in
-    ``feature_shards[w]``, renumbered from 0."""
-    feature_shards = [np.asarray(features, dtype=np.int64)
-                      for features in feature_shards]
-    # ``take`` fills ``out`` in one copy only when it never has to raise
-    # (``mode="raise"`` buffers ``out``), so the ids are checked here
-    ids = np.concatenate(feature_shards) if feature_shards else np.empty(0)
-    if ids.size and not (0 <= ids.min() and ids.max() < total.num_features):
-        raise IndexError(
-            f"feature ids must lie in [0, {total.num_features})")
-    grad_view = total.grad_view()
-    hess_view = total.hess_view()
+    ``feature_shards[w]`` (a contiguous ascending range, else this
+    raises), renumbered from 0, as a read-only view of ``total`` — the
+    fresh aggregate, never a store's histogram.  An empty shard gets a
+    zero one-feature piece."""
     shards: List[Histogram] = []
     for features in feature_shards:
-        piece = Histogram(max(features.size, 1), total.num_bins,
-                          total.gradient_dim)
-        if features.size:
-            np.take(grad_view, features, axis=0, out=piece.grad_view(),
-                    mode="clip")
-            np.take(hess_view, features, axis=0, out=piece.hess_view(),
-                    mode="clip")
-        shards.append(piece)
+        features = np.asarray(features, dtype=np.int64)
+        if features.size == 0:
+            shards.append(Histogram(1, total.num_bins, total.gradient_dim,
+                                    dtype=total.dtype))
+            continue
+        lo = int(features[0])
+        if not np.array_equal(features, np.arange(lo, lo + features.size)):
+            raise ValueError("a feature shard must be a contiguous "
+                             "ascending range of feature ids")
+        shards.append(total.feature_view(lo, lo + features.size))
     return shards
 
 

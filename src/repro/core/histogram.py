@@ -106,6 +106,20 @@ class Histogram:
             self.num_features, self.num_bins, self.gradient_dim
         )
 
+    def feature_view(self, lo: int, hi: int) -> "Histogram":
+        """Read-only view of features ``[lo, hi)``, renumbered from 0: a
+        feature is ``num_bins`` consecutive rows, so nothing is copied."""
+        if not 0 <= lo < hi <= self.num_features:
+            raise ValueError(f"features [{lo}, {hi}) are not a non-empty "
+                             f"part of [0, {self.num_features})")
+        piece = Histogram.__new__(Histogram)
+        piece.num_features, piece.num_bins = hi - lo, self.num_bins
+        piece.gradient_dim, piece.dtype = self.gradient_dim, self.dtype
+        rows = slice(lo * self.num_bins, hi * self.num_bins)
+        piece.grad, piece.hess = self.grad[rows], self.hess[rows]
+        piece.grad.flags.writeable = piece.hess.flags.writeable = False
+        return piece
+
     @property
     def nbytes(self) -> int:
         """Actual bytes held — equals ``Sizehist`` for this feature count."""

@@ -34,6 +34,7 @@ trees and identical traffic against the frozen legacy classes.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
                     TYPE_CHECKING, Tuple, Union)
 
@@ -116,18 +117,19 @@ def _elect_split(
     server shard or a vertical column group); the proposal's local
     feature id is mapped back to the global one and the winner elected
     by :meth:`SplitInfo.better_than`.  Workers owning no features sit
-    the election out.
+    the election out.  The node's totals and instance count are the
+    same for every worker, so they are read once.
     """
     bins = ex._binned.bins_per_feature
+    stats = ex.stats[node]
+    count = ex.partition.node_count(ex, node)
     best: Optional[SplitInfo] = None
     for worker, features in enumerate(worker_features):
         if features.size == 0:
             continue
         with clock.timed(worker, "split-find"):
             candidate = ex._decide_split(
-                hist_of(worker), ex.stats[node],
-                ex.partition.node_count(ex, node), bins[features],
-            )
+                hist_of(worker), stats, count, bins[features])
         if candidate is not None:
             candidate = SplitInfo(
                 feature=int(features[candidate.feature]),
@@ -241,7 +243,13 @@ class HorizontalPartition(PartitionStrategy):
 
     def setup(self, ex: "PlanExecutor", binned) -> None:
         num_workers = ex.cluster.num_workers
-        ex.shards, ex.row_ranges = horizontal_shards(binned, num_workers)
+        ex.shards, ranges = horizontal_shards(binned, num_workers)
+        # the ranges tile [0, N) in order, each one contiguous: a worker's
+        # rows are one span, so its gradients are read (and its leaf ids
+        # written) through views of the global arrays, never copies
+        stops = accumulate(rows.size for rows in ranges)
+        ex.row_ranges = [slice(stop - rows.size, stop)
+                         for rows, stop in zip(ranges, stops)]
         # contiguous feature ranges used for reduce-scatter / server shards
         bounds = np.linspace(0, binned.num_features,
                              num_workers + 1).astype(np.int64)
@@ -257,6 +265,7 @@ class HorizontalPartition(PartitionStrategy):
         ]
 
     def worker_grad(self, ex, worker, grad, hess):
+        """Views of the worker's row span of ``grad`` / ``hess``."""
         rows = ex.row_ranges[worker]
         return grad[rows], hess[rows]
 
@@ -271,7 +280,7 @@ class HorizontalPartition(PartitionStrategy):
 
     def gradient_instances(self, ex) -> int:
         """Each worker computes gradients for its own rows only."""
-        return max(r.size for r in ex.row_ranges)
+        return max(rows.stop - rows.start for rows in ex.row_ranges)
 
     def node_count(self, ex, node) -> int:
         return sum(index.count_of(node) for index in ex.indexes)

@@ -9,7 +9,8 @@ import pytest
 from repro.cluster.comm import (SPLIT_INFO_BYTES, allreduce_histograms,
                                 broadcast_bytes, exchange_split_infos,
                                 gather_bytes, ps_push_histograms,
-                                reduce_scatter_histograms)
+                                reduce_scatter_histograms,
+                                scatter_features)
 from repro.cluster.network import SimulatedNetwork
 from repro.config import NetworkModel
 from repro.core.histogram import Histogram
@@ -92,6 +93,54 @@ class TestReduceScatter:
             hists, [np.arange(6), np.array([], dtype=np.int64)], net
         )
         assert np.all(shards[1].grad == 0)
+
+    SHARDS = [np.arange(0, 2), np.arange(2, 2), np.arange(2, 5),
+              np.arange(5, 6)]
+
+    def test_pieces_are_read_only_views_of_the_aggregate(self, rng):
+        total = random_hists(rng, num_workers=1)[0]
+        pieces = scatter_features(total, self.SHARDS)
+        for features, piece in zip(self.SHARDS, pieces):
+            if features.size == 0:
+                continue
+            for got, parent in ((piece.grad, total.grad),
+                                (piece.hess, total.hess)):
+                assert np.shares_memory(got, parent)
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0] = 1.0
+            assert piece.num_features == features.size
+
+    def test_pieces_equal_the_take_path_bit_for_bit(self, rng):
+        total = random_hists(rng, num_workers=1)[0]
+        pieces = scatter_features(total, self.SHARDS)
+        for features, piece in zip(self.SHARDS, pieces):
+            if features.size == 0:
+                assert piece.grad_view().shape == (1, 5, 2)
+                assert not piece.grad.any() and not piece.hess.any()
+                continue
+            for got, parent in ((piece.grad_view(), total.grad_view()),
+                                (piece.hess_view(), total.hess_view())):
+                assert got.tobytes() == np.take(parent, features,
+                                                axis=0).tobytes()
+
+    def test_pieces_alias_the_fresh_sum_not_the_inputs(self, rng, net):
+        hists = random_hists(rng)
+        pieces = reduce_scatter_histograms(hists, self.SHARDS, net)
+        for piece in pieces:
+            assert not any(np.shares_memory(piece.grad, hist.grad)
+                           or np.shares_memory(piece.hess, hist.hess)
+                           for hist in hists)
+
+    @pytest.mark.parametrize("features", [
+        [0, 2], [3, 2], [1, 1], [5, 6], [-1, 0], [6]],
+        ids=["gap", "descending", "repeated", "past-the-end", "negative",
+             "out-of-range"])
+    def test_a_shard_that_is_not_an_in_range_run_raises(self, rng,
+                                                        features):
+        total = random_hists(rng, num_workers=1)[0]
+        with pytest.raises(ValueError):
+            scatter_features(total, [np.arange(0, 0), np.array(features)])
 
 
 class TestPSPush:

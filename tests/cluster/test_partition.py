@@ -42,6 +42,23 @@ class TestHorizontal:
         with pytest.raises(ValueError):
             horizontal_row_ranges(10, 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(num_instances=st.integers(0, 300), num_workers=st.integers(1, 40))
+    def test_ranges_are_contiguous_ascending_spans_in_order(
+            self, num_instances, num_workers):
+        """The invariant the horizontal partition's gradient views rest
+        on: worker ``w``'s rows are ``[start_w, start_w + size_w)`` and
+        the spans follow each other — also when ``W > N`` leaves some
+        empty."""
+        ranges = horizontal_row_ranges(num_instances, num_workers)
+        assert len(ranges) == num_workers
+        start = 0
+        for rows in ranges:
+            np.testing.assert_array_equal(
+                rows, np.arange(start, start + rows.size))
+            start += rows.size
+        assert start == num_instances
+
 
 class TestColumnGrouping:
     def test_greedy_covers_every_feature_once(self, rng):

@@ -5,22 +5,31 @@ scatter decode, copy-and-add sum).  The accumulate-decoding path must hand
 the collective the same aggregate bit for bit, ship the same ``Encoded``
 sizes, leave the ledger and the trained model unchanged, never touch the
 stores' histograms, and refuse a malformed payload before it writes.
+Placement, index and varint payloads fail closed the same way: a
+truncated or bit-flipped one raises ``CodecPayloadError`` or decodes to
+what an unbounded-int reference decoder reads from it.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro import (ClusterConfig, TrainConfig, get_plan,
                    make_classification)
-from repro.cluster.codecs import (CodecPayloadError, DenseHistogramCodec,
+from repro.cluster.bitmap import bitmap_nbytes
+from repro.cluster.codecs import (AdaptivePlacementCodec,
+                                  BitmapPlacementCodec, CodecPayloadError,
+                                  DeltaIndexCodec, DenseHistogramCodec,
                                   Encoded, LowPrecisionHistogramCodec,
-                                  SparseHistogramCodec, get_codec_stack)
+                                  SparseHistogramCodec, get_codec_stack,
+                                  varint_decode, varint_encode)
 from repro.cluster.network import SimulatedNetwork
 from repro.core.histogram import Histogram
 from repro.core.serialize import ensemble_to_dict
@@ -331,3 +340,164 @@ class TestFailClosed:
 
     def test_the_error_is_a_value_error(self):
         assert issubclass(CodecPayloadError, ValueError)
+
+
+# -- (vi) placement, index and varint payloads fail closed ------------------
+
+def reference_varints(payload: bytes, count: int):
+    """Python-int LEB128: the ``count`` values, or ``None`` unless the
+    payload is exactly ``count`` varints of at most 10 bytes / 64 bits."""
+    values, value, shift, length = [], 0, 0, 0
+    for byte in payload:
+        value |= (byte & 0x7F) << shift
+        shift += 7
+        length += 1
+        if byte < 0x80:
+            if length > 10 or value >= 2 ** 64:
+                return None
+            values.append(value)
+            value, shift, length = 0, 0, 0
+    if length or len(values) != count:
+        return None
+    return values
+
+
+def reference_placement(enc: Encoded, count: int):
+    """What a sound placement decoder returns, or ``None`` where it must
+    refuse — computed on unbounded ints, so no index can wrap."""
+    if enc.codec == "bitmap":
+        (payload,) = enc.payload
+        if len(payload) != (count + 7) // 8:
+            return None
+        return np.array([payload[i // 8] >> (7 - i % 8) & 1
+                         for i in range(count)], dtype=bool)
+    packed, nnz, minority_left = enc.payload
+    deltas = reference_varints(packed, nnz)
+    if deltas is None:
+        return None
+    rows = list(accumulate(deltas))
+    if any(b <= a for a, b in zip(rows, rows[1:])) \
+            or any(row >= count for row in rows):
+        return None
+    out = np.full(count, not minority_left)
+    out[rows] = minority_left
+    return out
+
+
+MUTATIONS = ("truncate", "flip", "append")
+
+
+def mutate(data: bytes, mutation: str, where: int) -> bytes:
+    if mutation == "truncate" and data:
+        return data[:where % len(data)]
+    if mutation == "flip" and data:
+        bit = where % (8 * len(data))
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << bit % 8
+        return bytes(flipped)
+    return data + bytes([where % 256])
+
+
+def with_bytes(enc: Encoded, data: bytes) -> Encoded:
+    return Encoded(enc.codec, enc.nbytes, enc.raw_nbytes,
+                   (data, *enc.payload[1:]))
+
+
+def sparse_placement(deltas, count=100) -> Encoded:
+    packed = varint_encode(np.array(deltas, dtype=np.uint64))
+    return Encoded("placement-sparse", 0, bitmap_nbytes(count),
+                   (packed, len(deltas), True))
+
+
+class TestPlacementAndIndexFailClosed:
+    @pytest.mark.parametrize("deltas, defect", [
+        ([3, 47, 2 ** 64 - 10], "not strictly increasing"),  # wraps to 40
+        ([3, 0, 70], "not strictly increasing"),             # repeats 3
+        ([3, 97], "outside"),                                # index 100
+    ], ids=["negative-wrap", "repeated", "past-the-end"])
+    def test_pinned_minority_index_defects(self, deltas, defect):
+        with pytest.raises(CodecPayloadError, match=f"adaptive.*{defect}"):
+            AdaptivePlacementCodec().decode(sparse_placement(deltas), 100)
+
+    @pytest.mark.parametrize("payload, defect", [
+        (b"\xff" * 10 + b"\x01", "longer than 10 bytes"),
+        (b"\xff" * 9 + b"\x02", "wider than 64 bits"),
+        (b"\x05\x07", "bytes past"),
+        (b"\x05\x80", "bytes past"),
+        (b"\x80", "bytes past"),
+    ], ids=["11-byte", "65-bit", "trailing-value", "trailing-byte",
+            "nothing-requested"])
+    def test_pinned_varint_defects(self, payload, defect):
+        count = 0 if payload == b"\x80" else 1
+        with pytest.raises(CodecPayloadError, match=f"varint.*{defect}"):
+            varint_decode(payload, count)
+
+    def test_the_widest_varint_still_decodes(self):
+        assert varint_decode(b"\xff" * 9 + b"\x01", 1).tolist() \
+            == [2 ** 64 - 1]
+
+    @pytest.mark.parametrize("codec", [BitmapPlacementCodec(),
+                                       AdaptivePlacementCodec()],
+                             ids=lambda codec: codec.name)
+    @pytest.mark.parametrize("nbytes", (1, 3))
+    def test_a_bitmap_of_the_wrong_length(self, codec, nbytes):
+        enc = Encoded("bitmap", 2, 2, (bytes(nbytes),))
+        with pytest.raises(CodecPayloadError, match=codec.name):
+            codec.decode(enc, 16)
+
+    @pytest.mark.parametrize("shift", (-1, 1))
+    def test_a_delta_index_payload_of_the_wrong_count(self, shift):
+        enc = DeltaIndexCodec().encode(np.repeat(np.arange(8,
+                                                           dtype=np.int32),
+                                                 50))
+        packed, count, dtype = enc.payload
+        bad = Encoded(enc.codec, enc.nbytes, enc.raw_nbytes,
+                      (packed, count + shift, dtype))
+        with pytest.raises(CodecPayloadError, match="varint"):
+            DeltaIndexCodec().decode(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(go_left=hnp.arrays(bool, st.integers(1, 300)),
+           skew=st.integers(0, 40),
+           adaptive=st.booleans(),
+           mutation=st.sampled_from(MUTATIONS),
+           where=st.integers(0, 2 ** 16))
+    def test_mangled_placements_refuse_or_decode_soundly(
+            self, go_left, skew, adaptive, mutation, where):
+        if skew:
+            # a skewed split makes the adaptive codec ship indices
+            go_left = go_left & (np.arange(go_left.size) % skew == 0)
+        codec = AdaptivePlacementCodec() if adaptive \
+            else BitmapPlacementCodec()
+        enc = codec.encode(go_left)
+        enc = with_bytes(enc, mutate(enc.payload[0], mutation, where))
+        expected = reference_placement(enc, go_left.size)
+        try:
+            out = codec.decode(enc, go_left.size)
+        except CodecPayloadError:
+            assert expected is None
+            return
+        assert expected is not None
+        assert out.dtype == bool and out.shape == go_left.shape
+        assert out.tolist() == expected.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=hnp.arrays(np.int32, st.integers(1, 200),
+                            elements=st.integers(-3, 3)),
+           mutation=st.sampled_from(MUTATIONS),
+           where=st.integers(0, 2 ** 16))
+    def test_mangled_index_payloads_refuse_or_decode_soundly(
+            self, steps, mutation, where):
+        values = np.cumsum(steps, dtype=np.int32)
+        codec = DeltaIndexCodec()
+        enc = codec.encode(values)
+        assert enc.codec == "delta"
+        enc = with_bytes(enc, mutate(enc.payload[0], mutation, where))
+        packed, count, dtype = enc.payload
+        try:
+            out = codec.decode(enc)
+        except CodecPayloadError:
+            assert reference_varints(packed, count) is None
+            return
+        assert reference_varints(packed, count) is not None
+        assert out.dtype == dtype and out.shape == (count,)
