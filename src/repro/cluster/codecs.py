@@ -70,9 +70,9 @@ class CodecOverflowError(OverflowError):
 
 
 class CodecPayloadError(ValueError):
-    """A histogram, placement, index or varint payload is malformed, or a
-    histogram does not match the ``into=`` accumulator it is to be added
-    to; raised before anything is written."""
+    """A histogram, placement, index, varint or model-delta payload is
+    malformed, or a histogram does not match the ``into=`` accumulator
+    it is to be added to; raised before anything is written."""
 
 
 def _narrow(values: np.ndarray, dtype: np.dtype, codec: str) -> np.ndarray:
@@ -364,6 +364,13 @@ class ScoreCodec:
 
     name: str = "abstract"
     lossless = True
+    #: wire bytes of one score value
+    itemsize = 8
+
+    def wire_nbytes(self, shape: Tuple[int, ...]) -> int:
+        """``encode(scores).nbytes`` for any ``scores`` of ``shape`` —
+        the encoded size depends on the shape alone."""
+        return int(np.prod(shape)) * self.itemsize
 
     def encode(self, scores: np.ndarray) -> Encoded:
         raise NotImplementedError
@@ -397,6 +404,7 @@ class LowPrecisionScoreCodec(ScoreCodec):
 
     def __init__(self, dtype, name: str) -> None:
         self.dtype = np.dtype(dtype)
+        self.itemsize = self.dtype.itemsize
         self.name = name
 
     def encode(self, scores: np.ndarray) -> Encoded:
@@ -582,19 +590,43 @@ def encode_model_delta(prev_payload: dict,
     }
 
 
+def _is_count(value) -> bool:
+    """A JSON integer: ``int`` but not ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def apply_model_delta(prev_payload: dict, delta: dict) -> dict:
-    """Inverse of :func:`encode_model_delta`: exact reconstruction."""
-    if delta.get("delta_format") != 1:
-        raise ValueError(f"unknown delta format: {delta!r}")
-    base = delta["base_trees"]
+    """Inverse of :func:`encode_model_delta`: exact reconstruction.
+
+    Fails closed: a delta that is not a well-formed tree-suffix edit of
+    ``prev_payload`` raises :class:`CodecPayloadError` naming the defect
+    instead of building some other model."""
+    if not isinstance(delta, dict) or delta.get("delta_format") != 1:
+        raise CodecPayloadError(f"unknown delta format: {delta!r}")
+    missing = [key for key in ("base_trees", "dropped_trees", "trees")
+               if key not in delta]
+    if missing:
+        raise CodecPayloadError(f"model delta lacks {', '.join(missing)}")
+    base, dropped, trees = (delta["base_trees"], delta["dropped_trees"],
+                            delta["trees"])
     prev_trees = prev_payload.get("trees", [])
+    if not _is_count(base) or base < 0:
+        raise CodecPayloadError(
+            f"model delta base_trees must be a non-negative int, got "
+            f"{base!r}")
     if base > len(prev_trees):
-        raise ValueError(
+        raise CodecPayloadError(
             f"delta needs {base} base trees, predecessor has "
-            f"{len(prev_trees)}"
-        )
+            f"{len(prev_trees)}")
+    if not _is_count(dropped) or dropped != len(prev_trees) - base:
+        raise CodecPayloadError(
+            f"model delta dropped_trees {dropped!r} != {len(prev_trees)} "
+            f"predecessor trees - {base} base trees")
+    if not isinstance(trees, list):
+        raise CodecPayloadError(
+            f"model delta trees must be a list, got {type(trees).__name__}")
     out = {k: v for k, v in prev_payload.items() if k != "trees"}
-    out["trees"] = list(prev_trees[:base]) + list(delta["trees"])
+    out["trees"] = list(prev_trees[:base]) + trees
     return out
 
 

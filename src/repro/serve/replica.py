@@ -19,7 +19,10 @@ traffic — a deploy ships each shard's canonical payload bytes through
 (``deploy:shard`` when ``S >= 2``, so the layouts' rollout bytes stay
 separable), and a batch's partial scores chain along its row under
 ``serve:partial`` / ``serve:reduce``.  An ``S = 1`` row has no link to
-cross: it pays no collective and writes neither key.
+cross: it pays no collective and writes neither key.  Because the hop
+is simulated, a row whose score codec is lossless computes its chain
+fold in one traversal of all its trees; a lossy codec walks shard by
+shard, quantizing the carry between them.
 
 Balancers: ``round-robin`` (rows in a fixed cycle, oblivious to
 stragglers) and ``least-loaded`` (the row ready earliest, ties to the
@@ -102,12 +105,13 @@ class ReplicaSet:
     multiple of ``num_shards``.
 
     ``service_model`` maps a batch size to baseline seconds *for the
-    full model* (measured wall-clock when omitted); each row member is
-    billed its tree fraction of that over ``cluster.speed_of(w)``, so
-    stragglers serve slower exactly as they train slower.  ``reduction``
-    is ``"gather"`` (result on the row's last worker) or ``"allreduce"``
-    (plus redistribution); ``codec`` is the partial-score wire format
-    (``f32``/``f16`` quantize the carry at every hop).
+    full model* (the row's wall-clocked folds when omitted); each row
+    member is billed its tree fraction of that over
+    ``cluster.speed_of(w)``, so stragglers serve slower exactly as they
+    train slower.  ``reduction`` is ``"gather"`` (result on the row's
+    last worker) or ``"allreduce"`` (plus redistribution); ``codec`` is
+    the partial-score wire format (``f32``/``f16`` quantize the carry at
+    every hop).
     """
 
     def __init__(self, registry: ModelRegistry,
@@ -331,46 +335,44 @@ class ReplicaSet:
         row = self._pick_row(pool, take=True)
         shards = self._row_shards(row)
         version = shards[0].version
+        score_codec = self.codec.scores
 
-        # the chain fold: the head scores from a zero carry; each later
-        # member receives the carry — encoded, so a lossy codec's
-        # precision cost is real — and folds its own trees into it
-        # (both halves run the same backend kernel, fold_scores)
-        head = shards[0].compiled.raw_scores
+        # the chain fold, as runs of the row's shards: a lossless carry
+        # crosses every hop unchanged, so the row — trees [0, T) in
+        # order — is one run over the version's compiled ensemble; a
+        # lossy carry is quantized at each hop, so each shard is a run.
+        # Either way every tree is one ``+=`` in tree order (fold_scores)
+        runs = ([self.registry.get(version).compiled]
+                if score_codec.lossless
+                else [shard.compiled for shard in shards])
         began = time.perf_counter()
         if self.cache is None:
-            acc, billable = head(features), features.shape[0]
+            acc, billable = runs[0].raw_scores(features), features.shape[0]
         else:
-            acc, billable = self.cache.serve(version, features, head)
-        measured = [time.perf_counter() - began]
-        score_codec = self.codec.scores
-        encoded_nbytes: Optional[int] = None
-        for shard in shards[1:]:
-            if not self.codec.is_identity:
-                enc = score_codec.encode(acc)
-                encoded_nbytes = enc.nbytes
-                if not score_codec.lossless:
-                    acc = score_codec.decode(enc)
-            began = time.perf_counter()
-            shard.compiled.add_raw_scores(features, acc)
-            measured.append(time.perf_counter() - began)
+            acc, billable = self.cache.serve(version, features,
+                                             runs[0].raw_scores)
+        for compiled in runs[1:]:
+            acc = score_codec.decode(score_codec.encode(acc))
+            compiled.add_raw_scores(features, acc)
+        measured = time.perf_counter() - began
 
         # the carry crosses S - 1 links; a one-worker row has none
         reduce_seconds = 0.0
         if self.num_shards > 1:
             payload = acc.nbytes   # the dense float64 baseline
-            encoded = (None if encoded_nbytes is None
-                       else [encoded_nbytes] * self.num_shards)
+            encoded = (None if self.codec.is_identity
+                       else [score_codec.wire_nbytes(acc.shape)]
+                       * self.num_shards)
             kinds = ((PARTIAL_KIND, REDUCE_KIND)
                      if self.reduction == "allreduce" else (PARTIAL_KIND,))
             for kind in kinds:
                 reduce_seconds += record_collective(
                     self.network, kind, payload, self.num_shards,
                     "reducescatter", encoded_worker_bytes=encoded)
-        baselines = (measured if self.service_model is None
-                     else self._tree_shares(
-                         shards, float(self.service_model(billable))))
-        start, done = self._bill(row, close_s, baselines, reduce_seconds)
+        full_model_seconds = (measured if self.service_model is None
+                              else float(self.service_model(billable)))
+        start, done = self._bill(row, close_s, self._tree_shares(
+            shards, full_model_seconds), reduce_seconds)
         return DispatchResult(
             start_s=start, completion_s=done, model_version=version,
             worker=(row + 1) * self.num_shards - 1,   # the chain's tail

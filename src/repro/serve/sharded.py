@@ -11,10 +11,11 @@ replicate-vs-partition question:
 - worker ``r * S + j`` of the ``R x S`` grid holds shard ``j`` (tree
   range ``j`` of the deployed version), so each worker stores ``~1/S``
   of the model and a rollout ships each shard to its group only;
-- every batch fans out to one whole row: each shard worker walks its own
-  trees (real, wall-clocked), then the partials reduce through the
-  :mod:`repro.cluster.comm` collective cost models under the
-  ``serve:partial`` / ``serve:reduce`` ledger kinds.
+- every batch occupies one whole row: its score is the row's chain fold
+  over the shards' trees (real, wall-clocked), and the carry's hops are
+  simulated traffic through the :mod:`repro.cluster.comm` collective
+  cost models under the ``serve:partial`` / ``serve:reduce`` ledger
+  kinds.
 
 Exactness
 ---------
@@ -28,6 +29,11 @@ tree-by-tree (:meth:`CompiledEnsemble.add_raw_scores`).  Per element the
 fold performs literally the same float64 additions, in the same order,
 as ``CompiledEnsemble.raw_scores`` — so sharded serving is bit-identical
 to replicated serving for every ``S`` (with the lossless score codec).
+The exactness lives in that per-tree order, not in splitting the walk:
+with a lossless score codec the carry crosses every hop unchanged, so
+dispatch folds a row's trees — ``[0, T)`` in order — in one traversal
+of the version's full compiled ensemble.  Only a lossy codec, which
+really quantizes the carry between shards, walks shard by shard.
 
 Accounting
 ----------
@@ -43,7 +49,11 @@ all-reduce bytes ``2 (S-1)/S * payload`` per worker.  Partial-score
 payloads ride the :class:`~repro.cluster.codecs.ScoreCodec` of the
 chosen codec stack: ``f32``/``f16`` quantize the carried accumulator at
 every hop (the error is real, opt-in, and raw-vs-wire accounted);
-lossless stacks keep the exact pre-codec accounting.
+lossless stacks keep the exact pre-codec accounting.  An encoded
+carry's size depends on its shape alone
+(:meth:`~repro.cluster.codecs.ScoreCodec.wire_nbytes`), so the ledger
+prices every hop without encoding it.  Compute is billed by one rule:
+each row member's tree share of one full-model figure.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ from hypothesis.extra import numpy as hnp
 
 from repro.cluster.bitmap import bitmap_nbytes
 from repro.cluster.codecs import (CODEC_STACKS, AdaptivePlacementCodec,
-                                  BitmapPlacementCodec, DeltaIndexCodec,
+                                  BitmapPlacementCodec, CodecPayloadError,
+                                  DeltaIndexCodec,
                                   DenseHistogramCodec,
                                   LowPrecisionHistogramCodec, RawIndexCodec,
                                   SparseHistogramCodec, apply_model_delta,
@@ -280,6 +281,68 @@ class TestModelDelta:
             apply_model_delta(payload([]), {"delta_format": 99})
 
 
+#: a 4-tree predecessor and the 6-tree successor that appends to it
+PREV = payload([{"id": i} for i in range(4)])
+NEW = payload([{"id": i} for i in range(6)])
+DELTA = {"delta_format": 1, "base_trees": 4, "dropped_trees": 0,
+         "trees": [{"id": 4}, {"id": 5}]}
+
+#: a structurally wrong value of any JSON-ish type
+junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10),
+    st.floats(allow_nan=True), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=3), st.tuples(st.integers()),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+class TestModelDeltaFailsClosed:
+    """A delta either rebuilds exactly ``NEW`` or raises
+    :class:`CodecPayloadError` — it never yields some other model."""
+
+    @pytest.mark.parametrize("field, value, defect", [
+        ("base_trees", -2, "non-negative int, got -2"),
+        ("base_trees", True, "non-negative int, got True"),
+        ("base_trees", 1.5, "non-negative int, got 1.5"),
+        ("dropped_trees", 99, "dropped_trees 99 != 4"),
+        ("trees", {"a": 1}, "trees must be a list, got dict"),
+        ("trees", None, "lacks trees"),
+    ])
+    def test_pinned_probes(self, field, value, defect):
+        assert encode_model_delta(PREV, NEW) == DELTA
+        mutated = dict(DELTA)
+        if value is None:
+            del mutated[field]
+        else:
+            mutated[field] = value
+        with pytest.raises(CodecPayloadError, match=defect):
+            apply_model_delta(PREV, mutated)
+
+    @pytest.mark.parametrize("delta", [None, [], "delta", 1])
+    def test_non_dict_delta(self, delta):
+        with pytest.raises(CodecPayloadError, match="unknown delta format"):
+            apply_model_delta(PREV, delta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(field=st.sampled_from(("delta_format", "base_trees",
+                                  "dropped_trees", "trees")),
+           value=junk, delete=st.booleans())
+    def test_mutated_field_fails_closed(self, field, value, delete):
+        # a replacement *list* of trees is content, not structure: only
+        # the deploy's checksum can tell it from the real suffix
+        if field == "trees" and isinstance(value, list) and not delete:
+            return
+        mutated = dict(DELTA)
+        if delete:
+            del mutated[field]
+        else:
+            mutated[field] = value
+        try:
+            rebuilt = apply_model_delta(PREV, mutated)
+        except CodecPayloadError:
+            return
+        assert rebuilt == NEW
+
+
 # ---------------------------------------------------------------------------
 # the stack registry
 # ---------------------------------------------------------------------------
@@ -307,6 +370,13 @@ class TestCodecStacks:
 
     def test_lookup_case_insensitive(self):
         assert get_codec_stack("SPARSE") is CODEC_STACKS["sparse"]
+
+    @pytest.mark.parametrize("name", sorted(CODEC_STACKS))
+    @pytest.mark.parametrize("shape", [(0, 1), (1, 1), (6, 1), (7, 4)])
+    def test_score_wire_size_is_a_function_of_shape(self, name, shape):
+        scores = CODEC_STACKS[name].scores
+        carry = np.random.default_rng(0).standard_normal(shape)
+        assert scores.wire_nbytes(shape) == scores.encode(carry).nbytes
 
     def test_unknown_name_lists_known(self):
         with pytest.raises(ValueError, match="unknown codec 'zstd'"):

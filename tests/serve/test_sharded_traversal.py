@@ -1,0 +1,286 @@
+"""One traversal per sharded row: exactness, call count, billing, golden.
+
+A lossless score codec carries the partial sum across every hop
+unchanged, so a row's ``S`` shards (trees ``[0, T)`` in order) fold as
+one run over the deployed version's compiled ensemble; only a lossy
+codec splits the walk at each hop.  These tests hold that dispatch to:
+
+- a test-local reference chain (one ``add_raw_scores`` per shard, with
+  encode -> decode between hops under a lossy codec), byte for byte, on
+  every shard count, score codec and available kernel backend;
+- the ring reduce-scatter closed forms for the per-kind ledger bytes;
+- the number of backend ``fold_scores`` calls per batch;
+- one billing rule: each member's tree share of one full-model figure;
+- the byte-exact smoke-scale ``sharded-steady`` scenario reports.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import types
+
+import numpy as np
+import pytest
+
+from repro import ClusterConfig, GBDT, TrainConfig
+from repro.cluster.codecs import get_codec_stack
+from repro.cluster.comm import RingReduceScatter
+from repro.core.kernels import available_backends, make_backend
+from repro.ledger import report_bytes
+from repro.serve import (PARTIAL_KIND, REDUCE_KIND, ModelRegistry,
+                         ReplicaSet)
+from repro.serve import replica as replica_module
+from repro.serve.scenarios import ScenarioRunner, get_scenario
+
+SHARD_COUNTS = (1, 2, 3, 4, 8)
+STACKS = ("none", "sparse", "f32", "f16")
+#: one binary and one multiclass model, so the carry is (rows, 1) and
+#: (rows, 4); both have fewer trees than S = 8, so empty shards occur
+MODELS = {"binary": 1, "multiclass": 2}
+
+
+@pytest.fixture(scope="module")
+def ensembles(small_binary, small_multiclass):
+    return (
+        GBDT(TrainConfig(num_trees=6, num_layers=4, num_candidates=8))
+        .fit(small_binary).ensemble,
+        GBDT(TrainConfig(num_trees=5, num_layers=3, num_candidates=8,
+                         objective="multiclass", num_classes=4))
+        .fit(small_multiclass).ensemble,
+    )
+
+
+@pytest.fixture(scope="module", params=available_backends())
+def registry(request, ensembles):
+    """Both models on one kernel backend: every shard is sliced from
+    the version's compiled ensemble and shares its backend instance."""
+    registry = ModelRegistry()
+    for ensemble in ensembles:
+        registry.publish(ensemble).compiled.backend = \
+            make_backend(request.param)
+    return registry
+
+
+def nan_batch(registry, version, rows=13, seed=5):
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal(
+        (rows, registry.get(version).compiled.num_features))
+    features[rng.random(features.shape) < 0.25] = np.nan
+    return features
+
+
+def fleet(registry, num_shards, codec="none", rows=2, **options):
+    options.setdefault("service_model", lambda k: 1e-4 * k)
+    return ReplicaSet(
+        registry, ClusterConfig(num_workers=rows * num_shards),
+        num_shards=num_shards, codec=codec, **options)
+
+
+def reference_chain(registry, version, num_shards, codec, features):
+    """The per-shard chain fold: each shard folds its trees into the
+    carry, which crosses the hop encoded when the codec is lossy."""
+    scores = get_codec_stack(codec).scores
+    shards = registry.shards(version, num_shards)
+    acc = np.zeros((features.shape[0],
+                    registry.get(version).compiled.gradient_dim))
+    for j, shard in enumerate(shards):
+        if j and not scores.lossless:
+            acc = scores.decode(scores.encode(acc))
+        shard.compiled.add_raw_scores(features, acc)
+    return acc
+
+
+def closed_form(num_shards, rows, dim, codec):
+    """``(wire, raw)`` bytes of one batch's carry under one kind."""
+    if num_shards == 1:
+        return 0, 0
+    ring = RingReduceScatter()
+    raw = int(ring.per_worker_bytes(rows * dim * 8, num_shards)
+              * num_shards)
+    stack = get_codec_stack(codec)
+    if stack.is_identity:
+        return raw, raw
+    itemsize = {"f32": 4, "f16": 2}.get(codec, 8)
+    wire = int(sum(ring.per_worker_bytes(rows * dim * itemsize,
+                                         num_shards)
+                   for _ in range(num_shards)))
+    return wire, max(raw, wire)
+
+
+def count_folds(monkeypatch, registry):
+    """Count every backend ``fold_scores`` call of the registry's
+    models (shards share the version's backend instance)."""
+    calls = []
+    for backend in {id(entry.compiled.backend): entry.compiled.backend
+                    for entry in registry.versions()}.values():
+        original = backend.fold_scores
+
+        def counted(*args, _original=original):
+            calls.append(1)
+            return _original(*args)
+
+        monkeypatch.setattr(backend, "fold_scores", counted)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity and per-kind ledger bytes
+# ---------------------------------------------------------------------------
+
+class TestBitIdentityMatrix:
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("codec", STACKS)
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_scores_equal_reference_chain(self, registry, model, codec,
+                                          num_shards):
+        version = MODELS[model]
+        replicas = fleet(registry, num_shards, codec=codec)
+        replicas.deploy(version)
+        for seed, rows in ((5, 13), (6, 1), (7, 6)):
+            features = nan_batch(registry, version, rows, seed)
+            got = replicas.dispatch(features, 0.0).scores
+            want = reference_chain(registry, version, num_shards, codec,
+                                   features)
+            assert got.tobytes() == want.tobytes(), (
+                f"{model} S={num_shards} codec={codec} rows={rows}")
+
+    @pytest.mark.parametrize("reduction", ("gather", "allreduce"))
+    @pytest.mark.parametrize("codec", STACKS)
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_ledger_bytes_match_closed_forms(self, registry, codec,
+                                             num_shards, reduction):
+        version = MODELS["multiclass"]
+        dim = registry.get(version).compiled.gradient_dim
+        replicas = fleet(registry, num_shards, codec=codec,
+                         reduction=reduction)
+        replicas.deploy(version)
+        wire = raw = 0
+        for seed, rows in ((5, 13), (6, 1), (7, 6)):
+            replicas.dispatch(nan_batch(registry, version, rows, seed),
+                              0.0)
+            batch_wire, batch_raw = closed_form(num_shards, rows, dim,
+                                                codec)
+            wire, raw = wire + batch_wire, raw + batch_raw
+        snapshot = replicas.network.snapshot()
+        kinds = ((PARTIAL_KIND, REDUCE_KIND) if reduction == "allreduce"
+                 else (PARTIAL_KIND,))
+        for kind in (PARTIAL_KIND, REDUCE_KIND):
+            expected = (wire, raw) if kind in kinds else (0, 0)
+            assert (snapshot.bytes_by_kind.get(kind, 0),
+                    snapshot.raw_bytes_by_kind.get(kind, 0)) == expected
+
+
+# ---------------------------------------------------------------------------
+# Traversal count
+# ---------------------------------------------------------------------------
+
+class TestOneTraversalPerRow:
+    @pytest.mark.parametrize("codec", STACKS)
+    @pytest.mark.parametrize("num_shards", (2, 4, 8))
+    def test_fold_calls_per_batch(self, registry, monkeypatch, codec,
+                                  num_shards):
+        version = MODELS["binary"]
+        replicas = fleet(registry, num_shards, codec=codec)
+        replicas.deploy(version)
+        calls = count_folds(monkeypatch, registry)
+        batches = 5
+        for seed in range(batches):
+            replicas.dispatch(nan_batch(registry, version, 6, seed), 0.0)
+        per_batch = 1 if get_codec_stack(codec).scores.lossless \
+            else num_shards
+        assert len(calls) == batches * per_batch
+
+    def test_single_shard_row_is_one_call(self, registry, monkeypatch):
+        replicas = fleet(registry, 1)
+        replicas.deploy(MODELS["binary"])
+        calls = count_folds(monkeypatch, registry)
+        replicas.dispatch(nan_batch(registry, MODELS["binary"]), 0.0)
+        assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Billing: tree shares of one full-model figure
+# ---------------------------------------------------------------------------
+
+def billed(monkeypatch, replicas):
+    """Capture the per-member baselines every ``_bill`` call receives."""
+    seen = []
+    original = replicas._bill
+
+    def spy(row, at_s, baselines, collective_seconds=0.0):
+        seen.append(list(baselines))
+        return original(row, at_s, baselines, collective_seconds)
+
+    monkeypatch.setattr(replicas, "_bill", spy)
+    return seen
+
+
+class TestBilling:
+    @pytest.mark.parametrize("codec", ("none", "f16"))
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_service_model_split_by_tree_share(self, registry,
+                                               monkeypatch, codec,
+                                               num_shards):
+        version = MODELS["binary"]
+        replicas = fleet(registry, num_shards, codec=codec,
+                         service_model=lambda k: 1e-3 + 2e-4 * k)
+        replicas.deploy(version)
+        seen = billed(monkeypatch, replicas)
+        replicas.dispatch(nan_batch(registry, version, 9), 0.0)
+        full = 1e-3 + 2e-4 * 9
+        shards = registry.shards(version, num_shards)
+        trees = registry.get(version).compiled.num_trees
+        assert seen == [[full * (s.num_trees / trees) for s in shards]]
+
+    @pytest.mark.parametrize("codec", ("none", "sparse", "f32"))
+    @pytest.mark.parametrize("num_shards", (2, 3, 8))
+    def test_measured_interval_split_by_tree_count(self, registry,
+                                                   monkeypatch, codec,
+                                                   num_shards):
+        """Without a service model the row is billed one wall-clocked
+        interval — here a fake clock that ticks 1 s per read — split by
+        tree count, not one interval per member."""
+        version = MODELS["binary"]
+        replicas = fleet(registry, num_shards, codec=codec,
+                         service_model=None)
+        replicas.deploy(version)
+        ticks = iter(range(100))
+        monkeypatch.setattr(replica_module, "time", types.SimpleNamespace(
+            perf_counter=lambda: float(next(ticks))))
+        seen = billed(monkeypatch, replicas)
+        replicas.dispatch(nan_batch(registry, version, 4), 0.0)
+        assert next(ticks) == 2          # one interval: two clock reads
+        shards = registry.shards(version, num_shards)
+        trees = sum(s.num_trees for s in shards)
+        assert seen == [[s.num_trees / trees for s in shards]]
+        assert sum(seen[0]) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Golden: the smoke-scale sharded-steady scenario report, byte for byte
+# ---------------------------------------------------------------------------
+
+#: sha256 of ``report_bytes`` for ``scenarios run sharded-steady --smoke
+#: [--shards S]``, pinned before dispatch folded a lossless row in one
+#: traversal — the change must not move a byte
+SHARDED_STEADY_SMOKE_SHA256 = {
+    2: "5e221fed5693bd69b48599c7cf6afc49b817ccc3528f7c11abe976bd7ce5d75c",
+    3: "df1e3bd100009110a5aabdc1f91499af3aedfe964c7d818fedc142e8df1acefd",
+    4: "3de954ef4655ffb5a0ac8f55affac1b0c0fbe6aa1e45d479d032261077fb6198",
+}
+
+
+@pytest.mark.parametrize("num_shards", sorted(SHARDED_STEADY_SMOKE_SHA256))
+def test_sharded_steady_smoke_report_is_pinned(num_shards):
+    scenario = get_scenario("sharded-steady", scale=0.2)
+    if num_shards != scenario.num_shards:
+        # what `scenarios run --shards S` does to the scenario
+        workers = -(-scenario.num_workers // num_shards) * num_shards
+        scenario = dataclasses.replace(
+            scenario, num_shards=num_shards, num_workers=workers,
+            cache_capacity=0)
+    report = ScenarioRunner(scenario).run()
+    assert all(report["invariants"].values())
+    assert hashlib.sha256(report_bytes(report)).hexdigest() \
+        == SHARDED_STEADY_SMOKE_SHA256[num_shards]
