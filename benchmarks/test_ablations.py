@@ -77,8 +77,7 @@ def test_ablation_grouping(benchmark, ablation_binned, record_table):
         for strategy in ("greedy", "round-robin", "hash"):
             system = make_system("vero", cfg, CLUSTER)
             system.grouping = strategy
-            system._binned = ablation_binned
-            system._setup(ablation_binned)
+            system.setup(ablation_binned)
             loads = np.array(
                 [shard.binned.nnz for shard in system.shards],
                 dtype=np.float64,

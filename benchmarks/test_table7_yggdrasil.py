@@ -30,12 +30,10 @@ def table7_rows(binned_cache):
         dataset = load_catalog(name, scale=SCALE)
         binned = binned_cache.get(dataset, cfg.num_candidates)
         rows[name] = {
-            "yggdrasil": run_point("qd3", binned, cfg, cluster,
-                                   num_trees=TREES, label=name,
-                                   index_mode="columnwise"),
+            "yggdrasil": run_point("qd3-pure", binned, cfg, cluster,
+                                   num_trees=TREES, label=name),
             "qd3-hybrid": run_point("qd3", binned, cfg, cluster,
-                                    num_trees=TREES, label=name,
-                                    index_mode="hybrid"),
+                                    num_trees=TREES, label=name),
             "vero": run_point("vero", binned, cfg, cluster,
                               num_trees=TREES, label=name),
         }

@@ -45,7 +45,6 @@ def run_point(
     valid: Optional[Dataset] = None,
     label: str = "",
     faults: Optional[str] = None,
-    **system_kwargs,
 ) -> ExperimentPoint:
     """Train and condense the run into one :class:`ExperimentPoint`.
 
@@ -62,16 +61,10 @@ def run_point(
     if faults is not None:
         config = replace(config, faults=faults)
     if isinstance(system_name, ExecutionPlan):
-        if system_kwargs:
-            raise TypeError(
-                "system kwargs only apply to named systems; derive a "
-                "custom ExecutionPlan instead"
-            )
         system = system_name.build(config, cluster)
         system_name = system_name.key
     else:
-        system = make_system(system_name, config, cluster,
-                             **system_kwargs)
+        system = make_system(system_name, config, cluster)
     result = system.fit(binned, valid=valid, num_trees=num_trees)
     reports = result.tree_reports
     return ExperimentPoint(
@@ -96,18 +89,13 @@ def sweep(
     config: TrainConfig,
     cluster: ClusterConfig,
     num_trees: int = 3,
-    **system_kwargs,
 ) -> List[ExperimentPoint]:
     """One point per labelled workload, e.g. ``{"N=5M": binned, ...}``."""
     return [
         run_point(system_name, binned, config, cluster,
-                  num_trees=num_trees, label=label, **system_kwargs)
+                  num_trees=num_trees, label=label)
         for label, binned in workloads.items()
     ]
-
-
-def binned_cache() -> "BinnedCache":
-    return BinnedCache()
 
 
 class BinnedCache:

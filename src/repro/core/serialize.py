@@ -51,6 +51,9 @@ def ensemble_from_dict(payload: dict) -> TreeEnsemble:
     The returned ensemble carries the payload's ``objective`` and
     ``num_classes`` metadata, so consumers (``repro predict``, the model
     registry) can pick the prediction transform from the model alone.
+    A tree no row could be routed through correctly — a negative
+    feature or bin, a node id beyond ``num_layers``, a node whose parent
+    is not a split — raises ``ValueError`` naming the tree and node.
     """
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
@@ -64,9 +67,9 @@ def ensemble_from_dict(payload: dict) -> TreeEnsemble:
         objective=str(payload.get("objective", "binary")),
         num_classes=int(payload.get("num_classes", 2)),
     )
-    for tree_payload in payload["trees"]:
+    for index, tree_payload in enumerate(payload["trees"]):
         ensemble.append(_tree_from_dict(tree_payload,
-                                        ensemble.gradient_dim))
+                                        ensemble.gradient_dim, index))
     return ensemble
 
 
@@ -121,10 +124,16 @@ def _tree_to_dict(tree: Tree) -> dict:
     return {"num_layers": tree.num_layers, "nodes": nodes}
 
 
-def _tree_from_dict(payload: dict, gradient_dim: int) -> Tree:
+def _tree_from_dict(payload: dict, gradient_dim: int, index: int) -> Tree:
     tree = Tree(int(payload["num_layers"]), gradient_dim)
     for node_key, node_payload in payload["nodes"].items():
         node_id = int(node_key)
+        # heap order: node n sits in layer bit_length(n + 1) - 1
+        if node_id < 0 or (node_id + 1).bit_length() > tree.num_layers:
+            raise ValueError(
+                f"tree {index} node {node_id}: outside a "
+                f"{tree.num_layers}-layer tree"
+            )
         if "weight" in node_payload:
             tree.set_leaf(node_id, np.asarray(node_payload["weight"]))
         else:
@@ -134,6 +143,18 @@ def _tree_from_dict(payload: dict, gradient_dim: int) -> Tree:
                 default_left=bool(node_payload["default_left"]),
                 gain=float(node_payload["gain"]),
             )
+            if split.feature < 0 or split.bin < 0:
+                raise ValueError(
+                    f"tree {index} node {node_id}: negative split "
+                    f"(feature {split.feature}, bin {split.bin})"
+                )
             tree.set_split(node_id, split,
                            float(node_payload["threshold"]))
+    for node_id in tree.nodes:
+        parent = tree.nodes.get((node_id - 1) // 2)
+        if node_id > 0 and (parent is None or parent.is_leaf):
+            raise ValueError(
+                f"tree {index} node {node_id}: its parent is not a split, "
+                "so no row can reach it"
+            )
     return tree

@@ -35,12 +35,12 @@ from __future__ import annotations
 from typing import Optional
 
 from ..config import ClusterConfig, TrainConfig
+from ..data.dataset import BinnedDataset, bin_dataset
 from .advisor import (AdaptDecision, AdaptivePolicy, CalibratedConstants,
                       PlanCost, QuadrantEstimate, Recommendation,
                       calibrate_constants, estimate, price_plans,
                       recommend)
-from .base import (DistEvalRecord, DistributedGBDT, DistTrainResult,
-                   MemoryReport, TreeReport)
+from .base import DistEvalRecord, DistTrainResult, MemoryReport, TreeReport
 from .costmodel import WorkloadShape, workload_of
 from .executor import (PlanExecutor, SessionCheckpoint, SessionState,
                        TrainingSession)
@@ -51,28 +51,20 @@ from .plans import (ALIASES, PLANS, DimBoostStyle, ExecutionPlan,
 
 
 def make_system(
-    name: str, config: TrainConfig, cluster: ClusterConfig, **kwargs
-) -> DistributedGBDT:
+    name: str, config: TrainConfig, cluster: ClusterConfig
+) -> PlanExecutor:
     """Factory over plan registry keys and aliases (case-insensitive).
 
     Accepted names: every :data:`~repro.systems.plans.PLANS` key (qd1,
     qd2, qd2-ps, qd2-fp, qd3, qd3-pure, vero, qd4-blocked) and
     :data:`~repro.systems.plans.ALIASES` spelling (xgboost, lightgbm,
-    dimboost, lightgbm-fp, yggdrasil, qd4).  Only qd3/yggdrasil takes a
-    keyword argument (``index_mode=``, see :class:`YggdrasilStyle`).
+    dimboost, lightgbm-fp, yggdrasil, qd4).
     """
     try:
         plan = get_plan(name)
     except KeyError:
         known = ", ".join(sorted(set(PLANS) | set(ALIASES)))
         raise KeyError(f"unknown system {name!r}; known: {known}") from None
-    if plan.key == "qd3":
-        return YggdrasilStyle(config, cluster, **kwargs)
-    if kwargs:
-        raise TypeError(
-            f"plan {plan.key!r} takes no keyword arguments; got "
-            f"{sorted(kwargs)}"
-        )
     return plan.build(config, cluster)
 
 
@@ -93,11 +85,18 @@ def make_adaptive_session(
     4 when that is 0) and migrates whenever the projected savings over
     the remaining trees exceed the migration bill by ``margin``.
     """
-    session = TrainingSession(
-        _adaptive_start_system(config, cluster, train, start_plan),
-        train, valid=valid,
-    )
-    shape, avg_nnz = workload_of(session.binned, config, cluster)
+    binned = train if isinstance(train, BinnedDataset) \
+        else bin_dataset(train, config.num_candidates)
+    shape, avg_nnz = workload_of(binned, config, cluster)
+    key = start_plan or config.plan
+    if not key or key == "auto-adapt":
+        # no opening plan named: let the prior cost model pick one (the
+        # session migrates away later if the calibrated model disagrees)
+        key = recommend(shape, avg_nnz, cluster.network,
+                        codec=config.codec or "none",
+                        backend=config.backend).best.plan_key
+    session = TrainingSession(get_plan(key).build(config, cluster), binned,
+                              valid=valid)
     session.policy = AdaptivePolicy(
         shape, avg_nnz, cluster.network,
         every=every if every is not None else (config.adapt or 4),
@@ -105,23 +104,6 @@ def make_adaptive_session(
         codec=config.codec or "none",
     )
     return session
-
-
-def _adaptive_start_system(config, cluster, train, start_plan):
-    key = start_plan or config.plan
-    if key and key != "auto-adapt":
-        return get_plan(key).build(config, cluster)
-    # no opening plan named: let the prior cost model pick one (the
-    # session migrates away later if the calibrated model disagrees)
-    from ..data.dataset import BinnedDataset, bin_dataset
-
-    binned = train if isinstance(train, BinnedDataset) \
-        else bin_dataset(train, config.num_candidates)
-    shape, avg_nnz = workload_of(binned, config, cluster)
-    verdict = recommend(shape, avg_nnz, cluster.network,
-                        codec=config.codec or "none",
-                        backend=config.backend)
-    return get_plan(verdict.best.plan_key).build(config, cluster)
 
 
 __all__ = [
@@ -149,7 +131,6 @@ __all__ = [
     "recommend",
     "DistEvalRecord",
     "DistTrainResult",
-    "DistributedGBDT",
     "DimBoostStyle",
     "LightGBMFeatureParallel",
     "LightGBMStyle",

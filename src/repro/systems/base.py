@@ -1,11 +1,12 @@
-"""Shared skeleton of the four distributed quadrant implementations.
+"""Shared pieces of the distributed trainer: cost records, the worker
+clock, histogram stores, the subtraction schedule and split acceptance.
 
 The paper's Section 5.2 methodology — "implement different quadrants in the
-same code base" — is realized here: every quadrant subclasses
-:class:`DistributedGBDT` and reuses the same split finding, leaf
-finalization, gradient bookkeeping, timing and memory accounting; only the
-partitioning scheme, storage pattern, index structure and communication
-pattern differ, each implemented in the subclass.
+same code base" — is realized by one trainer,
+:class:`~repro.systems.executor.PlanExecutor`, whose strategies reuse the
+same split finding, leaf finalization, gradient bookkeeping, timing and
+memory accounting; only the partitioning scheme, storage pattern, index
+structure and communication pattern differ between plans.
 
 Timing model
 ------------
@@ -25,14 +26,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..config import ClusterConfig, TrainConfig
-from ..core.histogram import Histogram, HistogramBuilder, HistogramPool
-from ..core.loss import Loss, make_loss
-from ..core.split import SplitInfo, find_best_split, leaf_weight
-from ..core.tree import Tree, TreeEnsemble
-from ..data.dataset import BinnedDataset, Dataset
-from ..cluster.codecs import get_codec_stack
-from ..cluster.network import CommStats, SimulatedNetwork
+from ..config import TrainConfig
+from ..core.histogram import Histogram, HistogramPool
+from ..core.loss import Loss
+from ..core.split import SplitInfo, find_best_split
+from ..core.tree import TreeEnsemble
+from ..data.dataset import BinnedDataset
+from ..cluster.network import CommStats
 
 
 @dataclass
@@ -105,27 +105,21 @@ class DistTrainResult:
             + sum(m.seconds for m in self.migrations)
         )
 
+    def _per_tree(self, attr: str) -> List[float]:
+        """``attr`` of every tree report (``[0.0]`` before the first)."""
+        return [getattr(r, attr) for r in self.tree_reports] or [0.0]
+
     def mean_tree_seconds(self) -> float:
-        if not self.tree_reports:
-            return 0.0
-        return float(
-            np.mean([r.total_seconds for r in self.tree_reports])
-        )
+        return float(np.mean(self._per_tree("total_seconds")))
 
     def mean_comp_seconds(self) -> float:
-        if not self.tree_reports:
-            return 0.0
-        return float(np.mean([r.comp_seconds for r in self.tree_reports]))
+        return float(np.mean(self._per_tree("comp_seconds")))
 
     def mean_comm_seconds(self) -> float:
-        if not self.tree_reports:
-            return 0.0
-        return float(np.mean([r.comm_seconds for r in self.tree_reports]))
+        return float(np.mean(self._per_tree("comm_seconds")))
 
     def std_tree_seconds(self) -> float:
-        if not self.tree_reports:
-            return 0.0
-        return float(np.std([r.total_seconds for r in self.tree_reports]))
+        return float(np.std(self._per_tree("total_seconds")))
 
 
 #: computation phases of one boosting round (Section 3.2.4 vocabulary,
@@ -215,6 +209,15 @@ class _Timed:
             self._clock.charge(self._worker, self.seconds, self._phase)
 
 
+def gradient_unit_seconds(loss: Loss, binned: BinnedDataset,
+                          scores: np.ndarray) -> float:
+    """Measured seconds per instance of one gradient computation."""
+    start = time.perf_counter()
+    loss.gradients(binned.labels, scores)
+    total = time.perf_counter() - start
+    return total / max(binned.num_instances, 1)
+
+
 class HistogramStore:
     """Per-worker histogram cache with live/peak byte tracking.
 
@@ -268,127 +271,23 @@ class HistogramStore:
         self.live_bytes = 0
 
 
-class DistributedGBDT:
-    """Base distributed trainer; subclasses implement one quadrant."""
-
-    #: quadrant label, e.g. "QD4"
-    quadrant: str = "base"
-    #: human name, e.g. "Vero"
-    name: str = "base"
-    #: histogram subtraction (Section 2.1.2); disable for the ablation
-    use_subtraction: bool = True
-
-    def __init__(self, config: TrainConfig, cluster: ClusterConfig) -> None:
-        if config.uses_sampling:
-            raise ValueError(
-                "the distributed quadrants study full-dataset data "
-                "management; subsample/colsample are reference-trainer "
-                "features"
-            )
-        if config.growth != "layerwise":
-            raise ValueError(
-                "the distributed quadrants grow trees layer-wise "
-                "(the paper's strategy); leaf-wise growth is a "
-                "reference-trainer feature"
-            )
-        self.config = config
-        self.cluster = cluster
-        self.net = SimulatedNetwork(cluster.network)
-        #: negotiated wire-format codec stack for inter-worker payloads
-        self.codec = get_codec_stack(config.codec)
-        self.loss: Loss = make_loss(config.objective, config.num_classes)
-        # workspace-owning kernel engine shared by the simulated workers;
-        # its pool recycles per-node histogram buffers across layers/trees,
-        # and config.backend picks the scatter kernel implementation
-        self.hist_builder = HistogramBuilder(
-            backend=config.backend or None)
-        self.hist_builder.constant_hessian = self.loss.constant_hessian
-
-    # -- subclass contract -----------------------------------------------------
-
-    def _setup(self, binned: BinnedDataset) -> None:
-        """Partition the dataset and initialize per-worker state."""
-        raise NotImplementedError
-
-    def _train_tree(self, grad: np.ndarray, hess: np.ndarray,
-                    clock: WorkerClock) -> Tuple[Tree, np.ndarray]:
-        """Grow one tree; returns it plus each instance's leaf id."""
-        raise NotImplementedError
-
-    def _histogram_peak_bytes(self) -> int:
-        """Max per-worker histogram memory seen so far."""
-        raise NotImplementedError
-
-    def _data_bytes(self) -> int:
-        """Max per-worker dataset memory (shard + labels)."""
-        raise NotImplementedError
-
-    # -- shared driver -----------------------------------------------------------
-
-    def fit(
-        self,
-        train: "Dataset | BinnedDataset",
-        valid: Optional[Dataset] = None,
-        num_trees: Optional[int] = None,
-    ) -> DistTrainResult:
-        """Train on a dataset (binned on the fly) or a pre-binned dataset.
-
-        The tree loop itself lives in
-        :class:`~repro.systems.executor.TrainingSession`; this wrapper
-        runs one session to completion.  Callers that need to pause,
-        checkpoint, or migrate plans mid-run construct the session
-        directly.
-        """
-        from .executor import TrainingSession
-
-        return TrainingSession(self, train, valid=valid,
-                               num_trees=num_trees).run()
-
-    def predict(self, ensemble: TreeEnsemble,
-                dataset: Dataset) -> np.ndarray:
-        """Predictions in the objective's natural space."""
-        return self.loss.predict(ensemble.raw_scores(dataset.csc()))
-
-    # -- shared pieces used by subclasses ---------------------------------------
-
-    def _measure_gradient_unit(self, binned: BinnedDataset,
-                               scores: np.ndarray) -> float:
-        """Measured seconds per instance of one gradient computation."""
-        start = time.perf_counter()
-        self.loss.gradients(binned.labels, scores)
-        total = time.perf_counter() - start
-        return total / max(binned.num_instances, 1)
-
-    def _gradient_instances(self) -> int:
-        """Instances each worker computes gradients for.
-
-        Horizontal partitioning: the shard's rows (``N / W``); vertical:
-        every worker holds all labels and computes all ``N`` (Section
-        2.2.1).  Subclasses override accordingly.
-        """
-        raise NotImplementedError
-
-    def _decide_split(
-        self,
-        hist: Histogram,
-        stats: Tuple[np.ndarray, np.ndarray],
-        count: int,
-        bins_per_feature: np.ndarray,
-    ) -> Optional[SplitInfo]:
-        """Local best split under the shared acceptance rules."""
-        cfg = self.config
-        if count < max(2, 2 * cfg.min_node_instances):
-            return None
-        split = find_best_split(
-            hist, stats[0], stats[1], cfg.reg_lambda, cfg.reg_gamma,
-            bins_per_feature,
-        )
-        if split is not None and split.gain < cfg.min_split_gain:
-            return None
-        return split
-
-    def _leaf(self, stats: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        return leaf_weight(stats[0], stats[1], self.config.reg_lambda)
+def decide_split(
+    config: TrainConfig,
+    hist: Histogram,
+    stats: Tuple[np.ndarray, np.ndarray],
+    count: int,
+    bins_per_feature: np.ndarray,
+) -> Optional[SplitInfo]:
+    """Local best split of one node under the shared acceptance rules."""
+    if count < max(2, 2 * config.min_node_instances):
+        return None
+    split = find_best_split(
+        hist, stats[0], stats[1], config.reg_lambda, config.reg_gamma,
+        bins_per_feature,
+    )
+    if split is not None and split.gain < config.min_split_gain:
+        return None
+    return split
 
 
 def subtraction_schedule(

@@ -1,9 +1,8 @@
 """The plan executor: one training loop for every quadrant.
 
-:class:`PlanExecutor` replaces the per-quadrant ``_train_tree`` overrides
-of the old inheritance tree.  It composes one strategy per axis —
-partitioning, storage layout, index plan, aggregation — and runs the
-single layer-wise loop they all shared:
+:class:`PlanExecutor` is the one distributed trainer.  It composes one
+strategy per axis — partitioning, storage layout, index plan,
+aggregation — and runs the single layer-wise loop they all share:
 
 1. build each worker's histograms for the layer (:class:`IndexPlan`),
 2. turn them into global split decisions (:class:`AggregationStrategy`),
@@ -39,18 +38,23 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 import numpy as np
 
+from ..cluster.codecs import get_codec_stack
 from ..cluster.comm import SPLIT_INFO_BYTES
 from ..cluster.faults import (CrashEvent, FaultInjector, FaultPlan,
                               RECOVERY_PREFIX)
-from ..cluster.network import CommStats
+from ..cluster.network import CommStats, SimulatedNetwork
 from ..cluster.transform import TransformResult, horizontal_to_vertical
 from ..config import ClusterConfig, TrainConfig
 from ..core.gbdt import evaluate, leaf_matrix
+from ..core.histogram import HistogramBuilder
 from ..core.indexing import NodeToInstanceIndex
+from ..core.loss import Loss, make_loss
+from ..core.split import leaf_weight
 from ..core.tree import Tree, TreeEnsemble, layer_nodes
 from ..data.dataset import BinnedDataset, Dataset, bin_dataset
-from .base import (DistEvalRecord, DistributedGBDT, DistTrainResult,
-                   HistogramStore, MemoryReport, TreeReport, WorkerClock)
+from .base import (DistEvalRecord, DistTrainResult, HistogramStore,
+                   MemoryReport, TreeReport, WorkerClock,
+                   gradient_unit_seconds)
 from .strategies import AGGREGATIONS, INDEX_PLANS, PARTITIONS, STORAGES
 
 if TYPE_CHECKING:
@@ -108,12 +112,44 @@ class RecoveryRecord:
     restore_bytes: int
 
 
-class PlanExecutor(DistributedGBDT):
-    """Distributed GBDT trainer driven by an execution plan."""
+class PlanExecutor:
+    """Distributed GBDT trainer driven by an execution plan.
+
+    The executor is the run's state: shards, indexes, histogram stores,
+    node statistics, the simulated network and the fault schedule.  The
+    boosting loop that drives it one tree at a time is
+    :class:`TrainingSession`; :meth:`fit` runs one session to completion.
+    """
+
+    #: histogram subtraction (Section 2.1.2); disable for the ablation
+    use_subtraction: bool = True
 
     def __init__(self, config: TrainConfig, cluster: ClusterConfig,
                  plan: "ExecutionPlan") -> None:
-        super().__init__(config, cluster)
+        if config.uses_sampling:
+            raise ValueError(
+                "the distributed quadrants study full-dataset data "
+                "management; subsample/colsample are reference-trainer "
+                "features"
+            )
+        if config.growth != "layerwise":
+            raise ValueError(
+                "the distributed quadrants grow trees layer-wise "
+                "(the paper's strategy); leaf-wise growth is a "
+                "reference-trainer feature"
+            )
+        self.config = config
+        self.cluster = cluster
+        self.net = SimulatedNetwork(cluster.network)
+        #: negotiated wire-format codec stack for inter-worker payloads
+        self.codec = get_codec_stack(config.codec)
+        self.loss: Loss = make_loss(config.objective, config.num_classes)
+        # workspace-owning kernel engine shared by the simulated workers;
+        # its pool recycles per-node histogram buffers across layers/trees,
+        # and config.backend picks the scatter kernel implementation
+        self.hist_builder = HistogramBuilder(
+            backend=config.backend or None)
+        self.hist_builder.constant_hessian = self.loss.constant_hessian
         self.plan = plan
         self.partition = PARTITIONS[plan.partition]
         self.storage = STORAGES[plan.storage]
@@ -138,9 +174,60 @@ class PlanExecutor(DistributedGBDT):
                 )
                 self.net.injector = self.injector
 
+    # -- the public entry points -------------------------------------------------
+
+    def fit(
+        self,
+        train: "Dataset | BinnedDataset",
+        valid: Optional[Dataset] = None,
+        num_trees: Optional[int] = None,
+    ) -> DistTrainResult:
+        """Train on a dataset (binned on the fly) or a pre-binned dataset.
+
+        Runs one :class:`TrainingSession` to completion.  Callers that
+        need to pause, checkpoint, or migrate plans mid-run construct
+        the session directly.
+        """
+        return TrainingSession(self, train, valid=valid,
+                               num_trees=num_trees).run()
+
+    def fit_from_raw(
+        self,
+        train: Dataset,
+        valid: Optional[Dataset] = None,
+        num_trees: Optional[int] = None,
+    ) -> Tuple[DistTrainResult, TransformResult]:
+        """Transform a horizontally partitioned raw dataset, then train.
+
+        Only meaningful for vertically partitioned plans (QD4's five-step
+        transformation, Section 4.2.1); the transformation's sketch-based
+        candidate splits are used for training, so its compression is
+        lossless with respect to the model, and its cost report rides
+        along.
+        """
+        if self.partition.key == "horizontal":
+            raise ValueError(
+                "fit_from_raw runs the horizontal-to-vertical "
+                f"transformation; plan {self.plan.key!r} is already "
+                "horizontally partitioned — call fit() directly"
+            )
+        transform = horizontal_to_vertical(
+            train, self.cluster, self.config.num_candidates, net=self.net,
+        )
+        result = self.fit(transform.global_binned, valid=valid,
+                          num_trees=num_trees)
+        return result, transform
+
+    def predict(self, ensemble: TreeEnsemble,
+                dataset: Dataset) -> np.ndarray:
+        """Predictions in the objective's natural space."""
+        return self.loss.predict(ensemble.raw_scores(dataset.csc()))
+
     # -- state management --------------------------------------------------------
 
-    def _setup(self, binned: BinnedDataset) -> None:
+    def setup(self, binned: BinnedDataset) -> None:
+        """Partition ``binned`` and initialize every per-worker structure."""
+        self._binned = binned
         self.partition.setup(self, binned)
         self.stores = [
             HistogramStore(pool=self.hist_builder.pool)
@@ -148,10 +235,9 @@ class PlanExecutor(DistributedGBDT):
         ]
         self.storage.setup(self)
         self.index_plan.setup(self)
-        self._trees_trained = 0
-        self._reset_tree_state()
+        self.reset_tree_state()
 
-    def _reset_tree_state(self) -> None:
+    def reset_tree_state(self) -> None:
         self.partition.reset(self)
         self.index_plan.reset(self)
         for store in self.stores:
@@ -160,26 +246,23 @@ class PlanExecutor(DistributedGBDT):
 
     # -- the unified training loop -----------------------------------------------
 
-    def _train_tree(self, grad: np.ndarray, hess: np.ndarray,
-                    clock: WorkerClock) -> Tuple[Tree, np.ndarray]:
-        tree_index = self._trees_trained
-        self._reset_tree_state()
+    def train_tree(self, tree_index: int, ensemble: TreeEnsemble,
+                   grad: np.ndarray, hess: np.ndarray,
+                   clock: WorkerClock) -> Tuple[Tree, np.ndarray]:
+        """Grow tree ``tree_index`` on top of the committed ``ensemble``;
+        returns it plus each instance's leaf id.  Under a fault schedule
+        the tree is checkpointed first and replayed after every crash."""
+        self.reset_tree_state()
         if self.injector is None:
-            result = self._grow_tree(tree_index, grad, hess, clock)
-        else:
-            checkpoint = self._take_checkpoint(tree_index)
-            self.last_checkpoint = checkpoint
-            while True:
-                attempt_mark = self.net.mark()
-                try:
-                    result = self._grow_tree(tree_index, grad, hess,
-                                             clock)
-                    break
-                except WorkerCrashError as crash:
-                    self._recover(crash.event, checkpoint, attempt_mark,
-                                  clock)
-        self._trees_trained += 1
-        return result
+            return self._grow_tree(tree_index, grad, hess, clock)
+        checkpoint = self.take_checkpoint(tree_index, ensemble)
+        self.last_checkpoint = checkpoint
+        while True:
+            attempt_mark = self.net.mark()
+            try:
+                return self._grow_tree(tree_index, grad, hess, clock)
+            except WorkerCrashError as crash:
+                self._recover(crash.event, checkpoint, attempt_mark, clock)
 
     def _grow_tree(self, tree_index: int, grad: np.ndarray,
                    hess: np.ndarray,
@@ -212,11 +295,13 @@ class PlanExecutor(DistributedGBDT):
 
     # -- checkpointing and crash recovery ------------------------------------------
 
-    def _take_checkpoint(self, tree_index: int) -> TreeCheckpoint:
-        """Snapshot trainer state at the tree boundary (post-reset)."""
+    def take_checkpoint(self, tree_index: int,
+                        ensemble: TreeEnsemble) -> TreeCheckpoint:
+        """Snapshot trainer state at the tree boundary before tree
+        ``tree_index``, with ``ensemble`` as the committed model."""
         return TreeCheckpoint(
             tree_index=tree_index,
-            model_bytes=self._model_state_bytes(),
+            model_bytes=self._model_state_bytes(ensemble),
             index_state=tuple(
                 index.node_of_instance.copy()
                 for index in self.partition.index_replicas(self)
@@ -224,16 +309,8 @@ class PlanExecutor(DistributedGBDT):
             network_snapshot=self.net.snapshot(),
         )
 
-    def _restore_checkpoint(self, checkpoint: TreeCheckpoint) -> None:
-        """Rebuild per-tree state from the checkpoint's snapshots."""
-        self._reset_tree_state()
-        self.partition.adopt_index_replicas(self, [
-            NodeToInstanceIndex.from_assignment(arr)
-            for arr in checkpoint.index_state
-        ])
-
-    def _ship_index_state(self, snapshots: Sequence[np.ndarray],
-                          clock: WorkerClock) -> int:
+    def ship_index_state(self, snapshots: Sequence[np.ndarray],
+                         clock: WorkerClock) -> int:
         """Wire bytes of placement snapshots crossing the network.
 
         The identity stack ships them raw.  Any other stack ships them
@@ -273,7 +350,7 @@ class PlanExecutor(DistributedGBDT):
         net.relabel_since(attempt_mark, RECOVERY_PREFIX)
         policy = self.aggregation.recovery_policy
         state = checkpoint.worker_state(event.worker)
-        state_wire = self._ship_index_state([state], clock)
+        state_wire = self.ship_index_state([state], clock)
         restore_bytes = checkpoint.model_bytes + state_wire
         if policy == "reshard":
             data_bytes = (
@@ -296,27 +373,26 @@ class PlanExecutor(DistributedGBDT):
             tree=event.tree, layer=event.layer, worker=event.worker,
             policy=policy, restore_bytes=restore_bytes,
         ))
-        self._restore_checkpoint(checkpoint)
+        # rebuild the per-tree state from the checkpoint's snapshots
+        self.reset_tree_state()
+        self.partition.adopt_index_replicas(self, [
+            NodeToInstanceIndex.from_assignment(arr)
+            for arr in checkpoint.index_state
+        ])
 
-    def _model_state_bytes(self) -> int:
-        """Serialized size of the trees committed so far (checkpoint
-        payload): one split record per internal node, one weight vector
-        per leaf."""
-        ensemble = getattr(self, "_ensemble", None)
-        if ensemble is None:
-            return 0
-        total = 0
-        for tree in ensemble.trees:
-            for node in tree.nodes.values():
-                if node.is_leaf:
-                    total += 8 * self.config.gradient_dim
-                else:
-                    total += SPLIT_INFO_BYTES
-        return total
+    def _model_state_bytes(self, ensemble: TreeEnsemble) -> int:
+        """Serialized size of the committed trees (checkpoint payload):
+        one split record per internal node, one weight vector per
+        leaf."""
+        return sum(tree.num_splits * SPLIT_INFO_BYTES
+                   + tree.num_leaves * 8 * self.config.gradient_dim
+                   for tree in ensemble.trees)
 
     def _finalize_leaf(self, tree: Tree, node: int,
                        active: Set[int]) -> None:
-        tree.set_leaf(node, self._leaf(self.stats[node]))
+        stats = self.stats[node]
+        tree.set_leaf(node, leaf_weight(stats[0], stats[1],
+                                        self.config.reg_lambda))
         active.discard(node)
         self.partition.retire_node(self, node)
         for store in self.stores:
@@ -324,43 +400,18 @@ class PlanExecutor(DistributedGBDT):
 
     # -- accounting ---------------------------------------------------------------
 
-    def _gradient_instances(self) -> int:
+    def gradient_instances(self) -> int:
+        """Instances each worker computes gradients for (``N / W`` rows
+        of a horizontal shard, all ``N`` under vertical partitioning)."""
         return self.partition.gradient_instances(self)
 
-    def _data_bytes(self) -> int:
-        return self.partition.data_bytes(self)
-
-    def _histogram_peak_bytes(self) -> int:
-        return max(store.peak_bytes for store in self.stores)
-
-    # -- end-to-end path including the transformation ------------------------------
-
-    def fit_from_raw(
-        self,
-        train: Dataset,
-        valid: Optional[Dataset] = None,
-        num_trees: Optional[int] = None,
-    ) -> Tuple[DistTrainResult, TransformResult]:
-        """Transform a horizontally partitioned raw dataset, then train.
-
-        Only meaningful for vertically partitioned plans (QD4's five-step
-        transformation, Section 4.2.1); the transformation's sketch-based
-        candidate splits are used for training, so its compression is
-        lossless with respect to the model, and its cost report rides
-        along.
-        """
-        if self.partition.key == "horizontal":
-            raise ValueError(
-                "fit_from_raw runs the horizontal-to-vertical "
-                f"transformation; plan {self.plan.key!r} is already "
-                "horizontally partitioned — call fit() directly"
-            )
-        transform = horizontal_to_vertical(
-            train, self.cluster, self.config.num_candidates, net=self.net,
+    def memory(self) -> MemoryReport:
+        """Max per-worker dataset memory (shard + labels) and the max
+        per-worker histogram memory seen so far."""
+        return MemoryReport(
+            data_bytes=self.partition.data_bytes(self),
+            histogram_bytes=max(store.peak_bytes for store in self.stores),
         )
-        result = self.fit(transform.global_binned, valid=valid,
-                          num_trees=num_trees)
-        return result, transform
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +463,8 @@ class TrainingSession:
     """Resumable driver of one distributed training run.
 
     Owns the per-run state (:class:`SessionState`, the ensemble, the
-    result records) and drives any :class:`DistributedGBDT` through the
-    shared boosting loop one tree at a time:
+    result records) and drives a :class:`PlanExecutor` through the
+    boosting loop one tree at a time:
 
     * :meth:`step` trains exactly one tree;
     * :meth:`run` loops to ``num_trees`` (or an earlier ``until``
@@ -430,7 +481,7 @@ class TrainingSession:
 
     def __init__(
         self,
-        system: DistributedGBDT,
+        system: PlanExecutor,
         train: "Dataset | BinnedDataset",
         valid: Optional[Dataset] = None,
         num_trees: Optional[int] = None,
@@ -446,19 +497,15 @@ class TrainingSession:
         self.valid = valid
         self.policy = policy
         self.num_trees = cfg.num_trees if num_trees is None else num_trees
-        system._binned = binned
-        system._setup(binned)
+        system.setup(binned)
         self.ensemble = TreeEnsemble(
             system.loss.num_outputs, cfg.learning_rate,
             objective=cfg.objective, num_classes=cfg.num_classes,
         )
-        # checkpointing reads the committed model through this reference
-        system._ensemble = self.ensemble
         self.result = DistTrainResult(self.ensemble)
-        plan = getattr(system, "plan", None)
         self.state = SessionState(
             tree_index=0,
-            plan_key=plan.key if plan is not None else system.name,
+            plan_key=system.plan.key,
             scores=system.loss.init_scores(binned.num_instances),
             valid_scores=(
                 system.loss.init_scores(valid.num_instances)
@@ -466,10 +513,10 @@ class TrainingSession:
             ),
         )
         self.result.plan_history.append(self.state.plan_key)
-        self._grad_unit = system._measure_gradient_unit(
-            binned, self.state.scores)
-        self._peak_data_bytes = 0
-        self._peak_hist_bytes = 0
+        self._grad_unit = gradient_unit_seconds(system.loss, binned,
+                                                self.state.scores)
+        #: memory of the executors migrated away from
+        self._retired_memory: List[MemoryReport] = []
         self._migrator = None
 
     # -- the boosting loop, one tree at a time ---------------------------------
@@ -491,9 +538,10 @@ class TrainingSession:
         comm_before = system.net.snapshot()
         grad, hess = system.loss.gradients(self.binned.labels,
                                            state.scores)
-        clock.charge_all(self._grad_unit * system._gradient_instances(),
+        clock.charge_all(self._grad_unit * system.gradient_instances(),
                          phase="gradient")
-        tree, leaf_of_instance = system._train_tree(grad, hess, clock)
+        tree, leaf_of_instance = system.train_tree(t, self.ensemble, grad,
+                                                   hess, clock)
         self.ensemble.append(tree)
         state.scores += cfg.learning_rate * leaf_matrix(tree,
                                                          leaf_of_instance)
@@ -535,13 +583,12 @@ class TrainingSession:
         return self.result
 
     def _finalize(self) -> None:
-        system = self.system
+        reports = self._retired_memory + [self.system.memory()]
         self.result.memory = MemoryReport(
-            data_bytes=max(self._peak_data_bytes, system._data_bytes()),
-            histogram_bytes=max(self._peak_hist_bytes,
-                                system._histogram_peak_bytes()),
+            data_bytes=max(r.data_bytes for r in reports),
+            histogram_bytes=max(r.histogram_bytes for r in reports),
         )
-        self.result.comm = system.net.snapshot()
+        self.result.comm = self.system.net.snapshot()
 
     # -- plan migration ---------------------------------------------------------
 
@@ -558,21 +605,17 @@ class TrainingSession:
         """Switch to the ``target`` plan at the current tree boundary."""
         return self.migrator.migrate(target, decision=decision)
 
-    def _adopt_system(self, system: DistributedGBDT,
+    def _adopt_system(self, system: PlanExecutor,
                       record: "MigrationRecord") -> None:
         """Commit a completed migration: swap executors, keep the books."""
-        old = self.system
-        self._peak_data_bytes = max(self._peak_data_bytes,
-                                    old._data_bytes())
-        self._peak_hist_bytes = max(self._peak_hist_bytes,
-                                    old._histogram_peak_bytes())
+        self._retired_memory.append(self.system.memory())
         self.system = system
         self.state.plan_key = record.target_plan
         self.state.elapsed_seconds += record.seconds
         self.result.migrations.append(record)
         self.result.plan_history.append(record.target_plan)
-        self._grad_unit = system._measure_gradient_unit(
-            self.binned, self.state.scores)
+        self._grad_unit = gradient_unit_seconds(system.loss, self.binned,
+                                                self.state.scores)
 
     def _consult_policy(self) -> None:
         decision = self.policy.consider(self)
@@ -589,9 +632,6 @@ class TrainingSession:
         from ..core.serialize import ensemble_to_dict
 
         state = self.state
-        tree_cp = None
-        if isinstance(self.system, PlanExecutor):
-            tree_cp = self.system._take_checkpoint(state.tree_index)
         return SessionCheckpoint(
             tree_index=state.tree_index,
             plan_key=state.plan_key,
@@ -600,7 +640,8 @@ class TrainingSession:
             valid_scores=(None if state.valid_scores is None
                           else state.valid_scores.copy()),
             elapsed_seconds=state.elapsed_seconds,
-            tree_checkpoint=tree_cp,
+            tree_checkpoint=self.system.take_checkpoint(
+                state.tree_index, self.ensemble),
             plan_history=tuple(self.result.plan_history),
         )
 
@@ -621,7 +662,9 @@ class TrainingSession:
         from the checkpoint payload, and training picks up at
         ``checkpoint.tree_index``.  Its traffic ledger starts fresh (the
         checkpoint pins the pre-resume ledger via its embedded
-        ``tree_checkpoint``).
+        ``tree_checkpoint``).  A checkpoint whose scores do not cover
+        the dataset's instances, or that holds more trees than the
+        session may train, raises ``ValueError``.
         """
         from ..core.serialize import ensemble_from_dict
         from .plans import get_plan
@@ -629,6 +672,19 @@ class TrainingSession:
         system = get_plan(checkpoint.plan_key).build(config, cluster)
         session = cls(system, train, valid=valid, num_trees=num_trees,
                       policy=policy)
+        rows, instances = (checkpoint.scores.shape[0],
+                           session.binned.num_instances)
+        if rows != instances:
+            raise ValueError(
+                f"checkpoint scores cover {rows} instances but the "
+                f"dataset has {instances}: resume on the dataset the "
+                "checkpoint was trained on"
+            )
+        if checkpoint.tree_index > session.num_trees:
+            raise ValueError(
+                f"checkpoint is at tree {checkpoint.tree_index}, past the "
+                f"session's num_trees={session.num_trees}"
+            )
         restored = ensemble_from_dict(checkpoint.model_payload)
         session.ensemble.trees[:] = restored.trees
         session.state.tree_index = checkpoint.tree_index
@@ -640,5 +696,4 @@ class TrainingSession:
         session.state.elapsed_seconds = checkpoint.elapsed_seconds
         session.result.plan_history[:] = list(
             checkpoint.plan_history or (checkpoint.plan_key,))
-        system._trees_trained = checkpoint.tree_index
         return session

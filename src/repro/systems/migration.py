@@ -118,11 +118,6 @@ class PlanMigrator:
         """
         session = self.session
         old = session.system
-        if not isinstance(old, PlanExecutor):
-            raise TypeError(
-                f"cannot migrate {type(old).__name__}: plan migration "
-                "needs a PlanExecutor session"
-            )
         plan = target if isinstance(target, ExecutionPlan) \
             else get_plan(target)
         if plan.key == old.plan.key:
@@ -163,13 +158,15 @@ class PlanMigrator:
         # 1. quiesce the source plan and ship the committed state: the
         # model plus every index replica's placement snapshot, through
         # the codec stack exactly as crash recovery ships it.
-        old._reset_tree_state()
-        checkpoint = old._take_checkpoint(session.state.tree_index)
+        old.reset_tree_state()
+        checkpoint = old.take_checkpoint(session.state.tree_index,
+                                         session.ensemble)
         old.last_checkpoint = checkpoint
         # codec kernel time is real compute; fold it into the simulated
-        # clock via the migration bill
-        clock = WorkerClock(num_workers)
-        state_wire = old._ship_index_state(checkpoint.index_state, clock)
+        # clock via the migration bill, scaled by worker speed as every
+        # training clock is
+        clock = WorkerClock(num_workers, old.cluster.worker_speeds)
+        state_wire = old.ship_index_state(checkpoint.index_state, clock)
         seconds += clock.elapsed
         checkpoint_bytes = checkpoint.model_bytes + state_wire
         seconds += net.transfer(
@@ -191,10 +188,7 @@ class PlanMigrator:
         new.hist_builder.constant_hessian = new.loss.constant_hessian
         # session-wide recovery trail: share the list across executors
         new.recovery_log = old.recovery_log
-        new._binned = binned
-        new._setup(binned)
-        new._trees_trained = session.state.tree_index
-        new._ensemble = session.ensemble
+        new.setup(binned)
 
         # 3. reshard: when the partition axis changes, each worker
         # fetches the (W-1)/W of its new shard it does not already hold

@@ -220,22 +220,11 @@ class DimBoostStyle(_PlanAlias):
     plan_key = "qd2-ps"
 
 
-class YggdrasilStyle(PlanExecutor):
-    """QD3: vertical + column-store.
+class YggdrasilStyle(_PlanAlias):
+    """QD3: vertical + column-store with the paper's hybrid index (plan
+    ``qd3-pure`` is pure Yggdrasil's per-column index; Appendix C)."""
 
-    ``index_mode`` selects the registry entry: ``"hybrid"`` (plan
-    ``qd3``, the paper's scan-or-search kernel) or ``"columnwise"``
-    (plan ``qd3-pure``, pure Yggdrasil's per-column index with per-layer
-    reorders — Appendix C compares the two).
-    """
-
-    def __init__(self, config: "TrainConfig", cluster: "ClusterConfig",
-                 index_mode: str = "hybrid") -> None:
-        if index_mode not in ("hybrid", "columnwise"):
-            raise ValueError(f"unknown index_mode: {index_mode!r}")
-        plan = get_plan("qd3" if index_mode == "hybrid" else "qd3-pure")
-        super().__init__(config, cluster, plan)
-        self.index_mode = index_mode
+    plan_key = "qd3"
 
 
 class Vero(_PlanAlias):

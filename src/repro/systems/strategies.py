@@ -28,8 +28,9 @@ combination of one strategy per axis is an
 are seven entries in that plan registry rather than seven subclasses.
 
 Every method here is a verbatim relocation of the corresponding
-pre-refactor quadrant code — the equivalence suite pins bit-identical
-trees and identical traffic against the frozen legacy classes.
+pre-refactor quadrant code — ``tests/systems/test_plans.py`` pins each
+plan's model, per-kind traffic and memory to what the pre-refactor
+classes produced (``tests/data/golden/plan_equivalence_v1.json``).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from ..core.placement import (layer_placements_colstore,
                               rowstore_search_keys)
 from ..core.split import SplitInfo
 from ..core.tree import Tree
-from .base import WorkerClock, subtraction_schedule
+from .base import WorkerClock, decide_split, subtraction_schedule
 
 if TYPE_CHECKING:
     from ..config import TrainConfig
@@ -128,8 +129,8 @@ def _elect_split(
         if features.size == 0:
             continue
         with clock.timed(worker, "split-find"):
-            candidate = ex._decide_split(
-                hist_of(worker), stats, count, bins[features])
+            candidate = decide_split(
+                ex.config, hist_of(worker), stats, count, bins[features])
         if candidate is not None:
             candidate = SplitInfo(
                 feature=int(features[candidate.feature]),
@@ -778,8 +779,8 @@ class AllReduceAggregation(_LocalPlacementMixin, AggregationStrategy):
         bins = ex._binned.bins_per_feature
         with clock.timed(LEADER, "split-find"):
             for node in nodes:
-                split = ex._decide_split(
-                    aggregated[node], ex.stats[node],
+                split = decide_split(
+                    ex.config, aggregated[node], ex.stats[node],
                     ex.partition.node_count(ex, node), bins,
                 )
                 if split is not None:

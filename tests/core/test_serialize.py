@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import GBDT, TrainConfig
+from repro import GBDT, ClusterConfig, ModelRegistry, TrainConfig
 from repro.core.serialize import (FORMAT_VERSION, canonical_payload_bytes,
                                   ensemble_from_dict, ensemble_to_dict,
                                   load_ensemble, payload_checksum,
                                   save_ensemble)
+from repro.data.dataset import bin_dataset
+from repro.systems import get_plan, plan_keys
 
 #: committed golden model: regenerate ONLY on a deliberate format bump
 GOLDEN = (Path(__file__).resolve().parent.parent / "data" / "golden"
@@ -152,3 +154,56 @@ class TestValidation:
                                    num_classes=2)
         assert payload["objective"] == "binary"
         assert payload["learning_rate"] == ensemble.learning_rate
+
+
+def _negative(field):
+    def mutate(nodes):
+        nodes["0"][field] = -3
+    return mutate
+
+
+def _beyond_the_last_layer(nodes):
+    nodes[str(2 ** 4 - 1)] = {"weight": [0.5]}
+
+
+def _under_a_leaf(nodes):
+    # the root turns into a leaf; its children stay behind
+    nodes["0"] = {"weight": [0.5]}
+
+
+class TestFailsClosed:
+    """A payload whose trees no row could be routed through correctly is
+    refused at load time, naming the tree and node — by the decoder and
+    by the registry that publishes through it."""
+
+    @pytest.mark.parametrize("mutate,message", [
+        (_negative("feature"), "tree 2 node 0: negative split"),
+        (_negative("bin"), "tree 2 node 0: negative split"),
+        (_beyond_the_last_layer, "tree 2 node 15: outside a 4-layer"),
+        (_under_a_leaf, "tree 2 node [12]: its parent is not a split"),
+    ], ids=["negative-feature", "negative-bin", "node-beyond-layers",
+            "node-under-leaf"])
+    def test_corrupt_tree_is_refused(self, trained, mutate, message):
+        _, ensemble, _ = trained
+        payload = ensemble_to_dict(ensemble)
+        mutate(payload["trees"][2]["nodes"])
+        with pytest.raises(ValueError, match=message):
+            ensemble_from_dict(payload)
+        registry = ModelRegistry()
+        with pytest.raises(ValueError, match=message):
+            registry.publish(payload)
+        assert registry.versions() == []
+
+    @pytest.mark.parametrize("key", plan_keys())
+    def test_every_plan_model_still_loads(self, key, small_binary):
+        cfg = TrainConfig(num_trees=2, num_layers=4, num_candidates=8)
+        binned = bin_dataset(small_binary, cfg.num_candidates)
+        ensemble = get_plan(key).build(cfg, ClusterConfig(2)) \
+            .fit(binned).ensemble
+        payload = ensemble_to_dict(ensemble)
+        assert ensemble_to_dict(ensemble_from_dict(payload)) == payload
+
+    def test_golden_model_still_publishes(self):
+        version = ModelRegistry().publish_file(
+            GOLDEN, expected_checksum=GOLDEN_CHECKSUM)
+        assert version.checksum == GOLDEN_CHECKSUM

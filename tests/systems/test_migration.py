@@ -25,6 +25,7 @@ import pytest
 from repro import ClusterConfig, TrainConfig, make_classification
 from repro.core.histogram import HistogramPool
 from repro.data.dataset import bin_dataset
+from repro.systems import base as base_module
 from repro.systems.executor import (SessionCheckpoint, TrainingSession)
 from repro.systems.migration import (MIGRATE_PREFIX, MIGRATION_LAYER,
                                      MigrationRecord)
@@ -279,6 +280,47 @@ class TestMigrationUnderChaos:
         assert "recovery:migrate:checkpoint" in fault
 
 
+class TestMigrationClock:
+    """The migration bill's codec time is charged per worker and scaled
+    by worker speed, as every training clock is."""
+
+    TICK = 0.01
+
+    def codec_seconds(self, binned, monkeypatch, speeds):
+        """The non-wire part of a qd2 -> vero migration's bill, with
+        every wall-clocked block lasting exactly one tick."""
+        cluster = ClusterConfig(num_workers=4, worker_speeds=speeds)
+        session = TrainingSession(
+            get_plan("qd2").build(make_config(codec="delta"), cluster),
+            binned)
+        session.run(until=SWITCH_AT)
+        tick = self.TICK
+
+        class FixedTick:
+            now = 0.0
+
+            @classmethod
+            def perf_counter(cls):
+                cls.now += tick
+                return cls.now
+
+        monkeypatch.setattr(base_module, "time", FixedTick)
+        record = session.migrate("vero")
+        wire = sum(
+            seconds for kind, seconds
+            in session.system.net.snapshot().seconds_by_kind.items()
+            if kind.startswith(MIGRATE_PREFIX))
+        return record.seconds - wire
+
+    def test_a_quarter_speed_worker_bills_four_times_the_codec_time(
+            self, binned, monkeypatch):
+        uniform = self.codec_seconds(binned, monkeypatch, None)
+        straggler = self.codec_seconds(binned, monkeypatch,
+                                       (1.0, 1.0, 1.0, 0.25))
+        assert uniform == pytest.approx(self.TICK)
+        assert straggler == pytest.approx(4 * uniform)
+
+
 class TestHistogramPoolAcrossMigration:
     def test_pool_reset_and_stats_api(self):
         pool = HistogramPool()
@@ -353,3 +395,26 @@ class TestSessionPersistence:
             binned)
         np.testing.assert_array_equal(resumed.state.scores,
                                       session.state.scores)
+
+    def test_resume_on_another_dataset_is_rejected(self, binned):
+        cfg = make_config()
+        session = TrainingSession(
+            get_plan("qd2").build(cfg, ClusterConfig(num_workers=4)),
+            binned)
+        session.run(until=SWITCH_AT)
+        other = bin_dataset(make_classification(300, 20, density=0.4,
+                                                seed=8), 8)
+        with pytest.raises(ValueError, match="400 instances.*has 300"):
+            TrainingSession.resume(session.checkpoint(), cfg,
+                                   ClusterConfig(num_workers=4), other)
+
+    def test_resume_past_num_trees_is_rejected(self, binned):
+        cfg = make_config()
+        session = TrainingSession(
+            get_plan("qd2").build(cfg, ClusterConfig(num_workers=4)),
+            binned)
+        session.run(until=2)
+        with pytest.raises(ValueError, match="tree 2.*num_trees=1"):
+            TrainingSession.resume(session.checkpoint(), cfg,
+                                   ClusterConfig(num_workers=4), binned,
+                                   num_trees=1)

@@ -3,9 +3,9 @@
 Three layers of protection around the strategy refactor:
 
 * every registry plan trains bit-identical trees to the single-process
-  oracle and to the frozen pre-refactor quadrant classes
-  (``tests/systems/legacy``) on fixed seeds, with *exactly* the same
-  communication and memory accounting;
+  oracle, and reproduces what the frozen pre-refactor quadrant classes
+  trained — model checksum, per-kind traffic and memory, recorded once in
+  ``tests/data/golden/plan_equivalence_v1.json`` — on fixed seeds;
 * per-plan ``comm_bytes`` stays inside the Section 3 cost-model bounds
   used by the quadrant tests;
 * the advisor's recommendation is directly executable
@@ -14,6 +14,9 @@ Three layers of protection around the strategy refactor:
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from repro import (ClusterConfig, GBDT, TrainConfig, get_plan,
                    make_classification, make_system, plan_keys)
 from repro.bench.harness import run_point
 from repro.config import NetworkModel
+from repro.core.serialize import ensemble_to_dict, payload_checksum
 from repro.data.dataset import bin_dataset
 from repro.systems import PLANS, PlanExecutor
 from repro.systems.advisor import recommend
@@ -28,12 +32,16 @@ from repro.systems.costmodel import (WorkloadShape,
                                      horizontal_comm_bytes_per_tree,
                                      vertical_comm_bytes_per_tree)
 from repro.systems.plans import ExecutionPlan
-from tests.systems.legacy import LEGACY_SYSTEMS
 
 #: every registry plan with a pre-refactor equivalent
 ALL_PLANS = ["qd1", "qd2", "qd2-ps", "qd2-fp", "qd3", "qd3-pure", "vero"]
 VERTICAL_PLANS = ["qd2-fp", "qd3", "qd3-pure", "vero", "qd4-blocked"]
 HORIZONTAL_PLANS = ["qd1", "qd2", "qd2-ps"]
+
+#: what the frozen pre-refactor quadrant classes trained, one record per
+#: :data:`GOLDEN_CASES` entry (written by ``make_plan_equivalence.py``)
+GOLDEN = (Path(__file__).resolve().parents[1] / "data" / "golden"
+          / "plan_equivalence_v1.json")
 
 
 def full_signature(tree):
@@ -57,22 +65,56 @@ def ensemble_signature(ensemble):
     return tuple(full_signature(tree) for tree in ensemble.trees)
 
 
-@pytest.fixture(scope="module")
-def workload():
+def make_binary_workload():
     dataset = make_classification(500, 40, density=0.4, seed=97)
     cfg = TrainConfig(num_trees=3, num_layers=5, num_candidates=8)
     binned = bin_dataset(dataset, cfg.num_candidates)
     return cfg, dataset, binned
 
 
-@pytest.fixture(scope="module")
-def multiclass_workload():
+def make_multiclass_workload():
     dataset = make_classification(360, 25, num_classes=4, density=0.5,
                                   seed=11)
     cfg = TrainConfig(num_trees=2, num_layers=4, num_candidates=6,
                       objective="multiclass", num_classes=4)
     binned = bin_dataset(dataset, cfg.num_candidates)
     return cfg, dataset, binned
+
+
+WORKLOADS = {"binary": make_binary_workload,
+             "multiclass": make_multiclass_workload}
+
+#: (workload, workers, plan key): every plan at W=4 and W=5, plus the
+#: multiclass plans at W=3
+GOLDEN_CASES = (
+    [("binary", workers, key) for workers in (4, 5) for key in ALL_PLANS]
+    + [("multiclass", 3, key) for key in ("qd1", "qd2", "qd3", "vero")]
+)
+
+
+def case_id(workload, workers, key):
+    return f"{workload}-W{workers}-{key}"
+
+
+def golden_record(result):
+    """What one golden case pins: the model (gains included) by
+    checksum, the per-kind traffic and both memory buckets."""
+    return {
+        "model_sha256": payload_checksum(ensemble_to_dict(result.ensemble)),
+        "bytes_by_kind": dict(result.comm.bytes_by_kind),
+        "data_bytes": result.memory.data_bytes,
+        "histogram_bytes": result.memory.histogram_bytes,
+    }
+
+
+@pytest.fixture(scope="module")
+def workload():
+    return make_binary_workload()
+
+
+@pytest.fixture(scope="module")
+def multiclass_workload():
+    return make_multiclass_workload()
 
 
 class TestRegistry:
@@ -141,40 +183,22 @@ class TestOracleEquivalence:
 
 class TestLegacyEquivalence:
     """The frozen pre-refactor classes are the golden reference: same
-    trees, same traffic, same memory — the refactor changed the
-    architecture and nothing else."""
+    model, same traffic, same memory — the refactor changed the
+    architecture and nothing else.  Their runs are recorded in
+    :data:`GOLDEN`; the plans must reproduce every record exactly."""
 
-    @pytest.mark.parametrize("key", ALL_PLANS)
-    def test_plan_matches_legacy_bit_for_bit(self, key, workload):
-        cfg, _, binned = workload
-        legacy_cls, kwargs = LEGACY_SYSTEMS[key]
-        legacy = legacy_cls(cfg, ClusterConfig(4), **kwargs).fit(binned)
-        plan = get_plan(key).build(cfg, ClusterConfig(4)).fit(binned)
-        assert ensemble_signature(legacy.ensemble) == \
-            ensemble_signature(plan.ensemble)
-        assert legacy.comm.total_bytes == plan.comm.total_bytes
-        assert legacy.memory.data_bytes == plan.memory.data_bytes
-        assert legacy.memory.histogram_bytes == \
-            plan.memory.histogram_bytes
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN.read_text())["cases"]
 
-    @pytest.mark.parametrize("key", ALL_PLANS)
-    def test_per_kind_traffic_matches_legacy(self, key, workload):
-        cfg, _, binned = workload
-        legacy_cls, kwargs = LEGACY_SYSTEMS[key]
-        legacy = legacy_cls(cfg, ClusterConfig(5), **kwargs).fit(binned)
-        plan = get_plan(key).build(cfg, ClusterConfig(5)).fit(binned)
-        assert legacy.comm.bytes_by_kind == plan.comm.bytes_by_kind
-
-    def test_multiclass_plans_match_legacy(self, multiclass_workload):
-        cfg, _, binned = multiclass_workload
-        for key in ("qd1", "qd2", "qd3", "vero"):
-            legacy_cls, kwargs = LEGACY_SYSTEMS[key]
-            legacy = legacy_cls(cfg, ClusterConfig(3), **kwargs) \
-                .fit(binned)
-            plan = get_plan(key).build(cfg, ClusterConfig(3)).fit(binned)
-            assert ensemble_signature(legacy.ensemble) == \
-                ensemble_signature(plan.ensemble), key
-            assert legacy.comm.total_bytes == plan.comm.total_bytes, key
+    @pytest.mark.parametrize("case", GOLDEN_CASES,
+                             ids=[case_id(*case) for case in GOLDEN_CASES])
+    def test_plan_matches_legacy_golden(self, case, golden):
+        name, workers, key = case
+        cfg, _, binned = WORKLOADS[name]()
+        result = get_plan(key).build(cfg, ClusterConfig(workers)) \
+            .fit(binned)
+        assert golden_record(result) == golden[case_id(*case)]
 
     def test_blocked_plan_matches_vero_trees(self, workload):
         """The blockified layout holds the same entries, so qd4-blocked

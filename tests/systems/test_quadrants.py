@@ -268,12 +268,3 @@ class TestFactory:
     def test_case_insensitive(self):
         system = make_system("VERO", TrainConfig(), ClusterConfig())
         assert system.name == "vero"
-
-    def test_qd3_index_modes(self):
-        for mode in ("hybrid", "columnwise"):
-            system = make_system("qd3", TrainConfig(), ClusterConfig(),
-                                 index_mode=mode)
-            assert system.index_mode == mode
-        with pytest.raises(ValueError):
-            make_system("qd3", TrainConfig(), ClusterConfig(),
-                        index_mode="magic")

@@ -49,24 +49,6 @@ def test_make_system_resolves_every_key_and_alias(name):
         assert (system.name, system.quadrant) == (plan.name, plan.quadrant)
 
 
-@pytest.mark.parametrize(
-    "name", [n for n in NAMES if get_plan(n).key != "qd3"])
-def test_make_system_rejects_kwargs_on_plans_that_take_none(name):
-    with pytest.raises(TypeError, match="takes no keyword arguments"):
-        make_system(name, CONFIG, CLUSTER, index_mode="hybrid")
-
-
-@pytest.mark.parametrize("name", ["qd3", "yggdrasil", "QD3"])
-def test_make_system_passes_index_mode_to_qd3(name):
-    assert make_system(name, CONFIG, CLUSTER).index_mode == "hybrid"
-    pure = make_system(name, CONFIG, CLUSTER, index_mode="columnwise")
-    assert pure.plan.key == "qd3-pure"
-    with pytest.raises(ValueError, match="index_mode"):
-        make_system(name, CONFIG, CLUSTER, index_mode="bogus")
-    with pytest.raises(TypeError):
-        make_system(name, CONFIG, CLUSTER, bogus=1)
-
-
 def test_make_system_unknown_name_lists_what_is_known():
     with pytest.raises(KeyError, match="unknown system 'catboost'") as err:
         make_system("catboost", CONFIG, CLUSTER)

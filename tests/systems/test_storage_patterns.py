@@ -23,10 +23,8 @@ class TestQD3Modes:
     def test_hybrid_and_columnwise_same_trees(self, storage_setting):
         _, cfg, binned = storage_setting
         cluster = ClusterConfig(num_workers=3)
-        hybrid = make_system("qd3", cfg, cluster,
-                             index_mode="hybrid").fit(binned)
-        colwise = make_system("qd3", cfg, cluster,
-                              index_mode="columnwise").fit(binned)
+        hybrid = make_system("qd3", cfg, cluster).fit(binned)
+        colwise = make_system("qd3-pure", cfg, cluster).fit(binned)
         for t_h, t_c in zip(hybrid.ensemble.trees,
                             colwise.ensemble.trees):
             assert set(t_h.nodes) == set(t_c.nodes)
@@ -50,9 +48,8 @@ class TestQD3Modes:
         more computation than the hybrid (Appendix C)."""
         _, cfg, binned = storage_setting
         cluster = ClusterConfig(num_workers=3)
-        hybrid = make_system("qd3", cfg, cluster, index_mode="hybrid")
-        colwise = make_system("qd3", cfg, cluster,
-                              index_mode="columnwise")
+        hybrid = make_system("qd3", cfg, cluster)
+        colwise = make_system("qd3-pure", cfg, cluster)
         r_h = hybrid.fit(binned)
         r_c = colwise.fit(binned)
         assert r_c.mean_comp_seconds() > r_h.mean_comp_seconds()
@@ -94,8 +91,7 @@ class TestGroupingAblation:
         for strategy in ("greedy", "hash"):
             system = make_system("qd4", cfg, cluster)
             system.grouping = strategy
-            system._binned = binned
-            system._setup(binned)
+            system.setup(binned)
             shard_loads = np.array(
                 [s.binned.nnz for s in system.shards], dtype=np.float64
             )
