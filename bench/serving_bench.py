@@ -39,10 +39,9 @@ import numpy as np
 
 from _harness import Bench, time_ops
 from repro.config import ClusterConfig, NetworkModel, TrainConfig
-from repro.core.gbdt import GBDT
 from repro.data.synthetic import make_classification
 from repro.serve import (BatchPolicy, MicroBatcher, ModelRegistry,
-                         ReplicaSet, synthetic_trace)
+                         ReplicaSet, publish_trained, synthetic_trace)
 from repro.systems.costmodel import (price_serving_layouts,
                                      recommend_serving_layout)
 
@@ -51,26 +50,21 @@ SPEEDUP_TARGET = 5.0
 NUM_FEATURES = 100
 
 
-def train_models(quick: bool):
-    """The served model and its hot-swap replacement (paper-default
+def train_models(quick: bool) -> ModelRegistry:
+    """The served model and its hot-swap successor (paper-default
     depth: ``num_layers = 8``), published to a fresh registry."""
-    trees = 10 if quick else 50
     dataset = make_classification(8_000 if quick else 20_000,
                                   NUM_FEATURES, density=0.2, seed=5)
-    cfg = TrainConfig(num_trees=trees, num_layers=8, learning_rate=0.3)
-    primary = GBDT(cfg).fit(dataset).ensemble
-    retrain = TrainConfig(num_trees=max(trees // 2, 1), num_layers=8,
-                          learning_rate=0.3)
-    secondary = GBDT(retrain).fit(dataset).ensemble
+    cfg = TrainConfig(num_trees=10 if quick else 50, num_layers=8,
+                      learning_rate=0.3)
     registry = ModelRegistry()
-    registry.publish(primary, source="bench v1")
-    registry.publish(secondary, source="bench v2")
-    return registry, primary
+    publish_trained(registry, dataset, cfg, "bench v1", successor="bench v2")
+    return registry
 
 
-def bench_speedup(registry, primary, quick: bool) -> dict:
+def bench_speedup(registry, quick: bool) -> dict:
     entry = registry.get(1)
-    compiled = entry.compiled
+    primary, compiled = entry.ensemble, entry.compiled
     trace = synthetic_trace(BATCH_SIZE, NUM_FEATURES, rate_rps=1e5,
                             seed=1)
     csc = trace.csc()
@@ -221,8 +215,8 @@ def bench_sharded(registry, quick: bool) -> dict:
 
 def main() -> int:
     bench = Bench("serving", __doc__)
-    registry, primary = train_models(bench.quick)
-    speedup = bench_speedup(registry, primary, bench.quick)
+    registry = train_models(bench.quick)
+    speedup = bench_speedup(registry, bench.quick)
     bench.gate(speedup["speedup"] >= SPEEDUP_TARGET,
                f"speedup {speedup['speedup']}x < {SPEEDUP_TARGET}x")
     return bench.finish({

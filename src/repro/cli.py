@@ -456,6 +456,7 @@ def cmd_serve_bench(args) -> int:
     import numpy as _np
 
     from .serve import (BatchPolicy, MicroBatcher, ModelRegistry,
+                        compile_ensemble, publish_trained,
                         reduce_shard_scores, synthetic_trace)
     from .serve.sharded import fleet_class
     from .systems.costmodel import (price_serving_layouts,
@@ -477,7 +478,6 @@ def cmd_serve_bench(args) -> int:
     registry = ModelRegistry()
     if args.model:
         entry = registry.publish_file(args.model)
-        ensembles = {entry.version: load_ensemble(args.model)}
     else:
         config = TrainConfig(
             num_trees=args.trees, num_layers=args.layers,
@@ -486,25 +486,12 @@ def cmd_serve_bench(args) -> int:
         dataset = make_classification(
             args.instances, args.features, seed=args.seed,
         )
-        from .core.gbdt import GBDT
-
-        first = GBDT(config).fit(dataset).ensemble
-        entry = registry.publish(first, source="in-process v1")
-        # the hot-swap candidate: same data, half the trees
-        retrain = TrainConfig(
-            num_trees=max(args.trees // 2, 1), num_layers=args.layers,
-            objective="binary", learning_rate=0.3,
-        )
-        second = GBDT(retrain).fit(dataset).ensemble
-        registry.publish(second, source="in-process v2")
-        ensembles = {1: first, 2: second}
+        # v2 is the hot-swap candidate: same data, half the trees
+        entry = publish_trained(registry, dataset, config, "in-process v1",
+                                successor="in-process v2")
     compiled = entry.compiled
     if args.backend:
-        from .serve import compile_ensemble as _compile
-
-        source = ensembles.get(entry.version)
-        if source is not None:
-            compiled = _compile(source, backend=args.backend)
+        compiled = compile_ensemble(entry.ensemble, backend=args.backend)
     print(f"serving {entry} from {args.serve_workers} workers "
           f"({args.balancer}, backend={compiled.backend.name})")
 
@@ -514,35 +501,33 @@ def cmd_serve_bench(args) -> int:
     )
 
     # compiled vs naive on the full trace, exactness checked
-    naive_ensemble = ensembles.get(entry.version)
-    if naive_ensemble is not None:
-        csc = trace.csc()
-        began = _time.perf_counter()
-        naive = naive_ensemble.raw_scores(csc)
-        naive_s = _time.perf_counter() - began
-        began = _time.perf_counter()
-        fast = compiled.raw_scores(trace.features)
-        fast_s = _time.perf_counter() - began
-        exact = bool((naive == fast).all())
-        print(f"batch of {trace.num_requests}: naive={naive_s * 1e3:.1f}ms "
-              f"compiled={fast_s * 1e3:.1f}ms "
-              f"({naive_s / max(fast_s, 1e-12):.2f}x), exact={exact}")
-        if args.quantized and not args.model:
-            from .data.dataset import bin_dataset
-            from .serve import quantize_ensemble
+    csc = trace.csc()
+    began = _time.perf_counter()
+    naive = entry.ensemble.raw_scores(csc)
+    naive_s = _time.perf_counter() - began
+    began = _time.perf_counter()
+    fast = compiled.raw_scores(trace.features)
+    fast_s = _time.perf_counter() - began
+    exact = bool((naive == fast).all())
+    print(f"batch of {trace.num_requests}: naive={naive_s * 1e3:.1f}ms "
+          f"compiled={fast_s * 1e3:.1f}ms "
+          f"({naive_s / max(fast_s, 1e-12):.2f}x), exact={exact}")
+    if args.quantized and not args.model:
+        from .data.dataset import bin_dataset
+        from .serve import quantize_ensemble
 
-            # the same binning fit() used, so every split threshold
-            # sits exactly on the quantizer's bin grid
-            train_binned = bin_dataset(dataset, config.num_candidates)
-            quant = quantize_ensemble(compiled, train_binned.cuts)
-            binned_batch = quant.bin_batch(trace.features)
-            began = _time.perf_counter()
-            qscores = quant.raw_scores_binned(binned_batch)
-            quant_s = _time.perf_counter() - began
-            qexact = bool((naive == qscores).all())
-            print(f"quantized (uint8 bins): {quant_s * 1e3:.1f}ms "
-                  f"({fast_s / max(quant_s, 1e-12):.2f}x vs compiled), "
-                  f"exact={qexact}")
+        # the same binning fit() used, so every split threshold sits
+        # exactly on the quantizer's bin grid
+        train_binned = bin_dataset(dataset, config.num_candidates)
+        quant = quantize_ensemble(compiled, train_binned.cuts)
+        binned_batch = quant.bin_batch(trace.features)
+        began = _time.perf_counter()
+        qscores = quant.raw_scores_binned(binned_batch)
+        quant_s = _time.perf_counter() - began
+        qexact = bool((naive == qscores).all())
+        print(f"quantized (uint8 bins): {quant_s * 1e3:.1f}ms "
+              f"({fast_s / max(quant_s, 1e-12):.2f}x vs compiled), "
+              f"exact={qexact}")
 
     replicas = fleet_class(args.shards)(
         registry, ClusterConfig(num_workers=args.serve_workers),
@@ -577,8 +562,7 @@ def cmd_serve_bench(args) -> int:
     print(f"chain fold over {args.shards} shard(s) bit-identical to the "
           f"full predictor: {bool(_np.array_equal(chained, direct))}")
     # the same rollouts priced fully replicated (S = 1 on these workers)
-    replicated = sum(registry.get(v).nbytes
-                     for v in range(1, len(registry) + 1)) \
+    replicated = sum(e.nbytes for e in registry.versions()) \
         * args.serve_workers
     print(f"{replicas.deploy_kind} traffic: {replicas.deploy_bytes} bytes "
           f"({len(registry)} deploys x {args.serve_workers} workers; "

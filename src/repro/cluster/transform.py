@@ -37,7 +37,7 @@ from ..config import ClusterConfig
 from ..data.dataset import BinnedDataset, Dataset, apply_cuts
 from ..data.matrix import CSCMatrix, CSRMatrix
 from ..sketch.proposer import distinct_cuts_below, propose_candidates
-from ..sketch.quantile import MergingSketch
+from ..sketch.quantile import SKETCH_EPS, MergingSketch
 from .blocks import BlockedColumnGroup, blockify_shard
 from .network import SimulatedNetwork
 from .partition import greedy_column_groups, horizontal_row_ranges
@@ -103,7 +103,6 @@ def horizontal_to_vertical(
     cluster: ClusterConfig,
     num_candidates: int,
     net: Optional[SimulatedNetwork] = None,
-    sketch_eps: float = 0.005,
 ) -> TransformResult:
     """Run the full five-step transformation on a raw dataset."""
     if net is None:
@@ -128,7 +127,7 @@ def horizontal_to_vertical(
 
     with WorkerClock(num_workers).timed() as sketching:
         cuts, sketch_bytes = _sketch_candidates(
-            raw_shards, dataset.num_features, num_candidates, sketch_eps
+            raw_shards, dataset.num_features, num_candidates
         )
     report.get_splits_seconds = (
         sketching.seconds / num_workers
@@ -193,7 +192,6 @@ def _sketch_candidates(
     raw_shards: List[CSRMatrix],
     num_features: int,
     num_candidates: int,
-    sketch_eps: float,
 ) -> Tuple[List[np.ndarray], int]:
     """Steps 1-2: per-worker sketches, merge, propose candidates.
 
@@ -206,7 +204,7 @@ def _sketch_candidates(
     """
     columns = [shard.to_csc() for shard in raw_shards]
     totals = np.sum([csc.col_lengths() for csc in columns], axis=0)
-    light = totals <= MergingSketch(eps=sketch_eps).max_summary
+    light = totals <= MergingSketch(eps=SKETCH_EPS).max_summary
     cuts = _light_candidates(columns, light, num_candidates)
     sketch_bytes = 16 * int(totals[light].sum())
     for j in np.flatnonzero(~light):
@@ -215,7 +213,7 @@ def _sketch_candidates(
             _, vals = csc.col(j)
             if vals.size == 0:
                 continue
-            local = MergingSketch(eps=sketch_eps)
+            local = MergingSketch(eps=SKETCH_EPS)
             local.update(vals)
             sketch_bytes += local.serialized_nbytes
             merged = local if merged is None else merged.merge(local)

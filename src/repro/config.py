@@ -46,9 +46,6 @@ class TrainConfig:
         ``"regression"`` (square loss).
     num_classes:
         ``C`` — used only for ``objective="multiclass"``.
-    sketch_eps:
-        Accuracy parameter of the Greenwald-Khanna quantile sketch used to
-        propose candidate splits.
     growth:
         ``"layerwise"`` (the paper's level-wise growth; all distributed
         quadrants use it) or ``"leafwise"`` (best-first growth as in
@@ -110,7 +107,6 @@ class TrainConfig:
     min_node_instances: int = 1
     objective: str = "binary"
     num_classes: int = 2
-    sketch_eps: float = 0.005
     growth: str = "layerwise"
     max_leaves: int = 0
     subsample: float = 1.0

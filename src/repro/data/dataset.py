@@ -20,7 +20,7 @@ import numpy as np
 
 from ..sketch.proposer import (distinct_cuts_below, propose_candidates,
                                propose_candidates_exact)
-from ..sketch.quantile import MergingSketch
+from ..sketch.quantile import SKETCH_EPS, MergingSketch
 from .matrix import CSCMatrix, CSRMatrix
 
 #: bounds the ``(columns, n)`` block one ``np.quantile`` call of
@@ -271,7 +271,6 @@ def bin_dataset(
     dataset: Dataset,
     num_bins: int,
     method: str = "exact",
-    sketch_eps: float = 0.005,
 ) -> BinnedDataset:
     """Quantize a dataset into at most ``num_bins`` bins per feature.
 
@@ -292,7 +291,7 @@ def bin_dataset(
             if vals.size == 0:
                 cuts.append(propose_candidates_exact(vals, num_bins))
             else:
-                sketch = MergingSketch(eps=sketch_eps)
+                sketch = MergingSketch(eps=SKETCH_EPS)
                 sketch.update(vals)
                 cuts.append(propose_candidates(sketch, num_bins))
     binned = apply_cuts(dataset.features, cuts)

@@ -42,12 +42,6 @@ def run_report(result, system: str = "", dataset: str = "",
     for report in result.tree_reports:
         for phase, seconds in report.phase_seconds.items():
             phases[phase] = phases.get(phase, 0.0) + seconds
-    decisions: List[dict] = []
-    for decision in result.decisions:
-        if hasattr(decision, "payload"):
-            decisions.append(decision.payload())
-        else:
-            decisions.append(dataclasses.asdict(decision))
     return {
         "schema": SCHEMA,
         "system": system,
@@ -72,7 +66,7 @@ def run_report(result, system: str = "", dataset: str = "",
             "histogram_bytes": result.memory.histogram_bytes,
         },
         "migrations": [dataclasses.asdict(m) for m in result.migrations],
-        "decisions": decisions,
+        "decisions": [d.payload() for d in result.decisions],
         "tree_seconds": [r.total_seconds for r in result.tree_reports],
     }
 

@@ -14,7 +14,9 @@ package turns them into production-shaped inference:
 - :mod:`~repro.serve.batcher` — micro-batching request scheduler on the
   simulated clock with a per-request latency ledger;
 - :mod:`~repro.serve.registry` — versioned model registry with payload
-  checksums, atomic hot-swap, and rollback;
+  checksums, atomic hot-swap, and rollback, plus
+  :func:`publish_trained`, the one place a served model and its
+  half-size hot-swap successor are trained;
 - :mod:`~repro.serve.replica` — replicated serving over the simulated
   cluster with ``deploy:model`` byte accounting and load balancing;
 - :mod:`~repro.serve.sharded` — tree-sharded (vertically partitioned)
@@ -53,8 +55,8 @@ from .deploy import (CANARY_KIND, DECISION_KIND, ROLLBACK_KIND,
                      CanaryPolicy, CanaryRouter, DeployController,
                      DeployDecision, DriftMonitor, RollbackPolicy,
                      audit_deploy, run_deploy)
-from .registry import ModelRegistry, ModelShard, ModelVersion, \
-    shard_payload
+from .registry import (ModelRegistry, ModelShard, ModelVersion,
+                       publish_trained, shard_payload)
 from .replica import DEPLOY_KIND, ReplicaSet
 from .sharded import (PARTIAL_KIND, REDUCE_KIND, SHARD_DEPLOY_KIND,
                       ShardedReplicaSet, reduce_shard_scores)
@@ -109,6 +111,7 @@ __all__ = [
     "compile_ensemble",
     "emit_labels",
     "get_scenario",
+    "publish_trained",
     "quantize_ensemble",
     "reduce_shard_scores",
     "run_deploy",

@@ -357,6 +357,26 @@ class ServingReport:
         return True
 
 
+def billed_scores(score: Callable[[np.ndarray], np.ndarray],
+                  features: np.ndarray,
+                  service_model: Optional[Callable[[int], float]],
+                  cache=None, version: int = 0) -> Tuple[np.ndarray, float]:
+    """``(scores, service seconds)`` of one batch: ``score(features)``
+    (through ``cache`` when given, which scores and bills only its
+    misses), priced ``service_model(billable rows)`` or, without a
+    service model, the scoring's wall clock.  Every serving backend
+    bills here; it is the one place serving reads the wall clock."""
+    began = time.perf_counter()
+    if cache is None:
+        scores, billable = score(features), features.shape[0]
+    else:
+        scores, billable = cache.serve(version, features, score)
+    measured = time.perf_counter() - began
+    if service_model is None:
+        return scores, measured
+    return scores, float(service_model(billable))
+
+
 class ModelServer:
     """Single-worker serving backend.
 
@@ -399,16 +419,9 @@ class ModelServer:
     def dispatch(self, features: np.ndarray,
                  close_s: float) -> DispatchResult:
         compiled, version = self.resolve()
-        began = time.perf_counter()
-        if self.cache is None:
-            scores = compiled.raw_scores(features)
-            billable = features.shape[0]
-        else:
-            scores, billable = self.cache.serve(
-                version, features, compiled.raw_scores)
-        measured = time.perf_counter() - began
-        seconds = (measured if self.service_model is None
-                   else float(self.service_model(billable)))
+        scores, seconds = billed_scores(
+            compiled.raw_scores, features, self.service_model,
+            self.cache, version)
         start = max(close_s, self._free_s)
         self._free_s = start + seconds
         return DispatchResult(

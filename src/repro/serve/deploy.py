@@ -42,9 +42,7 @@ serving ledger alone — the report's verdict never has to be trusted.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import heapq
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -54,22 +52,25 @@ import numpy as np
 from ..config import ClusterConfig, TrainConfig
 from ..core.metrics import auc as _auc
 from ..core.metrics import logloss as _logloss
-from ..core.serialize import canonical_payload_bytes, ensemble_to_dict
-from ..ledger import DEPLOY_SCHEMA, percentile_summary
-from .batcher import DispatchResult, MicroBatcher, ServingReport
-from .registry import ModelRegistry
+from ..core.serialize import canonical_payload_bytes
+from ..ledger import DEPLOY_SCHEMA
+from .batcher import (DispatchResult, LatencyStats, MicroBatcher,
+                      ServingReport, billed_scores)
+from .registry import ModelRegistry, publish_trained
 from .replica import ReplicaSet
 from .scenarios import (LabelStream, Scenario, build_fleet, build_trace,
-                        emit_labels)
+                        emit_labels, served_probability, wire_ledger)
 
 #: wire ledger kinds of the deployment control plane
 CANARY_KIND = "deploy:canary"
 ROLLBACK_KIND = "deploy:rollback"
 DECISION_KIND = "deploy:decision"
 
-
-def _sigmoid(raw: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(raw, -60.0, 60.0)))
+#: version ids of an episode's fresh registry: the incumbent publishes
+#: first, the canary candidate second
+INCUMBENT_VERSION, CANARY_VERSION = 1, 2
+#: the plan a rollback retrains the next candidate with
+RETRAIN_PLAN = "qd1"
 
 
 def degrade_payload(payload: dict) -> dict:
@@ -428,15 +429,21 @@ class CanaryRouter:
             pool = self._serve_pool()
         result = self.replicas.dispatch(features, close_s, pool=pool)
         self.dispatches += 1
-        probs = _sigmoid(np.asarray(result.scores)[:, 0])
-        for pos, request_id in enumerate(ids):
-            heapq.heappush(self._heap, (
-                float(self.labels.available_s[request_id]),
-                int(request_id), result.model_version, float(probs[pos]),
-            ))
+        self._await_labels(ids, result.model_version, result.scores)
         if self._split_active and self.canary_policy.shadow:
             self._shadow_score(features, ids, close_s)
         return result
+
+    def _await_labels(self, ids: np.ndarray, version: int,
+                      scores: np.ndarray) -> None:
+        """Hold each request's served probability under ``version``
+        until its label becomes available."""
+        probs = served_probability(scores)
+        for pos, request_id in enumerate(ids):
+            heapq.heappush(self._heap, (
+                float(self.labels.available_s[request_id]),
+                int(request_id), version, float(probs[pos]),
+            ))
 
     def _shadow_score(self, features: np.ndarray, ids: np.ndarray,
                       close_s: float) -> None:
@@ -444,24 +451,15 @@ class CanaryRouter:
 
         The canary's answers go to the monitor only; its compute is
         billed to the least-loaded canary worker via
-        :meth:`ReplicaSet.occupy` — the service model's seconds, or the
-        scoring call's wall clock when the fleet has none — so shadow
-        capacity cost is real in the clock even though no client ever
-        sees a shadow score.
+        :meth:`ReplicaSet.occupy` — priced by
+        :func:`~repro.serve.batcher.billed_scores` like a served batch —
+        so shadow capacity cost is real in the clock even though no
+        client ever sees a shadow score.
         """
-        began = time.perf_counter()
-        raw = self.canary_compiled.raw_scores(features)
-        measured = time.perf_counter() - began
-        probs = _sigmoid(np.asarray(raw)[:, 0])
-        baseline = (measured if self.replicas.service_model is None
-                    else float(self.replicas.service_model(
-                        features.shape[0])))
+        raw, baseline = billed_scores(self.canary_compiled.raw_scores,
+                                      features, self.replicas.service_model)
         self.replicas.occupy(self.canary_pool, close_s, baseline)
-        for pos, request_id in enumerate(ids):
-            heapq.heappush(self._heap, (
-                float(self.labels.available_s[request_id]),
-                int(request_id), self.canary_version, float(probs[pos]),
-            ))
+        self._await_labels(ids, self.canary_version, raw)
         self.shadow_batches += 1
         self.shadow_rows += int(features.shape[0])
 
@@ -546,10 +544,10 @@ class DeployController:
     (:func:`degrade_payload`) — the model the monitor must condemn.
     The controller provisions models, generates the trace and its
     delayed labels, replays through a :class:`CanaryRouter`, executes
-    the registry transitions, optionally retrains after a rollback, and
-    emits the ``deploy-report/v1`` dict.  Everything it does is a pure
-    function of ``(scenario, policies, canary_model)``; two runs yield
-    byte-identical reports.
+    the registry transitions, retrains (plan :data:`RETRAIN_PLAN`) after
+    a rollback, and emits the ``deploy-report/v1`` dict.  Everything it
+    does is a pure function of ``(scenario, policies, canary_model)``;
+    two runs yield byte-identical reports.
 
     After :meth:`run`, the raw artifacts stay available as
     ``controller.serving_report``, ``controller.router``,
@@ -560,9 +558,7 @@ class DeployController:
     def __init__(self, scenario: Scenario,
                  canary: Optional[CanaryPolicy] = None,
                  policy: Optional[RollbackPolicy] = None,
-                 canary_model: str = "healthy",
-                 retrain_on_rollback: bool = True,
-                 retrain_plan: str = "qd1") -> None:
+                 canary_model: str = "healthy") -> None:
         if canary_model not in ("healthy", "degraded"):
             raise ValueError(
                 f"canary_model must be 'healthy' or 'degraded', "
@@ -572,8 +568,6 @@ class DeployController:
         self.canary = canary or CanaryPolicy()
         self.policy = policy or RollbackPolicy()
         self.canary_model = canary_model
-        self.retrain_on_rollback = retrain_on_rollback
-        self.retrain_plan = retrain_plan
         self.registry: Optional[ModelRegistry] = None
         self.replicas: Optional[ReplicaSet] = None
         self.router: Optional[CanaryRouter] = None
@@ -587,33 +581,17 @@ class DeployController:
     # -- provisioning ------------------------------------------------------
 
     def _provision(self) -> None:
-        from ..core.gbdt import GBDT
-        from ..data.synthetic import make_classification
-
         s = self.scenario
-        self._dataset = make_classification(
-            s.model_instances, s.num_features, density=0.8,
-            seed=s.seed, name=f"deploy-{s.name}",
-        )
-        self._train_config = TrainConfig(
-            num_trees=s.model_trees, num_layers=s.model_layers,
-            num_candidates=s.model_candidates, learning_rate=0.3,
-        )
-        registry = ModelRegistry()
-        incumbent = GBDT(self._train_config).fit(self._dataset).ensemble
-        registry.publish(incumbent, source=f"deploy:{s.name}:incumbent")
-        if self.canary_model == "degraded":
-            payload = degrade_payload(ensemble_to_dict(incumbent))
-            registry.publish(payload,
-                             source=f"deploy:{s.name}:degraded")
-        else:
-            retrain = dataclasses.replace(
-                self._train_config,
-                num_trees=max(s.model_trees // 2, 1))
-            successor = GBDT(retrain).fit(self._dataset).ensemble
-            registry.publish(successor,
-                             source=f"deploy:{s.name}:retrain")
-        self.registry = registry
+        self._dataset, self._train_config = s.model_data("deploy")
+        self.registry = ModelRegistry()
+        degraded = self.canary_model == "degraded"
+        incumbent = publish_trained(
+            self.registry, self._dataset, self._train_config,
+            f"deploy:{s.name}:incumbent",
+            successor=None if degraded else f"deploy:{s.name}:retrain")
+        if degraded:
+            self.registry.publish(degrade_payload(incumbent.payload),
+                                  source=f"deploy:{s.name}:degraded")
 
     def _retrain(self, at_s: float) -> None:
         """Close the loop: train the next candidate after a rollback.
@@ -629,7 +607,7 @@ class DeployController:
         from ..systems.executor import TrainingSession
 
         session = TrainingSession(
-            make_system(self.retrain_plan, self._train_config,
+            make_system(RETRAIN_PLAN, self._train_config,
                         ClusterConfig(num_workers=2)),
             self._dataset,
         )
@@ -676,6 +654,12 @@ class DeployController:
         after = self.replicas.network.snapshot().bytes_by_kind
         return sum(after.values()) - sum(before.values())
 
+    def _window(self) -> dict:
+        """Both versions' monitor windows, as a verdict decision logs
+        them."""
+        return {"incumbent": self.monitor.snapshot(INCUMBENT_VERSION),
+                "canary": self.monitor.snapshot(CANARY_VERSION)}
+
     def _on_rollback(self, at_s: float) -> None:
         """Mid-flight rollback: retire the canary, restore the slice.
 
@@ -686,10 +670,7 @@ class DeployController:
         logged and broadcast, then the retrain closes the loop.
         """
         router = self.router
-        window = {
-            "incumbent": self.monitor.snapshot(router.incumbent_version),
-            "canary": self.monitor.snapshot(router.canary_version),
-        }
+        window = self._window()
         before = dict(self.replicas.network.snapshot().bytes_by_kind)
         self.registry.roll_back(router.canary_version)
         self.replicas.deploy(router.incumbent_version, at_s=at_s,
@@ -701,8 +682,7 @@ class DeployController:
             "redeployed to the canary slice",
             wire_bytes=self._wire_delta(before), window=window,
         )
-        if self.retrain_on_rollback:
-            self._retrain(at_s)
+        self._retrain(at_s)
 
     # -- the episode -------------------------------------------------------
 
@@ -710,13 +690,11 @@ class DeployController:
         """Run one deployment episode; returns ``deploy-report/v1``."""
         s = self.scenario
         self._provision()
-        incumbent_version = 1
-        canary_version = 2
         trace = build_trace(s)
         mean_delay = (s.label_delay_s if s.label_delay_s > 0.0
                       else 0.05 * s.duration_s)
         labels = emit_labels(
-            trace, self.registry.get(incumbent_version).compiled,
+            trace, self.registry.get(INCUMBENT_VERSION).compiled,
             mean_delay, s.seed,
         )
 
@@ -725,29 +703,29 @@ class DeployController:
         self.monitor = DriftMonitor(self.policy.window)
         self.router = CanaryRouter(
             self.replicas, self.monitor, self.canary, self.policy,
-            labels, incumbent_version, canary_version,
-            canary_compiled=self.registry.get(canary_version).compiled,
+            labels, INCUMBENT_VERSION, CANARY_VERSION,
+            canary_compiled=self.registry.get(CANARY_VERSION).compiled,
             on_rollback=self._on_rollback,
         )
 
         before = dict(network.snapshot().bytes_by_kind)
-        self.replicas.deploy(incumbent_version)
+        self.replicas.deploy(INCUMBENT_VERSION)
         self._decide(
-            0.0, 0, "deploy", incumbent_version,
+            0.0, 0, "deploy", INCUMBENT_VERSION,
             "incumbent rolled out fleet-wide",
             wire_bytes=self._wire_delta(before),
         )
-        self.registry.stage_canary(canary_version)
+        self.registry.stage_canary(CANARY_VERSION)
 
         def start_canary(at_s: float) -> None:
             wire0 = dict(network.snapshot().bytes_by_kind)
-            self.replicas.deploy(canary_version, at_s=at_s,
+            self.replicas.deploy(CANARY_VERSION, at_s=at_s,
                                  workers=self.router.canary_pool,
                                  kind=CANARY_KIND)
             self.router.mark_canary_started(at_s)
             self._decide(
                 at_s, self.router.dispatches, "canary-start",
-                canary_version,
+                CANARY_VERSION,
                 ("shadow scoring on " if self.canary.shadow
                  else f"{self.canary.fraction:.0%} of traffic to ")
                 + f"{len(self.router.canary_pool) * s.num_shards} "
@@ -761,19 +739,16 @@ class DeployController:
         self.serving_report = serving
 
         verdict = self.router.final_verdict()
-        makespan = (max(r.completion_s for r in serving.records)
-                    if serving.records else 0.0)
-        window = {
-            "incumbent": self.monitor.snapshot(incumbent_version),
-            "canary": self.monitor.snapshot(canary_version),
-        }
+        stats = serving.latency_stats()
+        makespan = stats.makespan_s
+        window = self._window()
         if verdict == "promote":
             wire0 = dict(network.snapshot().bytes_by_kind)
-            self.registry.promote(canary_version)
-            self.replicas.deploy(canary_version, at_s=makespan)
+            self.registry.promote(CANARY_VERSION)
+            self.replicas.deploy(CANARY_VERSION, at_s=makespan)
             self._decide(
                 makespan, self.router.dispatches, "promote",
-                canary_version,
+                CANARY_VERSION,
                 "canary window healthy through the episode; promoted "
                 "and rolled out fleet-wide",
                 wire_bytes=self._wire_delta(wire0), window=window,
@@ -781,35 +756,29 @@ class DeployController:
         elif verdict == "hold":
             self._decide(
                 makespan, self.router.dispatches, "hold",
-                canary_version,
+                CANARY_VERSION,
                 "insufficient label evidence to promote or roll back; "
                 "canary stays staged",
                 window=window,
             )
-        return self._build_report(trace, labels, serving, verdict)
+        return self._build_report(trace, labels, serving, stats, verdict)
 
     # -- report assembly ---------------------------------------------------
 
     def _build_report(self, trace, labels: LabelStream,
-                      serving: ServingReport, verdict: str) -> dict:
+                      serving: ServingReport, stats: LatencyStats,
+                      verdict: str) -> dict:
         s = self.scenario
         router = self.router
-        stats = serving.latency_stats()
         decisions = [d.to_dict() for d in self.decisions]
-        audit = audit_deploy(serving, decisions, 1, 2,
-                             self.canary.shadow)
+        audit = audit_deploy(serving, decisions, INCUMBENT_VERSION,
+                             CANARY_VERSION, self.canary.shadow)
         split = audit.pop("split")
-        wire = self.replicas.network.snapshot()
-        retry_bytes = sum(
-            nbytes for kind, nbytes in wire.bytes_by_kind.items()
-            if kind.startswith("retry:")
-        )
+        wire = wire_ledger(self.replicas.network)
         deploy_bytes = sum(
-            nbytes for kind, nbytes in wire.bytes_by_kind.items()
+            nbytes for kind, nbytes in wire["bytes_by_kind"].items()
             if kind.startswith("deploy:")
         )
-        latencies = [r.latency_s for r in serving.records]
-        summary = percentile_summary(latencies)
         conservation = (len(serving.records) + len(serving.dropped)
                         == trace.num_requests)
         return {
@@ -825,8 +794,8 @@ class DeployController:
                 "rollback": self.policy.to_dict(),
             },
             "versions": {
-                "incumbent": 1,
-                "canary": 2,
+                "incumbent": INCUMBENT_VERSION,
+                "canary": CANARY_VERSION,
                 "retrained": self.retrained_version,
                 "checksums": {
                     str(e.version): e.checksum
@@ -848,9 +817,9 @@ class DeployController:
                 "dropped": stats.dropped,
                 "batches": len(serving.batches),
                 "makespan_s": stats.makespan_s,
-                "p50_s": summary["p50_s"],
-                "p95_s": summary["p95_s"],
-                "p99_s": summary["p99_s"],
+                "p50_s": stats.p50_s,
+                "p95_s": stats.p95_s,
+                "p99_s": stats.p99_s,
                 "shadow_batches": router.shadow_batches,
                 "shadow_rows": router.shadow_rows,
             },
@@ -865,12 +834,7 @@ class DeployController:
                 "activation_log": self.registry.activation_log,
                 "stage_log": [list(t) for t in self.registry.stage_log],
             },
-            "wire": {
-                "deploy_bytes": deploy_bytes,
-                "retry_bytes": retry_bytes,
-                "bytes_by_kind": dict(sorted(
-                    wire.bytes_by_kind.items())),
-            },
+            "wire": {"deploy_bytes": deploy_bytes, **wire},
             "invariants": {
                 "conservation_ok": conservation,
                 **audit,

@@ -30,11 +30,14 @@ lookup.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..config import TrainConfig
+from ..core.gbdt import GBDT
 from ..core.serialize import (canonical_payload_bytes, ensemble_from_dict,
                               ensemble_to_dict, payload_checksum)
 from ..core.tree import TreeEnsemble
@@ -388,3 +391,20 @@ class ModelRegistry:
         active = self._active.version if self._active else None
         return (f"ModelRegistry(versions={sorted(self._versions)}, "
                 f"active={active})")
+
+
+def publish_trained(registry: ModelRegistry, dataset, config: TrainConfig,
+                    source: str, successor: Optional[str] = None
+                    ) -> ModelVersion:
+    """Train the served model on ``dataset`` under ``config``, publish it
+    as ``source`` and return its entry; with ``successor`` (a source),
+    publish the hot-swap successor as the next version: the same data
+    retrained with ``max(T // 2, 1)`` trees.  Every runner and bench
+    trains its served models here."""
+    entry = registry.publish(GBDT(config).fit(dataset).ensemble,
+                             source=source)
+    if successor is not None:
+        half = dataclasses.replace(
+            config, num_trees=max(config.num_trees // 2, 1))
+        registry.publish(GBDT(half).fit(dataset).ensemble, source=successor)
+    return entry

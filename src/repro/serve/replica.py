@@ -40,7 +40,6 @@ one version, whatever the mix.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -51,7 +50,7 @@ from ..cluster.codecs import (CodecStack, apply_model_delta,
 from ..cluster.comm import record_collective
 from ..cluster.network import SimulatedNetwork
 from ..core.serialize import canonical_payload_bytes, payload_checksum
-from .batcher import DispatchResult
+from .batcher import DispatchResult, billed_scores
 from .registry import ModelRegistry, ModelShard, ModelVersion
 
 #: ledger kinds of model distribution: an ``S = 1`` fleet's, a sharded one's
@@ -337,24 +336,23 @@ class ReplicaSet:
         version = shards[0].version
         score_codec = self.codec.scores
 
-        # the chain fold, as runs of the row's shards: a lossless carry
-        # crosses every hop unchanged, so the row — trees [0, T) in
-        # order — is one run over the version's compiled ensemble; a
-        # lossy carry is quantized at each hop, so each shard is a run.
-        # Either way every tree is one ``+=`` in tree order (fold_scores)
-        runs = ([self.registry.get(version).compiled]
-                if score_codec.lossless
-                else [shard.compiled for shard in shards])
-        began = time.perf_counter()
-        if self.cache is None:
-            acc, billable = runs[0].raw_scores(features), features.shape[0]
+        # the chain fold: a lossless carry crosses every hop unchanged,
+        # so the row — trees [0, T) in order — is one traversal of the
+        # version's compiled ensemble; a lossy carry is quantized at each
+        # hop, so the row walks shard by shard.  Either way every tree is
+        # one ``+=`` in tree order (fold_scores)
+        if score_codec.lossless:
+            fold = self.registry.get(version).compiled.raw_scores
         else:
-            acc, billable = self.cache.serve(version, features,
-                                             runs[0].raw_scores)
-        for compiled in runs[1:]:
-            acc = score_codec.decode(score_codec.encode(acc))
-            compiled.add_raw_scores(features, acc)
-        measured = time.perf_counter() - began
+            def fold(rows: np.ndarray) -> np.ndarray:
+                acc = shards[0].compiled.raw_scores(rows)
+                for shard in shards[1:]:
+                    acc = score_codec.decode(score_codec.encode(acc))
+                    shard.compiled.add_raw_scores(rows, acc)
+                return acc
+
+        acc, full_model_seconds = billed_scores(
+            fold, features, self.service_model, self.cache, version)
 
         # the carry crosses S - 1 links; a one-worker row has none
         reduce_seconds = 0.0
@@ -369,8 +367,6 @@ class ReplicaSet:
                 reduce_seconds += record_collective(
                     self.network, kind, payload, self.num_shards,
                     "reducescatter", encoded_worker_bytes=encoded)
-        full_model_seconds = (measured if self.service_model is None
-                              else float(self.service_model(billable)))
         start, done = self._bill(row, close_s, self._tree_shares(
             shards, full_model_seconds), reduce_seconds)
         return DispatchResult(

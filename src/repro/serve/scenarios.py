@@ -52,10 +52,12 @@ import numpy as np
 from ..config import ClusterConfig, NetworkModel, TrainConfig
 from ..cluster.faults import FaultInjector, FaultPlan
 from ..cluster.network import SimulatedNetwork
+from ..data.dataset import bin_dataset
+from ..data.synthetic import make_classification
 from ..ledger import percentile_summary
 from .batcher import BatchPolicy, MicroBatcher, RequestTrace, ServingReport
 from .cache import PredictionCache
-from .registry import ModelRegistry
+from .registry import ModelRegistry, publish_trained
 from .replica import CACHE_SHARDING_CONFLICT, ReplicaSet
 from .sharded import fleet_class
 
@@ -244,6 +246,20 @@ class Scenario:
             raise ValueError(CACHE_SHARDING_CONFLICT)
         self.policy  # validate the batching knobs eagerly
 
+    def model_data(self, role: str):
+        """``(dataset, config)`` the served model trains on: the seeded
+        draw named ``{role}-{name}`` (``scenario`` or ``deploy``; the
+        name never reaches a tree) under the scenario's model knobs."""
+        dataset = make_classification(
+            self.model_instances, self.num_features, density=0.8,
+            seed=self.seed, name=f"{role}-{self.name}",
+        )
+        config = TrainConfig(
+            num_trees=self.model_trees, num_layers=self.model_layers,
+            num_candidates=self.model_candidates, learning_rate=0.3,
+        )
+        return dataset, config
+
     @property
     def policy(self) -> BatchPolicy:
         return BatchPolicy(
@@ -424,6 +440,14 @@ class LabelStream:
         return int(self.labels.size)
 
 
+def served_probability(raw: np.ndarray) -> np.ndarray:
+    """Per-request probability of a binary model's ``(N, 1)`` raw
+    scores: the logistic link, the score clipped to ``±60`` — what the
+    labels are drawn from and what the drift monitor is fed."""
+    raw = np.asarray(raw)[:, 0]
+    return 1.0 / (1.0 + np.exp(-np.clip(raw, -60.0, 60.0)))
+
+
 def emit_labels(trace: RequestTrace, teacher,
                 mean_delay_s: float, seed: int) -> LabelStream:
     """Generate delayed binary labels for every request of a trace.
@@ -447,7 +471,7 @@ def emit_labels(trace: RequestTrace, teacher,
             "delayed labels need a binary teacher (one raw score per "
             f"request), got score shape {raw.shape}"
         )
-    probs = 1.0 / (1.0 + np.exp(-np.clip(raw[:, 0], -60.0, 60.0)))
+    probs = served_probability(raw)
     rng = np.random.default_rng([int(seed), _LABEL_STREAM])
     labels = (rng.random(trace.num_requests) < probs).astype(np.int8)
     delays = rng.exponential(mean_delay_s, trace.num_requests)
@@ -517,6 +541,17 @@ def audit_priority_admission(trace: RequestTrace,
 # The runner
 # ---------------------------------------------------------------------------
 
+def wire_ledger(network: SimulatedNetwork) -> dict:
+    """The wire block every episode report carries: the retry bytes the
+    fault plan cost, and the whole ledger by kind, sorted."""
+    by_kind = network.snapshot().bytes_by_kind
+    return {
+        "retry_bytes": sum(nbytes for kind, nbytes in by_kind.items()
+                           if kind.startswith("retry:")),
+        "bytes_by_kind": dict(sorted(by_kind.items())),
+    }
+
+
 def build_fleet(scenario: Scenario, registry: ModelRegistry,
                 **options) -> ReplicaSet:
     """The fleet a scenario declares: its fault plan on the deploy path
@@ -571,32 +606,17 @@ class ScenarioRunner:
     def _provision(self) -> None:
         if self.registry is not None:
             return
-        from ..core.gbdt import GBDT
-        from ..data.dataset import bin_dataset
-        from ..data.synthetic import make_classification
-
         s = self.scenario
-        dataset = make_classification(
-            s.model_instances, s.num_features, density=0.8,
-            seed=s.seed, name=f"scenario-{s.name}",
-        )
-        config = TrainConfig(
-            num_trees=s.model_trees, num_layers=s.model_layers,
-            num_candidates=s.model_candidates, learning_rate=0.3,
-        )
-        registry = ModelRegistry()
-        primary = GBDT(config).fit(dataset).ensemble
-        registry.publish(primary, source=f"scenario:{s.name}:v1")
-        if s.hot_swap_at_s >= 0.0:
-            retrain = dataclasses.replace(
-                config, num_trees=max(s.model_trees // 2, 1))
-            successor = GBDT(retrain).fit(dataset).ensemble
-            registry.publish(successor, source=f"scenario:{s.name}:v2")
+        dataset, config = s.model_data("scenario")
+        self.registry = ModelRegistry()
+        publish_trained(
+            self.registry, dataset, config, f"scenario:{s.name}:v1",
+            successor=(f"scenario:{s.name}:v2"
+                       if s.hot_swap_at_s >= 0.0 else None))
         # the same binning fit() used, so every split threshold sits on
         # the quantizer's bin grid — the precondition for exact bin-id
         # cache keys
         self.cuts = bin_dataset(dataset, s.model_candidates).cuts
-        self.registry = registry
 
     # -- the replay --------------------------------------------------------
 
@@ -695,11 +715,6 @@ class ScenarioRunner:
                                        if offered else 0.0),
             }
 
-        wire = replicas.network.snapshot()
-        retry_bytes = sum(
-            nbytes for kind, nbytes in wire.bytes_by_kind.items()
-            if kind.startswith("retry:")
-        )
         conservation = (len(report.records) + len(report.dropped)
                         == trace.num_requests)
         return {
@@ -732,9 +747,7 @@ class ScenarioRunner:
             "wire": {
                 "deploy_bytes": replicas.deploy_bytes,
                 "deploy_raw_bytes": replicas.deploy_raw_bytes,
-                "retry_bytes": retry_bytes,
-                "bytes_by_kind": dict(sorted(
-                    wire.bytes_by_kind.items())),
+                **wire_ledger(replicas.network),
             },
             "versions_served": report.versions_served(),
             "invariants": {

@@ -13,7 +13,7 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .quantile import GKSketch, MergingSketch
+from .quantile import SKETCH_EPS, GKSketch, MergingSketch
 
 Sketch = Union[GKSketch, MergingSketch]
 
@@ -79,7 +79,7 @@ def propose_candidates_weighted(
     values: np.ndarray,
     weights: np.ndarray,
     num_candidates: int,
-    eps: float = 0.005,
+    eps: float = SKETCH_EPS,
 ) -> np.ndarray:
     """Hessian-weighted candidate proposal (XGBoost's weighted sketch).
 

@@ -134,6 +134,12 @@ class GKSketch:
         return np.array([self.query(p) for p in probs])
 
 
+#: rank accuracy every binning path sketches at (``bin_dataset``'s
+#: sketch method, the horizontal-to-vertical transform, weighted
+#: proposals)
+SKETCH_EPS = 0.005
+
+
 class MergingSketch:
     """Vectorized mergeable weighted quantile summary.
 
@@ -143,7 +149,8 @@ class MergingSketch:
     Merging concatenates summaries and re-compacts.
     """
 
-    def __init__(self, eps: float = 0.005, buffer_size: int = 8192) -> None:
+    def __init__(self, eps: float = SKETCH_EPS,
+                 buffer_size: int = 8192) -> None:
         if not 0 < eps < 0.5:
             raise ValueError(f"eps must be in (0, 0.5), got {eps}")
         self.eps = eps

@@ -501,7 +501,6 @@ class AdaptivePolicy:
         avg_nnz_per_instance: float,
         network: NetworkModel,
         every: int = 4,
-        min_observed: int = 1,
         margin: float = 1.0,
         codec: str = "none",
         candidates: Optional[Sequence[str]] = None,
@@ -514,7 +513,6 @@ class AdaptivePolicy:
         self.avg_nnz = avg_nnz_per_instance
         self.network = network
         self.every = every
-        self.min_observed = max(min_observed, 1)
         self.margin = margin
         self.codec = codec
         if candidates is not None:
@@ -531,11 +529,9 @@ class AdaptivePolicy:
         t = session.state.tree_index
         if t % self.every != 0:
             return None
-        plan = getattr(session.system, "plan", None)
-        if plan is None:
-            return None
+        plan = session.system.plan
         reports = session.result.tree_reports[self._observe_from:]
-        if len(reports) < self.min_observed:
+        if not reports:
             return None
         constants = calibrate_constants(
             self.shape, self.avg_nnz, plan, reports, self.network,

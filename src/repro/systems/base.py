@@ -118,9 +118,6 @@ class DistTrainResult:
     def mean_comm_seconds(self) -> float:
         return float(np.mean(self._per_tree("comm_seconds")))
 
-    def std_tree_seconds(self) -> float:
-        return float(np.std(self._per_tree("total_seconds")))
-
 
 #: computation phases of one boosting round (Section 3.2.4 vocabulary,
 #: plus the wire-codec encode/decode kernels of the codec layer)

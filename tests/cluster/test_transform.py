@@ -14,7 +14,7 @@ from repro.config import ClusterConfig
 from repro.data.matrix import CSRMatrix
 from repro.data.synthetic import make_classification
 from repro.sketch.proposer import propose_candidates
-from repro.sketch.quantile import MergingSketch
+from repro.sketch.quantile import SKETCH_EPS, MergingSketch
 
 
 @pytest.fixture(scope="module")
@@ -225,9 +225,9 @@ def test_blocked_sketching_equals_per_feature_sketches(
     the cuts and the sketch bytes of sketching every feature."""
     shards = shards_of(kinds, num_shards, np.random.default_rng(seed))
     cuts, sketch_bytes = _sketch_candidates(
-        shards, len(kinds), num_candidates, 0.005)
+        shards, len(kinds), num_candidates)
     expected_cuts, expected_bytes = sketch_every_feature(
-        shards, len(kinds), num_candidates, 0.005)
+        shards, len(kinds), num_candidates, SKETCH_EPS)
     assert sketch_bytes == expected_bytes
     assert len(cuts) == len(expected_cuts)
     for got, expected in zip(cuts, expected_cuts):

@@ -30,7 +30,7 @@ from repro.core.kernels import available_backends, make_backend
 from repro.ledger import report_bytes
 from repro.serve import (PARTIAL_KIND, REDUCE_KIND, ModelRegistry,
                          ReplicaSet)
-from repro.serve import replica as replica_module
+from repro.serve import batcher as batcher_module
 from repro.serve.scenarios import ScenarioRunner, get_scenario
 
 SHARD_COUNTS = (1, 2, 3, 4, 8)
@@ -246,7 +246,7 @@ class TestBilling:
                          service_model=None)
         replicas.deploy(version)
         ticks = iter(range(100))
-        monkeypatch.setattr(replica_module, "time", types.SimpleNamespace(
+        monkeypatch.setattr(batcher_module, "time", types.SimpleNamespace(
             perf_counter=lambda: float(next(ticks))))
         seen = billed(monkeypatch, replicas)
         replicas.dispatch(nan_batch(registry, version, 4), 0.0)

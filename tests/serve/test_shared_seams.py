@@ -1,5 +1,6 @@
 """The serving seams that used to be copied: the single-version audit,
-version resolution and the deployer swap action."""
+version resolution, the deployer swap action, and provisioning — the
+served model and its hot-swap successor."""
 
 from __future__ import annotations
 
@@ -11,10 +12,10 @@ import pytest
 from repro import ClusterConfig, GBDT, TrainConfig
 from repro.serve import (BatchPolicy, CanaryPolicy, CanaryRouter,
                          DeployController, DriftMonitor, MicroBatcher,
-                         ModelRegistry,
-                         PredictionCache, ReplicaSet, RollbackPolicy,
-                         ServingReport, ShardedReplicaSet, emit_labels,
-                         get_scenario, synthetic_trace)
+                         ModelRegistry, PredictionCache, ReplicaSet,
+                         RollbackPolicy, ScenarioRunner, ServingReport,
+                         ShardedReplicaSet, emit_labels, get_scenario,
+                         publish_trained, synthetic_trace)
 from repro.serve.batcher import BatchRecord, RequestRecord
 from repro.serve.replica import deployer, resolve_version
 
@@ -364,3 +365,49 @@ def test_the_bounded_batcher_asks_for_free_time_once_per_batch(registry):
     ).run(trace)
     assert len(report.dropped) > 100        # plenty of admission events
     assert len(asked) == len(report.batches) + 1
+
+
+# -- provisioning: one served model, one successor -------------------------
+
+def _direct_checksum(dataset, config) -> str:
+    """What publishing ``GBDT(config)``'s model by hand checksums to."""
+    return ModelRegistry().publish(
+        GBDT(config).fit(dataset).ensemble).checksum
+
+
+@pytest.mark.parametrize("trees", [1, 3, 4])
+def test_the_successor_is_the_half_size_retrain(small_binary, trees):
+    config = TrainConfig(num_trees=trees, num_layers=3, num_candidates=8)
+    registry = ModelRegistry()
+    entry = publish_trained(registry, small_binary, config, "v1",
+                            successor="v2")
+    assert entry is registry.get(1) is registry.active
+    assert [e.source for e in registry.versions()] == ["v1", "v2"]
+    assert entry.checksum == _direct_checksum(small_binary, config)
+    half = dataclasses.replace(config, num_trees=max(trees // 2, 1))
+    assert registry.get(2).compiled.num_trees == half.num_trees
+    assert registry.get(2).checksum == _direct_checksum(small_binary, half)
+    alone = ModelRegistry()
+    publish_trained(alone, small_binary, config, "v1")
+    assert len(alone) == 1
+
+
+def test_a_scenario_run_and_a_deploy_episode_publish_one_model():
+    """Both runners train from the same scenario: the scenario's
+    hot-swap successor is the deploy episode's healthy canary."""
+    scenario = get_scenario("hot-swap-under-fire", scale=0.1)
+    runner = ScenarioRunner(scenario)
+    assert all(runner.run()["invariants"].values())
+    controller = DeployController(scenario, canary_model="healthy")
+    report = controller.run()
+    served, deployed = runner.registry, controller.registry
+    for version in (1, 2):
+        assert served.get(version).checksum \
+            == deployed.get(version).checksum \
+            == report["versions"]["checksums"][str(version)]
+    dataset, config = scenario.model_data("deploy")
+    assert dataset.name == f"deploy-{scenario.name}"
+    assert served.get(1).checksum == _direct_checksum(dataset, config)
+    half = dataclasses.replace(
+        config, num_trees=max(config.num_trees // 2, 1))
+    assert served.get(2).checksum == _direct_checksum(dataset, half)

@@ -105,37 +105,6 @@ class TestReport:
         assert len({len(l) for l in lines[2:]}) == 1  # aligned widths
 
 
-class TestNarrative:
-    def test_run_summary_sections(self):
-        from repro import ClusterConfig, TrainConfig, make_classification
-        from repro.bench.narrative import run_summary
-        from repro.data.dataset import bin_dataset
-        from repro.systems import make_system
-
-        ds = make_classification(600, 25, density=0.6, seed=77)
-        train, valid = ds.split(0.8, seed=1)
-        cfg = TrainConfig(num_trees=2, num_layers=4, num_candidates=8)
-        binned = bin_dataset(train, cfg.num_candidates)
-        result = make_system("vero", cfg, ClusterConfig(3)).fit(
-            binned, valid=valid)
-        text = run_summary(result, title="demo")
-        assert "demo" in text
-        assert "computation phases" in text
-        assert "histogram" in text
-        assert "traffic" in text
-        assert "placement-bitmap" in text
-        assert "convergence" in text
-
-    def test_run_summary_empty(self):
-        from repro.bench.narrative import run_summary
-        from repro.core.tree import TreeEnsemble
-        from repro.systems.base import DistTrainResult
-
-        result = DistTrainResult(TreeEnsemble(1, 0.1))
-        text = run_summary(result)
-        assert "trees: 0" in text
-
-
 class TestBinnedCacheIdentity:
     def test_id_reuse_cannot_poison_cache(self):
         """id() keys are only unique among live objects; the cache must
