@@ -13,14 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.histogram import (ColumnwiseIndex,
-                                  build_colstore_columnwise,
-                                  build_colstore_hybrid,
-                                  build_colstore_layer, build_rowstore)
+from repro.core.histogram import ColumnwiseIndex, HistogramBuilder
 from repro.data.dataset import bin_dataset
 from repro.data.synthetic import make_classification
 
 NUM_BINS = 20
+BUILDER = HistogramBuilder()
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +36,7 @@ def kernel_workload():
 def test_kernel_rowstore(benchmark, kernel_workload):
     binned, grad, hess, _, rows = kernel_workload
     hist, touched = benchmark(
-        build_rowstore, binned.binned, rows, grad, hess, NUM_BINS,
+        BUILDER.build_rowstore, binned.binned, rows, grad, hess, NUM_BINS,
     )
     assert touched > 0
 
@@ -47,7 +45,8 @@ def test_kernel_colstore_layer(benchmark, kernel_workload):
     binned, grad, hess, node_of, _ = kernel_workload
     csc = binned.csc()
     hists, touched = benchmark(
-        build_colstore_layer, csc, node_of, 2, grad, hess, NUM_BINS,
+        BUILDER.build_colstore_layer, csc, node_of, 2, grad, hess,
+        NUM_BINS,
     )
     assert touched == csc.nnz
 
@@ -56,7 +55,7 @@ def test_kernel_colstore_hybrid(benchmark, kernel_workload):
     binned, grad, hess, node_of, rows = kernel_workload
     csc = binned.csc()
     hist, scanned, searched = benchmark(
-        build_colstore_hybrid, csc, rows, node_of, 1, grad, hess,
+        BUILDER.build_colstore_hybrid, csc, rows, node_of, 1, grad, hess,
         NUM_BINS,
     )
     assert scanned + searched > 0
@@ -67,7 +66,7 @@ def test_kernel_colstore_columnwise_read(benchmark, kernel_workload):
     index = ColumnwiseIndex(binned.csc())
     index.update_after_split(node_of, [0, 1])
     hist, touched = benchmark(
-        build_colstore_columnwise, index, 1, grad, hess, NUM_BINS,
+        BUILDER.build_colstore_columnwise, index, 1, grad, hess, NUM_BINS,
     )
     assert touched > 0
 
@@ -89,9 +88,10 @@ def test_kernel_subtraction(benchmark, kernel_workload):
     """Deriving a sibling histogram is orders of magnitude cheaper than
     building it (the Section 2.1.2 speedup)."""
     binned, grad, hess, node_of, rows = kernel_workload
-    parent, _ = build_rowstore(binned.binned,
-                               np.arange(binned.num_instances), grad,
-                               hess, NUM_BINS)
-    child, _ = build_rowstore(binned.binned, rows, grad, hess, NUM_BINS)
+    parent, _ = BUILDER.build_rowstore(binned.binned,
+                                       np.arange(binned.num_instances),
+                                       grad, hess, NUM_BINS)
+    child, _ = BUILDER.build_rowstore(binned.binned, rows, grad, hess,
+                                      NUM_BINS)
     sibling = benchmark(parent.subtract, child)
     assert sibling.grad.shape == parent.grad.shape

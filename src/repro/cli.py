@@ -637,9 +637,8 @@ def _advise_adaptive(args, shape: WorkloadShape, rec) -> None:
     (the scan rate and wire scale are ratios, so they transfer from the
     capped probe shape to the full workload shape).
     """
-    from types import SimpleNamespace
-
     from .systems.advisor import calibrate_constants, price_plans
+    from .systems.base import TreeReport
     from .systems.costmodel import migration_seconds
     from .systems.plans import PLANS, get_plan
 
@@ -654,8 +653,7 @@ def _advise_adaptive(args, shape: WorkloadShape, rec) -> None:
         mean_comp = report["comp_seconds"] / report["num_trees"]
         mean_comm = report["comm_seconds"] / report["num_trees"]
         observed = [
-            SimpleNamespace(comp_seconds=mean_comp,
-                            comm_seconds=mean_comm)
+            TreeReport(comp_seconds=mean_comp, comm_seconds=mean_comm)
         ] * report["num_trees"]
         constants = calibrate_constants(
             shape, args.nnz_per_instance, plan, observed, network,
@@ -682,7 +680,7 @@ def _advise_adaptive(args, shape: WorkloadShape, rec) -> None:
             num_candidates=args.candidates,
             objective="multiclass" if args.classes > 2 else "binary",
             num_classes=args.classes if args.classes > 2 else 2,
-            codec="" if args.codec == "none" else args.codec,
+            codec=args.codec,
             backend=args.backend,
         )
         cluster = ClusterConfig(num_workers=args.workers,

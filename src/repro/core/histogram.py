@@ -10,18 +10,21 @@ This module provides the :class:`Histogram` container (with the subtraction
 technique of Section 2.1.2) and the construction kernels for each storage
 pattern and index combination analyzed in Section 3.2:
 
-* :func:`build_rowstore` — row-store + node-to-instance index
-  (QD2 / QD4): gather the rows of one node, one pass over their entries.
-* :func:`build_colstore_layer` — column-store + instance-to-node index
-  (QD1 / XGBoost): one pass over *all* entries per tree layer, scattering
-  into the histograms of every active node; no subtraction possible.
-* :func:`build_colstore_hybrid` — column-store + the hybrid index of
-  Section 5.2.2 (our QD3): per column, either linear-scan the column and
-  filter by instance-to-node lookups, or binary-search the node's instance
-  list inside the column — whichever is predicted cheaper.
-* :func:`build_colstore_columnwise` — column-store + column-wise
-  node-to-instance index (pure Yggdrasil mode, Appendix C): direct slices,
-  but the index itself costs ``O(nnz)`` per layer to maintain.
+* :meth:`HistogramBuilder.build_rowstore` — row-store + node-to-instance
+  index (QD2 / QD4): gather the rows of one node, one pass over their
+  entries.
+* :meth:`HistogramBuilder.build_colstore_layer` — column-store +
+  instance-to-node index (QD1 / XGBoost): one pass over *all* entries per
+  tree layer, scattering into the histograms of every active node; no
+  subtraction possible.
+* :meth:`HistogramBuilder.build_colstore_hybrid` — column-store + the
+  hybrid index of Section 5.2.2 (our QD3): per column, either linear-scan
+  the column and filter by instance-to-node lookups, or binary-search the
+  node's instance list inside the column — whichever is predicted cheaper.
+* :meth:`HistogramBuilder.build_colstore_columnwise` — column-store +
+  column-wise node-to-instance index (pure Yggdrasil mode, Appendix C):
+  direct slices, but the index itself costs ``O(nnz)`` per layer to
+  maintain.
 
 Histogram construction dominates GBDT computation (Section 3.2.4), so the
 kernels run on a reusable-workspace engine:
@@ -40,11 +43,10 @@ kernels run on a reusable-workspace engine:
   optional numba backend compiles unrolled per-entry loops with a
   no-hessian fast path for constant-hessian objectives.
 
-The module-level kernel functions are thin wrappers over a shared default
-builder, so existing callers keep working unchanged.  All kernels remain
-instrumented: they return the number of stored entries touched so tests can
-verify the complexity claims of Section 3.2.4 — the counters are computed
-from the same quantities as before and are bit-for-bit unchanged.
+Each kernel has one entry point, its :class:`HistogramBuilder` method;
+:func:`default_builder` is the process-wide builder for callers that hold
+none.  All kernels are instrumented: they return the number of stored
+entries touched so tests can verify the complexity claims of Section 3.2.4.
 """
 
 from __future__ import annotations
@@ -350,10 +352,6 @@ class HistogramBuilder:
 
     # -- the scatter dispatch -------------------------------------------------
 
-    #: kept as an alias of the numpy backend's fusion threshold — tests
-    #: and perf notes reference it here
-    FUSE_THRESHOLD = 1 << 16
-
     def _scatter(self, hist: Histogram, keys: np.ndarray,
                  entry_rows: np.ndarray, grad: np.ndarray,
                  hess: np.ndarray, size: int) -> None:
@@ -598,79 +596,13 @@ class HistogramBuilder:
         return hist, touched
 
 
-#: shared builder behind the module-level kernel functions
+#: the process-wide builder (see :func:`default_builder`)
 _DEFAULT_BUILDER = HistogramBuilder()
 
 
 def default_builder() -> HistogramBuilder:
     """The process-wide builder used when callers pass no explicit one."""
     return _DEFAULT_BUILDER
-
-
-# ---------------------------------------------------------------------------
-# Row-store kernel (QD2 horizontal+row, QD4 vertical+row)
-# ---------------------------------------------------------------------------
-
-def build_rowstore(
-    shard: CSRMatrix,
-    rows: np.ndarray,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    num_bins: int,
-    builder: Optional[HistogramBuilder] = None,
-) -> Tuple[Histogram, int]:
-    """Histogram of one node from a binned row-store shard.
-
-    ``shard`` holds bin indexes as values; ``rows`` are the shard-local row
-    ids of the instances on the node (from the node-to-instance index);
-    ``grad``/``hess`` are ``(num_local_rows, C)`` gradient matrices.
-
-    Returns the histogram and the number of stored entries touched.
-    """
-    return (builder or _DEFAULT_BUILDER).build_rowstore(
-        shard, rows, grad, hess, num_bins
-    )
-
-
-# ---------------------------------------------------------------------------
-# Column-store + instance-to-node kernel (QD1, XGBoost-style)
-# ---------------------------------------------------------------------------
-
-def build_colstore_layer(
-    shard: CSCMatrix,
-    slot_of_instance: np.ndarray,
-    num_slots: int,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    num_bins: int,
-    builder: Optional[HistogramBuilder] = None,
-) -> Tuple[List[Histogram], int]:
-    """Histograms of every active node of one layer, one pass over the
-    shard (see :meth:`HistogramBuilder.build_colstore_layer`)."""
-    return (builder or _DEFAULT_BUILDER).build_colstore_layer(
-        shard, slot_of_instance, num_slots, grad, hess, num_bins
-    )
-
-
-# ---------------------------------------------------------------------------
-# Column-store + hybrid index kernel (QD3, Section 5.2.2 "index plan")
-# ---------------------------------------------------------------------------
-
-def build_colstore_hybrid(
-    shard: CSCMatrix,
-    node_rows: np.ndarray,
-    node_of_instance: np.ndarray,
-    node_id: int,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    num_bins: int,
-    builder: Optional[HistogramBuilder] = None,
-) -> Tuple[Histogram, int, int]:
-    """Histogram of one node from a binned column-store shard (see
-    :meth:`HistogramBuilder.build_colstore_hybrid`)."""
-    return (builder or _DEFAULT_BUILDER).build_colstore_hybrid(
-        shard, node_rows, node_of_instance, node_id, grad, hess, num_bins
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -748,17 +680,3 @@ class ColumnwiseIndex:
                 if int(sorted_nodes[lo]) in active
             }
         return moved
-
-
-def build_colstore_columnwise(
-    index: ColumnwiseIndex,
-    node_id: int,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    num_bins: int,
-    builder: Optional[HistogramBuilder] = None,
-) -> Tuple[Histogram, int]:
-    """Histogram of one node using the column-wise index: direct slices."""
-    return (builder or _DEFAULT_BUILDER).build_colstore_columnwise(
-        index, node_id, grad, hess, num_bins
-    )

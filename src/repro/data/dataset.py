@@ -18,9 +18,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..sketch.proposer import (distinct_cuts_below, propose_candidates,
-                               propose_candidates_exact)
-from ..sketch.quantile import SKETCH_EPS, MergingSketch
+from ..sketch.proposer import distinct_cuts_below
 from .matrix import CSCMatrix, CSRMatrix
 
 #: bounds the ``(columns, n)`` block one ``np.quantile`` call of
@@ -243,10 +241,11 @@ def apply_cuts(csr: CSRMatrix, cuts: List[np.ndarray]) -> CSRMatrix:
 
 
 def _exact_cuts(csc: CSCMatrix, num_bins: int) -> List[np.ndarray]:
-    """:func:`propose_candidates_exact` of every column, at one
-    ``np.quantile`` call per distinct column length: the columns storing
-    ``n`` values are ranked together as a ``(columns, n)`` block — the
-    same rank arithmetic on the same values, so every cut is identical."""
+    """:func:`~repro.sketch.proposer.propose_candidates_exact` of every
+    column, at one ``np.quantile`` call per distinct column length: the
+    columns storing ``n`` values are ranked together as a ``(columns, n)``
+    block — the same rank arithmetic on the same values, so every cut is
+    identical."""
     if num_bins < 1:
         raise ValueError(f"num_candidates must be >= 1, got {num_bins}")
     probs = np.arange(1, num_bins) / num_bins
@@ -267,33 +266,11 @@ def _exact_cuts(csc: CSCMatrix, num_bins: int) -> List[np.ndarray]:
     return cuts
 
 
-def bin_dataset(
-    dataset: Dataset,
-    num_bins: int,
-    method: str = "exact",
-) -> BinnedDataset:
-    """Quantize a dataset into at most ``num_bins`` bins per feature.
-
-    ``method="exact"`` computes true quantiles per feature (the oracle
-    path); ``method="sketch"`` routes every feature through a
-    :class:`MergingSketch`, exercising the same code the distributed
-    transformation uses.
-    """
-    if method not in ("exact", "sketch"):
-        raise ValueError(f"unknown binning method: {method!r}")
-    csc = dataset.csc()
-    if method == "exact":
-        cuts = _exact_cuts(csc, num_bins)
-    else:
-        cuts = []
-        for j in range(csc.num_cols):
-            _, vals = csc.col(j)
-            if vals.size == 0:
-                cuts.append(propose_candidates_exact(vals, num_bins))
-            else:
-                sketch = MergingSketch(eps=SKETCH_EPS)
-                sketch.update(vals)
-                cuts.append(propose_candidates(sketch, num_bins))
+def bin_dataset(dataset: Dataset, num_bins: int) -> BinnedDataset:
+    """Quantize a dataset into at most ``num_bins`` bins per feature at
+    exact per-feature quantiles (the oracle path; the distributed
+    transformation sketches instead, :mod:`repro.cluster.transform`)."""
+    cuts = _exact_cuts(dataset.csc(), num_bins)
     binned = apply_cuts(dataset.features, cuts)
     return BinnedDataset(
         binned, cuts, dataset.labels, num_bins, dataset.task,

@@ -147,7 +147,7 @@ class ReplicaSet:
         self.num_shards = num_shards
         self.reduction = reduction
         self.codec = (codec if isinstance(codec, CodecStack)
-                      else get_codec_stack(codec or "none"))
+                      else get_codec_stack(codec))
         self.num_workers = self.cluster.num_workers
         self.num_rows = self.num_workers // num_shards
         #: kind of a fleet-wide rollout, read by :attr:`deploy_bytes` —

@@ -9,16 +9,15 @@ dropped, so a feature may legitimately end up with fewer than ``q`` bins.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import List
 
 import numpy as np
 
-from .quantile import SKETCH_EPS, GKSketch, MergingSketch
-
-Sketch = Union[GKSketch, MergingSketch]
+from .quantile import MergingSketch
 
 
-def propose_candidates(sketch: Sketch, num_candidates: int) -> np.ndarray:
+def propose_candidates(sketch: MergingSketch,
+                       num_candidates: int) -> np.ndarray:
     """Interior cut points for one feature from its merged sketch.
 
     Returns a strictly increasing float array of length ``<= q - 1``.  A
@@ -73,34 +72,3 @@ def distinct_cuts_below(picked: np.ndarray,
     keep = picked < maximum
     keep[:, 1:] &= picked[:, 1:] != picked[:, :-1]
     return np.split(picked[keep], np.cumsum(keep.sum(axis=1))[:-1])
-
-
-def propose_candidates_weighted(
-    values: np.ndarray,
-    weights: np.ndarray,
-    num_candidates: int,
-    eps: float = SKETCH_EPS,
-) -> np.ndarray:
-    """Hessian-weighted candidate proposal (XGBoost's weighted sketch).
-
-    Cut points sit at evenly spaced *weighted* ranks, so each bin carries
-    roughly equal second-order gradient mass — finer resolution where the
-    loss curvature concentrates.  Returns interior cuts with the same
-    semantics as :func:`propose_candidates`.
-    """
-    values = np.asarray(values, dtype=np.float64).ravel()
-    if values.size == 0:
-        return np.empty(0, dtype=np.float64)
-    sketch = MergingSketch(eps=eps)
-    sketch.update(values, weights)
-    return propose_candidates(sketch, num_candidates)
-
-
-def bin_values(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """Map raw feature values to bin indexes given interior cuts."""
-    return np.searchsorted(cuts, values, side="left").astype(np.int32)
-
-
-def num_bins(cuts_per_feature: Sequence[np.ndarray]) -> List[int]:
-    """Bins per feature: one more than the number of interior cuts."""
-    return [cuts.size + 1 for cuts in cuts_per_feature]

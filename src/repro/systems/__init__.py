@@ -37,9 +37,8 @@ from typing import Optional
 from ..config import ClusterConfig, TrainConfig
 from ..data.dataset import BinnedDataset, bin_dataset
 from .advisor import (AdaptDecision, AdaptivePolicy, CalibratedConstants,
-                      PlanCost, QuadrantEstimate, Recommendation,
-                      calibrate_constants, estimate, price_plans,
-                      recommend)
+                      PlanCost, Recommendation, calibrate_constants,
+                      price_plans, recommend)
 from .base import DistEvalRecord, DistTrainResult, MemoryReport, TreeReport
 from .costmodel import WorkloadShape, workload_of
 from .executor import (PlanExecutor, SessionCheckpoint, SessionState,
@@ -93,7 +92,7 @@ def make_adaptive_session(
         # no opening plan named: let the prior cost model pick one (the
         # session migrates away later if the calibrated model disagrees)
         key = recommend(shape, avg_nnz, cluster.network,
-                        codec=config.codec or "none",
+                        codec=config.codec,
                         backend=config.backend).best.plan_key
     session = TrainingSession(get_plan(key).build(config, cluster), binned,
                               valid=valid)
@@ -101,7 +100,7 @@ def make_adaptive_session(
         shape, avg_nnz, cluster.network,
         every=every if every is not None else (config.adapt or 4),
         margin=margin,
-        codec=config.codec or "none",
+        codec=config.codec,
     )
     return session
 
@@ -117,14 +116,12 @@ __all__ = [
     "PlanCost",
     "PlanExecutor",
     "PlanMigrator",
-    "QuadrantEstimate",
     "Recommendation",
     "SessionCheckpoint",
     "SessionState",
     "TrainingSession",
     "WorkloadShape",
     "calibrate_constants",
-    "estimate",
     "get_plan",
     "plan_keys",
     "price_plans",

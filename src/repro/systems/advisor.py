@@ -7,12 +7,15 @@ application environment (e.g., network bandwidth, number of machines,
 number of cores) is remained unsolved."*
 
 This module implements that decision procedure on top of the Section 3
-cost model: it prices one tree under each quadrant — computation from the
+cost model.  :func:`price_plans` is its one price list: a
+:class:`PlanCost` per registry plan for one tree — computation from the
 access-count complexities of Section 3.2.4 against a calibratable scan
 rate, communication from the byte formulas of Section 3.1.3 against the
-network model — and recommends the cheapest, with per-quadrant breakdowns
-so the choice is auditable.  The test suite validates the advisor's
-ranking against the simulator on representative regimes.
+network model, plus histogram memory and expected recovery.
+:func:`recommend` ranks the four quadrant plans' records and
+:class:`AdaptivePolicy` re-prices every plan mid-run, so the choice is
+auditable either way.  The test suite validates the advisor's ranking
+against the simulator on representative regimes.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..cluster.codecs import get_codec_stack
 from ..config import NetworkModel
 from ..core.kernels import compute_factor
 from .costmodel import (WorkloadShape, expected_recovery_seconds_per_tree,
@@ -32,10 +36,8 @@ from .costmodel import (WorkloadShape, expected_recovery_seconds_per_tree,
 from .plans import PLANS, ExecutionPlan, get_plan
 
 #: key-value pair accesses per second of one worker core; the default is
-#: calibratable via :func:`calibrate_scan_rate`
+#: calibratable via :func:`calibrate_constants`
 DEFAULT_SCAN_RATE = 5e7
-
-QUADRANTS = ("QD1", "QD2", "QD3", "QD4")
 
 _DESCRIPTIONS = {
     "QD1": "horizontal + column-store (XGBoost style)",
@@ -54,10 +56,14 @@ PLAN_OF_QUADRANT = {
 
 
 @dataclass(frozen=True)
-class QuadrantEstimate:
-    """Per-tree cost prediction of one quadrant."""
+class PlanCost:
+    """Per-tree cost of one registry plan — the advisor's price record.
 
-    quadrant: str
+    :func:`price_plans` returns one per plan; :func:`recommend` ranks
+    the four quadrant plans' and :class:`AdaptivePolicy` all of them.
+    """
+
+    plan_key: str
     comp_seconds: float
     comm_seconds: float
     histogram_memory_bytes: float
@@ -70,18 +76,17 @@ class QuadrantEstimate:
             + self.recovery_seconds
 
     @property
-    def description(self) -> str:
-        return _DESCRIPTIONS[self.quadrant]
-
-    @property
-    def plan_key(self) -> str:
-        """Registry key of the quadrant's canonical execution plan."""
-        return PLAN_OF_QUADRANT[self.quadrant]
-
-    @property
     def plan(self) -> ExecutionPlan:
-        """The quadrant's canonical execution plan."""
+        """The priced, ready-to-build execution plan."""
         return get_plan(self.plan_key)
+
+    @property
+    def quadrant(self) -> str:
+        return self.plan.quadrant
+
+    @property
+    def description(self) -> str:
+        return _DESCRIPTIONS.get(self.quadrant, self.plan.description)
 
 
 @dataclass(frozen=True)
@@ -93,8 +98,8 @@ class Recommendation:
     with the recommended strategy composition.
     """
 
-    best: QuadrantEstimate
-    ranking: List[QuadrantEstimate]
+    best: PlanCost
+    ranking: List[PlanCost]
     reasons: List[str]
     #: projected histogram-aggregation byte reduction per codec name
     #: (dense bytes / encoded bytes; > 1 means the codec saves wire)
@@ -111,178 +116,15 @@ class Recommendation:
         return self.best.plan
 
 
-def estimate(
-    shape: WorkloadShape,
-    avg_nnz_per_instance: float,
-    network: NetworkModel = None,
-    scan_rate: float = DEFAULT_SCAN_RATE,
-    crash_rate: float = 0.0,
-    codec: str = "none",
-    backend: str = "",
-) -> Dict[str, QuadrantEstimate]:
-    """Per-tree cost estimates of all four quadrants.
-
-    ``crash_rate`` (expected worker crashes per tree) adds each
-    quadrant's expected recovery cost: horizontal quadrants pay a
-    reshard of the crashed worker's rows, vertical quadrants a rollback
-    of shared placement state, both plus half a tree of replayed
-    aggregation traffic (DESIGN.md §9).
-
-    ``codec`` prices the horizontal quadrants' aggregation traffic with
-    the encoded-byte formula at the workload's expected histogram
-    density (the vertical quadrants' bitmap traffic is already minimal;
-    the adaptive placement codec can only improve on it).
-
-    ``backend`` scales the effective scan rate by the kernel backend's
-    relative histogram throughput (numpy 1.0, numba the bench-pinned
-    speedup) — a faster backend shrinks every quadrant's compute term,
-    so network-bound and compute-bound verdicts can flip with it.
-    """
-    if avg_nnz_per_instance <= 0:
-        raise ValueError("avg_nnz_per_instance must be > 0")
-    if scan_rate <= 0:
-        raise ValueError("scan_rate must be > 0")
-    if network is None:
-        network = NetworkModel()
-    costs = price_plans(shape, avg_nnz_per_instance, network,
-                        backend_constants(scan_rate, backend), codec=codec)
-    out = {}
-    for quadrant, plan_key in PLAN_OF_QUADRANT.items():
-        vertical = PLANS[plan_key].partition == "vertical"
-        out[quadrant] = QuadrantEstimate(
-            quadrant=quadrant,
-            comp_seconds=costs[plan_key].comp_seconds,
-            comm_seconds=costs[plan_key].comm_seconds,
-            histogram_memory_bytes=(
-                vertical_histogram_memory_bytes(shape) if vertical
-                else float(horizontal_histogram_memory_bytes(shape))),
-            recovery_seconds=expected_recovery_seconds_per_tree(
-                shape, avg_nnz_per_instance, network.bytes_per_second,
-                crash_rate, vertical=vertical,
-            ),
-        )
-    return out
-
-
-def codec_projections(
-    shape: WorkloadShape,
-    avg_nnz_per_instance: float,
-    codecs: tuple = ("sparse", "f32", "f16"),
-) -> Dict[str, float]:
-    """Projected histogram-aggregation byte reduction per codec.
-
-    Each entry is ``dense bytes / encoded bytes`` for one tree of
-    horizontal aggregation at the workload's expected density profile.
-    """
-    dense = horizontal_comm_bytes_per_tree(shape)
-    out: Dict[str, float] = {}
-    for codec in codecs:
-        encoded = horizontal_comm_bytes_per_tree_encoded(
-            shape, avg_nnz_per_instance, codec)
-        out[codec] = dense / encoded if encoded else float("inf")
-    return out
-
-
-def recommend(
-    shape: WorkloadShape,
-    avg_nnz_per_instance: float,
-    network: NetworkModel = None,
-    memory_budget_bytes: float = None,
-    scan_rate: float = DEFAULT_SCAN_RATE,
-    crash_rate: float = 0.0,
-    codec: str = "none",
-    backend: str = "",
-) -> Recommendation:
-    """Pick the cheapest feasible quadrant for a workload.
-
-    ``memory_budget_bytes`` (per worker, histograms only) disqualifies
-    quadrants whose predicted histogram memory exceeds it — the paper's
-    OOM scenario for horizontal partitioning on multi-class data.
-    ``crash_rate`` folds an expected-recovery-cost term into the
-    ranking, so an unreliable cluster can tip the verdict toward the
-    quadrant with the cheaper recovery policy.  ``codec`` prices
-    horizontal aggregation with the named codec's encoded bytes, so a
-    sparse workload can tip the verdict back toward a horizontal
-    quadrant; the returned :attr:`Recommendation.codec_projections`
-    reports the projected byte reduction of every codec either way.
-    """
-    estimates = estimate(shape, avg_nnz_per_instance, network, scan_rate,
-                         crash_rate=crash_rate, codec=codec,
-                         backend=backend)
-    reasons: List[str] = []
-    feasible = []
-    for est in estimates.values():
-        if (memory_budget_bytes is not None
-                and est.histogram_memory_bytes > memory_budget_bytes):
-            reasons.append(
-                f"{est.quadrant} excluded: predicted histogram memory "
-                f"{est.histogram_memory_bytes / 2**30:.2f} GiB exceeds "
-                f"the {memory_budget_bytes / 2**30:.2f} GiB budget"
-            )
-        else:
-            feasible.append(est)
-    if not feasible:
-        raise ValueError(
-            "no quadrant fits the memory budget; add workers or shrink "
-            "the model (fewer layers/candidates)"
-        )
-    ranking = sorted(feasible, key=lambda e: e.total_seconds)
-    best = ranking[0]
-    reasons.append(
-        f"{best.quadrant} ({best.description}) predicted cheapest: "
-        f"{best.comp_seconds * 1e3:.1f} ms compute + "
-        f"{best.comm_seconds * 1e3:.1f} ms network per tree"
-    )
-    if crash_rate > 0:
-        reasons.append(
-            f"expected recovery cost at {crash_rate:g} crashes/tree: "
-            f"{best.recovery_seconds * 1e3:.1f} ms per tree "
-            f"({best.quadrant} recovery policy)"
-        )
-    if len(ranking) > 1:
-        runner = ranking[1]
-        reasons.append(
-            f"runner-up {runner.quadrant} at "
-            f"{runner.total_seconds * 1e3:.1f} ms per tree"
-        )
-    projections = codec_projections(shape, avg_nnz_per_instance)
-    best_codec = max(("sparse",), key=lambda c: projections[c])
-    if projections[best_codec] > 1.05:
-        reasons.append(
-            f"lossless {best_codec} codec projects a "
-            f"{projections[best_codec]:.1f}x histogram-aggregation byte "
-            f"reduction at this density (train --codec {best_codec})"
-        )
-    if codec != "none":
-        reasons.append(
-            f"horizontal aggregation priced with the {codec!r} codec"
-        )
-    if backend and backend != "numpy":
-        factor = compute_factor(backend)
-        reasons.append(
-            f"compute priced for the {backend!r} kernel backend "
-            f"({factor:g}x the numpy scan rate)"
-        )
-    return Recommendation(best=best, ranking=ranking, reasons=reasons,
-                          codec_projections=projections)
-
-
-def calibrate_scan_rate(sample_seconds: float,
-                        sample_accesses: float) -> float:
-    """Scan rate from a measured probe (e.g. one tree of the oracle)."""
-    if sample_seconds <= 0 or sample_accesses <= 0:
-        raise ValueError("probe measurements must be > 0")
-    return sample_accesses / sample_seconds
-
-
 # ---------------------------------------------------------------------------
-# Adaptive re-planning (DESIGN.md §13)
+# The price list (Section 3)
 # ---------------------------------------------------------------------------
 
 def plan_accesses(shape: WorkloadShape, avg_nnz_per_instance: float,
                   plan: ExecutionPlan) -> float:
     """Per-worker stored-entry accesses per tree of ``plan``'s kernels
-    (Section 3.2.4), including histogram-subtraction savings.
+    (Section 3.2.4), including histogram-subtraction savings — the one
+    compute-cost formula every decider prices with.
 
     Derived from the axes, not the registry key, so derived/custom plans
     price correctly: a level-wise instance-to-node pass scans every
@@ -314,18 +156,20 @@ def plan_comm_seconds(
     """Predicted per-tree communication seconds of one plan.
 
     Horizontal aggregations pay the Section 3.1.3 histogram traffic
-    (codec-priced when one is set); bitmap-broadcast plans pay the
-    placement bitmaps; a ``local`` aggregation (feature-parallel) pays
-    only the split-info election."""
+    (codec-priced when one is set; ``codec`` is any ``--codec`` name,
+    ``""`` meaning none); bitmap-broadcast plans pay the placement
+    bitmaps; a ``local`` aggregation (feature-parallel) pays only the
+    split-info election."""
     layers = shape.num_layers - 1
     bps = network.bytes_per_second
     if plan.aggregation in ("all-reduce", "reduce-scatter",
                             "parameter-server"):
-        if codec == "none":
+        stack = get_codec_stack(codec)
+        if stack.is_identity:
             nbytes = horizontal_comm_bytes_per_tree(shape)
         else:
             nbytes = horizontal_comm_bytes_per_tree_encoded(
-                shape, avg_nnz_per_instance, codec)
+                shape, avg_nnz_per_instance, stack.name)
         return (nbytes / shape.num_workers / bps
                 + layers * 2 * shape.num_workers * network.latency_s)
     if plan.aggregation == "local":
@@ -364,18 +208,163 @@ def backend_constants(scan_rate: float,
     )
 
 
-@dataclass(frozen=True)
-class PlanCost:
-    """Per-tree cost of one registry plan under some constants."""
+def price_plans(
+    shape: WorkloadShape,
+    avg_nnz_per_instance: float,
+    network: NetworkModel,
+    constants: Optional[CalibratedConstants] = None,
+    codec: str = "none",
+    crash_rate: float = 0.0,
+) -> Dict[str, PlanCost]:
+    """Per-tree cost of every registry plan under the given constants
+    (the prior cost model when ``constants`` is ``None``).
 
-    plan_key: str
-    comp_seconds: float
-    comm_seconds: float
+    ``codec`` prices horizontal aggregation traffic with the
+    encoded-byte formula at the workload's expected histogram density
+    (the vertical plans' bitmap traffic is already minimal).
+    ``crash_rate`` (expected worker crashes per tree) adds each plan's
+    expected recovery cost: horizontal plans pay a reshard of the crashed
+    worker's rows, every other plan a rollback of shared placement
+    state, both plus half a tree of replayed traffic (DESIGN.md §9).
+    Histogram memory follows the same partition rule.
+    """
+    scan_rate = constants.scan_rate if constants else DEFAULT_SCAN_RATE
+    comm_scale = constants.comm_scale if constants else 1.0
+    out: Dict[str, PlanCost] = {}
+    for key, plan in PLANS.items():
+        vertical = plan.partition != "horizontal"
+        out[key] = PlanCost(
+            plan_key=key,
+            comp_seconds=plan_accesses(
+                shape, avg_nnz_per_instance, plan) / scan_rate,
+            comm_seconds=comm_scale * plan_comm_seconds(
+                shape, plan, network, avg_nnz_per_instance, codec),
+            histogram_memory_bytes=(
+                vertical_histogram_memory_bytes(shape) if vertical
+                else float(horizontal_histogram_memory_bytes(shape))),
+            recovery_seconds=expected_recovery_seconds_per_tree(
+                shape, avg_nnz_per_instance, network.bytes_per_second,
+                crash_rate, vertical=vertical),
+        )
+    return out
 
-    @property
-    def total_seconds(self) -> float:
-        return self.comp_seconds + self.comm_seconds
 
+def codec_projections(
+    shape: WorkloadShape,
+    avg_nnz_per_instance: float,
+    codecs: tuple = ("sparse", "f32", "f16"),
+) -> Dict[str, float]:
+    """Projected histogram-aggregation byte reduction per codec.
+
+    Each entry is ``dense bytes / encoded bytes`` for one tree of
+    horizontal aggregation at the workload's expected density profile.
+    """
+    dense = horizontal_comm_bytes_per_tree(shape)
+    out: Dict[str, float] = {}
+    for codec in codecs:
+        encoded = horizontal_comm_bytes_per_tree_encoded(
+            shape, avg_nnz_per_instance, codec)
+        out[codec] = dense / encoded if encoded else float("inf")
+    return out
+
+
+def recommend(
+    shape: WorkloadShape,
+    avg_nnz_per_instance: float,
+    network: NetworkModel = None,
+    memory_budget_bytes: float = None,
+    scan_rate: float = DEFAULT_SCAN_RATE,
+    crash_rate: float = 0.0,
+    codec: str = "none",
+    backend: str = "",
+) -> Recommendation:
+    """Pick the cheapest feasible quadrant for a workload.
+
+    Ranks the :func:`price_plans` records of the four quadrant plans
+    (:data:`PLAN_OF_QUADRANT`).  ``memory_budget_bytes`` (per worker,
+    histograms only) disqualifies quadrants whose predicted histogram
+    memory exceeds it — the paper's OOM scenario for horizontal
+    partitioning on multi-class data.  ``crash_rate`` folds an
+    expected-recovery-cost term into the ranking, so an unreliable
+    cluster can tip the verdict toward the quadrant with the cheaper
+    recovery policy.  ``codec`` prices horizontal aggregation with the
+    named codec's encoded bytes, so a sparse workload can tip the verdict
+    back toward a horizontal quadrant; the returned
+    :attr:`Recommendation.codec_projections` reports the projected byte
+    reduction of every codec either way.  ``backend`` scales the scan
+    rate by the kernel backend's relative histogram throughput, so
+    network-bound and compute-bound verdicts can flip with it.
+    """
+    if avg_nnz_per_instance <= 0:
+        raise ValueError("avg_nnz_per_instance must be > 0")
+    if scan_rate <= 0:
+        raise ValueError("scan_rate must be > 0")
+    if network is None:
+        network = NetworkModel()
+    codec = get_codec_stack(codec).name
+    costs = price_plans(shape, avg_nnz_per_instance, network,
+                        backend_constants(scan_rate, backend), codec=codec,
+                        crash_rate=crash_rate)
+    reasons: List[str] = []
+    feasible = []
+    for est in (costs[key] for key in PLAN_OF_QUADRANT.values()):
+        if (memory_budget_bytes is not None
+                and est.histogram_memory_bytes > memory_budget_bytes):
+            reasons.append(
+                f"{est.quadrant} excluded: predicted histogram memory "
+                f"{est.histogram_memory_bytes / 2**30:.2f} GiB exceeds "
+                f"the {memory_budget_bytes / 2**30:.2f} GiB budget"
+            )
+        else:
+            feasible.append(est)
+    if not feasible:
+        raise ValueError(
+            "no quadrant fits the memory budget; add workers or shrink "
+            "the model (fewer layers/candidates)"
+        )
+    ranking = sorted(feasible, key=lambda e: e.total_seconds)
+    best = ranking[0]
+    reasons.append(
+        f"{best.quadrant} ({best.description}) predicted cheapest: "
+        f"{best.comp_seconds * 1e3:.1f} ms compute + "
+        f"{best.comm_seconds * 1e3:.1f} ms network per tree"
+    )
+    if crash_rate > 0:
+        reasons.append(
+            f"expected recovery cost at {crash_rate:g} crashes/tree: "
+            f"{best.recovery_seconds * 1e3:.1f} ms per tree "
+            f"({best.quadrant} recovery policy)"
+        )
+    if len(ranking) > 1:
+        runner = ranking[1]
+        reasons.append(
+            f"runner-up {runner.quadrant} at "
+            f"{runner.total_seconds * 1e3:.1f} ms per tree"
+        )
+    projections = codec_projections(shape, avg_nnz_per_instance)
+    if projections["sparse"] > 1.05:
+        reasons.append(
+            f"lossless sparse codec projects a "
+            f"{projections['sparse']:.1f}x histogram-aggregation byte "
+            f"reduction at this density (train --codec sparse)"
+        )
+    if codec != "none":
+        reasons.append(
+            f"horizontal aggregation priced with the {codec!r} codec"
+        )
+    if backend and backend != "numpy":
+        factor = compute_factor(backend)
+        reasons.append(
+            f"compute priced for the {backend!r} kernel backend "
+            f"({factor:g}x the numpy scan rate)"
+        )
+    return Recommendation(best=best, ranking=ranking, reasons=reasons,
+                          codec_projections=projections)
+
+
+# ---------------------------------------------------------------------------
+# Adaptive re-planning (DESIGN.md §13)
+# ---------------------------------------------------------------------------
 
 def calibrate_constants(
     shape: WorkloadShape,
@@ -407,29 +396,6 @@ def calibrate_constants(
         scan_rate=scan_rate, comm_scale=comm_scale,
         trees_observed=len(reports), prior_scan_rate=prior_scan_rate,
     )
-
-
-def price_plans(
-    shape: WorkloadShape,
-    avg_nnz_per_instance: float,
-    network: NetworkModel,
-    constants: Optional[CalibratedConstants] = None,
-    codec: str = "none",
-) -> Dict[str, PlanCost]:
-    """Per-tree cost of every registry plan under the given constants
-    (the prior cost model when ``constants`` is ``None``)."""
-    scan_rate = constants.scan_rate if constants else DEFAULT_SCAN_RATE
-    comm_scale = constants.comm_scale if constants else 1.0
-    out: Dict[str, PlanCost] = {}
-    for key, plan in PLANS.items():
-        out[key] = PlanCost(
-            plan_key=key,
-            comp_seconds=plan_accesses(
-                shape, avg_nnz_per_instance, plan) / scan_rate,
-            comm_seconds=comm_scale * plan_comm_seconds(
-                shape, plan, network, avg_nnz_per_instance, codec),
-        )
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Closed-form cost model of Section 3.
 
 These formulas are the paper's analytical claims; the test suite checks
-the simulator against them, and ``tests/test_costmodel.py`` reproduces the
-worked example of Section 3.1.4 (the industrial *Age* dataset) exactly.
+the simulator against them, and ``tests/systems/test_costmodel.py``
+reproduces the worked example of Section 3.1.4 (the industrial *Age*
+dataset) exactly.  The Section 3.2.4 compute cost is one formula,
+:func:`repro.systems.advisor.plan_accesses`, which prices every plan from
+its axes.
 """
 
 from __future__ import annotations
@@ -156,41 +159,6 @@ def horizontal_comm_bytes_per_tree_encoded(
             * encoded_sizehist_bytes(shape, density, codec)
         )
     return total
-
-
-def histogram_construction_cost(shape: WorkloadShape,
-                                avg_nnz_per_instance: float) -> float:
-    """Per-layer accesses ``O(N * d / W)`` (Section 3.2.4)."""
-    return shape.num_instances * avg_nnz_per_instance / shape.num_workers
-
-
-def colstore_node_index_cost(shape: WorkloadShape,
-                             avg_nnz_per_instance: float) -> float:
-    """Column-store + node-to-instance: binary search per access adds a
-    ``log(N * d / (W * D))`` factor (Section 3.2.4)."""
-    import math
-
-    base = histogram_construction_cost(shape, avg_nnz_per_instance)
-    per_column = max(
-        shape.num_instances * avg_nnz_per_instance
-        / (shape.num_workers * shape.num_features),
-        2.0,
-    )
-    return base * math.log2(per_column)
-
-
-def split_finding_cost(shape: WorkloadShape) -> float:
-    """``O(q * D / W)`` per layer regardless of partitioning."""
-    return (
-        shape.num_candidates * shape.num_features / shape.num_workers
-    )
-
-
-def node_splitting_cost(shape: WorkloadShape, vertical: bool) -> float:
-    """Index update per layer: ``O(N/W)`` horizontal, ``O(N)`` vertical."""
-    if vertical:
-        return float(shape.num_instances)
-    return shape.num_instances / shape.num_workers
 
 
 def checkpoint_state_bytes(shape: WorkloadShape, vertical: bool) -> int:
@@ -432,7 +400,7 @@ def expected_recovery_seconds_per_tree(
     A crash at a uniformly random layer boundary wastes half the
     interrupted tree's aggregation traffic (the rolled-back attempt is
     replayed), on top of the policy's restore transfer — the term the
-    advisor adds to each quadrant's per-tree estimate.
+    advisor adds to each plan's per-tree price.
     """
     if crash_rate < 0:
         raise ValueError(f"crash_rate must be >= 0, got {crash_rate}")

@@ -15,11 +15,12 @@ import pytest
 
 from repro import make_classification
 from repro.core.gbdt import build_histograms_with_subtraction
-from repro.core.histogram import (ColumnwiseIndex, build_colstore_hybrid,
-                                  build_colstore_layer, build_rowstore)
+from repro.core.histogram import ColumnwiseIndex, HistogramBuilder
 from repro.core.indexing import NodeToInstanceIndex
 from repro.core.loss import make_loss
 from repro.data.dataset import bin_dataset
+
+BUILDER = HistogramBuilder()
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +38,8 @@ class TestAccessCounts:
     def test_rowstore_touches_exactly_node_entries(self, counted):
         _, binned, grad, hess = counted
         rows = np.arange(0, binned.num_instances, 3)
-        _, touched = build_rowstore(binned.binned, rows, grad, hess,
-                                    binned.num_bins)
+        _, touched = BUILDER.build_rowstore(binned.binned, rows, grad,
+                                            hess, binned.num_bins)
         lengths = np.diff(binned.binned.indptr)[rows]
         assert touched == int(lengths.sum())
 
@@ -50,8 +51,8 @@ class TestAccessCounts:
         # only 10% of instances still active
         slot = np.full(binned.num_instances, -1, dtype=np.int64)
         slot[:binned.num_instances // 10] = 0
-        _, touched = build_colstore_layer(csc, slot, 1, grad, hess,
-                                          binned.num_bins)
+        _, touched = BUILDER.build_colstore_layer(csc, slot, 1, grad, hess,
+                                                  binned.num_bins)
         assert touched == csc.nnz
 
     def test_subtraction_halves_layer_accesses(self, counted):
@@ -78,7 +79,7 @@ class TestAccessCounts:
         node_of = np.zeros(binned.num_instances, dtype=np.int64)
         node_of[:20] = 1  # tiny node: search beats scanning long columns
         node_rows = np.flatnonzero(node_of == 1)
-        _, scanned, searched = build_colstore_hybrid(
+        _, scanned, searched = BUILDER.build_colstore_hybrid(
             csc, node_rows, node_of, 1, grad, hess, binned.num_bins,
         )
         # upper bound: pure linear scan of all columns

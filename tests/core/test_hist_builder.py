@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core.gbdt import leaf_matrix
 from repro.core.histogram import (ColumnwiseIndex, Histogram,
                                   HistogramBuilder, HistogramPool,
-                                  build_rowstore, default_builder)
+                                  default_builder)
 from repro.core.tree import Tree
 from repro.data.matrix import CSRMatrix
 from repro.systems.base import HistogramStore
@@ -193,7 +193,8 @@ class TestRootFastPath:
         csr = CSRMatrix.from_rows([[] for _ in range(4)], 3,
                                   dtype=np.int32)
         grad = np.ones((4, 1))
-        hist, touched = build_rowstore(csr, np.arange(4), grad, grad, 5)
+        hist, touched = default_builder().build_rowstore(
+            csr, np.arange(4), grad, grad, 5)
         assert touched == 0
         assert np.all(hist.grad == 0.0)
 

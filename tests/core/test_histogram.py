@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.histogram import (ColumnwiseIndex, Histogram,
-                                  build_colstore_columnwise,
-                                  build_colstore_hybrid,
-                                  build_colstore_layer, build_rowstore,
-                                  histogram_size_bytes, node_totals)
+                                  HistogramBuilder, histogram_size_bytes,
+                                  node_totals)
 from repro.data.matrix import CSRMatrix
+
+BUILDER = HistogramBuilder()
 
 
 def brute_force_histogram(dense_bins, rows, grad, hess, num_bins):
@@ -84,7 +84,7 @@ class TestRowstoreKernel:
         hess = rng.random((40, gradient_dim))
         rows = rng.choice(40, size=17, replace=False)
         rows.sort()
-        hist, touched = build_rowstore(csr, rows, grad, hess, 5)
+        hist, touched = BUILDER.build_rowstore(csr, rows, grad, hess, 5)
         ref = brute_force_histogram(dense, rows, grad, hess, 5)
         assert hist.allclose(ref, rtol=1e-12)
         assert touched == sum((dense[r] >= 0).sum() for r in rows)
@@ -92,8 +92,8 @@ class TestRowstoreKernel:
     def test_empty_rows(self, rng):
         csr, _ = make_binned(rng)
         grad = rng.standard_normal((40, 1))
-        hist, touched = build_rowstore(csr, np.empty(0, dtype=np.int64),
-                                       grad, grad, 5)
+        hist, touched = BUILDER.build_rowstore(
+            csr, np.empty(0, dtype=np.int64), grad, grad, 5)
         assert touched == 0
         assert np.all(hist.grad == 0)
 
@@ -107,7 +107,8 @@ class TestColstoreLayerKernel:
         hess = rng.random((40, gradient_dim))
         # three "nodes" plus some retired rows (slot -1)
         slot = rng.integers(-1, 3, size=40)
-        hists, touched = build_colstore_layer(csc, slot, 3, grad, hess, 5)
+        hists, touched = BUILDER.build_colstore_layer(csc, slot, 3, grad,
+                                                      hess, 5)
         assert touched == csc.nnz
         for s in range(3):
             rows = np.flatnonzero(slot == s)
@@ -117,7 +118,7 @@ class TestColstoreLayerKernel:
     def test_no_active_slots(self, rng):
         csr, _ = make_binned(rng)
         grad = rng.standard_normal((40, 1))
-        hists, _ = build_colstore_layer(
+        hists, _ = BUILDER.build_colstore_layer(
             csr.to_csc(), np.full(40, -1), 0, grad, grad, 5
         )
         assert hists == []
@@ -131,7 +132,7 @@ class TestColstoreHybridKernel:
         hess = rng.random((60, 1))
         node_of = rng.integers(5, 8, size=60)
         node_rows = np.flatnonzero(node_of == 6)
-        hist, scanned, searched = build_colstore_hybrid(
+        hist, scanned, searched = BUILDER.build_colstore_hybrid(
             csc, node_rows, node_of, 6, grad, hess, 5
         )
         ref = brute_force_histogram(dense, node_rows, grad, hess, 5)
@@ -150,11 +151,11 @@ class TestColstoreHybridKernel:
         node_of = np.zeros(200, dtype=np.int64)
         node_of[:3] = 1
         node_rows = np.arange(3)
-        _, scanned_dense, searched_dense = build_colstore_hybrid(
+        _, scanned_dense, searched_dense = BUILDER.build_colstore_hybrid(
             csr.to_csc(), node_rows, node_of, 1, grad, grad, 5
         )
         assert searched_dense > 0  # long columns -> binary search
-        _, scanned_sparse, searched_sparse = build_colstore_hybrid(
+        _, scanned_sparse, searched_sparse = BUILDER.build_colstore_hybrid(
             sparse_csr.to_csc(), node_rows, node_of, 1, grad, grad, 5
         )
         assert scanned_sparse > 0  # short columns -> linear scan
@@ -168,7 +169,7 @@ class TestColumnwiseIndexKernel:
         grad = rng.standard_normal((50, 1))
         hess = rng.random((50, 1))
         # initial: everything on node 0
-        hist, _ = build_colstore_columnwise(index, 0, grad, hess, 5)
+        hist, _ = BUILDER.build_colstore_columnwise(index, 0, grad, hess, 5)
         ref = brute_force_histogram(dense, np.arange(50), grad, hess, 5)
         assert hist.allclose(ref, rtol=1e-12)
         # split node 0 -> nodes 1, 2 and regroup
@@ -176,7 +177,8 @@ class TestColumnwiseIndexKernel:
         moved = index.update_after_split(node_of, [1, 2])
         assert moved == csc.nnz
         for node in (1, 2):
-            hist, _ = build_colstore_columnwise(index, node, grad, hess, 5)
+            hist, _ = BUILDER.build_colstore_columnwise(index, node, grad,
+                                                        hess, 5)
             ref = brute_force_histogram(
                 dense, np.flatnonzero(node_of == node), grad, hess, 5
             )
@@ -209,9 +211,9 @@ def test_property_subtraction_identity(seed):
     hess = rng.random((30, 2))
     rows = np.arange(30)
     go_left = rng.random(30) < rng.random()
-    parent, _ = build_rowstore(csr, rows, grad, hess, 4)
-    left, _ = build_rowstore(csr, rows[go_left], grad, hess, 4)
-    right, _ = build_rowstore(csr, rows[~go_left], grad, hess, 4)
+    parent, _ = BUILDER.build_rowstore(csr, rows, grad, hess, 4)
+    left, _ = BUILDER.build_rowstore(csr, rows[go_left], grad, hess, 4)
+    right, _ = BUILDER.build_rowstore(csr, rows[~go_left], grad, hess, 4)
     derived = parent.subtract(left)
     assert derived.allclose(right, rtol=1e-9, atol=1e-12)
 
@@ -227,11 +229,11 @@ def test_property_kernels_agree(seed):
     hess = rng.random((25, 1))
     node_of = rng.integers(0, 2, size=25)
     rows = np.flatnonzero(node_of == 1)
-    row_hist, _ = build_rowstore(csr, rows, grad, hess, 4)
-    hyb_hist, _, _ = build_colstore_hybrid(csc, rows, node_of, 1, grad,
-                                           hess, 4)
+    row_hist, _ = BUILDER.build_rowstore(csr, rows, grad, hess, 4)
+    hyb_hist, _, _ = BUILDER.build_colstore_hybrid(csc, rows, node_of, 1,
+                                                   grad, hess, 4)
     index = ColumnwiseIndex(csc)
     index.update_after_split(node_of, [0, 1])
-    col_hist, _ = build_colstore_columnwise(index, 1, grad, hess, 4)
+    col_hist, _ = BUILDER.build_colstore_columnwise(index, 1, grad, hess, 4)
     assert row_hist.allclose(hyb_hist, rtol=1e-12)
     assert row_hist.allclose(col_hist, rtol=1e-12)

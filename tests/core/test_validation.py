@@ -1,15 +1,11 @@
-"""Cross-validation and weighted-sketch tests."""
+"""Cross-validation tests."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro import TrainConfig
 from repro.core.validation import cross_validate
-from repro.sketch.proposer import (propose_candidates_exact,
-                                   propose_candidates_weighted)
-from repro.sketch.quantile import MergingSketch
 
 
 class TestCrossValidation:
@@ -44,53 +40,3 @@ class TestCrossValidation:
         result = cross_validate(cfg, small_multiclass, num_folds=3)
         assert result.metric_name == "accuracy"
         assert result.mean > 0.3
-
-
-class TestWeightedSketch:
-    def test_weighted_update_count(self, rng):
-        sketch = MergingSketch()
-        sketch.update(rng.standard_normal(100), np.full(100, 2.0))
-        assert sketch.count == pytest.approx(200.0)
-
-    def test_weight_validation(self, rng):
-        sketch = MergingSketch()
-        with pytest.raises(ValueError, match="align"):
-            sketch.update(np.ones(3), np.ones(2))
-        with pytest.raises(ValueError, match=">= 0"):
-            sketch.update(np.ones(2), np.array([1.0, -1.0]))
-
-    def test_weighted_median_shifts(self, rng):
-        """Doubling the weight of large values pulls quantiles up."""
-        values = np.sort(rng.standard_normal(20_000))
-        uniform = MergingSketch(eps=0.01)
-        uniform.update(values)
-        weights = np.where(values > 0, 4.0, 1.0)
-        weighted = MergingSketch(eps=0.01)
-        weighted.update(values, weights)
-        assert weighted.query(0.5) > uniform.query(0.5)
-
-    def test_weighted_matches_replication(self, rng):
-        """Integer weights behave like repeating the observation."""
-        values = rng.standard_normal(3_000)
-        reps = rng.integers(1, 4, size=values.size)
-        weighted = MergingSketch(eps=0.01)
-        weighted.update(values, reps.astype(float))
-        replicated = MergingSketch(eps=0.01)
-        replicated.update(np.repeat(values, reps))
-        for q in (0.25, 0.5, 0.75):
-            assert weighted.query(q) == pytest.approx(
-                replicated.query(q), abs=0.1
-            )
-
-    def test_weighted_candidates(self, rng):
-        values = rng.standard_normal(10_000)
-        hess = np.where(values > 1.0, 10.0, 0.1)
-        cuts = propose_candidates_weighted(values, hess, 16)
-        plain = propose_candidates_exact(values, 16)
-        assert np.all(np.diff(cuts) > 0)
-        # hessian mass above 1.0 draws most cut points there
-        assert (cuts > 1.0).sum() > (plain > 1.0).sum()
-
-    def test_empty_values(self):
-        assert propose_candidates_weighted(np.empty(0), np.empty(0),
-                                           8).size == 0

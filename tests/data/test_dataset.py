@@ -119,18 +119,6 @@ class TestBinDataset:
         with pytest.raises(ValueError):
             binned_binary.threshold_of(0, 99)
 
-    def test_sketch_binning_close_to_exact(self, small_binary):
-        exact = bin_dataset(small_binary, 16, method="exact")
-        approx = bin_dataset(small_binary, 16, method="sketch")
-        # bin boundaries may shift by a rank or two; the overwhelming
-        # majority of entries must agree
-        agree = np.mean(exact.binned.values == approx.binned.values)
-        assert agree > 0.9
-
-    def test_unknown_method(self, small_binary):
-        with pytest.raises(ValueError):
-            bin_dataset(small_binary, 8, method="magic")
-
 
 def assert_cuts_equal_the_per_feature_loop(dataset, q):
     """Exact binning groups columns by stored-value count; the oracle

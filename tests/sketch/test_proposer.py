@@ -7,10 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketch.proposer import (bin_values, num_bins,
-                                   propose_candidates,
+from repro.data.dataset import apply_cuts
+from repro.data.matrix import CSRMatrix
+from repro.sketch.proposer import (propose_candidates,
                                    propose_candidates_exact)
 from repro.sketch.quantile import MergingSketch
+
+
+def bin_column(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Bin indexes :func:`apply_cuts` gives one column of ``values``."""
+    n = values.size
+    column = CSRMatrix(np.arange(n + 1), np.zeros(n, dtype=np.int32),
+                       values, 1)
+    return apply_cuts(column, [cuts]).values
 
 
 class TestExactProposal:
@@ -65,23 +74,19 @@ class TestSketchProposal:
 
 
 class TestBinning:
-    def test_bin_values_semantics(self):
+    def test_apply_cuts_semantics(self):
         cuts = np.array([1.0, 3.0, 7.0])
         values = np.array([0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 9.0])
-        bins = bin_values(values, cuts)
+        bins = bin_column(values, cuts)
         # bin b holds values in (cuts[b-1], cuts[b]]
         np.testing.assert_array_equal(bins, [0, 0, 1, 1, 2, 2, 3])
 
     def test_split_at_bin_b_means_leq_cut(self, rng):
         values = rng.standard_normal(400)
         cuts = propose_candidates_exact(values, 12)
-        bins = bin_values(values, cuts)
+        bins = bin_column(values, cuts)
         for b in range(cuts.size):
             np.testing.assert_array_equal(bins <= b, values <= cuts[b])
-
-    def test_num_bins(self):
-        cuts = [np.array([1.0, 2.0]), np.array([]), np.array([5.0])]
-        assert num_bins(cuts) == [3, 1, 2]
 
 
 @settings(max_examples=30, deadline=None)
@@ -91,7 +96,7 @@ def test_property_binning_consistency(seed, q):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(300)
     cuts = propose_candidates_exact(values, q)
-    bins = bin_values(values, cuts)
+    bins = bin_column(values, cuts)
     assert bins.min() >= 0
     assert bins.max() <= cuts.size
     for b in range(cuts.size):

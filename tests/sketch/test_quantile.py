@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketch.quantile import GKSketch, MergingSketch
+from repro.sketch.quantile import MergingSketch
 
 
 def rank_error(values: np.ndarray, answer: float, quantile: float) -> float:
@@ -20,63 +20,6 @@ def rank_error(values: np.ndarray, answer: float, quantile: float) -> float:
     if lo <= target <= hi:
         return 0.0
     return min(abs(lo - target), abs(hi - target)) / values.size
-
-
-class TestGKSketch:
-    def test_rejects_bad_eps(self):
-        for eps in (0.0, 0.5, -1.0):
-            with pytest.raises(ValueError):
-                GKSketch(eps=eps)
-
-    def test_empty_query_raises(self):
-        with pytest.raises(ValueError, match="empty"):
-            GKSketch().query(0.5)
-
-    def test_bad_quantile_raises(self):
-        sketch = GKSketch()
-        sketch.insert(1.0)
-        with pytest.raises(ValueError):
-            sketch.query(1.5)
-
-    def test_exact_on_small_input(self):
-        sketch = GKSketch(eps=0.01)
-        sketch.update(range(1, 101))
-        assert sketch.query(0.0) == 1
-        assert sketch.query(1.0) == 100
-        assert abs(sketch.query(0.5) - 50) <= 2
-
-    def test_rank_error_bound(self, rng):
-        values = rng.standard_normal(3000)
-        sketch = GKSketch(eps=0.02)
-        sketch.update(values)
-        for q in (0.1, 0.25, 0.5, 0.75, 0.9):
-            assert rank_error(values, sketch.query(q), q) <= 0.02 + 1e-9
-
-    def test_compress_bounds_size(self, rng):
-        values = rng.standard_normal(5000)
-        sketch = GKSketch(eps=0.05)
-        sketch.update(values)
-        sketch.compress()
-        # GK keeps O(1/eps * log(eps*N)) tuples; generous envelope
-        assert sketch.size < 60 / 0.05
-
-    def test_merge_error_adds(self, rng):
-        a_vals = rng.standard_normal(2000)
-        b_vals = rng.standard_normal(2000) + 0.5
-        a = GKSketch(eps=0.02)
-        b = GKSketch(eps=0.02)
-        a.update(a_vals)
-        b.update(b_vals)
-        merged = a.merge(b)
-        combined = np.concatenate([a_vals, b_vals])
-        assert merged.count == 4000
-        for q in (0.25, 0.5, 0.75):
-            assert rank_error(combined, merged.query(q), q) <= 0.04 + 1e-9
-
-    def test_serialized_nbytes(self):
-        sketch = GKSketch()
-        sketch.update(range(50))
-        assert sketch.serialized_nbytes == 16 * sketch.size
 
 
 class TestMergingSketch:
@@ -131,13 +74,12 @@ class TestMergingSketch:
         assert out.shape == (3,)
         assert np.all(np.diff(out) >= 0)
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_quantiles_equal_one_rank_query_each(self, rng, weighted):
+    def test_quantiles_equal_one_rank_query_each(self, rng):
         """The vectorized lookup answers what a cumulative sum and a
         ``searchsorted`` per probability answer, ends included."""
         values = np.round(rng.standard_normal(30_000), 2)
         sketch = MergingSketch(eps=0.01, buffer_size=4096)
-        sketch.update(values, rng.random(values.size) if weighted else None)
+        sketch.update(values)
         probs = np.r_[0.0, np.arange(1, 64) / 64, rng.random(20), 1.0]
         out = sketch.quantiles(probs)
         cum = np.cumsum(sketch._summary_weights)

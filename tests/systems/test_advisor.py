@@ -8,44 +8,93 @@ import pytest
 from repro import ClusterConfig, NetworkModel, TrainConfig, \
     make_classification, make_system
 from repro.data.dataset import bin_dataset
-from repro.systems.advisor import (DEFAULT_SCAN_RATE, QUADRANTS,
-                                   calibrate_scan_rate, estimate,
-                                   recommend)
-from repro.systems.costmodel import WorkloadShape
+from repro.systems import TrainingSession, get_plan
+from repro.systems.advisor import (DEFAULT_SCAN_RATE, PLAN_OF_QUADRANT,
+                                   AdaptivePolicy, price_plans, recommend)
+from repro.systems.costmodel import WorkloadShape, workload_of
+from repro.systems.plans import PLANS
 
 
 def shape(n, d, w=8, layers=8, q=20, c=1):
     return WorkloadShape(n, d, w, layers, q, c)
 
 
-class TestEstimate:
-    def test_all_quadrants_priced(self):
-        out = estimate(shape(100_000, 1000), avg_nnz_per_instance=50)
-        assert set(out) == set(QUADRANTS)
-        for est in out.values():
-            assert est.comp_seconds > 0
-            assert est.comm_seconds > 0
-            assert est.histogram_memory_bytes > 0
+def prices(s, nnz, **kwargs):
+    return price_plans(s, nnz, NetworkModel(), **kwargs)
+
+
+class TestPricePlans:
+    def test_every_plan_priced(self):
+        out = prices(shape(100_000, 1000), 50)
+        assert set(out) == set(PLANS)
+        for key, cost in out.items():
+            assert cost.plan_key == key
+            assert cost.comp_seconds > 0
+            assert cost.comm_seconds > 0
+            assert cost.histogram_memory_bytes > 0
+            assert cost.recovery_seconds == 0.0
 
     def test_vertical_memory_is_w_times_smaller(self):
-        out = estimate(shape(100_000, 1000, w=8), 50)
-        assert out["QD2"].histogram_memory_bytes == pytest.approx(
-            8 * out["QD4"].histogram_memory_bytes
+        out = prices(shape(100_000, 1000, w=8), 50)
+        assert out["qd2"].histogram_memory_bytes == pytest.approx(
+            8 * out["vero"].histogram_memory_bytes
         )
 
     def test_colstore_hybrid_costs_more_compute(self):
-        out = estimate(shape(1_000_000, 100), 50)
-        assert out["QD3"].comp_seconds > out["QD4"].comp_seconds
+        out = prices(shape(1_000_000, 100), 50)
+        assert out["qd3"].comp_seconds > out["vero"].comp_seconds
 
     def test_no_subtraction_costs_more(self):
-        out = estimate(shape(1_000_000, 100), 50)
-        assert out["QD1"].comp_seconds > out["QD2"].comp_seconds
+        out = prices(shape(1_000_000, 100), 50)
+        assert out["qd1"].comp_seconds > out["qd2"].comp_seconds
+
+    def test_total_adds_recovery_after_comp_and_comm(self):
+        for cost in prices(shape(1_000_000, 100), 50,
+                           crash_rate=0.5).values():
+            assert cost.recovery_seconds > 0
+            assert cost.total_seconds == (
+                cost.comp_seconds + cost.comm_seconds
+                + cost.recovery_seconds)
+
+    def test_quadrant_plans_name_their_quadrant(self):
+        out = prices(shape(100_000, 1000), 50)
+        for quadrant, key in PLAN_OF_QUADRANT.items():
+            assert out[key].quadrant == quadrant
+            assert out[key].plan.key == key
+        assert out["qd2-fp"].description == PLANS["qd2-fp"].description
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            estimate(shape(10, 10), 0.0)
+            recommend(shape(10, 10), 0.0)
         with pytest.raises(ValueError):
-            estimate(shape(10, 10), 5, scan_rate=0)
+            recommend(shape(10, 10), 5, scan_rate=0)
+        with pytest.raises(ValueError):
+            prices(shape(10, 10), 5, crash_rate=-1.0)
+
+
+class TestCodecSpelling:
+    """``TrainConfig().codec`` is ``""``; the advisor takes it as-is."""
+
+    def test_empty_codec_prices_as_none(self):
+        s = shape(1_000_000, 10_000)
+        assert prices(s, 100, codec="") == prices(s, 100, codec="none")
+
+    def test_empty_codec_recommends_as_none(self):
+        s = shape(1_000_000, 10_000)
+        assert recommend(s, 100, codec="") == recommend(s, 100,
+                                                        codec="none")
+
+    def test_policy_built_from_config_codec_consults(self, small_sparse):
+        config = TrainConfig(num_trees=2, num_layers=3, num_candidates=8)
+        cluster = ClusterConfig(2)
+        binned = bin_dataset(small_sparse, config.num_candidates)
+        session = TrainingSession(get_plan("qd2").build(config, cluster),
+                                  binned)
+        session.policy = AdaptivePolicy(
+            *workload_of(binned, config, cluster), cluster.network,
+            every=1, codec=config.codec)
+        (decision,) = session.run().decisions
+        assert decision.current_plan == "qd2"
 
 
 class TestRecommend:
@@ -102,11 +151,6 @@ class TestRecommend:
 
 
 class TestCalibration:
-    def test_calibrate(self):
-        assert calibrate_scan_rate(2.0, 1e8) == 5e7
-        with pytest.raises(ValueError):
-            calibrate_scan_rate(0.0, 1.0)
-
     def test_default_rate_order_of_magnitude(self):
         assert 1e6 <= DEFAULT_SCAN_RATE <= 1e10
 

@@ -6,12 +6,9 @@ from __future__ import annotations
 import pytest
 
 from repro.systems.costmodel import (WorkloadShape,
-                                     colstore_node_index_cost,
-                                     histogram_construction_cost,
                                      horizontal_comm_bytes_per_tree,
                                      horizontal_histogram_memory_bytes,
-                                     node_splitting_cost,
-                                     sizehist_bytes, split_finding_cost,
+                                     sizehist_bytes,
                                      vertical_comm_bytes_per_tree,
                                      vertical_histogram_memory_bytes)
 
@@ -95,27 +92,7 @@ class TestScalingClaims:
             vertical_comm_bytes_per_tree(high_d)
 
 
-class TestComputationModel:
-    def test_histogram_cost_shares_work(self):
-        shape = WorkloadShape(10_000, 100, 4, 6, 16)
-        assert histogram_construction_cost(shape, 20.0) == \
-            10_000 * 20 / 4
-
-    def test_colstore_node_index_pays_log_factor(self):
-        shape = WorkloadShape(1_000_000, 100, 4, 6, 16)
-        base = histogram_construction_cost(shape, 50.0)
-        assert colstore_node_index_cost(shape, 50.0) > base
-
-    def test_split_finding_cheap(self):
-        shape = WorkloadShape(1_000_000, 1000, 8, 8, 20)
-        assert split_finding_cost(shape) < \
-            histogram_construction_cost(shape, 10.0)
-
-    def test_node_splitting_vertical_w_times_higher(self):
-        shape = WorkloadShape(1_000_000, 1000, 8, 8, 20)
-        assert node_splitting_cost(shape, vertical=True) == \
-            8 * node_splitting_cost(shape, vertical=False)
-
+class TestWorkloadShape:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             WorkloadShape(0, 1, 1, 1, 1)

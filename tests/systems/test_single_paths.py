@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 from repro import ClusterConfig, TrainConfig, make_system
 from repro.config import NetworkModel
 from repro.systems import (ALIASES, PLANS, PlanExecutor, WorkloadShape,
-                           estimate, get_plan, price_plans)
+                           get_plan, price_plans, recommend)
 from repro.systems import base as base_module
-from repro.systems.advisor import (PLAN_OF_QUADRANT, QUADRANTS,
-                                   backend_constants)
+from repro.systems.advisor import PLAN_OF_QUADRANT, backend_constants
 from repro.systems.base import PHASES, WorkerClock
 from repro.systems.costmodel import (expected_recovery_seconds_per_tree,
                                      horizontal_histogram_memory_bytes,
@@ -79,28 +78,28 @@ SHAPES = st.builds(
     backend=st.sampled_from(["", "numpy", "numba", "pyloop"]),
     crash_rate=st.sampled_from([0.0, 0.1, 1.5]),
 )
-def test_estimate_is_the_four_plan_view_of_price_plans(
+def test_recommend_ranks_the_price_plans_records(
         shape, avg_nnz, gbps, scan_rate, codec, backend, crash_rate):
     network = NetworkModel(bandwidth_gbps=gbps)
-    estimates = estimate(shape, avg_nnz, network, scan_rate=scan_rate,
-                         crash_rate=crash_rate, codec=codec,
-                         backend=backend)
+    rec = recommend(shape, avg_nnz, network, scan_rate=scan_rate,
+                    crash_rate=crash_rate, codec=codec, backend=backend)
     costs = price_plans(shape, avg_nnz, network,
-                        backend_constants(scan_rate, backend), codec=codec)
-    assert tuple(estimates) == QUADRANTS
-    for quadrant, est in estimates.items():
-        cost = costs[PLAN_OF_QUADRANT[quadrant]]
-        vertical = quadrant in ("QD3", "QD4")
-        assert est.comp_seconds == cost.comp_seconds
-        assert est.comm_seconds == cost.comm_seconds
-        assert est.histogram_memory_bytes == (
+                        backend_constants(scan_rate, backend), codec=codec,
+                        crash_rate=crash_rate)
+    assert sorted(c.plan_key for c in rec.ranking) == sorted(
+        PLAN_OF_QUADRANT.values())
+    for cost in rec.ranking:
+        assert cost == costs[cost.plan_key]
+    for key, cost in costs.items():
+        vertical = PLANS[key].partition != "horizontal"
+        assert cost.histogram_memory_bytes == (
             vertical_histogram_memory_bytes(shape) if vertical
             else horizontal_histogram_memory_bytes(shape))
-        assert est.recovery_seconds == expected_recovery_seconds_per_tree(
+        assert cost.recovery_seconds == expected_recovery_seconds_per_tree(
             shape, avg_nnz, network.bytes_per_second, crash_rate,
             vertical=vertical)
-        assert est.total_seconds == (
-            cost.total_seconds + est.recovery_seconds)
+        assert cost.total_seconds == (
+            cost.comp_seconds + cost.comm_seconds + cost.recovery_seconds)
 
 
 def test_workload_of_reads_the_shape_off_a_binned_dataset(small_sparse):
