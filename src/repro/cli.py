@@ -315,11 +315,9 @@ def cmd_train(args) -> int:
         learning_rate=args.learning_rate,
         objective="multiclass" if multiclass else "binary",
         num_classes=num_classes if multiclass else 2,
-        plan="" if adaptive else (args.plan or ""),
         faults=args.faults,
         codec=args.codec,
         backend=args.backend,
-        adapt=args.adapt_every if adaptive else 0,
     )
     cluster = ClusterConfig(
         num_workers=args.workers,
@@ -333,15 +331,16 @@ def cmd_train(args) -> int:
         from .systems import make_adaptive_session
 
         session = make_adaptive_session(config, cluster, train,
-                                        valid=valid)
+                                        valid=valid,
+                                        every=args.adapt_every)
         print(f"auto-adapt: starting with plan "
               f"{session.state.plan_key} (recalibrating every "
-              f"{config.adapt} trees)")
+              f"{session.policy.every} trees)")
         result = session.run()
         system = session.system
     else:
         try:
-            system = make_system(config.plan or args.system, config,
+            system = make_system(args.plan or args.system, config,
                                  cluster)
         except KeyError as err:
             print(err.args[0], file=sys.stderr)

@@ -49,29 +49,23 @@ class TrainConfig:
     growth:
         ``"layerwise"`` (the paper's level-wise growth; all distributed
         quadrants use it) or ``"leafwise"`` (best-first growth as in
-        LightGBM; reference trainer only).
+        LightGBM; histogram reference trainer ``GBDT`` only).
     max_leaves:
         Leaf budget for leaf-wise growth; 0 means ``2**(num_layers-1)``
         (the full-tree equivalent).
     subsample / colsample:
         Per-tree instance and feature sampling fractions (stochastic
-        GBDT).  Reference trainer only — the distributed quadrants study
-        data management of the full dataset and reject sampling.
+        GBDT).  Histogram reference trainer ``GBDT`` only — the
+        distributed quadrants study data management of the full dataset
+        and, like the exact-greedy trainer, reject sampling.
     seed:
         Seed for the sampling random stream.
-    plan:
-        Execution-plan registry key (e.g. ``"qd2-ps"``) naming the
-        distributed strategy composition to train with; the empty string
-        leaves the choice to the caller (``--system`` flag, advisor,
-        harness).  Resolved against :data:`repro.systems.plans.PLANS`
-        at build time, not here — the config layer stays free of system
-        imports.
     faults:
         Seeded fault schedule as a ``SEED:SPEC`` string (e.g.
         ``"42:crash=2,drop=0.05"``); the empty string trains fault-free.
         Parsed by :meth:`repro.cluster.faults.FaultPlan.parse` at build
-        time, not here — like ``plan``, the config layer stays free of
-        cluster imports.
+        time, not here — the config layer stays free of cluster
+        imports.
     codec:
         Wire-format codec stack for inter-worker payloads (``"none"``,
         ``"sparse"``, ``"delta"``, ``"f32"``, ``"f16"``); the empty
@@ -79,7 +73,7 @@ class TrainConfig:
         accounting).  Lossy stacks (``f32``/``f16``) trade model
         bit-identity for bytes and are strictly opt-in.  Resolved by
         :func:`repro.cluster.codecs.get_codec_stack` at build time, not
-        here — like ``plan``, the config layer stays free of cluster
+        here — like ``faults``, the config layer stays free of cluster
         imports.
     backend:
         Kernel backend for the histogram/predict hot loops (``"numpy"``,
@@ -87,14 +81,7 @@ class TrainConfig:
         the portable numpy default.  All backends are bit-identical on
         the lossless path, so this is purely a speed knob.  Resolved by
         :func:`repro.core.kernels.make_backend` at build time, not here
-        — like ``plan``, the config layer stays free of kernel imports.
-    adapt:
-        Adaptive re-planning cadence: every ``adapt`` trees the session
-        recalibrates the cost model against the observed ledger and
-        migrates to a cheaper execution plan when the projected savings
-        over the remaining trees exceed the migration bill (DESIGN.md
-        §13).  ``0`` (the default) disables adaptation; the CLI spells
-        it ``--plan auto-adapt`` with ``--adapt-every``.
+        — like ``faults``, the config layer stays free of kernel imports.
     """
 
     num_trees: int = 100
@@ -112,11 +99,9 @@ class TrainConfig:
     subsample: float = 1.0
     colsample: float = 1.0
     seed: int = 0
-    plan: str = ""
     faults: str = ""
     codec: str = ""
     backend: str = ""
-    adapt: int = 0
 
     def __post_init__(self) -> None:
         if self.num_trees < 1:
@@ -153,8 +138,6 @@ class TrainConfig:
         if not 0.0 < self.colsample <= 1.0:
             raise ValueError(f"colsample must be in (0, 1], got "
                              f"{self.colsample}")
-        if self.adapt < 0:
-            raise ValueError(f"adapt must be >= 0, got {self.adapt}")
 
     @property
     def uses_sampling(self) -> bool:

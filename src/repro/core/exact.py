@@ -20,11 +20,12 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..config import TrainConfig
-from ..data.dataset import Dataset
+from ..data.dataset import BinnedDataset, Dataset
 from ..data.matrix import CSCMatrix
+from .gbdt import GBDT
 from .histogram import node_totals
 from .indexing import NodeToInstanceIndex
-from .split import SplitInfo, leaf_weight
+from .split import SplitInfo, accepted_split, leaf_weight, node_score
 from .tree import Tree, layer_nodes
 
 
@@ -48,9 +49,12 @@ class PresortedColumns:
     def column(self, feature: int) -> Tuple[np.ndarray, np.ndarray]:
         return self.rows[feature], self.values[feature]
 
-
-def _score(grad: np.ndarray, hess: np.ndarray, lam: float) -> np.ndarray:
-    return (grad * grad / (hess + lam)).sum(axis=-1)
+    def threshold(self, split: SplitInfo, node_of_instance: np.ndarray,
+                  node: int) -> float:
+        """Raw cut of an exact split of ``node``: the ``split.bin``-th
+        smallest present value of ``split.feature`` on the node."""
+        rows, values = self.column(split.feature)
+        return float(values[node_of_instance[rows] == node][split.bin])
 
 
 def exact_best_split(
@@ -63,17 +67,16 @@ def exact_best_split(
     hess_total: np.ndarray,
     reg_lambda: float,
     reg_gamma: float,
-) -> Tuple[Optional[SplitInfo], float]:
+) -> Optional[SplitInfo]:
     """Best exact split of one node over all features.
 
-    Returns ``(split, threshold)``; ``split.bin`` is unused (set to the
-    boundary index) — the raw ``threshold`` carries the cut.  ``None``
-    when no boundary has positive gain.
+    ``split.bin`` is the boundary's position among the node's sorted
+    present values (:meth:`PresortedColumns.threshold` turns it into the
+    raw cut).  ``None`` when no boundary has positive gain.
     """
     best: Optional[SplitInfo] = None
-    best_threshold = 0.0
-    parent = _score(np.asarray(grad_total), np.asarray(hess_total),
-                    reg_lambda)
+    parent = node_score(np.asarray(grad_total), np.asarray(hess_total),
+                        reg_lambda)
     for feature in range(presorted.num_features):
         col_rows, col_vals = presorted.column(feature)
         if col_rows.size == 0:
@@ -100,8 +103,8 @@ def exact_best_split(
             gr = grad_total - gl
             hr = hess_total - hl
             gains = 0.5 * (
-                _score(gl, hl, reg_lambda) + _score(gr, hr, reg_lambda)
-                - parent
+                node_score(gl, hl, reg_lambda)
+                + node_score(gr, hr, reg_lambda) - parent
             ) - reg_gamma
             hl_sum = hl.sum(axis=-1)
             hr_sum = hr.sum(axis=-1)
@@ -116,8 +119,7 @@ def exact_best_split(
             )
             if candidate.better_than(best):
                 best = candidate
-                best_threshold = float(vals[boundaries[idx]])
-    return best, best_threshold
+    return best
 
 
 def grow_tree_exact(
@@ -142,22 +144,19 @@ def grow_tree_exact(
         if not nodes:
             break
         for node in nodes:
-            split = None
-            threshold = 0.0
-            if index.count_of(node) >= max(2, 2 * cfg.min_node_instances):
-                split, threshold = exact_best_split(
-                    presorted, index.node_of_instance, node, grad, hess,
-                    stats[node][0], stats[node][1], cfg.reg_lambda,
-                    cfg.reg_gamma,
-                )
-                if split is not None and split.gain < cfg.min_split_gain:
-                    split = None
+            split = accepted_split(
+                cfg, index.count_of(node), exact_best_split, presorted,
+                index.node_of_instance, node, grad, hess, *stats[node],
+                cfg.reg_lambda, cfg.reg_gamma,
+            )
             if split is None:
                 tree.set_leaf(node, leaf_weight(*stats[node],
                                                 cfg.reg_lambda))
                 active.discard(node)
                 index.retire_node(node)
                 continue
+            threshold = presorted.threshold(split, index.node_of_instance,
+                                            node)
             tree.set_split(node, split, threshold)
             node_rows = index.rows_of(node)
             go_left = np.full(node_rows.size, split.default_left,
@@ -179,54 +178,32 @@ def grow_tree_exact(
     return tree, index.node_of_instance.copy()
 
 
-class ExactGBDT:
+class ExactGBDT(GBDT):
     """Single-process GBDT with exact greedy split finding.
 
     The accuracy ceiling against which the histogram trainers (oracle
     and distributed quadrants) are compared; no binning, no ``q``.
+    Boosting, early stopping and prediction are :class:`GBDT`'s; only
+    how a tree is grown differs.  Row/feature sampling and leaf-wise
+    growth are histogram-trainer features and are refused.
     """
 
     def __init__(self, config: TrainConfig) -> None:
-        self.config = config
-
-    def fit(self, train: Dataset, valid: Optional[Dataset] = None):
-        from .gbdt import TrainResult, evaluate
-        from .loss import make_loss
-        from .tree import TreeEnsemble
-
-        cfg = self.config
-        loss = make_loss(cfg.objective, cfg.num_classes)
-        presorted = PresortedColumns(train.csc())
-        ensemble = TreeEnsemble(loss.num_outputs, cfg.learning_rate,
-                                objective=cfg.objective,
-                                num_classes=cfg.num_classes)
-        result = TrainResult(ensemble)
-        scores = loss.init_scores(train.num_instances)
-        valid_scores = (
-            loss.init_scores(valid.num_instances) if valid is not None
-            else None
-        )
-        for t in range(cfg.num_trees):
-            grad, hess = loss.gradients(train.labels, scores)
-            tree, leaf_of_instance = grow_tree_exact(
-                cfg, train, presorted, grad, hess,
+        if config.uses_sampling:
+            raise ValueError(
+                "exact greedy training searches every row and feature; "
+                "subsample/colsample are histogram-trainer features"
             )
-            ensemble.append(tree)
-            from .gbdt import leaf_matrix
+        if config.growth != "layerwise":
+            raise ValueError(
+                "exact greedy training grows trees layer-wise; leaf-wise "
+                "growth is a histogram-trainer feature"
+            )
+        super().__init__(config)
 
-            scores += cfg.learning_rate * leaf_matrix(tree,
-                                                      leaf_of_instance)
-            if valid is not None:
-                valid_scores += cfg.learning_rate * tree.predict(
-                    valid.csc())
-                result.evals.append(
-                    evaluate(loss, valid, valid_scores, t,
-                             train_loss=loss.loss(train.labels, scores))
-                )
-        return result
-
-    def predict(self, ensemble, dataset: Dataset) -> np.ndarray:
-        from .loss import make_loss
-
-        loss = make_loss(self.config.objective, self.config.num_classes)
-        return loss.predict(ensemble.raw_scores(dataset.csc()))
+    def _tree_grower(self, train: Dataset,
+                     binned: Optional[BinnedDataset]):
+        """Exact trees grow on raw values, so ``binned`` is unused."""
+        presorted = PresortedColumns(train.csc())
+        return lambda grad, hess: grow_tree_exact(
+            self.config, train, presorted, grad, hess)

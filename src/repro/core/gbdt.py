@@ -11,7 +11,7 @@ data-management behaviour differs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -22,13 +22,14 @@ from .histogram import (
     HistogramBuilder,
     default_builder,
     node_totals,
+    subtraction_schedule,
 )
 from .indexing import NodeToInstanceIndex
 from .loss import Loss, make_loss
 from .metrics import auc, multiclass_accuracy, rmse
 from .placement import layer_placements_rowstore
-from .split import SplitInfo, find_best_split, leaf_weight
-from .tree import Tree, TreeEnsemble, layer_nodes
+from .split import SplitInfo, accepted_split, find_best_split, leaf_weight
+from .tree import Tree, TreeEnsemble, layer_nodes, leaf_matrix
 
 
 @dataclass
@@ -106,8 +107,7 @@ class GBDT:
                 )
             if early_stopping_rounds < 1:
                 raise ValueError("early_stopping_rounds must be >= 1")
-        if binned is None:
-            binned = bin_dataset(train, cfg.num_candidates)
+        grow = self._tree_grower(train, binned)
         loss = make_loss(cfg.objective, cfg.num_classes)
         ensemble = TreeEnsemble(loss.num_outputs, cfg.learning_rate,
                                 objective=cfg.objective,
@@ -119,22 +119,16 @@ class GBDT:
             else None
         )
         best_metric: Optional[float] = None
-        rng = np.random.default_rng(cfg.seed)
         for t in range(cfg.num_trees):
             grad, hess = loss.gradients(train.labels, scores)
-            sample_rows, feature_mask = _draw_samples(cfg, binned, rng)
-            tree, leaf_of_instance = grow_tree(
-                cfg, binned, grad, hess,
-                sample_rows=sample_rows, feature_mask=feature_mask,
-                builder=self.builder,
-            )
+            tree, leaf_of_instance = grow(grad, hess)
             ensemble.append(tree)
-            if sample_rows is None:
-                scores += cfg.learning_rate * leaf_matrix(
-                    tree, leaf_of_instance)
-            else:
+            if leaf_of_instance is None:
                 # out-of-sample rows must be routed through the tree
                 scores += cfg.learning_rate * tree.predict(train.csc())
+            else:
+                scores += cfg.learning_rate * leaf_matrix(
+                    tree, leaf_of_instance)
             if valid is not None:
                 valid_scores += cfg.learning_rate * tree.predict(valid.csc())
                 record = evaluate(
@@ -158,6 +152,31 @@ class GBDT:
         """Predictions in the objective's natural space."""
         loss = make_loss(self.config.objective, self.config.num_classes)
         return loss.predict(ensemble.raw_scores(dataset.csc()))
+
+    def _tree_grower(
+        self, train: Dataset, binned: Optional[BinnedDataset],
+    ) -> Callable[[np.ndarray, np.ndarray],
+                  Tuple[Tree, Optional[np.ndarray]]]:
+        """``grow(grad, hess) -> (tree, leaf ids)`` for one ``fit``.
+
+        The only step subclasses change.  Leaf ids are ``None`` when a
+        row sample leaves some training rows outside the tree.
+        """
+        cfg = self.config
+        if binned is None:
+            binned = bin_dataset(train, cfg.num_candidates)
+        rng = np.random.default_rng(cfg.seed)
+
+        def grow(grad, hess):
+            sample_rows, feature_mask = _draw_samples(cfg, binned, rng)
+            tree, leaf_of_instance = grow_tree(
+                cfg, binned, grad, hess,
+                sample_rows=sample_rows, feature_mask=feature_mask,
+                builder=self.builder,
+            )
+            return tree, leaf_of_instance if sample_rows is None else None
+
+        return grow
 
 
 def _draw_samples(cfg: TrainConfig, binned: BinnedDataset,
@@ -198,21 +217,6 @@ def evaluate(
     return EvalRecord(tree_index, name, value, train_loss)
 
 
-def leaf_matrix(tree: Tree, leaf_of_instance: np.ndarray) -> np.ndarray:
-    """Per-instance leaf weights from the training-time leaf assignment.
-
-    A lookup table indexed by leaf id replaces the per-leaf boolean masks
-    (O(leaves·N)) with one gather.  Rows outside the tree's sample carry
-    leaf id ``-1``, which lands on the table's trailing all-zero row.
-    """
-    max_node = max(tree.nodes) if tree.nodes else 0
-    lut = np.zeros((max_node + 2, tree.gradient_dim))
-    for node_id, node in tree.nodes.items():
-        if node.is_leaf:
-            lut[node_id] = node.weight
-    return lut[leaf_of_instance]
-
-
 def grow_tree(
     cfg: TrainConfig,
     binned: BinnedDataset,
@@ -247,6 +251,10 @@ def grow_tree(
     }
     hist_store: Dict[int, Histogram] = {}
     active: Set[int] = {0}
+    # masked-out features report a single bin, which admits no split
+    bins = binned.bins_per_feature
+    if feature_mask is not None:
+        bins = np.where(feature_mask, bins, 1)
 
     for layer in range(cfg.num_layers - 1):
         nodes = [n for n in layer_nodes(layer) if n in active]
@@ -257,9 +265,9 @@ def grow_tree(
         )
         splits: Dict[int, SplitInfo] = {}
         for node in nodes:
-            split = decide_split(cfg, binned, index, hist_store[node],
-                                 stats[node], node,
-                                 feature_mask=feature_mask)
+            split = accepted_split(
+                cfg, index.count_of(node), find_best_split, hist_store[node],
+                *stats[node], cfg.reg_lambda, cfg.reg_gamma, bins)
             if split is None:
                 tree.set_leaf(node, leaf_weight(*stats[node],
                                                 cfg.reg_lambda))
@@ -322,15 +330,16 @@ def grow_tree_leafwise(
         max_layer_node = 2 ** (cfg.num_layers - 1) - 2
         if node > max_layer_node:  # already at the deepest split layer
             return None
-        split = decide_split(cfg, binned, index, hist_store[node],
-                             stats[node], node)
+        split = accepted_split(
+            cfg, index.count_of(node), find_best_split, hist_store[node],
+            *stats[node], cfg.reg_lambda, cfg.reg_gamma,
+            binned.bins_per_feature)
         if split is None:
             return None
         return (-split.gain, node, split)
 
-    hist, _ = builder.build_rowstore(binned.binned, index.rows_of(0),
-                                     grad, hess, binned.num_bins)
-    hist_store[0] = hist
+    build_histograms_with_subtraction(binned, index, [0], grad, hess,
+                                      hist_store, builder=builder)
     heap = []
     entry = candidate(0)
     if entry is not None:
@@ -349,15 +358,9 @@ def grow_tree_leafwise(
         num_leaves += 1
         stats[left] = node_totals(index.rows_of(left), grad, hess)
         stats[right] = node_totals(index.rows_of(right), grad, hess)
-        small = index.smaller_child(left, right)
-        large = right if small == left else left
-        child_hist, _ = builder.build_rowstore(
-            binned.binned, index.rows_of(small), grad, hess,
-            binned.num_bins,
-        )
-        hist_store[small] = child_hist
-        hist_store[large] = builder.subtract(hist_store[node], child_hist)
-        builder.release(hist_store.pop(node))
+        build_histograms_with_subtraction(binned, index, [left, right],
+                                          grad, hess, hist_store,
+                                          builder=builder)
         for child in (left, right):
             entry = candidate(child)
             if entry is not None:
@@ -387,64 +390,18 @@ def build_histograms_with_subtraction(
     """
     if builder is None:
         builder = default_builder()
+    counts = {node: index.count_of(node) for node in nodes}
     scanned = 0
-    done: Set[int] = set()
-    for node in nodes:
-        if node in done:
-            continue
-        parent = (node - 1) // 2 if node > 0 else -1
-        sibling = (node + 1 if node % 2 == 1 else node - 1) if node else -1
-        if (
-            node > 0 and sibling in nodes
-            and parent in hist_store
-        ):
-            small = index.smaller_child(min(node, sibling),
-                                        max(node, sibling))
-            large = sibling if small == node else node
-            hist, touched = builder.build_rowstore(
-                binned.binned, index.rows_of(small), grad, hess,
-                binned.num_bins,
-            )
-            scanned += touched
-            hist_store[small] = hist
-            hist_store[large] = builder.subtract(hist_store[parent], hist)
-            builder.release(hist_store.pop(parent))
-            done.update((small, large))
-        else:
-            hist, touched = builder.build_rowstore(
+    for op, node, sibling in subtraction_schedule(nodes, counts, hist_store):
+        if op == "build":
+            hist_store[node], touched = builder.build_rowstore(
                 binned.binned, index.rows_of(node), grad, hess,
                 binned.num_bins,
             )
             scanned += touched
-            hist_store[node] = hist
-            done.add(node)
+        else:
+            parent = (node - 1) // 2
+            hist_store[node] = builder.subtract(hist_store[parent],
+                                                hist_store[sibling])
+            builder.release(hist_store.pop(parent))
     return scanned
-
-
-def decide_split(
-    cfg: TrainConfig,
-    binned: BinnedDataset,
-    index: NodeToInstanceIndex,
-    hist: Histogram,
-    node_stats: Tuple[np.ndarray, np.ndarray],
-    node: int,
-    feature_mask: Optional[np.ndarray] = None,
-) -> Optional[SplitInfo]:
-    """Best split of a node, or ``None`` when it should become a leaf.
-
-    ``feature_mask`` (boolean per feature) restricts the search to the
-    tree's column sample: masked-out features report a single bin, which
-    admits no split.
-    """
-    if index.count_of(node) < max(2, 2 * cfg.min_node_instances):
-        return None
-    bins = binned.bins_per_feature
-    if feature_mask is not None:
-        bins = np.where(feature_mask, bins, 1)
-    split = find_best_split(
-        hist, node_stats[0], node_stats[1], cfg.reg_lambda, cfg.reg_gamma,
-        bins,
-    )
-    if split is not None and split.gain < cfg.min_split_gain:
-        return None
-    return split

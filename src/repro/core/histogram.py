@@ -7,8 +7,10 @@ per tree node (Section 3.1.1) — drives the memory and communication analysis
 of the whole paper.
 
 This module provides the :class:`Histogram` container (with the subtraction
-technique of Section 2.1.2) and the construction kernels for each storage
-pattern and index combination analyzed in Section 3.2:
+technique of Section 2.1.2), :func:`subtraction_schedule` — the one rule,
+shared by the oracle and every plan, for which sibling is built and which
+derived — and the construction kernels for each storage pattern and index
+combination analyzed in Section 3.2:
 
 * :meth:`HistogramBuilder.build_rowstore` — row-store + node-to-instance
   index (QD2 / QD4): gather the rows of one node, one pass over their
@@ -51,7 +53,7 @@ entries touched so tests can verify the complexity claims of Section 3.2.4.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Container, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -603,6 +605,47 @@ _DEFAULT_BUILDER = HistogramBuilder()
 def default_builder() -> HistogramBuilder:
     """The process-wide builder used when callers pass no explicit one."""
     return _DEFAULT_BUILDER
+
+
+def subtraction_schedule(
+    nodes: Sequence[int], counts: Dict[int, int],
+    have_parent: Container[int],
+) -> List[Tuple[str, int, int]]:
+    """Plan one layer's histogram construction (the master's "schema").
+
+    Returns a list of ``("build", node, -1)`` and
+    ``("subtract", node, sibling)`` actions: for each sibling pair whose
+    parent histogram is retained (``parent in have_parent``), build only
+    the child with fewer instances (the left one on a tie) and derive
+    the other as ``parent - sibling`` with
+    :meth:`HistogramBuilder.subtract` (Section 2.1.2); every other node
+    is built directly.  Each subtract directly follows the build of its
+    sibling.
+    """
+    actions: List[Tuple[str, int, int]] = []
+    done: Set[int] = set()
+    node_set = set(nodes)
+    for node in nodes:
+        if node in done:
+            continue
+        if node == 0:
+            actions.append(("build", node, -1))
+            done.add(node)
+            continue
+        parent = (node - 1) // 2
+        sibling = node + 1 if node % 2 == 1 else node - 1
+        if sibling in node_set and parent in have_parent:
+            left, right = min(node, sibling), max(node, sibling)
+            small = left if counts.get(left, 0) <= counts.get(right, 0) \
+                else right
+            large = right if small == left else left
+            actions.append(("build", small, -1))
+            actions.append(("subtract", large, small))
+            done.update((small, large))
+        else:
+            actions.append(("build", node, -1))
+            done.add(node)
+    return actions
 
 
 # ---------------------------------------------------------------------------

@@ -141,10 +141,3 @@ class NodeToInstanceIndex:
         for histogram purposes, but ``node_of_instance`` keeps the leaf id
         so predictions can be read off the index)."""
         self._rows.pop(node, None)
-
-    def smaller_child(self, left_child: int, right_child: int) -> int:
-        """Child with fewer instances — the one to build histograms for
-        before obtaining its sibling by subtraction (Section 2.1.2)."""
-        if self.count_of(left_child) <= self.count_of(right_child):
-            return left_child
-        return right_child

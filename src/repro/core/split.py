@@ -15,10 +15,11 @@ argmax and the master's cross-worker comparison both honour this order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from ..config import TrainConfig
 from .histogram import Histogram
 
 
@@ -52,10 +53,30 @@ def leaf_weight(grad_total: np.ndarray, hess_total: np.ndarray,
     return -np.asarray(grad_total) / (np.asarray(hess_total) + reg_lambda)
 
 
-def _score(grad: np.ndarray, hess: np.ndarray,
-           reg_lambda: float) -> np.ndarray:
-    """``G^2 / (H + lambda)`` summed over gradient dimensions."""
+def node_score(grad: np.ndarray, hess: np.ndarray,
+               reg_lambda: float) -> np.ndarray:
+    """``G^2 / (H + lambda)`` summed over gradient dimensions (the node
+    term of Equation 2)."""
     return (grad * grad / (hess + reg_lambda)).sum(axis=-1)
+
+
+def accepted_split(config: TrainConfig, count: int,
+                   search: Callable[..., Optional[SplitInfo]],
+                   *args) -> Optional[SplitInfo]:
+    """The split-acceptance rule every trainer and plan shares.
+
+    A node of ``count`` instances is searched (``search(*args)``, which
+    returns its best split or ``None``) only when it holds at least
+    ``max(2, 2 * min_node_instances)`` instances, and a found split
+    below ``min_split_gain`` is dropped.  ``None`` means the node
+    becomes a leaf.
+    """
+    if count < max(2, 2 * config.min_node_instances):
+        return None
+    split = search(*args)
+    if split is not None and split.gain < config.min_split_gain:
+        return None
+    return split
 
 
 def find_best_split(
@@ -194,9 +215,9 @@ def split_gain_of(
         hl = hl + (np.asarray(hess_total) - hess.sum(axis=0))
     gr = np.asarray(grad_total) - gl
     hr = np.asarray(hess_total) - hl
-    parent = _score(np.asarray(grad_total), np.asarray(hess_total),
-                    reg_lambda)
+    parent = node_score(np.asarray(grad_total), np.asarray(hess_total),
+                        reg_lambda)
     return float(
-        0.5 * (_score(gl, hl, reg_lambda) + _score(gr, hr, reg_lambda)
-               - parent) - reg_gamma
+        0.5 * (node_score(gl, hl, reg_lambda)
+               + node_score(gr, hr, reg_lambda) - parent) - reg_gamma
     )

@@ -99,15 +99,7 @@ class Tree:
         route ``value <= threshold`` left, missing values follow the
         split's default direction.
         """
-        leaves = self.assign_leaves(features)
-        out = np.zeros((features.num_rows, self.gradient_dim),
-                       dtype=np.float64)
-        for node_id, node in self.nodes.items():
-            if node.is_leaf:
-                mask = leaves == node_id
-                if mask.any():
-                    out[mask] = node.weight
-        return out
+        return leaf_matrix(self, self.assign_leaves(features))
 
     def assign_leaves(self, features: CSCMatrix) -> np.ndarray:
         """Leaf node id of every instance."""
@@ -148,6 +140,22 @@ class Tree:
             else:
                 go_left = value <= node.threshold
             node_id = node.left_child if go_left else node.right_child
+
+
+def leaf_matrix(tree: Tree, leaf_of_instance: np.ndarray) -> np.ndarray:
+    """Per-instance leaf weights, shape ``(N, gradient_dim)``, from each
+    instance's leaf id (routed, or the training-time assignment).
+
+    A lookup table indexed by leaf id replaces per-leaf boolean masks
+    (O(leaves·N)) with one gather.  Rows outside the tree's sample carry
+    leaf id ``-1``, which lands on the table's trailing all-zero row.
+    """
+    max_node = max(tree.nodes) if tree.nodes else 0
+    lut = np.zeros((max_node + 2, tree.gradient_dim))
+    for node_id, node in tree.nodes.items():
+        if node.is_leaf:
+            lut[node_id] = node.weight
+    return lut[leaf_of_instance]
 
 
 class TreeEnsemble:

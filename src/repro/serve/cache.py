@@ -38,7 +38,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.kernels import MISSING_BIN
+from .compiler import bin_uint8, uint8_cuts
 
 
 @dataclass
@@ -83,16 +83,7 @@ class PredictionCache:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.cuts = (None if cuts is None
-                     else [np.asarray(c, dtype=np.float64) for c in cuts])
-        if self.cuts is not None:
-            for f, c in enumerate(self.cuts):
-                if c.size > MISSING_BIN - 1:
-                    raise ValueError(
-                        f"feature {f} has {c.size + 1} bins; bin-id "
-                        f"keys support at most {MISSING_BIN} (bin "
-                        f"{MISSING_BIN} is the missing sentinel)"
-                    )
+        self.cuts = None if cuts is None else uint8_cuts(cuts)
         self._store: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
         self._version: Optional[int] = None
         self.stats = CacheStats()
@@ -124,14 +115,7 @@ class PredictionCache:
         if features.ndim != 2:
             raise ValueError("cache keys need a 2-D dense batch")
         if self.cuts is not None:
-            num, width = features.shape
-            binned = np.full((num, width), MISSING_BIN, dtype=np.uint8)
-            for f in range(min(width, len(self.cuts))):
-                col = features[:, f]
-                ok = ~np.isnan(col)
-                if ok.any():
-                    binned[ok, f] = np.searchsorted(self.cuts[f], col[ok])
-            return [row.tobytes() for row in binned]
+            return [row.tobytes() for row in bin_uint8(features, self.cuts)]
         canonical = np.ascontiguousarray(features, dtype=np.float64)
         nan_mask = np.isnan(canonical)
         if nan_mask.any():

@@ -1,7 +1,7 @@
 """Ensemble compiler: flatten trees into struct-of-arrays form.
 
 ``Tree.predict`` walks the node dictionary with one boolean mask per
-node — fine for training-time evaluation, hopeless for serving heavy
+split node — fine for training-time evaluation, hopeless for serving heavy
 traffic.  :func:`compile_ensemble` lowers a
 :class:`~repro.core.tree.TreeEnsemble` into a :class:`CompiledEnsemble`:
 every node of every tree becomes one slot of parallel arrays (``int32``
@@ -475,8 +475,36 @@ def shard_ensemble(compiled: CompiledEnsemble,
 # The bin-quantized predictor ablation
 # ---------------------------------------------------------------------------
 
-#: largest representable bin value — 255 is the missing sentinel
-_MAX_BIN = MISSING_BIN - 1
+def uint8_cuts(cuts: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Per-feature cut arrays as float64, checked to fit uint8 bin ids:
+    at most 254 bins per feature (bin values 0..254), because bin 255
+    is the missing sentinel."""
+    cuts = [np.asarray(c, dtype=np.float64) for c in cuts]
+    for f, c in enumerate(cuts):
+        if c.size > MISSING_BIN - 1:
+            raise ValueError(
+                f"feature {f} has {c.size + 1} bins; uint8 bin ids "
+                f"support at most {MISSING_BIN} (bin {MISSING_BIN} is "
+                f"the missing sentinel)"
+            )
+    return cuts
+
+
+def bin_uint8(dense: np.ndarray, cuts: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-major ``(num_rows, width)`` uint8 bin ids of a dense batch.
+
+    ``NaN`` becomes the sentinel bin 255, and so does every column
+    beyond the cut grid.  The quantized predictor and the prediction
+    cache's keys both bin through here.
+    """
+    num, width = dense.shape
+    out = np.full((num, width), MISSING_BIN, dtype=np.uint8)
+    for f in range(min(width, len(cuts))):
+        col = dense[:, f]
+        ok = ~np.isnan(col)
+        if ok.any():
+            out[ok, f] = np.searchsorted(cuts[f], col[ok])
+    return out
 
 
 class QuantizedEnsemble:
@@ -504,16 +532,9 @@ class QuantizedEnsemble:
     def __init__(self, compiled: CompiledEnsemble,
                  cuts: Sequence[np.ndarray], backend=None) -> None:
         self.compiled = compiled
-        self.cuts = [np.asarray(c, dtype=np.float64) for c in cuts]
+        self.cuts = uint8_cuts(cuts)
         self.backend = (make_backend(backend) if backend is not None
                         else compiled.backend)
-        for f, c in enumerate(self.cuts):
-            if c.size > _MAX_BIN:
-                raise ValueError(
-                    f"feature {f} has {c.size + 1} bins; the quantized "
-                    f"predictor supports at most {_MAX_BIN + 1} "
-                    f"(bin 255 is the missing sentinel)"
-                )
         self.threshold_bin = np.full(compiled.num_slots, MISSING_BIN,
                                      dtype=np.int16)
         for slot in np.flatnonzero(compiled.leaf_slot < 0):
@@ -558,15 +579,7 @@ class QuantizedEnsemble:
         entries) become the sentinel bin 255; columns beyond the
         training cuts are all-missing.  Bin once, serve many.
         """
-        dense = self.compiled.densify(features)
-        num, width = dense.shape
-        out = np.full((num, width), MISSING_BIN, dtype=np.uint8)
-        for f in range(min(width, len(self.cuts))):
-            col = dense[:, f]
-            ok = ~np.isnan(col)
-            if ok.any():
-                out[ok, f] = np.searchsorted(self.cuts[f], col[ok])
-        return out
+        return bin_uint8(self.compiled.densify(features), self.cuts)
 
     def raw_scores_binned(self, binned: np.ndarray,
                           num_trees: Optional[int] = None) -> np.ndarray:

@@ -54,16 +54,12 @@ from ..cluster.faults import FaultInjector, FaultPlan
 from ..cluster.network import SimulatedNetwork
 from ..data.dataset import bin_dataset
 from ..data.synthetic import make_classification
-from ..ledger import percentile_summary
+from ..ledger import SCENARIO_SCHEMA, percentile_summary
 from .batcher import BatchPolicy, MicroBatcher, RequestTrace, ServingReport
 from .cache import PredictionCache
 from .registry import ModelRegistry, publish_trained
 from .replica import CACHE_SHARDING_CONFLICT, ReplicaSet
 from .sharded import fleet_class
-
-#: schema tag of the runner's JSON report
-SCENARIO_SCHEMA = "scenario-report/v1"
-
 
 # ---------------------------------------------------------------------------
 # Declarative pieces

@@ -32,8 +32,6 @@ between plans at tree boundaries (``system.fit`` wraps one).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..config import ClusterConfig, TrainConfig
 from ..data.dataset import BinnedDataset, bin_dataset
 from .advisor import (AdaptDecision, AdaptivePolicy, CalibratedConstants,
@@ -73,22 +71,22 @@ def make_adaptive_session(
     train,
     valid=None,
     start_plan: str = "",
-    every: Optional[int] = None,
+    every: int = 4,
     margin: float = 1.0,
 ) -> TrainingSession:
     """A :class:`TrainingSession` with adaptive re-planning attached.
 
-    ``start_plan`` (or ``config.plan``) names the opening plan; when
-    neither is set the advisor's prior-cost recommendation picks it.
-    The policy recalibrates every ``every`` trees (``config.adapt``, or
-    4 when that is 0) and migrates whenever the projected savings over
-    the remaining trees exceed the migration bill by ``margin``.
+    ``start_plan`` names the opening plan; when it is empty the
+    advisor's prior-cost recommendation picks it.  The policy
+    recalibrates every ``every`` trees and migrates whenever the
+    projected savings over the remaining trees exceed the migration bill
+    by ``margin``.
     """
     binned = train if isinstance(train, BinnedDataset) \
         else bin_dataset(train, config.num_candidates)
     shape, avg_nnz = workload_of(binned, config, cluster)
-    key = start_plan or config.plan
-    if not key or key == "auto-adapt":
+    key = start_plan
+    if key in ("", "auto-adapt"):
         # no opening plan named: let the prior cost model pick one (the
         # session migrates away later if the calibrated model disagrees)
         key = recommend(shape, avg_nnz, cluster.network,
@@ -98,7 +96,7 @@ def make_adaptive_session(
                               valid=valid)
     session.policy = AdaptivePolicy(
         shape, avg_nnz, cluster.network,
-        every=every if every is not None else (config.adapt or 4),
+        every=every,
         margin=margin,
         codec=config.codec,
     )

@@ -1,5 +1,5 @@
 """Shared pieces of the distributed trainer: cost records, the worker
-clock, histogram stores, the subtraction schedule and split acceptance.
+clock, histogram stores and the plans' split search.
 
 The paper's Section 5.2 methodology — "implement different quadrants in the
 same code base" — is realized by one trainer,
@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..config import TrainConfig
 from ..core.histogram import Histogram, HistogramPool
 from ..core.loss import Loss
-from ..core.split import SplitInfo, find_best_split
+from ..core.split import SplitInfo, accepted_split, find_best_split
 from ..core.tree import TreeEnsemble
 from ..data.dataset import BinnedDataset
 from ..cluster.network import CommStats
@@ -275,49 +275,8 @@ def decide_split(
     count: int,
     bins_per_feature: np.ndarray,
 ) -> Optional[SplitInfo]:
-    """Local best split of one node under the shared acceptance rules."""
-    if count < max(2, 2 * config.min_node_instances):
-        return None
-    split = find_best_split(
-        hist, stats[0], stats[1], config.reg_lambda, config.reg_gamma,
-        bins_per_feature,
-    )
-    if split is not None and split.gain < config.min_split_gain:
-        return None
-    return split
-
-
-def subtraction_schedule(
-    nodes: Sequence[int], counts: Dict[int, int], have_parent: Set[int]
-) -> List[Tuple[str, int, int]]:
-    """Plan histogram construction for one layer (master's "schema").
-
-    Returns a list of ``("build", node, -1)`` and
-    ``("subtract", node, sibling)`` actions: for each sibling pair whose
-    parent histogram is retained, build only the smaller child and derive
-    the other (Section 2.1.2); every other node is built directly.
-    """
-    actions: List[Tuple[str, int, int]] = []
-    done: Set[int] = set()
-    node_set = set(nodes)
-    for node in nodes:
-        if node in done:
-            continue
-        if node == 0:
-            actions.append(("build", node, -1))
-            done.add(node)
-            continue
-        parent = (node - 1) // 2
-        sibling = node + 1 if node % 2 == 1 else node - 1
-        if sibling in node_set and parent in have_parent:
-            left, right = min(node, sibling), max(node, sibling)
-            small = left if counts.get(left, 0) <= counts.get(right, 0) \
-                else right
-            large = right if small == left else left
-            actions.append(("build", small, -1))
-            actions.append(("subtract", large, small))
-            done.update((small, large))
-        else:
-            actions.append(("build", node, -1))
-            done.add(node)
-    return actions
+    """Local best split of one node under the shared acceptance rule
+    (:func:`~repro.core.split.accepted_split`)."""
+    return accepted_split(config, count, find_best_split, hist, *stats,
+                          config.reg_lambda, config.reg_gamma,
+                          bins_per_feature)

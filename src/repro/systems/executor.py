@@ -45,12 +45,12 @@ from ..cluster.faults import (CrashEvent, FaultInjector, FaultPlan,
 from ..cluster.network import CommStats, SimulatedNetwork
 from ..cluster.transform import TransformResult, horizontal_to_vertical
 from ..config import ClusterConfig, TrainConfig
-from ..core.gbdt import evaluate, leaf_matrix
+from ..core.gbdt import evaluate
 from ..core.histogram import HistogramBuilder
 from ..core.indexing import NodeToInstanceIndex
 from ..core.loss import Loss, make_loss
 from ..core.split import leaf_weight
-from ..core.tree import Tree, TreeEnsemble, layer_nodes
+from ..core.tree import Tree, TreeEnsemble, layer_nodes, leaf_matrix
 from ..data.dataset import BinnedDataset, Dataset, bin_dataset
 from .base import (DistEvalRecord, DistTrainResult, HistogramStore,
                    MemoryReport, TreeReport, WorkerClock,

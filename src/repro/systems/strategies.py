@@ -47,14 +47,15 @@ from ..cluster.comm import (SPLIT_INFO_BYTES, allreduce_histograms,
                             ps_push_histograms, record_collective,
                             reduce_scatter_histograms, scatter_features)
 from ..cluster.partition import horizontal_shards, vertical_shards
-from ..core.histogram import ColumnwiseIndex, Histogram, node_totals
+from ..core.histogram import (ColumnwiseIndex, Histogram, node_totals,
+                              subtraction_schedule)
 from ..core.indexing import NodeToInstanceIndex
 from ..core.placement import (layer_placements_colstore,
                               layer_placements_rowstore,
                               rowstore_search_keys)
 from ..core.split import SplitInfo
 from ..core.tree import Tree
-from .base import WorkerClock, decide_split, subtraction_schedule
+from .base import WorkerClock, decide_split
 
 if TYPE_CHECKING:
     from ..config import TrainConfig
@@ -609,11 +610,8 @@ class NodeToInstancePlan(IndexPlan):
         counts = {
             node: ex.partition.node_count(ex, node) for node in nodes
         }
-        have_parent = {
-            (node - 1) // 2 for node in nodes
-            if node > 0 and (node - 1) // 2 in ex.stores[0]
-        } if ex.use_subtraction else set()
-        actions = subtraction_schedule(nodes, counts, have_parent)
+        actions = subtraction_schedule(
+            nodes, counts, ex.stores[0] if ex.use_subtraction else ())
         for worker in ex.partition.hist_workers(ex):
             local_g, local_h = ex.partition.worker_grad(ex, worker,
                                                         grad, hess)

@@ -61,7 +61,7 @@ class TestExactBestSplit:
         h_tot = hess.sum(axis=0)
         presorted = PresortedColumns(features.to_csc())
         node_of = np.zeros(40, dtype=np.int32)
-        split, threshold = exact_best_split(
+        split = exact_best_split(
             presorted, node_of, 0, grad, hess, g_tot, h_tot, 1.0, 0.0,
         )
         ref, ref_gain = brute_force_exact(
@@ -72,6 +72,7 @@ class TestExactBestSplit:
         else:
             assert split is not None
             assert split.gain == pytest.approx(ref_gain)
+            threshold = presorted.threshold(split, node_of, 0)
             assert (split.feature, threshold, split.default_left) == ref
 
     def test_no_split_on_constant_node(self):
@@ -79,7 +80,7 @@ class TestExactBestSplit:
         presorted = PresortedColumns(features.to_csc())
         grad = np.ones((10, 1))
         hess = np.ones((10, 1))
-        split, _ = exact_best_split(
+        split = exact_best_split(
             presorted, np.zeros(10, dtype=np.int32), 0, grad, hess,
             grad.sum(0), hess.sum(0), 1.0, 0.0,
         )
@@ -137,3 +138,19 @@ class TestExactTrainer:
                                      hess)
         routed = tree.assign_leaves(small_binary.csc())
         np.testing.assert_array_equal(leaf, routed)
+
+    @pytest.mark.parametrize("option", [
+        {"subsample": 0.5}, {"colsample": 0.25},
+        {"growth": "leafwise", "max_leaves": 3},
+    ])
+    def test_refuses_histogram_only_options(self, option):
+        with pytest.raises(ValueError, match="histogram-trainer"):
+            ExactGBDT(TrainConfig(num_trees=3, num_layers=4, **option))
+
+    def test_early_stopping_through_the_shared_loop(self, small_binary):
+        train, valid = small_binary.split(0.8, seed=1)
+        cfg = TrainConfig(num_trees=40, num_layers=6, learning_rate=1.0)
+        result = ExactGBDT(cfg).fit(train, valid, early_stopping_rounds=2)
+        assert len(result.ensemble) == result.best_iteration + 3 < 40
+        values = [e.metric_value for e in result.evals]
+        assert values[result.best_iteration] == max(values)

@@ -15,11 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gbdt import leaf_matrix
 from repro.core.histogram import (ColumnwiseIndex, Histogram,
                                   HistogramBuilder, HistogramPool,
                                   default_builder)
-from repro.core.tree import Tree
+from repro.core.tree import Tree, leaf_matrix
 from repro.data.matrix import CSRMatrix
 from repro.systems.base import HistogramStore
 

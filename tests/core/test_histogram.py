@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.histogram import (ColumnwiseIndex, Histogram,
                                   HistogramBuilder, histogram_size_bytes,
-                                  node_totals)
+                                  node_totals, subtraction_schedule)
 from repro.data.matrix import CSRMatrix
 
 BUILDER = HistogramBuilder()
@@ -189,6 +189,40 @@ class TestColumnwiseIndexKernel:
         index = ColumnwiseIndex(csr.to_csc())
         rows, bins = index.node_entries(0, 99)
         assert rows.size == 0 and bins.size == 0
+
+
+class TestSubtractionSchedule:
+    """The one smaller-sibling rule the oracle and every plan follow."""
+
+    def test_builds_the_smaller_child_and_subtracts_the_larger(self):
+        assert subtraction_schedule([1, 2], {1: 7, 2: 3}, {0}) == [
+            ("build", 2, -1), ("subtract", 1, 2)]
+        assert subtraction_schedule([1, 2], {1: 3, 2: 7}, {0}) == [
+            ("build", 1, -1), ("subtract", 2, 1)]
+
+    @pytest.mark.parametrize("nodes", [[3, 4], [4, 3]])
+    def test_a_tie_builds_the_left_child(self, nodes):
+        assert subtraction_schedule(nodes, {3: 5, 4: 5}, {1}) == [
+            ("build", 3, -1), ("subtract", 4, 3)]
+
+    def test_the_root_is_built_directly(self):
+        assert subtraction_schedule([0], {0: 10}, {0}) == [("build", 0, -1)]
+
+    def test_a_node_without_its_parent_histogram_is_built_directly(self):
+        counts = {3: 2, 4: 8, 5: 1, 6: 9}
+        # node 2's histogram is gone; node 1's is retained
+        assert subtraction_schedule([3, 4, 5, 6], counts, {1}) == [
+            ("build", 3, -1), ("subtract", 4, 3),
+            ("build", 5, -1), ("build", 6, -1)]
+        # nothing retained (subtraction off): every node is built
+        assert subtraction_schedule([3, 4], counts, ()) == [
+            ("build", 3, -1), ("build", 4, -1)]
+
+    def test_a_node_whose_sibling_left_the_layer_is_built_directly(self):
+        # node 4 became a leaf, so node 3 has no sibling to pair with
+        assert subtraction_schedule([3, 5, 6], {3: 4, 5: 6, 6: 2},
+                                    {1, 2}) == [
+            ("build", 3, -1), ("build", 6, -1), ("subtract", 5, 6)]
 
 
 class TestNodeTotals:

@@ -50,13 +50,6 @@ class TestNodeToInstanceIndex:
             index.node_of_instance, [1, 1, 2, 2]
         )
 
-    def test_smaller_child(self):
-        index = NodeToInstanceIndex(10)
-        go_left = np.array([True] * 3 + [False] * 7)
-        index.split_node(0, go_left, 1, 2)
-        assert index.smaller_child(1, 2) == 1
-        assert index.smaller_child(2, 1) == 1
-
     def test_slot_of_instance(self):
         index = NodeToInstanceIndex(6)
         index.split_node(0, np.array([True, False] * 3), 1, 2)

@@ -1,11 +1,14 @@
-"""Early stopping and leaf-wise growth tests."""
+"""Early stopping, split acceptance and leaf-wise growth tests."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro import GBDT, TrainConfig
+from repro.core.exact import ExactGBDT
 from repro.core.gbdt import metric_improved
 
 
@@ -42,6 +45,38 @@ class TestEarlyStopping:
         assert not metric_improved("auc", 0.7, 0.8)
         assert metric_improved("rmse", 0.1, 0.2)
         assert not metric_improved("rmse", 0.3, 0.2)
+
+
+class TestMinSplitGain:
+    """Both single-process trainers drop exactly the splits whose gain
+    falls below ``min_split_gain`` (and, layer-wise, their subtrees)."""
+
+    @pytest.mark.parametrize("trainer", [GBDT, ExactGBDT])
+    @pytest.mark.parametrize("quantile", [0.25, 0.5, 0.75])
+    def test_drops_exactly_the_weaker_splits(self, trainer, quantile,
+                                             small_binary):
+        cfg = TrainConfig(num_trees=1, num_layers=6, num_candidates=16)
+        free = trainer(cfg).fit(small_binary).ensemble.trees[0]
+        gains = sorted({node.split.gain for node in free.internal_nodes()})
+        k = int(quantile * (len(gains) - 1))
+        threshold = (gains[k] + gains[k + 1]) / 2
+
+        def survives(node_id):
+            while True:
+                if free.nodes[node_id].split.gain < threshold:
+                    return False
+                if node_id == 0:
+                    return True
+                node_id = (node_id - 1) // 2
+
+        expected = {node.node_id: node.split
+                    for node in free.internal_nodes()
+                    if survives(node.node_id)}
+        kept = trainer(dataclasses.replace(cfg, min_split_gain=threshold)) \
+            .fit(small_binary).ensemble.trees[0]
+        assert {node.node_id: node.split
+                for node in kept.internal_nodes()} == expected
+        assert 0 < len(expected) < free.num_splits
 
 
 class TestLeafwiseGrowth:

@@ -136,10 +136,9 @@ def switch_workload():
 
 
 def run_adaptive(binned, cluster, start_plan):
-    cfg = TrainConfig(num_trees=8, num_layers=4, num_candidates=8,
-                      adapt=2)
+    cfg = TrainConfig(num_trees=8, num_layers=4, num_candidates=8)
     session = make_adaptive_session(cfg, cluster, binned,
-                                    start_plan=start_plan)
+                                    start_plan=start_plan, every=2)
     session.policy.candidates = SWITCH_CANDIDATES
     return session.run(), session
 
@@ -263,10 +262,12 @@ class TestPolicyConstruction:
     def test_make_adaptive_session_defaults(self):
         binned = bin_dataset(
             make_classification(120, 8, density=0.5, seed=2), 6)
-        cfg = TrainConfig(num_trees=2, num_layers=3, num_candidates=6,
-                          adapt=3)
+        cfg = TrainConfig(num_trees=2, num_layers=3, num_candidates=6)
         session = make_adaptive_session(cfg, ClusterConfig(num_workers=2),
                                         binned)
-        # config.adapt feeds the cadence; the advisor picked the opener
-        assert session.policy.every == 3
+        # the cadence defaults to 4; the advisor picked the opener
+        assert session.policy.every == 4
         assert session.state.plan_key in PLANS
+        session = make_adaptive_session(cfg, ClusterConfig(num_workers=2),
+                                        binned, every=3)
+        assert session.policy.every == 3

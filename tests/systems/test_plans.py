@@ -181,6 +181,60 @@ class TestOracleEquivalence:
             ensemble_signature(dist.ensemble)
 
 
+class TestSharedAcceptanceRule:
+    """Every plan accepts splits by the oracle's one rule
+    (:func:`repro.core.split.accepted_split`): ``min_node_instances``
+    stops the search, ``min_split_gain`` drops weak splits."""
+
+    CONSTRAINTS = {"min_split_gain": 0.5, "min_node_instances": 40}
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        dataset = make_classification(600, 30, density=0.4, seed=3)
+        return dataset, bin_dataset(dataset, 20)
+
+    @staticmethod
+    def config(**constraint):
+        return TrainConfig(num_trees=3, num_layers=6, num_candidates=20,
+                           **constraint)
+
+    @staticmethod
+    def splits(ensemble):
+        return [node.split for tree in ensemble.trees
+                for node in tree.internal_nodes()]
+
+    def test_both_constraints_prune_the_oracle(self, data):
+        dataset, binned = data
+        counts = {name: len(self.splits(GBDT(self.config(
+            **{name: value})).fit(dataset, binned=binned).ensemble))
+            for name, value in self.CONSTRAINTS.items()}
+        free = GBDT(self.config()).fit(dataset, binned=binned)
+        assert len(self.splits(free.ensemble)) == 61
+        assert counts == {"min_split_gain": 56, "min_node_instances": 27}
+
+    @pytest.mark.parametrize("name", sorted(CONSTRAINTS))
+    @pytest.mark.parametrize("key", VERTICAL_PLANS)
+    def test_vertical_plans_match_the_oracle(self, key, name, data):
+        dataset, binned = data
+        cfg = self.config(**{name: self.CONSTRAINTS[name]})
+        oracle = GBDT(cfg).fit(dataset, binned=binned)
+        dist = get_plan(key).build(cfg, ClusterConfig(3)).fit(binned)
+        assert ensemble_signature(dist.ensemble) == \
+            ensemble_signature(oracle.ensemble)
+
+    @pytest.mark.parametrize("key", HORIZONTAL_PLANS)
+    def test_horizontal_plans_drop_every_split_below_the_gain(self, key,
+                                                             data):
+        _, binned = data
+        free = get_plan(key).build(self.config(), ClusterConfig(3)) \
+            .fit(binned)
+        assert min(s.gain for s in self.splits(free.ensemble)) < 0.5
+        kept = get_plan(key).build(self.config(min_split_gain=0.5),
+                                   ClusterConfig(3)).fit(binned)
+        gains = [s.gain for s in self.splits(kept.ensemble)]
+        assert gains and min(gains) >= 0.5
+
+
 class TestLegacyEquivalence:
     """The frozen pre-refactor classes are the golden reference: same
     model, same traffic, same memory — the refactor changed the

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,17 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert "unknown system 'bogus'; known: " in err
         assert "Traceback" not in err
+
+    def test_auto_adapt_consults_at_the_cadence(self, capsys):
+        assert main([
+            "train", "--catalog", "rcv1", "--scale", "0.05",
+            "--plan", "auto-adapt", "--adapt-every", "2", "--trees", "6",
+            "--layers", "4",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "recalibrating every 2 trees" in out
+        # the cadence only: stay/migrate depends on wall-clocked compute
+        assert re.findall(r"adapt @ tree (\d+):", out) == ["2", "4"]
 
     def test_multiclass_predict_rows(self, tmp_path):
         from repro import TrainConfig, GBDT, make_classification, \
