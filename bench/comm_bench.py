@@ -30,8 +30,7 @@ from repro.config import ClusterConfig, TrainConfig
 from repro.core.histogram import Histogram
 from repro.data.dataset import bin_dataset
 from repro.data.synthetic import make_classification
-from repro.systems import make_system
-from repro.systems.plans import plan_keys
+from repro.systems.plans import get_plan, plan_keys
 
 HIST_KIND = "hist-aggregation"
 
@@ -108,7 +107,7 @@ def bench_plans(quick: bool) -> dict:
                          num_candidates=16, codec="sparse")
     results = {}
     for plan_key in plan_keys():
-        comm = make_system(plan_key, config, cluster).fit(binned).comm
+        comm = get_plan(plan_key).build(config, cluster).fit(binned).comm
         kinds = {}
         for kind, wire in sorted(comm.bytes_by_kind.items()):
             raw = comm.raw_bytes_by_kind[kind]

@@ -13,8 +13,8 @@ import time
 
 import pytest
 
-from repro import ClusterConfig, GBDT, TrainConfig, make_classification, \
-    make_system
+from repro import ClusterConfig, GBDT, TrainConfig, get_plan, \
+    make_classification
 from repro.bench.report import simple_table
 from repro.core.exact import ExactGBDT
 from repro.data.dataset import bin_dataset
@@ -36,7 +36,7 @@ def test_ablation_candidate_splits(benchmark, record_table):
             start = time.perf_counter()
             result = GBDT(cfg).fit(train, valid, binned=binned)
             seconds = time.perf_counter() - start
-            comm = make_system("qd2", cfg, ClusterConfig(4)).fit(
+            comm = get_plan("qd2").build(cfg, ClusterConfig(4)).fit(
                 binned, num_trees=1).comm.total_bytes
             out[f"q={q}"] = (result.evals[-1].metric_value, seconds,
                              comm)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ClusterConfig, TrainConfig, make_classification, \
-    make_system
+from repro import ClusterConfig, TrainConfig, get_plan, \
+    make_classification
 from repro.bench.report import simple_table
 
 CLUSTER = ClusterConfig(num_workers=8)
@@ -36,7 +36,7 @@ def test_ablation_subtraction(benchmark, ablation_binned, record_table):
     def run():
         out = {}
         for enabled in (True, False):
-            system = make_system("vero", cfg, CLUSTER)
+            system = get_plan("vero").build(cfg, CLUSTER)
             system.use_subtraction = enabled
             out[enabled] = system.fit(ablation_binned, num_trees=2)
         return out
@@ -75,7 +75,7 @@ def test_ablation_grouping(benchmark, ablation_binned, record_table):
     def run():
         out = {}
         for strategy in ("greedy", "round-robin", "hash"):
-            system = make_system("vero", cfg, CLUSTER)
+            system = get_plan("vero").build(cfg, CLUSTER)
             system.grouping = strategy
             system.setup(ablation_binned)
             loads = np.array(
@@ -108,7 +108,7 @@ def test_ablation_bitmap_encoding(benchmark, ablation_binned,
     cfg = TrainConfig(num_trees=2, num_layers=7, num_candidates=20)
 
     def run():
-        system = make_system("vero", cfg, CLUSTER)
+        system = get_plan("vero").build(cfg, CLUSTER)
         return system.fit(ablation_binned, num_trees=2)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ClusterConfig, TrainConfig, load_catalog
+from repro import ClusterConfig, TrainConfig, get_plan, load_catalog
 from repro.bench.report import convergence_series
-from repro.systems import make_system
 
 TREES = 8
 SCALE = 0.2
@@ -45,8 +44,8 @@ def test_fig11_convergence(benchmark, binned_cache, record_table,
     def run():
         out = {}
         for system_name in systems:
-            system = make_system(system_name, cfg,
-                                 ClusterConfig(num_workers=workers))
+            system = get_plan(system_name).build(
+                cfg, ClusterConfig(num_workers=workers))
             out[system_name] = system.fit(binned, valid=valid)
         return out
 
@@ -94,7 +93,7 @@ def test_fig11_f16_codec_auc_within_epsilon(binned_cache):
         cfg = TrainConfig(num_trees=F16_TREES, num_layers=6,
                           num_candidates=20, learning_rate=0.3,
                           codec=codec)
-        system = make_system("qd2", cfg, ClusterConfig(num_workers=5))
+        system = get_plan("qd2").build(cfg, ClusterConfig(num_workers=5))
         results[codec] = system.fit(binned, valid=valid)
     final = {codec: r.evals[-1] for codec, r in results.items()}
     assert final["none"].metric_name == "auc"

@@ -14,7 +14,7 @@ Usage::
 from __future__ import annotations
 
 from repro import (ClusterConfig, NetworkModel, TrainConfig,
-                   WorkloadShape, make_classification, make_system,
+                   WorkloadShape, get_plan, make_classification,
                    recommend)
 from repro.data.dataset import bin_dataset
 
@@ -58,7 +58,7 @@ def main() -> None:
     binned = bin_dataset(dataset, cfg.num_candidates)
     measured = {}
     for quadrant, system in (("QD2", "qd2"), ("QD4", "vero")):
-        result = make_system(system, cfg, cluster).fit(binned)
+        result = get_plan(system).build(cfg, cluster).fit(binned)
         measured[quadrant] = result.mean_tree_seconds()
         print(f"  {quadrant}: {measured[quadrant] * 1e3:7.1f} ms/tree "
               f"(simulated)")

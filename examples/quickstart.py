@@ -12,7 +12,7 @@ Usage::
 
 from __future__ import annotations
 
-from repro import ClusterConfig, TrainConfig, Vero, load_catalog
+from repro import ClusterConfig, TrainConfig, get_plan, load_catalog
 
 
 def main() -> None:
@@ -30,7 +30,7 @@ def main() -> None:
     )
     cluster = ClusterConfig(num_workers=8)
 
-    vero = Vero(config, cluster)
+    vero = get_plan("vero").build(config, cluster)
     # fit_from_raw runs the horizontal-to-vertical transformation
     # (Section 4.2.1) before training and reports its cost.
     result, transform = vero.fit_from_raw(train, valid=valid)

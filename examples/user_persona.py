@@ -13,8 +13,8 @@ Usage::
 
 from __future__ import annotations
 
-from repro import (ClusterConfig, NetworkModel, TrainConfig, load_catalog,
-                   make_system)
+from repro import (ClusterConfig, NetworkModel, TrainConfig, get_plan,
+                   load_catalog)
 from repro.data.dataset import bin_dataset
 
 
@@ -39,7 +39,7 @@ def main() -> None:
 
     results = {}
     for name in ("xgboost", "vero"):
-        system = make_system(name, config, cluster)
+        system = get_plan(name).build(config, cluster)
         results[name] = system.fit(binned, valid=valid)
 
     print(f"\n{'system':<10} {'time/tree':>12} {'final acc':>10} "

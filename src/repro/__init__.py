@@ -9,11 +9,11 @@ Public API
   :func:`load_catalog` — dataset generators and the Table 2 surrogates.
 - :class:`Dataset`, :class:`BinnedDataset`, :func:`bin_dataset` — data.
 - :class:`GBDT` — single-process reference trainer.
-- :func:`make_system`, :class:`Vero` and the other quadrants — the
-  distributed systems under study.
 - :class:`ExecutionPlan`, :func:`get_plan`, :data:`PLANS` — the
-  composable strategy plans behind every system (partition × storage ×
-  index × aggregation).
+  distributed systems under study, one registry entry per quadrant
+  (partition × storage × index × aggregation);
+  ``get_plan(key).build(config, cluster)`` is the one way to construct
+  a trainer (:class:`PlanExecutor`).
 - :func:`horizontal_to_vertical` — Vero's transformation pipeline.
 - :func:`recommend` — the data-management advisor (Section 6's open
   problem): pick a quadrant from workload shape + environment.
@@ -22,7 +22,8 @@ Public API
 - :func:`compile_ensemble`, :class:`ModelRegistry`,
   :class:`MicroBatcher`, :class:`ReplicaSet` — the serving subsystem:
   compiled batch inference, versioned hot-swap, replicated serving over
-  the simulated cluster.
+  the simulated cluster (a one-worker :class:`ReplicaSet` is the
+  single-model server).
 """
 
 from .config import ClusterConfig, NetworkModel, TrainConfig
@@ -38,12 +39,10 @@ from .data.io import read_libsvm, write_libsvm
 from .data.synthetic import make_classification, make_regression
 from .cluster.transform import horizontal_to_vertical
 from .serve import (BatchPolicy, CompiledEnsemble, MicroBatcher,
-                    ModelRegistry, ModelServer, ReplicaSet,
-                    compile_ensemble, synthetic_trace)
-from .systems import (DimBoostStyle, DistTrainResult, ExecutionPlan,
-                      LightGBMStyle, LightGBMFeatureParallel, PLANS,
-                      PlanExecutor, Vero, XGBoostStyle, YggdrasilStyle,
-                      get_plan, make_system, plan_keys, recommend)
+                    ModelRegistry, ReplicaSet, compile_ensemble,
+                    synthetic_trace)
+from .systems import (DistTrainResult, ExecutionPlan, PLANS, PlanExecutor,
+                      get_plan, plan_keys, recommend)
 from .systems.costmodel import WorkloadShape
 
 __version__ = "1.0.0"
@@ -54,7 +53,6 @@ __all__ = [
     "CompiledEnsemble",
     "MicroBatcher",
     "ModelRegistry",
-    "ModelServer",
     "ReplicaSet",
     "compile_ensemble",
     "synthetic_trace",
@@ -69,20 +67,14 @@ __all__ = [
     "CATALOG",
     "ClusterConfig",
     "Dataset",
-    "DimBoostStyle",
     "DistTrainResult",
     "ExecutionPlan",
     "GBDT",
-    "LightGBMFeatureParallel",
-    "LightGBMStyle",
     "NetworkModel",
     "PLANS",
     "PlanExecutor",
     "TrainConfig",
     "TrainResult",
-    "Vero",
-    "XGBoostStyle",
-    "YggdrasilStyle",
     "accuracy",
     "auc",
     "bin_dataset",
@@ -93,7 +85,6 @@ __all__ = [
     "logloss",
     "make_classification",
     "make_regression",
-    "make_system",
     "multiclass_accuracy",
     "read_libsvm",
     "rmse",

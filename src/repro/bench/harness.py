@@ -12,8 +12,7 @@ import numpy as np
 
 from ..config import ClusterConfig, TrainConfig
 from ..data.dataset import BinnedDataset, Dataset, bin_dataset
-from ..systems import make_system
-from ..systems.plans import ExecutionPlan
+from ..systems.plans import ExecutionPlan, get_plan
 
 
 @dataclass
@@ -49,7 +48,7 @@ def run_point(
     """Train and condense the run into one :class:`ExperimentPoint`.
 
     ``system_name`` is a system/plan registry name (any
-    :func:`~repro.systems.make_system` spelling, including plan keys
+    :func:`~repro.systems.plans.get_plan` spelling, including plan keys
     like ``"qd3-pure"``) or an :class:`ExecutionPlan` object — so the
     harness can measure custom strategy compositions that have no
     registry entry.  ``num_trees`` overrides ``config.num_trees`` so
@@ -64,7 +63,7 @@ def run_point(
         system = system_name.build(config, cluster)
         system_name = system_name.key
     else:
-        system = make_system(system_name, config, cluster)
+        system = get_plan(system_name).build(config, cluster)
     result = system.fit(binned, valid=valid, num_trees=num_trees)
     reports = result.tree_reports
     return ExperimentPoint(

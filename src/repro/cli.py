@@ -51,9 +51,9 @@ from .core.serialize import load_ensemble, save_ensemble
 from .data import catalog
 from .data.io import read_libsvm, write_libsvm
 from .data.synthetic import make_classification
-from .systems import make_system
 from .systems.advisor import recommend
 from .systems.costmodel import WorkloadShape, workload_of
+from .systems.plans import get_plan
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,11 +340,11 @@ def cmd_train(args) -> int:
         system = session.system
     else:
         try:
-            system = make_system(args.plan or args.system, config,
-                                 cluster)
+            plan = get_plan(args.plan or args.system)
         except KeyError as err:
             print(err.args[0], file=sys.stderr)
             raise SystemExit(2) from None
+        system = plan.build(config, cluster)
         result = system.fit(train, valid=valid)
     last = result.evals[-1]
     print(f"system={system.name} quadrant={system.quadrant} "
@@ -639,7 +639,7 @@ def _advise_adaptive(args, shape: WorkloadShape, rec) -> None:
     from .systems.advisor import calibrate_constants, price_plans
     from .systems.base import TreeReport
     from .systems.costmodel import migration_seconds
-    from .systems.plans import PLANS, get_plan
+    from .systems.plans import PLANS
 
     network = NetworkModel(bandwidth_gbps=args.bandwidth_gbps)
     if args.report:

@@ -210,54 +210,34 @@ def scatter_features(total: Histogram,
 
 def allreduce_histograms(
     hists: Union[Histogram, Sequence[Histogram]],
-    net: Optional[SimulatedNetwork],
-    kind: str = "allreduce-hist",
 ) -> Histogram:
     """Element-wise sum of per-worker histograms, result on every worker.
 
-    Pass ``net=None`` to perform only the data movement and charge the
-    traffic separately (layer batching via :func:`record_collective`).
-    Like the two collectives below it takes, with ``net=None``, the one
-    histogram an accumulate-decoding receiver already summed instead.
+    Data movement only: the caller charges the layer's traffic through
+    :func:`record_collective`.  Like the two collectives below it also
+    takes the one histogram an accumulate-decoding receiver already
+    summed.
     """
-    result = _sum_histograms(hists, "allreduce")
-    if net is not None:
-        record_collective(net, kind, result.nbytes, len(hists),
-                          "allreduce")
-    return result
+    return _sum_histograms(hists, "allreduce")
 
 
 def reduce_scatter_histograms(
     hists: Union[Histogram, Sequence[Histogram]],
     feature_shards: Sequence[np.ndarray],
-    net: Optional[SimulatedNetwork],
-    kind: str = "reducescatter-hist",
 ) -> List[Histogram]:
     """Sum per-worker histograms; worker ``w`` receives the features in
-    ``feature_shards[w]`` of the sum (renumbered from 0).
-
-    Pass ``net=None`` to charge the traffic separately (layer batching).
-    """
+    ``feature_shards[w]`` of the sum (renumbered from 0).  Data movement
+    only, like :func:`allreduce_histograms`."""
     total = _sum_histograms(hists, "reduce-scatter")
-    if net is not None:
-        record_collective(net, kind, total.nbytes, len(hists),
-                          "reducescatter")
     return scatter_features(total, feature_shards)
 
 
 def ps_push_histograms(
     hists: Union[Histogram, Sequence[Histogram]],
-    net: Optional[SimulatedNetwork],
-    kind: str = "ps-push-hist",
 ) -> Histogram:
-    """Parameter-server aggregation (DimBoost flavour).
-
-    Pass ``net=None`` to charge the traffic separately (layer batching).
-    """
-    result = _sum_histograms(hists, "ps push")
-    if net is not None:
-        record_collective(net, kind, result.nbytes, len(hists), "ps")
-    return result
+    """Parameter-server aggregation (DimBoost flavour).  Data movement
+    only, like :func:`allreduce_histograms`."""
+    return _sum_histograms(hists, "ps push")
 
 
 def broadcast_bytes(

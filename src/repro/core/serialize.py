@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from pathlib import Path
 from typing import Optional, Union
 
@@ -19,6 +20,24 @@ from .split import SplitInfo
 from .tree import Tree, TreeEnsemble
 
 FORMAT_VERSION = 1
+
+#: JSON type of each payload field, as the types a decoded value may have
+_FIELD_TYPES = {
+    "integer": numbers.Integral,
+    "number": numbers.Real,
+    "boolean": (bool, np.bool_),
+    "string": str,
+    "list": list,
+    "object": dict,
+}
+_MISSING = object()
+#: the fields each object of the format may carry
+_MODEL_FIELDS = frozenset({"format_version", "objective", "num_classes",
+                           "gradient_dim", "learning_rate", "trees"})
+_TREE_FIELDS = frozenset({"num_layers", "nodes"})
+_LEAF_FIELDS = frozenset({"weight"})
+_SPLIT_FIELDS = frozenset({"feature", "bin", "default_left", "gain",
+                           "threshold"})
 
 
 def ensemble_to_dict(ensemble: TreeEnsemble,
@@ -53,8 +72,11 @@ def ensemble_from_dict(payload: dict) -> TreeEnsemble:
     registry) can pick the prediction transform from the model alone.
     A tree no row could be routed through correctly — a negative
     feature or bin, a node id beyond ``num_layers``, a node whose parent
-    is not a split — raises ``ValueError`` naming the tree and node.
+    is not a split — raises ``ValueError`` naming the tree and node, and
+    so does a payload that is not a JSON object, or that lacks, mistypes
+    or adds a field.
     """
+    _check_object(payload, "model payload", _MODEL_FIELDS)
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(
@@ -62,15 +84,42 @@ def ensemble_from_dict(payload: dict) -> TreeEnsemble:
             f"(expected {FORMAT_VERSION})"
         )
     ensemble = TreeEnsemble(
-        gradient_dim=int(payload["gradient_dim"]),
-        learning_rate=float(payload["learning_rate"]),
-        objective=str(payload.get("objective", "binary")),
-        num_classes=int(payload.get("num_classes", 2)),
+        gradient_dim=int(_field(payload, "gradient_dim", "integer")),
+        learning_rate=float(_field(payload, "learning_rate", "number")),
+        objective=_field(payload, "objective", "string", default="binary"),
+        num_classes=int(_field(payload, "num_classes", "integer",
+                               default=2)),
     )
-    for index, tree_payload in enumerate(payload["trees"]):
+    for index, tree_payload in enumerate(_field(payload, "trees", "list")):
         ensemble.append(_tree_from_dict(tree_payload,
                                         ensemble.gradient_dim, index))
     return ensemble
+
+
+def _check_object(payload, where: str, fields: frozenset) -> None:
+    """``ValueError`` unless ``payload`` is a JSON object whose fields
+    are all among ``fields``."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where} is not a JSON object "
+                         f"(got {type(payload).__name__})")
+    unknown = sorted(set(payload) - fields)
+    if unknown:
+        raise ValueError(f"{where}: unknown field(s) {unknown}")
+
+
+def _field(payload: dict, key: str, kind: str, where: str = "model",
+           default=_MISSING):
+    """``payload[key]`` if present (else ``default``) and of JSON type
+    ``kind``; ``ValueError`` naming ``where`` and the field otherwise."""
+    value = payload.get(key, default)
+    if value is _MISSING:
+        raise ValueError(f"{where}: missing field {key!r}")
+    boolean = isinstance(value, _FIELD_TYPES["boolean"])
+    if not isinstance(value, _FIELD_TYPES[kind]) \
+            or (boolean and kind != "boolean"):
+        raise ValueError(f"{where}: field {key!r} is "
+                         f"{type(value).__name__}, expected {kind}")
+    return value
 
 
 def canonical_payload_bytes(payload: dict) -> bytes:
@@ -125,36 +174,49 @@ def _tree_to_dict(tree: Tree) -> dict:
 
 
 def _tree_from_dict(payload: dict, gradient_dim: int, index: int) -> Tree:
-    tree = Tree(int(payload["num_layers"]), gradient_dim)
-    for node_key, node_payload in payload["nodes"].items():
-        node_id = int(node_key)
+    where = f"tree {index}"
+    _check_object(payload, where, _TREE_FIELDS)
+    tree = Tree(int(_field(payload, "num_layers", "integer", where)),
+                gradient_dim)
+    for node_key, node_payload in _field(payload, "nodes", "object",
+                                         where).items():
+        try:
+            node_id = int(node_key)
+        except ValueError:
+            raise ValueError(f"{where}: node key {node_key!r} is not "
+                             "an integer") from None
+        at = f"{where} node {node_id}"
         # heap order: node n sits in layer bit_length(n + 1) - 1
         if node_id < 0 or (node_id + 1).bit_length() > tree.num_layers:
-            raise ValueError(
-                f"tree {index} node {node_id}: outside a "
-                f"{tree.num_layers}-layer tree"
-            )
-        if "weight" in node_payload:
-            tree.set_leaf(node_id, np.asarray(node_payload["weight"]))
+            raise ValueError(f"{at}: outside a {tree.num_layers}-layer tree")
+        leaf = isinstance(node_payload, dict) and "weight" in node_payload
+        _check_object(node_payload, at,
+                      _LEAF_FIELDS if leaf else _SPLIT_FIELDS)
+        if leaf:
+            weight = _field(node_payload, "weight", "list", at)
+            if not all(isinstance(w, numbers.Real)
+                       and not isinstance(w, bool) for w in weight):
+                raise ValueError(f"{at}: leaf weight must be a list "
+                                 "of numbers")
+            tree.set_leaf(node_id, np.asarray(weight))
         else:
             split = SplitInfo(
-                feature=int(node_payload["feature"]),
-                bin=int(node_payload["bin"]),
-                default_left=bool(node_payload["default_left"]),
-                gain=float(node_payload["gain"]),
+                feature=int(_field(node_payload, "feature", "integer", at)),
+                bin=int(_field(node_payload, "bin", "integer", at)),
+                default_left=bool(_field(node_payload, "default_left",
+                                         "boolean", at)),
+                gain=float(_field(node_payload, "gain", "number", at)),
             )
             if split.feature < 0 or split.bin < 0:
-                raise ValueError(
-                    f"tree {index} node {node_id}: negative split "
-                    f"(feature {split.feature}, bin {split.bin})"
-                )
-            tree.set_split(node_id, split,
-                           float(node_payload["threshold"]))
+                raise ValueError(f"{at}: negative split (feature "
+                                 f"{split.feature}, bin {split.bin})")
+            tree.set_split(node_id, split, float(
+                _field(node_payload, "threshold", "number", at)))
     for node_id in tree.nodes:
         parent = tree.nodes.get((node_id - 1) // 2)
         if node_id > 0 and (parent is None or parent.is_leaf):
             raise ValueError(
-                f"tree {index} node {node_id}: its parent is not a split, "
+                f"{where} node {node_id}: its parent is not a split, "
                 "so no row can reach it"
             )
     return tree

@@ -74,8 +74,16 @@ def run_report(result, system: str = "", dataset: str = "",
 def _check_schema(report: dict, what: str,
                   expected: Optional[str] = None) -> str:
     """The report's schema tag, if it is ``expected`` (any of the three
-    known tags when ``None``); ``what`` names the report in the error."""
+    known tags when ``None``); ``what`` names the report in the error.
+    Anything but a JSON object carrying a string tag is refused with
+    ``ValueError``."""
+    if not isinstance(report, dict):
+        raise ValueError(f"{what} is not a JSON object "
+                         f"(got {type(report).__name__})")
     schema = report.get("schema")
+    if not isinstance(schema, (str, type(None))):
+        raise ValueError(f"{what}: field 'schema' is "
+                         f"{type(schema).__name__}, expected string")
     if expected is not None and schema != expected:
         raise ValueError(
             f"{what} is not a {_SCHEMAS[expected][0]} "

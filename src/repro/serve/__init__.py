@@ -45,8 +45,8 @@ package turns them into production-shaped inference:
 
 from .batcher import (BatchPolicy, BatchRecord, DispatchResult,
                       DropRecord, LatencyStats, MicroBatcher,
-                      ModelServer, RequestRecord, RequestTrace,
-                      ServingReport, synthetic_trace)
+                      RequestRecord, RequestTrace, ServingReport,
+                      synthetic_trace)
 from .cache import CacheStats, PredictionCache
 from .compiler import (CompiledEnsemble, QuantizedEnsemble,
                        compile_ensemble, quantize_ensemble,
@@ -85,7 +85,6 @@ __all__ = [
     "LoadShape",
     "MicroBatcher",
     "ModelRegistry",
-    "ModelServer",
     "ModelShard",
     "ModelVersion",
     "PARTIAL_KIND",

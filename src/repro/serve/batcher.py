@@ -14,10 +14,11 @@ reproducible down to the float.
 Every request's life is recorded in a :class:`RequestRecord` (arrival,
 batch, dispatch start, completion, worker, model version) and summarized
 by :class:`LatencyStats` (p50/p95/p99/mean/max latency plus throughput).
-The model version of a batch is resolved exactly once at dispatch — that
-is what makes a registry hot-swap atomic from the traffic's point of
-view: each request is served by exactly one version, and the swap falls
-on a batch boundary.
+The model version of a batch is resolved exactly once at dispatch, and
+swap actions (a fleet deploy) fire only between batches — that is what
+makes a hot-swap atomic from the traffic's point of view: each request
+is served by exactly one version, and the swap falls on a batch
+boundary.
 """
 
 from __future__ import annotations
@@ -25,14 +26,11 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Callable, Iterator, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..ledger import percentile_summary
-from .compiler import CompiledEnsemble
-from .registry import ModelRegistry
 
 #: a hot-swap scheduled on the simulated clock: ``(time_s, action)``;
 #: the action receives the swap time (e.g. to stamp a deploy)
@@ -377,70 +375,18 @@ def billed_scores(score: Callable[[np.ndarray], np.ndarray],
     return scores, float(service_model(billable))
 
 
-class ModelServer:
-    """Single-worker serving backend.
-
-    Wraps either a bare :class:`CompiledEnsemble` (version 0) or a
-    :class:`~repro.serve.registry.ModelRegistry`, whose *active* version
-    is resolved once per dispatched batch.  ``service_model`` maps a
-    batch size to simulated service seconds; when omitted, the measured
-    wall-clock of the compiled predictor is used (computation-is-real).
-
-    ``cache`` (opt-in) is a :class:`~repro.serve.cache.PredictionCache`
-    consulted per dispatched row; with a deterministic ``service_model``
-    only the rows that *miss* are billed, so repeats get cheaper batches.
-    """
-
-    def __init__(self, model: Union[CompiledEnsemble, ModelRegistry],
-                 service_model: Optional[Callable[[int], float]] = None,
-                 cache=None) -> None:
-        self._registry = model if isinstance(model, ModelRegistry) else None
-        self._compiled = model if isinstance(model, CompiledEnsemble) \
-            else None
-        if self._registry is None and self._compiled is None:
-            raise TypeError(
-                "model must be a CompiledEnsemble or a ModelRegistry"
-            )
-        self.service_model = service_model
-        self.cache = cache
-        self._free_s = 0.0
-
-    def resolve(self) -> Tuple[CompiledEnsemble, int]:
-        """The (compiled model, version) serving right now."""
-        if self._registry is not None:
-            entry = self._registry.active
-            return entry.compiled, entry.version
-        return self._compiled, 0
-
-    def next_free_s(self) -> float:
-        """Earliest simulated time the next batch could start."""
-        return self._free_s
-
-    def dispatch(self, features: np.ndarray,
-                 close_s: float) -> DispatchResult:
-        compiled, version = self.resolve()
-        scores, seconds = billed_scores(
-            compiled.raw_scores, features, self.service_model,
-            self.cache, version)
-        start = max(close_s, self._free_s)
-        self._free_s = start + seconds
-        return DispatchResult(
-            start_s=start, completion_s=self._free_s, worker=0,
-            model_version=version, scores=scores,
-        )
-
-
 class MicroBatcher:
     """Replay a trace through a backend under a :class:`BatchPolicy`.
 
     The backend contract is two methods: ``next_free_s()`` (earliest
     simulated start for the next batch — used to keep collecting arrivals
     while all capacity is busy) and ``dispatch(features, close_s)``
-    returning a :class:`DispatchResult`.  Both :class:`ModelServer` and
-    :class:`~repro.serve.replica.ReplicaSet` satisfy it.  A backend that
-    sets ``accepts_ids = True`` is additionally passed the request ids of
-    each batch as ``dispatch(..., ids=...)`` — the deployment router uses
-    them to join served scores with their delayed labels.
+    returning a :class:`DispatchResult`.  The serving fleet,
+    :class:`~repro.serve.replica.ReplicaSet`, satisfies it; a one-worker
+    fleet is the single-model server.  A backend that sets
+    ``accepts_ids = True`` is additionally passed the request ids of each
+    batch as ``dispatch(..., ids=...)`` — the deployment router uses them
+    to join served scores with their delayed labels.
     """
 
     def __init__(self, backend, policy: Optional[BatchPolicy] = None

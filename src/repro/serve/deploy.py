@@ -603,12 +603,12 @@ class DeployController:
         real, so they vary run to run); the log records only the
         deterministic facts: version, tree count, checksum.
         """
-        from ..systems import make_system
         from ..systems.executor import TrainingSession
+        from ..systems.plans import get_plan
 
         session = TrainingSession(
-            make_system(RETRAIN_PLAN, self._train_config,
-                        ClusterConfig(num_workers=2)),
+            get_plan(RETRAIN_PLAN).build(self._train_config,
+                                         ClusterConfig(num_workers=2)),
             self._dataset,
         )
         session.run()

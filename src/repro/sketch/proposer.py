@@ -43,12 +43,20 @@ def propose_candidates(sketch: MergingSketch,
 def propose_candidates_exact(
     values: np.ndarray, num_candidates: int
 ) -> np.ndarray:
-    """Exact-quantile variant used by the single-process oracle trainer.
+    """Exact-quantile cuts: the rule :func:`~repro.data.dataset.bin_dataset`
+    applies (column-batched), so every trainer fed a binned dataset — the
+    oracle and every plan — splits on these cuts.
 
-    Matches :func:`propose_candidates` semantics but computes quantiles on
-    the full value array.  Uses the same "lower" interpolation a rank query
-    on a sketch performs, so oracle and distributed systems agree whenever
-    the sketch is exact (small data).
+    Same shape as :func:`propose_candidates` (``q - 1`` evenly spaced
+    quantiles, deduplicated, strictly below the maximum) but not the same
+    rank rule.  For ``p = k / q`` numpy's ``"lower"`` quantile picks the
+    sorted value of rank ``floor(p * (n - 1))``, while a
+    :class:`MergingSketch` holding all ``n`` values exactly answers rank
+    ``ceil(p * n) - 1``.  The cuts agree only where every pair of ranks
+    coincides: at ``q = 20`` over ``n`` distinct values, for ``n <= 21``
+    and a few larger ``n`` (40, 41, 60, 61, ...).  Elsewhere the cuts the
+    transformation pipeline sketches (``fit_from_raw``) sit up to one
+    rank higher than these, even when its sketch is exact.
     """
     if num_candidates < 1:
         raise ValueError(

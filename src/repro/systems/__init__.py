@@ -16,11 +16,10 @@ qd3-pure  vertical      column     columnwise    bitmap-broadcast
 vero      vertical      row        node-to-inst  bitmap-broadcast
 ========  ============  =========  ============  =================
 
-The classic class names (:class:`XGBoostStyle`, :class:`LightGBMStyle`,
-:class:`DimBoostStyle`, :class:`YggdrasilStyle`, :class:`Vero`,
-:class:`LightGBMFeatureParallel`) survive as thin aliases over the
-registry entries, defined next to the registry in
-:mod:`repro.systems.plans`.
+``get_plan(key).build(config, cluster)`` is the one trainer
+constructor; :func:`get_plan` also accepts the classic system names
+(xgboost, lightgbm, dimboost, lightgbm-fp, yggdrasil, qd4) listed in
+:data:`~repro.systems.plans.ALIASES`, case-insensitively.
 
 Training runs through a resumable
 :class:`~repro.systems.executor.TrainingSession`, which can migrate
@@ -42,27 +41,7 @@ from .costmodel import WorkloadShape, workload_of
 from .executor import (PlanExecutor, SessionCheckpoint, SessionState,
                        TrainingSession)
 from .migration import MigrationRecord, PlanMigrator
-from .plans import (ALIASES, PLANS, DimBoostStyle, ExecutionPlan,
-                    LightGBMFeatureParallel, LightGBMStyle, Vero,
-                    XGBoostStyle, YggdrasilStyle, get_plan, plan_keys)
-
-
-def make_system(
-    name: str, config: TrainConfig, cluster: ClusterConfig
-) -> PlanExecutor:
-    """Factory over plan registry keys and aliases (case-insensitive).
-
-    Accepted names: every :data:`~repro.systems.plans.PLANS` key (qd1,
-    qd2, qd2-ps, qd2-fp, qd3, qd3-pure, vero, qd4-blocked) and
-    :data:`~repro.systems.plans.ALIASES` spelling (xgboost, lightgbm,
-    dimboost, lightgbm-fp, yggdrasil, qd4).
-    """
-    try:
-        plan = get_plan(name)
-    except KeyError:
-        known = ", ".join(sorted(set(PLANS) | set(ALIASES)))
-        raise KeyError(f"unknown system {name!r}; known: {known}") from None
-    return plan.build(config, cluster)
+from .plans import ALIASES, PLANS, ExecutionPlan, get_plan, plan_keys
 
 
 def make_adaptive_session(
@@ -126,14 +105,7 @@ __all__ = [
     "recommend",
     "DistEvalRecord",
     "DistTrainResult",
-    "DimBoostStyle",
-    "LightGBMFeatureParallel",
-    "LightGBMStyle",
     "MemoryReport",
     "TreeReport",
-    "Vero",
-    "XGBoostStyle",
-    "YggdrasilStyle",
     "make_adaptive_session",
-    "make_system",
 ]

@@ -179,61 +179,3 @@ def get_plan(key: str) -> ExecutionPlan:
             f"unknown plan {key!r}; known: "
             f"{', '.join(sorted(set(PLANS) | set(ALIASES)))}"
         ) from None
-
-
-# ---------------------------------------------------------------------------
-# Classic class-name aliases over the registry entries
-# ---------------------------------------------------------------------------
-#
-# Each quadrant was a real subclass before the ExecutionPlan refactor;
-# the names survive as constructors of one registry entry, declared here
-# next to the registry — the single source of plan truth.
-
-from .executor import PlanExecutor  # noqa: E402 — needs no plan symbols
-
-
-class _PlanAlias(PlanExecutor):
-    """A classic class name: the executor of the ``plan_key`` entry."""
-
-    plan_key: str
-
-    def __init__(self, config: "TrainConfig",
-                 cluster: "ClusterConfig") -> None:
-        super().__init__(config, cluster, get_plan(self.plan_key))
-
-
-class XGBoostStyle(_PlanAlias):
-    """QD1: horizontal + column-store with all-reduce aggregation."""
-
-    plan_key = "qd1"
-
-
-class LightGBMStyle(_PlanAlias):
-    """QD2: horizontal + row-store with reduce-scatter aggregation."""
-
-    plan_key = "qd2"
-
-
-class DimBoostStyle(_PlanAlias):
-    """QD2 with parameter-server aggregation (DimBoost architecture)."""
-
-    plan_key = "qd2-ps"
-
-
-class YggdrasilStyle(_PlanAlias):
-    """QD3: vertical + column-store with the paper's hybrid index (plan
-    ``qd3-pure`` is pure Yggdrasil's per-column index; Appendix C)."""
-
-    plan_key = "qd3"
-
-
-class Vero(_PlanAlias):
-    """QD4: vertical + row-store (the paper's system)."""
-
-    plan_key = "vero"
-
-
-class LightGBMFeatureParallel(_PlanAlias):
-    """Feature-parallel LightGBM: full data copy per worker (App. D)."""
-
-    plan_key = "qd2-fp"

@@ -769,7 +769,7 @@ class AllReduceAggregation(_LocalPlacementMixin, AggregationStrategy):
 
     def find_splits(self, ex, nodes, clock) -> Dict[int, SplitInfo]:
         aggregated: Dict[int, Histogram] = {
-            node: allreduce_histograms(hists, net=None)
+            node: allreduce_histograms(hists)
             for node, hists in _layer_hists_over_wire(
                 ex, nodes, clock, "allreduce")
         }
@@ -808,9 +808,7 @@ class ReduceScatterAggregation(_LocalPlacementMixin, AggregationStrategy):
         """Aggregated feature-slice histograms, one per worker, from the
         histograms of one node as received over the wire (what
         :func:`_layer_hists_over_wire` hands out)."""
-        return reduce_scatter_histograms(
-            hists, ex.feature_ranges, net=None,
-        )
+        return reduce_scatter_histograms(hists, ex.feature_ranges)
 
     def find_splits(self, ex, nodes, clock) -> Dict[int, SplitInfo]:
         splits: Dict[int, SplitInfo] = {}
@@ -845,7 +843,7 @@ class ParameterServerAggregation(ReduceScatterAggregation):
             )
 
     def aggregate_node(self, ex, hists) -> List[Histogram]:
-        return scatter_features(ps_push_histograms(hists, net=None),
+        return scatter_features(ps_push_histograms(hists),
                                 ex.feature_ranges)
 
 

@@ -9,6 +9,7 @@ import pytest
 from repro.cluster.comm import (SPLIT_INFO_BYTES, allreduce_histograms,
                                 broadcast_bytes, exchange_split_infos,
                                 gather_bytes, ps_push_histograms,
+                                record_collective,
                                 reduce_scatter_histograms,
                                 scatter_features)
 from repro.cluster.network import SimulatedNetwork
@@ -34,16 +35,15 @@ def net():
 
 
 class TestAllReduce:
-    def test_sums_elementwise(self, rng, net):
+    def test_sums_elementwise(self, rng):
         hists = random_hists(rng)
-        total = allreduce_histograms(hists, net)
+        total = allreduce_histograms(hists)
         expected = sum(h.grad for h in hists)
         np.testing.assert_allclose(total.grad, expected)
 
     def test_ring_cost(self, rng, net):
-        hists = random_hists(rng, num_workers=4)
-        size = hists[0].nbytes
-        allreduce_histograms(hists, net)
+        size = random_hists(rng, num_workers=4)[0].nbytes
+        record_collective(net, "hist-aggregation", size, 4, "allreduce")
         # every worker sends 2 * (W-1)/W * size
         assert net.total_bytes == int(2 * 3 / 4 * size * 4)
         assert net.total_seconds == pytest.approx(
@@ -51,23 +51,22 @@ class TestAllReduce:
         )
 
     def test_single_worker_free(self, rng, net):
-        hists = random_hists(rng, num_workers=1)
-        allreduce_histograms(hists, net)
+        size = random_hists(rng, num_workers=1)[0].nbytes
+        record_collective(net, "hist-aggregation", size, 1, "allreduce")
         assert net.total_bytes == 0
 
-    def test_empty_raises(self, net):
+    def test_empty_raises(self):
         with pytest.raises(ValueError):
-            allreduce_histograms([], net)
+            allreduce_histograms([])
 
 
 class TestReduceScatter:
-    def test_shards_hold_summed_slices(self, rng, net):
+    def test_shards_hold_summed_slices(self, rng):
         hists = random_hists(rng, num_features=6)
         shards = reduce_scatter_histograms(
             hists,
             [np.array([0, 1]), np.array([2, 3]), np.array([4]),
              np.array([5])],
-            net,
         )
         total = sum(h.grad for h in hists).reshape(6, 5, 2)
         np.testing.assert_allclose(
@@ -78,19 +77,18 @@ class TestReduceScatter:
         )
 
     def test_cost_is_half_of_allreduce(self, rng):
-        hists = random_hists(rng, num_workers=4)
+        size = random_hists(rng, num_workers=4)[0].nbytes
         net_rs = SimulatedNetwork(NetworkModel(latency_s=0.0))
-        reduce_scatter_histograms(
-            hists, [np.array([i]) for i in range(4)], net_rs
-        )
+        record_collective(net_rs, "hist-aggregation", size, 4,
+                          "reducescatter")
         net_ar = SimulatedNetwork(NetworkModel(latency_s=0.0))
-        allreduce_histograms(hists, net_ar)
+        record_collective(net_ar, "hist-aggregation", size, 4, "allreduce")
         assert net_ar.total_bytes == 2 * net_rs.total_bytes
 
-    def test_empty_feature_shard(self, rng, net):
+    def test_empty_feature_shard(self, rng):
         hists = random_hists(rng)
         shards = reduce_scatter_histograms(
-            hists, [np.arange(6), np.array([], dtype=np.int64)], net
+            hists, [np.arange(6), np.array([], dtype=np.int64)]
         )
         assert np.all(shards[1].grad == 0)
 
@@ -124,9 +122,9 @@ class TestReduceScatter:
                 assert got.tobytes() == np.take(parent, features,
                                                 axis=0).tobytes()
 
-    def test_pieces_alias_the_fresh_sum_not_the_inputs(self, rng, net):
+    def test_pieces_alias_the_fresh_sum_not_the_inputs(self, rng):
         hists = random_hists(rng)
-        pieces = reduce_scatter_histograms(hists, self.SHARDS, net)
+        pieces = reduce_scatter_histograms(hists, self.SHARDS)
         for piece in pieces:
             assert not any(np.shares_memory(piece.grad, hist.grad)
                            or np.shares_memory(piece.hess, hist.hess)
@@ -144,16 +142,15 @@ class TestReduceScatter:
 
 
 class TestPSPush:
-    def test_sums(self, rng, net):
+    def test_sums(self, rng):
         hists = random_hists(rng)
-        total = ps_push_histograms(hists, net)
+        total = ps_push_histograms(hists)
         np.testing.assert_allclose(total.grad,
                                    sum(h.grad for h in hists))
 
     def test_cost_full_size_per_worker(self, rng, net):
-        hists = random_hists(rng, num_workers=4)
-        size = hists[0].nbytes
-        ps_push_histograms(hists, net)
+        size = random_hists(rng, num_workers=4)[0].nbytes
+        record_collective(net, "hist-aggregation", size, 4, "ps")
         assert net.total_bytes == size * 4
         # elapsed is one full histogram per server link
         assert net.total_seconds == pytest.approx(

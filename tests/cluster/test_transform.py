@@ -125,12 +125,12 @@ class TestCompressedPairBytes:
 
 class TestTrainingOnTransformed:
     def test_vero_fit_from_raw(self):
-        from repro import TrainConfig, Vero
+        from repro import TrainConfig, get_plan
 
         ds = make_classification(500, 40, density=0.5, seed=22)
         train, valid = ds.split(0.8, seed=1)
         cfg = TrainConfig(num_trees=4, num_layers=4, num_candidates=8)
-        vero = Vero(cfg, ClusterConfig(num_workers=3))
+        vero = get_plan("vero").build(cfg, ClusterConfig(num_workers=3))
         result, transform = vero.fit_from_raw(train, valid=valid)
         assert len(result.ensemble) == 4
         assert result.evals[-1].metric_value > 0.7

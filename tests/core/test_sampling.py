@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ClusterConfig, GBDT, TrainConfig, make_system
+from repro import ClusterConfig, GBDT, TrainConfig, get_plan
 from repro.core.gbdt import grow_tree
 from repro.core.importance import feature_importance
 from repro.core.indexing import NodeToInstanceIndex
@@ -43,12 +43,12 @@ class TestConfigValidation:
     def test_distributed_rejects_sampling(self):
         cfg = TrainConfig(subsample=0.5)
         with pytest.raises(ValueError, match="reference-trainer"):
-            make_system("vero", cfg, ClusterConfig(2))
+            get_plan("vero").build(cfg, ClusterConfig(2))
 
     def test_distributed_rejects_leafwise(self):
         cfg = TrainConfig(growth="leafwise")
         with pytest.raises(ValueError, match="layer-wise"):
-            make_system("qd2", cfg, ClusterConfig(2))
+            get_plan("qd2").build(cfg, ClusterConfig(2))
 
 
 class TestRowSampling:

@@ -207,3 +207,124 @@ class TestFailsClosed:
         version = ModelRegistry().publish_file(
             GOLDEN, expected_checksum=GOLDEN_CHECKSUM)
         assert version.checksum == GOLDEN_CHECKSUM
+
+
+def mangled_copies(data: bytes, count: int, seed: int):
+    """``count`` seeded copies of ``data``: alternately cut at a random
+    length and flipped at one random bit."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        if i % 2:
+            yield data[:int(rng.integers(0, len(data)))]
+        else:
+            flipped = bytearray(data)
+            flipped[int(rng.integers(0, len(data)))] ^= \
+                1 << int(rng.integers(0, 8))
+            yield bytes(flipped)
+
+
+def _drop(*path):
+    def mutate(payload):
+        for key in path[:-1]:
+            payload = payload[key]
+        payload.pop(path[-1])
+    return mutate
+
+
+def _set(value, *path):
+    def mutate(payload):
+        for key in path[:-1]:
+            payload = payload[key]
+        payload[path[-1]] = value
+    return mutate
+
+
+class TestMalformedPayloadsFailClosed:
+    """The model readers (``ensemble_from_dict`` and everything behind
+    it: ``load_ensemble``, ``ModelRegistry.publish`` and
+    ``publish_file``) answer any malformed payload with ``ValueError``
+    naming the defect, and the registry publishes nothing."""
+
+    @pytest.fixture(scope="class")
+    def model_file(self, small_binary, tmp_path_factory):
+        cfg = TrainConfig(num_trees=3, num_layers=4, num_candidates=8)
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_ensemble(GBDT(cfg).fit(small_binary).ensemble, path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("text", ["[]", "1", "null", '"model"'])
+    def test_a_non_object_is_refused(self, text, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        registry = ModelRegistry()
+        with pytest.raises(ValueError, match="not a JSON object"):
+            registry.publish_file(path)
+        with pytest.raises(ValueError, match="not a JSON object"):
+            load_ensemble(path)
+        assert registry.versions() == []
+
+    @pytest.mark.parametrize("mutate, defect", [
+        (_drop("gradient_dim"), "model: missing field 'gradient_dim'"),
+        (_set("0.1", "learning_rate"),
+         "model: field 'learning_rate' is str, expected number"),
+        (_set({}, "trees"), "model: field 'trees' is dict, expected list"),
+        (_set(2, "num_clases"), r"unknown field\(s\) \['num_clases'\]"),
+        (_set([], "trees", 1), "tree 1 is not a JSON object"),
+        (_drop("trees", 1, "nodes"), "tree 1: missing field 'nodes'"),
+        (_set(True, "trees", 1, "num_layers"),
+         "tree 1: field 'num_layers' is bool, expected integer"),
+        (_drop("trees", 1, "nodes", "0", "threshold"),
+         "tree 1 node 0: missing field 'threshold'"),
+        (_set(1, "trees", 1, "nodes", "0", "default_left"),
+         "tree 1 node 0: field 'default_left' is int, expected boolean"),
+        (_set({"weight": ["x"]}, "trees", 1, "nodes", "0"),
+         "tree 1 node 0: leaf weight must be a list of numbers"),
+        (_set({"weight": [0.5]}, "trees", 1, "nodes", "root"),
+         "tree 1: node key 'root' is not an integer"),
+    ], ids=["missing-top", "mistyped-top", "mistyped-trees",
+            "unknown-top", "tree-not-object", "missing-nodes",
+            "bool-for-int", "missing-split-field", "int-for-bool",
+            "non-numeric-weight", "non-integer-node-key"])
+    def test_pinned_field_defects(self, model_file, mutate, defect):
+        payload = json.loads(model_file)
+        mutate(payload)
+        with pytest.raises(ValueError, match=defect):
+            ensemble_from_dict(payload)
+        registry = ModelRegistry()
+        with pytest.raises(ValueError, match=defect):
+            registry.publish(payload)
+        assert registry.versions() == []
+
+    def test_mangled_copies_are_refused(self, model_file, tmp_path):
+        """3,000 seeded truncations and bit flips of a 3-tree model file
+        through ``publish_file(..., expected_checksum=...)``.
+
+        Pinned to the shipped checksum, every copy whose payload differs
+        is refused.  Pinned to the copy's own checksum (damaged before it
+        was checksummed), the checksum gate passes and the decoder alone
+        must hold: every copy raises ``ValueError`` with nothing
+        published, unless the flip left a well-formed model (a flipped
+        digit of a threshold) — which then round-trips to exactly the
+        payload it was read from.
+        """
+        shipped = json.loads(model_file)
+        path = tmp_path / "model.json"
+        for data in mangled_copies(model_file, 3000, seed=33):
+            path.write_bytes(data)
+            try:
+                payload = json.loads(data)
+            except ValueError:  # not JSON, or not UTF-8
+                payload = None
+            if payload == shipped:
+                continue  # a flip the JSON reading absorbs (e.g. 'e'/'E')
+            own = shipped if payload is None else payload
+            for pin in (shipped, own):
+                registry = ModelRegistry()
+                try:
+                    entry = registry.publish_file(
+                        path, expected_checksum=payload_checksum(pin))
+                except ValueError:
+                    assert registry.versions() == []
+                    continue
+                assert pin is own and pin is not shipped, data
+                assert ensemble_to_dict(entry.ensemble) == payload, data

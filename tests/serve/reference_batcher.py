@@ -6,16 +6,23 @@ per-request accessors.
 Kept as the reference ``MicroBatcher._bounded_batches`` is compared
 against — the same ``(ids, close)`` batch sequence and the same
 ``report.dropped`` list, field for field.
+
+:class:`FixedServiceServer` is the backend the hand-computed schedules
+in ``test_batcher.py`` run on.  The one serving backend,
+:class:`~repro.serve.replica.ReplicaSet`, cannot stand in: its
+``deploy`` occupies the worker for the model transfer, so no fleet is
+free at t=0.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
-from repro.serve.batcher import (Batch, BatchPolicy, DropRecord,
-                                 RequestTrace, ServingReport)
+from repro.serve.batcher import (Batch, BatchPolicy, DispatchResult,
+                                 DropRecord, RequestTrace, ServingReport)
+from repro.serve.compiler import CompiledEnsemble
 
 
 class SimulatedWorker:
@@ -39,6 +46,29 @@ class SimulatedWorker:
         if self.stall_every and self.served % self.stall_every == 0:
             self.free_s += 0.03
         return done
+
+
+class FixedServiceServer:
+    """The backend contract at its smallest, for schedules computed by
+    hand: one worker free from t=0 that scores every batch with
+    ``compiled`` and holds it for ``service(batch rows)`` seconds."""
+
+    def __init__(self, compiled: CompiledEnsemble,
+                 service: Callable[[int], float]) -> None:
+        self.compiled = compiled
+        self.service = service
+        self.free_s = 0.0
+
+    def next_free_s(self) -> float:
+        return self.free_s
+
+    def dispatch(self, features: np.ndarray,
+                 close_s: float) -> DispatchResult:
+        start = max(close_s, self.free_s)
+        self.free_s = start + self.service(features.shape[0])
+        return DispatchResult(
+            start_s=start, completion_s=self.free_s, worker=0,
+            model_version=0, scores=self.compiled.raw_scores(features))
 
 
 def reference_shed_victim(trace: RequestTrace, backlog: List[int],

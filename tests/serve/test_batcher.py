@@ -1,7 +1,11 @@
 """Micro-batcher tests: policy triggers, simulated schedules, ledgers.
 
-All scheduling tests use a deterministic ``service_model`` so every
-simulated timestamp is computable by hand.
+All scheduling tests use a deterministic service function so every
+simulated timestamp is computable by hand.  They run on
+:class:`~tests.serve.reference_batcher.FixedServiceServer`, a worker that
+is free at t=0; the hot-swap and measured-billing tests run on a
+one-worker :class:`~repro.serve.replica.ReplicaSet`, the single-model
+server.
 """
 
 from __future__ import annotations
@@ -9,13 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import GBDT, TrainConfig
+from repro import ClusterConfig, GBDT, TrainConfig
 from repro.serve import (BatchPolicy, MicroBatcher, ModelRegistry,
-                         ModelServer, RequestTrace, compile_ensemble,
+                         ReplicaSet, RequestTrace, compile_ensemble,
                          synthetic_trace)
 from repro.serve.batcher import ServingReport
 
-from .reference_batcher import (SimulatedWorker,
+from .reference_batcher import (FixedServiceServer, SimulatedWorker,
                                 reference_bounded_batches)
 
 
@@ -40,9 +44,15 @@ def compiled(model):
 
 
 def server(compiled, per_batch=0.001, per_row=0.0):
-    return ModelServer(
-        compiled, service_model=lambda k: per_batch + per_row * k
-    )
+    return FixedServiceServer(compiled, lambda k: per_batch + per_row * k)
+
+
+def one_worker(registry, service_model=None):
+    """The single-model server: a one-worker fleet, deployed at t=0."""
+    fleet = ReplicaSet(registry, ClusterConfig(num_workers=1),
+                       service_model=service_model)
+    fleet.deploy()
+    return fleet
 
 
 class TestPolicy:
@@ -191,9 +201,9 @@ class TestHotSwap:
             rate_rps=5000.0, seed=6,
         )
         swap_at = float(trace.arrivals[100])
-        backend = ModelServer(registry, service_model=lambda k: 1e-4)
+        backend = one_worker(registry, service_model=lambda k: 1e-4)
         report = MicroBatcher(backend, BatchPolicy(16, 0.001)).run(
-            trace, swaps=[(swap_at, lambda t: registry.activate(2))]
+            trace, swaps=[(swap_at, backend.deployer(2))]
         )
         assert report.versions_served() == [1, 2]
         for batch in report.batches:
@@ -206,14 +216,11 @@ class TestHotSwap:
         assert all(v == 1 for v in versions[:flip])
         assert all(v == 2 for v in versions[flip:])
 
-    def test_late_swap_still_fires(self, model):
-        registry = ModelRegistry()
-        registry.publish(model)
+    def test_late_swap_still_fires(self, compiled):
         fired = []
         trace = trace_at([0.0])
         MicroBatcher(
-            ModelServer(registry, service_model=lambda k: 1e-4),
-            BatchPolicy(4, 0.001),
+            server(compiled, per_batch=1e-4), BatchPolicy(4, 0.001),
         ).run(trace, swaps=[(99.0, fired.append)])
         assert fired == [99.0]
 
@@ -486,15 +493,14 @@ class TestBoundedQueueAgainstReference:
         assert [r.request_id for r in report.records] == [0, 3, 4, 5]
 
 
-class TestModelServer:
-    def test_rejects_unknown_model_type(self):
-        with pytest.raises(TypeError, match="CompiledEnsemble"):
-            ModelServer(object())
-
-    def test_measured_service_time_used_without_model(self, compiled):
-        trace = trace_at([0.0, 0.0])
+class TestOneWorkerFleet:
+    def test_measured_service_time_used_without_model(self, model):
+        registry = ModelRegistry()
+        registry.publish(model)
         report = MicroBatcher(
-            ModelServer(compiled), BatchPolicy(8, 0.0)
-        ).run(trace)
-        stats = report.latency_stats()
-        assert stats.makespan_s > 0.0  # real wall clock, nonzero
+            one_worker(registry), BatchPolicy(8, 0.0)
+        ).run(trace_at([0.0, 0.0]))
+        # the deploy holds the worker first; the batch itself is billed
+        # the scoring's real wall clock, which is nonzero
+        (batch,) = report.batches
+        assert batch.completion_s > batch.start_s > 0.0

@@ -11,17 +11,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import GBDT, TrainConfig
+from repro import ClusterConfig, GBDT, TrainConfig
 from repro.core.kernels import MISSING_BIN
 from repro.data.dataset import bin_dataset
-from repro.serve import (CacheStats, ModelServer, PredictionCache,
-                         compile_ensemble)
+from repro.serve import (CacheStats, ModelRegistry, PredictionCache,
+                         ReplicaSet, compile_ensemble)
 
 
 @pytest.fixture(scope="module")
-def trained(small_binary):
+def ensemble(small_binary):
     cfg = TrainConfig(num_trees=3, num_layers=4, num_candidates=8)
-    ensemble = GBDT(cfg).fit(small_binary).ensemble
+    return GBDT(cfg).fit(small_binary).ensemble
+
+
+@pytest.fixture(scope="module")
+def trained(small_binary, ensemble):
     cuts = bin_dataset(small_binary, 8).cuts
     return compile_ensemble(ensemble), cuts
 
@@ -177,8 +181,10 @@ class TestStats:
 
 
 class TestServerIntegration:
-    def test_model_server_bills_only_misses(self, trained):
-        compiled, cuts = trained
+    def test_one_worker_fleet_bills_only_misses(self, ensemble, trained):
+        _, cuts = trained
+        registry = ModelRegistry()
+        registry.publish(ensemble)
         cache = PredictionCache(64, cuts=cuts)
         billed = []
 
@@ -186,12 +192,14 @@ class TestServerIntegration:
             billed.append(k)
             return 0.001
 
-        server = ModelServer(compiled, service_model=service,
-                             cache=cache)
-        rows = batch(6, compiled.num_features, seed=8)
-        server.dispatch(rows, 0.0)
-        server.dispatch(rows, 1.0)
+        fleet = ReplicaSet(registry, ClusterConfig(num_workers=1),
+                           service_model=service, cache=cache)
+        fleet.deploy()
+        rows = batch(6, registry.active.compiled.num_features, seed=8)
+        first = fleet.dispatch(rows, 0.0)
+        second = fleet.dispatch(rows, 1.0)
         assert billed == [6, 0]
+        np.testing.assert_array_equal(first.scores, second.scores)
 
 
 class TestRollbackInvalidation:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ClusterConfig, GBDT, TrainConfig, make_system
+from repro import ClusterConfig, GBDT, TrainConfig, get_plan
 from repro.core import kernels
 from repro.core.split import SplitInfo
 from repro.core.tree import Tree, TreeEnsemble
@@ -417,7 +417,7 @@ class TestEveryPlan:
     def test_plan_model_bit_identical(self, plan_key, small_binary):
         cfg = TrainConfig(num_trees=2, num_layers=4, num_candidates=8)
         cluster = ClusterConfig(num_workers=3)
-        system = make_system(plan_key, cfg, cluster)
+        system = get_plan(plan_key).build(cfg, cluster)
         ensemble = system.fit(small_binary).ensemble
         compiled = compile_ensemble(ensemble)
         csc = small_binary.csc()

@@ -72,6 +72,25 @@ class TestSketchProposal:
     def test_empty_sketch(self):
         assert propose_candidates(MergingSketch(), 8).size == 0
 
+    def test_an_exact_sketch_answers_a_different_rank(self):
+        """An exact sketch picks rank ceil(p*n) - 1, numpy's "lower"
+        rank floor(p*(n-1)): the cuts agree only where every pair of
+        ranks coincides, and the sketch's never sits lower."""
+        agree = []
+        for n in range(1, 101):
+            values = np.arange(n, dtype=np.float64)
+            sketch = MergingSketch()
+            sketch.update(values)
+            approx = propose_candidates(sketch, 20)
+            exact = propose_candidates_exact(values, 20)
+            if np.array_equal(approx, exact):
+                agree.append(n)
+            else:
+                assert approx.size == exact.size
+                assert np.all(approx - exact >= 0.0)
+                assert np.all(approx - exact <= 1.0)
+        assert agree == list(range(1, 22)) + [40, 41, 60, 61, 80, 81]
+
 
 class TestBinning:
     def test_apply_cuts_semantics(self):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ClusterConfig, NetworkModel, TrainConfig, \
-    make_classification, make_system
+    make_classification
 from repro.data.dataset import bin_dataset
 from repro.systems import TrainingSession, get_plan
 from repro.systems.advisor import (DEFAULT_SCAN_RATE, PLAN_OF_QUADRANT,
@@ -161,7 +161,7 @@ class TestAgainstSimulator:
 
     def run(self, name, dataset, cfg, cluster):
         binned = bin_dataset(dataset, cfg.num_candidates)
-        result = make_system(name, cfg, cluster).fit(binned, num_trees=2)
+        result = get_plan(name).build(cfg, cluster).fit(binned, num_trees=2)
         return result.mean_tree_seconds()
 
     def test_high_dim_regime(self):

@@ -22,8 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ClusterConfig, TrainConfig, make_classification, \
-    make_system
+from repro import ClusterConfig, TrainConfig, make_classification
 from repro.core.kernels import available_backends
 from repro.cluster.faults import (FaultInjector, FaultPlan,
                                   UnrecoverableFaultError)
@@ -73,8 +72,8 @@ def run_pair(plan_key, binned, faults, num_workers=4, num_trees=3,
     fault_cfg = TrainConfig(num_trees=num_trees, num_layers=num_layers,
                             num_candidates=8, faults=faults, codec=codec)
     cluster = ClusterConfig(num_workers=num_workers)
-    clean = make_system(plan_key, base_cfg, cluster).fit(binned)
-    system = make_system(plan_key, fault_cfg, cluster)
+    clean = get_plan(plan_key).build(base_cfg, cluster).fit(binned)
+    system = get_plan(plan_key).build(fault_cfg, cluster)
     faulty = system.fit(binned)
     return clean, faulty, system
 
@@ -147,8 +146,8 @@ class TestChaosWithCodec:
         faults = f"{PINNED_SEEDS[0]}:crash=1,drop=0.08"
         cluster = ClusterConfig(num_workers=4)
         kwargs = dict(num_trees=3, num_layers=4, num_candidates=8)
-        dense = make_system(plan_key, TrainConfig(**kwargs),
-                            cluster).fit(binned)
+        dense = get_plan(plan_key).build(TrainConfig(**kwargs),
+                                         cluster).fit(binned)
         clean, faulty, system = run_pair(plan_key, binned, faults,
                                          codec="sparse")
 
@@ -244,7 +243,7 @@ class TestCheckpointing:
     def test_checkpoint_captures_state(self, binned):
         cfg = TrainConfig(num_trees=2, num_layers=4, num_candidates=8,
                           faults="5:crash=1")
-        system = make_system("vero", cfg, ClusterConfig(num_workers=3))
+        system = get_plan("vero").build(cfg, ClusterConfig(num_workers=3))
         system.fit(binned)
         checkpoint = system.last_checkpoint
         assert isinstance(checkpoint, TreeCheckpoint)
@@ -261,7 +260,7 @@ class TestCheckpointing:
     def test_horizontal_checkpoint_is_per_worker(self, binned):
         cfg = TrainConfig(num_trees=1, num_layers=3, num_candidates=8,
                           faults="5:drop=0.05")
-        system = make_system("qd2", cfg, ClusterConfig(num_workers=4))
+        system = get_plan("qd2").build(cfg, ClusterConfig(num_workers=4))
         system.fit(binned)
         checkpoint = system.last_checkpoint
         assert len(checkpoint.index_state) == 4
@@ -270,7 +269,7 @@ class TestCheckpointing:
 
     def test_fault_free_run_takes_no_checkpoints(self, binned):
         cfg = TrainConfig(num_trees=1, num_layers=3, num_candidates=8)
-        system = make_system("qd2", cfg, ClusterConfig(num_workers=2))
+        system = get_plan("qd2").build(cfg, ClusterConfig(num_workers=2))
         system.fit(binned)
         assert system.injector is None
         assert system.last_checkpoint is None
@@ -288,7 +287,7 @@ class TestFaultPlanEdges:
         # must fire at most the events scheduled inside those trees
         cfg = TrainConfig(num_trees=100, num_layers=4, num_candidates=8,
                           faults="7:crash=3")
-        system = make_system("qd2", cfg, ClusterConfig(num_workers=2))
+        system = get_plan("qd2").build(cfg, ClusterConfig(num_workers=2))
         system.fit(binned, num_trees=2)
         pending = system.injector.scheduled_crashes()
         # every event inside the trained range fired; the rest stay pending
@@ -318,8 +317,8 @@ class TestChaosBackends:
         fault_cfg = TrainConfig(num_trees=3, num_layers=4,
                                 num_candidates=8, faults=faults,
                                 backend=backend)
-        clean = make_system("vero", clean_cfg, cluster).fit(binned)
-        faulty = make_system("vero", fault_cfg, cluster).fit(binned)
+        clean = get_plan("vero").build(clean_cfg, cluster).fit(binned)
+        faulty = get_plan("vero").build(fault_cfg, cluster).fit(binned)
         assert len(clean.ensemble.trees) == len(faulty.ensemble.trees)
         for t_clean, t_faulty in zip(clean.ensemble.trees,
                                      faulty.ensemble.trees):

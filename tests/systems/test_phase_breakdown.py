@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ClusterConfig, TrainConfig, make_classification, \
-    make_system
+from repro import ClusterConfig, TrainConfig, get_plan, \
+    make_classification
 from repro.data.dataset import bin_dataset
 from repro.systems.base import PHASES
 
@@ -23,7 +23,7 @@ def phase_run():
     binned = bin_dataset(ds, cfg.num_candidates)
     cluster = ClusterConfig(num_workers=4)
     return {
-        name: make_system(name, cfg, cluster).fit(binned)
+        name: get_plan(name).build(cfg, cluster).fit(binned)
         for name in ("qd2", "qd4")
     }
 

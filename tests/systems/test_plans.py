@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro import (ClusterConfig, GBDT, TrainConfig, get_plan,
-                   make_classification, make_system, plan_keys)
+                   make_classification, plan_keys)
 from repro.bench.harness import run_point
 from repro.config import NetworkModel
 from repro.core.serialize import ensemble_to_dict, payload_checksum
@@ -151,9 +151,9 @@ class TestRegistry:
         assert isinstance(system, PlanExecutor)
         assert system.quadrant == "QD2"
 
-    def test_make_system_accepts_plan_keys(self, workload):
+    def test_get_plan_accepts_plan_keys(self, workload):
         cfg, _, _ = workload
-        system = make_system("qd3-pure", cfg, ClusterConfig(3))
+        system = get_plan("qd3-pure").build(cfg, ClusterConfig(3))
         assert system.plan.key == "qd3-pure"
 
     def test_ps_plan_rejects_multiclass(self, multiclass_workload):

@@ -7,8 +7,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ClusterConfig, GBDT, TrainConfig, make_classification, \
-    make_system
+from repro import ClusterConfig, GBDT, TrainConfig, get_plan, \
+    make_classification
 from repro.data.dataset import bin_dataset
 
 
@@ -49,7 +49,7 @@ def test_property_vertical_equals_oracle(seed, num_workers, num_layers,
     )
     binned = bin_dataset(dataset, cfg.num_candidates)
     oracle = GBDT(cfg).fit(dataset, binned=binned)
-    dist = make_system(system, cfg, ClusterConfig(num_workers)).fit(
+    dist = get_plan(system).build(cfg, ClusterConfig(num_workers)).fit(
         binned)
     for t_oracle, t_dist in zip(oracle.ensemble.trees,
                                 dist.ensemble.trees):
@@ -70,7 +70,7 @@ def test_property_horizontal_quality_close(seed, num_workers, system):
     cfg = TrainConfig(num_trees=3, num_layers=4, num_candidates=8)
     binned = bin_dataset(train, cfg.num_candidates)
     oracle = GBDT(cfg).fit(train, valid, binned=binned)
-    dist = make_system(system, cfg, ClusterConfig(num_workers)).fit(
+    dist = get_plan(system).build(cfg, ClusterConfig(num_workers)).fit(
         binned, valid=valid)
     assert abs(oracle.evals[-1].metric_value
                - dist.evals[-1].metric_value) < 0.05

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ClusterConfig, GBDT, TrainConfig, make_system
+from repro import ClusterConfig, GBDT, TrainConfig, get_plan
 from repro.core.metrics import auc
 from repro.data.dataset import bin_dataset
 from repro.systems.costmodel import (WorkloadShape,
@@ -62,7 +62,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("name", VERTICAL_SYSTEMS)
     def test_vertical_bit_identical(self, setting, name):
         train, valid, cfg, binned, oracle = setting
-        system = make_system(name, cfg, ClusterConfig(num_workers=4))
+        system = get_plan(name).build(cfg, ClusterConfig(num_workers=4))
         result = system.fit(binned, valid=valid)
         assert len(result.ensemble) == len(oracle.ensemble)
         for t_oracle, t_dist in zip(oracle.ensemble.trees,
@@ -72,7 +72,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("name", ["qd1", "qd2", "dimboost"])
     def test_horizontal_quality_matches(self, setting, name):
         train, valid, cfg, binned, oracle = setting
-        system = make_system(name, cfg, ClusterConfig(num_workers=4))
+        system = get_plan(name).build(cfg, ClusterConfig(num_workers=4))
         result = system.fit(binned, valid=valid)
         for rec_o, rec_d in zip(oracle.evals, result.evals):
             assert abs(rec_o.metric_value - rec_d.metric_value) < 0.02
@@ -81,7 +81,7 @@ class TestOracleEquivalence:
     def test_single_worker_equals_oracle(self, setting, name):
         """With W=1 every quadrant degenerates to the oracle exactly."""
         train, valid, cfg, binned, oracle = setting
-        system = make_system(name, cfg, ClusterConfig(num_workers=1))
+        system = get_plan(name).build(cfg, ClusterConfig(num_workers=1))
         result = system.fit(binned)
         for t_oracle, t_dist in zip(oracle.ensemble.trees,
                                     result.ensemble.trees):
@@ -90,9 +90,9 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("name", ALL_SYSTEMS)
     def test_worker_count_does_not_change_quality(self, setting, name):
         train, valid, cfg, binned, _ = setting
-        r2 = make_system(name, cfg, ClusterConfig(num_workers=2)).fit(
+        r2 = get_plan(name).build(cfg, ClusterConfig(num_workers=2)).fit(
             binned, valid=valid)
-        r5 = make_system(name, cfg, ClusterConfig(num_workers=5)).fit(
+        r5 = get_plan(name).build(cfg, ClusterConfig(num_workers=5)).fit(
             binned, valid=valid)
         assert abs(r2.evals[-1].metric_value
                    - r5.evals[-1].metric_value) < 0.02
@@ -102,7 +102,7 @@ class TestPredictions:
     @pytest.mark.parametrize("name", ["qd2", "qd4"])
     def test_predict_probabilities(self, setting, name):
         train, valid, cfg, binned, _ = setting
-        system = make_system(name, cfg, ClusterConfig(num_workers=3))
+        system = get_plan(name).build(cfg, ClusterConfig(num_workers=3))
         result = system.fit(binned)
         preds = system.predict(result.ensemble, valid)
         assert preds.shape == (valid.num_instances,)
@@ -117,7 +117,7 @@ class TestMulticlass:
         binned = bin_dataset(small_multiclass, cfg.num_candidates)
         results = {}
         for name in ("qd1", "qd2", "qd3", "qd4"):
-            system = make_system(name, cfg, ClusterConfig(num_workers=3))
+            system = get_plan(name).build(cfg, ClusterConfig(num_workers=3))
             results[name] = system.fit(binned,
                                        valid=small_multiclass)
         finals = [r.evals[-1].metric_value for r in results.values()]
@@ -127,7 +127,7 @@ class TestMulticlass:
         cfg = TrainConfig(num_trees=1, objective="multiclass",
                           num_classes=3)
         with pytest.raises(ValueError, match="multi-classification"):
-            make_system("dimboost", cfg, ClusterConfig(num_workers=2))
+            get_plan("dimboost").build(cfg, ClusterConfig(num_workers=2))
 
 
 class TestCommunicationShape:
@@ -147,7 +147,7 @@ class TestCommunicationShape:
                           num_candidates=8, objective=objective,
                           num_classes=task_classes)
         binned = bin_dataset(ds, cfg.num_candidates)
-        system = make_system(name, cfg, ClusterConfig(num_workers))
+        system = get_plan(name).build(cfg, ClusterConfig(num_workers))
         return system.fit(binned), cfg
 
     def test_horizontal_comm_bounded_by_model(self):
@@ -200,8 +200,8 @@ class TestMemoryShape:
     def test_histogram_memory_ratio(self, setting):
         train, valid, cfg, binned, _ = setting
         cluster = ClusterConfig(num_workers=4)
-        h = make_system("qd2", cfg, cluster).fit(binned)
-        v = make_system("qd4", cfg, cluster).fit(binned)
+        h = get_plan("qd2").build(cfg, cluster).fit(binned)
+        v = get_plan("qd4").build(cfg, cluster).fit(binned)
         ratio = h.memory.histogram_bytes / v.memory.histogram_bytes
         assert 2.5 <= ratio <= 6.0  # ~W with grouping slack
 
@@ -209,8 +209,8 @@ class TestMemoryShape:
         """QD4 stores all labels; QD2 stores a label shard."""
         train, valid, cfg, binned, _ = setting
         cluster = ClusterConfig(num_workers=4)
-        h = make_system("qd2", cfg, cluster).fit(binned)
-        v = make_system("qd4", cfg, cluster).fit(binned)
+        h = get_plan("qd2").build(cfg, cluster).fit(binned)
+        v = get_plan("qd4").build(cfg, cluster).fit(binned)
         assert v.memory.data_bytes > 0 and h.memory.data_bytes > 0
         # per-worker data shards are ~ total/W in both cases
         total = binned.binned.nbytes
@@ -220,15 +220,15 @@ class TestMemoryShape:
     def test_feature_parallel_stores_full_copy(self, setting):
         train, valid, cfg, binned, _ = setting
         cluster = ClusterConfig(num_workers=4)
-        fp = make_system("lightgbm-fp", cfg, cluster).fit(binned)
-        v = make_system("qd4", cfg, cluster).fit(binned)
+        fp = get_plan("lightgbm-fp").build(cfg, cluster).fit(binned)
+        v = get_plan("qd4").build(cfg, cluster).fit(binned)
         assert fp.memory.data_bytes > 2.5 * v.memory.data_bytes
 
     def test_sizehist_matches_formula(self, setting):
         """QD1 peak = active nodes x Sizehist at the widest layer."""
         train, valid, cfg, binned, _ = setting
         cluster = ClusterConfig(num_workers=2)
-        result = make_system("qd1", cfg, cluster).fit(binned)
+        result = get_plan("qd1").build(cfg, cluster).fit(binned)
         shape = WorkloadShape(binned.num_instances, binned.num_features,
                               2, cfg.num_layers, cfg.num_candidates)
         per_node = sizehist_bytes(shape)
@@ -240,8 +240,8 @@ class TestMemoryShape:
 class TestTimingReports:
     def test_reports_per_tree(self, setting):
         train, valid, cfg, binned, _ = setting
-        result = make_system("qd4", cfg,
-                             ClusterConfig(num_workers=3)).fit(binned)
+        result = get_plan("qd4").build(
+            cfg, ClusterConfig(num_workers=3)).fit(binned)
         assert len(result.tree_reports) == cfg.num_trees
         for report in result.tree_reports:
             assert report.comp_seconds > 0
@@ -252,9 +252,8 @@ class TestTimingReports:
 
     def test_eval_time_axis_monotonic(self, setting):
         train, valid, cfg, binned, _ = setting
-        result = make_system("qd2", cfg,
-                             ClusterConfig(num_workers=3)).fit(
-            binned, valid=valid)
+        result = get_plan("qd2").build(
+            cfg, ClusterConfig(num_workers=3)).fit(binned, valid=valid)
         times = [e.elapsed_seconds for e in result.evals]
         assert times == sorted(times)
         assert times[0] > 0
@@ -262,9 +261,9 @@ class TestTimingReports:
 
 class TestFactory:
     def test_unknown_system(self):
-        with pytest.raises(KeyError, match="unknown system"):
-            make_system("catboost", TrainConfig(), ClusterConfig())
+        with pytest.raises(KeyError, match="unknown plan"):
+            get_plan("catboost").build(TrainConfig(), ClusterConfig())
 
     def test_case_insensitive(self):
-        system = make_system("VERO", TrainConfig(), ClusterConfig())
+        system = get_plan("VERO").build(TrainConfig(), ClusterConfig())
         assert system.name == "vero"

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ClusterConfig, GBDT, TrainConfig, make_regression, \
-    make_system
+from repro import ClusterConfig, GBDT, TrainConfig, get_plan, \
+    make_regression
 from repro.data.dataset import bin_dataset
 
 
@@ -24,7 +24,7 @@ class TestDistributedRegression:
     @pytest.mark.parametrize("name", ["qd1", "qd2", "qd3", "qd4"])
     def test_rmse_decreases(self, regression_setting, name):
         train, valid, cfg, binned = regression_setting
-        result = make_system(name, cfg, ClusterConfig(3)).fit(
+        result = get_plan(name).build(cfg, ClusterConfig(3)).fit(
             binned, valid=valid)
         assert result.evals[0].metric_name == "rmse"
         assert result.evals[-1].metric_value < \
@@ -33,7 +33,7 @@ class TestDistributedRegression:
     def test_vertical_matches_oracle(self, regression_setting):
         train, valid, cfg, binned = regression_setting
         oracle = GBDT(cfg).fit(train, valid, binned=binned)
-        dist = make_system("vero", cfg, ClusterConfig(4)).fit(
+        dist = get_plan("vero").build(cfg, ClusterConfig(4)).fit(
             binned, valid=valid)
         for rec_o, rec_d in zip(oracle.evals, dist.evals):
             assert rec_o.metric_value == pytest.approx(
@@ -41,7 +41,7 @@ class TestDistributedRegression:
 
     def test_predictions_match_labels_scale(self, regression_setting):
         train, valid, cfg, binned = regression_setting
-        system = make_system("vero", cfg, ClusterConfig(3))
+        system = get_plan("vero").build(cfg, ClusterConfig(3))
         result = system.fit(binned)
         preds = system.predict(result.ensemble, valid)
         # predictions live on the label scale (no link function)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ClusterConfig, TrainConfig, make_system
+from repro import ClusterConfig, TrainConfig
 from repro.config import NetworkModel
 from repro.systems import (ALIASES, PLANS, PlanExecutor, WorkloadShape,
                            get_plan, price_plans, recommend)
@@ -39,18 +39,18 @@ def test_per_quadrant_modules_are_gone(module_name):
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_make_system_resolves_every_key_and_alias(name):
+def test_get_plan_builds_every_key_and_alias(name):
     plan = get_plan(name)
     for spelling in (name, name.upper(), name.title()):
-        system = make_system(spelling, CONFIG, CLUSTER)
+        system = get_plan(spelling).build(CONFIG, CLUSTER)
         assert isinstance(system, PlanExecutor)
         assert system.plan is plan
         assert (system.name, system.quadrant) == (plan.name, plan.quadrant)
 
 
-def test_make_system_unknown_name_lists_what_is_known():
-    with pytest.raises(KeyError, match="unknown system 'catboost'") as err:
-        make_system("catboost", CONFIG, CLUSTER)
+def test_get_plan_unknown_name_lists_what_is_known():
+    with pytest.raises(KeyError, match="unknown plan 'catboost'") as err:
+        get_plan("catboost").build(CONFIG, CLUSTER)
     for name in NAMES:
         assert name in str(err.value)
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ClusterConfig, TrainConfig, make_classification, \
-    make_system
+from repro import ClusterConfig, TrainConfig, get_plan, \
+    make_classification
 from repro.data.dataset import bin_dataset
 
 
@@ -23,8 +23,8 @@ class TestQD3Modes:
     def test_hybrid_and_columnwise_same_trees(self, storage_setting):
         _, cfg, binned = storage_setting
         cluster = ClusterConfig(num_workers=3)
-        hybrid = make_system("qd3", cfg, cluster).fit(binned)
-        colwise = make_system("qd3-pure", cfg, cluster).fit(binned)
+        hybrid = get_plan("qd3").build(cfg, cluster).fit(binned)
+        colwise = get_plan("qd3-pure").build(cfg, cluster).fit(binned)
         for t_h, t_c in zip(hybrid.ensemble.trees,
                             colwise.ensemble.trees):
             assert set(t_h.nodes) == set(t_c.nodes)
@@ -39,8 +39,8 @@ class TestQD3Modes:
         identical (Section 5.2.2: storage affects computation only)."""
         _, cfg, binned = storage_setting
         cluster = ClusterConfig(num_workers=3)
-        qd3 = make_system("qd3", cfg, cluster).fit(binned)
-        qd4 = make_system("qd4", cfg, cluster).fit(binned)
+        qd3 = get_plan("qd3").build(cfg, cluster).fit(binned)
+        qd4 = get_plan("qd4").build(cfg, cluster).fit(binned)
         assert qd3.comm.total_bytes == qd4.comm.total_bytes
 
     def test_columnwise_pays_index_maintenance(self, storage_setting):
@@ -48,8 +48,8 @@ class TestQD3Modes:
         more computation than the hybrid (Appendix C)."""
         _, cfg, binned = storage_setting
         cluster = ClusterConfig(num_workers=3)
-        hybrid = make_system("qd3", cfg, cluster)
-        colwise = make_system("qd3-pure", cfg, cluster)
+        hybrid = get_plan("qd3").build(cfg, cluster)
+        colwise = get_plan("qd3-pure").build(cfg, cluster)
         r_h = hybrid.fit(binned)
         r_c = colwise.fit(binned)
         assert r_c.mean_comp_seconds() > r_h.mean_comp_seconds()
@@ -63,8 +63,8 @@ class TestSubtractionEffect:
         cfg = TrainConfig(num_trees=1, num_layers=5, num_candidates=8)
         binned = bin_dataset(ds, cfg.num_candidates)
         cluster = ClusterConfig(num_workers=2)
-        qd1 = make_system("qd1", cfg, cluster).fit(binned)
-        qd2 = make_system("qd2", cfg, cluster).fit(binned)
+        qd1 = get_plan("qd1").build(cfg, cluster).fit(binned)
+        qd2 = get_plan("qd2").build(cfg, cluster).fit(binned)
         # Identical histograms, less work: the row quadrant never costs
         # meaningfully more compute (wall-clock comparison, so the margin
         # is generous to absorb scheduler noise; the precise entry-count
@@ -78,7 +78,7 @@ class TestGroupingAblation:
         cluster = ClusterConfig(num_workers=3)
         finals = []
         for strategy in ("greedy", "round-robin", "hash"):
-            system = make_system("qd4", cfg, cluster)
+            system = get_plan("qd4").build(cfg, cluster)
             system.grouping = strategy
             result = system.fit(binned)
             finals.append(result.ensemble.trees[0].num_splits)
@@ -89,7 +89,7 @@ class TestGroupingAblation:
         cluster = ClusterConfig(num_workers=4)
         loads = {}
         for strategy in ("greedy", "hash"):
-            system = make_system("qd4", cfg, cluster)
+            system = get_plan("qd4").build(cfg, cluster)
             system.grouping = strategy
             system.setup(binned)
             shard_loads = np.array(

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ClusterConfig, TrainConfig, make_classification, \
-    make_system
+from repro import ClusterConfig, TrainConfig, get_plan, \
+    make_classification
 from repro.data.dataset import bin_dataset
 from repro.systems.base import WorkerClock
 
@@ -76,7 +76,7 @@ class TestStragglerEffect:
             cluster = ClusterConfig(num_workers=4)
         else:
             cluster = ClusterConfig(num_workers=4, worker_speeds=speeds)
-        return make_system(plan_key, cfg, cluster).fit(binned)
+        return get_plan(plan_key).build(cfg, cluster).fit(binned)
 
     @pytest.mark.parametrize("plan_key", STRAGGLER_PLANS)
     def test_slowdown_scales_with_severity(self, binned, plan_key):

@@ -65,7 +65,7 @@ class TestTrainPredict:
                   "--trees", "1", flag, "bogus"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "unknown system 'bogus'; known: " in err
+        assert "unknown plan 'bogus'; known: " in err
         assert "Traceback" not in err
 
     def test_auto_adapt_consults_at_the_cadence(self, capsys):

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import (ClusterConfig, GBDT, TrainConfig, make_classification,
-                   make_system)
+from repro import (ClusterConfig, GBDT, TrainConfig, get_plan,
+                   make_classification)
 from repro.data.dataset import Dataset, bin_dataset
 from repro.data.matrix import CSRMatrix
 
@@ -72,7 +72,7 @@ class TestDistributedDegenerate:
         ds = make_classification(300, 3, density=1.0, seed=9)
         cfg = TrainConfig(num_trees=2, num_layers=3, num_candidates=8)
         binned = bin_dataset(ds, cfg.num_candidates)
-        result = make_system("vero", cfg, ClusterConfig(6)).fit(binned)
+        result = get_plan("vero").build(cfg, ClusterConfig(6)).fit(binned)
         assert len(result.ensemble) == 2
 
     def test_more_workers_than_instances(self):
@@ -80,14 +80,14 @@ class TestDistributedDegenerate:
         cfg = TrainConfig(num_trees=1, num_layers=2, num_candidates=4)
         binned = bin_dataset(ds, cfg.num_candidates)
         for name in ("qd1", "qd2", "qd4"):
-            result = make_system(name, cfg, ClusterConfig(8)).fit(binned)
+            result = get_plan(name).build(cfg, ClusterConfig(8)).fit(binned)
             assert len(result.ensemble) == 1
 
     def test_single_tree_layer_two(self):
         ds = make_classification(500, 10, density=1.0, seed=11)
         cfg = TrainConfig(num_trees=1, num_layers=2, num_candidates=8)
         binned = bin_dataset(ds, cfg.num_candidates)
-        result = make_system("qd2", cfg, ClusterConfig(3)).fit(binned)
+        result = get_plan("qd2").build(cfg, ClusterConfig(3)).fit(binned)
         assert result.ensemble.trees[0].num_leaves <= 2
 
     def test_zero_gain_everywhere_stops_early(self):
@@ -98,5 +98,5 @@ class TestDistributedDegenerate:
         ds = tiny_dataset(rng.integers(0, 2, 200), dense)
         cfg = TrainConfig(num_trees=1, num_layers=7, reg_gamma=1e6)
         binned = bin_dataset(ds, 8)
-        result = make_system("vero", cfg, ClusterConfig(2)).fit(binned)
+        result = get_plan("vero").build(cfg, ClusterConfig(2)).fit(binned)
         assert result.ensemble.trees[0].num_splits == 0

@@ -97,3 +97,19 @@ def test_wrong_or_missing_schema_is_rejected_everywhere(report, tmp_path):
     for schema in SCHEMAS:
         with pytest.raises(ValueError, match="is not a "):
             load_report(str(path), schema)
+
+
+@pytest.mark.parametrize("report, defect", [
+    ([], "is not a JSON object"), (1, "is not a JSON object"),
+    (None, "is not a JSON object"),
+    ({"schema": []}, "field 'schema' is list, expected string"),
+    ({"schema": 2}, "field 'schema' is int, expected string"),
+], ids=["list", "number", "null", "list-tag", "number-tag"])
+def test_a_malformed_report_is_refused_with_value_error(report, defect,
+                                                       tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(report))
+    with pytest.raises(ValueError, match=defect):
+        load_report(str(path))
+    with pytest.raises(ValueError, match=defect):
+        format_report(report)
