@@ -104,7 +104,7 @@ def bench_latency(registry, quick: bool) -> dict:
         ).run(trace)
         stats = report.latency_stats()
         results[balancer] = stats.to_dict()
-        results[balancer]["batches"] = len(report.batches)
+        results[balancer]["batches"] = report.batch_size.size
         print(f"  {balancer:24s} p50={stats.p50_s * 1e3:6.2f}ms "
               f"p95={stats.p95_s * 1e3:6.2f}ms "
               f"p99={stats.p99_s * 1e3:6.2f}ms "
@@ -126,8 +126,8 @@ def bench_hot_swap(registry, quick: bool) -> dict:
     entry = {
         "swap_at_s": round(swap_at, 6),
         "versions_served": report.versions_served(),
-        "requests_v1": sum(r.model_version == 1 for r in report.records),
-        "requests_v2": sum(r.model_version == 2 for r in report.records),
+        "requests_v1": int((report.request_version == 1).sum()),
+        "requests_v2": int((report.request_version == 2).sum()),
         "deploy_bytes": replicas.deploy_bytes,
     }
     print(f"  hot-swap at t={swap_at * 1e3:.1f}ms: versions "

@@ -15,11 +15,12 @@ Five subcommands cover the everyday workflows:
   description (Section 6's open problem); ``--adaptive`` recalibrates
   the cost model against an observed run and prints the
   calibrated-vs-prior cost of every execution plan;
-* ``repro ledger``  — pretty-print a saved run report (``repro train
-  --report-out``): per-kind wire bytes and seconds including the
-  ``migrate:``/``codec:`` dimensions, compute phases, and the adaptive
-  decision trail;
-* ``repro scenarios`` — list/run/report the seeded traffic scenarios
+* ``repro ledger``  — pretty-print a saved report of any known schema:
+  a run report (``repro train --report-out``: per-kind wire bytes and
+  seconds including the ``migrate:``/``codec:`` dimensions, compute
+  phases, and the adaptive decision trail), a scenario report or a
+  deploy report;
+* ``repro scenarios`` — list/run the seeded traffic scenarios
   (diurnal, flash-crowd, heavy-tail multi-tenant, hot-swap-under-fire):
   replays the full serving stack on the simulated clock and prints the
   per-tenant SLO/latency/drop table from the ``scenario-report/v1``;
@@ -195,15 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
                              "run) instead of an in-process probe")
 
     ledger = sub.add_parser(
-        "ledger", help="pretty-print a saved run report"
+        "ledger", help="pretty-print a saved report of any known schema"
     )
     ledger.add_argument("report",
-                        help="run report JSON from `repro train "
-                             "--report-out`")
+                        help="report JSON from `repro train`, `repro "
+                             "scenarios run` or `repro deploy` "
+                             "`--report-out`")
 
     scenarios = sub.add_parser(
         "scenarios",
-        help="list/run/report seeded traffic scenarios",
+        help="list/run seeded traffic scenarios",
     )
     scen_sub = scenarios.add_subparsers(dest="scenario_command",
                                         required=True)
@@ -228,12 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="save the scenario report JSON here "
                                "(single scenario) or under this "
                                "directory (multiple)")
-    scen_report = scen_sub.add_parser(
-        "report", help="pretty-print a saved scenario report"
-    )
-    scen_report.add_argument("report",
-                             help="scenario-report/v1 JSON from "
-                                  "`repro scenarios run --report-out`")
 
     deploy = sub.add_parser(
         "deploy",
@@ -265,9 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "enforced")
     deploy.add_argument("--report-out",
                         help="save the deploy-report/v1 JSON here")
-    deploy.add_argument("--show", metavar="REPORT",
-                        help="pretty-print a saved deploy report "
-                             "instead of running an episode")
 
     doctor = sub.add_parser(
         "doctor",
@@ -545,7 +538,7 @@ def cmd_serve_bench(args) -> int:
     ))
     report = batcher.run(trace, swaps=swaps)
     stats = report.latency_stats()
-    print(f"served {stats.count} requests in {len(report.batches)} "
+    print(f"served {stats.count} requests in {report.batch_size.size} "
           f"batches: p50={stats.p50_s * 1e3:.2f}ms "
           f"p95={stats.p95_s * 1e3:.2f}ms p99={stats.p99_s * 1e3:.2f}ms "
           f"throughput={stats.throughput_rps:.0f}rps")
@@ -571,7 +564,7 @@ def cmd_serve_bench(args) -> int:
     print(f"score reduction traffic: serve:partial="
           f"{replicas.partial_bytes} serve:reduce="
           f"{replicas.reduce_bytes} bytes over "
-          f"{len(report.batches)} batches")
+          f"{report.batch_size.size} batches")
     network = NetworkModel()
     layouts = price_serving_layouts(
         entry.nbytes,
@@ -717,18 +710,17 @@ def _advise_adaptive(args, shape: WorkloadShape, rec) -> None:
 
 
 def cmd_ledger(args) -> int:
-    from .ledger import SCHEMA, format_report, load_report
+    from .ledger import format_report, load_report
 
-    print(format_report(load_report(args.report, SCHEMA)))
+    print(format_report(load_report(args.report)))
     return 0
 
 
 def cmd_scenarios(args) -> int:
-    """``repro scenarios list|run|report``."""
+    """``repro scenarios list|run``."""
     import os
 
-    from .ledger import (SCENARIO_SCHEMA, format_report, load_report,
-                         save_report)
+    from .ledger import format_report, save_report
     from .serve.scenarios import SCENARIOS, ScenarioRunner, get_scenario
 
     if args.scenario_command == "list":
@@ -739,10 +731,6 @@ def cmd_scenarios(args) -> int:
                   f"window={scenario.duration_s:.2f}s")
             if scenario.description:
                 print(f"    {scenario.description}")
-        return 0
-
-    if args.scenario_command == "report":
-        print(format_report(load_report(args.report, SCENARIO_SCHEMA)))
         return 0
 
     names = args.names or list(SCENARIOS)
@@ -785,14 +773,9 @@ def cmd_scenarios(args) -> int:
 
 def cmd_deploy(args) -> int:
     """``repro deploy`` — one closed-loop canary deployment episode."""
-    from .ledger import (DEPLOY_SCHEMA, format_report, load_report,
-                         save_report)
+    from .ledger import format_report, save_report
     from .serve.deploy import CanaryPolicy, DeployController
     from .serve.scenarios import get_scenario
-
-    if args.show:
-        print(format_report(load_report(args.show, DEPLOY_SCHEMA)))
-        return 0
 
     if args.smoke:
         # CI mode: the sign-flipped canary must be condemned, the

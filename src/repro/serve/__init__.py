@@ -12,7 +12,8 @@ package turns them into production-shaped inference:
   thresholds to uint8 bin indices and traverses cache-resident binned
   batches (still bit-identical);
 - :mod:`~repro.serve.batcher` — micro-batching request scheduler on the
-  simulated clock with a per-request latency ledger;
+  simulated clock with a columnar ledger (per batch, per served
+  request, per drop);
 - :mod:`~repro.serve.registry` — versioned model registry with payload
   checksums, atomic hot-swap, and rollback, plus
   :func:`publish_trained`, the one place a served model and its
@@ -43,9 +44,8 @@ package turns them into production-shaped inference:
   :func:`audit_deploy` re-derives from the serving ledger alone.
 """
 
-from .batcher import (BatchPolicy, BatchRecord, DispatchResult,
-                      DropRecord, LatencyStats, MicroBatcher,
-                      RequestRecord, RequestTrace, ServingReport,
+from .batcher import (BatchPolicy, DispatchResult, LatencyStats,
+                      MicroBatcher, RequestTrace, ServingReport,
                       synthetic_trace)
 from .cache import CacheStats, PredictionCache
 from .compiler import (CompiledEnsemble, QuantizedEnsemble,
@@ -67,7 +67,6 @@ from .scenarios import (SCENARIO_SCHEMA, SCENARIOS, LabelStream,
 
 __all__ = [
     "BatchPolicy",
-    "BatchRecord",
     "CANARY_KIND",
     "CacheStats",
     "CanaryPolicy",
@@ -79,7 +78,6 @@ __all__ = [
     "DeployDecision",
     "DispatchResult",
     "DriftMonitor",
-    "DropRecord",
     "LabelStream",
     "LatencyStats",
     "LoadShape",
@@ -94,7 +92,6 @@ __all__ = [
     "ROLLBACK_KIND",
     "ReplicaSet",
     "SHARD_DEPLOY_KIND",
-    "RequestRecord",
     "RequestTrace",
     "RollbackPolicy",
     "SCENARIOS",

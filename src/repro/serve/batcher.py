@@ -11,9 +11,11 @@ time of each batch is the measured wall-clock of the compiled predictor,
 while tests substitute a deterministic ``service_model`` so schedules are
 reproducible down to the float.
 
-Every request's life is recorded in a :class:`RequestRecord` (arrival,
-batch, dispatch start, completion, worker, model version) and summarized
-by :class:`LatencyStats` (p50/p95/p99/mean/max latency plus throughput).
+The run's ledger is a :class:`ServingReport` of columns: one row per
+batch (close, dispatch start, completion, worker, model version), one
+per served request (id, batch index, arrival) and one per drop, each
+fact stored once; :class:`LatencyStats` summarizes it (p50/p95/p99/mean/
+max latency plus throughput).
 The model version of a batch is resolved exactly once at dispatch, and
 swap actions (a fleet deploy) fire only between batches — that is what
 makes a hot-swap atomic from the traffic's point of view: each request
@@ -26,7 +28,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -189,68 +191,6 @@ def synthetic_trace(num_requests: int, num_features: int,
     return RequestTrace(features=features, arrivals=arrivals)
 
 
-@dataclass
-class RequestRecord:
-    """Ledger entry for one served request (all times simulated)."""
-
-    request_id: int
-    arrival_s: float
-    batch_id: int
-    start_s: float
-    completion_s: float
-    worker: int
-    model_version: int
-
-    @property
-    def latency_s(self) -> float:
-        return self.completion_s - self.arrival_s
-
-    @property
-    def queue_s(self) -> float:
-        """Time spent waiting before the batch started computing."""
-        return self.start_s - self.arrival_s
-
-
-@dataclass(frozen=True)
-class DropRecord:
-    """Ledger entry for one request dropped by the overload policy.
-
-    ``reason`` is ``"reject"`` (drop-tail: the request was turned away
-    at arrival) or ``"shed-oldest"`` (drop-head: it was admitted but
-    evicted at ``drop_s`` to make room for a newer arrival).
-
-    ``tenant`` and ``priority`` attribute the drop to the tenant that
-    offered the request and its admission class (both 0 on
-    single-tenant, unprioritized traces) — per-tenant drop rates in the
-    scenario reports are computed from exactly these fields.
-    """
-
-    request_id: int
-    arrival_s: float
-    drop_s: float
-    reason: str
-    tenant: int = 0
-    priority: int = 0
-
-    @property
-    def queued_s(self) -> float:
-        """Time spent queued before the drop (0 for rejects)."""
-        return self.drop_s - self.arrival_s
-
-
-@dataclass
-class BatchRecord:
-    """One dispatched micro-batch."""
-
-    batch_id: int
-    size: int
-    close_s: float
-    start_s: float
-    completion_s: float
-    worker: int
-    model_version: int
-
-
 @dataclass(frozen=True)
 class DispatchResult:
     """What a backend reports for one batch it executed."""
@@ -284,28 +224,6 @@ class LatencyStats:
         offered = self.count + self.dropped
         return self.dropped / offered if offered else 0.0
 
-    @classmethod
-    def from_records(cls, records: Sequence[RequestRecord],
-                     dropped: int = 0) -> "LatencyStats":
-        if not records:
-            return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                       dropped=dropped)
-        lat = np.array([r.latency_s for r in records])
-        queue = np.array([r.queue_s for r in records])
-        summary = percentile_summary(lat)
-        makespan = max(r.completion_s for r in records)
-        return cls(
-            count=len(records),
-            p50_s=summary["p50_s"], p95_s=summary["p95_s"],
-            p99_s=summary["p99_s"],
-            mean_s=summary["mean_s"], max_s=summary["max_s"],
-            mean_queue_s=float(queue.mean()),
-            throughput_rps=len(records) / makespan if makespan > 0
-            else float("inf"),
-            makespan_s=float(makespan),
-            dropped=dropped,
-        )
-
     def to_dict(self) -> dict:
         return {
             "count": self.count, "p50_s": self.p50_s,
@@ -318,41 +236,127 @@ class LatencyStats:
         }
 
 
+#: the per-batch columns of a :class:`ServingReport`; row ``b`` is batch ``b``
+BATCH_COLUMNS = ("batch_size", "batch_close_s", "batch_start_s",
+                 "batch_completion_s", "batch_worker", "batch_version")
+
+#: the per-request columns of a :class:`ServingReport`, in dispatch order
+REQUEST_COLUMNS = ("request_id", "request_batch", "request_arrival_s")
+
+#: the per-drop columns of a :class:`ServingReport`, in drop order
+DROP_COLUMNS = ("drop_id", "drop_s", "drop_reason", "drop_tenant",
+                "drop_priority")
+
+
 @dataclass
 class ServingReport:
-    """Full outcome of one :meth:`MicroBatcher.run`."""
+    """Full outcome of one :meth:`MicroBatcher.run`, as columns that
+    store each fact once (all times simulated seconds):
 
-    records: List[RequestRecord] = field(default_factory=list)
-    batches: List[BatchRecord] = field(default_factory=list)
-    #: requests dropped by the overload policy, in drop order
-    dropped: List[DropRecord] = field(default_factory=list)
-    #: per-request raw scores, ``(num_requests, gradient_dim)``;
-    #: ``None`` unless the run collected them
+    * **per batch**, the row index being the batch id: its size, the
+      instant it closed, its start and completion, the worker that
+      served it and the model version it was served by;
+    * **per served request**, in dispatch order: its id, the index of
+      its batch and its arrival — start, completion and version are
+      read through the batch index;
+    * **per drop**, in drop order: the request id, the drop instant,
+      the reason (``"reject"``: turned away at arrival; ``"shed-oldest"``:
+      evicted from the queue to admit a newer arrival), and the tenant
+      and admission priority it belonged to (0 on single-tenant,
+      unprioritized traces).
+
+    ``offered`` counts the requests the trace offered.  Any sequence is
+    accepted for a column and stored as a numpy array: float64 for the
+    ``_s`` columns (seconds), ``str`` for ``drop_reason``, int64 for
+    the rest.
+    """
+
+    batch_size: np.ndarray = ()
+    batch_close_s: np.ndarray = ()
+    batch_start_s: np.ndarray = ()
+    batch_completion_s: np.ndarray = ()
+    batch_worker: np.ndarray = ()
+    batch_version: np.ndarray = ()
+    request_id: np.ndarray = ()
+    request_batch: np.ndarray = ()
+    request_arrival_s: np.ndarray = ()
+    drop_id: np.ndarray = ()
+    drop_s: np.ndarray = ()
+    drop_reason: np.ndarray = ()
+    drop_tenant: np.ndarray = ()
+    drop_priority: np.ndarray = ()
+    offered: int = 0
+    #: per-request raw scores, ``(served, gradient_dim)``, rows aligned
+    #: with the request columns; ``None`` unless the run collected them
     scores: Optional[np.ndarray] = None
 
+    def __post_init__(self) -> None:
+        for name in BATCH_COLUMNS + REQUEST_COLUMNS + DROP_COLUMNS:
+            dtype = (np.float64 if name.endswith("_s")
+                     else str if name == "drop_reason" else np.int64)
+            setattr(self, name, np.asarray(getattr(self, name), dtype))
+
+    @property
+    def latency_s(self) -> np.ndarray:
+        """Per served request: its batch's completion minus its
+        arrival."""
+        return self.batch_completion_s[self.request_batch] \
+            - self.request_arrival_s
+
+    @property
+    def request_version(self) -> np.ndarray:
+        """Per served request: the model version of its batch."""
+        return self.batch_version[self.request_batch]
+
     def latency_stats(self) -> LatencyStats:
-        return LatencyStats.from_records(self.records,
-                                         dropped=len(self.dropped))
+        dropped = self.drop_id.size
+        count = self.request_id.size
+        if not count:
+            return LatencyStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                dropped=dropped)
+        summary = percentile_summary(self.latency_s)
+        queue = self.batch_start_s[self.request_batch] \
+            - self.request_arrival_s
+        makespan = float(self.batch_completion_s.max())
+        return LatencyStats(
+            count=count,
+            p50_s=summary["p50_s"], p95_s=summary["p95_s"],
+            p99_s=summary["p99_s"],
+            mean_s=summary["mean_s"], max_s=summary["max_s"],
+            mean_queue_s=float(queue.mean()),
+            throughput_rps=count / makespan if makespan > 0
+            else float("inf"),
+            makespan_s=makespan,
+            dropped=dropped,
+        )
 
     def versions_served(self) -> List[int]:
         """Distinct model versions that served traffic, in first-use
         order — the hot-swap tests assert on this."""
-        seen: List[int] = []
-        for record in self.records:
-            if record.model_version not in seen:
-                seen.append(record.model_version)
-        return seen
+        _, first = np.unique(self.batch_version, return_index=True)
+        return self.batch_version[np.sort(first)].tolist()
 
     def single_version_batches(self) -> bool:
-        """No batch's requests were served by two model versions — the
-        hot-swap atomicity audit, in one pass over the records."""
-        version_of_batch: dict = {}
-        for record in self.records:
-            if version_of_batch.setdefault(
-                    record.batch_id,
-                    record.model_version) != record.model_version:
-                return False
-        return True
+        """The request -> batch join is well formed: every served
+        request names one existing batch and each batch holds exactly
+        its size in requests.  The version is stored once per batch, so
+        a well-formed join serves each batch by one version."""
+        batch = self.request_batch
+        if batch.size and not (0 <= batch.min()
+                               and batch.max() < self.batch_size.size):
+            return False
+        return bool(np.array_equal(
+            np.bincount(batch, minlength=self.batch_size.size),
+            self.batch_size))
+
+    def exactly_once(self) -> bool:
+        """Conservation: every request id in ``0 .. offered - 1``
+        appears exactly once across the served and dropped columns."""
+        ids = np.concatenate((self.request_id, self.drop_id))
+        if ids.size and not (0 <= ids.min()
+                             and ids.max() < self.offered):
+            return False
+        return bool((np.bincount(ids, minlength=self.offered) == 1).all())
 
 
 def billed_scores(score: Callable[[np.ndarray], np.ndarray],
@@ -414,14 +418,18 @@ class MicroBatcher:
 
         With a bounded queue (``policy.max_queue > 0``) batches form on
         the admission-controlled path: overflowing requests are dropped
-        per ``policy.overload`` and appear in ``report.dropped``.
+        per ``policy.overload`` and appear in the report's drop
+        columns.  The ledger is appended once per batch and joined into
+        columns at the end, so ``report.scores`` rows line up with the
+        request columns.
         """
-        arrivals = trace.arrivals
         pending_swaps = sorted(swaps, key=lambda s: s[0])
-        report = ServingReport()
+        drops: Dict[str, list] = {name: [] for name in DROP_COLUMNS}
+        batch_rows: List[tuple] = []
+        id_chunks: List[np.ndarray] = []
         scores: List[np.ndarray] = []
         swap_i = 0
-        batches = (self._bounded_batches(trace, report)
+        batches = (self._bounded_batches(trace, drops)
                    if self.policy.bounded else self._batches(trace))
         for features, ids, close in batches:
             while swap_i < len(pending_swaps) \
@@ -430,24 +438,26 @@ class MicroBatcher:
                 action(when)
                 swap_i += 1
             result = self._dispatch(features, close, ids)
-            served = dict(
-                batch_id=len(report.batches), start_s=result.start_s,
-                completion_s=result.completion_s, worker=result.worker,
-                model_version=result.model_version,
-            )
-            report.batches.append(BatchRecord(
-                size=ids.size, close_s=close, **served))
-            report.records.extend(
-                RequestRecord(request_id=request, arrival_s=arrival,
-                              **served)
-                for request, arrival in zip(ids.tolist(),
-                                            arrivals[ids].tolist()))
+            batch_rows.append((ids.size, close, result.start_s,
+                               result.completion_s, result.worker,
+                               result.model_version))
+            id_chunks.append(ids)
             if collect_scores:
                 scores.append(result.scores)
         # late swaps (after the last close) still fire so a scheduled
         # deploy is never silently skipped
         for when, action in pending_swaps[swap_i:]:
             action(when)
+        request_id = (np.concatenate(id_chunks) if id_chunks
+                      else np.zeros(0, dtype=np.int64))
+        columns = dict(zip(BATCH_COLUMNS, zip(*batch_rows)))
+        report = ServingReport(
+            **columns, **drops,
+            request_id=request_id,
+            request_batch=np.repeat(np.arange(len(batch_rows)),
+                                    columns.get("batch_size", ())),
+            request_arrival_s=trace.arrivals[request_id],
+            offered=trace.num_requests)
         if collect_scores:
             report.scores = (np.concatenate(scores, axis=0) if scores
                              else np.zeros((0, 0)))
@@ -480,10 +490,11 @@ class MicroBatcher:
             i += size
 
     def _bounded_batches(self, trace: RequestTrace,
-                         report: ServingReport) -> Iterator[Batch]:
+                         drops: Dict[str, list]) -> Iterator[Batch]:
         """Admission-controlled batching: a queue of at most
         ``max_queue`` requests, overflow resolved by the overload policy
-        and written to ``report.dropped``.
+        and appended to ``drops``, one list per name in
+        :data:`DROP_COLUMNS`.
 
         Requests are admitted at their arrival instant.  A full queue
         either turns the newcomer away (``reject``) or evicts a queued
@@ -517,6 +528,8 @@ class MicroBatcher:
         # class -> its queued ids, oldest first; iterates lowest class first
         queue_of = {c: deque() for c in sorted(set(priorities))}
         shed = policy.overload == "shed-oldest"
+        drop_id, drop_s, drop_reason, drop_tenant, drop_priority = (
+            drops[name] for name in DROP_COLUMNS)
         backlog: List[int] = []
         i = 0
         # asked once per batch, not per admission event: backend free
@@ -549,11 +562,8 @@ class MicroBatcher:
                     lowest, queued = next(
                         entry for entry in queue_of.items() if entry[1])
                     if shed and priorities[i] >= lowest:
-                        victim = queued.popleft()
-                        backlog.remove(victim)
-                        report.dropped.append(DropRecord(
-                            victim, arrivals[victim], now, "shed-oldest",
-                            tenant=tenants[victim], priority=lowest))
+                        dropped, reason = queued.popleft(), "shed-oldest"
+                        backlog.remove(dropped)
                         backlog.append(i)
                         queue_of[priorities[i]].append(i)
                     else:
@@ -561,9 +571,12 @@ class MicroBatcher:
                         # is strictly the lowest admission class present
                         # and is turned away instead of evicting anyone
                         # more important
-                        report.dropped.append(DropRecord(
-                            i, now, now, "reject", tenant=tenants[i],
-                            priority=priorities[i]))
+                        dropped, reason = i, "reject"
+                    drop_id.append(dropped)
+                    drop_s.append(now)
+                    drop_reason.append(reason)
+                    drop_tenant.append(tenants[dropped])
+                    drop_priority.append(priorities[dropped])
                 i += 1
                 continue
             size = min(len(backlog), policy.max_batch_size)

@@ -473,14 +473,14 @@ def audit_deploy(serving: ServingReport, decisions: Sequence[dict],
                  shadow: bool) -> dict:
     """Re-derive the deployment invariants from the serving ledger alone.
 
-    Consumes only the batch/request records and the decision log's
+    Consumes only the ledger's columns and the decision log's
     ``batch_seq`` anchors — none of the router's internal state — so a
     lying controller would be caught:
 
     * ``single_version_per_request`` — every request id appears exactly
-      once across served and dropped records (each served by the one
-      version of its batch);
-    * ``conservation_ok`` — served + dropped covers every arrival seen;
+      once across the served and dropped columns
+      (:meth:`ServingReport.exactly_once`; a served request takes the
+      one version of its batch);
     * ``no_canary_before_start`` / ``no_canary_after_rollback`` — canary
       -served batches exist only inside the canary window;
     * ``shadow_serves_incumbent_only`` — in shadow mode no batch at all
@@ -491,37 +491,29 @@ def audit_deploy(serving: ServingReport, decisions: Sequence[dict],
     by_kind = {d["kind"]: d for d in decisions}
     start_seq = by_kind.get("canary-start", {}).get("batch_seq")
     rollback_seq = by_kind.get("rollback", {}).get("batch_seq")
-    end_seq = (rollback_seq if rollback_seq is not None
-               else len(serving.batches))
-
-    request_ids = [r.request_id for r in serving.records] \
-        + [d.request_id for d in serving.dropped]
-    single_version = len(set(request_ids)) == len(request_ids)
-
-    canary_batches = [b for b in serving.batches
-                      if b.model_version == canary_version]
-    no_before_start = all(
-        start_seq is not None and b.batch_id >= start_seq
-        for b in canary_batches
-    ) if canary_batches else True
-    no_after_rollback = (rollback_seq is None or all(
-        b.batch_id < rollback_seq for b in canary_batches))
+    batch_id = np.arange(serving.batch_version.size)
+    canary = serving.batch_version == canary_version
+    canary_ids = batch_id[canary]
+    no_before_start = not canary_ids.size or (
+        start_seq is not None and bool((canary_ids >= start_seq).all()))
+    no_after_rollback = (rollback_seq is None
+                         or bool((canary_ids < rollback_seq).all()))
 
     window_batches = 0
     canary_in_window = 0
     if start_seq is not None:
-        for b in serving.batches:
-            if start_seq <= b.batch_id < end_seq:
-                window_batches += 1
-                if b.model_version == canary_version:
-                    canary_in_window += 1
+        end_seq = rollback_seq if rollback_seq is not None \
+            else batch_id.size
+        window = (batch_id >= start_seq) & (batch_id < end_seq)
+        window_batches = int(window.sum())
+        canary_in_window = int((window & canary).sum())
 
     return {
-        "single_version_per_request": single_version,
+        "single_version_per_request": serving.exactly_once(),
         "no_canary_before_start": no_before_start,
         "no_canary_after_rollback": no_after_rollback,
         "shadow_serves_incumbent_only": (not shadow
-                                         or not canary_batches),
+                                         or not canary_ids.size),
         "split": {
             "window_batches": window_batches,
             "canary_batches": canary_in_window,
@@ -779,8 +771,6 @@ class DeployController:
             nbytes for kind, nbytes in wire["bytes_by_kind"].items()
             if kind.startswith("deploy:")
         )
-        conservation = (len(serving.records) + len(serving.dropped)
-                        == trace.num_requests)
         return {
             "schema": DEPLOY_SCHEMA,
             "scenario": s.name,
@@ -815,7 +805,7 @@ class DeployController:
                 "arrivals": trace.num_requests,
                 "served": stats.count,
                 "dropped": stats.dropped,
-                "batches": len(serving.batches),
+                "batches": serving.batch_size.size,
                 "makespan_s": stats.makespan_s,
                 "p50_s": stats.p50_s,
                 "p95_s": stats.p95_s,
@@ -836,7 +826,7 @@ class DeployController:
             },
             "wire": {"deploy_bytes": deploy_bytes, **wire},
             "invariants": {
-                "conservation_ok": conservation,
+                "conservation_ok": serving.exactly_once(),
                 **audit,
             },
         }

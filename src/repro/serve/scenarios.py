@@ -488,7 +488,7 @@ def audit_priority_admission(trace: RequestTrace,
 
     A request occupies the queue from its arrival until its batch
     closes (served) or it is dropped.  The check is ledger-only — it
-    re-derives occupancy from the records rather than trusting the
+    re-derives occupancy from the columns rather than trusting the
     scheduler — so it catches a broken shed policy, not just a broken
     report.
 
@@ -505,23 +505,17 @@ def audit_priority_admission(trace: RequestTrace,
     """
     if trace.priorities is None:
         return True
-    sheds = [d for d in report.dropped if d.reason == "shed-oldest"]
-    if not sheds:
+    sheds = report.drop_reason == "shed-oldest"
+    if not sheds.any():
         return True
-    close_of = {b.batch_id: b.close_s for b in report.batches}
-    departure: Dict[int, float] = {
-        r.request_id: close_of[r.batch_id] for r in report.records
-    }
-    for d in report.dropped:
-        departure[d.request_id] = d.drop_s
-    ids = np.fromiter(departure, np.int64, len(departure))
+    ids = np.concatenate((report.request_id, report.drop_id))
+    dep = np.concatenate((report.batch_close_s[report.request_batch],
+                          report.drop_s))
     arr = trace.arrivals[ids]
-    dep = np.fromiter(departure.values(), np.float64, ids.size)
     waited = dep > arr
     arr, dep, pri = arr[waited], dep[waited], trace.priorities[ids[waited]]
-    shed_s = np.fromiter((d.drop_s for d in sheds), np.float64, len(sheds))
-    shed_pri = np.fromiter((d.priority for d in sheds), np.int64,
-                           len(sheds))
+    shed_s = report.drop_s[sheds]
+    shed_pri = report.drop_priority[sheds]
     for cls in np.unique(pri[pri < shed_pri.max()]):
         members = pri == cls
         at = shed_s[shed_pri > cls]
@@ -651,12 +645,9 @@ class ScenarioRunner:
         the version that served it — the exactness conformance check
         that makes the prediction cache (and the whole dispatch path)
         trustworthy."""
-        if report.scores is None or not report.records:
+        if report.scores is None or not report.request_id.size:
             return True
-        ids = np.fromiter((r.request_id for r in report.records),
-                          np.int64, len(report.records))
-        versions = np.fromiter((r.model_version for r in report.records),
-                               np.int64, len(report.records))
+        ids, versions = report.request_id, report.request_version
         for version in np.unique(versions):
             compiled = self.registry.get(int(version)).compiled
             mask = versions == version
@@ -672,18 +663,12 @@ class ScenarioRunner:
         stats = report.latency_stats()
         arrivals_per_tenant = np.bincount(
             trace.tenants, minlength=len(s.tenants))
-        # read per-record columns once, then select per tenant with a
-        # mask: record order is kept, so every percentile and mean sees
-        # the same array it would from a per-record append
-        served = len(report.records)
-        served_tenant = trace.tenants[np.fromiter(
-            (r.request_id for r in report.records), np.int64, served)]
-        served_lat = np.fromiter(
-            (r.latency_s for r in report.records), np.float64, served)
-        dropped_per_tenant = np.bincount(
-            np.fromiter((d.tenant for d in report.dropped), np.int64,
-                        len(report.dropped)),
-            minlength=len(s.tenants))
+        # each tenant's latencies are a mask over the request columns,
+        # so they keep dispatch order
+        served_tenant = trace.tenants[report.request_id]
+        served_lat = report.latency_s
+        dropped_per_tenant = np.bincount(report.drop_tenant,
+                                         minlength=len(s.tenants))
 
         tenants: Dict[str, dict] = {}
         total_violations = 0
@@ -711,8 +696,6 @@ class ScenarioRunner:
                                        if offered else 0.0),
             }
 
-        conservation = (len(report.records) + len(report.dropped)
-                        == trace.num_requests)
         return {
             "schema": SCENARIO_SCHEMA,
             "scenario": s.name,
@@ -724,7 +707,7 @@ class ScenarioRunner:
                 "served": stats.count,
                 "dropped": stats.dropped,
                 "drop_rate": stats.drop_rate,
-                "batches": len(report.batches),
+                "batches": report.batch_size.size,
                 "p50_s": stats.p50_s,
                 "p95_s": stats.p95_s,
                 "p99_s": stats.p99_s,
@@ -747,7 +730,7 @@ class ScenarioRunner:
             },
             "versions_served": report.versions_served(),
             "invariants": {
-                "conservation_ok": conservation,
+                "conservation_ok": report.exactly_once(),
                 "priority_admission_ok":
                     audit_priority_admission(trace, report),
                 "single_version_batches": report.single_version_batches(),

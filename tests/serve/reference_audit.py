@@ -3,7 +3,8 @@ formulation: one boolean pass over every request of the ledger per shed.
 
 Kept as the reference ``repro.serve.scenarios.audit_priority_admission``
 is compared against — same verdict on every ledger in which no request
-is dropped twice.
+is dropped twice.  It reads the ledger's columns back into per-request
+rows and keeps its original algorithm.
 """
 
 from __future__ import annotations
@@ -22,23 +23,30 @@ def reference_audit_priority_admission(trace: RequestTrace,
     the drop instant, departed strictly after it)."""
     if trace.priorities is None:
         return True
-    sheds = [d for d in report.dropped if d.reason == "shed-oldest"]
+    sheds = [(request, drop_s, priority) for request, drop_s, reason,
+             priority in zip(report.drop_id.tolist(),
+                             report.drop_s.tolist(),
+                             report.drop_reason.tolist(),
+                             report.drop_priority.tolist())
+             if reason == "shed-oldest"]
     if not sheds:
         return True
-    close_of = {b.batch_id: b.close_s for b in report.batches}
+    close_of = report.batch_close_s.tolist()
     departure: Dict[int, float] = {
-        r.request_id: close_of[r.batch_id] for r in report.records
+        request: close_of[batch] for request, batch in zip(
+            report.request_id.tolist(), report.request_batch.tolist())
     }
-    for d in report.dropped:
-        departure[d.request_id] = d.drop_s
+    for request, drop_s in zip(report.drop_id.tolist(),
+                               report.drop_s.tolist()):
+        departure[request] = drop_s
     ids = np.fromiter(departure, np.int64, len(departure))
     arr = trace.arrivals[ids]
     dep = np.fromiter((departure[int(r)] for r in ids), np.float64,
                       ids.size)
     pri = trace.priorities[ids]
-    for drop in sheds:
-        occupied = ((arr < drop.drop_s) & (dep > drop.drop_s)
-                    & (pri < drop.priority) & (ids != drop.request_id))
+    for request, drop_s, priority in sheds:
+        occupied = ((arr < drop_s) & (dep > drop_s)
+                    & (pri < priority) & (ids != request))
         if occupied.any():
             return False
     return True

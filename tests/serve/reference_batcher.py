@@ -4,8 +4,10 @@ first member of that class, and every field is read through the
 per-request accessors.
 
 Kept as the reference ``MicroBatcher._bounded_batches`` is compared
-against — the same ``(ids, close)`` batch sequence and the same
-``report.dropped`` list, field for field.
+against — the same ``(ids, close)`` batch sequence and the same drop
+columns, entry for entry.  :func:`reference_ledger` joins its batches
+into a :class:`ServingReport` one request at a time, the oracle for the
+columns ``MicroBatcher.run`` builds once per batch.
 
 :class:`FixedServiceServer` is the backend the hand-computed schedules
 in ``test_batcher.py`` run on.  The one serving backend,
@@ -16,12 +18,13 @@ free at t=0.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
-from repro.serve.batcher import (Batch, BatchPolicy, DispatchResult,
-                                 DropRecord, RequestTrace, ServingReport)
+from repro.serve.batcher import (BATCH_COLUMNS, DROP_COLUMNS, Batch,
+                                 BatchPolicy, DispatchResult,
+                                 RequestTrace, ServingReport)
 from repro.serve.compiler import CompiledEnsemble
 
 
@@ -46,6 +49,16 @@ class SimulatedWorker:
         if self.stall_every and self.served % self.stall_every == 0:
             self.free_s += 0.03
         return done
+
+    def dispatch(self, features: np.ndarray,
+                 close_s: float) -> DispatchResult:
+        """The backend contract over :meth:`serve`: the model version
+        counts the batches served, so every batch has its own."""
+        start = max(close_s, self.free_s)
+        done = self.serve(features.shape[0], close_s)
+        return DispatchResult(
+            start_s=start, completion_s=done, worker=self.served % 3,
+            model_version=self.served, scores=np.zeros((0, 1)))
 
 
 class FixedServiceServer:
@@ -89,10 +102,13 @@ def reference_shed_victim(trace: RequestTrace, backlog: List[int],
 
 
 def reference_bounded_batches(backend, policy: BatchPolicy,
-                              trace: RequestTrace, report: ServingReport,
+                              trace: RequestTrace,
+                              drops: Dict[str, list],
                               shed_victim=reference_shed_victim
                               ) -> Iterator[Batch]:
-    """``MicroBatcher._bounded_batches`` over ``backend.next_free_s``.
+    """``MicroBatcher._bounded_batches`` over ``backend.next_free_s``,
+    appending each drop to ``drops`` (one list per name in
+    ``DROP_COLUMNS``).
 
     ``shed_victim`` is the one seam added to the original: the audit
     tests pass deliberately broken shed rules through it.
@@ -120,18 +136,16 @@ def reference_bounded_batches(backend, policy: BatchPolicy,
                 victim_pos = None if policy.overload == "reject" \
                     else shed_victim(trace, backlog, i)
                 if victim_pos is None:
-                    report.dropped.append(DropRecord(
-                        i, now, now, "reject",
-                        tenant=trace.tenant_of(i),
-                        priority=trace.priority_of(i)))
+                    drop = (i, now, "reject", trace.tenant_of(i),
+                            trace.priority_of(i))
                 else:
                     victim = backlog.pop(victim_pos)
-                    report.dropped.append(DropRecord(
-                        victim, float(arrivals[victim]), now,
-                        "shed-oldest",
-                        tenant=trace.tenant_of(victim),
-                        priority=trace.priority_of(victim)))
+                    drop = (victim, now, "shed-oldest",
+                            trace.tenant_of(victim),
+                            trace.priority_of(victim))
                     backlog.append(i)
+                for name, value in zip(DROP_COLUMNS, drop):
+                    drops[name].append(value)
             i += 1
             continue
         size = min(len(backlog), policy.max_batch_size)
@@ -140,3 +154,35 @@ def reference_bounded_batches(backend, policy: BatchPolicy,
         yield (trace.features[batch_ids],
                np.asarray(batch_ids, dtype=np.int64), float(close))
         free = backend.next_free_s()
+
+
+def reference_ledger(backend, policy: BatchPolicy,
+                     trace: RequestTrace,
+                     shed_victim=reference_shed_victim) -> ServingReport:
+    """The ledger of ``trace`` replayed through ``backend``, written one
+    request at a time: every request row copies its batch id, and its
+    arrival is read through the single-request accessor.  An unbounded
+    policy runs as a queue no trace can fill, which forms the same
+    batches and drops nobody."""
+    if not policy.bounded:
+        policy = BatchPolicy(policy.max_batch_size, policy.max_delay_s,
+                             max_queue=max(trace.num_requests,
+                                           policy.max_batch_size))
+    drops: Dict[str, list] = {name: [] for name in DROP_COLUMNS}
+    batches: Dict[str, list] = {name: [] for name in BATCH_COLUMNS}
+    request_id, request_batch, request_arrival_s = [], [], []
+    for features, ids, close in reference_bounded_batches(
+            backend, policy, trace, drops, shed_victim):
+        result = backend.dispatch(features, close)
+        row = (ids.size, close, result.start_s, result.completion_s,
+               result.worker, result.model_version)
+        for name, value in zip(BATCH_COLUMNS, row):
+            batches[name].append(value)
+        for request in ids.tolist():
+            request_id.append(request)
+            request_batch.append(len(batches["batch_size"]) - 1)
+            request_arrival_s.append(float(trace.arrivals[request]))
+    return ServingReport(**batches, **drops, request_id=request_id,
+                         request_batch=request_batch,
+                         request_arrival_s=request_arrival_s,
+                         offered=trace.num_requests)

@@ -1,4 +1,6 @@
-"""The sort-and-count admission audit against its per-shed-scan oracle.
+"""The ledger audits: the sort-and-count admission audit against its
+per-shed-scan oracle, and the two structural checks of the columns —
+exactly-once conservation and the request -> batch join.
 
 ``audit_priority_admission`` answers "was any request shed while a
 strictly lower class sat queued?" from two sorted arrays per priority
@@ -12,20 +14,21 @@ ledgers.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serve import BatchPolicy, RequestTrace
-from repro.serve.batcher import (BatchRecord, DropRecord, RequestRecord,
-                                 ServingReport)
+from repro.serve.batcher import ServingReport
+from repro.serve.deploy import audit_deploy
 from repro.serve.scenarios import (SCENARIOS, ScenarioRunner,
                                    audit_priority_admission, get_scenario)
 
 from .reference_audit import reference_audit_priority_admission
-from .reference_batcher import (SimulatedWorker,
-                                reference_bounded_batches,
+from .reference_batcher import (SimulatedWorker, reference_ledger,
                                 reference_shed_victim)
 
 
@@ -38,27 +41,31 @@ def verdict(trace, report):
 
 def ledger(arrivals, priorities, served=(), rejected=(), shed=()):
     """A hand-made ledger.  ``served``: ``(request, close_s)``, one
-    batch each; ``rejected``: requests turned away at arrival;
-    ``shed``: ``(request, drop_s)``."""
+    batch each, which starts a little after it closes (a busy worker)
+    so a queue stay read up to the start instead of the close shows;
+    ``rejected``: requests turned away at arrival; ``shed``:
+    ``(request, drop_s)``."""
     trace = RequestTrace(
         features=np.zeros((len(arrivals), 1)),
         arrivals=np.asarray(arrivals, dtype=np.float64),
         priorities=np.asarray(priorities, dtype=np.int32))
-    report = ServingReport()
-    for batch_id, (request, close_s) in enumerate(served):
-        report.batches.append(BatchRecord(
-            batch_id, 1, close_s, close_s, close_s + 1.0, 0, 1))
-        report.records.append(RequestRecord(
-            request, arrivals[request], batch_id, close_s, close_s + 1.0,
-            0, 1))
-    for request in rejected:
-        report.dropped.append(DropRecord(
-            request, arrivals[request], arrivals[request], "reject",
-            priority=priorities[request]))
-    for request, drop_s in shed:
-        report.dropped.append(DropRecord(
-            request, arrivals[request], drop_s, "shed-oldest",
-            priority=priorities[request]))
+    served_ids = [request for request, _ in served]
+    closes = [close_s for _, close_s in served]
+    drops = [(request, arrivals[request], "reject") for request in rejected] \
+        + [(request, drop_s, "shed-oldest") for request, drop_s in shed]
+    drop_ids = [request for request, _, _ in drops]
+    report = ServingReport(
+        batch_size=[1] * len(served), batch_close_s=closes,
+        batch_start_s=[close_s + 0.125 for close_s in closes],
+        batch_completion_s=[close_s + 1.0 for close_s in closes],
+        batch_worker=[0] * len(served), batch_version=[1] * len(served),
+        request_id=served_ids, request_batch=range(len(served)),
+        request_arrival_s=[arrivals[request] for request in served_ids],
+        drop_id=drop_ids, drop_s=[drop_s for _, drop_s, _ in drops],
+        drop_reason=[reason for _, _, reason in drops],
+        drop_tenant=[0] * len(drops),
+        drop_priority=[priorities[request] for request in drop_ids],
+        offered=len(arrivals))
     return trace, report
 
 
@@ -69,9 +76,9 @@ class TestShippedScenarios:
         runner.run()
         trace, report = runner.trace, runner.serving_report
         assert verdict(trace, report)
-        sheds = [d for d in report.dropped if d.reason == "shed-oldest"]
+        sheds = np.flatnonzero(report.drop_reason == "shed-oldest")
         classes = np.unique(trace.priorities)
-        if not sheds or classes.size < 2:
+        if not sheds.size or classes.size < 2:
             # heavy-tail overloads a multi-class queue by design; if it
             # stopped shedding, every shipped ledger would pass the
             # audit vacuously and the half below would never run
@@ -79,28 +86,15 @@ class TestShippedScenarios:
             return
         # the same ledger with one victim relabelled as the top class:
         # it was shed from a queue holding lower ones
-        report.dropped = [
-            d if d is not sheds[len(sheds) // 2] else DropRecord(
-                d.request_id, d.arrival_s, d.drop_s, d.reason, d.tenant,
-                int(classes[-1]) + 1)
-            for d in report.dropped]
-        assert not verdict(trace, report)
+        priority = report.drop_priority.copy()
+        priority[sheds[sheds.size // 2]] = classes[-1] + 1
+        assert not verdict(trace, dataclasses.replace(
+            report, drop_priority=priority))
 
 
 def replay(trace, policy, shed_victim):
     """The ledger of the oracle batcher running ``shed_victim``."""
-    backend, report = SimulatedWorker(), ServingReport()
-    batches = reference_bounded_batches(backend, policy, trace, report,
-                                        shed_victim=shed_victim)
-    for _, ids, close in batches:
-        batch_id = len(report.batches)
-        done = backend.serve(ids.size, close)
-        report.batches.append(BatchRecord(
-            batch_id, ids.size, close, close, done, 0, 1))
-        report.records.extend(
-            RequestRecord(int(r), float(trace.arrivals[r]), batch_id,
-                          close, done, 0, 1) for r in ids)
-    return report
+    return reference_ledger(SimulatedWorker(), policy, trace, shed_victim)
 
 
 def evict_highest_class(trace, backlog, newcomer):
@@ -138,7 +132,7 @@ class TestBrokenShedPolicies:
     def test_the_real_policy_passes(self, overload):
         trace, policy = overload
         report = replay(trace, policy, reference_shed_victim)
-        assert sum(d.reason == "shed-oldest" for d in report.dropped) > 500
+        assert (report.drop_reason == "shed-oldest").sum() > 500
         assert verdict(trace, report)
 
     @pytest.mark.parametrize("policy_fn", [evict_highest_class,
@@ -240,3 +234,93 @@ def ledgers(draw):
 @given(case=ledgers())
 def test_same_verdict_on_hand_made_ledgers(case):
     verdict(*ledger(*case))
+
+
+def served_ledger(request_ids, drop_ids=(), offered=None, sizes=None):
+    """A ledger serving ``request_ids`` in batches of ``sizes`` (one
+    batch by default) and dropping ``drop_ids``."""
+    sizes = [len(request_ids)] if sizes is None else sizes
+    batches = len(sizes)
+    return ServingReport(
+        batch_size=sizes, batch_close_s=[1.0] * batches,
+        batch_start_s=[1.0] * batches,
+        batch_completion_s=[2.0] * batches, batch_worker=[0] * batches,
+        batch_version=[1] * batches, request_id=request_ids,
+        request_batch=np.repeat(np.arange(batches), sizes),
+        request_arrival_s=[0.0] * len(request_ids),
+        drop_id=drop_ids, drop_s=[1.0] * len(drop_ids),
+        drop_reason=["reject"] * len(drop_ids),
+        drop_tenant=[0] * len(drop_ids),
+        drop_priority=[0] * len(drop_ids),
+        offered=(len(request_ids) + len(drop_ids) if offered is None
+                 else offered))
+
+
+class TestExactlyOnce:
+    """Conservation is a per-id check, not a count: a ledger that
+    serves request 3 twice and never serves request 4 has the right
+    number of rows and must still fail."""
+
+    def test_a_permutation_passes(self):
+        assert served_ledger([4, 0, 2], drop_ids=[3, 1]).exactly_once()
+        assert served_ledger([], offered=0).exactly_once()
+
+    @pytest.mark.parametrize("served,dropped", [
+        ([0, 1, 2, 3, 3], []),          # 3 served twice, 4 never
+        ([0, 1, 2, 3], [3]),            # 3 served and dropped
+        ([0, 1, 2], [3, 3]),            # 3 dropped twice
+        ([0, 1, 2, 3], [5]),            # an id past the trace
+        ([0, 1, 2, 3], [-1]),           # a negative id
+    ])
+    def test_a_miscounted_id_fails_at_the_right_count(self, served,
+                                                       dropped):
+        report = served_ledger(served, drop_ids=dropped, offered=5)
+        assert report.request_id.size + report.drop_id.size \
+            == report.offered
+        assert not report.exactly_once()
+
+    def test_a_short_or_long_ledger_fails(self):
+        assert not served_ledger([0, 1, 2], offered=4).exactly_once()
+        assert not served_ledger([0, 1, 2], offered=2).exactly_once()
+
+    def test_both_reports_read_the_one_check(self):
+        runner = ScenarioRunner(get_scenario("heavy-tail", scale=0.2))
+        report = runner.run()
+        ledger = runner.serving_report
+        assert report["invariants"]["conservation_ok"]
+        ids = ledger.request_id.copy()
+        ids[ids == ids.max()] = ids.min()     # one id twice, one never
+        forged = dataclasses.replace(ledger, request_id=ids)
+        rebuilt = runner._build_report(runner.trace, forged,
+                                       runner.replicas, runner.cache)
+        assert not rebuilt["invariants"]["conservation_ok"]
+        assert rebuilt["totals"]["served"] + rebuilt["totals"]["dropped"] \
+            == rebuilt["totals"]["arrivals"]
+        assert audit_deploy(ledger, [], 1, 2, shadow=False)[
+            "single_version_per_request"]
+        assert not audit_deploy(forged, [], 1, 2, shadow=False)[
+            "single_version_per_request"]
+
+
+class TestRequestBatchJoin:
+    """``single_version_batches``: the version is stored once per batch,
+    so what is left to check is that every request names one existing
+    batch and every batch holds exactly its size in requests."""
+
+    def test_a_well_formed_join_passes(self):
+        assert served_ledger([0, 1, 2, 3], sizes=[3, 1]) \
+            .single_version_batches()
+        assert ServingReport().single_version_batches()
+
+    def test_a_request_naming_a_missing_batch_fails(self):
+        report = served_ledger([0, 1, 2], sizes=[2, 1])
+        for batch in ([0, 0, 2], [0, 0, -1]):
+            assert not dataclasses.replace(
+                report, request_batch=batch).single_version_batches()
+
+    def test_a_batch_holding_the_wrong_count_fails(self):
+        report = served_ledger([0, 1, 2], sizes=[2, 1])
+        assert not dataclasses.replace(
+            report, request_batch=[0, 1, 1]).single_version_batches()
+        assert not dataclasses.replace(
+            report, batch_size=[2, 2]).single_version_batches()

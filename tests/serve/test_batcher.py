@@ -17,10 +17,12 @@ from repro import ClusterConfig, GBDT, TrainConfig
 from repro.serve import (BatchPolicy, MicroBatcher, ModelRegistry,
                          ReplicaSet, RequestTrace, compile_ensemble,
                          synthetic_trace)
-from repro.serve.batcher import ServingReport
+from repro.serve.batcher import (BATCH_COLUMNS, DROP_COLUMNS,
+                                 REQUEST_COLUMNS, ServingReport)
 
 from .reference_batcher import (FixedServiceServer, SimulatedWorker,
-                                reference_bounded_batches)
+                                reference_bounded_batches,
+                                reference_ledger)
 
 
 def trace_at(times, num_features=3):
@@ -41,6 +43,12 @@ def model(small_binary):
 @pytest.fixture(scope="module")
 def compiled(model):
     return compile_ensemble(model)
+
+
+def drops(report, *columns):
+    """The named drop columns of ``report``, zipped into rows."""
+    return list(zip(*(getattr(report, name).tolist()
+                      for name in columns)))
 
 
 def server(compiled, per_batch=0.001, per_row=0.0):
@@ -102,19 +110,19 @@ class TestBatchFormation:
         report = MicroBatcher(
             server(compiled), BatchPolicy(2, max_delay_s=10.0)
         ).run(trace)
-        assert [b.size for b in report.batches] == [2, 2]
+        assert report.batch_size.tolist() == [2, 2]
         # first closes immediately; second waits for the server
-        assert report.batches[0].start_s == 0.0
-        assert report.batches[1].start_s == pytest.approx(0.001)
+        assert report.batch_start_s[0] == 0.0
+        assert report.batch_start_s[1] == pytest.approx(0.001)
 
     def test_delay_timeout_flushes_partial_batch(self, compiled):
         trace = trace_at([0.0, 0.004])
         report = MicroBatcher(
             server(compiled), BatchPolicy(64, max_delay_s=0.002)
         ).run(trace)
-        assert [b.size for b in report.batches] == [1, 1]
-        assert report.batches[0].close_s == pytest.approx(0.002)
-        assert report.batches[1].close_s == pytest.approx(0.006)
+        assert report.batch_size.tolist() == [1, 1]
+        assert report.batch_close_s[0] == pytest.approx(0.002)
+        assert report.batch_close_s[1] == pytest.approx(0.006)
 
     def test_queue_absorbs_arrivals_while_busy(self, compiled):
         # server busy 10ms; everything arriving meanwhile joins batch 2
@@ -123,9 +131,9 @@ class TestBatchFormation:
             server(compiled, per_batch=0.010),
             BatchPolicy(64, max_delay_s=0.0005),
         ).run(trace)
-        assert [b.size for b in report.batches] == [1, 3]
+        assert report.batch_size.tolist() == [1, 3]
         # batch 1 closed at 0.5ms and ran 10ms; batch 2 starts then
-        assert report.batches[1].start_s == pytest.approx(0.0105)
+        assert report.batch_start_s[1] == pytest.approx(0.0105)
 
     def test_zero_delay_still_serves_simultaneous_arrivals(self,
                                                            compiled):
@@ -133,16 +141,17 @@ class TestBatchFormation:
         report = MicroBatcher(
             server(compiled), BatchPolicy(8, max_delay_s=0.0)
         ).run(trace)
-        assert [b.size for b in report.batches] == [2, 1]
+        assert report.batch_size.tolist() == [2, 1]
 
     def test_empty_trace(self, compiled):
         trace = trace_at([])
         report = MicroBatcher(
             server(compiled), BatchPolicy(8, 0.001)
         ).run(trace, collect_scores=True)
-        assert report.records == [] and report.batches == []
+        assert report.request_id.size == report.batch_size.size == 0
         assert report.scores.size == 0
         assert report.versions_served() == []
+        assert report.single_version_batches() and report.exactly_once()
 
     def test_every_request_served_once(self, compiled):
         trace = synthetic_trace(300, compiled.num_features,
@@ -150,9 +159,9 @@ class TestBatchFormation:
         report = MicroBatcher(
             server(compiled, per_row=1e-6), BatchPolicy(32, 0.002)
         ).run(trace)
-        ids = sorted(r.request_id for r in report.records)
-        assert ids == list(range(300))
-        assert sum(b.size for b in report.batches) == 300
+        assert sorted(report.request_id.tolist()) == list(range(300))
+        assert report.batch_size.sum() == 300
+        assert report.exactly_once()
 
 
 class TestLedger:
@@ -161,9 +170,9 @@ class TestLedger:
         report = MicroBatcher(
             server(compiled), BatchPolicy(64, max_delay_s=0.002)
         ).run(trace)
-        first = report.records[0]
-        assert first.queue_s == pytest.approx(0.002)
-        assert first.latency_s == pytest.approx(0.003)
+        assert report.batch_start_s[report.request_batch[0]] \
+            - report.request_arrival_s[0] == pytest.approx(0.002)
+        assert report.latency_s[0] == pytest.approx(0.003)
         stats = report.latency_stats()
         assert stats.count == 2
         assert stats.p50_s <= stats.p95_s <= stats.p99_s <= stats.max_s
@@ -172,9 +181,7 @@ class TestLedger:
                                         "throughput_rps"}
 
     def test_empty_stats(self):
-        from repro.serve import LatencyStats
-
-        stats = LatencyStats.from_records([])
+        stats = ServingReport().latency_stats()
         assert stats.count == 0 and stats.p99_s == 0.0
 
     def test_collected_scores_match_direct_prediction(self, model,
@@ -206,12 +213,9 @@ class TestHotSwap:
             trace, swaps=[(swap_at, backend.deployer(2))]
         )
         assert report.versions_served() == [1, 2]
-        for batch in report.batches:
-            versions = {r.model_version for r in report.records
-                        if r.batch_id == batch.batch_id}
-            assert versions == {batch.model_version}
+        assert report.single_version_batches()
         # the swap splits traffic in two contiguous version runs
-        versions = [r.model_version for r in report.records]
+        versions = report.request_version.tolist()
         flip = versions.index(2)
         assert all(v == 1 for v in versions[:flip])
         assert all(v == 2 for v in versions[flip:])
@@ -247,11 +251,11 @@ class TestBoundedQueue:
             BatchPolicy(2, max_delay_s=0.0005, max_queue=2,
                         overload="reject"),
         ).run(trace)
-        assert sorted(r.request_id for r in report.records) == [0, 1, 2]
-        assert [(d.request_id, d.reason) for d in report.dropped] == \
+        assert sorted(report.request_id.tolist()) == [0, 1, 2]
+        assert drops(report, "drop_id", "drop_reason") == \
             [(3, "reject"), (4, "reject")]
         # a rejected request never waits: dropped on arrival
-        assert all(d.queued_s == 0.0 for d in report.dropped)
+        assert (report.drop_s == trace.arrivals[report.drop_id]).all()
 
     def test_shed_oldest_keeps_freshest(self, compiled):
         trace = trace_at([0.0, 0.001, 0.002, 0.003, 0.004])
@@ -261,11 +265,11 @@ class TestBoundedQueue:
                         overload="shed-oldest"),
         ).run(trace)
         # 3 evicts 1, 4 evicts 2: the freshest requests get served
-        assert sorted(r.request_id for r in report.records) == [0, 3, 4]
-        assert [(d.request_id, d.reason) for d in report.dropped] == \
+        assert sorted(report.request_id.tolist()) == [0, 3, 4]
+        assert drops(report, "drop_id", "drop_reason") == \
             [(1, "shed-oldest"), (2, "shed-oldest")]
         # request 1 queued from 1ms until evicted at 3ms
-        assert report.dropped[0].queued_s == pytest.approx(0.002)
+        assert report.drop_s[0] - trace.arrivals[1] == pytest.approx(0.002)
 
     def test_drop_rate_in_ledger(self, compiled):
         trace = synthetic_trace(300, compiled.num_features,
@@ -275,15 +279,15 @@ class TestBoundedQueue:
             BatchPolicy(16, 0.001, max_queue=32, overload="reject"),
         ).run(trace, collect_scores=True)
         stats = report.latency_stats()
-        assert stats.dropped == len(report.dropped) > 0
+        assert stats.dropped == report.drop_id.size > 0
         assert stats.count + stats.dropped == 300
         assert stats.drop_rate == pytest.approx(stats.dropped / 300)
         assert stats.to_dict()["drop_rate"] == stats.drop_rate
         # scores align with what was actually served
         assert report.scores.shape[0] == stats.count
-        served = sorted(r.request_id for r in report.records)
-        dropped = sorted(d.request_id for d in report.dropped)
-        assert sorted(served + dropped) == list(range(300))
+        assert sorted(report.request_id.tolist()
+                      + report.drop_id.tolist()) == list(range(300))
+        assert report.exactly_once()
 
     def test_roomy_queue_matches_unbounded_schedule(self, compiled):
         trace = synthetic_trace(200, compiled.num_features,
@@ -294,12 +298,10 @@ class TestBoundedQueue:
                          policy).run(trace)
         b = MicroBatcher(server(compiled, per_batch=0.001),
                          bounded).run(trace)
-        assert b.dropped == []
-        assert [x.size for x in a.batches] == [x.size for x in b.batches]
-        assert [x.close_s for x in a.batches] == \
-            [x.close_s for x in b.batches]
-        assert [r.request_id for r in a.records] == \
-            [r.request_id for r in b.records]
+        assert b.drop_id.size == 0
+        np.testing.assert_array_equal(a.batch_size, b.batch_size)
+        np.testing.assert_array_equal(a.batch_close_s, b.batch_close_s)
+        np.testing.assert_array_equal(a.request_id, b.request_id)
 
     def test_light_load_never_drops(self, compiled):
         trace = synthetic_trace(60, compiled.num_features,
@@ -308,7 +310,7 @@ class TestBoundedQueue:
             server(compiled), BatchPolicy(8, 0.001, max_queue=8,
                                           overload="shed-oldest"),
         ).run(trace)
-        assert report.dropped == []
+        assert report.drop_id.size == 0
         assert report.latency_stats().drop_rate == 0.0
 
     def test_nan_arrival_rejected_up_front(self):
@@ -339,10 +341,9 @@ class TestBoundedQueue:
             BatchPolicy(2, max_delay_s=0.0005, max_queue=2,
                         overload="shed-oldest"),
         ).run(trace)
-        dropped = [(d.request_id, d.reason, d.priority)
-                   for d in report.dropped]
-        assert dropped == [(1, "shed-oldest", 0)]
-        assert sorted(r.request_id for r in report.records) == [0, 2, 3]
+        assert drops(report, "drop_id", "drop_reason",
+                     "drop_priority") == [(1, "shed-oldest", 0)]
+        assert sorted(report.request_id.tolist()) == [0, 2, 3]
 
     def test_priority_shed_refuses_lowly_newcomer(self, compiled):
         # after 0 dispatches, the queue holds priorities [2, 1];
@@ -358,9 +359,8 @@ class TestBoundedQueue:
             BatchPolicy(2, max_delay_s=0.0005, max_queue=2,
                         overload="shed-oldest"),
         ).run(trace)
-        assert [(d.request_id, d.reason) for d in report.dropped] == \
-            [(3, "reject")]
-        assert sorted(r.request_id for r in report.records) == [0, 1, 2]
+        assert drops(report, "drop_id", "drop_reason") == [(3, "reject")]
+        assert sorted(report.request_id.tolist()) == [0, 1, 2]
 
     def test_unprioritized_shed_unchanged(self, compiled):
         # without a priorities array the shed policy is plain
@@ -371,8 +371,8 @@ class TestBoundedQueue:
             BatchPolicy(2, max_delay_s=0.0005, max_queue=2,
                         overload="shed-oldest"),
         ).run(trace)
-        assert [(d.request_id, d.tenant, d.priority)
-                for d in report.dropped] == [(1, 0, 0), (2, 0, 0)]
+        assert drops(report, "drop_id", "drop_tenant",
+                     "drop_priority") == [(1, 0, 0), (2, 0, 0)]
 
     def test_tenant_attribution_on_drops(self, compiled):
         trace = RequestTrace(
@@ -388,8 +388,7 @@ class TestBoundedQueue:
         ).run(trace)
         # request 0 dispatches alone; 1 and 2 fill the queue; 3 is the
         # only arrival refused — attributed to its tenant
-        assert [(d.request_id, d.tenant) for d in report.dropped] == \
-            [(3, 1)]
+        assert drops(report, "drop_id", "drop_tenant") == [(3, 1)]
 
     def test_annotation_validation(self):
         with pytest.raises(ValueError, match="one tenant entry"):
@@ -452,25 +451,23 @@ class TestBoundedQueueAgainstReference:
         for seed in range(4):
             trace = overloaded_trace(seed, classes, tied=seed % 2 == 1)
             got_backend = SimulatedWorker(stall_every)
-            got_report = ServingReport()
+            got_drops = {name: [] for name in DROP_COLUMNS}
             got = formed(
                 MicroBatcher(got_backend, policy)._bounded_batches(
-                    trace, got_report), got_backend)
+                    trace, got_drops), got_backend)
             want_backend = SimulatedWorker(stall_every)
-            want_report = ServingReport()
+            want_drops = {name: [] for name in DROP_COLUMNS}
             want = formed(
                 reference_bounded_batches(want_backend, policy, trace,
-                                          want_report), want_backend)
+                                          want_drops), want_backend)
             assert got == want
-            assert got_report.dropped == want_report.dropped
-            for drop in got_report.dropped:
-                assert type(drop.arrival_s) is float \
-                    and type(drop.drop_s) is float
-                assert type(drop.tenant) is int \
-                    and type(drop.priority) is int
-            dropped += len(got_report.dropped)
+            assert got_drops == want_drops
+            assert all(type(t) is float for t in got_drops["drop_s"])
+            assert all(type(v) is int for v in got_drops["drop_tenant"]
+                       + got_drops["drop_priority"])
+            dropped += len(got_drops["drop_id"])
             served = sum(len(ids) for ids, _, _ in got)
-            assert served + len(got_report.dropped) == trace.num_requests
+            assert served + len(got_drops["drop_id"]) == trace.num_requests
         assert dropped > 200    # the sweep is about overload
 
     def test_victim_is_the_oldest_of_its_class(self, compiled):
@@ -487,10 +484,38 @@ class TestBoundedQueueAgainstReference:
             BatchPolicy(3, max_delay_s=0.0005, max_queue=3,
                         overload="shed-oldest"),
         ).run(trace)
-        assert [(d.request_id, d.reason, d.drop_s)
-                for d in report.dropped] == [
+        assert drops(report, "drop_id", "drop_reason", "drop_s") == [
             (1, "shed-oldest", 0.004), (2, "shed-oldest", 0.005)]
-        assert [r.request_id for r in report.records] == [0, 3, 4, 5]
+        assert report.request_id.tolist() == [0, 3, 4, 5]
+
+
+class TestLedgerAgainstReference:
+    """``MicroBatcher.run`` appends once per batch and joins the columns
+    at the end; the oracle writes the same ledger one request at a
+    time.  They must agree column for column, dtype included."""
+
+    @pytest.mark.parametrize("stall_every", [0, 4])
+    @pytest.mark.parametrize("max_queue", [0, 16, 24])
+    @pytest.mark.parametrize("overload", ["reject", "shed-oldest"])
+    @pytest.mark.parametrize("classes", [None, (0,), (5, 0, 2)])
+    def test_same_columns(self, classes, overload, max_queue,
+                          stall_every):
+        policy = BatchPolicy(16, max_delay_s=0.002, max_queue=max_queue,
+                             overload=overload)
+        for seed in range(4):
+            trace = overloaded_trace(seed, classes, tied=seed % 2 == 1)
+            got = MicroBatcher(SimulatedWorker(stall_every),
+                               policy).run(trace)
+            want = reference_ledger(SimulatedWorker(stall_every), policy,
+                                    trace)
+            for name in BATCH_COLUMNS + REQUEST_COLUMNS + DROP_COLUMNS:
+                column = getattr(got, name)
+                assert column.dtype == getattr(want, name).dtype, name
+                np.testing.assert_array_equal(column, getattr(want, name),
+                                              err_msg=name)
+            assert got.offered == want.offered == trace.num_requests
+            assert got.exactly_once() and got.single_version_batches()
+            assert (got.drop_id.size > 0) == policy.bounded
 
 
 class TestOneWorkerFleet:
@@ -502,5 +527,6 @@ class TestOneWorkerFleet:
         ).run(trace_at([0.0, 0.0]))
         # the deploy holds the worker first; the batch itself is billed
         # the scoring's real wall clock, which is nonzero
-        (batch,) = report.batches
-        assert batch.completion_s > batch.start_s > 0.0
+        (start,), (completion,) = report.batch_start_s, \
+            report.batch_completion_s
+        assert completion > start > 0.0

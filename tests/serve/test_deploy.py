@@ -17,6 +17,7 @@ pinned against a golden fixture exactly like the scenario reports.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -228,13 +229,10 @@ class TestDegradedEpisode:
         controller, report = degraded
         rollback = next(d for d in report["decisions"]
                         if d["kind"] == "rollback")
-        served_by_canary = [
-            b for b in controller.serving_report.batches
-            if b.model_version == 2
-        ]
-        assert served_by_canary, "the canary must have served first"
-        assert all(b.batch_id < rollback["batch_seq"]
-                   for b in served_by_canary)
+        served_by_canary = np.flatnonzero(
+            controller.serving_report.batch_version == 2)
+        assert served_by_canary.size, "the canary must have served first"
+        assert (served_by_canary < rollback["batch_seq"]).all()
 
     def test_invariants_all_hold(self, degraded):
         _, report = degraded
@@ -308,8 +306,7 @@ class TestShadowEpisode:
     def test_canary_never_serves(self, shadow):
         controller, report = shadow
         assert report["mode"] == "shadow"
-        assert not any(b.model_version == 2
-                       for b in controller.serving_report.batches)
+        assert not (controller.serving_report.batch_version == 2).any()
         assert report["invariants"]["shadow_serves_incumbent_only"]
 
     def test_shadow_still_detects_drift(self, shadow):
@@ -334,17 +331,16 @@ class TestLedgerAudit:
         serving = controller.serving_report
         rollback_seq = next(d["batch_seq"] for d in report["decisions"]
                             if d["kind"] == "rollback")
-        forged = next(b for b in serving.batches
-                      if b.model_version == 2)
-        import dataclasses as dc
-        serving.batches.append(
-            dc.replace(forged, batch_id=rollback_seq + 1))
-        try:
-            audit = audit_deploy(serving, report["decisions"], 1, 2,
-                                 shadow=False)
-            assert not audit["no_canary_after_rollback"]
-        finally:
-            serving.batches.pop()
+        assert audit_deploy(serving, report["decisions"], 1, 2,
+                            shadow=False)["no_canary_after_rollback"]
+        # the first batch after the rollback, relabelled as canary-served
+        assert serving.batch_version.size > rollback_seq
+        forged = serving.batch_version.copy()
+        forged[rollback_seq] = 2
+        audit = audit_deploy(
+            dataclasses.replace(serving, batch_version=forged),
+            report["decisions"], 1, 2, shadow=False)
+        assert not audit["no_canary_after_rollback"]
 
     def test_split_rederived_from_ledger_alone(self, degraded):
         controller, report = degraded

@@ -115,8 +115,7 @@ class TestMixedVersionProperty:
             canary_workers=canary_workers, shadow=shadow,
         )
         # conservation: every request accounted exactly once
-        ids = [r.request_id for r in serving.records] \
-            + [d.request_id for d in serving.dropped]
+        ids = serving.request_id.tolist() + serving.drop_id.tolist()
         assert sorted(ids) == list(range(300))
         audit = audit_deploy(serving, decisions, 1, 2, shadow=shadow)
         assert audit["single_version_per_request"]
@@ -130,10 +129,9 @@ class TestMixedVersionProperty:
             # the router draws once per batch while the split is live,
             # so the ledger's window must replay its seeded draws
             # batch for batch
-            window = [b.model_version for b in serving.batches
-                      if decisions[0]["batch_seq"] <= b.batch_id
-                      < decisions[0]["batch_seq"]
-                      + split["window_batches"]]
+            start = decisions[0]["batch_seq"]
+            window = serving.batch_version[
+                start:start + split["window_batches"]].tolist()
             draws = np.random.default_rng(seed).random(len(window))
             assert window == [2 if d < fraction else 1 for d in draws]
             assert split["canary_batches"] == int((draws < fraction).sum())

@@ -137,8 +137,7 @@ class TestBalancing:
         replicas.deploy()
         trace = make_trace(registry)
         report = MicroBatcher(replicas, BatchPolicy(16, 0.001)).run(trace)
-        workers = [b.worker for b in report.batches]
-        assert workers[:6] == [0, 1, 2, 0, 1, 2]
+        assert report.batch_worker[:6].tolist() == [0, 1, 2, 0, 1, 2]
 
     def test_least_loaded_prefers_fast_worker(self, registry):
         # worker 1 is 10x faster; under sustained load it should take
@@ -150,8 +149,7 @@ class TestBalancing:
         replicas.deploy()
         trace = make_trace(registry, n=400, rate=50_000.0)
         report = MicroBatcher(replicas, BatchPolicy(16, 0.0005)).run(trace)
-        counts = np.bincount([b.worker for b in report.batches],
-                             minlength=2)
+        counts = np.bincount(report.batch_worker, minlength=2)
         assert counts[1] > counts[0] * 2
 
     def test_straggler_slows_service(self, registry):
@@ -181,13 +179,9 @@ class TestHotSwapUnderTraffic:
         )
         # every request served by exactly one version
         assert report.versions_served() == [1, 2]
-        for batch in report.batches:
-            versions = {r.model_version for r in report.records
-                        if r.batch_id == batch.batch_id}
-            assert len(versions) == 1
+        assert report.single_version_batches()
         # all requests served, none dropped during the swap
-        assert sorted(r.request_id for r in report.records) == \
-            list(range(300))
+        assert sorted(report.request_id.tolist()) == list(range(300))
         # deploy traffic: both rollouts, every worker, exact bytes
         expected = workers * (registry.get(1).nbytes
                               + registry.get(2).nbytes)

@@ -131,10 +131,7 @@ def test_cache_is_invisible_in_the_scores(scenario, served):
 
     def by_request(runner):
         report = runner.serving_report
-        return {
-            record.request_id: report.scores[pos]
-            for pos, record in enumerate(report.records)
-        }
+        return dict(zip(report.request_id.tolist(), report.scores))
 
     cached, direct = by_request(with_cache), by_request(without)
     assert set(cached) == set(direct)
@@ -152,6 +149,8 @@ def test_shed_respects_priority_classes(scenario, served):
     assert audit_priority_admission(trace, ledger)
     # every shed victim belonged to the lowest class among the requests
     # dropped or served after it arrived — spot-check the attribution
-    for drop in ledger.dropped:
-        assert drop.tenant == trace.tenant_of(drop.request_id)
-        assert drop.priority == trace.priority_of(drop.request_id)
+    for request, tenant, priority in zip(ledger.drop_id.tolist(),
+                                         ledger.drop_tenant.tolist(),
+                                         ledger.drop_priority.tolist()):
+        assert tenant == trace.tenant_of(request)
+        assert priority == trace.priority_of(request)

@@ -17,8 +17,7 @@ import pytest
 from repro.ledger import (SCENARIO_SCHEMA, format_report, load_report,
                           percentile_summary, report_bytes, save_report)
 from repro.serve import RequestTrace
-from repro.serve.batcher import (BatchRecord, DropRecord, RequestRecord,
-                                 ServingReport)
+from repro.serve.batcher import ServingReport
 from repro.serve.scenarios import (SCENARIOS, LoadShape, Scenario,
                                    ScenarioRunner, TenantSpec,
                                    audit_priority_admission, build_trace,
@@ -193,15 +192,19 @@ class TestRunner:
         trace, ledger = runner.trace, runner.serving_report
         for index, tenant in enumerate(runner.scenario.tenants):
             lat = np.asarray(
-                [r.latency_s for r in ledger.records
-                 if trace.tenant_of(r.request_id) == index])
+                [ledger.batch_completion_s[batch] - arrival
+                 for request, batch, arrival in zip(
+                     ledger.request_id.tolist(),
+                     ledger.request_batch.tolist(),
+                     ledger.request_arrival_s.tolist())
+                 if trace.tenant_of(request) == index])
             stats = report["tenants"][tenant.name]
             summary = percentile_summary(lat)
             assert stats["served"] == lat.size > 0
             for key in ("p50_s", "p95_s", "p99_s", "max_s"):
                 assert stats[key] == summary[key]
             assert stats["dropped"] == sum(
-                d.tenant == index for d in ledger.dropped)
+                tenant == index for tenant in ledger.drop_tenant.tolist())
             assert stats["slo_violations"] == stats["dropped"] \
                 + int((lat > tenant.slo_s).sum())
 
@@ -232,8 +235,7 @@ class TestRunner:
 
         def scores_by_request(runner):
             ledger = runner.serving_report
-            return {record.request_id: ledger.scores[pos]
-                    for pos, record in enumerate(ledger.records)}
+            return dict(zip(ledger.request_id.tolist(), ledger.scores))
 
         with_cache, without = scores_by_request(cached), \
             scores_by_request(bare)
@@ -260,13 +262,13 @@ class TestAudit:
             arrivals=np.array([0.0, 0.5, 1.0]),
             priorities=np.array([2, 0, 1], dtype=np.int32),
         )
-        report = ServingReport()
-        report.dropped.append(DropRecord(0, 0.0, 1.0, "shed-oldest",
-                                         priority=2))
-        report.batches.append(BatchRecord(0, 2, 2.0, 2.0, 3.0, 0, 1))
-        for rid in (1, 2):
-            report.records.append(RequestRecord(rid, trace.arrivals[rid],
-                                                0, 2.0, 3.0, 0, 1))
+        report = ServingReport(
+            batch_size=[2], batch_close_s=[2.0], batch_start_s=[2.0],
+            batch_completion_s=[3.0], batch_worker=[0], batch_version=[1],
+            request_id=[1, 2], request_batch=[0, 0],
+            request_arrival_s=trace.arrivals[[1, 2]],
+            drop_id=[0], drop_s=[1.0], drop_reason=["shed-oldest"],
+            drop_tenant=[0], drop_priority=[2], offered=3)
         assert not audit_priority_admission(trace, report)
         assert not reference_audit_priority_admission(trace, report)
         # same ledger without priorities: nothing to audit
@@ -314,7 +316,7 @@ class TestCli:
         assert report["scenario"] == "steady"
         assert all(report["invariants"].values())
 
-        assert main(["scenarios", "report", str(path)]) == 0
+        assert main(["ledger", str(path)]) == 0
         assert "scenario report — steady" in capsys.readouterr().out
 
     def test_smoke_runs_everything(self, tmp_path, capsys):

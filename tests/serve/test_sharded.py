@@ -220,10 +220,9 @@ class TestShardedDispatch:
     def test_served_scores_bit_identical(self, registry, num_shards):
         replicas = make_fleet(registry, num_shards)
         trace, report = run_trace(registry, replicas)
-        assert len(report.records) == trace.num_requests
-        ids = np.fromiter((r.request_id for r in report.records),
-                          np.int64, len(report.records))
-        direct = registry.get(1).compiled.raw_scores(trace.features[ids])
+        assert report.request_id.size == trace.num_requests
+        direct = registry.get(1).compiled.raw_scores(
+            trace.features[report.request_id])
         np.testing.assert_array_equal(report.scores, direct)
 
     def test_conservation_under_overload(self, registry):
@@ -233,9 +232,8 @@ class TestShardedDispatch:
             registry, replicas, n=300, rate=50_000.0,
             policy=BatchPolicy(max_batch_size=8, max_delay_s=0.0005,
                                max_queue=16, overload="shed-oldest"))
-        assert len(report.dropped) > 0
-        assert len(report.records) + len(report.dropped) \
-            == trace.num_requests
+        assert report.drop_id.size > 0
+        assert report.exactly_once()
 
     @pytest.mark.parametrize("num_shards", [2, 3, 4, 8])
     def test_partial_bytes_match_collective_closed_form(self, registry,
@@ -245,16 +243,16 @@ class TestShardedDispatch:
         _, report = run_trace(registry, replicas)
         ring = RingReduceScatter()
         expected = sum(
-            int(ring.per_worker_bytes(batch.size * 8, num_shards)
+            int(ring.per_worker_bytes(size * 8, num_shards)
                 * num_shards)
-            for batch in report.batches
+            for size in report.batch_size.tolist()
         )
         assert replicas.partial_bytes == expected
         assert replicas.reduce_bytes == 0   # gather mode
         # the layout pricer quotes the same number
         assert expected == sum(
-            score_reduction_bytes_per_batch(batch.size, 1, num_shards)
-            for batch in report.batches)
+            score_reduction_bytes_per_batch(size, 1, num_shards)
+            for size in report.batch_size.tolist())
 
     def test_allreduce_charges_both_halves(self, registry):
         num_shards = 4
@@ -266,14 +264,14 @@ class TestShardedDispatch:
         ring = RingAllReduce()
         expected = sum(
             int(RingReduceScatter().per_worker_bytes(
-                batch.size * 8, num_shards) * num_shards)
-            for batch in report.batches
+                size * 8, num_shards) * num_shards)
+            for size in report.batch_size.tolist()
         ) * 2
         assert replicas.partial_bytes + replicas.reduce_bytes == expected
         assert expected == sum(
-            int(ring.per_worker_bytes(batch.size * 8, num_shards) / 2
+            int(ring.per_worker_bytes(size * 8, num_shards) / 2
                 * num_shards) * 2
-            for batch in report.batches
+            for size in report.batch_size.tolist()
         )
 
     def test_single_shard_pays_no_reduction(self, registry):
@@ -316,12 +314,12 @@ class TestScoreCodec:
         _, report = run_trace(registry, narrow)
         ring = RingReduceScatter()
         raw_expected = sum(
-            int(ring.per_worker_bytes(b.size * 8, 4) * 4)
-            for b in report.batches)
+            int(ring.per_worker_bytes(size * 8, 4) * 4)
+            for size in report.batch_size.tolist())
         wire_expected = sum(
-            int(sum(ring.per_worker_bytes(b.size * 2, 4)
+            int(sum(ring.per_worker_bytes(size * 2, 4)
                     for _ in range(4)))
-            for b in report.batches)
+            for size in report.batch_size.tolist())
         assert narrow.partial_bytes == wire_expected < raw_expected
         # raw accounting keeps the dense float64 baseline
         snapshot = narrow.network.snapshot()
@@ -398,10 +396,7 @@ class TestShardDeploy:
         ).run(trace2, swaps=[(swap_at, replicas2.deployer(2))],
               collect_scores=True)
         assert report2.versions_served() == [1, 2]
-        for batch in report2.batches:
-            versions = {r.model_version for r in report2.records
-                        if r.batch_id == batch.batch_id}
-            assert len(versions) == 1
+        assert report2.single_version_batches()
         shards1 = registry.shards(1, 2)
         shards2 = registry.shards(2, 2)
         expected = sum(s.nbytes for s in shards1) \

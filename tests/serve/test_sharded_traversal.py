@@ -11,7 +11,9 @@ codec splits the walk at each hop.  These tests hold that dispatch to:
 - the ring reduce-scatter closed forms for the per-kind ledger bytes;
 - the number of backend ``fold_scores`` calls per batch;
 - one billing rule: each member's tree share of one full-model figure;
-- the byte-exact smoke-scale ``sharded-steady`` scenario reports.
+- the byte-exact smoke-scale ``sharded-steady`` scenario reports, and
+  beside them the other smoke scenario and ``deploy --scale 0.25``
+  reports, pinned before the serving ledger became columns.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.ledger import report_bytes
 from repro.serve import (PARTIAL_KIND, REDUCE_KIND, ModelRegistry,
                          ReplicaSet)
 from repro.serve import batcher as batcher_module
+from repro.serve.deploy import CanaryPolicy, DeployController
 from repro.serve.scenarios import ScenarioRunner, get_scenario
 
 SHARD_COUNTS = (1, 2, 3, 4, 8)
@@ -284,3 +287,52 @@ def test_sharded_steady_smoke_report_is_pinned(num_shards):
     assert all(report["invariants"].values())
     assert hashlib.sha256(report_bytes(report)).hexdigest() \
         == SHARDED_STEADY_SMOKE_SHA256[num_shards]
+
+
+#: sha256 of ``report_bytes`` for ``scenarios run NAME --smoke``, pinned
+#: before the serving ledger became columns: per-batch facts stored once,
+#: per-request and per-drop columns beside them.  heavy-tail is the only
+#: one that sheds across priority classes, so it guards the drop columns.
+SCENARIO_SMOKE_SHA256 = {
+    "steady":
+        "9d83ccb6e32220ac2a90f0d081c50bb01aa110aed20b8e39df90a9a11f08d6f1",
+    "diurnal":
+        "c84c549e1e4ff5a2ba76e3883d46d062491e3c7dcda77310ce1e56c6252a9745",
+    "heavy-tail":
+        "66c54c70f1f083eed6d947c235df7f638b54079ebe968305c0671c4f22698074",
+    "hot-swap-under-fire":
+        "a11a70234aa23de6335766d1c9da42a4d5fc37936590b04a1c99f4791e3933f7",
+    "canary-under-fire":
+        "d0b9754bb411bcde0223ee6be18659b5e06c18585d1b1bfa498cf1a823cc34c7",
+}
+
+#: sha256 of ``report_bytes`` for ``deploy --scale 0.25`` with the
+#: degraded canary, the healthy one, and the degraded one in shadow mode
+DEPLOY_QUARTER_SHA256 = {
+    "degraded":
+        "d63e70568114a8b1c863a5e7c3a09360effa5b49446e44538b73104b72099efa",
+    "healthy":
+        "a5bc75c49db81c2fb5f072590d097bde8b181ca336bc7a86e8fd341905553f95",
+    "shadow":
+        "e7f2a366b02e3da4f0db8dd5bb923dc88254e18fc03a3d596cd5fdd5fe2ecebc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_SMOKE_SHA256))
+def test_scenario_smoke_report_is_pinned(name):
+    report = ScenarioRunner(get_scenario(name, scale=0.2)).run()
+    assert all(report["invariants"].values())
+    assert hashlib.sha256(report_bytes(report)).hexdigest() \
+        == SCENARIO_SMOKE_SHA256[name]
+
+
+@pytest.mark.parametrize("episode", sorted(DEPLOY_QUARTER_SHA256))
+def test_deploy_quarter_scale_report_is_pinned(episode):
+    controller = DeployController(
+        get_scenario("canary-under-fire", scale=0.25),
+        canary=CanaryPolicy(shadow=episode == "shadow"),
+        canary_model="healthy" if episode == "healthy" else "degraded")
+    report = controller.run()
+    assert all(report["invariants"].values())
+    assert hashlib.sha256(report_bytes(report)).hexdigest() \
+        == DEPLOY_QUARTER_SHA256[episode]

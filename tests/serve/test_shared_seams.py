@@ -16,7 +16,6 @@ from repro.serve import (BatchPolicy, CanaryPolicy, CanaryRouter,
                          RollbackPolicy, ScenarioRunner, ServingReport,
                          ShardedReplicaSet, emit_labels, get_scenario,
                          publish_trained, synthetic_trace)
-from repro.serve.batcher import BatchRecord, RequestRecord
 from repro.serve.replica import deployer, resolve_version
 
 
@@ -39,59 +38,6 @@ def _fleets(registry):
 
 
 # -- single-version audit ------------------------------------------------
-
-def _quadratic_audit(report: ServingReport) -> bool:
-    """The audit as it was written before (O(batches x records))."""
-    return all(
-        len({r.model_version for r in report.records
-             if r.batch_id == b.batch_id}) <= 1
-        for b in report.batches
-    )
-
-
-def _report(versions_by_batch) -> ServingReport:
-    report = ServingReport()
-    for batch_id, versions in enumerate(versions_by_batch):
-        report.batches.append(BatchRecord(
-            batch_id, len(versions), 0.0, 0.0, 1.0, 0, versions[0]))
-        for version in versions:
-            report.records.append(RequestRecord(
-                len(report.records), 0.0, batch_id, 0.0, 1.0, 0, version))
-    return report
-
-
-@pytest.mark.parametrize("versions_by_batch,expected", [
-    ([], True),
-    ([[1]], True),
-    ([[1, 1, 1], [2, 2], [1]], True),      # a swap between batches
-    ([[1, 1], [2, 1]], False),             # a batch straddles the swap
-    ([[1, 2]], False),
-    ([[3, 3, 3, 3], [3, 3, 3, 4]], False),
-])
-def test_single_version_batches_truth_table(versions_by_batch, expected):
-    report = _report(versions_by_batch)
-    assert report.single_version_batches() is expected
-    assert _quadratic_audit(report) is expected
-
-
-def test_single_version_batches_agrees_on_random_ledgers():
-    rng = np.random.default_rng(4)
-    verdicts = set()
-    for _ in range(200):
-        batches = [
-            rng.choice([1, 2], size=rng.integers(1, 5),
-                       p=[0.9, 0.1]).tolist()
-            if rng.random() < 0.3 else [int(rng.integers(1, 3))] * 3
-            for _ in range(rng.integers(0, 6))
-        ]
-        # records need not be grouped by batch: shuffle them
-        report = _report(batches)
-        rng.shuffle(report.records)
-        verdict = report.single_version_batches()
-        assert verdict is _quadratic_audit(report)
-        verdicts.add(verdict)
-    assert verdicts == {True, False}
-
 
 def test_a_real_hot_swap_run_passes_the_audit(registry):
     replicas = ReplicaSet(registry, ClusterConfig(num_workers=2))
@@ -191,18 +137,16 @@ def _ledger(fleet):
 def test_the_class_name_changes_nothing(registry, num_shards):
     plain, trace, report = _replay(ReplicaSet, registry, num_shards)
     named, _, report2 = _replay(ShardedReplicaSet, registry, num_shards)
-    assert report.records == report2.records
-    assert report.batches == report2.batches
-    assert report.dropped == report2.dropped
-    np.testing.assert_array_equal(report.scores, report2.scores)
+    for field in dataclasses.fields(ServingReport):
+        np.testing.assert_array_equal(getattr(report, field.name),
+                                      getattr(report2, field.name))
     assert _ledger(plain) == _ledger(named)
     assert plain.deploy_bytes_by_kind() == named.deploy_bytes_by_kind()
     assert plain.deploy_bytes == named.deploy_bytes > 0
     # and the layout never shows in the scores: every S serves what the
     # version's own compiled predictor says
     assert report.versions_served() == [1, 2]
-    ids = np.array([r.request_id for r in report.records])
-    served_by = np.array([r.model_version for r in report.records])
+    ids, served_by = report.request_id, report.request_version
     for version in (1, 2):
         mask = served_by == version
         np.testing.assert_array_equal(
@@ -311,9 +255,9 @@ def test_a_deploy_episode_canaries_whole_rows_of_a_sharded_fleet():
     assert [d["kind"] for d in report["decisions"]][:2] \
         == ["deploy", "canary-start"]
     assert "2 canary worker(s)" in report["decisions"][1]["reason"]
-    canary_batches = [b for b in controller.serving_report.batches
-                      if b.model_version == 2]
-    assert canary_batches and {b.worker for b in canary_batches} == {3}
+    serving = controller.serving_report
+    canary_workers = serving.batch_worker[serving.batch_version == 2]
+    assert canary_workers.size and set(canary_workers.tolist()) == {3}
     assert report["verdict"] == "rollback"
     assert fleet.deployed_versions() == [1, 1, 1, 1]
     assert all(v is True for k, v in report["invariants"].items()
@@ -363,8 +307,8 @@ def test_the_bounded_batcher_asks_for_free_time_once_per_batch(registry):
         fleet, BatchPolicy(max_batch_size=8, max_delay_s=0.001,
                            max_queue=16, overload="shed-oldest"),
     ).run(trace)
-    assert len(report.dropped) > 100        # plenty of admission events
-    assert len(asked) == len(report.batches) + 1
+    assert report.drop_id.size > 100        # plenty of admission events
+    assert len(asked) == report.batch_size.size + 1
 
 
 # -- provisioning: one served model, one successor -------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,6 +267,41 @@ class TestParser:
             main(["frobnicate"])
 
 
+class TestLedger:
+    """``repro ledger`` is the one report reader, whatever the schema."""
+
+    def test_prints_a_run_report(self, tmp_path, capsys):
+        report = tmp_path / "run.json"
+        assert main(["train", "--catalog", "higgs", "--scale", "0.02",
+                     "--system", "qd2", "--trees", "2", "--layers", "3",
+                     "--report-out", str(report)]) == 0
+        capsys.readouterr()
+        assert main(["ledger", str(report)]) == 0
+        assert capsys.readouterr().out.startswith("run report — ")
+
+    @pytest.mark.parametrize("fixture,title", [
+        ("scenario_flash_crowd_v1.json", "scenario report — flash-crowd"),
+        ("deploy_canary_v1.json", "deploy report — canary-under-fire"),
+    ])
+    def test_prints_serving_reports(self, fixture, title, capsys):
+        golden = Path(__file__).parent / "data" / "golden" / fixture
+        assert main(["ledger", str(golden)]) == 0
+        assert capsys.readouterr().out.startswith(title)
+
+    def test_refuses_a_file_of_no_known_schema(self):
+        golden = Path(__file__).parent / "data" / "golden"
+        with pytest.raises(ValueError, match="unknown schema"):
+            main(["ledger", str(golden / "model_multiclass_v1.json")])
+
+    @pytest.mark.parametrize("argv", [
+        ["scenarios", "report", "x.json"], ["deploy", "--show", "x.json"]])
+    def test_the_per_schema_readers_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+
 class TestDoctor:
     def test_reports_backends_and_selfcheck(self, capsys):
         assert main(["doctor"]) == 0
@@ -351,7 +387,7 @@ class TestDeploy:
         assert "verdict: rollback" in out
         assert "retrained v3" in out
         assert "VIOLATED" not in out
-        assert main(["deploy", "--show", str(report)]) == 0
+        assert main(["ledger", str(report)]) == 0
         assert "verdict: rollback" in capsys.readouterr().out
 
     def test_healthy_canary_promotes(self, capsys):
