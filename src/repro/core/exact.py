@@ -15,15 +15,14 @@ enumeration as :func:`repro.core.split.find_best_split`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..config import TrainConfig
 from ..data.dataset import BinnedDataset, Dataset
 from ..data.matrix import CSCMatrix
-from .gbdt import GBDT
-from .histogram import node_totals
+from .gbdt import GBDT, node_stats
 from .indexing import NodeToInstanceIndex
 from .split import SplitInfo, accepted_split, leaf_weight, node_score
 from .tree import Tree, layer_nodes
@@ -130,12 +129,9 @@ def grow_tree_exact(
     hess: np.ndarray,
 ) -> Tuple[Tree, np.ndarray]:
     """Layer-wise growth with exact greedy split finding."""
-    num_instances = dataset.num_instances
     tree = Tree(cfg.num_layers, grad.shape[1])
-    index = NodeToInstanceIndex(num_instances)
-    stats: Dict[int, Tuple[np.ndarray, np.ndarray]] = {
-        0: node_totals(index.rows_of(0), grad, hess)
-    }
+    index = NodeToInstanceIndex(dataset.num_instances)
+    stats = node_stats(index, [0], grad, hess)
     active: Set[int] = {0}
     csc = dataset.csc()
 
@@ -144,11 +140,11 @@ def grow_tree_exact(
         if not nodes:
             break
         for node in nodes:
-            split = accepted_split(
-                cfg, index.count_of(node), exact_best_split, presorted,
-                index.node_of_instance, node, grad, hess, *stats[node],
-                cfg.reg_lambda, cfg.reg_gamma,
-            )
+            split, = accepted_split(
+                cfg, [index.count_of(node)],
+                lambda _: [exact_best_split(
+                    presorted, index.node_of_instance, node, grad, hess,
+                    *stats[node], cfg.reg_lambda, cfg.reg_gamma)])
             if split is None:
                 tree.set_leaf(node, leaf_weight(*stats[node],
                                                 cfg.reg_lambda))
@@ -166,10 +162,9 @@ def grow_tree_exact(
             pos = np.minimum(pos, max(node_rows.size - 1, 0))
             present = node_rows[pos] == col_rows
             go_left[pos[present]] = col_vals[present] <= threshold
+            index.split_nodes({node: go_left})
             left, right = 2 * node + 1, 2 * node + 2
-            index.split_node(node, go_left, left, right)
-            stats[left] = node_totals(index.rows_of(left), grad, hess)
-            stats[right] = node_totals(index.rows_of(right), grad, hess)
+            stats.update(node_stats(index, [left, right], grad, hess))
             active.discard(node)
             active.update((left, right))
     for node in sorted(active):

@@ -21,7 +21,6 @@ from .histogram import (
     Histogram,
     HistogramBuilder,
     default_builder,
-    node_totals,
     subtraction_schedule,
 )
 from .indexing import NodeToInstanceIndex
@@ -243,12 +242,9 @@ def grow_tree(
                 "sampling is only implemented for layer-wise growth"
             )
         return grow_tree_leafwise(cfg, binned, grad, hess, builder=builder)
-    num_instances = binned.num_instances
     tree = Tree(cfg.num_layers, grad.shape[1])
-    index = NodeToInstanceIndex(num_instances, rows=sample_rows)
-    stats: Dict[int, Tuple[np.ndarray, np.ndarray]] = {
-        0: node_totals(index.rows_of(0), grad, hess)
-    }
+    index = NodeToInstanceIndex(binned.num_instances, rows=sample_rows)
+    stats = node_stats(index, [0], grad, hess)
     hist_store: Dict[int, Histogram] = {}
     active: Set[int] = {0}
     # masked-out features report a single bin, which admits no split
@@ -264,10 +260,8 @@ def grow_tree(
             binned, index, nodes, grad, hess, hist_store, builder=builder
         )
         splits: Dict[int, SplitInfo] = {}
-        for node in nodes:
-            split = accepted_split(
-                cfg, index.count_of(node), find_best_split, hist_store[node],
-                *stats[node], cfg.reg_lambda, cfg.reg_gamma, bins)
+        for node, split in zip(nodes, best_splits(
+                cfg, index, nodes, hist_store, stats, bins)):
             if split is None:
                 tree.set_leaf(node, leaf_weight(*stats[node],
                                                 cfg.reg_lambda))
@@ -276,19 +270,15 @@ def grow_tree(
                 builder.release(hist_store.pop(node, None))
             else:
                 splits[node] = split
-        placements = layer_placements_rowstore(
-            binned.binned, index, splits,
-            search_keys=binned.search_keys(),
-        )
         for node, split in splits.items():
             tree.set_split(node, split,
                            binned.threshold_of(split.feature, split.bin))
-            left, right = 2 * node + 1, 2 * node + 2
-            index.split_node(node, placements[node], left, right)
-            stats[left] = node_totals(index.rows_of(left), grad, hess)
-            stats[right] = node_totals(index.rows_of(right), grad, hess)
-            active.discard(node)
-            active.update((left, right))
+        index.split_nodes(
+            layer_placements_rowstore(binned.binned, index, splits))
+        children = [c for n in sorted(splits) for c in (2 * n + 1, 2 * n + 2)]
+        stats.update(node_stats(index, children, grad, hess))
+        active.difference_update(splits)
+        active.update(children)
     # Whatever is still active at the bottom becomes a leaf.
     for node in sorted(active):
         tree.set_leaf(node, leaf_weight(*stats[node], cfg.reg_lambda))
@@ -297,6 +287,34 @@ def grow_tree(
         builder.release(hist)
     hist_store.clear()
     return tree, index.node_of_instance.copy()
+
+
+def node_stats(index: NodeToInstanceIndex, nodes: List[int],
+               grad: np.ndarray, hess: np.ndarray
+               ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+    """``{node: (G, H)}`` for ``nodes``, from one gather of their rows."""
+    return dict(zip(nodes, zip(*index.node_totals(nodes, grad, hess))))
+
+
+def best_splits(
+    cfg: TrainConfig,
+    index: NodeToInstanceIndex,
+    nodes: List[int],
+    hist_store: Dict[int, Histogram],
+    stats: Dict[int, Tuple[np.ndarray, np.ndarray]],
+    bins_per_feature: np.ndarray,
+) -> List[Optional[SplitInfo]]:
+    """Each node's accepted best split (or ``None``): one finder call
+    over the stack of the eligible nodes' histograms."""
+    def search(eligible: List[int]) -> List[Optional[SplitInfo]]:
+        picked = [nodes[i] for i in eligible]
+        return find_best_split(
+            [hist_store[node] for node in picked],
+            [stats[node][0] for node in picked],
+            [stats[node][1] for node in picked],
+            cfg.reg_lambda, cfg.reg_gamma, bins_per_feature)
+
+    return accepted_split(cfg, [index.count_of(n) for n in nodes], search)
 
 
 def grow_tree_leafwise(
@@ -317,12 +335,9 @@ def grow_tree_leafwise(
 
     if builder is None:
         builder = default_builder()
-    num_instances = binned.num_instances
     tree = Tree(cfg.num_layers, grad.shape[1])
-    index = NodeToInstanceIndex(num_instances)
-    stats: Dict[int, Tuple[np.ndarray, np.ndarray]] = {
-        0: node_totals(index.rows_of(0), grad, hess)
-    }
+    index = NodeToInstanceIndex(binned.num_instances)
+    stats = node_stats(index, [0], grad, hess)
     hist_store: Dict[int, Histogram] = {}
 
     def candidate(node: int):
@@ -330,10 +345,8 @@ def grow_tree_leafwise(
         max_layer_node = 2 ** (cfg.num_layers - 1) - 2
         if node > max_layer_node:  # already at the deepest split layer
             return None
-        split = accepted_split(
-            cfg, index.count_of(node), find_best_split, hist_store[node],
-            *stats[node], cfg.reg_lambda, cfg.reg_gamma,
-            binned.bins_per_feature)
+        split, = best_splits(cfg, index, [node], hist_store, stats,
+                             binned.bins_per_feature)
         if split is None:
             return None
         return (-split.gain, node, split)
@@ -347,17 +360,13 @@ def grow_tree_leafwise(
     num_leaves = 1
     while heap and num_leaves < cfg.effective_max_leaves:
         _, node, split = heapq.heappop(heap)
-        placements = layer_placements_rowstore(
-            binned.binned, index, {node: split},
-            search_keys=binned.search_keys(),
-        )
         tree.set_split(node, split,
                        binned.threshold_of(split.feature, split.bin))
-        left, right = 2 * node + 1, 2 * node + 2
-        index.split_node(node, placements[node], left, right)
+        index.split_nodes(
+            layer_placements_rowstore(binned.binned, index, {node: split}))
         num_leaves += 1
-        stats[left] = node_totals(index.rows_of(left), grad, hess)
-        stats[right] = node_totals(index.rows_of(right), grad, hess)
+        left, right = 2 * node + 1, 2 * node + 2
+        stats.update(node_stats(index, [left, right], grad, hess))
         build_histograms_with_subtraction(binned, index, [left, right],
                                           grad, hess, hist_store,
                                           builder=builder)

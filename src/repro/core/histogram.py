@@ -184,12 +184,6 @@ class Histogram:
         )
 
 
-def node_totals(rows: np.ndarray, grad: np.ndarray,
-                hess: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Total gradient/hessian vectors of the instances on one node."""
-    return grad[rows].sum(axis=0), hess[rows].sum(axis=0)
-
-
 # ---------------------------------------------------------------------------
 # Histogram pool: reset/release lifecycle for retired buffers
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 Once a layer's best splits are known, every instance on a split node moves
 to the left or right child.  This module computes, for each split node, a
-boolean ``go_left`` array aligned with the node's row list — in one
-vectorized pass over the shard per layer, so node splitting stays ``O(rows
-+ entries touched)`` per layer as Section 3.2.4 requires.
+boolean ``go_left`` array aligned with the node's row list.
 
-Row-store and column-store variants are provided; the vertical quadrants
-encode the result as bitmaps (:mod:`repro.cluster.bitmap`) before
-broadcasting it.
+The row-store variant handles a whole layer in one pass: every row of
+every split node bisects its own CSR row for the node's split feature,
+all rows in lockstep, so node splitting costs ``O(rows * log(row nnz))``
+per layer — the Section 3.2.4 bound.  The column-store variant reads the
+split feature's column per node.  The vertical quadrants encode the
+result as bitmaps (:mod:`repro.cluster.bitmap`) before broadcasting it.
 """
 
 from __future__ import annotations
@@ -22,28 +23,11 @@ from .indexing import NodeToInstanceIndex
 from .split import SplitInfo
 
 
-def rowstore_search_keys(shard: CSRMatrix) -> np.ndarray:
-    """Sorted composite keys ``row * (D + 1) + column`` of a CSR shard.
-
-    Rows ascend across the array and columns ascend within each row, so
-    the composite is globally sorted — a single ``searchsorted`` then
-    locates the entry of any ``(row, feature)`` pair in ``O(log nnz)``.
-    Systems precompute this once per shard so node splitting costs
-    ``O(rows_on_split_nodes * log nnz)`` per layer (the Section 3.2.4
-    bound), instead of a full ``O(nnz)`` scan.
-    """
-    row_of = np.repeat(
-        np.arange(shard.num_rows, dtype=np.int64), np.diff(shard.indptr)
-    )
-    return row_of * (shard.num_cols + 1) + shard.indices
-
-
 def layer_placements_rowstore(
     shard: CSRMatrix,
     index: NodeToInstanceIndex,
     splits: Dict[int, SplitInfo],
     feature_offset: int = 0,
-    search_keys: np.ndarray = None,
 ) -> Dict[int, np.ndarray]:
     """``go_left`` per split node from a binned row-store shard.
 
@@ -52,33 +36,44 @@ def layer_placements_rowstore(
     for horizontal shards, the group offset for vertical ones).  Nodes
     whose split feature lies outside the shard are skipped — in vertical
     partitioning only the owner worker can compute a node's placement.
-
-    ``search_keys`` is the precomputed :func:`rowstore_search_keys` array
-    (built on the fly when omitted).
     """
-    local_splits = {
-        node: split for node, split in splits.items()
+    nodes = sorted(
+        node for node, split in splits.items()
         if 0 <= split.feature - feature_offset < shard.num_cols
-    }
-    if not local_splits:
+    )
+    if not nodes:
         return {}
-    if search_keys is None:
-        search_keys = rowstore_search_keys(shard)
-    width = shard.num_cols + 1
-    nnz = search_keys.size
-    placements: Dict[int, np.ndarray] = {}
-    for node, split in local_splits.items():
-        node_rows = index.rows_of(node)
-        go_left = np.full(node_rows.size, split.default_left, dtype=bool)
-        if node_rows.size:
-            keys = node_rows * width + (split.feature - feature_offset)
-            pos = np.searchsorted(search_keys, keys)
-            pos = np.minimum(pos, max(nnz - 1, 0))
-            present = (search_keys[pos] == keys) if nnz else \
-                np.zeros(node_rows.size, dtype=bool)
-            go_left[present] = shard.values[pos[present]] <= split.bin
-        placements[node] = go_left
-    return placements
+    rows, offsets = index.rows_of_nodes(nodes)
+    seg = np.repeat(np.arange(len(nodes)), np.diff(offsets))
+    chosen = [splits[node] for node in nodes]
+    go_left = np.array([s.default_left for s in chosen])[seg]
+    if shard.nnz:
+        feature = np.array([s.feature - feature_offset for s in chosen])[seg]
+        columns = shard.indices
+        # A row's column ids ascend and are distinct in [0, D), so
+        # feature f can only sit among entries f - (D - len) .. f of it:
+        # a dense row pins it to one entry, a sparse row leaves at most
+        # its own length.  ``lo`` / ``size`` bound those candidates.
+        length = shard.row_lengths()[rows]
+        skip = np.maximum(feature - (shard.num_cols - length), 0)
+        lo = shard.indptr[rows] + skip
+        size = np.minimum(length, feature + 1) - skip
+        # branchless search, all rows in lockstep: ``lo`` moves to the
+        # last candidate <= the feature (or stays on the first) while
+        # ``size`` halves; mode="clip" only guards empty trailing rows
+        for _ in range(int(size.max(initial=0) - 1).bit_length()):
+            half = size >> 1
+            probe = lo + half
+            lo = np.where(columns.take(probe, mode="clip") <= feature,
+                          probe, lo)
+            size -= half
+        present = (length > 0) & (columns.take(lo, mode="clip") == feature)
+        bins = np.array([s.bin for s in chosen])[seg]
+        go_left = np.where(present,
+                           shard.values.take(lo, mode="clip") <= bins,
+                           go_left)
+    return {node: go_left[offsets[i]:offsets[i + 1]]
+            for i, node in enumerate(nodes)}
 
 
 def layer_placements_colstore(

@@ -141,7 +141,6 @@ class BinnedDataset:
         if self.bins_per_feature.max(initial=1) > num_bins:
             raise ValueError("a feature has more bins than num_bins")
         self._csc: Optional[CSCMatrix] = None
-        self._search_keys: Optional[np.ndarray] = None
 
     @property
     def num_instances(self) -> int:
@@ -156,16 +155,6 @@ class BinnedDataset:
         if self._csc is None:
             self._csc = self.binned.to_csc()
         return self._csc
-
-    def search_keys(self) -> np.ndarray:
-        """Cached composite keys for O(log nnz) (row, feature) lookups
-        during node splitting (see
-        :func:`repro.core.placement.rowstore_search_keys`)."""
-        if self._search_keys is None:
-            from ..core.placement import rowstore_search_keys
-
-            self._search_keys = rowstore_search_keys(self.binned)
-        return self._search_keys
 
     def threshold_of(self, feature: int, bin_id: int) -> float:
         """Raw cut value of a split "bins <= bin_id go left"."""

@@ -270,13 +270,20 @@ class HistogramStore:
 
 def decide_split(
     config: TrainConfig,
-    hist: Histogram,
-    stats: Tuple[np.ndarray, np.ndarray],
-    count: int,
+    hists: Sequence[Histogram],
+    stats: Sequence[Tuple[np.ndarray, np.ndarray]],
+    counts: Sequence[int],
     bins_per_feature: np.ndarray,
-) -> Optional[SplitInfo]:
-    """Local best split of one node under the shared acceptance rule
-    (:func:`~repro.core.split.accepted_split`)."""
-    return accepted_split(config, count, find_best_split, hist, *stats,
-                          config.reg_lambda, config.reg_gamma,
-                          bins_per_feature)
+) -> List[Optional[SplitInfo]]:
+    """Local best split of each node of a stack (``hists[i]``, with
+    totals ``stats[i]`` over ``counts[i]`` instances) under the shared
+    acceptance rule (:func:`~repro.core.split.accepted_split`): one
+    finder call over the eligible nodes."""
+    def search(eligible: List[int]) -> List[Optional[SplitInfo]]:
+        return find_best_split(
+            [hists[i] for i in eligible],
+            [stats[i][0] for i in eligible],
+            [stats[i][1] for i in eligible],
+            config.reg_lambda, config.reg_gamma, bins_per_feature)
+
+    return accepted_split(config, counts, search)

@@ -269,7 +269,7 @@ class PlanExecutor:
                    clock: WorkerClock) -> Tuple[Tree, np.ndarray]:
         cfg = self.config
         tree = Tree(cfg.num_layers, grad.shape[1])
-        self.partition.compute_stats(self, 0, grad, hess, clock)
+        self.partition.compute_stats(self, [0], grad, hess, clock)
         active: Set[int] = {0}
 
         for layer in range(cfg.num_layers - 1):
@@ -310,23 +310,27 @@ class PlanExecutor:
         )
 
     def ship_index_state(self, snapshots: Sequence[np.ndarray],
-                         clock: WorkerClock) -> int:
-        """Wire bytes of placement snapshots crossing the network.
+                         clock: WorkerClock
+                         ) -> Tuple[int, List[np.ndarray]]:
+        """Placement snapshots crossing the network: their wire bytes and
+        the arrays the receiving end holds.
 
         The identity stack ships them raw.  Any other stack ships them
-        through the index codec, and the decode is exercised for real
-        (lossless, so restoring from the local snapshot equals restoring
-        the decoded payload); the kernels are charged to every worker.
+        through the index codec and the receiver gets the *decoded*
+        payload — what a restore rebuilds from, so a codec that is not
+        lossless shows in the model; the kernels are charged to every
+        worker.
         """
         if self.codec.is_identity:
-            return sum(arr.nbytes for arr in snapshots)
+            return sum(arr.nbytes for arr in snapshots), list(snapshots)
         wire = 0
+        received = []
         with clock.timed(None, "codec"):
             for arr in snapshots:
                 enc = self.codec.index.encode(arr)
-                self.codec.index.decode(enc)
+                received.append(self.codec.index.decode(enc))
                 wire += enc.nbytes
-        return wire
+        return wire, received
 
     def _recover(self, event: CrashEvent, checkpoint: TreeCheckpoint,
                  attempt_mark: int, clock: WorkerClock) -> None:
@@ -350,7 +354,7 @@ class PlanExecutor:
         net.relabel_since(attempt_mark, RECOVERY_PREFIX)
         policy = self.aggregation.recovery_policy
         state = checkpoint.worker_state(event.worker)
-        state_wire = self.ship_index_state([state], clock)
+        state_wire, (received,) = self.ship_index_state([state], clock)
         restore_bytes = checkpoint.model_bytes + state_wire
         if policy == "reshard":
             data_bytes = (
@@ -373,11 +377,14 @@ class PlanExecutor:
             tree=event.tree, layer=event.layer, worker=event.worker,
             policy=policy, restore_bytes=restore_bytes,
         ))
-        # rebuild the per-tree state from the checkpoint's snapshots
+        # rebuild the per-tree state from the checkpoint's snapshots:
+        # the crashed worker's replica from the state it was shipped,
+        # the survivors' from their own
         self.reset_tree_state()
+        snapshots = list(checkpoint.index_state)
+        snapshots[event.worker if len(snapshots) > 1 else 0] = received
         self.partition.adopt_index_replicas(self, [
-            NodeToInstanceIndex.from_assignment(arr)
-            for arr in checkpoint.index_state
+            NodeToInstanceIndex.from_assignment(arr) for arr in snapshots
         ])
 
     def _model_state_bytes(self, ensemble: TreeEnsemble) -> int:

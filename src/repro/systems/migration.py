@@ -166,7 +166,8 @@ class PlanMigrator:
         # clock via the migration bill, scaled by worker speed as every
         # training clock is
         clock = WorkerClock(num_workers, old.cluster.worker_speeds)
-        state_wire = old.ship_index_state(checkpoint.index_state, clock)
+        state_wire, _ = old.ship_index_state(checkpoint.index_state,
+                                             clock)
         seconds += clock.elapsed
         checkpoint_bytes = checkpoint.model_bytes + state_wire
         seconds += net.transfer(

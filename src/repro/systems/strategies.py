@@ -35,7 +35,7 @@ classes produced (``tests/data/golden/plan_equivalence_v1.json``).
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
                     TYPE_CHECKING, Tuple, Union)
 
@@ -47,13 +47,12 @@ from ..cluster.comm import (SPLIT_INFO_BYTES, allreduce_histograms,
                             ps_push_histograms, record_collective,
                             reduce_scatter_histograms, scatter_features)
 from ..cluster.partition import horizontal_shards, vertical_shards
-from ..core.histogram import (ColumnwiseIndex, Histogram, node_totals,
+from ..core.histogram import (ColumnwiseIndex, Histogram,
                               subtraction_schedule)
 from ..core.indexing import NodeToInstanceIndex
 from ..core.placement import (layer_placements_colstore,
-                              layer_placements_rowstore,
-                              rowstore_search_keys)
-from ..core.split import SplitInfo
+                              layer_placements_rowstore)
+from ..core.split import SplitInfo, stacked
 from ..core.tree import Tree
 from .base import WorkerClock, decide_split
 
@@ -107,41 +106,46 @@ def _layer_hists_over_wire(
                       pattern, encoded_worker_bytes=enc_bytes)
 
 
-def _elect_split(
-    ex: "PlanExecutor", node: int,
+def _elect_splits(
+    ex: "PlanExecutor", nodes: Sequence[int],
     worker_features: Sequence[np.ndarray],
-    hist_of: Callable[[int], Histogram], clock: WorkerClock,
-) -> Optional[SplitInfo]:
-    """Global best split of ``node`` from per-worker local proposals.
+    hists_of: Callable[[int], List[Histogram]], clock: WorkerClock,
+) -> Dict[int, SplitInfo]:
+    """Global best split of each of a layer's ``nodes`` from per-worker
+    local proposals.
 
-    Worker ``w`` proposes the best split of ``hist_of(w)``, whose rows
-    are the features ``worker_features[w]`` (a reduce-scatter slice, a
-    server shard or a vertical column group); the proposal's local
-    feature id is mapped back to the global one and the winner elected
-    by :meth:`SplitInfo.better_than`.  Workers owning no features sit
-    the election out.  The node's totals and instance count are the
-    same for every worker, so they are read once.
+    Worker ``w`` proposes, in one finder call, the best split of each of
+    ``hists_of(w)`` (one histogram per node, whose rows are the features
+    ``worker_features[w]``: a reduce-scatter slice, a server shard or a
+    vertical column group); each proposal's local feature id is mapped
+    back to the global one and every node's winner elected, in worker
+    order, by :meth:`SplitInfo.better_than`.  Workers owning no
+    features sit the election out.  A node's totals and instance count
+    are the same for every worker, so they are read once.
     """
     bins = ex._binned.bins_per_feature
-    stats = ex.stats[node]
-    count = ex.partition.node_count(ex, node)
-    best: Optional[SplitInfo] = None
+    stats = [ex.stats[node] for node in nodes]
+    counts = [ex.partition.node_count(ex, node) for node in nodes]
+    best: List[Optional[SplitInfo]] = [None] * len(nodes)
     for worker, features in enumerate(worker_features):
         if features.size == 0:
             continue
         with clock.timed(worker, "split-find"):
-            candidate = decide_split(
-                ex.config, hist_of(worker), stats, count, bins[features])
-        if candidate is not None:
+            proposals = decide_split(ex.config, hists_of(worker), stats,
+                                     counts, bins[features])
+        for i, candidate in enumerate(proposals):
+            if candidate is None:
+                continue
             candidate = SplitInfo(
                 feature=int(features[candidate.feature]),
                 bin=candidate.bin,
                 default_left=candidate.default_left,
                 gain=candidate.gain,
             )
-            if candidate.better_than(best):
-                best = candidate
-    return best
+            if candidate.better_than(best[i]):
+                best[i] = candidate
+    return {node: split for node, split in zip(nodes, best)
+            if split is not None}
 
 
 def _activate_children(ex: "PlanExecutor", splits: Dict[int, SplitInfo],
@@ -149,12 +153,11 @@ def _activate_children(ex: "PlanExecutor", splits: Dict[int, SplitInfo],
                        active: Set[int], clock: WorkerClock) -> None:
     """Every index replica has applied ``splits``: compute the children's
     node statistics and swap them in for their parents."""
-    for node in sorted(splits):
-        left, right = 2 * node + 1, 2 * node + 2
-        ex.partition.compute_stats(ex, left, grad, hess, clock)
-        ex.partition.compute_stats(ex, right, grad, hess, clock)
-        active.discard(node)
-        active.update((left, right))
+    children = [c for node in sorted(splits)
+                for c in (2 * node + 1, 2 * node + 2)]
+    ex.partition.compute_stats(ex, children, grad, hess, clock)
+    active.difference_update(splits)
+    active.update(children)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +213,11 @@ class PartitionStrategy:
     def node_count(self, ex: "PlanExecutor", node: int) -> int:
         raise NotImplementedError
 
-    def compute_stats(self, ex: "PlanExecutor", node: int,
+    def compute_stats(self, ex: "PlanExecutor", nodes: Sequence[int],
                       grad: np.ndarray, hess: np.ndarray,
                       clock: WorkerClock) -> None:
-        """Fill ``ex.stats[node]`` with the node's global (G, H) totals."""
+        """Fill ``ex.stats[node]`` with each node's global (G, H) totals
+        (one gather of the nodes' rows per index replica)."""
         raise NotImplementedError
 
     def retire_node(self, ex: "PlanExecutor", node: int) -> None:
@@ -287,17 +291,17 @@ class HorizontalPartition(PartitionStrategy):
     def node_count(self, ex, node) -> int:
         return sum(index.count_of(node) for index in ex.indexes)
 
-    def compute_stats(self, ex, node, grad, hess, clock) -> None:
-        """Global node totals as the sum of per-worker local totals."""
-        total_g = np.zeros(grad.shape[1])
-        total_h = np.zeros(hess.shape[1])
-        for worker in range(ex.cluster.num_workers):
-            local_g, local_h = self.worker_grad(ex, worker, grad, hess)
-            g, h = node_totals(ex.indexes[worker].rows_of(node),
-                               local_g, local_h)
+    def compute_stats(self, ex, nodes, grad, hess, clock) -> None:
+        """Global node totals as the sums of per-worker local totals,
+        added in worker order."""
+        total_g = np.zeros((len(nodes), grad.shape[1]))
+        total_h = np.zeros((len(nodes), hess.shape[1]))
+        for worker, index in enumerate(ex.indexes):
+            g, h = index.node_totals(
+                nodes, *self.worker_grad(ex, worker, grad, hess))
             total_g += g
             total_h += h
-        ex.stats[node] = (total_g, total_h)
+        ex.stats.update(zip(nodes, zip(total_g, total_h)))
 
     def retire_node(self, ex, node) -> None:
         for index in ex.indexes:
@@ -365,11 +369,11 @@ class VerticalPartition(PartitionStrategy):
     def node_count(self, ex, node) -> int:
         return ex.index.count_of(node)
 
-    def compute_stats(self, ex, node, grad, hess, clock) -> None:
+    def compute_stats(self, ex, nodes, grad, hess, clock) -> None:
         """Node totals — computed identically on every worker."""
         with clock.timed(None, "split-find"):
-            ex.stats[node] = node_totals(ex.index.rows_of(node), grad,
-                                         hess)
+            ex.stats.update(zip(
+                nodes, zip(*ex.index.node_totals(nodes, grad, hess))))
 
     def retire_node(self, ex, node) -> None:
         ex.index.retire_node(node)
@@ -449,10 +453,8 @@ class RowStore(StorageLayout):
         return hist
 
     def placements(self, ex, worker, index, splits):
-        return layer_placements_rowstore(
-            ex.shards[worker].binned, index, splits,
-            search_keys=ex.shards[worker].search_keys(),
-        )
+        return layer_placements_rowstore(ex.shards[worker].binned, index,
+                                         splits)
 
     def shard_bytes(self, ex, worker) -> int:
         return ex.shards[worker].binned.nbytes
@@ -509,7 +511,6 @@ class BlockifiedRowStore(StorageLayout):
     def setup(self, ex: "PlanExecutor") -> None:
         ex.blocked_groups = []
         ex.block_csr = []
-        ex.block_search_keys = []
         for shard in ex.shards:
             group = BlockedColumnGroup(
                 [blockify_shard(shard.binned, row_offset=0)],
@@ -518,7 +519,6 @@ class BlockifiedRowStore(StorageLayout):
             csr = group.to_csr()
             ex.blocked_groups.append(group)
             ex.block_csr.append(csr)
-            ex.block_search_keys.append(rowstore_search_keys(csr))
 
     def build_node_hist(self, ex, worker, node, rows, grad, hess, index):
         hist, _ = ex.hist_builder.build_rowstore(
@@ -527,10 +527,8 @@ class BlockifiedRowStore(StorageLayout):
         return hist
 
     def placements(self, ex, worker, index, splits):
-        return layer_placements_rowstore(
-            ex.block_csr[worker], index, splits,
-            search_keys=ex.block_search_keys[worker],
-        )
+        return layer_placements_rowstore(ex.block_csr[worker], index,
+                                         splits)
 
     def shard_bytes(self, ex, worker) -> int:
         return sum(b.nbytes for b in ex.blocked_groups[worker].blocks)
@@ -748,11 +746,8 @@ class _LocalPlacementMixin:
                            binned.threshold_of(split.feature, split.bin))
         for worker, index in enumerate(ex.indexes):
             with clock.timed(worker, "node-split"):
-                placements = ex.storage.placements(ex, worker, index,
-                                                   splits)
-                for node in splits:
-                    left, right = 2 * node + 1, 2 * node + 2
-                    index.split_node(node, placements[node], left, right)
+                index.split_nodes(
+                    ex.storage.placements(ex, worker, index, splits))
         _activate_children(ex, splits, grad, hess, active, clock)
 
 
@@ -773,16 +768,15 @@ class AllReduceAggregation(_LocalPlacementMixin, AggregationStrategy):
             for node, hists in _layer_hists_over_wire(
                 ex, nodes, clock, "allreduce")
         }
-        splits: Dict[int, SplitInfo] = {}
-        bins = ex._binned.bins_per_feature
         with clock.timed(LEADER, "split-find"):
-            for node in nodes:
-                split = decide_split(
-                    ex.config, aggregated[node], ex.stats[node],
-                    ex.partition.node_count(ex, node), bins,
-                )
-                if split is not None:
-                    splits[node] = split
+            found = decide_split(
+                ex.config, [aggregated[node] for node in nodes],
+                [ex.stats[node] for node in nodes],
+                [ex.partition.node_count(ex, node) for node in nodes],
+                ex._binned.bins_per_feature,
+            )
+        splits = {node: split for node, split in zip(nodes, found)
+                  if split is not None}
         broadcast_bytes(len(splits) * SPLIT_INFO_BYTES,
                         ex.cluster.num_workers, ex.net,
                         kind="split-broadcast")
@@ -811,14 +805,18 @@ class ReduceScatterAggregation(_LocalPlacementMixin, AggregationStrategy):
         return reduce_scatter_histograms(hists, ex.feature_ranges)
 
     def find_splits(self, ex, nodes, clock) -> Dict[int, SplitInfo]:
+        # the finder stacks narrow slices, so the layer is elected at
+        # once; wide ones it searches node by node anyway, and electing
+        # them as they arrive keeps one wide aggregate alive at a time
+        widest = max(features.size for features in ex.feature_ranges)
+        group = len(nodes) if stacked(widest, ex._binned.num_bins) else 1
+        stream = _layer_hists_over_wire(ex, nodes, clock, self.pattern)
         splits: Dict[int, SplitInfo] = {}
-        for node, hists in _layer_hists_over_wire(ex, nodes, clock,
-                                                  self.pattern):
-            slices = self.aggregate_node(ex, hists)
-            best = _elect_split(ex, node, ex.feature_ranges,
-                                slices.__getitem__, clock)
-            if best is not None:
-                splits[node] = best
+        for batch in iter(lambda: list(islice(stream, group)), []):
+            slices = [self.aggregate_node(ex, hists) for _, hists in batch]
+            splits.update(_elect_splits(
+                ex, [node for node, _ in batch], ex.feature_ranges,
+                lambda worker: [pieces[worker] for pieces in slices], clock))
         exchange_split_infos(len(nodes), ex.cluster.num_workers, ex.net)
         return splits
 
@@ -853,13 +851,10 @@ class _LocalElectionMixin:
     crosses the wire (Section 2.2.1, Figure 4(b))."""
 
     def find_splits(self, ex, nodes, clock) -> Dict[int, SplitInfo]:
-        splits: Dict[int, SplitInfo] = {}
-        for node in nodes:
-            best = _elect_split(
-                ex, node, ex.groups,
-                lambda worker: ex.stores[worker].get(node), clock)
-            if best is not None:
-                splits[node] = best
+        splits = _elect_splits(
+            ex, nodes, ex.groups,
+            lambda worker: [ex.stores[worker].get(node) for node in nodes],
+            clock)
         # one exchange covers every node of the layer
         exchange_split_infos(len(nodes), ex.cluster.num_workers, ex.net)
         return splits
@@ -923,11 +918,10 @@ class BitmapBroadcastAggregation(_LocalElectionMixin,
         broadcast_bytes(wire_bytes, ex.cluster.num_workers, ex.net,
                         kind="placement-bitmap", raw_nbytes=raw_bytes)
         with clock.timed(None, "node-split"):
-            for node in sorted(splits):
-                decoded = codec.decode(payloads[node],
-                                       placements[node].size)
-                left, right = 2 * node + 1, 2 * node + 2
-                ex.index.split_node(node, decoded, left, right)
+            ex.index.split_nodes({
+                node: codec.decode(payloads[node], placements[node].size)
+                for node in sorted(splits)
+            })
         _activate_children(ex, splits, grad, hess, active, clock)
 
 
@@ -953,9 +947,7 @@ class LocalApplyAggregation(_LocalElectionMixin, AggregationStrategy):
                     ex.storage.placements(ex, owner, ex.index,
                                           local_splits)
                 )
-            for node in sorted(splits):
-                left, right = 2 * node + 1, 2 * node + 2
-                ex.index.split_node(node, placements[node], left, right)
+            ex.index.split_nodes(placements)
         _activate_children(ex, splits, grad, hess, active, clock)
 
 

@@ -65,7 +65,7 @@ class TestAccessCounts:
             binned, index, [0], grad, hess, store,
         )
         rng = np.random.default_rng(0)
-        index.split_node(0, rng.random(binned.num_instances) < 0.5, 1, 2)
+        index.split_nodes({0: rng.random(binned.num_instances) < 0.5})
         layer_scanned = build_histograms_with_subtraction(
             binned, index, [1, 2], grad, hess, store,
         )
@@ -103,13 +103,11 @@ class TestAccessCounts:
         _, binned, grad, hess = counted
         index = NodeToInstanceIndex(binned.num_instances)
         rng = np.random.default_rng(2)
-        index.split_node(0, rng.random(binned.num_instances) < 0.5, 1, 2)
+        index.split_nodes({0: rng.random(binned.num_instances) < 0.5})
         first_layer = index.updates
         assert first_layer == binned.num_instances
-        for node in (1, 2):
-            count = index.count_of(node)
-            index.split_node(node, rng.random(count) < 0.5,
-                             2 * node + 1, 2 * node + 2)
+        index.split_nodes({node: rng.random(index.count_of(node)) < 0.5
+                           for node in (1, 2)})
         assert index.updates == 2 * binned.num_instances
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.histogram import (ColumnwiseIndex, Histogram,
                                   HistogramBuilder, histogram_size_bytes,
-                                  node_totals, subtraction_schedule)
+                                  subtraction_schedule)
 from repro.data.matrix import CSRMatrix
 
 BUILDER = HistogramBuilder()
@@ -223,16 +223,6 @@ class TestSubtractionSchedule:
         assert subtraction_schedule([3, 5, 6], {3: 4, 5: 6, 6: 2},
                                     {1, 2}) == [
             ("build", 3, -1), ("build", 6, -1), ("subtract", 5, 6)]
-
-
-class TestNodeTotals:
-    def test_sums(self, rng):
-        grad = rng.standard_normal((30, 2))
-        hess = rng.random((30, 2))
-        rows = np.array([1, 5, 9])
-        g, h = node_totals(rows, grad, hess)
-        np.testing.assert_allclose(g, grad[rows].sum(axis=0))
-        np.testing.assert_allclose(h, hess[rows].sum(axis=0))
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,111 +1,117 @@
-"""Placement computation tests (node splitting, Section 2.2.1)."""
+"""Placement computation tests (node splitting, Section 2.2.1): both
+layouts against a brute-force dense lookup on random sparse shards."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.indexing import NodeToInstanceIndex
 from repro.core.placement import (layer_placements_colstore,
-                                  layer_placements_rowstore,
-                                  rowstore_search_keys)
+                                  layer_placements_rowstore)
 from repro.core.split import SplitInfo
 from repro.data.matrix import CSRMatrix
 
 
-@pytest.fixture
-def binned_shard(rng):
-    """Small binned CSR with known dense view (-1 = missing)."""
-    dense = np.full((30, 5), -1, dtype=np.int64)
-    mask = rng.random((30, 5)) < 0.6
-    dense[mask] = rng.integers(0, 6, size=mask.sum())
-    rows = []
-    for i in range(30):
-        cols = np.flatnonzero(dense[i] >= 0)
-        rows.append([(int(c), int(dense[i, c])) for c in cols])
-    return CSRMatrix.from_rows(rows, 5, dtype=np.int32), dense
+def random_shard(rng, num_rows, num_cols, density, num_bins=6,
+                 absent=None):
+    """Binned CSR plus its dense view (-1 = missing).  Row 0 is empty,
+    the last row holds a single entry, and column ``absent`` (drawn when
+    ``None``; ``-1`` for none) is absent from every row."""
+    dense = np.full((num_rows, num_cols), -1, dtype=np.int64)
+    mask = rng.random((num_rows, num_cols)) < density
+    mask[0] = False
+    if absent is None:
+        absent = rng.integers(-1, num_cols)
+    if absent >= 0:
+        mask[:, absent] = False
+    if num_rows > 1:
+        mask[-1] = False
+        mask[-1, rng.integers(num_cols)] = True
+    dense[mask] = rng.integers(0, num_bins, size=mask.sum())
+    rows = [[(int(c), int(dense[i, c])) for c in np.flatnonzero(row >= 0)]
+            for i, row in enumerate(dense)]
+    return CSRMatrix.from_rows(rows, num_cols, dtype=np.int32), dense
 
 
 def expected_go_left(dense, rows, feature, bin_id, default_left):
-    out = []
-    for r in rows:
-        value = dense[r, feature]
-        out.append(default_left if value < 0 else value <= bin_id)
-    return np.array(out)
+    """The brute-force lookup: one dense cell per row."""
+    values = dense[rows, feature]
+    return np.where(values < 0, default_left, values <= bin_id)
 
 
-class TestSearchKeys:
-    def test_keys_sorted_and_unique(self, binned_shard):
-        shard, _ = binned_shard
-        keys = rowstore_search_keys(shard)
-        assert np.all(np.diff(keys) > 0)
-        assert keys.size == shard.nnz
+def split_some_layers(rng, index, layers):
+    """Random earlier splits, so nodes hold scattered row subsets."""
+    for _ in range(layers):
+        index.split_nodes({node: rng.random(index.count_of(node)) < 0.5
+                           for node in index.active_nodes()})
 
-    def test_key_lookup_roundtrip(self, binned_shard):
-        shard, dense = binned_shard
-        keys = rowstore_search_keys(shard)
-        width = shard.num_cols + 1
-        for row in range(30):
-            for feature in range(5):
-                key = row * width + feature
-                pos = np.searchsorted(keys, key)
-                present = pos < keys.size and keys[pos] == key
-                assert present == (dense[row, feature] >= 0)
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), num_rows=st.integers(2, 40),
+       num_cols=st.integers(2, 13),
+       density=st.sampled_from([0.0, 0.05, 0.3, 0.7, 0.95, 1.0]),
+       layers=st.integers(0, 3), offset=st.integers(0, 5))
+def test_both_layouts_equal_the_dense_lookup(seed, num_rows, num_cols,
+                                             density, layers, offset):
+    rng = np.random.default_rng(seed)
+    shard, dense = random_shard(rng, num_rows, num_cols, density)
+    index = NodeToInstanceIndex(num_rows)
+    split_some_layers(rng, index, layers)
+    nodes = index.active_nodes()
+    # global feature ids: the shard's columns start at ``offset``; ids
+    # below or past them belong to another worker's shard
+    splits = {
+        node: SplitInfo(int(rng.integers(-1, num_cols + 1)) + offset,
+                        int(rng.integers(0, 6)), bool(rng.integers(2)),
+                        1.0)
+        for node in nodes if rng.random() < 0.8
+    }
+    local = {node: split for node, split in splits.items()
+             if 0 <= split.feature - offset < num_cols}
+    row_p = layer_placements_rowstore(shard, index, splits, offset)
+    col_p = layer_placements_colstore(shard.to_csc(), index, splits, offset)
+    assert set(row_p) == set(col_p) == set(local)
+    for node, split in local.items():
+        want = expected_go_left(dense, index.rows_of(node),
+                                split.feature - offset, split.bin,
+                                split.default_left)
+        np.testing.assert_array_equal(row_p[node], want)
+        np.testing.assert_array_equal(col_p[node], want)
 
 
 class TestRowstorePlacements:
-    @pytest.mark.parametrize("default_left", [False, True])
-    def test_matches_dense_semantics(self, binned_shard, default_left):
-        shard, dense = binned_shard
+    def test_feature_absent_from_every_row_takes_the_default(self, rng):
+        shard, _ = random_shard(rng, 30, 5, 0.6, absent=2)
         index = NodeToInstanceIndex(30)
-        split = SplitInfo(feature=2, bin=3, default_left=default_left,
-                          gain=1.0)
-        placements = layer_placements_rowstore(shard, index, {0: split})
-        np.testing.assert_array_equal(
-            placements[0],
-            expected_go_left(dense, range(30), 2, 3, default_left),
-        )
+        for default_left in (False, True):
+            placements = layer_placements_rowstore(
+                shard, index, {0: SplitInfo(2, 0, default_left, 1.0)})
+            assert placements[0].tolist() == [default_left] * 30
 
-    def test_multiple_nodes_one_pass(self, binned_shard, rng):
-        shard, dense = binned_shard
-        index = NodeToInstanceIndex(30)
-        index.split_node(0, rng.random(30) < 0.5, 1, 2)
-        splits = {
-            1: SplitInfo(0, 2, False, 1.0),
-            2: SplitInfo(4, 1, True, 1.0),
-        }
-        placements = layer_placements_rowstore(shard, index, splits)
-        for node, split in splits.items():
-            np.testing.assert_array_equal(
-                placements[node],
-                expected_go_left(dense, index.rows_of(node),
-                                 split.feature, split.bin,
-                                 split.default_left),
-            )
+    def test_empty_shard(self):
+        shard = CSRMatrix.from_rows([[], [], []], 4, dtype=np.int32)
+        index = NodeToInstanceIndex(3)
+        placements = layer_placements_rowstore(
+            shard, index, {0: SplitInfo(1, 0, True, 1.0)})
+        assert placements[0].tolist() == [True] * 3
 
-    def test_precomputed_keys_equal_on_the_fly(self, binned_shard):
-        shard, _ = binned_shard
-        index = NodeToInstanceIndex(30)
-        split = {0: SplitInfo(1, 2, False, 1.0)}
-        a = layer_placements_rowstore(shard, index, split)
-        b = layer_placements_rowstore(
-            shard, index, split, search_keys=rowstore_search_keys(shard)
-        )
-        np.testing.assert_array_equal(a[0], b[0])
+    def test_empty_node(self, rng):
+        shard, _ = random_shard(rng, 10, 4, 0.5)
+        index = NodeToInstanceIndex(10)
+        index.split_nodes({0: np.ones(10, dtype=bool)})
+        placements = layer_placements_rowstore(
+            shard, index, {1: SplitInfo(0, 2, False, 1.0),
+                           2: SplitInfo(1, 2, True, 1.0)})
+        assert placements[1].size == 10
+        assert placements[2].size == 0
 
-    def test_foreign_features_skipped(self, binned_shard):
+    def test_foreign_features_skipped(self, rng):
         """Vertical partitioning: splits on features outside the shard
         produce no placement (another worker owns them)."""
-        shard, _ = binned_shard
+        shard, _ = random_shard(rng, 30, 5, 0.6)
         index = NodeToInstanceIndex(30)
         split = {0: SplitInfo(feature=100, bin=1, default_left=False,
                               gain=1.0)}
         assert layer_placements_rowstore(shard, index, split) == {}
-
-    def test_colstore_agrees_with_rowstore(self, binned_shard):
-        shard, dense = binned_shard
-        index = NodeToInstanceIndex(30)
-        split = {0: SplitInfo(3, 2, True, 1.0)}
-        row_p = layer_placements_rowstore(shard, index, split)
-        col_p = layer_placements_colstore(shard.to_csc(), index, split)
-        np.testing.assert_array_equal(row_p[0], col_p[0])

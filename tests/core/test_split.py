@@ -9,11 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import TrainConfig
+from repro.core import split as split_module
 from repro.core.histogram import Histogram
-from repro.core.split import (SplitInfo, find_best_split, leaf_weight,
-                              split_gain_of)
+from repro.core.split import (SplitInfo, accepted_split, find_best_split,
+                              leaf_weight, split_gain_of)
 
 from .reference_split import reference_find_best_split
+
+
+def one_node(hist, grad_total, hess_total, *args, **kwargs):
+    """The finder on the stack of one."""
+    found, = find_best_split([hist], [grad_total], [hess_total], *args,
+                             **kwargs)
+    return found
 
 
 def random_histogram(rng, num_features=4, num_bins=5, gradient_dim=1,
@@ -73,7 +82,7 @@ class TestFindBestSplit:
     def test_matches_brute_force(self, rng):
         hist, g, h = random_histogram(rng)
         bins = np.full(4, 5)
-        split = find_best_split(hist, g, h, 1.0, 0.0, bins)
+        split = one_node(hist, g, h, 1.0, 0.0, bins)
         ref = brute_force_best(hist, g, h, 1.0, 0.0, bins)
         assert (split is None) == (ref is None)
         if split is not None:
@@ -84,8 +93,8 @@ class TestFindBestSplit:
     def test_feature_offset(self, rng):
         hist, g, h = random_histogram(rng)
         bins = np.full(4, 5)
-        base = find_best_split(hist, g, h, 1.0, 0.0, bins)
-        shifted = find_best_split(hist, g, h, 1.0, 0.0, bins,
+        base = one_node(hist, g, h, 1.0, 0.0, bins)
+        shifted = one_node(hist, g, h, 1.0, 0.0, bins,
                                   feature_offset=100)
         assert shifted.feature == base.feature + 100
 
@@ -93,13 +102,13 @@ class TestFindBestSplit:
         hist, g, h = random_histogram(rng)
         # features with a single bin can never split
         bins = np.array([1, 1, 1, 1])
-        assert find_best_split(hist, g, h, 1.0, 0.0, bins) is None
+        assert one_node(hist, g, h, 1.0, 0.0, bins) is None
 
     def test_gamma_subtracts_from_gain(self, rng):
         hist, g, h = random_histogram(rng)
         bins = np.full(4, 5)
-        s0 = find_best_split(hist, g, h, 1.0, 0.0, bins)
-        s1 = find_best_split(hist, g, h, 1.0, 0.1, bins)
+        s0 = one_node(hist, g, h, 1.0, 0.0, bins)
+        s1 = one_node(hist, g, h, 1.0, 0.1, bins)
         if s0 is not None and s1 is not None:
             assert s1.gain == pytest.approx(s0.gain - 0.1)
 
@@ -108,14 +117,14 @@ class TestFindBestSplit:
         bins = np.full(4, 5)
         gains = []
         for lam in (0.1, 1.0, 10.0):
-            s = find_best_split(hist, g, h, lam, 0.0, bins)
+            s = one_node(hist, g, h, lam, 0.0, bins)
             gains.append(s.gain if s is not None else 0.0)
         assert gains[0] >= gains[1] >= gains[2]
 
     def test_huge_gamma_gives_no_split(self, rng):
         hist, g, h = random_histogram(rng)
         bins = np.full(4, 5)
-        assert find_best_split(hist, g, h, 1.0, 1e9, bins) is None
+        assert one_node(hist, g, h, 1.0, 1e9, bins) is None
 
     def test_pure_node_has_no_split(self):
         # all gradient mass in one bin of each feature: any split gives
@@ -125,7 +134,7 @@ class TestFindBestSplit:
         hist.hess_view()[:, 0, 0] = 2.0
         g = np.array([-5.0])
         h = np.array([2.0])
-        assert find_best_split(hist, g, h, 1.0, 0.0,
+        assert one_node(hist, g, h, 1.0, 0.0,
                                np.array([3, 3])) is None
 
     def test_missing_values_can_matter(self):
@@ -138,14 +147,14 @@ class TestFindBestSplit:
         # node totals include missing mass aligned with bin-1 gradients
         g = np.array([-4.0 + 1.0 + 3.0])
         h = np.array([2.0 + 1.0 + 1.5])
-        split = find_best_split(hist, g, h, 1.0, 0.0, np.array([2]))
+        split = one_node(hist, g, h, 1.0, 0.0, np.array([2]))
         assert split is not None
         assert not split.default_left
 
     def test_bins_length_mismatch(self, rng):
         hist, g, h = random_histogram(rng)
         with pytest.raises(ValueError):
-            find_best_split(hist, g, h, 1.0, 0.0, np.array([5]))
+            one_node(hist, g, h, 1.0, 0.0, np.array([5]))
 
 
 class TestDeterminismContract:
@@ -171,7 +180,7 @@ class TestDeterminismContract:
             hist.hess_view()[f, 1, 0] = 1.0
         g = np.array([0.0])
         h = np.array([2.0])
-        split = find_best_split(hist, g, h, 1.0, 0.0, np.array([3, 3, 3]))
+        split = one_node(hist, g, h, 1.0, 0.0, np.array([3, 3, 3]))
         assert split.feature == 1
         assert split.bin == 0
 
@@ -186,7 +195,7 @@ def test_property_matches_brute_force(seed, lam, gradient_dim):
     rng = np.random.default_rng(seed)
     hist, g, h = random_histogram(rng, gradient_dim=gradient_dim)
     bins = np.full(4, 5)
-    split = find_best_split(hist, g, h, lam, 0.0, bins)
+    split = one_node(hist, g, h, lam, 0.0, bins)
     ref = brute_force_best(hist, g, h, lam, 0.0, bins)
     if ref is None:
         assert split is None
@@ -237,5 +246,149 @@ def test_property_equals_reference_finder(
         found, expected = (
             finder(hist, grad_total, hess_total, lam, gamma, bins,
                    feature_offset)
-            for finder in (find_best_split, reference_find_best_split))
+            for finder in (one_node, reference_find_best_split))
     assert found == expected
+
+
+def random_stack(rng, size, num_features, num_bins, gradient_dim,
+                 dtype=np.float64):
+    """``size`` histograms of one shape, each full, half or sparsely
+    occupied; some repeat an earlier node (ties across nodes), some a
+    feature (ties within a node), some have no useful split at all."""
+    hists, grads, hesses = [], [], []
+    for i in range(size):
+        kind = rng.integers(5)
+        if kind == 0 and hists:
+            j = int(rng.integers(len(hists)))
+            hists.append(hists[j])
+            grads.append(grads[j])
+            hesses.append(hesses[j])
+            continue
+        hist = Histogram(num_features, num_bins, gradient_dim, dtype=dtype)
+        occupied = rng.random((num_features * num_bins, 1)) < \
+            rng.choice([1.0, 0.5, 0.05])
+        hist.grad[:] = rng.standard_normal(hist.grad.shape) * occupied
+        hist.hess[:] = (rng.random(hist.hess.shape) + 0.01) * occupied
+        if kind == 1:
+            hist.grad_view()[-1] = hist.grad_view()[0]
+            hist.hess_view()[-1] = hist.hess_view()[0]
+        grad = hist.grad_view()[0].sum(axis=0).astype(np.float64)
+        hess = hist.hess_view()[0].sum(axis=0).astype(np.float64)
+        if kind == 2:        # all mass in one bin: no positive gain
+            hist.grad[:] = 0.0
+            hist.hess[:] = 0.0
+            hist.grad_view()[:, 0] = grad
+            hist.hess_view()[:, 0] = hess
+        elif rng.random() < 0.7:
+            grad = grad + rng.standard_normal(gradient_dim)
+            hess = hess + rng.random(gradient_dim)
+        hists.append(hist)
+        grads.append(grad)
+        hesses.append(hess)
+    return hists, np.array(grads), np.array(hesses)
+
+
+class TestStackedFinder:
+    """One call over a layer's nodes equals one call per node and the
+    full-histogram reference, ties and all, on both routes: the stacked
+    scan (narrow histograms) and the node-by-node one (wide)."""
+
+    @pytest.fixture(params=["stacked", "per-node"])
+    def route(self, request, monkeypatch):
+        if request.param == "per-node":
+            monkeypatch.setattr(split_module, "STACKED_MAX_SLOTS", 0)
+        return request.param
+
+    def test_empty_stack(self):
+        assert find_best_split([], np.empty((0, 1)), np.empty((0, 1)),
+                               1.0, 0.0, np.array([3])) == []
+
+    def test_ties_across_nodes_keep_each_nodes_own_order(self, route):
+        hist = Histogram(3, 3, 1)
+        for f in (1, 2):  # feature 0 is empty/useless
+            hist.grad_view()[f, 0, 0] = -3.0
+            hist.hess_view()[f, 0, 0] = 1.0
+            hist.grad_view()[f, 1, 0] = 3.0
+            hist.hess_view()[f, 1, 0] = 1.0
+        g, h = np.array([[0.0]] * 3), np.array([[2.0]] * 3)
+        found = find_best_split([hist] * 3, g, h, 1.0, 0.0,
+                                np.array([3, 3, 3]), feature_offset=10)
+        assert [(s.feature, s.bin, s.default_left) for s in found] == \
+            [(11, 0, False)] * 3
+        assert len({s.gain for s in found}) == 1
+
+    @pytest.mark.parametrize("stacked", [True, False])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        size=st.integers(1, 9),
+        num_features=st.integers(1, 10),
+        num_bins=st.integers(1, 8),
+        gradient_dim=st.sampled_from([1, 3]),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        lam=st.sampled_from([0.0, 0.5, 1.0]),
+        gamma=st.sampled_from([0.0, 0.01]),
+        feature_offset=st.integers(0, 5),
+    )
+    def test_property_equals_one_call_per_node(
+            self, stacked, seed, size, num_features, num_bins,
+            gradient_dim, dtype, lam, gamma, feature_offset):
+        rng = np.random.default_rng(seed)
+        hists, grads, hesses = random_stack(rng, size, num_features,
+                                            num_bins, gradient_dim, dtype)
+        bins = rng.integers(1, num_bins + 1, size=num_features)
+        args = (lam, gamma, bins, feature_offset)
+        with np.errstate(all="ignore"), \
+                pytest.MonkeyPatch.context() as patch:
+            # lam == 0 divides by empty bins
+            if not stacked:
+                patch.setattr(split_module, "STACKED_MAX_SLOTS", 0)
+            found = find_best_split(hists, grads, hesses, *args)
+            single = [one_node(*node, *args)
+                      for node in zip(hists, grads, hesses)]
+            expected = [reference_find_best_split(*node, *args)
+                        for node in zip(hists, grads, hesses)]
+        assert found == single == expected
+
+    def test_wide_stack_mixes_compact_and_full_nodes(self, rng):
+        """Past the stacking width each node takes its own route; a
+        sparse node and a dense one in one call both equal the
+        reference."""
+        width = split_module.STACKED_MAX_SLOTS // 4 + 1
+        hists, grads, hesses = [], [], []
+        for occupancy in (0.02, 1.0, 0.02):
+            hist = Histogram(width, 4, 1)
+            occupied = rng.random((width * 4, 1)) < occupancy
+            hist.grad[:] = rng.standard_normal(hist.grad.shape) * occupied
+            hist.hess[:] = (rng.random(hist.hess.shape) + 0.01) * occupied
+            hists.append(hist)
+            grads.append(hist.grad_view()[0].sum(axis=0) + 0.5)
+            hesses.append(hist.hess_view()[0].sum(axis=0) + 0.5)
+        bins = np.full(width, 4)
+        found = find_best_split(hists, grads, hesses, 1.0, 0.0, bins)
+        assert found == [
+            reference_find_best_split(*node, 1.0, 0.0, bins)
+            for node in zip(hists, grads, hesses)]
+        assert all(split is not None for split in found)
+
+
+class TestAcceptedSplit:
+    def test_small_nodes_are_not_searched_and_weak_splits_dropped(self):
+        config = TrainConfig(min_node_instances=5, min_split_gain=0.5)
+        searched = []
+
+        def search(eligible):
+            searched.append(list(eligible))
+            return [SplitInfo(0, 0, False, gain)
+                    for gain in (1.0, 0.25, 0.5)]
+
+        found = accepted_split(config, [10, 9, 12, 3, 30], search)
+        assert searched == [[0, 2, 4]]
+        assert found == [SplitInfo(0, 0, False, 1.0), None, None, None,
+                         SplitInfo(0, 0, False, 0.5)]
+
+    def test_nothing_eligible_searches_nothing(self):
+        def search(eligible):
+            raise AssertionError("searched")
+
+        assert accepted_split(TrainConfig(), [1, 0], search) == [None, None]

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro import ClusterConfig, TrainConfig, make_classification
 from repro.core.kernels import available_backends
+from repro.cluster.codecs import DeltaIndexCodec
 from repro.cluster.faults import (FaultInjector, FaultPlan,
                                   UnrecoverableFaultError)
 from repro.data.dataset import bin_dataset
@@ -203,6 +204,31 @@ class TestChaosWithCodec:
         assert second.comm.raw_bytes_by_kind == \
             faulty.comm.raw_bytes_by_kind
         assert second.comm.total_seconds == faulty.comm.total_seconds
+
+
+    @pytest.mark.parametrize("plan_key", ["qd2", "vero"])
+    def test_recovery_rebuilds_from_the_decoded_index_state(
+            self, binned, plan_key, monkeypatch):
+        """The restored replica is built from the index state that
+        crossed the wire, not from the sender's local snapshot: an index
+        codec that stops being lossless must change the model."""
+        clean, _, _ = run_pair(plan_key, binned, "101:crash=1",
+                               codec="sparse")
+        decode = DeltaIndexCodec.decode
+
+        def lossy_decode(self, enc):
+            state = decode(self, enc)
+            state[: state.size // 2] = -1   # half the rows lost
+            return state
+
+        monkeypatch.setattr(DeltaIndexCodec, "decode", lossy_decode)
+        cfg = TrainConfig(num_trees=3, num_layers=4, num_candidates=8,
+                          faults="101:crash=1", codec="sparse")
+        system = get_plan(plan_key).build(cfg, ClusterConfig(num_workers=4))
+        faulty = system.fit(binned)
+        assert system.recovery_log
+        assert [tree_signature(t) for t in faulty.ensemble.trees] != \
+            [tree_signature(t) for t in clean.ensemble.trees]
 
 
 @settings(max_examples=12, deadline=None)

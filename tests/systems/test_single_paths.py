@@ -212,7 +212,7 @@ class TestLayerHistsOverWire:
         grad, hess = system.loss.gradients(binned.labels,
                                            session.state.scores)
         clock = WorkerClock(3)
-        system.partition.compute_stats(system, 0, grad, hess, clock)
+        system.partition.compute_stats(system, [0], grad, hess, clock)
         system.index_plan.build_layer(system, [0], grad, hess, clock)
         return system
 
