@@ -66,27 +66,16 @@ def bench_histogram_grid(backends, quick: bool) -> dict:
     baseline = {}
     for backend in backends:
         builder = HistogramBuilder(backend=backend)
-
-        def hist_cases(b):
-            return {
-                "rowstore_root": lambda: b.release(
-                    b.build_rowstore(csr, all_rows, grad, hess,
-                                     NUM_BINS)[0]),
-                "rowstore_node": lambda: b.release(
-                    b.build_rowstore(csr, rows, grad, hess, NUM_BINS)[0]),
-                "colstore_hybrid": lambda: b.release(
-                    b.build_colstore_hybrid(csc, rows, node_of, 1, grad,
-                                            hess, NUM_BINS)[0]),
-            }
-
-        def layer_case():
-            hists, _ = builder.build_colstore_layer(csc, node_of, 2, grad,
-                                                    hess, NUM_BINS)
-            for h in hists:
-                builder.release(h)
-
-        cases = hist_cases(builder)
-        cases["colstore_layer"] = layer_case
+        cases = {
+            "rowstore_root": lambda: builder.build_rowstore(
+                csr, all_rows, grad, hess, NUM_BINS),
+            "rowstore_node": lambda: builder.build_rowstore(
+                csr, rows, grad, hess, NUM_BINS),
+            "colstore_hybrid": lambda: builder.build_colstore_hybrid(
+                csc, rows, node_of, 1, grad, hess, NUM_BINS),
+            "colstore_layer": lambda: builder.build_colstore_layer(
+                csc, node_of, 2, grad, hess, NUM_BINS),
+        }
         entry = {}
         for name, fn in cases.items():
             ops = time_ops(fn, min_s)

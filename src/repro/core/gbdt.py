@@ -27,7 +27,7 @@ from .indexing import NodeToInstanceIndex
 from .loss import Loss, make_loss
 from .metrics import auc, multiclass_accuracy, rmse
 from .placement import layer_placements_rowstore
-from .split import SplitInfo, accepted_split, find_best_split, leaf_weight
+from .split import SplitInfo, decide_split, leaf_weight
 from .tree import Tree, TreeEnsemble, layer_nodes, leaf_matrix
 
 
@@ -68,16 +68,11 @@ def metric_improved(name: str, candidate: float, incumbent: float) -> bool:
 class GBDT:
     """Reference (single-process) gradient boosted decision trees."""
 
-    def __init__(self, config: TrainConfig,
-                 builder: Optional[HistogramBuilder] = None) -> None:
+    def __init__(self, config: TrainConfig) -> None:
         self.config = config
-        # one workspace-owning kernel engine per trainer; its histogram
-        # pool recycles every per-node buffer across layers and trees,
-        # and config.backend selects the scatter kernel implementation
-        self.builder = (
-            builder if builder is not None
-            else HistogramBuilder(backend=config.backend or None)
-        )
+        # one kernel engine per trainer; config.backend selects the
+        # scatter kernel implementation
+        self.builder = HistogramBuilder(backend=config.backend or None)
         self.builder.constant_hessian = make_loss(
             config.objective, config.num_classes).constant_hessian
 
@@ -260,14 +255,16 @@ def grow_tree(
             binned, index, nodes, grad, hess, hist_store, builder=builder
         )
         splits: Dict[int, SplitInfo] = {}
-        for node, split in zip(nodes, best_splits(
-                cfg, index, nodes, hist_store, stats, bins)):
+        found = decide_split(cfg, [hist_store[n] for n in nodes],
+                             [stats[n] for n in nodes],
+                             [index.count_of(n) for n in nodes], bins)
+        for node, split in zip(nodes, found):
             if split is None:
                 tree.set_leaf(node, leaf_weight(*stats[node],
                                                 cfg.reg_lambda))
                 active.discard(node)
                 index.retire_node(node)
-                builder.release(hist_store.pop(node, None))
+                del hist_store[node]
             else:
                 splits[node] = split
         for node, split in splits.items():
@@ -283,9 +280,6 @@ def grow_tree(
     for node in sorted(active):
         tree.set_leaf(node, leaf_weight(*stats[node], cfg.reg_lambda))
         index.retire_node(node)
-    for hist in hist_store.values():
-        builder.release(hist)
-    hist_store.clear()
     return tree, index.node_of_instance.copy()
 
 
@@ -294,27 +288,6 @@ def node_stats(index: NodeToInstanceIndex, nodes: List[int],
                ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
     """``{node: (G, H)}`` for ``nodes``, from one gather of their rows."""
     return dict(zip(nodes, zip(*index.node_totals(nodes, grad, hess))))
-
-
-def best_splits(
-    cfg: TrainConfig,
-    index: NodeToInstanceIndex,
-    nodes: List[int],
-    hist_store: Dict[int, Histogram],
-    stats: Dict[int, Tuple[np.ndarray, np.ndarray]],
-    bins_per_feature: np.ndarray,
-) -> List[Optional[SplitInfo]]:
-    """Each node's accepted best split (or ``None``): one finder call
-    over the stack of the eligible nodes' histograms."""
-    def search(eligible: List[int]) -> List[Optional[SplitInfo]]:
-        picked = [nodes[i] for i in eligible]
-        return find_best_split(
-            [hist_store[node] for node in picked],
-            [stats[node][0] for node in picked],
-            [stats[node][1] for node in picked],
-            cfg.reg_lambda, cfg.reg_gamma, bins_per_feature)
-
-    return accepted_split(cfg, [index.count_of(n) for n in nodes], search)
 
 
 def grow_tree_leafwise(
@@ -345,8 +318,9 @@ def grow_tree_leafwise(
         max_layer_node = 2 ** (cfg.num_layers - 1) - 2
         if node > max_layer_node:  # already at the deepest split layer
             return None
-        split, = best_splits(cfg, index, [node], hist_store, stats,
-                             binned.bins_per_feature)
+        split, = decide_split(cfg, [hist_store[node]], [stats[node]],
+                              [index.count_of(node)],
+                              binned.bins_per_feature)
         if split is None:
             return None
         return (-split.gain, node, split)
@@ -378,7 +352,6 @@ def grow_tree_leafwise(
     for node in index.active_nodes():
         tree.set_leaf(node, leaf_weight(*stats[node], cfg.reg_lambda))
         index.retire_node(node)
-        builder.release(hist_store.pop(node, None))
     return tree, index.node_of_instance.copy()
 
 
@@ -410,7 +383,6 @@ def build_histograms_with_subtraction(
             scanned += touched
         else:
             parent = (node - 1) // 2
-            hist_store[node] = builder.subtract(hist_store[parent],
+            hist_store[node] = builder.subtract(hist_store.pop(parent),
                                                 hist_store[sibling])
-            builder.release(hist_store.pop(parent))
     return scanned

@@ -6,8 +6,9 @@ value falls in that bin.  Its size — ``Sizehist = 2 * D * q * C * 8`` bytes
 per tree node (Section 3.1.1) — drives the memory and communication analysis
 of the whole paper.
 
-This module provides the :class:`Histogram` container (with the subtraction
-technique of Section 2.1.2), :func:`subtraction_schedule` — the one rule,
+This module provides the :class:`Histogram` container, the subtraction
+technique of Section 2.1.2 (:meth:`HistogramBuilder.subtract`),
+:func:`subtraction_schedule` — the one rule,
 shared by the oracle and every plan, for which sibling is built and which
 derived — and the construction kernels for each storage pattern and index
 combination analyzed in Section 3.2:
@@ -28,14 +29,13 @@ combination analyzed in Section 3.2:
   direct slices, but the index itself costs ``O(nnz)`` per layer to
   maintain.
 
-Histogram construction dominates GBDT computation (Section 3.2.4), so the
-kernels run on a reusable-workspace engine:
+Histogram construction dominates GBDT computation (Section 3.2.4).  A
+:class:`Histogram` is just two arrays: kernels allocate one per node
+(un-zeroed via :meth:`Histogram.empty` when the scatter writes every
+bin) and callers drop it when the node retires, so the bytes alive are
+exactly the retained histograms the paper counts (Section 3.1.2).
 
-* :class:`HistogramPool` recycles retired :class:`Histogram` buffers
-  (zero-fill instead of fresh allocation) with a ``reset``/``release``
-  lifecycle;
-* :class:`HistogramBuilder` owns a pool plus grow-only scratch arrays and
-  implements all four kernels allocation-free on the hot path, with a
+* :class:`HistogramBuilder` implements all four kernels, with a
   dedicated **root fast path** (a node holding every shard row keys
   directly off the shard's cached entry keys);
 * the innermost scatter-add dispatches to a pluggable
@@ -76,15 +76,15 @@ class Histogram:
     ``bincount`` per gradient dimension.  The accumulator ``dtype``
     defaults to float64 (the lossless path every bit-identity contract
     is stated against); backends may request float32 accumulators for
-    ablations, and the pool keys buffers by dtype so the two can never
-    alias.
+    ablations.
     """
 
     __slots__ = ("grad", "hess", "num_features", "num_bins",
                  "gradient_dim", "dtype")
 
     def __init__(self, num_features: int, num_bins: int,
-                 gradient_dim: int, dtype=np.float64) -> None:
+                 gradient_dim: int, dtype=np.float64, *,
+                 alloc=np.zeros) -> None:
         if num_features < 1 or num_bins < 1 or gradient_dim < 1:
             raise ValueError(
                 "num_features, num_bins and gradient_dim must be >= 1"
@@ -94,8 +94,16 @@ class Histogram:
         self.gradient_dim = gradient_dim
         self.dtype = np.dtype(dtype)
         shape = (num_features * num_bins, gradient_dim)
-        self.grad = np.zeros(shape, dtype=self.dtype)
-        self.hess = np.zeros(shape, dtype=self.dtype)
+        self.grad = alloc(shape, dtype=self.dtype)
+        self.hess = alloc(shape, dtype=self.dtype)
+
+    @classmethod
+    def empty(cls, num_features: int, num_bins: int, gradient_dim: int,
+              dtype=np.float64) -> "Histogram":
+        """A histogram with undefined bins, for kernels that write every
+        bin (the backend scatters and :meth:`HistogramBuilder.subtract`)."""
+        return cls(num_features, num_bins, gradient_dim, dtype,
+                   alloc=np.empty)
 
     # -- views ---------------------------------------------------------------
 
@@ -129,13 +137,7 @@ class Histogram:
         """Actual bytes held — equals ``Sizehist`` for this feature count."""
         return self.grad.nbytes + self.hess.nbytes
 
-    # -- algebra (the subtraction technique) ----------------------------------
-
-    def reset(self) -> "Histogram":
-        """Zero both buffers in place (pool recycling)."""
-        self.grad.fill(0.0)
-        self.hess.fill(0.0)
-        return self
+    # -- algebra ---------------------------------------------------------------
 
     def add_inplace(self, other: "Histogram") -> "Histogram":
         self._check_compatible(other)
@@ -143,23 +145,9 @@ class Histogram:
         self.hess += other.hess
         return self
 
-    def subtract(self, other: "Histogram") -> "Histogram":
-        """``self - other`` as a new histogram.
-
-        With ``self`` the parent and ``other`` one child, the result is the
-        sibling child (Section 2.1.2): children partition the parent's
-        instances, and histogram bins are plain sums of gradients.
-        """
-        self._check_compatible(other)
-        result = Histogram(self.num_features, self.num_bins,
-                           self.gradient_dim, dtype=self.dtype)
-        np.subtract(self.grad, other.grad, out=result.grad)
-        np.subtract(self.hess, other.hess, out=result.hess)
-        return result
-
     def copy(self) -> "Histogram":
-        result = Histogram(self.num_features, self.num_bins,
-                           self.gradient_dim, dtype=self.dtype)
+        result = Histogram.empty(self.num_features, self.num_bins,
+                                 self.gradient_dim, dtype=self.dtype)
         result.grad[:] = self.grad
         result.hess[:] = self.hess
         return result
@@ -185,163 +173,42 @@ class Histogram:
 
 
 # ---------------------------------------------------------------------------
-# Histogram pool: reset/release lifecycle for retired buffers
-# ---------------------------------------------------------------------------
-
-class HistogramPool:
-    """Recycler of retired :class:`Histogram` buffers.
-
-    Trainers allocate one histogram per tree node per layer; without reuse
-    that is thousands of short-lived ``2·D·q·C`` buffers per tree.  The pool
-    keeps released buffers keyed by shape **and accumulator dtype** and
-    hands them back zeroed, so the steady-state hot path performs no
-    histogram allocation at all.  The dtype key matters once backends can
-    request float32 accumulators: without it, a float32 acquire could be
-    handed a float64 buffer released by another node's build (same shape,
-    wrong precision) and silently accumulate at the wrong width.
-
-    Contract: a caller must not ``release`` a histogram it (or anything
-    else) still references — the buffer will be recycled and overwritten.
-    Double releases of the same object are detected and ignored.
-    """
-
-    def __init__(self, max_retained: int = 256) -> None:
-        if max_retained < 0:
-            raise ValueError("max_retained must be >= 0")
-        self.max_retained = max_retained
-        self._free: Dict[Tuple[int, int, int, np.dtype],
-                         List[Histogram]] = {}
-        self._free_ids: set = set()
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def retained(self) -> int:
-        """Number of buffers currently parked in the pool."""
-        return len(self._free_ids)
-
-    def acquire(self, num_features: int, num_bins: int, gradient_dim: int,
-                zero: bool = True, dtype=np.float64) -> Histogram:
-        """A histogram of the given shape and dtype, recycled when possible.
-
-        ``zero=False`` skips the zero-fill for callers that overwrite every
-        bin (the kernels' full-scatter paths).
-        """
-        key = (num_features, num_bins, gradient_dim, np.dtype(dtype))
-        free = self._free.get(key)
-        if free:
-            hist = free.pop()
-            self._free_ids.discard(id(hist))
-            self.hits += 1
-            if zero:
-                hist.reset()
-            return hist
-        self.misses += 1
-        return Histogram(num_features, num_bins, gradient_dim, dtype=dtype)
-
-    def release(self, hist: Optional[Histogram]) -> None:
-        """Return a retired histogram for reuse (``None`` is a no-op)."""
-        if hist is None or id(hist) in self._free_ids:
-            return
-        if len(self._free_ids) >= self.max_retained:
-            return
-        key = (hist.num_features, hist.num_bins, hist.gradient_dim,
-               hist.dtype)
-        self._free.setdefault(key, []).append(hist)
-        self._free_ids.add(id(hist))
-
-    def reset(self) -> int:
-        """Drop every parked buffer; returns how many were dropped.
-
-        Plan migration calls this at the tree boundary: the new plan's
-        shard shapes produce differently-shaped histograms, so buffers
-        pooled under the old plan's keys would never be handed out again
-        and would pin memory for the rest of the run.  Hit/miss counters
-        are preserved (they describe the whole session).
-        """
-        dropped = len(self._free_ids)
-        self._free.clear()
-        self._free_ids.clear()
-        return dropped
-
-    def stats(self) -> Dict[str, int]:
-        """Pool effectiveness counters: retained buffers, hits, misses."""
-        return {
-            "retained": self.retained,
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def clear(self) -> None:
-        self.reset()
-
-
-# ---------------------------------------------------------------------------
-# Histogram builder: reusable workspaces + the four kernels
+# Histogram builder: the four kernels
 # ---------------------------------------------------------------------------
 
 class HistogramBuilder:
-    """Workspace-owning engine behind the four construction kernels.
+    """Engine behind the four construction kernels.
 
     One builder serves one trainer (the in-process simulator shares it
-    across simulated workers).  It holds a :class:`HistogramPool` plus
-    grow-only scratch arrays for scatter keys and stacked weights, so
-    repeated kernel calls on same-scale workloads allocate nothing.
-
-    The innermost scatter-add runs on a pluggable
-    :class:`~repro.core.kernels.KernelBackend` (``backend`` accepts a
-    registry name, an instance, or ``None`` for the portable numpy
-    default); the builder keeps the gather/key-composition machinery and
-    hands the backend precomposed keys plus pooled output buffers.
-    Trainers with a constant-hessian objective set ``constant_hessian``
-    so loop backends can take the no-hessian fast path (bin count times
-    the constant — taken only when bit-identical, i.e. at 1.0).
+    across simulated workers).  The innermost scatter-add runs on a
+    pluggable :class:`~repro.core.kernels.KernelBackend` (``backend``
+    accepts a registry name, an instance, or ``None`` for the portable
+    numpy default); the builder keeps the gather/key-composition
+    machinery and hands the backend precomposed keys plus un-zeroed
+    output histograms.  Trainers with a constant-hessian objective set
+    ``constant_hessian`` so loop backends can take the no-hessian fast
+    path (bin count times the constant — taken only when bit-identical,
+    i.e. at 1.0).
     """
 
-    def __init__(self, pool: Optional[HistogramPool] = None,
-                 backend=None) -> None:
+    def __init__(self, backend=None) -> None:
         from .kernels import make_backend
 
-        self.pool = pool if pool is not None else HistogramPool()
         self.backend = make_backend(backend)
         #: per-instance hessian value when the objective's hessian is
         #: constant (e.g. 1.0 for square loss); ``None`` otherwise
         self.constant_hessian: Optional[float] = None
-        self._scratch: Dict[str, np.ndarray] = {}
-
-    # -- workspaces -----------------------------------------------------------
-
-    def _buf(self, name: str, size: int, dtype) -> np.ndarray:
-        """Grow-only scratch array; contents are undefined on entry."""
-        buf = self._scratch.get(name)
-        if buf is None or buf.size < size:
-            capacity = max(size, 1024)
-            if buf is not None:
-                capacity = max(capacity, 2 * buf.size)
-            buf = np.empty(capacity, dtype=dtype)
-            self._scratch[name] = buf
-        return buf[:size]
-
-    def _iota(self, size: int) -> np.ndarray:
-        """``arange(size)`` served from a cached buffer."""
-        buf = self._scratch.get("iota")
-        if buf is None or buf.size < size:
-            capacity = max(size, 1024)
-            if buf is not None:
-                capacity = max(capacity, 2 * buf.size)
-            buf = np.arange(capacity, dtype=np.int64)
-            self._scratch["iota"] = buf
-        return buf[:size]
-
-    def release(self, hist: Optional[Histogram]) -> None:
-        self.pool.release(hist)
 
     def subtract(self, parent: Histogram, child: Histogram) -> Histogram:
-        """``parent - child`` into a pooled buffer (sibling derivation)."""
+        """``parent - child`` as a new histogram.
+
+        With ``child`` one child of ``parent``, the result is the sibling
+        child (Section 2.1.2): children partition the parent's
+        instances, and histogram bins are plain sums of gradients.
+        """
         parent._check_compatible(child)
-        out = self.pool.acquire(parent.num_features, parent.num_bins,
-                                parent.gradient_dim, zero=False,
-                                dtype=parent.dtype)
+        out = Histogram.empty(parent.num_features, parent.num_bins,
+                              parent.gradient_dim, dtype=parent.dtype)
         np.subtract(parent.grad, child.grad, out=out.grad)
         np.subtract(parent.hess, child.hess, out=out.hess)
         return out
@@ -357,7 +224,7 @@ class HistogramBuilder:
         :meth:`repro.core.kernels.KernelBackend.scatter` — the numpy
         default fuses the grad/hess passes into one ``bincount`` over
         stacked weights for small nodes).  Every bin of ``hist`` is
-        assigned, so callers may acquire the buffer un-zeroed.
+        assigned, so callers may pass a :meth:`Histogram.empty` one.
         """
         self.backend.scatter(hist, keys, entry_rows, grad, hess, size,
                              hess_const=self.constant_hessian)
@@ -392,10 +259,8 @@ class HistogramBuilder:
         gradient_dim = grad.shape[1]
         total = int(shard.nnz)
         if total == 0:
-            return self.pool.acquire(shard.num_cols, num_bins,
-                                     gradient_dim), 0
-        hist = self.pool.acquire(shard.num_cols, num_bins, gradient_dim,
-                                 zero=False)
+            return Histogram(shard.num_cols, num_bins, gradient_dim), 0
+        hist = Histogram.empty(shard.num_cols, num_bins, gradient_dim)
         self._scatter(hist, shard.hist_keys(num_bins),
                       shard.row_of_entries(), grad, hess,
                       shard.num_cols * num_bins)
@@ -409,21 +274,18 @@ class HistogramBuilder:
         lengths = shard.row_lengths()[rows]
         total = int(lengths.sum())
         if total == 0:
-            return self.pool.acquire(shard.num_cols, num_bins,
-                                     gradient_dim), 0
-        hist = self.pool.acquire(shard.num_cols, num_bins, gradient_dim,
-                                 zero=False)
+            return Histogram(shard.num_cols, num_bins, gradient_dim), 0
+        hist = Histogram.empty(shard.num_cols, num_bins, gradient_dim)
         starts = shard.indptr[rows]
         # position of each selected entry: repeat each row's start shifted
         # by the entries already emitted, then add a flat ramp
         entry_pos = np.repeat(starts - np.cumsum(lengths) + lengths,
                               lengths)
-        entry_pos += self._iota(total)
+        entry_pos += np.arange(total)
         entry_rows = np.repeat(rows, lengths)
         # gather precomposed scatter keys from the shard cache: one take
         # instead of re-deriving feature*num_bins + bin per entry
-        keys = self._buf("gather_keys", total, np.int64)
-        np.take(shard.hist_keys(num_bins), entry_pos, out=keys)
+        keys = shard.hist_keys(num_bins).take(entry_pos)
         self._scatter(hist, keys, entry_rows, grad, hess,
                       shard.num_cols * num_bins)
         return hist, total
@@ -450,7 +312,7 @@ class HistogramBuilder:
         gradient_dim = grad.shape[1]
         if shard.nnz == 0 or num_slots == 0:
             return [
-                self.pool.acquire(shard.num_cols, num_bins, gradient_dim)
+                Histogram(shard.num_cols, num_bins, gradient_dim)
                 for _ in range(num_slots)
             ], 0
         slot_arr = np.asarray(slot_of_instance)
@@ -458,14 +320,11 @@ class HistogramBuilder:
             slot_arr = slot_arr.astype(np.int64)
         nnz = int(shard.nnz)
         size = shard.num_cols * num_bins
-        slots = self._buf("layer_slots", nnz, np.int64)
-        np.take(slot_arr, shard.indices, out=slots)
+        slots = slot_arr.take(shard.indices)
         base_keys = shard.hist_keys(num_bins)
-        active = self._buf("layer_active", nnz, np.bool_)
-        np.greater_equal(slots, 0, out=active)
+        active = slots >= 0
         if active.all():
-            keys = self._buf("layer_keys", nnz, np.int64)
-            np.multiply(slots, size, out=keys)
+            keys = slots * size
             keys += base_keys
             entry_rows: np.ndarray = shard.indices
         else:
@@ -474,8 +333,7 @@ class HistogramBuilder:
             keys += base_keys[active]
             entry_rows = shard.indices[active]
         hists = [
-            self.pool.acquire(shard.num_cols, num_bins, gradient_dim,
-                              zero=False)
+            Histogram.empty(shard.num_cols, num_bins, gradient_dim)
             for _ in range(num_slots)
         ]
         self._scatter_slotted(hists, keys, entry_rows, grad, hess, size,
@@ -523,7 +381,7 @@ class HistogramBuilder:
         """
         node_rows = np.asarray(node_rows, dtype=np.int64)
         gradient_dim = grad.shape[1]
-        hist = self.pool.acquire(shard.num_cols, num_bins, gradient_dim)
+        hist = Histogram(shard.num_cols, num_bins, gradient_dim)
         scanned = 0
         searched = 0
         node_size = node_rows.size
@@ -574,7 +432,7 @@ class HistogramBuilder:
         slices, batched into one fused scatter."""
         shard = index.shard
         gradient_dim = grad.shape[1]
-        hist = self.pool.acquire(shard.num_cols, num_bins, gradient_dim)
+        hist = Histogram(shard.num_cols, num_bins, gradient_dim)
         touched = 0
         rows_parts: List[np.ndarray] = []
         keys_parts: List[np.ndarray] = []

@@ -26,8 +26,8 @@ Three backends are registered:
   idioms: per-entry scatter loops unrolled by 4 so LLVM can
   auto-vectorize, a no-hessian fast path for constant-hessian
   objectives (hessian histogram = bin count x the constant), and
-  in-place writes into pooled output buffers so the hot loop allocates
-  nothing.  ``fastmath`` stays **off**: additions run in storage order,
+  in-place writes into the caller's output histogram so the hot loop
+  allocates nothing.  ``fastmath`` stays **off**: additions run in storage order,
   keeping every backend bit-identical to the numpy baseline.
 * ``pyloop`` — the *same* loop kernels interpreted instead of
   JIT-compiled.  Hopeless for speed, invaluable for correctness: it
@@ -279,8 +279,8 @@ class KernelBackend:
                 hess_const: Optional[float] = None) -> None:
         """Scatter-add gradients/hessians of ``entry_rows`` at ``keys``.
 
-        Fills **every** bin of ``hist`` (callers may acquire the buffer
-        un-zeroed).  ``hess_const`` hints that all hessians equal that
+        Fills **every** bin of ``hist`` (callers may pass a
+        :meth:`~repro.core.histogram.Histogram.empty` one).  ``hess_const`` hints that all hessians equal that
         constant; backends may take a no-hessian fast path when the
         result stays bit-identical (only ``1.0`` qualifies).
         """
@@ -396,7 +396,7 @@ def _loop_scatter_dispatch(backend, hist, keys, entry_rows, grad, hess,
 
     The loop kernels add into their output in place, so the buffers are
     zeroed here first — preserving the builder's contract that every
-    bin of an un-zeroed pooled buffer gets written.
+    bin of an un-zeroed (:meth:`Histogram.empty`) output gets written.
     """
     hist.grad[:] = 0.0
     hist.hess[:] = 0.0
@@ -489,8 +489,8 @@ class NumbaBackend(PyLoopBackend):
 
     Same algorithms as ``pyloop`` — per-feature unrolled-by-4 scatter
     over precomposed int64 keys of uint8-range binned columns, the
-    no-hessian fast path, allocation-free writes into pooled buffers —
-    but compiled by numba/LLVM.  Auto-detected; constructing it without
+    no-hessian fast path, allocation-free writes into the output
+    histogram — but compiled by numba/LLVM.  Auto-detected; constructing it without
     numba installed raises :class:`BackendUnavailableError`.
     """
 

@@ -97,6 +97,26 @@ def accepted_split(config: TrainConfig, counts: Sequence[int],
     return splits
 
 
+def decide_split(
+    config: TrainConfig,
+    hists: Sequence[Histogram],
+    stats: Sequence[Tuple[np.ndarray, np.ndarray]],
+    counts: Sequence[int],
+    bins_per_feature: np.ndarray,
+) -> List[Optional[SplitInfo]]:
+    """Accepted best split of each node of a stack (``hists[i]``, with
+    totals ``stats[i]`` over ``counts[i]`` instances) under
+    :func:`accepted_split`: one finder call over the eligible nodes."""
+    def search(eligible: List[int]) -> List[Optional[SplitInfo]]:
+        return find_best_split(
+            [hists[i] for i in eligible],
+            [stats[i][0] for i in eligible],
+            [stats[i][1] for i in eligible],
+            config.reg_lambda, config.reg_gamma, bins_per_feature)
+
+    return accepted_split(config, counts, search)
+
+
 def find_best_split(
     hists: Sequence[Histogram],
     grad_totals: np.ndarray,

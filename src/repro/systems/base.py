@@ -1,5 +1,5 @@
 """Shared pieces of the distributed trainer: cost records, the worker
-clock, histogram stores and the plans' split search.
+clock and histogram stores.
 
 The paper's Section 5.2 methodology — "implement different quadrants in the
 same code base" — is realized by one trainer,
@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..config import TrainConfig
-from ..core.histogram import Histogram, HistogramPool
+from ..core.histogram import Histogram
 from ..core.loss import Loss
-from ..core.split import SplitInfo, accepted_split, find_best_split
+# not called here: bench/e2e's selftest checks that its tracer rebinds
+# the finder under this module's name as well
+from ..core.split import find_best_split  # noqa: F401
 from ..core.tree import TreeEnsemble
 from ..data.dataset import BinnedDataset
 from ..cluster.network import CommStats
@@ -219,15 +220,11 @@ class HistogramStore:
     """Per-worker histogram cache with live/peak byte tracking.
 
     Parents are retained for subtraction (Section 3.1.2), so the peak here
-    is exactly the paper's per-worker histogram memory.  With a
-    :class:`~repro.core.histogram.HistogramPool` attached, retired buffers
-    are recycled on ``pop``/``clear`` instead of discarded; pool-parked
-    buffers no longer count as live, so the accounting is unchanged.
+    is exactly the paper's per-worker histogram memory.
     """
 
-    def __init__(self, pool: Optional[HistogramPool] = None) -> None:
+    def __init__(self) -> None:
         self._store: Dict[int, Histogram] = {}
-        self._pool = pool
         self.live_bytes = 0
         self.peak_bytes = 0
 
@@ -243,47 +240,15 @@ class HistogramStore:
         return self._store[node]
 
     def pop(self, node: int) -> Optional[Histogram]:
-        """Retire a node's histogram.
-
-        Without a pool the histogram is returned for the caller to use;
-        with one it is released for reuse and ``None`` is returned (a
-        recycled buffer must not be retained).
-        """
+        """Retire a node's histogram and return it (``None`` if absent)."""
         hist = self._store.pop(node, None)
         if hist is not None:
             self.live_bytes -= hist.nbytes
-            if self._pool is not None:
-                self._pool.release(hist)
-                return None
         return hist
 
     def __contains__(self, node: int) -> bool:
         return node in self._store
 
     def clear(self) -> None:
-        if self._pool is not None:
-            for hist in self._store.values():
-                self._pool.release(hist)
         self._store.clear()
         self.live_bytes = 0
-
-
-def decide_split(
-    config: TrainConfig,
-    hists: Sequence[Histogram],
-    stats: Sequence[Tuple[np.ndarray, np.ndarray]],
-    counts: Sequence[int],
-    bins_per_feature: np.ndarray,
-) -> List[Optional[SplitInfo]]:
-    """Local best split of each node of a stack (``hists[i]``, with
-    totals ``stats[i]`` over ``counts[i]`` instances) under the shared
-    acceptance rule (:func:`~repro.core.split.accepted_split`): one
-    finder call over the eligible nodes."""
-    def search(eligible: List[int]) -> List[Optional[SplitInfo]]:
-        return find_best_split(
-            [hists[i] for i in eligible],
-            [stats[i][0] for i in eligible],
-            [stats[i][1] for i in eligible],
-            config.reg_lambda, config.reg_gamma, bins_per_feature)
-
-    return accepted_split(config, counts, search)

@@ -144,9 +144,8 @@ class PlanExecutor:
         #: negotiated wire-format codec stack for inter-worker payloads
         self.codec = get_codec_stack(config.codec)
         self.loss: Loss = make_loss(config.objective, config.num_classes)
-        # workspace-owning kernel engine shared by the simulated workers;
-        # its pool recycles per-node histogram buffers across layers/trees,
-        # and config.backend picks the scatter kernel implementation
+        # kernel engine shared by the simulated workers; config.backend
+        # picks the scatter kernel implementation
         self.hist_builder = HistogramBuilder(
             backend=config.backend or None)
         self.hist_builder.constant_hessian = self.loss.constant_hessian
@@ -229,10 +228,8 @@ class PlanExecutor:
         """Partition ``binned`` and initialize every per-worker structure."""
         self._binned = binned
         self.partition.setup(self, binned)
-        self.stores = [
-            HistogramStore(pool=self.hist_builder.pool)
-            for _ in range(self.cluster.num_workers)
-        ]
+        self.stores = [HistogramStore()
+                       for _ in range(self.cluster.num_workers)]
         self.storage.setup(self)
         self.index_plan.setup(self)
         self.reset_tree_state()

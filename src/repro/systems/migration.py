@@ -88,7 +88,6 @@ class MigrationRecord:
     label_bytes: int
     decision_bytes: int
     seconds: float
-    pool_buffers_dropped: int = 0
     #: crashes absorbed (and replayed) during this migration
     crashes: int = 0
 
@@ -177,16 +176,11 @@ class PlanMigrator:
         self._maybe_crash(session.state.tree_index)
 
         # 2. build the target executor on the shared fabric: same
-        # network (one ledger), same fault schedule, same kernel
-        # builder.  The pool is reset so buffers shaped for the old
-        # plan's shards do not pin memory for the rest of the run.
+        # network (one ledger), same fault schedule.
         new = PlanExecutor(old.config, old.cluster, plan)
         new.net = net
         new.injector = old.injector
         new.codec = old.codec
-        dropped = old.hist_builder.pool.reset()
-        new.hist_builder = old.hist_builder
-        new.hist_builder.constant_hessian = new.loss.constant_hessian
         # session-wide recovery trail: share the list across executors
         new.recovery_log = old.recovery_log
         new.setup(binned)
@@ -227,7 +221,6 @@ class PlanMigrator:
             label_bytes=label_bytes,
             decision_bytes=decision_bytes,
             seconds=seconds,
-            pool_buffers_dropped=dropped,
         )
         return record, new
 

@@ -52,9 +52,9 @@ from ..core.histogram import (ColumnwiseIndex, Histogram,
 from ..core.indexing import NodeToInstanceIndex
 from ..core.placement import (layer_placements_colstore,
                               layer_placements_rowstore)
-from ..core.split import SplitInfo, stacked
+from ..core.split import SplitInfo, decide_split, stacked
 from ..core.tree import Tree
-from .base import WorkerClock, decide_split
+from .base import WorkerClock
 
 if TYPE_CHECKING:
     from ..config import TrainConfig

@@ -1,11 +1,11 @@
 """HistogramBuilder engine tests.
 
-Covers the reusable-workspace layer added on top of the kernels: pool
-recycling carries no stale state, the root fast path of the row-store
-kernel is bit-for-bit identical to the generic gather path, all four
-kernels agree on random sparse shards for 1- and 3-dimensional
-gradients, and the lookup-table leaf gathers match the masked loops
-they replaced.
+Covers the builder around the kernels: repeated builds carry no stale
+state, the root fast path of the row-store kernel is bit-for-bit
+identical to the generic gather path, all four kernels agree on random
+sparse shards for 1- and 3-dimensional gradients, the histogram store
+tracks live and peak bytes, and the lookup-table leaf gathers match the
+masked loops they replaced.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.histogram import (ColumnwiseIndex, Histogram,
-                                  HistogramBuilder, HistogramPool,
-                                  default_builder)
+                                  HistogramBuilder, default_builder)
 from repro.core.tree import Tree, leaf_matrix
 from repro.data.matrix import CSRMatrix
 from repro.systems.base import HistogramStore
@@ -37,90 +36,6 @@ def make_binned(rng, num_rows=40, num_features=6, num_bins=5,
     return csr, dense
 
 
-class TestHistogramPool:
-    def test_recycles_by_shape(self):
-        pool = HistogramPool()
-        a = pool.acquire(3, 4, 2)
-        pool.release(a)
-        b = pool.acquire(3, 4, 2)
-        assert b is a
-        assert pool.hits == 1 and pool.misses == 1
-        # a different shape must not reuse the parked buffer
-        c = pool.acquire(3, 4, 1)
-        assert c is not a
-
-    def test_recycled_buffer_is_zeroed(self):
-        pool = HistogramPool()
-        hist = pool.acquire(3, 4, 2)
-        hist.grad[:] = 7.0
-        hist.hess[:] = -1.0
-        pool.release(hist)
-        again = pool.acquire(3, 4, 2)
-        assert again is hist
-        assert np.all(again.grad == 0.0)
-        assert np.all(again.hess == 0.0)
-
-    def test_double_release_ignored(self):
-        pool = HistogramPool()
-        hist = Histogram(2, 2, 1)
-        pool.release(hist)
-        pool.release(hist)
-        assert pool.retained == 1
-        assert pool.acquire(2, 2, 1) is hist
-        assert pool.acquire(2, 2, 1) is not hist
-
-    def test_release_none_is_noop(self):
-        pool = HistogramPool()
-        pool.release(None)
-        assert pool.retained == 0
-
-    def test_retention_cap(self):
-        pool = HistogramPool(max_retained=2)
-        for _ in range(5):
-            pool.release(Histogram(2, 2, 1))
-        assert pool.retained == 2
-
-    def test_interleaved_stress_never_aliases_live_buffers(self):
-        """Seeded storm of acquire/release across mixed shapes: a live
-        buffer must never be handed out twice, sentinel contents must
-        survive other traffic, and the pool stays within its cap."""
-        pool = HistogramPool(max_retained=8)
-        rng = np.random.default_rng(20260807)
-        shapes = [(2, 3, 1), (2, 3, 2), (4, 2, 1)]
-        live = {}  # id(hist) -> (hist, shape, sentinel)
-        for step in range(600):
-            if live and (rng.random() < 0.45 or len(live) > 32):
-                key = rng.choice(list(live))
-                hist, shape, sentinel = live.pop(key)
-                # the sentinel written at acquire time is intact: no
-                # other live acquire ever aliased this buffer
-                assert np.all(hist.grad == sentinel), \
-                    f"step {step}: buffer clobbered while live"
-                assert np.all(hist.hess == -sentinel)
-                pool.release(hist)
-            else:
-                shape = shapes[rng.integers(len(shapes))]
-                hist = pool.acquire(*shape)
-                assert id(hist) not in live, \
-                    f"step {step}: live buffer handed out twice"
-                assert (hist.num_features, hist.num_bins,
-                        hist.gradient_dim) == shape
-                # recycled buffers come back zeroed
-                assert np.all(hist.grad == 0.0)
-                assert np.all(hist.hess == 0.0)
-                sentinel = float(step + 1)
-                hist.grad[:] = sentinel
-                hist.hess[:] = -sentinel
-                live[id(hist)] = (hist, shape, sentinel)
-            assert pool.retained <= pool.max_retained
-        # drain: every survivor still holds its own sentinel
-        for hist, _, sentinel in live.values():
-            assert np.all(hist.grad == sentinel)
-        # every acquire was either a recycle hit or a fresh allocation
-        assert pool.hits + pool.misses > 0
-        assert pool.hits > 0 and pool.misses > 0
-
-
 class TestBuilderReuse:
     def test_recycled_kernel_runs_carry_no_stale_state(self, rng):
         """Two builds through one builder equal two independent builds."""
@@ -137,17 +52,6 @@ class TestBuilderReuse:
             assert touched == fresh_touched
             assert np.array_equal(hist.grad, fresh.grad)
             assert np.array_equal(hist.hess, fresh.hess)
-            builder.release(hist)
-
-    def test_pool_feeds_kernel_results(self, rng):
-        csr, _ = make_binned(rng)
-        rows = np.arange(40, dtype=np.int64)
-        grad = rng.standard_normal((40, 1))
-        builder = HistogramBuilder()
-        first, _ = builder.build_rowstore(csr, rows, grad, grad, 5)
-        builder.release(first)
-        second, _ = builder.build_rowstore(csr, rows, grad, grad, 5)
-        assert second is first  # recycled, not reallocated
 
     def test_default_builder_is_shared(self):
         assert default_builder() is default_builder()
@@ -235,32 +139,24 @@ class TestFourKernelAgreement:
             assert via_row.allclose(other, rtol=1e-9, atol=1e-12)
 
 
-class TestPooledHistogramStore:
-    def test_pop_recycles_and_returns_none(self):
-        pool = HistogramPool()
-        store = HistogramStore(pool=pool)
-        hist = Histogram(3, 4, 1)
-        store.put(0, hist)
-        assert store.live_bytes == hist.nbytes
-        assert store.pop(0) is None
-        assert store.live_bytes == 0
-        assert store.peak_bytes == hist.nbytes
-        assert pool.acquire(3, 4, 1) is hist
-
-    def test_pop_without_pool_returns_hist(self):
+class TestHistogramStore:
+    def test_pop_returns_hist_and_tracks_bytes(self):
         store = HistogramStore()
         hist = Histogram(3, 4, 1)
         store.put(0, hist)
+        assert store.live_bytes == hist.nbytes
         assert store.pop(0) is hist
+        assert store.pop(0) is None
+        assert store.live_bytes == 0
+        assert store.peak_bytes == hist.nbytes
 
-    def test_clear_recycles(self):
-        pool = HistogramPool()
-        store = HistogramStore(pool=pool)
+    def test_clear_forgets_live_bytes(self):
+        store = HistogramStore()
         store.put(0, Histogram(3, 4, 1))
         store.put(1, Histogram(3, 4, 1))
         store.clear()
         assert store.live_bytes == 0
-        assert pool.retained == 2
+        assert 0 not in store and 1 not in store
 
 
 class TestLeafLookupTables:

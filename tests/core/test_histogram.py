@@ -63,12 +63,12 @@ class TestHistogramContainer:
         a.grad[:] = rng.standard_normal(a.grad.shape)
         b.grad[:] = rng.standard_normal(b.grad.shape)
         total = a.copy().add_inplace(b)
-        back = total.subtract(b)
+        back = BUILDER.subtract(total, b)
         assert back.allclose(a)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="shapes"):
-            Histogram(3, 4, 2).subtract(Histogram(3, 4, 1))
+            BUILDER.subtract(Histogram(3, 4, 2), Histogram(3, 4, 1))
 
     def test_views_share_memory(self):
         hist = Histogram(2, 3, 1)
@@ -238,7 +238,7 @@ def test_property_subtraction_identity(seed):
     parent, _ = BUILDER.build_rowstore(csr, rows, grad, hess, 4)
     left, _ = BUILDER.build_rowstore(csr, rows[go_left], grad, hess, 4)
     right, _ = BUILDER.build_rowstore(csr, rows[~go_left], grad, hess, 4)
-    derived = parent.subtract(left)
+    derived = BUILDER.subtract(parent, left)
     assert derived.allclose(right, rtol=1e-9, atol=1e-12)
 
 

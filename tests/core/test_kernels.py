@@ -5,7 +5,7 @@ is a *drop-in* replacement: same bits out of the scatter kernels, same
 trees out of training, same scores out of serving.  These tests pin the
 registry mechanics (resolution, auto-detection, the
 ``REPRO_DISABLE_BACKENDS`` mask, graceful degradation when numba is
-absent), the HistogramPool dtype keying regression, the no-hessian fast
+absent), histogram dtype propagation, the no-hessian fast
 path, and a hypothesis sweep proving exact scatter equality on random
 binned datasets — dense, sparse, and missing-heavy — for every backend
 the machine can import.
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.config import ClusterConfig, TrainConfig
 from repro.core.gbdt import GBDT
 from repro.core.histogram import (ColumnwiseIndex, Histogram,
-                                  HistogramBuilder, HistogramPool)
+                                  HistogramBuilder)
 from repro.core.kernels import (BACKENDS, DISABLE_ENV, BackendUnavailableError,
                                 NumbaBackend, available_backends,
                                 backend_names, compute_factor,
@@ -108,22 +108,7 @@ class TestRegistry:
                 assert "not available" in line
 
 
-class TestHistogramPoolDtypeKeying:
-    def test_float32_never_aliases_float64(self):
-        """Regression: a released float32 histogram must not satisfy a
-        float64 acquire of the same shape (silent precision loss)."""
-        pool = HistogramPool()
-        low = pool.acquire(3, 4, 1, dtype=np.float32)
-        assert low.grad.dtype == np.float32
-        pool.release(low)
-        high = pool.acquire(3, 4, 1)
-        assert high is not low
-        assert high.grad.dtype == np.float64
-        # same dtype still recycles
-        pool.release(high)
-        assert pool.acquire(3, 4, 1) is high
-        assert pool.acquire(3, 4, 1, dtype=np.float32) is low
-
+class TestHistogramDtype:
     def test_histogram_dtype_propagates(self):
         hist = Histogram(2, 3, 1, dtype=np.float32)
         assert hist.grad.dtype == np.float32

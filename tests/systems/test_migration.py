@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro import ClusterConfig, TrainConfig, make_classification
-from repro.core.histogram import HistogramPool
 from repro.data.dataset import bin_dataset
 from repro.systems import base as base_module
 from repro.systems.executor import (SessionCheckpoint, TrainingSession)
@@ -319,29 +318,6 @@ class TestMigrationClock:
                                        (1.0, 1.0, 1.0, 0.25))
         assert uniform == pytest.approx(self.TICK)
         assert straggler == pytest.approx(4 * uniform)
-
-
-class TestHistogramPoolAcrossMigration:
-    def test_pool_reset_and_stats_api(self):
-        pool = HistogramPool()
-        arr = pool.acquire(4, 8, 1)
-        pool.release(arr)
-        stats = pool.stats()
-        assert set(stats) == {"retained", "hits", "misses"}
-        assert stats["retained"] == 1
-        assert pool.reset() == 1
-        assert pool.stats()["retained"] == 0
-        # reset keeps the hit/miss counters (they describe the session)
-        assert pool.stats()["misses"] == stats["misses"]
-        assert pool.reset() == 0
-
-    def test_migration_resets_the_shared_pool(self, binned):
-        _, session, record = run_migrated("qd2", "qd3", binned)
-        # the source plan parked buffers; the migration dropped them
-        assert record.pool_buffers_dropped > 0
-        # and the target kept training through the same (reset) pool
-        stats = session.system.hist_builder.pool.stats()
-        assert stats["misses"] > 0
 
 
 class TestSessionPersistence:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.systems.base
 from repro import ClusterConfig, TrainConfig, make_classification
 from repro.core import split as split_module
 from repro.core.serialize import ensemble_to_dict
@@ -49,13 +48,13 @@ def test_one_finder_call_per_layer_and_worker(monkeypatch):
     binned = bin_dataset(make_classification(400, 9, density=1.0, seed=4),
                          8)
     calls = []
-    finder = repro.systems.base.find_best_split
+    finder = split_module.find_best_split
 
     def counted(hists, *args, **kwargs):
         calls.append(len(hists))
         return finder(hists, *args, **kwargs)
 
-    monkeypatch.setattr(repro.systems.base, "find_best_split", counted)
+    monkeypatch.setattr(split_module, "find_best_split", counted)
     config = TrainConfig(num_trees=1, num_layers=4, num_candidates=8)
     system = get_plan("qd2").build(config, ClusterConfig(num_workers=3))
     system.fit(binned)
