@@ -93,5 +93,5 @@ def test_kernel_subtraction(benchmark, kernel_workload):
                                        grad, hess, NUM_BINS)
     child, _ = BUILDER.build_rowstore(binned.binned, rows, grad, hess,
                                       NUM_BINS)
-    sibling = benchmark(parent.subtract, child)
+    sibling = benchmark(BUILDER.subtract, parent, child)
     assert sibling.grad.shape == parent.grad.shape

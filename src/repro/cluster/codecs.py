@@ -222,7 +222,8 @@ class DenseHistogramCodec(HistogramCodec):
     name = "dense"
 
     def encode(self, hist: Histogram) -> Encoded:
-        return Encoded("dense", hist.nbytes, hist.nbytes, (hist,))
+        return Encoded("dense", hist.nbytes, hist.nbytes,
+                       (hist.to_dense(),))
 
     def decode(self, enc: Encoded,
                into: Optional[Histogram] = None) -> Histogram:
@@ -255,7 +256,8 @@ class SparseHistogramCodec(HistogramCodec):
     def encode(self, hist: Histogram) -> Encoded:
         raw = hist.nbytes
         # flat compares, column by column: ``any(axis=1)`` over an axis
-        # of length C pays a reduction per slot
+        # of length C pays a reduction per slot.  A basis histogram is
+        # scanned over its basis only: every other slot is zero
         mask = hist.grad[:, 0] != 0
         for column in (*hist.grad.T[1:], *hist.hess.T):
             mask |= column != 0
@@ -264,8 +266,10 @@ class SparseHistogramCodec(HistogramCodec):
         sparse_nbytes = (HISTOGRAM_HEADER_BYTES
                          + nnz * sparse_entry_bytes(hist.gradient_dim))
         if sparse_nbytes >= raw:
-            return Encoded("sparse/dense-fallback", raw, raw, (hist,))
-        idx = occupied.astype(np.int32)
+            return Encoded("sparse/dense-fallback", raw, raw,
+                           (hist.to_dense(),))
+        idx = (occupied if hist.slots is None
+               else hist.slots[occupied]).astype(np.int32, copy=False)
         return Encoded(
             "sparse", sparse_nbytes, raw,
             (idx, hist.grad[occupied], hist.hess[occupied],
@@ -323,6 +327,7 @@ class LowPrecisionHistogramCodec(HistogramCodec):
 
     def encode(self, hist: Histogram) -> Encoded:
         raw = hist.nbytes
+        hist = hist.to_dense()
         grad = _narrow(hist.grad, self.dtype, self.name)
         hess = _narrow(hist.hess, self.dtype, self.name)
         nbytes = (HISTOGRAM_HEADER_BYTES + grad.nbytes + hess.nbytes)

@@ -32,8 +32,20 @@ combination analyzed in Section 3.2:
 Histogram construction dominates GBDT computation (Section 3.2.4).  A
 :class:`Histogram` is just two arrays: kernels allocate one per node
 (un-zeroed via :meth:`Histogram.empty` when the scatter writes every
-bin) and callers drop it when the node retires, so the bytes alive are
-exactly the retained histograms the paper counts (Section 3.1.2).
+bin) and callers drop it when the node retires, so the retained
+histograms are exactly the ones the paper counts (Section 3.1.2).
+
+On high-dimensional sparse data most of the ``D·q`` slots of every node
+are empty.  A binned row-store shard whose occupied slots cover at most
+half of ``D·q`` carries a fixed *slot basis*
+(:meth:`~repro.data.matrix.CSRMatrix.hist_basis`); every node of that
+shard occupies a subset of it, so :meth:`HistogramBuilder.build_rowstore`
+scatters into ``len(slots)`` rows and :meth:`HistogramBuilder.subtract`
+runs over them, with no per-node slot discovery.  A basis histogram
+carries the shard's ``slots``; :attr:`Histogram.nbytes` stays the
+logical dense ``Sizehist`` either way, and consumers that need all
+``D·q`` rows (collectives, the dense and low-precision codecs, the split
+finder) read :meth:`Histogram.to_dense`.
 
 * :class:`HistogramBuilder` implements all four kernels, with a
   dedicated **root fast path** (a node holding every shard row keys
@@ -77,14 +89,23 @@ class Histogram:
     defaults to float64 (the lossless path every bit-identity contract
     is stated against); backends may request float32 accumulators for
     ablations.
+
+    A histogram built on a sparse row-store shard lives in the shard's
+    *basis* (:meth:`~repro.data.matrix.CSRMatrix.hist_basis`): ``slots``
+    is the sorted ``int32`` list of the ``(feature, bin)`` slots the
+    shard occupies, row ``i`` of ``grad`` / ``hess`` is slot
+    ``slots[i]``, and every other slot is exactly zero.  ``slots`` is
+    ``None`` for a dense histogram.  :meth:`to_dense` is the one way
+    from the basis to all ``D·q`` rows.
     """
 
     __slots__ = ("grad", "hess", "num_features", "num_bins",
-                 "gradient_dim", "dtype")
+                 "gradient_dim", "dtype", "slots")
 
     def __init__(self, num_features: int, num_bins: int,
                  gradient_dim: int, dtype=np.float64, *,
-                 alloc=np.zeros) -> None:
+                 alloc=np.zeros, slots: Optional[np.ndarray] = None,
+                 ) -> None:
         if num_features < 1 or num_bins < 1 or gradient_dim < 1:
             raise ValueError(
                 "num_features, num_bins and gradient_dim must be >= 1"
@@ -93,49 +114,71 @@ class Histogram:
         self.num_bins = num_bins
         self.gradient_dim = gradient_dim
         self.dtype = np.dtype(dtype)
-        shape = (num_features * num_bins, gradient_dim)
-        self.grad = alloc(shape, dtype=self.dtype)
-        self.hess = alloc(shape, dtype=self.dtype)
+        self.slots = slots
+        rows = num_features * num_bins if slots is None else slots.size
+        self.grad = alloc((rows, gradient_dim), dtype=self.dtype)
+        self.hess = alloc((rows, gradient_dim), dtype=self.dtype)
 
     @classmethod
     def empty(cls, num_features: int, num_bins: int, gradient_dim: int,
-              dtype=np.float64) -> "Histogram":
+              dtype=np.float64, *,
+              slots: Optional[np.ndarray] = None) -> "Histogram":
         """A histogram with undefined bins, for kernels that write every
         bin (the backend scatters and :meth:`HistogramBuilder.subtract`)."""
         return cls(num_features, num_bins, gradient_dim, dtype,
-                   alloc=np.empty)
+                   alloc=np.empty, slots=slots)
+
+    def to_dense(self) -> "Histogram":
+        """This histogram over all ``D·q`` slots: itself when dense,
+        else a new one holding the basis rows and zeros elsewhere."""
+        if self.slots is None:
+            return self
+        dense = Histogram(self.num_features, self.num_bins,
+                          self.gradient_dim, self.dtype)
+        dense.grad[self.slots] = self.grad
+        dense.hess[self.slots] = self.hess
+        return dense
 
     # -- views ---------------------------------------------------------------
 
     def grad_view(self) -> np.ndarray:
-        """``(num_features, num_bins, gradient_dim)`` view of ``grad``."""
-        return self.grad.reshape(
+        """``(num_features, num_bins, gradient_dim)`` view of the dense
+        ``grad``."""
+        return self.to_dense().grad.reshape(
             self.num_features, self.num_bins, self.gradient_dim
         )
 
     def hess_view(self) -> np.ndarray:
-        return self.hess.reshape(
+        return self.to_dense().hess.reshape(
             self.num_features, self.num_bins, self.gradient_dim
         )
 
     def feature_view(self, lo: int, hi: int) -> "Histogram":
-        """Read-only view of features ``[lo, hi)``, renumbered from 0: a
-        feature is ``num_bins`` consecutive rows, so nothing is copied."""
+        """Read-only view of features ``[lo, hi)`` of the dense
+        histogram, renumbered from 0: a feature is ``num_bins``
+        consecutive rows, so nothing is copied."""
         if not 0 <= lo < hi <= self.num_features:
             raise ValueError(f"features [{lo}, {hi}) are not a non-empty "
                              f"part of [0, {self.num_features})")
+        dense = self.to_dense()
         piece = Histogram.__new__(Histogram)
         piece.num_features, piece.num_bins = hi - lo, self.num_bins
         piece.gradient_dim, piece.dtype = self.gradient_dim, self.dtype
+        piece.slots = None
         rows = slice(lo * self.num_bins, hi * self.num_bins)
-        piece.grad, piece.hess = self.grad[rows], self.hess[rows]
+        piece.grad, piece.hess = dense.grad[rows], dense.hess[rows]
         piece.grad.flags.writeable = piece.hess.flags.writeable = False
         return piece
 
     @property
     def nbytes(self) -> int:
-        """Actual bytes held — equals ``Sizehist`` for this feature count."""
-        return self.grad.nbytes + self.hess.nbytes
+        """Logical bytes: the dense ``Sizehist`` of Section 3.1.1 for
+        this feature count and dtype, whatever the layout held.  Store
+        accounting, collective payloads and codec baselines all price
+        this, so a basis histogram costs what the paper's dense one
+        does; the arrays themselves may be smaller."""
+        return (2 * self.num_features * self.num_bins * self.gradient_dim
+                * self.dtype.itemsize)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -147,7 +190,8 @@ class Histogram:
 
     def copy(self) -> "Histogram":
         result = Histogram.empty(self.num_features, self.num_bins,
-                                 self.gradient_dim, dtype=self.dtype)
+                                 self.gradient_dim, dtype=self.dtype,
+                                 slots=self.slots)
         result.grad[:] = self.grad
         result.hess[:] = self.hess
         return result
@@ -157,12 +201,17 @@ class Histogram:
                 self.dtype) != (other.num_features, other.num_bins,
                                 other.gradient_dim, other.dtype):
             raise ValueError("histogram shapes do not match")
+        if not (self.slots is other.slots
+                or (self.slots is not None and other.slots is not None
+                    and np.array_equal(self.slots, other.slots))):
+            raise ValueError("histogram slot bases do not match")
 
     def allclose(self, other: "Histogram", rtol: float = 1e-9,
                  atol: float = 1e-12) -> bool:
+        mine, theirs = self.to_dense(), other.to_dense()
         return (
-            np.allclose(self.grad, other.grad, rtol=rtol, atol=atol)
-            and np.allclose(self.hess, other.hess, rtol=rtol, atol=atol)
+            np.allclose(mine.grad, theirs.grad, rtol=rtol, atol=atol)
+            and np.allclose(mine.hess, theirs.hess, rtol=rtol, atol=atol)
         )
 
     def __repr__(self) -> str:
@@ -208,7 +257,8 @@ class HistogramBuilder:
         """
         parent._check_compatible(child)
         out = Histogram.empty(parent.num_features, parent.num_bins,
-                              parent.gradient_dim, dtype=parent.dtype)
+                              parent.gradient_dim, dtype=parent.dtype,
+                              slots=parent.slots)
         np.subtract(parent.grad, child.grad, out=out.grad)
         np.subtract(parent.hess, child.hess, out=out.hess)
         return out
@@ -246,24 +296,42 @@ class HistogramBuilder:
         A node holding every shard row (each tree's root) takes the fast
         path: scatter keys and entry-row ids come straight from the shard's
         cached invariants, skipping the gather machinery entirely.
+
+        On a shard with a :meth:`~repro.data.matrix.CSRMatrix.hist_basis`
+        the histogram lives in that basis (its ``slots`` is the shard's):
+        the scatter writes ``len(slots)`` rows instead of ``D·q``.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == shard.num_rows and rows.size:
             return self._rowstore_root(shard, grad, hess, num_bins)
         return self._rowstore_gather(shard, rows, grad, hess, num_bins)
 
+    @staticmethod
+    def _rowstore_keys(shard: CSRMatrix, num_bins: int,
+                       ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Per-entry scatter keys of ``shard`` and the slots they index:
+        basis positions and the basis when the shard has one, else the
+        dense ``feature * num_bins + bin`` keys and ``None``."""
+        basis = shard.hist_basis(num_bins)
+        if basis is None:
+            return shard.hist_keys(num_bins), None
+        slots, positions = basis
+        return positions, slots
+
     def _rowstore_root(self, shard: CSRMatrix, grad: np.ndarray,
                        hess: np.ndarray,
                        num_bins: int) -> Tuple[Histogram, int]:
         """Root fast path: the node's entries are the whole shard."""
         gradient_dim = grad.shape[1]
+        keys, slots = self._rowstore_keys(shard, num_bins)
         total = int(shard.nnz)
         if total == 0:
-            return Histogram(shard.num_cols, num_bins, gradient_dim), 0
-        hist = Histogram.empty(shard.num_cols, num_bins, gradient_dim)
-        self._scatter(hist, shard.hist_keys(num_bins),
-                      shard.row_of_entries(), grad, hess,
-                      shard.num_cols * num_bins)
+            return Histogram(shard.num_cols, num_bins, gradient_dim,
+                             slots=slots), 0
+        hist = Histogram.empty(shard.num_cols, num_bins, gradient_dim,
+                               slots=slots)
+        self._scatter(hist, keys, shard.row_of_entries(), grad, hess,
+                      len(hist.grad))
         return hist, total
 
     def _rowstore_gather(self, shard: CSRMatrix, rows: np.ndarray,
@@ -271,11 +339,14 @@ class HistogramBuilder:
                          num_bins: int) -> Tuple[Histogram, int]:
         """Generic path: gather the node's entries, then scatter."""
         gradient_dim = grad.shape[1]
+        shard_keys, slots = self._rowstore_keys(shard, num_bins)
         lengths = shard.row_lengths()[rows]
         total = int(lengths.sum())
         if total == 0:
-            return Histogram(shard.num_cols, num_bins, gradient_dim), 0
-        hist = Histogram.empty(shard.num_cols, num_bins, gradient_dim)
+            return Histogram(shard.num_cols, num_bins, gradient_dim,
+                             slots=slots), 0
+        hist = Histogram.empty(shard.num_cols, num_bins, gradient_dim,
+                               slots=slots)
         starts = shard.indptr[rows]
         # position of each selected entry: repeat each row's start shifted
         # by the entries already emitted, then add a flat ramp
@@ -285,9 +356,8 @@ class HistogramBuilder:
         entry_rows = np.repeat(rows, lengths)
         # gather precomposed scatter keys from the shard cache: one take
         # instead of re-deriving feature*num_bins + bin per entry
-        keys = shard.hist_keys(num_bins).take(entry_pos)
-        self._scatter(hist, keys, entry_rows, grad, hess,
-                      shard.num_cols * num_bins)
+        keys = shard_keys.take(entry_pos)
+        self._scatter(hist, keys, entry_rows, grad, hess, len(hist.grad))
         return hist, total
 
     # -- column-store + instance-to-node kernel (QD1) -------------------------

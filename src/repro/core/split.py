@@ -136,7 +136,8 @@ def find_best_split(
     ``bins_per_feature`` gives the number of *valid* bins of each feature
     (features may have fewer than ``q`` distinct quantiles);
     ``feature_offset`` converts local column ids into global feature ids
-    for vertically partitioned shards.
+    for vertically partitioned shards.  A histogram in a shard's slot
+    basis is searched as its :meth:`~Histogram.to_dense`.
 
     Histograms up to :data:`STACKED_MAX_SLOTS` wide are searched as one
     stack.  Wider ones are searched node by node, and a node whose
@@ -151,6 +152,7 @@ def find_best_split(
     """
     if len(hists) == 0:
         return []
+    hists = [hist.to_dense() for hist in hists]
     num_features, num_bins = hists[0].num_features, hists[0].num_bins
     bins_per_feature = np.asarray(bins_per_feature)
     if bins_per_feature.size != num_features:

@@ -38,7 +38,7 @@ class CSRMatrix:
     """
 
     __slots__ = ("indptr", "indices", "values", "num_cols",
-                 "_row_lengths", "_row_of", "_hist_keys")
+                 "_row_lengths", "_row_of", "_hist_keys", "_hist_basis")
 
     def __init__(
         self,
@@ -74,6 +74,7 @@ class CSRMatrix:
         self._row_lengths: "np.ndarray | None" = None
         self._row_of: "np.ndarray | None" = None
         self._hist_keys: dict = {}
+        self._hist_basis: dict = {}
 
     # -- construction -----------------------------------------------------
 
@@ -162,6 +163,34 @@ class CSRMatrix:
             keys += self.values
             self._hist_keys[num_bins] = keys
         return keys
+
+    def hist_basis(self, num_bins: int
+                   ) -> "Tuple[np.ndarray, np.ndarray] | None":
+        """The shard's occupied ``(feature, bin)`` slots, for binned
+        matrices: ``(slots, positions)``.
+
+        ``slots`` is the sorted ``int32`` list of the
+        :meth:`hist_keys` that occur in the shard and ``positions`` each
+        entry's index into it — its scatter key in that basis.  Every
+        node histogram of the shard is zero outside ``slots``.  ``None``
+        when ``slots`` covers more than half of ``num_cols * num_bins``
+        (the finder's "at most half occupied" rule): the dense layout is
+        then used.  Cached per ``num_bins``; decided with one
+        ``bincount`` over the keys, O(nnz + D·q).
+        """
+        if num_bins not in self._hist_basis:
+            keys = self.hist_keys(num_bins)
+            occupied = np.bincount(
+                keys, minlength=self.num_cols * num_bins).astype(bool)
+            slots = np.flatnonzero(occupied)
+            basis = None
+            if 2 * slots.size <= occupied.size:
+                rank = np.cumsum(occupied) - 1
+                slots = slots.astype(np.int32)
+                slots.flags.writeable = False
+                basis = (slots, rank.take(keys))
+            self._hist_basis[num_bins] = basis
+        return self._hist_basis[num_bins]
 
     # -- access -------------------------------------------------------------
 

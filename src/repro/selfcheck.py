@@ -85,7 +85,9 @@ def check_backend(name: str, reference: str = "numpy") -> CheckResult:
     Covers the reference trainer's scatter path (logistic hessians), the
     no-hessian fast path (square loss), a layer-synchronous plan that
     exercises the slotted scatter (QD1) plus the subtraction-heavy plan
-    (Vero), and both serving traversals.  Every comparison is exact.
+    (Vero), both serving traversals, and a row-store build plus
+    subtraction in a sparse shard's slot basis.  Every comparison is
+    exact.
     """
     checks = 0
     try:
@@ -161,6 +163,31 @@ def check_backend(name: str, reference: str = "numpy") -> CheckResult:
                 and np.array_equal(ref_hist.hess, got_hist.hess)):
             return CheckResult(name, False, checks,
                                "row-store scatter bins diverged")
+        # 8: a sparse shard's slot-basis build, and a subtraction in it,
+        # under both the scattered and the constant (no-hess) hessian
+        sparse = bin_dataset(make_classification(
+            300, 200, density=0.01, num_informative=10,
+            informative_density=0.5, seed=7), 12)
+        shard = sparse.binned
+        if shard.hist_basis(sparse.num_bins) is None:
+            raise AssertionError("the sparse fixture shard has no basis")
+        for constant in (None, 1.0):
+            builder.constant_hessian = constant
+            ref_builder.constant_hessian = constant
+            node_hess = np.ones_like(grad) if constant else hess
+            pair = []
+            for engine in (ref_builder, builder):
+                parent, _ = engine.build_rowstore(
+                    shard, np.arange(shard.num_rows), grad, node_hess,
+                    sparse.num_bins)
+                child, _ = engine.build_rowstore(shard, rows, grad,
+                                                 node_hess, sparse.num_bins)
+                pair.append(engine.subtract(parent, child).to_dense())
+            checks += 1
+            if not (np.array_equal(pair[0].grad, pair[1].grad)
+                    and np.array_equal(pair[0].hess, pair[1].hess)):
+                return CheckResult(name, False, checks,
+                                   "slot-basis build or subtract diverged")
     except Exception as exc:
         return CheckResult(name, False, checks, f"check crashed: {exc}")
     return CheckResult(name, True, checks)

@@ -73,8 +73,10 @@ def _layer_hists_over_wire(
     batched collective is charged (real systems batch a layer's
     histograms into one collective).
 
-    On the identity stack the stores' histograms come back untouched, one
-    per worker: no encode, no copy, nothing charged.  Otherwise each
+    On the identity stack the stores' histograms come back one per
+    worker, densified (:meth:`Histogram.to_dense`: a dense store
+    histogram comes back untouched, no copy) — no encode, nothing
+    charged.  Otherwise each
     histogram goes through the executor's histogram codec — the encode
     kernel charged to the owning worker, the decode to every worker (the
     payload is decoded wherever the aggregate is) — and the collective is
@@ -92,7 +94,9 @@ def _layer_hists_over_wire(
     for node in nodes:
         hists = [store.get(node) for store in ex.stores]
         payload += hists[0].nbytes
-        if codec is not None:
+        if codec is None:
+            hists = [hist.to_dense() for hist in hists]
+        else:
             total = None
             for worker, hist in enumerate(hists):
                 with clock.timed(worker, "codec"):

@@ -87,13 +87,15 @@ def reference_layer_hists_over_wire(
     ex, nodes: Sequence[int], clock, pattern: str,
 ) -> Iterator[Tuple[int, List[Histogram]]]:
     """``strategies._layer_hists_over_wire`` as it was: one decoded
-    histogram per worker, summed by the collective it is handed to."""
+    histogram per worker, summed by the collective it is handed to.  The
+    stores' histograms are read dense (:meth:`Histogram.to_dense`), as
+    they were stored then."""
     num_workers = ex.cluster.num_workers
     codec = None if ex.codec.is_identity else ex.codec.histogram
     enc_bytes = None if codec is None else [0] * num_workers
     payload = 0
     for node in nodes:
-        hists = [store.get(node) for store in ex.stores]
+        hists = [store.get(node).to_dense() for store in ex.stores]
         payload += hists[0].nbytes
         if codec is not None:
             for worker, hist in enumerate(hists):
