@@ -62,9 +62,11 @@ CHILD_SHIFT = FEATURE_BITS + 1
 MISSING_BIN = 255
 
 #: entries of the ``(trees x rows)`` position matrix one numpy traversal
-#: block may hold: a small batch walks many trees per numpy call, a batch
-#: this large walks one tree at a time, and the per-step temporaries stay
-#: cache-sized whatever the ensemble
+#: block may hold: a small batch walks many trees per numpy call, a row
+#: block this large walks one tree at a time, and the per-step
+#: temporaries stay cache-sized whatever the ensemble.  Four times it,
+#: in float64 values (2 MB), bounds a row block's slice of the batch
+#: (:func:`walk_blocks`)
 WALK_BLOCK = 1 << 16
 
 #: environment variable listing backend names detection must treat as
@@ -150,15 +152,15 @@ def _k_scatter_no_hess(grad_out, hess_out, keys, entry_rows, grad,
 
 
 def _k_predict(packed, threshold, scaled, tree_root, tree_depth, flat,
-               num, has_nan, use, out):
+               width, has_nan, use, out):
     """Walk every row through trees ``0..use``, accumulating scores.
 
-    ``flat`` is the feature-major batch flattened: row ``i``'s value of
-    feature ``f`` lives at ``f * num + i``.  Per row, scores accumulate
-    in tree order — the same float additions, in the same order, as the
-    numpy layer-synchronous path.
+    ``flat`` is the row-major batch flattened: row ``i``'s value of
+    feature ``f`` lives at ``i * width + f``.  Per row, scores
+    accumulate in tree order — the same float additions, in the same
+    order, as the numpy layer-synchronous path.
     """
-    dim = out.shape[1]
+    num, dim = out.shape
     for t in range(use):
         root = tree_root[t]
         depth = tree_depth[t]
@@ -166,7 +168,7 @@ def _k_predict(packed, threshold, scaled, tree_root, tree_depth, flat,
             pos = root
             for _ in range(depth):
                 meta = packed[pos]
-                value = flat[(meta & FEATURE_MASK) * num + i]
+                value = flat[i * width + (meta & FEATURE_MASK)]
                 go_right = value > threshold[pos]
                 if has_nan and value != value and (meta & MISS_BIT) != 0:
                     go_right = True
@@ -178,7 +180,7 @@ def _k_predict(packed, threshold, scaled, tree_root, tree_depth, flat,
 
 
 def _k_predict_quantized(packed, threshold_bin, scaled, tree_root,
-                         tree_depth, flat_bins, num, has_missing, use,
+                         tree_depth, flat_bins, width, has_missing, use,
                          out):
     """Quantized traversal: uint8 bin values against int16 bin cuts.
 
@@ -186,7 +188,7 @@ def _k_predict_quantized(packed, threshold_bin, scaled, tree_root,
     direction; leaf slots carry threshold 255 so every bin value parks
     (``value > 255`` is false even for the missing sentinel).
     """
-    dim = out.shape[1]
+    num, dim = out.shape
     for t in range(use):
         root = tree_root[t]
         depth = tree_depth[t]
@@ -194,7 +196,7 @@ def _k_predict_quantized(packed, threshold_bin, scaled, tree_root,
             pos = root
             for _ in range(depth):
                 meta = packed[pos]
-                value = flat_bins[(meta & FEATURE_MASK) * num + i]
+                value = flat_bins[i * width + (meta & FEATURE_MASK)]
                 if has_missing and value == MISSING_BIN:
                     go_right = (meta & MISS_BIT) != 0 \
                         and threshold_bin[pos] != MISSING_BIN
@@ -217,8 +219,86 @@ LOOP_KERNELS = {
 
 
 # ---------------------------------------------------------------------------
-# Backend protocol + numpy reference implementation
+# Predictor tables and row blocks
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class WalkTables:
+    """The per-slot tables a compiled predictor hands
+    :meth:`KernelBackend.fold_scores`.
+
+    The loop kernels read ``packed`` (left child, missing-goes-right
+    bit, feature id) and apply the missing rule value by value.  The
+    numpy walk reads ``child`` and the batch column of each slot
+    instead, with the missing rule folded into *which* column that is.
+    Each missing-right split reads an **extension column**: a copy of
+    its feature appended after the batch's first ``width`` columns.
+    Missing values compare above every internal cut there and below it
+    everywhere else, so ``value > cut`` alone routes every value:
+
+    * float batches keep the features as they are (``NaN > cut`` is
+      false) and map ``NaN`` to ``+inf`` in the extension
+      (``np.fmin(column, inf)``), which is why a missing-right split
+      may not cut at ``+inf``;
+    * uint8 batches keep the sentinel ``MISSING_BIN`` in the extension
+      (it exceeds every internal bin cut) and map it to bin 0 in the
+      features, which no cut (all ``>= 0``) exceeds.
+
+    Leaves read feature 0 against a cut (``+inf`` / ``MISSING_BIN``)
+    no value exceeds, so finished rows park.
+    """
+
+    #: | left slot | missing-goes-right | feature | per slot (loop kernels)
+    packed: np.ndarray
+    #: per-slot cut: float64 raw value, or int16 bin of a uint8 batch
+    threshold: np.ndarray
+    #: ``(slots, C)`` shrinkage-scaled leaf rows, zero inside the trees
+    scaled: np.ndarray
+    tree_root: np.ndarray
+    tree_depth: np.ndarray
+    #: ``intp`` left child of every slot (leaves point at themselves)
+    child: np.ndarray
+    #: ``intp`` column each slot reads: its feature, or ``width + k``
+    #: for a missing-right split reading extension column ``k``
+    column: np.ndarray
+    #: ``intp`` feature copied into each extension column
+    extension: np.ndarray
+    #: batch columns (features) the walk reads ahead of the extension
+    width: int
+
+
+def walk_blocks(tables: WalkTables, batch: np.ndarray):
+    """Row blocks of a row-major ``(rows, width)`` batch, as ``(lo, hi,
+    flat, lanes)``: rows ``lo..hi`` with their extension columns
+    appended, flattened (``flat``), and each row's start in it
+    (``lanes``), so ``flat[lanes[i] + tables.column[s]]`` is row
+    ``lo + i``'s value for slot ``s``.
+
+    A block holds ``4 * WALK_BLOCK // (width + extension)`` rows, about
+    2 MB of float64 values, so the per-level gathers of
+    :meth:`KernelBackend.walk` hit cache however large the batch.  No
+    pass looks for missing values first: copying a block costs what
+    that scan would.
+    """
+    num = batch.shape[0]
+    span = tables.width + tables.extension.size
+    step = max((WALK_BLOCK << 2) // span, 1)
+    for lo in range(0, num, step):
+        hi = min(lo + step, num)
+        features = batch[lo:hi, :tables.width]
+        if batch.dtype == np.uint8:
+            # fancy indexing: ``take`` along axis 1 is ~3x slower on uint8
+            extension = batch[lo:hi, tables.extension]
+            # MISSING_BIN -> 0 by arithmetic: a masked assignment
+            # branches per value and stalls on mostly-missing batches
+            features = features * (features != MISSING_BIN)
+        else:
+            extension = batch[lo:hi].take(tables.extension, axis=1)
+            np.fmin(extension, np.inf, out=extension)
+        block = np.concatenate((features, extension), axis=1)
+        yield lo, hi, block.reshape(-1), np.arange(0, (hi - lo) * span,
+                                                    span)
+
 
 class KernelBackend:
     """One engine for the histogram-scatter and predict hot loops.
@@ -326,64 +406,63 @@ class KernelBackend:
 
     # -- predictor ---------------------------------------------------------
 
-    def walk(self, packed: np.ndarray, threshold: np.ndarray,
-             roots: np.ndarray, depth: int, flat: np.ndarray, num: int,
-             has_missing: bool) -> np.ndarray:
-        """``(trees, rows)`` slot of every row in every tree rooted at
-        ``roots`` after ``depth`` level-synchronous steps (three gathers
-        per step, whatever the number of trees).
+    def walk(self, tables: WalkTables, roots: np.ndarray, depth: int,
+             flat: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        """``(trees, rows)`` slot of every row of one :func:`walk_blocks`
+        block in every tree rooted at ``roots`` after ``depth``
+        level-synchronous steps.
 
-        ``flat`` is the feature-major batch flattened, so row ``i``'s
-        value of feature ``f`` lives at ``f * num + i``: ``float64``
-        values against ``float64`` cuts (``NaN`` missing), or ``uint8``
-        bins against ``int16`` bin cuts (``MISSING_BIN`` missing) — the
-        compare and the missing rule are the only difference.  A tree
+        One step is **7 numpy calls**, whatever the number of trees or
+        rows: gather each position's column, add the row starts, gather
+        the values, gather the cuts, compare, gather the left children,
+        add the comparison.  ``value > cut`` alone routes every value,
+        because the missing rule was folded into the column a slot
+        reads (``tables.column``, see :class:`WalkTables`).  A tree
         shallower than ``depth`` parks on its self-looping leaves, whose
-        threshold (``+inf`` / ``MISSING_BIN``) sends no value right.
+        cut (``+inf`` / ``MISSING_BIN``) sends no value right.
         """
-        quantized = flat.dtype == np.uint8
-        rows = np.arange(num, dtype=np.int64)
-        pos = np.repeat(np.asarray(roots, dtype=np.int64)[:, None], num,
-                        axis=1)
+        # every row starts on its tree's root: the first step
+        # broadcasts a (trees, 1) column of roots across the lanes
+        pos = roots[:, None]
         for _ in range(depth):
-            meta = packed.take(pos)
-            values = flat.take((meta & FEATURE_MASK) * num + rows)
-            cut = threshold.take(pos)
-            go_right = values > cut
-            if has_missing and quantized:
-                missing = values == MISSING_BIN
-                go_right &= ~missing
-                go_right |= (missing & ((meta & MISS_BIT) != 0)
-                             & (cut != MISSING_BIN))
-            elif has_missing:
-                go_right |= np.isnan(values) & ((meta & MISS_BIT) != 0)
-            pos = meta >> CHILD_SHIFT
-            pos += go_right
-        return pos
+            at = tables.column.take(pos) + lanes
+            go_right = flat.take(at) > tables.threshold.take(pos)
+            pos = tables.child.take(pos) + go_right
+        return pos if depth else np.repeat(pos, lanes.size, axis=1)
 
-    def fold_scores(self, packed: np.ndarray, threshold: np.ndarray,
-                    scaled: np.ndarray, tree_root: np.ndarray,
-                    tree_depth: np.ndarray, flat: np.ndarray, num: int,
-                    has_missing: bool, use: int, out: np.ndarray) -> None:
+    def fold_scores(self, tables: WalkTables, batch: np.ndarray, use: int,
+                    out: np.ndarray) -> None:
         """Add the shrunken scores of trees ``0..use`` into ``out``.
 
         The one predictor entry point of a backend: float and quantized
-        batches (told apart by ``flat.dtype``, see :meth:`walk`), from a
-        zero ``out`` (``raw_scores``) or a carried one (the sharded
-        chain fold).  Trees advance together, ``WALK_BLOCK`` entries of
-        position matrix at a time, and their leaf rows are gathered
-        once per block; the fold itself stays **one ``+=`` per tree, in
-        tree order**, so every element of ``out`` sees the float
-        additions of a tree-at-a-time predictor in the same order.
+        batches (told apart by ``batch.dtype``; ``batch`` is the
+        row-major ``(rows, width)`` C-order array), from a zero
+        ``out`` (``raw_scores``) or a carried one (the sharded chain
+        fold).  Rows walk in the cache-sized blocks of
+        :func:`walk_blocks`; within one, trees advance together,
+        ``WALK_BLOCK`` entries of position matrix at a time.  Each such
+        block folds in **one call**: its carry and its trees' leaf rows
+        are stacked and summed by ``np.add.accumulate`` along the tree
+        axis, which adds strictly in sequence — ``((carry + t0) + t1) +
+        ...`` — so every element of ``out`` sees the float additions of
+        a tree-at-a-time predictor in the same order
+        (``np.add.reduce`` would sum pairwise and round differently).
         """
-        step = max(WALK_BLOCK // max(num, 1), 1)
-        for lo in range(0, use, step):
-            hi = min(lo + step, use)
-            pos = self.walk(packed, threshold, tree_root[lo:hi],
-                            int(tree_depth[lo:hi].max()), flat, num,
-                            has_missing)
-            for leaves in scaled.take(pos, axis=0):
-                out += leaves
+        dim = out.shape[1]
+        depths = tables.tree_depth.tolist()
+        for lo, hi, flat, lanes in walk_blocks(tables, batch):
+            step = max(WALK_BLOCK // lanes.size, 1)
+            for first in range(0, use, step):
+                last = min(first + step, use)
+                pos = self.walk(tables, tables.tree_root[first:last],
+                                max(depths[first:last]), flat, lanes)
+                stack = np.empty((last - first + 1, lanes.size, dim))
+                stack[0] = out[lo:hi]
+                # positions are in range; "clip" gathers straight into
+                # the stack, where the default mode buffers a copy
+                tables.scaled.take(pos, axis=0, out=stack[1:], mode="clip")
+                np.add.accumulate(stack, axis=0, out=stack)
+                out[lo:hi] = stack[-1]
 
 
 class NumpyBackend(KernelBackend):
@@ -452,14 +531,20 @@ class PyLoopBackend(KernelBackend):
             hist.grad[:] = grad_out[s * size:(s + 1) * size]
             hist.hess[:] = hess_out[s * size:(s + 1) * size]
 
-    def fold_scores(self, packed, threshold, scaled, tree_root, tree_depth,
-                    flat, num, has_missing, use, out):
+    def fold_scores(self, tables, batch, use, out):
         # the loop kernels accumulate into ``out`` row by row, tree by
-        # tree — the carry-in fold is the kernel itself
-        kernel = ("predict_quantized" if flat.dtype == np.uint8
-                  else "predict")
-        self._kernels[kernel](packed, threshold, scaled, tree_root,
-                              tree_depth, flat, num, has_missing, use, out)
+        # tree — the carry-in fold is the kernel itself; they test each
+        # value for missing only when the batch holds one
+        if batch.dtype == np.uint8:
+            kernel = "predict_quantized"
+            has_missing = bool((batch == MISSING_BIN).any())
+        else:
+            kernel = "predict"
+            has_missing = bool(np.isnan(batch).any())
+        self._kernels[kernel](tables.packed, tables.threshold,
+                              tables.scaled, tables.tree_root,
+                              tables.tree_depth, batch.reshape(-1),
+                              batch.shape[1], has_missing, use, out)
 
 
 #: compiled kernel cache shared by every NumbaBackend instance

@@ -7,8 +7,9 @@ worse than no numba at all, because training would silently diverge.
 This module runs each backend through every hot path the registry plans
 exercise (all four histogram kernels via a small training run, the
 no-hessian fast path, the compiled float predictor, the bin-quantized
-predictor) and compares against the numpy reference with **exact** float
-equality, mirroring the contract the test suite enforces at scale.
+predictor, both predictors again on an adversarial batch) and compares
+against the numpy reference with **exact** float equality, mirroring the
+contract the test suite enforces at scale.
 
 The whole battery is sized to finish in about a second per backend
 (plus numba's one-off JIT warm-up), so the doctor can run it on every
@@ -18,7 +19,7 @@ invocation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +27,10 @@ from .config import ClusterConfig, TrainConfig
 from .core.gbdt import GBDT
 from .core.histogram import HistogramBuilder
 from .core.kernels import available_backends, make_backend
+from .core.split import SplitInfo
+from .core.tree import Tree, TreeEnsemble
 from .data.dataset import Dataset, bin_dataset
+from .data.matrix import CSRMatrix
 from .data.synthetic import make_classification
 from .serve.compiler import compile_ensemble, quantize_ensemble
 
@@ -79,15 +83,69 @@ def _train_signature(dataset, binned, objective: str,
             result.ensemble)
 
 
+#: the cut grid of :func:`adversarial_case`: thresholds sit on it (so
+#: the ensemble quantizes) and so do many batch values
+ADVERSARIAL_CUTS = np.array([-1.5, -0.5, 0.0, 0.25, 1.0, 2.0])
+
+
+def adversarial_case(num_rows: int = 40, gradient_dim: int = 3,
+                     num_features: int = 6, seed: int = 0,
+                     depths: Sequence[int] = range(1, 8)):
+    """``(ensemble, dense)``: a hand-grown ensemble and a batch built to
+    break a traversal.
+
+    Tree ``t`` reaches ``depths[t]`` along one spine and stops early
+    elsewhere (short leaves), and every split draws its default
+    direction.  The batch mixes values exactly at a cut, just above
+    one, ``±inf`` and ``NaN`` (missing), and holds an all-missing row.  Leaf weights span
+    32 orders of magnitude, so a fold that adds trees out of order
+    shows.  Thresholds sit on :data:`ADVERSARIAL_CUTS`, so the ensemble
+    also quantizes.
+    """
+    rng = np.random.default_rng(seed)
+    ensemble = TreeEnsemble(gradient_dim, learning_rate=0.3)
+    for depth in depths:
+        tree = Tree(depth + 1, gradient_dim)
+        stack = [(0, 0, True)]
+        while stack:
+            node, layer, spine = stack.pop()
+            if layer == depth or not (spine or rng.random() < 0.5):
+                tree.set_leaf(node, rng.standard_normal(gradient_dim)
+                              * rng.choice([1e16, 1.0, 1e-16]))
+                continue
+            tree.set_split(node, SplitInfo(
+                feature=int(rng.integers(num_features)), bin=0,
+                default_left=bool(rng.random() < 0.5), gain=1.0),
+                float(rng.choice(ADVERSARIAL_CUTS)))
+            spine_left = bool(rng.random() < 0.5)
+            stack.append((2 * node + 1, layer + 1, spine and spine_left))
+            stack.append((2 * node + 2, layer + 1,
+                          spine and not spine_left))
+        ensemble.append(tree)
+    values = np.concatenate([ADVERSARIAL_CUTS, ADVERSARIAL_CUTS + 0.1,
+                             [-np.inf, np.inf, np.nan, np.nan]])
+    dense = rng.choice(values, size=(num_rows, num_features))
+    dense[0] = np.nan
+    return ensemble, dense
+
+
+def missing_as_unstored(dense: np.ndarray) -> CSRMatrix:
+    """The sparse form of a ``NaN``-marked dense batch: every non-NaN
+    cell stored, every ``NaN`` missing."""
+    return CSRMatrix.from_rows(
+        [[(j, float(v)) for j, v in enumerate(row) if not np.isnan(v)]
+         for row in dense], dense.shape[1])
+
+
 def check_backend(name: str, reference: str = "numpy") -> CheckResult:
     """Run one backend's bit-identity battery against ``reference``.
 
     Covers the reference trainer's scatter path (logistic hessians), the
     no-hessian fast path (square loss), a layer-synchronous plan that
     exercises the slotted scatter (QD1) plus the subtraction-heavy plan
-    (Vero), both serving traversals, and a row-store build plus
-    subtraction in a sparse shard's slot basis.  Every comparison is
-    exact.
+    (Vero), both serving traversals, a row-store build plus subtraction
+    in a sparse shard's slot basis, and both traversals again on the
+    :func:`adversarial_case` batch.  Every comparison is exact.
     """
     checks = 0
     try:
@@ -188,6 +246,29 @@ def check_backend(name: str, reference: str = "numpy") -> CheckResult:
                     and np.array_equal(pair[0].hess, pair[1].hess)):
                 return CheckResult(name, False, checks,
                                    "slot-basis build or subtract diverged")
+        # 10: both traversals on the adversarial batch, from zeros and
+        # from a carry: the reference's scores, which must also be the
+        # node-dict ensemble's own tree-at-a-time fold
+        ens, dense = adversarial_case()
+        csc = missing_as_unstored(dense).to_csc()
+        carry = np.linspace(-1e8, 1e8, dense.shape[0] * ens.gradient_dim)
+        carry = carry.reshape(dense.shape[0], ens.gradient_dim)
+        carried = carry.copy()
+        for tree in ens.trees:
+            carried += ens.learning_rate * tree.predict(csc)
+        want = ens.raw_scores(csc)
+        cuts = [ADVERSARIAL_CUTS] * dense.shape[1]
+        checks += 1
+        for engine in (reference, name):
+            compiled = compile_ensemble(ens, backend=engine)
+            if not (np.array_equal(compiled.raw_scores(dense), want)
+                    and np.array_equal(quantize_ensemble(
+                        compiled, cuts).raw_scores(dense), want)
+                    and np.array_equal(compiled.add_raw_scores(
+                        dense, carry.copy()), carried)):
+                return CheckResult(name, False, checks,
+                                   f"{engine} traversal of the "
+                                   "adversarial batch diverged")
     except Exception as exc:
         return CheckResult(name, False, checks, f"check crashed: {exc}")
     return CheckResult(name, True, checks)

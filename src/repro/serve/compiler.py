@@ -13,17 +13,25 @@ Prediction is level-synchronous over a ``(trees x rows)`` position
 matrix: all rows of a batch advance one layer of *every* tree of a block
 per step, so an ensemble costs ``O(depth)`` vectorized operations per
 block — not per tree, which is what a six-row serving batch needs —
-instead of ``O(nodes)`` mask scans.  Three tricks keep each step down to
-three gathers:
+instead of ``O(nodes)`` mask scans.  On numpy one step is 7 calls
+(:meth:`KernelBackend.walk <repro.core.kernels.KernelBackend.walk>`),
+because three tables route with nothing else:
 
-* slot metadata (left-child offset, missing-goes-right bit, feature id)
-  is packed into one ``int64`` per slot and fetched with a single
-  ``np.take``;
-* children are adjacent, so routing is ``left + go_right`` — no second
-  child gather and no ``where`` select;
-* leaves self-loop with a ``+inf`` threshold and a clear missing bit,
-  which parks finished rows without any per-row bookkeeping
-  (``value > +inf`` is false for every value, NaN included).
+* every slot stores its left child; children are adjacent, so routing
+  is ``left + go_right`` — no second child gather and no ``where``;
+* every slot stores the batch column it reads, and a missing-right
+  split reads an *extension column*: a copy of its feature with
+  ``NaN`` mapped to ``+inf`` (:class:`~repro.core.kernels.WalkTables`),
+  so ``value > threshold`` alone sends missing values their default
+  way (``NaN > cut`` is false, ``+inf > cut`` true);
+* leaves self-loop with a ``+inf`` threshold, which parks finished rows
+  without any per-row bookkeeping (``value > +inf`` is false for every
+  value, NaN included).
+
+Rows walk in blocks of about 2 MB of batch, and each block of trees
+folds into the accumulator in one ``np.add.accumulate`` call.  The loop
+kernels keep the packed form: one ``int64`` per slot holding the left
+child, the missing-goes-right bit and the feature id.
 
 The compiled predictor is *bit-identical* to
 :meth:`TreeEnsemble.raw_scores`: the traversal routes on the same
@@ -37,11 +45,12 @@ at compile time — the same two float64 operands, hence the same product
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.kernels import MISSING_BIN, make_backend
+from ..core.kernels import MISSING_BIN, WalkTables, make_backend
 from ..core import kernels as _kernels
 from ..core.tree import Tree, TreeEnsemble
 from ..data.matrix import CSCMatrix, CSRMatrix
@@ -104,23 +113,31 @@ class CompiledEnsemble:
         self.leaf_weights = leaf_weights
         self.tree_root = tree_root
         self.tree_depth = tree_depth
-        # acceleration structures: packed per-slot metadata and the
-        # shrinkage-scaled weights gathered straight by slot id
-        miss_right = ~default_left
-        self._packed = (
-            (left.astype(np.int64) << _CHILD_SHIFT)
-            | (miss_right.astype(np.int64) << _FEATURE_BITS)
-            | feature.astype(np.int64)
-        )
-        self._scaled_by_slot = np.zeros(
-            (feature.size, gradient_dim), dtype=np.float64
-        )
-        leafy = leaf_slot >= 0
-        self._scaled_by_slot[leafy] = \
-            learning_rate * leaf_weights[leaf_slot[leafy]]
+        internal = leaf_slot < 0
+        miss_right = internal & ~default_left
+        if not np.all(threshold[miss_right] < np.inf):
+            raise ValueError(
+                "cannot compile: a missing-right split cuts at +inf or "
+                "NaN, which no value exceeds"
+            )
+        # acceleration structures: the traversal tables (packed metadata
+        # for the loop kernels, child / column / extension for numpy) and
+        # the shrinkage-scaled weights gathered straight by slot id
+        scaled = np.zeros((feature.size, gradient_dim), dtype=np.float64)
+        leafy = ~internal
+        scaled[leafy] = learning_rate * leaf_weights[leaf_slot[leafy]]
+        width = max(num_features, 1)
+        column, extension = _extension_columns(feature, miss_right, width)
+        self._tables = WalkTables(
+            packed=((left.astype(np.int64) << _CHILD_SHIFT)
+                    | (miss_right.astype(np.int64) << _FEATURE_BITS)
+                    | feature.astype(np.int64)),
+            threshold=threshold, scaled=scaled, tree_root=tree_root,
+            tree_depth=tree_depth, child=left.astype(np.intp),
+            column=column, extension=extension, width=width)
         for arr in (feature, threshold, left, right, default_left,
                     leaf_slot, leaf_weights, tree_root, tree_depth,
-                    self._packed, self._scaled_by_slot):
+                    *_own_arrays(self._tables)):
             arr.setflags(write=False)
 
     # -- introspection -----------------------------------------------------
@@ -141,8 +158,8 @@ class CompiledEnsemble:
         return sum(arr.nbytes for arr in (
             self.feature, self.threshold, self.left, self.right,
             self.default_left, self.leaf_slot, self.leaf_weights,
-            self.tree_root, self.tree_depth, self._packed,
-            self._scaled_by_slot,
+            self.tree_root, self.tree_depth,
+            *_own_arrays(self._tables),
         ))
 
     def __repr__(self) -> str:
@@ -188,46 +205,23 @@ class CompiledEnsemble:
             features.values
         return dense
 
-    def _transposed(self, features: FeatureBatch) -> np.ndarray:
-        """Feature-major ``(width, num_rows)`` C-order float64 batch.
-
-        The traversal gathers one value per row per level; feature-major
-        layout makes rows sitting on the *same* node read a contiguous
-        run of one feature's column, so the upper tree levels (where few
-        distinct nodes are live) stream instead of scatter.
-        """
-        if isinstance(features, np.ndarray):
-            return np.ascontiguousarray(self.densify(features).T)
-        if not isinstance(features, (CSCMatrix, CSRMatrix)):
-            raise TypeError(
-                f"unsupported batch type: {type(features).__name__}"
-            )
-        width = max(features.num_cols, self.num_features, 1)
-        if isinstance(features, CSCMatrix):
-            dense = np.full((width, features.num_rows), np.nan)
-            dense[features.col_of_entries(), features.indices] = \
-                features.values
-            return dense
-        dense = np.full((width, features.num_rows), np.nan)
-        dense[features.indices, features.row_of_entries()] = \
-            features.values
-        return dense
-
     def assign_leaves(self, dense: np.ndarray, tree: int) -> np.ndarray:
         """Final (leaf) slot of every row of an already-densified
         row-major batch in one tree (level-synchronous traversal)."""
-        transposed = np.ascontiguousarray(dense.T)
-        return self.backend.walk(
-            self._packed, self.threshold, self.tree_root[tree:tree + 1],
-            int(self.tree_depth[tree]), transposed.reshape(-1),
-            dense.shape[0], bool(np.isnan(dense).any()))[0]
+        tables = self._tables
+        slots = np.empty(dense.shape[0], dtype=np.intp)
+        for lo, hi, flat, lanes in _kernels.walk_blocks(tables, dense):
+            slots[lo:hi] = self.backend.walk(
+                tables, tables.tree_root[tree:tree + 1],
+                int(tables.tree_depth[tree]), flat, lanes)[0]
+        return slots
 
     def _fold(self, features: FeatureBatch, use: int,
               out: Optional[np.ndarray]) -> np.ndarray:
         """Fold trees ``0..use`` into ``out`` (zeros when ``None``) —
         the body :meth:`raw_scores` and :meth:`add_raw_scores` share."""
-        transposed = self._transposed(features)
-        num = transposed.shape[1]
+        dense = self.densify(features)
+        num = dense.shape[0]
         if out is None:
             out = np.zeros((num, self.gradient_dim), dtype=np.float64)
         elif out.shape != (num, self.gradient_dim):
@@ -237,10 +231,7 @@ class CompiledEnsemble:
             )
         elif out.dtype != np.float64:
             raise ValueError("accumulator must be float64")
-        self.backend.fold_scores(
-            self._packed, self.threshold, self._scaled_by_slot,
-            self.tree_root, self.tree_depth, transposed.reshape(-1), num,
-            bool(np.isnan(transposed).any()), use, out)
+        self.backend.fold_scores(self._tables, dense, use, out)
         return out
 
     def raw_scores(self, features: FeatureBatch,
@@ -256,7 +247,7 @@ class CompiledEnsemble:
         """Fold this ensemble's shrunken scores *into* ``out`` in place.
 
         Performs, per element, the same float64 additions in the same
-        order as :meth:`raw_scores` — one ``+=`` of the gathered scaled
+        order as :meth:`raw_scores` — one addition of the gathered scaled
         leaf row per tree, in tree order, through the same backend entry
         point (:meth:`KernelBackend.fold_scores
         <repro.core.kernels.KernelBackend.fold_scores>`).  This is the
@@ -270,6 +261,25 @@ class CompiledEnsemble:
         bit.
         """
         return self._fold(features, self.num_trees, out)
+
+
+def _own_arrays(tables: WalkTables) -> tuple:
+    """The arrays of ``tables`` a compiled ensemble holds on top of its
+    public per-slot arrays."""
+    return (tables.packed, tables.scaled, tables.child, tables.column,
+            tables.extension)
+
+
+def _extension_columns(feature: np.ndarray, extended: np.ndarray,
+                       width: int) -> tuple:
+    """``(column, extension)`` tables when the slots flagged in
+    ``extended`` read an extension copy of their feature, appended
+    after the batch's first ``width`` columns (see :class:`WalkTables`)."""
+    extension = np.unique(feature[extended]).astype(np.intp)
+    column = feature.astype(np.intp)
+    column[extended] = width + np.searchsorted(extension,
+                                               feature[extended])
+    return column, extension
 
 
 def compile_ensemble(ensemble: TreeEnsemble,
@@ -520,12 +530,13 @@ class QuantizedEnsemble:
     per-level gathers read an array 8x smaller than the float64 batch,
     which keeps it cache-resident at serving batch sizes.
 
-    Routing and score accumulation reuse the compiled ensemble's packed
-    metadata and shrinkage-scaled weights, so raw scores are
+    Routing and score accumulation reuse the compiled ensemble's walk
+    tables with only the threshold table swapped, so raw scores are
     *bit-identical* to :meth:`CompiledEnsemble.raw_scores` on the same
     rows.  Missing entries quantize to the sentinel bin 255 and follow
-    the packed default direction; leaf slots carry threshold 255 so
-    every bin value (sentinel included) parks.  Requires at most 254
+    the split's default direction (see
+    :class:`~repro.core.kernels.WalkTables`); leaf slots carry threshold
+    255 so every bin value (sentinel included) parks.  Requires at most 254
     bins per feature (bin values 0..254 plus the sentinel).
     """
 
@@ -550,6 +561,8 @@ class QuantizedEnsemble:
                 )
             self.threshold_bin[slot] = b
         self.threshold_bin.setflags(write=False)
+        self._tables = replace(compiled._tables,
+                               threshold=self.threshold_bin)
 
     @property
     def num_trees(self) -> int:
@@ -587,17 +600,17 @@ class QuantizedEnsemble:
         serve-time hot path once inputs are quantized."""
         if binned.ndim != 2 or binned.dtype != np.uint8:
             raise ValueError("binned batch must be a 2-D uint8 array")
-        num = binned.shape[0]
-        flat_bins = np.ascontiguousarray(binned.T).reshape(-1)
-        has_missing = bool((binned == MISSING_BIN).any())
+        if binned.shape[1] < self.compiled.num_features:
+            raise ValueError(
+                f"binned batch has {binned.shape[1]} columns; the model "
+                f"splits on features up to {self.compiled.num_features - 1}"
+            )
         use = (self.num_trees if num_trees is None
                else min(num_trees, self.num_trees))
-        out = np.zeros((num, self.gradient_dim), dtype=np.float64)
-        self.backend.fold_scores(
-            self.compiled._packed, self.threshold_bin,
-            self.compiled._scaled_by_slot, self.compiled.tree_root,
-            self.compiled.tree_depth, flat_bins, num, has_missing, use,
-            out)
+        out = np.zeros((binned.shape[0], self.gradient_dim),
+                       dtype=np.float64)
+        self.backend.fold_scores(self._tables, np.ascontiguousarray(binned),
+                                 use, out)
         return out
 
     def raw_scores(self, features: FeatureBatch,

@@ -232,7 +232,7 @@ class TestSelfCheck:
         assert [r.backend for r in results] == AVAILABLE
         for result in results:
             assert result.passed, result.describe()
-            assert result.checks == 9
+            assert result.checks == 10
             assert "bit-identical" in result.describe()
 
     def test_unknown_backend_fails_cleanly(self):

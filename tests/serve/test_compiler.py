@@ -13,11 +13,12 @@ import pytest
 
 from repro import ClusterConfig, GBDT, TrainConfig, get_plan
 from repro.core import kernels
+from repro.core.serialize import canonical_payload_bytes, ensemble_to_dict
 from repro.core.split import SplitInfo
 from repro.core.tree import Tree, TreeEnsemble
 from repro.data.matrix import CSRMatrix
-from repro.serve import (RequestTrace, compile_ensemble, quantize_ensemble,
-                         shard_ensemble)
+from repro.serve import (ModelRegistry, RequestTrace, compile_ensemble,
+                         quantize_ensemble, shard_ensemble)
 from repro.serve.compiler import _FEATURE_MASK
 from repro.serve.sharded import reduce_shard_scores
 from repro.systems import PLANS
@@ -76,6 +77,27 @@ class TestStructure:
     def test_introspection(self, compiled):
         assert compiled.nbytes > 0
         assert "CompiledEnsemble" in repr(compiled)
+
+    def test_nbytes_counts_the_walk_tables(self, trained, compiled):
+        # per slot: the public arrays (feature, threshold, left, right,
+        # default_left, leaf_slot), packed metadata, the scaled leaf row
+        # and numpy's child and column tables
+        dim = compiled.gradient_dim
+        per_slot = (4 + 8 + 4 + 4 + 1 + 4) + 8 + 8 * dim + 2 * 8
+        # plus one feature id per extension column (the features of the
+        # missing-right splits)
+        extension = compiled._tables.extension
+        np.testing.assert_array_equal(extension, np.unique(
+            compiled.feature[(compiled.leaf_slot < 0)
+                             & ~compiled.default_left]))
+        assert compiled.nbytes == (
+            compiled.num_slots * per_slot + compiled.leaf_weights.nbytes
+            + compiled.tree_root.nbytes + compiled.tree_depth.nbytes
+            + extension.nbytes)
+        # the wire and deploy size is the canonical payload, untouched
+        version = ModelRegistry().publish(trained[0])
+        assert version.nbytes == len(canonical_payload_bytes(
+            ensemble_to_dict(trained[0])))
 
     def test_feature_id_overflow_rejected(self):
         tree = Tree(2, 1)

@@ -96,6 +96,12 @@ class TestBinBatch:
         with pytest.raises(ValueError, match="uint8"):
             quant.raw_scores_binned(bad)
 
+    def test_rejects_batch_narrower_than_the_model(self, small_binary):
+        compiled, quant, _ = train_quantized(small_binary)
+        narrow = np.zeros((3, compiled.num_features - 1), dtype=np.uint8)
+        with pytest.raises(ValueError, match="columns"):
+            quant.raw_scores_binned(narrow)
+
 
 class TestQuantizerGuards:
     def test_off_grid_threshold_rejected(self, small_binary):
