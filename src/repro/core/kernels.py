@@ -14,7 +14,8 @@ owns the innermost kernels —
   bin-quantized variant: one entry point,
   :meth:`KernelBackend.fold_scores`, adds an ensemble's scores into an
   accumulator (numpy advances every row of a batch through *all* trees
-  of a block one layer per step; the loop kernels walk row by row).
+  of a block one layer per step; the loop kernel walks the same tables
+  row by row).
 
 Three backends are registered:
 
@@ -50,13 +51,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Type
 
 import numpy as np
-
-#: packed predictor slot metadata (shared with :mod:`repro.serve.compiler`):
-#: | left slot (43 bits) | missing-goes-right (1) | feature id (20) |
-FEATURE_BITS = 20
-FEATURE_MASK = (1 << FEATURE_BITS) - 1
-MISS_BIT = 1 << FEATURE_BITS
-CHILD_SHIFT = FEATURE_BITS + 1
 
 #: reserved uint8 bin value marking a missing entry in quantized batches
 MISSING_BIN = 255
@@ -151,12 +145,14 @@ def _k_scatter_no_hess(grad_out, hess_out, keys, entry_rows, grad,
             hess_out[j, c] = hess_out[j, 0]
 
 
-def _k_predict(packed, threshold, scaled, tree_root, tree_depth, flat,
-               width, has_nan, use, out):
-    """Walk every row through trees ``0..use``, accumulating scores.
+def _k_fold(child, column, threshold, scaled, tree_root, tree_depth, flat,
+            lanes, use, out):
+    """Walk every row of one :func:`walk_blocks` block through trees
+    ``0..use``, adding their scores into ``out``.
 
-    ``flat`` is the row-major batch flattened: row ``i``'s value of
-    feature ``f`` lives at ``i * width + f``.  Per row, scores
+    Row ``i``'s value for slot ``s`` is ``flat[lanes[i] + column[s]]``,
+    so float and uint8 blocks route alike through the extension columns
+    (:class:`WalkTables`), with no missing-value test.  Per row, scores
     accumulate in tree order — the same float additions, in the same
     order, as the numpy layer-synchronous path.
     """
@@ -166,45 +162,9 @@ def _k_predict(packed, threshold, scaled, tree_root, tree_depth, flat,
         depth = tree_depth[t]
         for i in range(num):
             pos = root
+            lane = lanes[i]
             for _ in range(depth):
-                meta = packed[pos]
-                value = flat[i * width + (meta & FEATURE_MASK)]
-                go_right = value > threshold[pos]
-                if has_nan and value != value and (meta & MISS_BIT) != 0:
-                    go_right = True
-                pos = meta >> CHILD_SHIFT
-                if go_right:
-                    pos += 1
-            for c in range(dim):
-                out[i, c] += scaled[pos, c]
-
-
-def _k_predict_quantized(packed, threshold_bin, scaled, tree_root,
-                         tree_depth, flat_bins, width, has_missing, use,
-                         out):
-    """Quantized traversal: uint8 bin values against int16 bin cuts.
-
-    Bin 255 marks a missing value and follows the packed default
-    direction; leaf slots carry threshold 255 so every bin value parks
-    (``value > 255`` is false even for the missing sentinel).
-    """
-    num, dim = out.shape
-    for t in range(use):
-        root = tree_root[t]
-        depth = tree_depth[t]
-        for i in range(num):
-            pos = root
-            for _ in range(depth):
-                meta = packed[pos]
-                value = flat_bins[i * width + (meta & FEATURE_MASK)]
-                if has_missing and value == MISSING_BIN:
-                    go_right = (meta & MISS_BIT) != 0 \
-                        and threshold_bin[pos] != MISSING_BIN
-                else:
-                    go_right = value > threshold_bin[pos]
-                pos = meta >> CHILD_SHIFT
-                if go_right:
-                    pos += 1
+                pos = child[pos] + (flat[lane + column[pos]] > threshold[pos])
             for c in range(dim):
                 out[i, c] += scaled[pos, c]
 
@@ -213,8 +173,7 @@ def _k_predict_quantized(packed, threshold_bin, scaled, tree_root,
 LOOP_KERNELS = {
     "scatter": _k_scatter,
     "scatter_no_hess": _k_scatter_no_hess,
-    "predict": _k_predict,
-    "predict_quantized": _k_predict_quantized,
+    "fold": _k_fold,
 }
 
 
@@ -227,10 +186,9 @@ class WalkTables:
     """The per-slot tables a compiled predictor hands
     :meth:`KernelBackend.fold_scores`.
 
-    The loop kernels read ``packed`` (left child, missing-goes-right
-    bit, feature id) and apply the missing rule value by value.  The
-    numpy walk reads ``child`` and the batch column of each slot
-    instead, with the missing rule folded into *which* column that is.
+    Every backend walks the same tables over the same
+    :func:`walk_blocks` blocks: a slot's ``child`` and the batch column
+    it reads, with the missing rule folded into *which* column that is.
     Each missing-right split reads an **extension column**: a copy of
     its feature appended after the batch's first ``width`` columns.
     Missing values compare above every internal cut there and below it
@@ -248,8 +206,6 @@ class WalkTables:
     no value exceeds, so finished rows park.
     """
 
-    #: | left slot | missing-goes-right | feature | per slot (loop kernels)
-    packed: np.ndarray
     #: per-slot cut: float64 raw value, or int16 bin of a uint8 batch
     threshold: np.ndarray
     #: ``(slots, C)`` shrinkage-scaled leaf rows, zero inside the trees
@@ -532,19 +488,13 @@ class PyLoopBackend(KernelBackend):
             hist.hess[:] = hess_out[s * size:(s + 1) * size]
 
     def fold_scores(self, tables, batch, use, out):
-        # the loop kernels accumulate into ``out`` row by row, tree by
-        # tree — the carry-in fold is the kernel itself; they test each
-        # value for missing only when the batch holds one
-        if batch.dtype == np.uint8:
-            kernel = "predict_quantized"
-            has_missing = bool((batch == MISSING_BIN).any())
-        else:
-            kernel = "predict"
-            has_missing = bool(np.isnan(batch).any())
-        self._kernels[kernel](tables.packed, tables.threshold,
-                              tables.scaled, tables.tree_root,
-                              tables.tree_depth, batch.reshape(-1),
-                              batch.shape[1], has_missing, use, out)
+        # the loop kernel accumulates into ``out`` row by row, tree by
+        # tree: the carry-in fold is the kernel itself
+        for lo, hi, flat, lanes in walk_blocks(tables, batch):
+            self._kernels["fold"](tables.child, tables.column,
+                                  tables.threshold, tables.scaled,
+                                  tables.tree_root, tables.tree_depth, flat,
+                                  lanes, use, out[lo:hi])
 
 
 #: compiled kernel cache shared by every NumbaBackend instance

@@ -343,11 +343,6 @@ class CSCMatrix:
         lo, hi = self.indptr[j], self.indptr[j + 1]
         return self.indices[lo:hi], self.values[lo:hi]
 
-    def iter_cols(self) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-        for j in range(self.num_cols):
-            rows, vals = self.col(j)
-            yield j, rows, vals
-
     def col_lengths(self) -> np.ndarray:
         """Number of stored values in each column (cached)."""
         if self._col_lengths is None:

@@ -30,8 +30,9 @@ because three tables route with nothing else:
 
 Rows walk in blocks of about 2 MB of batch, and each block of trees
 folds into the accumulator in one ``np.add.accumulate`` call.  The loop
-kernels keep the packed form: one ``int64`` per slot holding the left
-child, the missing-goes-right bit and the feature id.
+backends (pyloop, numba) read the same three tables over the same row
+blocks, one row and one tree at a time: there is one table set and one
+missing rule for every backend.
 
 The compiled predictor is *bit-identical* to
 :meth:`TreeEnsemble.raw_scores`: the traversal routes on the same
@@ -51,20 +52,11 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from ..core.kernels import MISSING_BIN, WalkTables, make_backend
-from ..core import kernels as _kernels
 from ..core.tree import Tree, TreeEnsemble
 from ..data.matrix import CSCMatrix, CSRMatrix
 
 #: accepted feature-batch types of the compiled predictor
 FeatureBatch = Union[CSCMatrix, CSRMatrix, np.ndarray]
-
-# packed slot metadata: | left slot (43 bits) | miss_right (1) | feature (20) |
-# (defined in repro.core.kernels, which the traversal kernels compile
-# against; aliased here because the compiler is where they are produced)
-_FEATURE_BITS = _kernels.FEATURE_BITS
-_FEATURE_MASK = _kernels.FEATURE_MASK
-_MISS_BIT = _kernels.MISS_BIT
-_CHILD_SHIFT = _kernels.CHILD_SHIFT
 
 
 class CompiledEnsemble:
@@ -120,18 +112,15 @@ class CompiledEnsemble:
                 "cannot compile: a missing-right split cuts at +inf or "
                 "NaN, which no value exceeds"
             )
-        # acceleration structures: the traversal tables (packed metadata
-        # for the loop kernels, child / column / extension for numpy) and
-        # the shrinkage-scaled weights gathered straight by slot id
+        # acceleration structures: the traversal tables (child / column /
+        # extension, shared by every backend) and the shrinkage-scaled
+        # weights gathered straight by slot id
         scaled = np.zeros((feature.size, gradient_dim), dtype=np.float64)
         leafy = ~internal
         scaled[leafy] = learning_rate * leaf_weights[leaf_slot[leafy]]
         width = max(num_features, 1)
         column, extension = _extension_columns(feature, miss_right, width)
         self._tables = WalkTables(
-            packed=((left.astype(np.int64) << _CHILD_SHIFT)
-                    | (miss_right.astype(np.int64) << _FEATURE_BITS)
-                    | feature.astype(np.int64)),
             threshold=threshold, scaled=scaled, tree_root=tree_root,
             tree_depth=tree_depth, child=left.astype(np.intp),
             column=column, extension=extension, width=width)
@@ -205,17 +194,6 @@ class CompiledEnsemble:
             features.values
         return dense
 
-    def assign_leaves(self, dense: np.ndarray, tree: int) -> np.ndarray:
-        """Final (leaf) slot of every row of an already-densified
-        row-major batch in one tree (level-synchronous traversal)."""
-        tables = self._tables
-        slots = np.empty(dense.shape[0], dtype=np.intp)
-        for lo, hi, flat, lanes in _kernels.walk_blocks(tables, dense):
-            slots[lo:hi] = self.backend.walk(
-                tables, tables.tree_root[tree:tree + 1],
-                int(tables.tree_depth[tree]), flat, lanes)[0]
-        return slots
-
     def _fold(self, features: FeatureBatch, use: int,
               out: Optional[np.ndarray]) -> np.ndarray:
         """Fold trees ``0..use`` into ``out`` (zeros when ``None``) —
@@ -266,8 +244,7 @@ class CompiledEnsemble:
 def _own_arrays(tables: WalkTables) -> tuple:
     """The arrays of ``tables`` a compiled ensemble holds on top of its
     public per-slot arrays."""
-    return (tables.packed, tables.scaled, tables.child, tables.column,
-            tables.extension)
+    return tables.scaled, tables.child, tables.column, tables.extension
 
 
 def _extension_columns(feature: np.ndarray, extended: np.ndarray,
@@ -302,11 +279,6 @@ def compile_ensemble(ensemble: TreeEnsemble,
         for node in tree.internal_nodes():
             num_features = max(num_features, node.split.feature + 1)
     tree_root[len(ensemble.trees)] = len(slots)
-    if num_features > _FEATURE_MASK:
-        raise ValueError(
-            f"cannot compile: feature ids up to {num_features - 1} "
-            f"exceed the packed limit {_FEATURE_MASK}"
-        )
 
     count = len(slots)
     weights = (np.asarray(leaf_weights, dtype=np.float64)
@@ -420,8 +392,8 @@ def slice_trees(compiled: CompiledEnsemble, start: int,
     :class:`CompiledEnsemble`.
 
     Slot arrays are sliced and rebased (children, roots, leaf rows), not
-    recompiled, so the shard's per-slot data — thresholds, packed
-    metadata, shrinkage-scaled leaf weights — is byte-for-byte the
+    recompiled, so the shard's per-slot data — thresholds, default
+    directions, shrinkage-scaled leaf weights — is byte-for-byte the
     parent's.  ``num_features`` is inherited from the parent so every
     shard densifies a batch to the same width.  The ordered carry-in
     fold of the shards' scores (:meth:`CompiledEnsemble.add_raw_scores`)

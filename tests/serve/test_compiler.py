@@ -19,7 +19,6 @@ from repro.core.tree import Tree, TreeEnsemble
 from repro.data.matrix import CSRMatrix
 from repro.serve import (ModelRegistry, RequestTrace, compile_ensemble,
                          quantize_ensemble, shard_ensemble)
-from repro.serve.compiler import _FEATURE_MASK
 from repro.serve.sharded import reduce_shard_scores
 from repro.systems import PLANS
 
@@ -80,10 +79,10 @@ class TestStructure:
 
     def test_nbytes_counts_the_walk_tables(self, trained, compiled):
         # per slot: the public arrays (feature, threshold, left, right,
-        # default_left, leaf_slot), packed metadata, the scaled leaf row
-        # and numpy's child and column tables
+        # default_left, leaf_slot), the scaled leaf row and the child
+        # and column tables
         dim = compiled.gradient_dim
-        per_slot = (4 + 8 + 4 + 4 + 1 + 4) + 8 + 8 * dim + 2 * 8
+        per_slot = (4 + 8 + 4 + 4 + 1 + 4) + 8 * dim + 2 * 8
         # plus one feature id per extension column (the features of the
         # missing-right splits)
         extension = compiled._tables.extension
@@ -99,16 +98,26 @@ class TestStructure:
         assert version.nbytes == len(canonical_payload_bytes(
             ensemble_to_dict(trained[0])))
 
-    def test_feature_id_overflow_rejected(self):
+    def test_feature_ids_need_no_bit_field(self):
+        # a missing-right split on a feature id past 2**20: the slot
+        # tables hold any feature id, so it compiles on every backend
+        feature = 2 ** 20 + 3
         tree = Tree(2, 1)
-        tree.set_split(0, SplitInfo(feature=_FEATURE_MASK + 1, bin=0,
-                                    default_left=True, gain=1.0), 0.5)
+        tree.set_split(0, SplitInfo(feature=feature, bin=0,
+                                    default_left=False, gain=1.0), 0.5)
         tree.set_leaf(1, np.array([1.0]))
         tree.set_leaf(2, np.array([-1.0]))
         ensemble = TreeEnsemble(1, 0.3)
         ensemble.append(tree)
-        with pytest.raises(ValueError, match="packed limit"):
-            compile_ensemble(ensemble)
+        # rows: at the cut, above it, missing (unstored)
+        csr = CSRMatrix(np.array([0, 1, 2, 2]), np.array([feature] * 2),
+                        np.array([0.5, 0.75]), feature + 1)
+        want = ensemble.raw_scores(csr.to_csc())
+        np.testing.assert_array_equal(want, [[0.3], [-0.3], [-0.3]])
+        for backend in kernels.available_backends():
+            compiled = compile_ensemble(ensemble, backend=backend)
+            assert compiled.num_features == feature + 1
+            np.testing.assert_array_equal(compiled.raw_scores(csr), want)
 
     def test_missing_child_rejected(self):
         tree = Tree(2, 1)
@@ -222,14 +231,6 @@ class TestInputHandling:
         np.testing.assert_array_equal(
             compiled.densify(csc.to_csr()), compiled.densify(csc)
         )
-
-    def test_assign_leaves_reach_leaf_slots(self, trained, compiled):
-        dense = compiled.densify(trained[1].csc())
-        for tree in range(compiled.num_trees):
-            slots = compiled.assign_leaves(dense, tree)
-            assert np.all(compiled.leaf_slot[slots] >= 0)
-            assert np.all(slots >= compiled.tree_root[tree])
-            assert np.all(slots < compiled.tree_root[tree + 1])
 
 
 #: per-feature cut grid of the hand-grown ensembles below: thresholds
@@ -421,9 +422,9 @@ class TestLoopBackendChainFold:
     def test_non_head_shards_run_the_loop_kernel(self, monkeypatch):
         compiled = compile_ensemble(grown_ensemble(1), backend="pyloop")
         calls = []
-        real = kernels.LOOP_KERNELS["predict"]
+        real = kernels.LOOP_KERNELS["fold"]
         monkeypatch.setitem(
-            compiled.backend._kernels, "predict",
+            compiled.backend._kernels, "fold",
             lambda *args: (calls.append(args[8]), real(*args))[1])
         shards = shard_ensemble(compiled, 3)
         reduce_shard_scores(shards, grid_batch(6, with_nan=True))

@@ -1,14 +1,19 @@
-"""Property tests of the numpy traversal behind ``fold_scores``.
+"""Property tests of the traversal behind every backend's ``fold_scores``.
 
-The numpy walk routes every value with one ``value > cut`` compare: the
+Every backend routes every value with one ``value > cut`` compare: the
 missing rule lives in which batch column a slot reads (missing-right
 splits read an extension copy of their feature, see
-``repro.core.kernels.WalkTables``), rows walk in cache-sized blocks and
-each block of trees folds in one ``np.add.accumulate``.  Each of those
-is a place to be off by one, so every case is checked bit for bit
-against two oracles that share none of it: the ``pyloop`` loop kernels
-and ``TreeEnsemble.raw_scores``.  ``WALK_BLOCK`` is patched small so a
-handful of rows and trees already spans several row and tree blocks.
+``repro.core.kernels.WalkTables``), and rows walk in the cache-sized
+blocks of ``walk_blocks``.  numpy then advances all trees of a block
+together and folds each block of trees in one ``np.add.accumulate``;
+the loop backends (pyloop, and numba where it imports) walk the same
+tables and blocks one row and one tree at a time.  Each of those is a
+place to be off by one.  The independent oracle is
+``TreeEnsemble.raw_scores``, the node-dict fold that shares none of
+the tables or blocks: every case is checked against it bit for bit, on
+numpy and on every available loop backend.  ``WALK_BLOCK`` is patched
+small so a handful of rows and trees already spans several row and
+tree blocks.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels
+from repro.core.kernels import available_backends
 from repro.core.split import SplitInfo
 from repro.core.tree import Tree, TreeEnsemble
 from repro.selfcheck import (ADVERSARIAL_CUTS, adversarial_case,
@@ -83,27 +89,26 @@ def tree_at_a_time(ensemble, csc, carry):
 
 
 def assert_all_paths_agree(ensemble, dense):
-    """Float (ndarray, CSR, CSC), carry-in and uint8 paths of numpy
-    equal both oracles bit for bit."""
+    """Float (ndarray, CSR, CSC), carry-in and uint8 paths of numpy and
+    of every available loop backend equal the node-dict folds bit for
+    bit."""
     csr = missing_as_unstored(dense)
     csc = csr.to_csc()
     want = ensemble.raw_scores(csc)
     compiled = compile_ensemble(ensemble)
-    oracle = compile_ensemble(ensemble, backend="pyloop")
-    np.testing.assert_array_equal(oracle.raw_scores(dense), want)
     for batch in (dense, csr, csc):
         np.testing.assert_array_equal(compiled.raw_scores(batch), want)
     carry = np.linspace(-1e8, 1e8, want.size).reshape(want.shape)
     carried = tree_at_a_time(ensemble, csc, carry)
-    np.testing.assert_array_equal(
-        compiled.add_raw_scores(dense, carry.copy()), carried)
-    np.testing.assert_array_equal(
-        oracle.add_raw_scores(dense, carry.copy()), carried)
     cuts = [ADVERSARIAL_CUTS] * dense.shape[1]
-    quant = quantize_ensemble(compiled, cuts)
-    np.testing.assert_array_equal(quant.raw_scores(dense), want)
-    np.testing.assert_array_equal(
-        quantize_ensemble(oracle, cuts).raw_scores(dense), want)
+    loops = [name for name in available_backends() if name != "numpy"]
+    for engine in [compiled] + [compile_ensemble(ensemble, backend=name)
+                                for name in loops]:
+        np.testing.assert_array_equal(engine.raw_scores(dense), want)
+        np.testing.assert_array_equal(
+            engine.add_raw_scores(dense, carry.copy()), carried)
+        np.testing.assert_array_equal(
+            quantize_ensemble(engine, cuts).raw_scores(dense), want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -143,6 +148,35 @@ def test_several_row_and_tree_blocks(monkeypatch, dim, with_missing):
     assert row_blocks >= 3
     assert len(calls) >= 3 * row_blocks
     assert_all_paths_agree(ensemble, dense)
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+def test_loop_kernel_runs_once_per_row_block(monkeypatch, quantized):
+    """The loop backends fold over the same ``walk_blocks`` row blocks as
+    numpy: one kernel call per block, over all trees, writing that
+    block's slice of the accumulator."""
+    ensemble, dense = adversarial_case(num_rows=23, gradient_dim=3,
+                                       depths=[1, 7, 3, 5, 2, 6, 4])
+    monkeypatch.setattr(kernels, "WALK_BLOCK", 4)
+    want = ensemble.raw_scores(missing_as_unstored(dense).to_csc())
+    cuts = [ADVERSARIAL_CUTS] * dense.shape[1]
+    for name in [n for n in available_backends() if n != "numpy"]:
+        engine = compile_ensemble(ensemble, backend=name)
+        if quantized:
+            engine = quantize_ensemble(engine, cuts)
+        calls = []
+        real = engine.backend._kernels["fold"]
+        monkeypatch.setitem(
+            engine.backend._kernels, "fold",
+            lambda *args, real=real: (
+                calls.append((args[8], args[9].shape[0])), real(*args))[1])
+        np.testing.assert_array_equal(engine.raw_scores(dense), want)
+        span = dense.shape[1] + engine._tables.extension.size
+        step = max((4 << 2) // span, 1)
+        assert len(calls) == -(-dense.shape[0] // step) >= 3
+        assert calls == [(len(ensemble.trees),
+                          min(step, dense.shape[0] - lo))
+                         for lo in range(0, dense.shape[0], step)]
 
 
 def test_one_row_fold_adds_trees_in_order():

@@ -3,6 +3,8 @@ computation characteristics and the columnwise-index cost."""
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -48,11 +50,23 @@ class TestQD3Modes:
         more computation than the hybrid (Appendix C)."""
         _, cfg, binned = storage_setting
         cluster = ClusterConfig(num_workers=3)
-        hybrid = get_plan("qd3").build(cfg, cluster)
-        colwise = get_plan("qd3-pure").build(cfg, cluster)
-        r_h = hybrid.fit(binned)
-        r_c = colwise.fit(binned)
-        assert r_c.mean_comp_seconds() > r_h.mean_comp_seconds()
+        # each tree's best time over 20 interleaved fits, with the garbage
+        # collector off as in ``timeit``: on a shared host single fits of
+        # either plan vary 2-4x, far more than the gap between them
+        comp = {"qd3": [], "qd3-pure": []}
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(20):
+                for name, per_fit in comp.items():
+                    result = get_plan(name).build(cfg, cluster).fit(binned)
+                    per_fit.append(
+                        [r.comp_seconds for r in result.tree_reports])
+        finally:
+            gc.enable()
+        best_h, best_c = (np.min(comp[name], axis=0).sum()
+                          for name in ("qd3", "qd3-pure"))
+        assert best_c > best_h
 
 
 class TestSubtractionEffect:
