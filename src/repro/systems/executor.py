@@ -11,8 +11,11 @@ aggregation — and runs the single layer-wise loop they all share:
    it owns the placement traffic),
 5. run post-layer index maintenance and histogram retirement.
 
-All per-run state (shards, indexes, histogram stores, node statistics)
-lives on the executor; the strategies are stateless singletons from
+All per-run state lives on the executor, in one shape for every plan:
+``shards`` and ``stored`` (one shard and one stored matrix per worker),
+``row_ranges`` and ``indexes`` (one index replica per global row span),
+``replica_of`` (the replica each worker reads), the histogram stores and
+the node statistics.  The strategies are stateless singletons from
 :mod:`~repro.systems.strategies`.  Which strategies compose is described
 by an :class:`~repro.systems.plans.ExecutionPlan`, so a new system
 variant is a registry entry, not a subclass.
@@ -77,9 +80,10 @@ class WorkerCrashError(RuntimeError):
 class TreeCheckpoint:
     """Trainer state at one tree boundary, sufficient to replay the tree.
 
-    ``index_state`` holds one ``node_of_instance`` snapshot per physical
-    index replica (one per worker for horizontal plans, a single shared
-    one for vertical plans); ``model_bytes`` is the serialized size of
+    ``index_state`` holds one ``node_of_instance`` snapshot per index
+    replica (``PlanExecutor.indexes``: one per worker for horizontal
+    plans, a single shared one for vertical plans; worker ``w`` reads
+    replica ``replica_of[w]``); ``model_bytes`` is the serialized size of
     the boosted trees committed so far; ``network_snapshot`` pins the
     traffic ledger at the boundary, so recovery can tell lost work from
     committed work.
@@ -94,11 +98,6 @@ class TreeCheckpoint:
     def state_bytes(self) -> int:
         """Bytes of placement state a full restore must ship."""
         return sum(arr.nbytes for arr in self.index_state)
-
-    def worker_state(self, worker: int) -> np.ndarray:
-        """The snapshot of the index replica ``worker`` reads (the
-        shared one when the plan keeps a single physical replica)."""
-        return self.index_state[worker if len(self.index_state) > 1 else 0]
 
 
 @dataclass(frozen=True)
@@ -300,8 +299,7 @@ class PlanExecutor:
             tree_index=tree_index,
             model_bytes=self._model_state_bytes(ensemble),
             index_state=tuple(
-                index.node_of_instance.copy()
-                for index in self.partition.index_replicas(self)
+                index.node_of_instance.copy() for index in self.indexes
             ),
             network_snapshot=self.net.snapshot(),
         )
@@ -350,7 +348,8 @@ class PlanExecutor:
         net = self.net
         net.relabel_since(attempt_mark, RECOVERY_PREFIX)
         policy = self.aggregation.recovery_policy
-        state = checkpoint.worker_state(event.worker)
+        replica = self.replica_of[event.worker]
+        state = checkpoint.index_state[replica]
         state_wire, (received,) = self.ship_index_state([state], clock)
         restore_bytes = checkpoint.model_bytes + state_wire
         if policy == "reshard":
@@ -379,10 +378,9 @@ class PlanExecutor:
         # the survivors' from their own
         self.reset_tree_state()
         snapshots = list(checkpoint.index_state)
-        snapshots[event.worker if len(snapshots) > 1 else 0] = received
-        self.partition.adopt_index_replicas(self, [
-            NodeToInstanceIndex.from_assignment(arr) for arr in snapshots
-        ])
+        snapshots[replica] = received
+        self.indexes = [NodeToInstanceIndex.from_assignment(arr)
+                        for arr in snapshots]
 
     def _model_state_bytes(self, ensemble: TreeEnsemble) -> int:
         """Serialized size of the committed trees (checkpoint payload):

@@ -16,6 +16,8 @@ Use :func:`get_plan` to resolve a registry key or alias, and
 
 Custom plans need no registration — ``dataclasses.replace`` an existing
 entry (or construct :class:`ExecutionPlan` directly) and call ``build``.
+A composition whose strategies cannot run together (a strategy's
+``requires`` names another axis) raises ``ValueError`` at construction.
 """
 
 from __future__ import annotations
@@ -63,6 +65,16 @@ class ExecutionPlan:
                     f"unknown {axis} strategy {value!r}; known: "
                     f"{', '.join(sorted(registry))}"
                 )
+        for axis, registry in (("index", INDEX_PLANS),
+                               ("aggregation", AGGREGATIONS)):
+            value = getattr(self, axis)
+            for other, allowed in registry[value].requires.items():
+                if getattr(self, other) not in allowed:
+                    raise ValueError(
+                        f"{axis} strategy {value!r} cannot run with "
+                        f"{other} strategy {getattr(self, other)!r}; it "
+                        f"needs {other} {' or '.join(sorted(allowed))}"
+                    )
 
     def build(self, config: "TrainConfig",
               cluster: "ClusterConfig") -> "PlanExecutor":

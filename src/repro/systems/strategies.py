@@ -19,25 +19,23 @@ strategy object:
   push, or no aggregation at all with local election plus placement
   bitmap broadcast), including every byte the pattern puts on the wire.
 
-Strategies are stateless policy singletons: all per-run state (shards,
-indexes, histogram stores, node statistics) lives on the
-:class:`~repro.systems.executor.PlanExecutor` they are handed, so one
-strategy instance can serve any number of concurrent executors.  The
-combination of one strategy per axis is an
+Strategies are stateless policy singletons: all per-run state lives on
+the :class:`~repro.systems.executor.PlanExecutor` they are handed, in one
+shape for every plan (index replicas over row spans, one stored matrix
+per worker; see :class:`PartitionStrategy` and :class:`StorageLayout`),
+so one strategy instance can serve any number of concurrent executors.
+The combination of one strategy per axis is an
 :class:`~repro.systems.plans.ExecutionPlan`; the quadrants of the paper
-are seven entries in that plan registry rather than seven subclasses.
-
-Every method here is a verbatim relocation of the corresponding
-pre-refactor quadrant code — ``tests/systems/test_plans.py`` pins each
-plan's model, per-kind traffic and memory to what the pre-refactor
-classes produced (``tests/data/golden/plan_equivalence_v1.json``).
+are entries in that plan registry rather than subclasses.  A strategy
+that needs a particular strategy on another axis says so in
+``requires``, and a plan composing it with anything else is refused.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, islice
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
-                    TYPE_CHECKING, Tuple, Union)
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
+                    Sequence, Set, TYPE_CHECKING, Tuple, Union)
 
 import numpy as np
 
@@ -171,19 +169,29 @@ def _activate_children(ex: "PlanExecutor", splits: Dict[int, SplitInfo],
 class PartitionStrategy:
     """How the dataset is sliced across workers.
 
-    A partition owns the per-run sharding state on the executor, knows
-    where gradients are computed, how node statistics are obtained, and
-    how per-instance leaf ids are assembled at the end of a tree.
+    Every partition leaves the same state on the executor: ``ex.shards``
+    (one per worker), ``ex.row_ranges`` (one global row span per index
+    replica), ``ex.replica_of`` (the replica each worker reads) and, per
+    tree, ``ex.indexes`` (one :class:`NodeToInstanceIndex` per span).
+    Horizontal partitioning keeps ``W`` replicas over its ``W`` row
+    spans; vertical and replicated partitioning keep one over all ``N``
+    rows, which every worker reads: the per-worker replicas never diverge
+    because every worker applies identical placement updates
+    (Section 4.2.2).  Gradients, node counts, leaf ids and label memory
+    all follow from that state, so only :meth:`setup` and
+    :meth:`compute_stats` differ by partition.
     """
 
     key: str = "abstract"
 
     def setup(self, ex: "PlanExecutor", binned) -> None:
+        """Set ``ex.shards``, ``ex.row_ranges`` and ``ex.replica_of``."""
         raise NotImplementedError
 
     def reset(self, ex: "PlanExecutor") -> None:
-        """Per-tree index/statistics reset."""
-        raise NotImplementedError
+        """Per-tree reset: a fresh index over every row span."""
+        ex.indexes = [NodeToInstanceIndex(rows.stop - rows.start)
+                      for rows in ex.row_ranges]
 
     def hist_workers(self, ex: "PlanExecutor") -> Sequence[int]:
         """Workers that participate in histogram construction."""
@@ -192,30 +200,22 @@ class PartitionStrategy:
     def worker_grad(self, ex: "PlanExecutor", worker: int,
                     grad: np.ndarray,
                     hess: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The gradient rows worker ``worker`` holds locally."""
-        raise NotImplementedError
+        """Views of the gradient rows worker ``worker`` holds locally:
+        the row span of the replica it reads."""
+        rows = ex.row_ranges[ex.replica_of[worker]]
+        return grad[rows], hess[rows]
 
     def worker_index(self, ex: "PlanExecutor",
                      worker: int) -> NodeToInstanceIndex:
-        """The node/instance index tracking the worker's local rows."""
-        raise NotImplementedError
-
-    def index_replicas(self, ex: "PlanExecutor",
-                       ) -> List[NodeToInstanceIndex]:
-        """Every physical index replica, in worker order."""
-        raise NotImplementedError
-
-    def adopt_index_replicas(self, ex: "PlanExecutor",
-                             replicas: List[NodeToInstanceIndex]) -> None:
-        """Install restored replicas (as :meth:`index_replicas` lists
-        them) in place of the current ones."""
-        raise NotImplementedError
+        """The index replica tracking the worker's local rows."""
+        return ex.indexes[ex.replica_of[worker]]
 
     def gradient_instances(self, ex: "PlanExecutor") -> int:
-        raise NotImplementedError
+        """Gradients each worker computes: its replica's rows."""
+        return max(rows.stop - rows.start for rows in ex.row_ranges)
 
     def node_count(self, ex: "PlanExecutor", node: int) -> int:
-        raise NotImplementedError
+        return sum(index.count_of(node) for index in ex.indexes)
 
     def compute_stats(self, ex: "PlanExecutor", nodes: Sequence[int],
                       grad: np.ndarray, hess: np.ndarray,
@@ -225,13 +225,19 @@ class PartitionStrategy:
         raise NotImplementedError
 
     def retire_node(self, ex: "PlanExecutor", node: int) -> None:
-        raise NotImplementedError
+        for index in ex.indexes:
+            index.retire_node(node)
 
     def assemble_leaves(self, ex: "PlanExecutor") -> np.ndarray:
-        raise NotImplementedError
+        """Global per-instance leaf ids from the index replicas."""
+        leaf = np.empty(ex._binned.num_instances, dtype=np.int32)
+        for rows, index in zip(ex.row_ranges, ex.indexes):
+            leaf[rows] = index.node_of_instance
+        return leaf
 
     def label_bytes(self, ex: "PlanExecutor", worker: int) -> int:
-        raise NotImplementedError
+        """Labels a worker holds: those of its replica's rows."""
+        return ex._binned.labels[ex.row_ranges[ex.replica_of[worker]]].nbytes
 
     def data_bytes(self, ex: "PlanExecutor") -> int:
         """Max per-worker dataset memory (storage shard + labels)."""
@@ -260,6 +266,7 @@ class HorizontalPartition(PartitionStrategy):
         stops = accumulate(rows.size for rows in ranges)
         ex.row_ranges = [slice(stop - rows.size, stop)
                          for rows, stop in zip(ranges, stops)]
+        ex.replica_of = list(range(num_workers))
         # contiguous feature ranges used for reduce-scatter / server shards
         bounds = np.linspace(0, binned.num_features,
                              num_workers + 1).astype(np.int64)
@@ -268,67 +275,25 @@ class HorizontalPartition(PartitionStrategy):
             for w in range(num_workers)
         ]
 
-    def reset(self, ex: "PlanExecutor") -> None:
-        ex.indexes = [
-            NodeToInstanceIndex(shard.num_instances)
-            for shard in ex.shards
-        ]
-
-    def worker_grad(self, ex, worker, grad, hess):
-        """Views of the worker's row span of ``grad`` / ``hess``."""
-        rows = ex.row_ranges[worker]
-        return grad[rows], hess[rows]
-
-    def worker_index(self, ex, worker):
-        return ex.indexes[worker]
-
-    def index_replicas(self, ex):
-        return ex.indexes
-
-    def adopt_index_replicas(self, ex, replicas) -> None:
-        ex.indexes = replicas
-
-    def gradient_instances(self, ex) -> int:
-        """Each worker computes gradients for its own rows only."""
-        return max(rows.stop - rows.start for rows in ex.row_ranges)
-
-    def node_count(self, ex, node) -> int:
-        return sum(index.count_of(node) for index in ex.indexes)
-
     def compute_stats(self, ex, nodes, grad, hess, clock) -> None:
         """Global node totals as the sums of per-worker local totals,
-        added in worker order."""
+        added in worker order; each worker is charged its own gather."""
         total_g = np.zeros((len(nodes), grad.shape[1]))
         total_h = np.zeros((len(nodes), hess.shape[1]))
-        for worker, index in enumerate(ex.indexes):
-            g, h = index.node_totals(
-                nodes, *self.worker_grad(ex, worker, grad, hess))
+        for worker, (rows, index) in enumerate(zip(ex.row_ranges,
+                                                   ex.indexes)):
+            with clock.timed(worker, "split-find"):
+                g, h = index.node_totals(nodes, grad[rows], hess[rows])
             total_g += g
             total_h += h
         ex.stats.update(zip(nodes, zip(total_g, total_h)))
-
-    def retire_node(self, ex, node) -> None:
-        for index in ex.indexes:
-            index.retire_node(node)
-
-    def assemble_leaves(self, ex) -> np.ndarray:
-        """Global per-instance leaf ids from the worker-local indexes."""
-        leaf = np.empty(ex._binned.num_instances, dtype=np.int32)
-        for worker, index in enumerate(ex.indexes):
-            leaf[ex.row_ranges[worker]] = index.node_of_instance
-        return leaf
-
-    def label_bytes(self, ex, worker) -> int:
-        return ex.shards[worker].labels.nbytes
 
 
 class VerticalPartition(PartitionStrategy):
     """Each worker owns a column group plus all labels (QD3/QD4).
 
-    Histograms never need aggregation; every worker computes all ``N``
-    gradients, and a single physical index stands in for the per-worker
-    replicas, which never diverge because every worker applies identical
-    placement updates (Section 4.2.2).
+    Histograms never need aggregation, and every worker computes all
+    ``N`` gradients over the one shared index replica.
     """
 
     key = "vertical"
@@ -339,54 +304,25 @@ class VerticalPartition(PartitionStrategy):
             binned, num_workers, strategy=ex.grouping,
             seed=ex.cluster.seed,
         )
+        ex.row_ranges = [slice(0, binned.num_instances)]
+        ex.replica_of = [0] * num_workers
         ex.owner_of_feature = np.empty(binned.num_features, dtype=np.int64)
         ex.local_of_feature = np.empty(binned.num_features, dtype=np.int64)
         for worker, group in enumerate(ex.groups):
             ex.owner_of_feature[group] = worker
             ex.local_of_feature[group] = np.arange(group.size)
 
-    def reset(self, ex: "PlanExecutor") -> None:
-        ex.index = NodeToInstanceIndex(ex._binned.num_instances)
-
     def hist_workers(self, ex) -> Sequence[int]:
         """Skip workers owning no features (W > D)."""
         return [w for w in range(ex.cluster.num_workers)
                 if ex.groups[w].size > 0]
 
-    def worker_grad(self, ex, worker, grad, hess):
-        """Every worker holds all labels, hence all gradients."""
-        return grad, hess
-
-    def worker_index(self, ex, worker):
-        return ex.index
-
-    def index_replicas(self, ex):
-        """One physical index stands in for the identical replicas."""
-        return [ex.index]
-
-    def adopt_index_replicas(self, ex, replicas) -> None:
-        (ex.index,) = replicas
-
-    def gradient_instances(self, ex) -> int:
-        return ex._binned.num_instances
-
-    def node_count(self, ex, node) -> int:
-        return ex.index.count_of(node)
-
     def compute_stats(self, ex, nodes, grad, hess, clock) -> None:
         """Node totals — computed identically on every worker."""
+        (index,) = ex.indexes
         with clock.timed(None, "split-find"):
             ex.stats.update(zip(
-                nodes, zip(*ex.index.node_totals(nodes, grad, hess))))
-
-    def retire_node(self, ex, node) -> None:
-        ex.index.retire_node(node)
-
-    def assemble_leaves(self, ex) -> np.ndarray:
-        return ex.index.node_of_instance.copy()
-
-    def label_bytes(self, ex, worker) -> int:
-        return ex._binned.labels.nbytes
+                nodes, zip(*index.node_totals(nodes, grad, hess))))
 
 
 class ReplicatedPartition(VerticalPartition):
@@ -410,12 +346,17 @@ class ReplicatedPartition(VerticalPartition):
 # ---------------------------------------------------------------------------
 
 class StorageLayout:
-    """How a worker materializes its shard, and the kernels that admits."""
+    """How a worker materializes its shard, and the kernels that admits.
+
+    :meth:`setup` fills ``ex.stored``: one stored matrix per worker, the
+    one its histogram and placement kernels read.
+    """
 
     key: str = "abstract"
 
     def setup(self, ex: "PlanExecutor") -> None:
         """Materialize the storage representation of every shard."""
+        raise NotImplementedError
 
     def build_node_hist(self, ex: "PlanExecutor", worker: int, node: int,
                         rows: np.ndarray, grad: np.ndarray,
@@ -429,10 +370,7 @@ class StorageLayout:
                           hess: np.ndarray,
                           index: NodeToInstanceIndex) -> List[Histogram]:
         """All node histograms of one layer in a single pass."""
-        raise NotImplementedError(
-            f"{self.key} storage has no level-wise layer kernel; use a "
-            "subtraction-style index plan"
-        )
+        raise NotImplementedError
 
     def placements(self, ex: "PlanExecutor", worker: int,
                    index: NodeToInstanceIndex,
@@ -441,7 +379,7 @@ class StorageLayout:
         raise NotImplementedError
 
     def shard_bytes(self, ex: "PlanExecutor", worker: int) -> int:
-        raise NotImplementedError
+        return ex.stored[worker].nbytes
 
 
 class RowStore(StorageLayout):
@@ -449,19 +387,17 @@ class RowStore(StorageLayout):
 
     key = "row"
 
+    def setup(self, ex: "PlanExecutor") -> None:
+        ex.stored = [shard.binned for shard in ex.shards]
+
     def build_node_hist(self, ex, worker, node, rows, grad, hess, index):
         hist, _ = ex.hist_builder.build_rowstore(
-            ex.shards[worker].binned, rows, grad, hess,
-            ex._binned.num_bins,
+            ex.stored[worker], rows, grad, hess, ex._binned.num_bins,
         )
         return hist
 
     def placements(self, ex, worker, index, splits):
-        return layer_placements_rowstore(ex.shards[worker].binned, index,
-                                         splits)
-
-    def shard_bytes(self, ex, worker) -> int:
-        return ex.shards[worker].binned.nbytes
+        return layer_placements_rowstore(ex.stored[worker], index, splits)
 
 
 class ColumnStore(StorageLayout):
@@ -470,14 +406,14 @@ class ColumnStore(StorageLayout):
     key = "column"
 
     def setup(self, ex: "PlanExecutor") -> None:
-        ex.csc_shards = [shard.csc() for shard in ex.shards]
+        ex.stored = [shard.csc() for shard in ex.shards]
 
     def build_node_hist(self, ex, worker, node, rows, grad, hess, index):
         """The hybrid kernel (Section 5.2.2): per column, linear scan with
         instance-to-node lookups or binary search of the node's rows,
         whichever is cheaper."""
         hist, _, _ = ex.hist_builder.build_colstore_hybrid(
-            ex.csc_shards[worker], rows, index.node_of_instance, node,
+            ex.stored[worker], rows, index.node_of_instance, node,
             grad, hess, ex._binned.num_bins,
         )
         return hist
@@ -485,54 +421,37 @@ class ColumnStore(StorageLayout):
     def build_layer_hists(self, ex, worker, nodes, grad, hess, index):
         slots = index.slot_of_instance(nodes)
         hists, _ = ex.hist_builder.build_colstore_layer(
-            ex.csc_shards[worker], slots, len(nodes), grad, hess,
+            ex.stored[worker], slots, len(nodes), grad, hess,
             ex._binned.num_bins,
         )
         return hists
 
     def placements(self, ex, worker, index, splits):
-        return layer_placements_colstore(
-            ex.csc_shards[worker], index, splits,
-        )
-
-    def shard_bytes(self, ex, worker) -> int:
-        return ex.csc_shards[worker].nbytes
+        return layer_placements_colstore(ex.stored[worker], index, splits)
 
 
-class BlockifiedRowStore(StorageLayout):
+class BlockifiedRowStore(RowStore):
     """Blockified column group (Figure 9): the post-repartition layout.
 
     Each shard is wrapped as one shipped :class:`Block`, assembled into a
-    :class:`BlockedColumnGroup` and merged down; kernels run over the
-    merged CSR (the paper's training representation), which holds entry
-    for entry the same data as the plain row store, so trees are
-    bit-identical to QD4's while the memory report reflects the block
+    :class:`BlockedColumnGroup` and merged down; the row-store kernels
+    run over the merged CSR (the paper's training representation), which
+    holds entry for entry the same data as the plain row store, so trees
+    are bit-identical to QD4's while the memory report reflects the block
     arrays actually held.
     """
 
     key = "blocked-row"
 
     def setup(self, ex: "PlanExecutor") -> None:
-        ex.blocked_groups = []
-        ex.block_csr = []
-        for shard in ex.shards:
-            group = BlockedColumnGroup(
+        ex.blocked_groups = [
+            BlockedColumnGroup(
                 [blockify_shard(shard.binned, row_offset=0)],
                 shard.num_features,
             ).merge(max_blocks=1)
-            csr = group.to_csr()
-            ex.blocked_groups.append(group)
-            ex.block_csr.append(csr)
-
-    def build_node_hist(self, ex, worker, node, rows, grad, hess, index):
-        hist, _ = ex.hist_builder.build_rowstore(
-            ex.block_csr[worker], rows, grad, hess, ex._binned.num_bins,
-        )
-        return hist
-
-    def placements(self, ex, worker, index, splits):
-        return layer_placements_rowstore(ex.block_csr[worker], index,
-                                         splits)
+            for shard in ex.shards
+        ]
+        ex.stored = [group.to_csr() for group in ex.blocked_groups]
 
     def shard_bytes(self, ex, worker) -> int:
         return sum(b.nbytes for b in ex.blocked_groups[worker].blocks)
@@ -546,6 +465,11 @@ class IndexPlan:
     """Which node/instance index drives histogram construction."""
 
     key: str = "abstract"
+
+    #: the strategy keys this plan needs on another axis, by axis name
+    #: (checked when an :class:`~repro.systems.plans.ExecutionPlan` is
+    #: composed); an axis not named here admits every strategy
+    requires: Dict[str, FrozenSet[str]] = {}
 
     def setup(self, ex: "PlanExecutor") -> None:
         """One-time structures next to the storage layout."""
@@ -574,6 +498,9 @@ class InstanceToNodePlan(IndexPlan):
     """
 
     key = "instance-to-node"
+
+    #: the level-wise layer kernel scans columns
+    requires = {"storage": frozenset({"column"})}
 
     def build_layer(self, ex, nodes, grad, hess, clock) -> None:
         for worker in ex.partition.hist_workers(ex):
@@ -656,11 +583,11 @@ class ColumnwiseIndexPlan(NodeToInstancePlan):
 
     key = "columnwise"
 
+    #: the per-column index is built over the worker's CSC
+    requires = {"storage": frozenset({"column"})}
+
     def reset(self, ex: "PlanExecutor") -> None:
-        if hasattr(ex, "csc_shards"):
-            ex.column_indexes = [
-                ColumnwiseIndex(csc) for csc in ex.csc_shards
-            ]
+        ex.column_indexes = [ColumnwiseIndex(csc) for csc in ex.stored]
 
     def build_node_hist(self, ex, worker, node, rows, grad, hess, index):
         hist, _ = ex.hist_builder.build_colstore_columnwise(
@@ -674,10 +601,10 @@ class ColumnwiseIndexPlan(NodeToInstancePlan):
             children = [c for n in split_nodes
                         for c in (2 * n + 1, 2 * n + 2)]
             for worker, column_index in enumerate(ex.column_indexes):
+                index = ex.partition.worker_index(ex, worker)
                 with clock.timed(worker, "node-split"):
-                    column_index.update_after_split(
-                        ex.index.node_of_instance, children,
-                    )
+                    column_index.update_after_split(index.node_of_instance,
+                                                    children)
         super().after_layer(ex, nodes, split_nodes, clock)
 
 
@@ -708,6 +635,10 @@ class AggregationStrategy:
     """
 
     key: str = "abstract"
+
+    #: the strategy keys this pattern needs on another axis, by axis name
+    #: (as :attr:`IndexPlan.requires`)
+    requires: Dict[str, FrozenSet[str]] = {}
 
     #: how a crashed worker is brought back (see DESIGN.md §9):
     #: ``"reshard"`` — the horizontal patterns; any row shard can be
@@ -741,6 +672,9 @@ class _LocalPlacementMixin:
     """Shared by the horizontal patterns: every worker knows all features
     of its own rows, so node splitting is purely local — no placement
     broadcast is needed."""
+
+    #: per-worker row replicas, aggregated over feature ranges
+    requires = {"partition": frozenset({"horizontal"})}
 
     def apply_splits(self, ex, tree, splits, grad, hess, active,
                      clock) -> None:
@@ -854,6 +788,9 @@ class _LocalElectionMixin:
     feature group and the global best is elected — no histogram ever
     crosses the wire (Section 2.2.1, Figure 4(b))."""
 
+    #: column groups that own each feature, over one shared replica
+    requires = {"partition": frozenset({"vertical", "replicated"})}
+
     def find_splits(self, ex, nodes, clock) -> Dict[int, SplitInfo]:
         splits = _elect_splits(
             ex, nodes, ex.groups,
@@ -909,7 +846,8 @@ class BitmapBroadcastAggregation(_LocalElectionMixin,
         for owner, local_splits in by_owner.items():
             with clock.timed(owner, "node-split"):
                 owner_placements = ex.storage.placements(
-                    ex, owner, ex.index, local_splits)
+                    ex, owner, ex.partition.worker_index(ex, owner),
+                    local_splits)
                 for node, go_left in owner_placements.items():
                     enc = codec.encode(go_left)
                     payloads[node] = enc
@@ -922,10 +860,12 @@ class BitmapBroadcastAggregation(_LocalElectionMixin,
         broadcast_bytes(wire_bytes, ex.cluster.num_workers, ex.net,
                         kind="placement-bitmap", raw_nbytes=raw_bytes)
         with clock.timed(None, "node-split"):
-            ex.index.split_nodes({
+            decoded = {
                 node: codec.decode(payloads[node], placements[node].size)
                 for node in sorted(splits)
-            })
+            }
+            for index in ex.indexes:
+                index.split_nodes(decoded)
         _activate_children(ex, splits, grad, hess, active, clock)
 
 
@@ -947,11 +887,11 @@ class LocalApplyAggregation(_LocalElectionMixin, AggregationStrategy):
         with clock.timed(None, "node-split"):
             placements: Dict[int, np.ndarray] = {}
             for owner, local_splits in by_owner.items():
-                placements.update(
-                    ex.storage.placements(ex, owner, ex.index,
-                                          local_splits)
-                )
-            ex.index.split_nodes(placements)
+                placements.update(ex.storage.placements(
+                    ex, owner, ex.partition.worker_index(ex, owner),
+                    local_splits))
+            for index in ex.indexes:
+                index.split_nodes(placements)
         _activate_children(ex, splits, grad, hess, active, clock)
 
 

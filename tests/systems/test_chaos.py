@@ -206,12 +206,13 @@ class TestChaosWithCodec:
         assert second.comm.total_seconds == faulty.comm.total_seconds
 
 
-    @pytest.mark.parametrize("plan_key", ["qd2", "vero"])
+    @pytest.mark.parametrize("plan_key", plan_keys())
     def test_recovery_rebuilds_from_the_decoded_index_state(
             self, binned, plan_key, monkeypatch):
         """The restored replica is built from the index state that
         crossed the wire, not from the sender's local snapshot: an index
-        codec that stops being lossless must change the model."""
+        codec that stops being lossless must change the model, on every
+        plan (one recovery path for every partition and layout)."""
         clean, _, _ = run_pair(plan_key, binned, "101:crash=1",
                                codec="sparse")
         decode = DeltaIndexCodec.decode

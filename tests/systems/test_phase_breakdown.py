@@ -14,7 +14,7 @@ import pytest
 from repro import ClusterConfig, TrainConfig, get_plan, \
     make_classification
 from repro.data.dataset import bin_dataset
-from repro.systems.base import PHASES
+from repro.systems.base import PHASES, WorkerClock
 
 #: interleaved fits per plan; phase times are judged on their best
 REPEATS = 5
@@ -82,3 +82,41 @@ class TestPhaseBreakdown:
                 # slightly, but must be the same order of magnitude
                 assert 0.5 * report.comp_seconds <= phase_sum <= \
                     2.0 * report.comp_seconds
+
+
+class SpyClock(WorkerClock):
+    """A worker clock that records the ``(worker, phase)`` of every timed
+    block opened on it."""
+
+    def __init__(self, num_workers: int) -> None:
+        super().__init__(num_workers)
+        self.blocks = []
+
+    def timed(self, worker=None, phase="histogram"):
+        self.blocks.append((worker, phase))
+        return super().timed(worker, phase)
+
+
+class TestNodeStatisticsAreTimed:
+    """Node totals are split-find work on every partition: a horizontal
+    plan charges each worker its own local gather, a vertical one charges
+    every worker the one gather they all repeat."""
+
+    @pytest.mark.parametrize("key,charged", [
+        ("qd1", [0, 1, 2]), ("qd2", [0, 1, 2]), ("qd2-ps", [0, 1, 2]),
+        ("vero", [None]), ("qd2-fp", [None]),
+    ])
+    def test_compute_stats_charges_split_find(self, key, charged):
+        binned = bin_dataset(make_classification(300, 8, seed=5), 8)
+        system = get_plan(key).build(
+            TrainConfig(num_trees=1, num_layers=3, num_candidates=8),
+            ClusterConfig(num_workers=3))
+        system.setup(binned)
+        grad, hess = system.loss.gradients(
+            binned.labels, system.loss.init_scores(binned.num_instances))
+        clock = SpyClock(3)
+        system.partition.compute_stats(system, [0], grad, hess, clock)
+        assert clock.blocks == [(w, "split-find") for w in charged]
+        assert (clock.phase_seconds["split-find"] > 0).all()
+        assert clock.seconds.tolist() == \
+            clock.phase_seconds["split-find"].tolist()

@@ -14,6 +14,7 @@ Three layers of protection around the strategy refactor:
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -32,6 +33,8 @@ from repro.systems.costmodel import (WorkloadShape,
                                      horizontal_comm_bytes_per_tree,
                                      vertical_comm_bytes_per_tree)
 from repro.systems.plans import ExecutionPlan
+from repro.systems.strategies import (AGGREGATIONS, INDEX_PLANS, PARTITIONS,
+                                      STORAGES)
 
 #: every registry plan with a pre-refactor equivalent
 ALL_PLANS = ["qd1", "qd2", "qd2-ps", "qd2-fp", "qd3", "qd3-pure", "vero"]
@@ -160,6 +163,69 @@ class TestRegistry:
         cfg, _, _ = multiclass_workload
         with pytest.raises(ValueError, match="multi-classification"):
             get_plan("qd2-ps").build(cfg, ClusterConfig(3))
+
+
+class TestCompositions:
+    """Every point of the 3 x 3 x 5 x 5 plan space either is refused when
+    the plan is composed (a ``ValueError`` naming both axes) or trains to
+    completion — never a failure partway through ``fit``."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        dataset = make_classification(80, 6, density=0.6, seed=1)
+        cfg = TrainConfig(num_trees=2, num_layers=3, num_candidates=6)
+        binned = bin_dataset(dataset, cfg.num_candidates)
+        cluster = ClusterConfig(num_workers=2)
+        # node totals are per-replica partial sums on horizontal plans and
+        # one sum otherwise: the only float difference between plans
+        twins = {
+            key: payload_checksum(ensemble_to_dict(
+                get_plan(key).build(cfg, cluster).fit(binned).ensemble))
+            for key in ("qd2", "vero")
+        }
+        return cfg, binned, cluster, twins
+
+    @pytest.mark.parametrize("partition,storage,index,aggregation",
+                             list(itertools.product(
+                                 PARTITIONS, STORAGES, INDEX_PLANS,
+                                 AGGREGATIONS)))
+    def test_composition_is_refused_or_runs(self, tiny, partition, storage,
+                                            index, aggregation):
+        cfg, binned, cluster, twins = tiny
+        axes = dict(partition=partition, storage=storage, index=index,
+                    aggregation=aggregation)
+        try:
+            plan = ExecutionPlan(key="x", quadrant="QD0", name="x",
+                                 description="", **axes)
+        except ValueError as refused:
+            message = str(refused)
+            named = [axis for axis, value in axes.items()
+                     if f"{axis} strategy {value!r}" in message]
+            assert len(named) == 2, message
+            return
+        result = plan.build(cfg, cluster).fit(binned)
+        twin = twins["qd2" if partition == "horizontal" else "vero"]
+        assert payload_checksum(ensemble_to_dict(result.ensemble)) == twin
+
+    def test_refusals_follow_the_declared_requirements(self):
+        runnable = 0
+        for axes in itertools.product(PARTITIONS, STORAGES, INDEX_PLANS,
+                                      AGGREGATIONS):
+            partition, storage, index, aggregation = axes
+            fits = ((partition == "horizontal")
+                    == (aggregation in ("all-reduce", "reduce-scatter",
+                                        "parameter-server"))
+                    and (storage == "column"
+                         or index not in ("instance-to-node",
+                                          "columnwise")))
+            try:
+                ExecutionPlan("x", "QD0", "x", "", *axes)
+            except ValueError:
+                assert not fits, axes
+            else:
+                assert fits, axes
+                runnable += 1
+        assert runnable == 7 * 11
 
 
 class TestOracleEquivalence:
