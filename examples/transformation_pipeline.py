@@ -2,8 +2,9 @@
 
 Shows each of the five steps on a sparse dataset and the effect of the two
 optimizations (pair compression, blockify) on the repartition cost —
-Appendix A / Table 5 in miniature — then verifies the two-phase index of
-Figure 9 resolves instances correctly.
+Appendix A / Table 5 in miniature — then ships group 0 as one block per
+horizontal row range, as Vero's repartition does, and verifies the
+two-phase index of Figure 9 resolves instances correctly.
 
 Usage::
 
@@ -15,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import ClusterConfig, load_catalog
+from repro.cluster.blocks import BlockedColumnGroup, blockify_shard
+from repro.cluster.partition import horizontal_row_ranges
 from repro.cluster.transform import horizontal_to_vertical
 
 
@@ -43,7 +46,9 @@ def main() -> None:
           f"(12-byte raw pairs -> encoded feature id + bin index)")
 
     print("\ncolumn groups (greedy load balancing, Section 4.2.3):")
-    loads = [shard.binned.nnz for shard in result.shards]
+    binned = result.global_binned
+    pairs = np.bincount(binned.binned.indices, minlength=binned.num_features)
+    loads = [int(pairs[group].sum()) for group in result.groups]
     for worker, (group, load) in enumerate(zip(result.groups, loads)):
         print(f"  worker {worker}: {group.size:5d} features, "
               f"{load:8d} key-value pairs")
@@ -51,13 +56,21 @@ def main() -> None:
     print(f"  imbalance (max/mean): {imbalance:.3f}")
 
     print("\ntwo-phase index check (Figure 9):")
-    blocked = result.blocked_groups[0]
-    shard = result.shards[0]
+    group = result.groups[0]
+    blocks = [
+        blockify_shard(binned.binned.select_rows(rows).select_cols(group),
+                       int(rows[0]))
+        for rows in horizontal_row_ranges(dataset.num_instances,
+                                          cluster.num_workers)
+        if rows.size
+    ]
+    blocked = BlockedColumnGroup(blocks, group.size).merge(max_blocks=5)
+    shard = binned.select_features(group)
     for instance in (0, dataset.num_instances // 2,
                      dataset.num_instances - 1):
         cols, bins = blocked.lookup(instance)
-        ref_cols, _ = shard.binned.row(instance)
-        ok = np.array_equal(np.sort(cols), np.sort(ref_cols))
+        ref_cols, ref_bins = shard.binned.row(instance)
+        ok = np.array_equal(cols, ref_cols) and np.array_equal(bins, ref_bins)
         print(f"  instance {instance:6d}: {cols.size:3d} pairs in "
               f"{blocked.num_blocks} blocks -> "
               f"{'consistent' if ok else 'MISMATCH'}")

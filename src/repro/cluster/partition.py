@@ -106,6 +106,29 @@ def group_imbalance(
     return float(loads.max() / mean)
 
 
+def column_groups(
+    binned: BinnedDataset,
+    num_workers: int,
+    strategy: str = "greedy",
+    seed: int = 0,
+) -> List[np.ndarray]:
+    """Each worker's sorted global feature ids under ``strategy``.
+
+    The one grouping decision of vertical partitioning: the
+    transformation prices its repartition on these groups and
+    :func:`vertical_shards` cuts the training shards along them.
+    """
+    if strategy == "greedy":
+        pairs = np.bincount(binned.binned.indices,
+                            minlength=binned.num_features)
+        return greedy_column_groups(pairs, num_workers)
+    if strategy == "round-robin":
+        return round_robin_column_groups(binned.num_features, num_workers)
+    if strategy == "hash":
+        return hash_column_groups(binned.num_features, num_workers, seed)
+    raise ValueError(f"unknown grouping strategy: {strategy!r}")
+
+
 def vertical_shards(
     binned: BinnedDataset,
     num_workers: int,
@@ -117,18 +140,7 @@ def vertical_shards(
     Every shard keeps all ``N`` instances (labels were broadcast in step 5
     of the transformation) with its group's features renumbered from 0.
     """
-    pairs = np.zeros(binned.num_features, dtype=np.int64)
-    counts = np.bincount(binned.binned.indices,
-                         minlength=binned.num_features)
-    pairs[: counts.size] = counts
-    if strategy == "greedy":
-        groups = greedy_column_groups(pairs, num_workers)
-    elif strategy == "round-robin":
-        groups = round_robin_column_groups(binned.num_features, num_workers)
-    elif strategy == "hash":
-        groups = hash_column_groups(binned.num_features, num_workers, seed)
-    else:
-        raise ValueError(f"unknown grouping strategy: {strategy!r}")
+    groups = column_groups(binned, num_workers, strategy, seed)
     shards = [
         binned.select_features(group, name=f"{binned.name}-g{w}")
         for w, group in enumerate(groups)

@@ -18,11 +18,13 @@ in five steps:
    of per-instance objects.
 5. **Broadcast instance labels** — so every worker can compute gradients.
 
-Three repartition encodings are modelled, matching Appendix A / Table 5:
-``naive`` (12-byte raw pairs), ``compressed`` (encoded pairs, still
-per-instance objects) and ``blockified`` (encoded pairs in blocks — Vero).
-Computation is measured; network and serialization time is simulated from
-accounted bytes/objects.
+This module bins the data and prices the move for Table 5 under three
+encodings (Appendix A): ``naive`` (12-byte raw pairs), ``compressed``
+(encoded pairs, still per-instance objects) and ``blockified`` (encoded
+pairs in blocks — Vero).  Computation is measured; network and
+serialization time is simulated from accounted bytes/objects.  The
+vertical partition makes the move once, along the same
+:func:`~repro.cluster.partition.column_groups`.
 """
 
 from __future__ import annotations
@@ -38,9 +40,8 @@ from ..data.dataset import BinnedDataset, Dataset, apply_cuts
 from ..data.matrix import CSCMatrix, CSRMatrix
 from ..sketch.proposer import distinct_cuts_below, propose_candidates
 from ..sketch.quantile import SKETCH_EPS, MergingSketch
-from .blocks import BlockedColumnGroup, blockify_shard
 from .network import SimulatedNetwork
-from .partition import greedy_column_groups, horizontal_row_ranges
+from .partition import column_groups, horizontal_row_ranges
 
 #: bytes of one raw key-value pair: 4-byte feature id + 8-byte double value
 NAIVE_PAIR_BYTES = 12
@@ -88,11 +89,9 @@ class TransformReport:
 
 @dataclass
 class TransformResult:
-    """Vertically repartitioned dataset plus the cost report."""
+    """The binned dataset, its column groups, and the cost report."""
 
-    shards: List[BinnedDataset]
     groups: List[np.ndarray]
-    blocked_groups: List[BlockedColumnGroup]
     cuts: List[np.ndarray]
     report: TransformReport
     global_binned: BinnedDataset
@@ -104,7 +103,7 @@ def horizontal_to_vertical(
     num_candidates: int,
     net: Optional[SimulatedNetwork] = None,
 ) -> TransformResult:
-    """Run the full five-step transformation on a raw dataset."""
+    """Bin a raw dataset and price its five-step transformation."""
     if net is None:
         net = SimulatedNetwork(cluster.network)
     num_workers = cluster.num_workers
@@ -142,30 +141,20 @@ def horizontal_to_vertical(
                net.model.transfer_time(split_bytes))
 
     # Step 3: bin (one pass over the whole matrix — binning is per entry,
-    # so the shards are row slices of it) and regroup columns by
+    # so each worker's shard is a row slice of it) and group columns by
     # destination worker.
-    binned = apply_cuts(dataset.features, cuts)
-    binned_shards = [binned.select_rows(rows) for rows in ranges]
-    pairs_per_feature = np.bincount(binned.indices,
-                                    minlength=dataset.num_features)
-    groups = greedy_column_groups(pairs_per_feature, num_workers)
-
-    # Step 4: repartition — account all three encodings, materialize blocks.
-    _account_repartition(
-        report, net, binned_shards, groups, num_candidates, num_workers
+    global_binned = BinnedDataset(
+        apply_cuts(dataset.features, cuts), list(cuts), dataset.labels,
+        num_candidates, dataset.task, dataset.num_classes,
+        name=dataset.name,
     )
-    blocked_groups: List[BlockedColumnGroup] = []
-    for group in groups:
-        blocks = [
-            blockify_shard(
-                binned_shards[w].select_cols(group), int(ranges[w][0])
-            )
-            for w in range(num_workers)
-            if ranges[w].size
-        ]
-        blocked_groups.append(
-            BlockedColumnGroup(blocks, group.size).merge(max_blocks=5)
-        )
+    groups = column_groups(global_binned, num_workers)
+
+    # Step 4: repartition — account all three encodings.
+    _account_repartition(
+        report, net, global_binned.binned.nnz, dataset.num_instances,
+        groups, num_candidates, num_workers,
+    )
 
     # Step 5: broadcast labels.
     label_bytes = dataset.num_instances * 4 * (num_workers - 1)
@@ -173,19 +162,7 @@ def horizontal_to_vertical(
     report.broadcast_label_seconds = net.model.transfer_time(label_bytes)
     net.record("label-broadcast", label_bytes,
                report.broadcast_label_seconds)
-
-    # Materialize the per-worker vertical BinnedDatasets for training.
-    global_binned = BinnedDataset(
-        binned, list(cuts), dataset.labels, num_candidates, dataset.task,
-        dataset.num_classes, name=dataset.name,
-    )
-    shards = [
-        global_binned.select_features(group,
-                                      name=f"{dataset.name}-g{w}")
-        for w, group in enumerate(groups)
-    ]
-    return TransformResult(shards, groups, blocked_groups, list(cuts),
-                           report, global_binned)
+    return TransformResult(groups, list(cuts), report, global_binned)
 
 
 def _sketch_candidates(
@@ -260,14 +237,14 @@ def _light_candidates(
 def _account_repartition(
     report: TransformReport,
     net: SimulatedNetwork,
-    binned_shards: List[CSRMatrix],
+    total_pairs: int,
+    total_rows: int,
     groups: List[np.ndarray],
     num_candidates: int,
     num_workers: int,
 ) -> None:
-    """Simulated cost of the all-to-all shuffle under each encoding."""
-    total_pairs = sum(shard.nnz for shard in binned_shards)
-    total_rows = sum(shard.num_rows for shard in binned_shards)
+    """Simulated cost of the all-to-all shuffle under each encoding of
+    ``total_pairs`` binned pairs in ``total_rows`` instances."""
     # A fraction (W-1)/W of every worker's pairs leaves the machine.
     wire_fraction = (num_workers - 1) / num_workers if num_workers else 0.0
     mean_group = max(

@@ -157,8 +157,8 @@ PLANS: Dict[str, ExecutionPlan] = _plans(
     ),
     ExecutionPlan(
         key="qd4-blocked", quadrant="QD4", name="vero-blocked",
-        description=("Vero over blockified column groups with the "
-                     "two-phase block index (Figure 9 layout)"),
+        description=("Vero over blockified column groups merged to one "
+                     "block; kernels read its CSR (Figure 9 layout)"),
         partition="vertical", storage="blocked-row",
         index="two-phase", aggregation="bitmap-broadcast",
     ),

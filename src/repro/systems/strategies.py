@@ -13,7 +13,9 @@ strategy object:
 * :class:`IndexPlan` — which node/instance index drives histogram
   construction (level-wise instance-to-node pass, node-to-instance with
   subtraction scheduling, per-column node-to-instance, the hybrid plan
-  of Section 5.2.2, or the blockified two-phase index of Figure 9).
+  of Section 5.2.2, or Figure 9's ``two-phase`` key, which runs
+  node-to-instance over the merged one-block CSR — no kernel calls the
+  block ``lookup``).
 * :class:`AggregationStrategy` — how per-worker histograms become global
   split decisions (ring all-reduce, reduce-scatter, parameter-server
   push, or no aggregation at all with local election plus placement
@@ -611,10 +613,10 @@ class ColumnwiseIndexPlan(NodeToInstancePlan):
 class TwoPhaseIndexPlan(NodeToInstancePlan):
     """Subtraction scheduling over a blockified group (Figure 9).
 
-    Global instance ids resolve through the two-phase block index
-    (binary-search the block, then offset arithmetic); with blocks merged
-    down the first phase is free and the kernels run over the merged
-    representation.
+    The storage merges each group down to one block and the kernels read
+    that merged CSR, so no kernel calls the two-phase block index
+    (:meth:`~repro.cluster.blocks.BlockedColumnGroup.lookup`); the key
+    names the paper's layout.
     """
 
     key = "two-phase"

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.blocks import BlockedColumnGroup, blockify_shard
+from repro.cluster.partition import horizontal_row_ranges, vertical_shards
 from repro.cluster.transform import (_sketch_candidates,
                                      compressed_pair_bytes,
                                      horizontal_to_vertical)
@@ -24,36 +26,63 @@ def transform_result():
     return ds, horizontal_to_vertical(ds, cluster, num_candidates=12)
 
 
+def blocked_group(result, group, num_workers):
+    """One column group assembled as Vero's repartition ships it: one
+    block per horizontal row range of the binned matrix (Fig. 9)."""
+    binned = result.global_binned.binned
+    return BlockedColumnGroup(
+        [blockify_shard(binned.select_rows(rows).select_cols(group),
+                        int(rows[0]))
+         for rows in horizontal_row_ranges(binned.shape[0], num_workers)
+         if rows.size],
+        group.size)
+
+
 class TestCorrectness:
     def test_features_tile(self, transform_result):
         ds, result = transform_result
+        assert len(result.groups) == 4
         combined = np.sort(np.concatenate(result.groups))
         np.testing.assert_array_equal(combined,
                                       np.arange(ds.num_features))
 
     def test_shards_agree_with_global(self, transform_result):
-        ds, result = transform_result
+        """The shards the vertical partition trains on are the priced
+        groups' columns of the transformation's binned matrix."""
+        _, result = transform_result
+        shards, groups = vertical_shards(result.global_binned, 4)
+        assert len(shards) == len(result.groups) == 4
         dense = result.global_binned.binned.to_dense()
-        for shard, group in zip(result.shards, result.groups):
+        for shard, group, priced in zip(shards, groups, result.groups):
+            np.testing.assert_array_equal(group, priced)
             np.testing.assert_array_equal(shard.binned.to_dense(),
                                           dense[:, group])
 
     def test_blocked_groups_match_shards(self, transform_result):
-        """The blockified representation holds the same data as the
-        training shards, instance by instance (two-phase lookup)."""
+        """A group blockified over the horizontal row ranges holds the
+        same data as its training shard, instance by instance
+        (two-phase lookup)."""
         ds, result = transform_result
-        for shard, blocked in zip(result.shards, result.blocked_groups):
+        shards, _ = vertical_shards(result.global_binned, 4)
+        for shard, group in zip(shards, result.groups):
+            blocked = blocked_group(result, group, 4)
             assert blocked.num_rows == ds.num_instances
-            for i in (0, 5, 100, ds.num_instances - 1):
+            for i in (0, 5, 100, 151, ds.num_instances - 1):
                 cols, bins = blocked.lookup(i)
                 ref_cols, ref_bins = shard.binned.row(i)
-                np.testing.assert_array_equal(np.sort(cols),
-                                              np.sort(ref_cols))
+                np.testing.assert_array_equal(cols, ref_cols)
+                np.testing.assert_array_equal(bins, ref_bins)
 
     def test_blocks_are_merged(self, transform_result):
         _, result = transform_result
-        for blocked in result.blocked_groups:
-            assert blocked.num_blocks <= 5
+        for group in result.groups:
+            blocked = blocked_group(result, group, 4)
+            assert blocked.num_blocks == 4
+            merged = blocked.merge(max_blocks=2)
+            assert merged.num_blocks == 2
+            expected = result.global_binned.binned.select_cols(group)
+            np.testing.assert_array_equal(merged.to_csr().to_dense(),
+                                          expected.to_dense())
 
     def test_bin_values_consistent_with_cuts(self, transform_result):
         """Every binned value equals the searchsorted rank of the raw
@@ -135,6 +164,37 @@ class TestTrainingOnTransformed:
         assert len(result.ensemble) == 4
         assert result.evals[-1].metric_value > 0.7
         assert transform.report.compression_ratio >= 4.0
+
+    def test_the_move_is_made_once(self, monkeypatch):
+        """``fit_from_raw`` cuts each column group from the binned matrix
+        once (in the vertical partition), builds no shipped block, and
+        trains on the groups the transformation priced."""
+        from repro import TrainConfig, get_plan
+        from repro.cluster.blocks import Block
+        from repro.data.dataset import BinnedDataset
+
+        calls = {"select_features": 0, "block": 0}
+        select_features = BinnedDataset.select_features
+        block_init = Block.__post_init__
+
+        def count_select(self, *args, **kwargs):
+            calls["select_features"] += 1
+            return select_features(self, *args, **kwargs)
+
+        def count_block(self):
+            calls["block"] += 1
+            block_init(self)
+
+        monkeypatch.setattr(BinnedDataset, "select_features", count_select)
+        monkeypatch.setattr(Block, "__post_init__", count_block)
+        train = make_classification(300, 30, density=0.4, seed=23)
+        cfg = TrainConfig(num_trees=2, num_layers=3, num_candidates=8)
+        system = get_plan("vero").build(cfg, ClusterConfig(num_workers=4))
+        _, transform = system.fit_from_raw(train)
+        assert calls == {"select_features": 4, "block": 0}
+        assert len(transform.groups) == len(system.groups) == 4
+        for priced, trained in zip(transform.groups, system.groups):
+            np.testing.assert_array_equal(priced, trained)
 
 
 def sketch_every_feature(raw_shards, num_features, num_candidates, eps):
