@@ -218,23 +218,13 @@ class SimulatedNetwork:
             self._rebuild_stats()
 
     def _rebuild_stats(self) -> None:
-        """Recompute per-kind totals by one in-order pass over the ledger
-        (same summation order as incremental recording, so the floats of
-        unaffected kinds are bit-identical)."""
-        stats = CommStats()
-        for rec in self.records:
-            stats.total_bytes += rec.nbytes
-            stats.total_seconds += rec.seconds
-            stats.bytes_by_kind[rec.kind] = (
-                stats.bytes_by_kind.get(rec.kind, 0) + rec.nbytes
-            )
-            stats.seconds_by_kind[rec.kind] = (
-                stats.seconds_by_kind.get(rec.kind, 0.0) + rec.seconds
-            )
-            stats.raw_bytes_by_kind[rec.kind] = (
-                stats.raw_bytes_by_kind.get(rec.kind, 0) + rec.raw_nbytes
-            )
-        self._stats = stats
+        """Recompute per-kind totals by replaying the ledger through
+        :meth:`_commit`, in order (the same summation as incremental
+        recording, so the floats of unaffected kinds are bit-identical)."""
+        records, self.records = self.records, []
+        self._stats = CommStats()
+        for rec in records:
+            self._commit(rec.kind, rec.nbytes, rec.seconds, rec.raw_nbytes)
 
     def snapshot(self) -> CommStats:
         """Copy of the running totals (cheap; safe to diff later)."""

@@ -102,8 +102,12 @@ def horizontal_to_vertical(
     cluster: ClusterConfig,
     num_candidates: int,
     net: Optional[SimulatedNetwork] = None,
+    grouping: str = "greedy",
 ) -> TransformResult:
-    """Bin a raw dataset and price its five-step transformation."""
+    """Bin a raw dataset and price its five-step transformation, with
+    the columns grouped by ``grouping`` (as
+    :func:`~repro.cluster.partition.vertical_shards`
+    groups the shards trained on)."""
     if net is None:
         net = SimulatedNetwork(cluster.network)
     num_workers = cluster.num_workers
@@ -148,7 +152,8 @@ def horizontal_to_vertical(
         num_candidates, dataset.task, dataset.num_classes,
         name=dataset.name,
     )
-    groups = column_groups(global_binned, num_workers)
+    groups = column_groups(global_binned, num_workers, grouping,
+                           cluster.seed)
 
     # Step 4: repartition — account all three encodings.
     _account_repartition(

@@ -28,7 +28,8 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Deque, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -48,7 +49,8 @@ class BatchPolicy:
     oldest request has waited ``max_delay_s``, whichever happens first.
 
     ``max_queue`` bounds the admission queue (0 = unbounded, the
-    default).  When offered load exceeds capacity a bounded queue fills
+    default: a queue no trace fills, run by the same admission loop as
+    any bound).  When offered load exceeds capacity a bounded queue fills
     and the ``overload`` policy decides who pays: ``"reject"`` drops the
     *newcomer* at its arrival (drop-tail — queued requests keep their
     place, admission latency is predictable), ``"shed-oldest"`` drops
@@ -82,10 +84,6 @@ class BatchPolicy:
                 f"unknown overload policy: {self.overload!r} "
                 "(choose 'reject' or 'shed-oldest')"
             )
-
-    @property
-    def bounded(self) -> bool:
-        return self.max_queue > 0
 
 
 @dataclass(frozen=True)
@@ -416,12 +414,12 @@ class MicroBatcher:
         swap lands exactly on a batch boundary and no batch straddles
         two versions.
 
-        With a bounded queue (``policy.max_queue > 0``) batches form on
-        the admission-controlled path: overflowing requests are dropped
-        per ``policy.overload`` and appear in the report's drop
-        columns.  The ledger is appended once per batch and joined into
-        columns at the end, so ``report.scores`` rows line up with the
-        request columns.
+        Every policy forms its batches in one admission loop
+        (:meth:`_batches`): requests that overflow a bounded queue are
+        dropped per ``policy.overload`` and appear in the report's drop
+        columns; an unbounded queue drops nobody.  The ledger is
+        appended once per batch and joined into columns at the end, so
+        ``report.scores`` rows line up with the request columns.
         """
         pending_swaps = sorted(swaps, key=lambda s: s[0])
         drops: Dict[str, list] = {name: [] for name in DROP_COLUMNS}
@@ -429,9 +427,7 @@ class MicroBatcher:
         id_chunks: List[np.ndarray] = []
         scores: List[np.ndarray] = []
         swap_i = 0
-        batches = (self._bounded_batches(trace, drops)
-                   if self.policy.bounded else self._batches(trace))
-        for features, ids, close in batches:
+        for features, ids, close in self._batches(trace, drops):
             while swap_i < len(pending_swaps) \
                     and pending_swaps[swap_i][0] <= close:
                 when, action = pending_swaps[swap_i]
@@ -463,38 +459,13 @@ class MicroBatcher:
                              else np.zeros((0, 0)))
         return report
 
-    def _batches(self, trace: RequestTrace) -> Iterator[Batch]:
-        """Unbounded queue: batches are consecutive runs of the trace."""
-        policy = self.policy
-        arrivals = trace.arrivals
-        total = trace.num_requests
-        i = 0
-        while i < total:
-            first = arrivals[i]
-            # the batch closes when full, when the oldest request times
-            # out, or when capacity frees up — whichever is latest of
-            # (earliest of the first two) and the free time, so queues
-            # keep absorbing arrivals while every worker is busy
-            if i + policy.max_batch_size <= total:
-                full_s = arrivals[i + policy.max_batch_size - 1]
-            else:
-                full_s = np.inf
-            close = min(first + policy.max_delay_s, full_s)
-            close = max(close, first, self.backend.next_free_s())
-            size = min(
-                int(np.searchsorted(arrivals, close, side="right")) - i,
-                policy.max_batch_size,
-            )
-            yield (trace.features[i:i + size],
-                   np.arange(i, i + size, dtype=np.int64), float(close))
-            i += size
-
-    def _bounded_batches(self, trace: RequestTrace,
-                         drops: Dict[str, list]) -> Iterator[Batch]:
-        """Admission-controlled batching: a queue of at most
-        ``max_queue`` requests, overflow resolved by the overload policy
-        and appended to ``drops``, one list per name in
-        :data:`DROP_COLUMNS`.
+    def _batches(self, trace: RequestTrace,
+                 drops: Dict[str, list]) -> Iterator[Batch]:
+        """The one batch former: a queue of at most ``max_queue``
+        requests, overflow resolved by the overload policy and appended
+        to ``drops``, one list per name in :data:`DROP_COLUMNS`.  An
+        unbounded policy (``max_queue = 0``) is a queue that holds the
+        whole trace, so it never overflows and never drops.
 
         Requests are admitted at their arrival instant.  A full queue
         either turns the newcomer away (``reject``) or evicts a queued
@@ -518,6 +489,7 @@ class MicroBatcher:
         """
         policy = self.policy
         total = trace.num_requests
+        room = policy.max_queue or total
         # read once as Python lists: the loop below touches single
         # elements, where numpy scalar indexing costs more than the work
         arrivals = trace.arrivals.tolist()
@@ -530,7 +502,7 @@ class MicroBatcher:
         shed = policy.overload == "shed-oldest"
         drop_id, drop_s, drop_reason, drop_tenant, drop_priority = (
             drops[name] for name in DROP_COLUMNS)
-        backlog: List[int] = []
+        backlog: Deque[int] = deque()
         i = 0
         # asked once per batch, not per admission event: backend free
         # time (and a router's serve pool) only changes at a dispatch or
@@ -554,7 +526,7 @@ class MicroBatcher:
                 # an admission event — the queue absorbs it while there
                 # is room, otherwise the overload policy picks a victim
                 now = arrivals[i]
-                if len(backlog) < policy.max_queue:
+                if len(backlog) < room:
                     backlog.append(i)
                     queue_of[priorities[i]].append(i)
                 else:
@@ -580,8 +552,7 @@ class MicroBatcher:
                 i += 1
                 continue
             size = min(len(backlog), policy.max_batch_size)
-            batch_ids = backlog[:size]
-            del backlog[:size]
+            batch_ids = [backlog.popleft() for _ in range(size)]
             for request in batch_ids:
                 queue_of[priorities[request]].popleft()
             yield (trace.features[batch_ids],

@@ -211,6 +211,7 @@ class PlanExecutor:
             )
         transform = horizontal_to_vertical(
             train, self.cluster, self.config.num_candidates, net=self.net,
+            grouping=self.grouping,
         )
         result = self.fit(transform.global_binned, valid=valid,
                           num_trees=num_trees)
@@ -336,11 +337,12 @@ class PlanExecutor:
         committed state), then the aggregation strategy's recovery
         policy charges the restore path:
 
-        * ``reshard`` — the crashed worker's row shard plus labels are
-          re-shipped from durable storage (``recovery:reshard``) and its
-          checkpointed state follows (``recovery:checkpoint``);
-        * ``replicate`` — a surviving peer streams its full replica
-          (``recovery:replicate``) plus the checkpoint state;
+        * ``reshard`` / ``replicate`` — what the crashed worker held
+          (``PartitionStrategy.held_bytes``: its row shard, or a
+          replicated worker's full matrix) plus its labels are
+          re-shipped, from durable storage or a surviving peer
+          (``recovery:<policy>``), and its checkpointed state follows
+          (``recovery:checkpoint``);
         * ``rollback`` — the column shard is irreplaceable without its
           owner, so only the checkpoint state crosses the wire while
           the restarted owner reloads its shard locally.
@@ -352,17 +354,12 @@ class PlanExecutor:
         state = checkpoint.index_state[replica]
         state_wire, (received,) = self.ship_index_state([state], clock)
         restore_bytes = checkpoint.model_bytes + state_wire
-        if policy == "reshard":
+        if policy != "rollback":
             data_bytes = (
-                self.storage.shard_bytes(self, event.worker)
+                self.partition.held_bytes(self, event.worker)
                 + self.partition.label_bytes(self, event.worker)
             )
-            net.transfer("recovery:reshard", data_bytes)
-            restore_bytes += data_bytes
-        elif policy == "replicate":
-            data_bytes = (self._binned.binned.nbytes
-                          + self._binned.labels.nbytes)
-            net.transfer("recovery:replicate", data_bytes)
+            net.transfer(f"recovery:{policy}", data_bytes)
             restore_bytes += data_bytes
         net.transfer(
             "recovery:checkpoint",

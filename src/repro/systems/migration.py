@@ -14,9 +14,11 @@ the byte conventions of the chaos-recovery reshard machinery:
 * ``migrate:checkpoint`` — the committed model plus every index
   replica's placement state, encoded through the codec stack's index
   codec (the same path ``recovery:checkpoint`` takes);
-* ``migrate:reshard`` — per worker, the target layout's shard with the
-  expected ``(W-1)/W`` wire fraction (rows/columns the worker does not
-  already hold locally), charged only when the partition axis changes —
+* ``migrate:reshard`` — per worker, what the target partition has it
+  hold (``PartitionStrategy.held_bytes``: its shard, or a replicated
+  worker's full matrix) with the expected ``(W-1)/W`` wire fraction
+  (rows/columns the worker does not already hold locally), charged
+  only when the partition axis changes —
   a storage-only migration (e.g. qd1 → qd2) is a local relayout;
 * ``migrate:labels`` — the label broadcast owed when leaving horizontal
   partitioning (vertical/replicated workers need all labels);
@@ -186,7 +188,7 @@ class PlanMigrator:
         new.setup(binned)
 
         # 3. reshard: when the partition axis changes, each worker
-        # fetches the (W-1)/W of its new shard it does not already hold
+        # fetches the (W-1)/W of its new holding it does not already hold
         # (the chaos reshard's wire-fraction convention); labels follow
         # when leaving horizontal partitioning.  Same-axis migrations
         # relayout locally and ship nothing.
@@ -194,7 +196,7 @@ class PlanMigrator:
         label_bytes = 0
         if new.partition.key != old.partition.key:
             for worker in range(num_workers):
-                shard = new.storage.shard_bytes(new, worker)
+                shard = new.partition.held_bytes(new, worker)
                 wire = int(shard * (num_workers - 1) / num_workers)
                 if wire:
                     seconds += net.transfer("migrate:reshard", wire)

@@ -41,7 +41,6 @@ from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
 
 import numpy as np
 
-from ..cluster.blocks import BlockedColumnGroup, blockify_shard
 from ..cluster.comm import (SPLIT_INFO_BYTES, allreduce_histograms,
                             broadcast_bytes, exchange_split_infos,
                             ps_push_histograms, record_collective,
@@ -241,10 +240,14 @@ class PartitionStrategy:
         """Labels a worker holds: those of its replica's rows."""
         return ex._binned.labels[ex.row_ranges[ex.replica_of[worker]]].nbytes
 
+    def held_bytes(self, ex: "PlanExecutor", worker: int) -> int:
+        """Dataset bytes a worker holds, labels aside: its stored shard."""
+        return ex.stored[worker].nbytes
+
     def data_bytes(self, ex: "PlanExecutor") -> int:
-        """Max per-worker dataset memory (storage shard + labels)."""
+        """Max per-worker dataset memory (held bytes + labels)."""
         return max(
-            ex.storage.shard_bytes(ex, w) + self.label_bytes(ex, w)
+            self.held_bytes(ex, w) + self.label_bytes(ex, w)
             for w in range(ex.cluster.num_workers)
         )
 
@@ -338,9 +341,9 @@ class ReplicatedPartition(VerticalPartition):
 
     key = "replicated"
 
-    def data_bytes(self, ex) -> int:
-        """Every worker holds the entire dataset."""
-        return ex._binned.binned.nbytes + ex._binned.labels.nbytes
+    def held_bytes(self, ex, worker) -> int:
+        """Every worker holds the entire binned matrix."""
+        return ex._binned.binned.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +382,6 @@ class StorageLayout:
                    splits: Dict[int, SplitInfo]) -> Dict[int, np.ndarray]:
         """``go_left`` per split node, computed from the worker's shard."""
         raise NotImplementedError
-
-    def shard_bytes(self, ex: "PlanExecutor", worker: int) -> int:
-        return ex.stored[worker].nbytes
 
 
 class RowStore(StorageLayout):
@@ -435,28 +435,15 @@ class ColumnStore(StorageLayout):
 class BlockifiedRowStore(RowStore):
     """Blockified column group (Figure 9): the post-repartition layout.
 
-    Each shard is wrapped as one shipped :class:`Block`, assembled into a
-    :class:`BlockedColumnGroup` and merged down; the row-store kernels
-    run over the merged CSR (the paper's training representation), which
-    holds entry for entry the same data as the plain row store, so trees
-    are bit-identical to QD4's while the memory report reflects the block
-    arrays actually held.
+    A worker's shipped blocks merge down to one CSR block per column
+    group (the paper's training representation,
+    :class:`~repro.cluster.blocks.BlockedColumnGroup`), which holds entry
+    for entry the plain row store's CSR and bytes: the layout stores the
+    shard as :class:`RowStore` does, so trees are bit-identical to QD4's
+    and the memory report is the block arrays a worker holds.
     """
 
     key = "blocked-row"
-
-    def setup(self, ex: "PlanExecutor") -> None:
-        ex.blocked_groups = [
-            BlockedColumnGroup(
-                [blockify_shard(shard.binned, row_offset=0)],
-                shard.num_features,
-            ).merge(max_blocks=1)
-            for shard in ex.shards
-        ]
-        ex.stored = [group.to_csr() for group in ex.blocked_groups]
-
-    def shard_bytes(self, ex, worker) -> int:
-        return sum(b.nbytes for b in ex.blocked_groups[worker].blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,30 @@ class TestTrainingOnTransformed:
         for priced, trained in zip(transform.groups, system.groups):
             np.testing.assert_array_equal(priced, trained)
 
+    def test_the_move_is_priced_on_every_grouping_it_trains(self):
+        """Whatever grouping the executor uses, the transformation
+        prices the groups it trains on; the repartition costs equal
+        greedy's, since the mean group size is D/W for any tiling."""
+        from repro import TrainConfig, get_plan
+
+        train = make_classification(200, 20, seed=0)
+        cfg = TrainConfig(num_trees=1, num_layers=2, num_candidates=8)
+        reports = {}
+        for grouping in ("greedy", "round-robin", "hash"):
+            system = get_plan("vero").build(cfg,
+                                            ClusterConfig(num_workers=3))
+            system.grouping = grouping
+            _, transform = system.fit_from_raw(train)
+            assert len(transform.groups) == len(system.groups) == 3
+            for priced, trained in zip(transform.groups, system.groups):
+                np.testing.assert_array_equal(priced, trained)
+            reports[grouping] = transform.report
+        greedy = reports["greedy"]
+        for report in reports.values():
+            assert report.repartition_bytes == greedy.repartition_bytes
+            assert report.repartition_seconds == \
+                greedy.repartition_seconds
+
 
 def sketch_every_feature(raw_shards, num_features, num_candidates, eps):
     """Steps 1-2 with one ``MergingSketch`` per feature per shard — the

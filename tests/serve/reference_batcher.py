@@ -3,7 +3,7 @@
 first member of that class, and every field is read through the
 per-request accessors.
 
-Kept as the reference ``MicroBatcher._bounded_batches`` is compared
+Kept as the reference ``MicroBatcher._batches`` is compared
 against — the same ``(ids, close)`` batch sequence and the same drop
 columns, entry for entry.  :func:`reference_ledger` joins its batches
 into a :class:`ServingReport` one request at a time, the oracle for the
@@ -106,7 +106,7 @@ def reference_bounded_batches(backend, policy: BatchPolicy,
                               drops: Dict[str, list],
                               shed_victim=reference_shed_victim
                               ) -> Iterator[Batch]:
-    """``MicroBatcher._bounded_batches`` over ``backend.next_free_s``,
+    """``MicroBatcher._batches`` over ``backend.next_free_s``,
     appending each drop to ``drops`` (one list per name in
     ``DROP_COLUMNS``).
 
@@ -164,7 +164,7 @@ def reference_ledger(backend, policy: BatchPolicy,
     arrival is read through the single-request accessor.  An unbounded
     policy runs as a queue no trace can fill, which forms the same
     batches and drops nobody."""
-    if not policy.bounded:
+    if policy.max_queue == 0:
         policy = BatchPolicy(policy.max_batch_size, policy.max_delay_s,
                              max_queue=max(trace.num_requests,
                                            policy.max_batch_size))

@@ -239,8 +239,6 @@ class TestBoundedQueue:
             BatchPolicy(8, 0.001, max_queue=4)
         with pytest.raises(ValueError, match="overload"):
             BatchPolicy(8, 0.001, max_queue=8, overload="panic")
-        assert not BatchPolicy(8, 0.001).bounded
-        assert BatchPolicy(8, 0.001, max_queue=8).bounded
 
     def test_reject_drops_newcomers(self, compiled):
         # batch [0] dispatches at 0.5ms and serves for 10ms; 1 and 2
@@ -316,7 +314,7 @@ class TestBoundedQueue:
     def test_nan_arrival_rejected_up_front(self):
         # regression: NaN compares false against everything, so the
         # diff-based monotonicity check alone let a NaN arrival
-        # through — it then walked straight into _run_bounded and
+        # through — it then walked straight into the admission loop and
         # produced nonsense (negative queue delays, a batcher that
         # never dispatches).  The trace must refuse it at construction.
         arrivals = np.array([0.0, np.nan, 0.002])
@@ -453,7 +451,7 @@ class TestBoundedQueueAgainstReference:
             got_backend = SimulatedWorker(stall_every)
             got_drops = {name: [] for name in DROP_COLUMNS}
             got = formed(
-                MicroBatcher(got_backend, policy)._bounded_batches(
+                MicroBatcher(got_backend, policy)._batches(
                     trace, got_drops), got_backend)
             want_backend = SimulatedWorker(stall_every)
             want_drops = {name: [] for name in DROP_COLUMNS}
@@ -515,7 +513,7 @@ class TestLedgerAgainstReference:
                                               err_msg=name)
             assert got.offered == want.offered == trace.num_requests
             assert got.exactly_once() and got.single_version_batches()
-            assert (got.drop_id.size > 0) == policy.bounded
+            assert (got.drop_id.size > 0) == (policy.max_queue > 0)
 
 
 class TestOneWorkerFleet:

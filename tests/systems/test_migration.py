@@ -28,7 +28,7 @@ from repro.systems import base as base_module
 from repro.systems.executor import (SessionCheckpoint, TrainingSession)
 from repro.systems.migration import (MIGRATE_PREFIX, MIGRATION_LAYER,
                                      MigrationRecord)
-from repro.systems.plans import get_plan
+from repro.systems.plans import get_plan, plan_keys
 
 from .test_chaos import PINNED_SEEDS, tree_signature
 
@@ -174,6 +174,35 @@ class TestMigrationBitIdentity:
         _, _, record = run_migrated("vero", "qd2", binned)
         assert record.reshard_bytes > 0
         assert record.label_bytes == 0
+
+    @pytest.mark.parametrize("source", plan_keys())
+    def test_reshard_ships_what_each_target_worker_holds(self, source):
+        """Over every registry pair: a partition-axis change ships the
+        (W-1)/W of what each target worker holds that it lacks — the
+        full matrix on a replicated worker — and nothing otherwise."""
+        binned = bin_dataset(make_classification(600, 24, seed=0), 20)
+        num_workers = 4
+        for target in plan_keys():
+            if target == source:
+                continue
+            cfg = TrainConfig(num_trees=2, num_layers=3,
+                              num_candidates=20)
+            session = TrainingSession(
+                get_plan(source).build(cfg, ClusterConfig(num_workers)),
+                binned)
+            session.run(until=1)
+            old = session.system
+            record = session.migrate(target)
+            new = session.system
+            expected = 0
+            if new.partition.key != old.partition.key:
+                expected = sum(
+                    int(new.partition.held_bytes(new, w)
+                        * (num_workers - 1) / num_workers)
+                    for w in range(num_workers))
+            assert record.reshard_bytes == expected, (source, target)
+            if (source, target) == ("qd2", "qd2-fp"):
+                assert record.reshard_bytes == 4 * 20_184
 
     def test_migration_replays_bit_identical(self, binned):
         first, _, _ = run_migrated("qd2", "qd3", binned)
