@@ -14,6 +14,7 @@ argmax and the master's cross-worker comparison both honour this order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -62,9 +63,7 @@ def node_score(grad: np.ndarray, hess: np.ndarray,
 
 #: histograms of at most this many (feature, bin) slots are searched as
 #: one stack per call; wider ones (high-D) node by node, where sparse
-#: nodes scan just their occupied bins.  Measured on 16-node stacks:
-#: 0.27x the per-node time at 360 slots, 0.63-0.93x at 1,000, a loss
-#: (1.7-2.0x) from 2,000 up
+#: nodes scan just their occupied bins
 STACKED_MAX_SLOTS = 1024
 
 
@@ -139,14 +138,15 @@ def find_best_split(
     for vertically partitioned shards.  A histogram in a shard's slot
     basis is searched as its :meth:`~Histogram.to_dense`.
 
-    Histograms up to :data:`STACKED_MAX_SLOTS` wide are searched as one
-    stack.  Wider ones are searched node by node, and a node whose
-    histogram is at most half occupied — the usual case on
-    high-dimensional sparse data — scans only bins whose ``(grad,
-    hess)`` prefix differs from the previous bin's, plus bin 0: an
-    unchanged prefix means a gain equal bit for bit at a higher bin
-    index, which the tie order never picks.  Every route returns the
-    same splits, gains equal bit for bit.
+    Every route reads one bin-major prefix buffer
+    (:meth:`_Search.prefixes`).  Histograms up to
+    :data:`STACKED_MAX_SLOTS` wide are searched as one stack.  Wider
+    ones are searched node by node, and a node with at most half of its
+    bins nonzero — the usual case on high-dimensional sparse data —
+    scans only those bins, plus bin 0: a zero bin leaves the ``(grad,
+    hess)`` prefix as it was, so its gains equal bit for bit those of a
+    lower bin, which the tie order picks.  Every route returns the same
+    splits, gains equal bit for bit.
 
     A node gets ``None`` when no split has positive gain.
     """
@@ -159,30 +159,29 @@ def find_best_split(
         raise ValueError(
             "bins_per_feature length must equal the histogram feature count"
         )
-    shape = (len(hists), hists[0].gradient_dim)
-    grad_totals = np.asarray(grad_totals, dtype=np.float64).reshape(shape)
-    hess_totals = np.asarray(hess_totals, dtype=np.float64).reshape(shape)
-    # A split at bin b needs b <= bins(f) - 2.
-    valid = np.arange(num_bins) < bins_per_feature[:, None] - 1
     search = _Search(num_features, num_bins, hists[0].gradient_dim,
                      reg_lambda, reg_gamma, feature_offset)
+    shape = (len(hists), 1, *search.classes)
+    totals = np.concatenate([   # (k, 2, *classes): grad, hess
+        np.asarray(grad_totals, dtype=np.float64).reshape(shape),
+        np.asarray(hess_totals, dtype=np.float64).reshape(shape)], axis=1)
+    parents = search.score(totals[:, 0], totals[:, 1])
+    # A split at bin b needs b <= bins(f) - 2.
+    valid = np.arange(num_bins) < bins_per_feature[:, None] - 1  # (D, q)
     if stacked(num_features, num_bins):
-        return search.full(np.stack([h.grad for h in hists]),
-                           np.stack([h.hess for h in hists]),
-                           grad_totals, hess_totals, valid)
-    return [
-        search.compact(hist, grad, hess, valid)
-        if 2 * np.count_nonzero(hist.hess) <= hist.hess.size
-        else search.full(hist.grad[None], hist.hess[None], grad[None],
-                         hess[None], valid)[0]
-        for hist, grad, hess in zip(hists, grad_totals, hess_totals)
-    ]
+        prefix = search.prefixes(np.stack([hist.grad for hist in hists]),
+                                 np.stack([hist.hess for hist in hists]))
+        return search.full(prefix, totals, parents, ~valid)
+    return [search.node(hist, total, parent, valid)
+            for hist, total, parent in zip(hists, totals, parents)]
 
 
 class _Search:
     """The Equation 2 scan shared by :func:`find_best_split`'s routes.
 
-    Scalar gradients (``C == 1``) carry no class axis and sum over none.
+    Scalar gradients (``C == 1``) carry no class axis and sum over none;
+    otherwise the class axis is the trailing, contiguous one of every
+    array, so each sum over classes runs as in the reference finder.
     """
 
     def __init__(self, num_features: int, num_bins: int,
@@ -193,114 +192,154 @@ class _Search:
         self.reg_lambda, self.reg_gamma = reg_lambda, reg_gamma
         self.feature_offset = feature_offset
 
-    def prefixes(self, grad: np.ndarray, hess: np.ndarray
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-feature running sums over the bins of ``(k, D*q, C)``
-        histogram stacks, shaped ``(k, D, q, *classes)``."""
-        shape = (grad.shape[0], self.num_features, self.num_bins,
-                 *self.classes)
-        return (np.cumsum(grad.reshape(shape), axis=2),
-                np.cumsum(hess.reshape(shape), axis=2))
+    def over_classes(self, values: np.ndarray) -> np.ndarray:
+        return values.sum(axis=-1) if self.classes else values
 
-    def gains(self, grad_left: np.ndarray, hess_left: np.ndarray,
-              missing_grad: np.ndarray, missing_hess: np.ndarray,
-              grad_total: np.ndarray, hess_total: np.ndarray) -> np.ndarray:
-        """Gains of both default directions, stacked on a new leading
-        axis: row 0 — missing goes right (left = prefix); row 1 —
-        missing goes left (left = prefix + missing bucket)."""
-        over_classes = ((lambda values: values.sum(axis=-1))
-                        if self.classes else (lambda values: values))
+    def score(self, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+        """``G^2 / (H + lambda)`` summed over classes."""
+        return self.over_classes(grad * grad / (hess + self.reg_lambda))
 
-        def score(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-            return over_classes(grad * grad / (hess + self.reg_lambda))
+    def prefixes(self, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+        """Running sums over the bins of ``(k, D·q, C)`` histogram
+        stacks, bin-major: ``(k, q, 2, D, *classes)`` in the histograms'
+        dtype, ``[:, b, 0]`` the grad and ``[:, b, 1]`` the hess
+        prefixes of bin ``b``.
 
-        parent_score = score(grad_total, hess_total)
+        Wide histograms add bin ``b - 1``'s row into bin ``b``'s, one
+        contiguous ``2·D·C`` add per bin; narrow (:func:`stacked`) ones
+        take one ``np.cumsum`` along the bin axis, cheaper than ``q -
+        1`` short adds.  Both are the sequential sum ``np.cumsum``
+        takes along each feature's bins.
+        """
+        k, q, d = grad.shape[0], self.num_bins, self.num_features
+        prefix = np.empty((k, q, 2, d, *self.classes),
+                          np.result_type(grad, hess))
+        for half, values in enumerate((grad, hess)):
+            prefix[:, :, half] = values.reshape(
+                k, d, q, *self.classes).swapaxes(1, 2)
+        if stacked(d, q):
+            np.cumsum(prefix, axis=1, out=prefix)
+        else:
+            rows = list(prefix.swapaxes(0, 1))
+            for previous, row in zip(rows, rows[1:]):
+                row += previous
+        return prefix
 
-        def gains_of(grad_left, hess_left) -> np.ndarray:
-            grad_right = grad_total - grad_left
-            hess_right = hess_total - hess_left
-            gains = 0.5 * (
-                score(grad_left, hess_left) + score(grad_right, hess_right)
-                - parent_score
-            ) - self.reg_gamma
-            # Children must both receive some hessian mass; empty
-            # children give a spurious "gain" equal to -gamma and are
-            # never useful.
-            gains[(over_classes(hess_left) <= 0.0)
-                  | (over_classes(hess_right) <= 0.0)] = -np.inf
-            return gains
+    def gains(self, scan: np.ndarray, left: Sequence[np.ndarray],
+              totals: np.ndarray, parents: np.ndarray,
+              masked: Optional[np.ndarray]) -> np.ndarray:
+        """Equation 2 for both default directions, written in place.
 
-        return np.stack([
-            gains_of(grad_left, hess_left),
-            gains_of(grad_left + missing_grad, hess_left + missing_hess),
-        ])
+        ``scan`` is ``(2, child, direction, ...)``, grad sums then hess
+        sums, each half contiguous.  On entry ``scan[:, 0]`` holds the
+        left child's: direction 0 sends missing values right (left =
+        prefix), direction 1 left (left = prefix + missing bucket).
+        ``left`` is direction 0's ``(grad, hess)`` prefix in its own
+        dtype; ``totals[0]`` / ``totals[1]`` broadcast against a half's
+        right child, ``parents`` and ``masked`` (bins no split may use)
+        against the returned ``(direction, ...)`` gains.  Each float op
+        and its order are the reference finder's: ``gl·gl/(hl+λ) +
+        gr·gr/(hr+λ) - parent``, then ``·0.5``, then ``- γ``; a child
+        without hessian mass gives ``-inf``.
+        """
+        grad, hess = scan
+        np.subtract(totals[0], grad[0], out=grad[1])
+        np.subtract(totals[1], hess[0], out=hess[1])
+        # Empty children, before ``+ λ`` overwrites the hess sums.
+        empty = self.over_classes(hess) <= 0.0      # (child, direction, ...)
+        narrow = left[0].dtype != scan.dtype
+        if narrow:      # narrow accumulators score the prefix at their width
+            empty[0, 0] = self.over_classes(left[1]) <= 0.0
+        empty = np.logical_or(empty[0], empty[1], out=empty[0])
+        if masked is not None:
+            empty |= masked
+        np.add(hess, self.reg_lambda, out=hess)
+        np.multiply(grad, grad, out=grad)
+        np.divide(grad, hess, out=grad)
+        scores = self.over_classes(grad)            # (child, direction, ...)
+        if narrow:
+            scores[0, 0] = self.score(*left)
+        gains = np.add(scores[0], scores[1], out=scores[0])
+        np.subtract(gains, parents, out=gains)
+        np.multiply(gains, 0.5, out=gains)
+        if self.reg_gamma != 0.0:   # x - 0.0 == x, bit for bit
+            np.subtract(gains, self.reg_gamma, out=gains)
+        np.copyto(gains, -np.inf, where=empty)
+        return gains
 
-    def split_of(self, gains: np.ndarray, position: int,
+    def split_of(self, gain: float, direction: int,
                  slot: int) -> Optional[SplitInfo]:
-        """The split at flat ``position`` of one node's ``(2, P)``
-        gains, ``slot`` being its ``feature * q + bin``."""
-        option = position // gains.shape[1]
-        best_gain = float(gains.reshape(-1)[position])
-        if not np.isfinite(best_gain) or best_gain <= 0.0:
+        """The split of ``gain`` at ``slot`` (``feature * q + bin``)."""
+        if not math.isfinite(gain) or gain <= 0.0:
             return None
         feature, bin_id = divmod(slot, self.num_bins)
         return SplitInfo(
             feature=feature + self.feature_offset,
             bin=bin_id,
-            default_left=bool(option == 1),
-            gain=best_gain,
+            default_left=bool(direction == 1),
+            gain=gain,
         )
 
-    def full(self, grad: np.ndarray, hess: np.ndarray,
-             grad_totals: np.ndarray, hess_totals: np.ndarray,
-             valid: np.ndarray) -> List[Optional[SplitInfo]]:
-        """Every bin of every node: one scan of the ``(k, ...)`` stack,
-        one argmax per node over (direction, feature, bin)."""
-        k = grad.shape[0]
-        grad_prefix, hess_prefix = self.prefixes(grad, hess)
-        extra = (slice(None),) + (None,) * 2   # (k, 1, 1, *classes)
-        if not self.classes:
-            grad_totals, hess_totals = grad_totals[:, 0], hess_totals[:, 0]
-        grad_total, hess_total = grad_totals[extra], hess_totals[extra]
-        missing_grad = grad_total - grad_prefix[:, :, -1:]
-        missing_hess = hess_total - hess_prefix[:, :, -1:]
-        gains = self.gains(grad_prefix, hess_prefix, missing_grad,
-                           missing_hess, grad_total,
-                           hess_total)              # (2, k, D, q)
-        gains[:, :, ~valid] = -np.inf
-        gains = gains.transpose(1, 0, 2, 3).reshape(k, 2, -1)
-        width = gains.shape[2]
-        best = np.argmax(gains.reshape(k, -1), axis=1)
-        return [self.split_of(gains[i], int(best[i]),
-                              int(best[i]) % width)
-                for i in range(k)]
+    def full(self, prefix: np.ndarray, totals: np.ndarray,
+             parents: np.ndarray,
+             invalid: np.ndarray) -> List[Optional[SplitInfo]]:
+        """Every bin of every node of ``(k, q, 2, D, *classes)``
+        prefixes: one scan of the stack, feature-major, and one argmax
+        per node over its ``(direction, feature, bin)`` gains."""
+        k = prefix.shape[0]
+        # (2, k, D, q, *classes): one copy turns the prefixes feature-major
+        left = prefix.transpose(2, 0, 3, 1, *range(4, prefix.ndim))
+        totals = totals.swapaxes(0, 1)[:, :, None]   # (2, k, 1, *classes)
+        scan = np.empty((2, 2, 2, *left.shape[1:]))
+        scan[:, 0, 0] = left
+        missing = totals - left[:, :, :, -1]           # (2, k, D, *classes)
+        np.add(scan[:, 0, 0], missing[:, :, :, None], out=scan[:, 0, 1])
+        gains = self.gains(scan, left, totals[:, :, :, None],
+                           parents[:, None, None], invalid)  # (2, k, D, q)
+        gains = gains.swapaxes(0, 1).reshape(k, -1)
+        best = np.argmax(gains, axis=1)
+        width = self.num_features * self.num_bins
+        return [self.split_of(gain, *divmod(position, width))
+                for gain, position in zip(
+                    gains[np.arange(k), best].tolist(), best.tolist())]
 
-    def compact(self, hist: Histogram, grad_total: np.ndarray,
-                hess_total: np.ndarray,
-                valid: np.ndarray) -> Optional[SplitInfo]:
-        """One sparse node: only bins with a prefix of their own."""
-        grad_prefix, hess_prefix = self.prefixes(hist.grad[None],
-                                                 hist.hess[None])
-        grad_prefix, hess_prefix = grad_prefix[0], hess_prefix[0]
-        if not self.classes:
-            grad_total, hess_total = grad_total[0], hess_total[0]
-        changed = ((grad_prefix[:, 1:] != grad_prefix[:, :-1])
-                   | (hess_prefix[:, 1:] != hess_prefix[:, :-1]))
-        scanned = valid.copy()
-        scanned[:, 1:] &= changed.any(axis=-1) if self.classes else changed
-        positions = np.flatnonzero(scanned)
+    def node(self, hist: Histogram, totals: np.ndarray,
+             parent: np.ndarray, valid: np.ndarray) -> Optional[SplitInfo]:
+        """One node of a wide stack: bin 0 and the nonzero bins of each
+        feature in ``(feature, bin)`` order, or — when more than half of
+        the bins are — every bin.  A zero bin leaves the prefix as the
+        previous bin's, so both its gains too, and the tie order prefers
+        the previous bin."""
+        scanned = (hist.grad != 0.0) | (hist.hess != 0.0)
+        if self.classes:
+            scanned = scanned.any(axis=1)
+        scanned = scanned.reshape(self.num_features, self.num_bins)
+        scanned[:, 0] = True
+        scanned &= valid
+        prefix = self.prefixes(hist.grad[None], hist.hess[None])[0]
+        if 2 * np.count_nonzero(scanned) > scanned.size:
+            return self.full(prefix[None], totals[None], parent[None],
+                             ~valid)[0]
+        positions = np.flatnonzero(scanned)              # feature * q + bin
         if positions.size == 0:
             return None
         features = positions // self.num_bins
-        gains = self.gains(
-            grad_prefix.reshape(-1, *self.classes)[positions],
-            hess_prefix.reshape(-1, *self.classes)[positions],
-            (grad_total - grad_prefix[:, -1])[features],
-            (hess_total - hess_prefix[:, -1])[features],
-            grad_total, hess_total)                 # (2, P)
-        best = int(np.argmax(gains))
-        return self.split_of(gains, best,
-                             int(positions[best % positions.size]))
+        bins = positions - features * self.num_bins
+        # Bin-major rows of the grad prefixes; the hess rows are D on.
+        index = bins * (2 * self.num_features) + features
+        rows = prefix.reshape(-1, *self.classes)
+        missing = totals[:, None] - prefix[-1]           # (2, D, *classes)
+        left = [rows[first:].take(index, axis=0)
+                for first in (0, self.num_features)]
+        scan = np.empty((2, 2, 2, positions.size, *self.classes))
+        for half, prefix_sums, bucket in zip(scan, left, missing):
+            half[0, 0] = prefix_sums
+            np.add(prefix_sums, bucket.take(features, axis=0),
+                   out=half[0, 1])
+        gains = self.gains(scan, left, totals, parent, None)  # (2, P)
+        direction, i = divmod(int(np.argmax(gains)), positions.size)
+        return self.split_of(float(gains[direction, i]), direction,
+                             int(positions[i]))
 
 
 def split_gain_of(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Callable, Deque, Dict, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -555,6 +555,6 @@ class MicroBatcher:
             batch_ids = [backlog.popleft() for _ in range(size)]
             for request in batch_ids:
                 queue_of[priorities[request]].popleft()
-            yield (trace.features[batch_ids],
-                   np.asarray(batch_ids, dtype=np.int64), float(close))
+            ids = np.asarray(batch_ids, dtype=np.int64)
+            yield trace.features.take(ids, axis=0), ids, float(close)
             free = self.backend.next_free_s()

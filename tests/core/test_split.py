@@ -216,15 +216,17 @@ def test_property_matches_brute_force(seed, lam, gradient_dim):
     occupancy=st.sampled_from([1.0, 0.5, 0.05]),
     duplicate=st.booleans(),
     lam=st.sampled_from([0.0, 0.5, 1.0]),
-    gamma=st.sampled_from([0.0, 0.01]),
+    gamma=st.sampled_from([0.0, 0.01, 0.5]),
     feature_offset=st.integers(0, 5),
 )
 def test_property_equals_reference_finder(
         seed, num_features, num_bins, gradient_dim, dtype, occupancy,
         duplicate, lam, gamma, feature_offset):
-    """Scanning only the bins with a prefix of their own picks the split
-    the full scan picks — same feature, bin, direction and gain bits, ties
-    and all — on either side of the occupancy that skips the compaction."""
+    """Every route picks the split the full-histogram reference picks —
+    same feature, bin, direction and gain bits, ties and all: the stacked
+    scan, and node by node (``STACKED_MAX_SLOTS = 0``) both the scan of
+    every bin and, at most half occupied, the scan of bin 0 and the
+    nonzero bins."""
     rng = np.random.default_rng(seed)
     hist = Histogram(num_features, num_bins, gradient_dim, dtype=dtype)
     occupied = rng.random((num_features * num_bins, 1)) < occupancy
@@ -242,12 +244,13 @@ def test_property_equals_reference_finder(
         grad_total += rng.standard_normal(gradient_dim)
         hess_total += rng.random(gradient_dim)
     bins = rng.integers(1, num_bins + 1, size=num_features)
+    args = (hist, grad_total, hess_total, lam, gamma, bins, feature_offset)
     with np.errstate(all="ignore"):      # lam == 0 divides by empty bins
-        found, expected = (
-            finder(hist, grad_total, hess_total, lam, gamma, bins,
-                   feature_offset)
-            for finder in (one_node, reference_find_best_split))
-    assert found == expected
+        expected = reference_find_best_split(*args)
+        assert one_node(*args) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(split_module, "STACKED_MAX_SLOTS", 0)
+            assert one_node(*args) == expected
 
 
 def random_stack(rng, size, num_features, num_bins, gradient_dim,
@@ -286,6 +289,19 @@ def random_stack(rng, size, num_features, num_bins, gradient_dim,
         grads.append(grad)
         hesses.append(hess)
     return hists, np.array(grads), np.array(hesses)
+
+
+def spy_full_scans(monkeypatch):
+    """The node count of every scan of all bins (``_Search.full``)."""
+    counts = []
+    full = split_module._Search.full
+
+    def spy(search, prefix, *args):
+        counts.append(prefix.shape[0])
+        return full(search, prefix, *args)
+
+    monkeypatch.setattr(split_module._Search, "full", spy)
+    return counts
 
 
 class TestStackedFinder:
@@ -327,7 +343,7 @@ class TestStackedFinder:
         gradient_dim=st.sampled_from([1, 3]),
         dtype=st.sampled_from([np.float64, np.float32]),
         lam=st.sampled_from([0.0, 0.5, 1.0]),
-        gamma=st.sampled_from([0.0, 0.01]),
+        gamma=st.sampled_from([0.0, 0.01, 0.5]),
         feature_offset=st.integers(0, 5),
     )
     def test_property_equals_one_call_per_node(
@@ -349,6 +365,48 @@ class TestStackedFinder:
             expected = [reference_find_best_split(*node, *args)
                         for node in zip(hists, grads, hesses)]
         assert found == single == expected
+
+    @pytest.mark.parametrize("route", ["stacked", "per-node full",
+                                       "per-node compact"])
+    def test_tie_across_features_and_bins_keeps_feature_order(
+            self, route, monkeypatch):
+        """Exactly tied best gains at (feature 1, bin 2) and (feature 2,
+        bin 0): the tie order picks the lower feature although its bin
+        is higher, so no route may read gains in bin-major order."""
+        hist = Histogram(3, 4, 1)
+        grad, hess = hist.grad_view(), hist.hess_view()
+        grad[1, 2:, 0], hess[1, 2:, 0] = [-3.0, 3.0], 1.0
+        grad[2, :2, 0], hess[2, :2, 0] = [-3.0, 3.0], 1.0
+        if route == "per-node full":   # more than half the bins occupied
+            grad[0, :, 0], hess[0, :, 0] = [-1.0, 1.0, -1.0, 1.0], 0.5
+        full_scans = spy_full_scans(monkeypatch)
+        if route != "stacked":
+            monkeypatch.setattr(split_module, "STACKED_MAX_SLOTS", 0)
+        args = (np.array([0.0]), np.array([2.0]), 1.0, 0.0, np.full(3, 4))
+        split = one_node(hist, *args)
+        assert (split.feature, split.bin, split.default_left) == \
+            (1, 2, False)
+        assert split == reference_find_best_split(hist, *args)
+        assert full_scans == ([] if route == "per-node compact" else [1])
+
+    def test_absorbed_bin_on_the_compact_route(self, monkeypatch):
+        """A nonzero bin whose add leaves the prefix unchanged (``1e20 +
+        1.0 == 1e20``) ties with the bin before it, gains equal bit for
+        bit; the compact scan still equals the reference."""
+        assert 1e20 + 1.0 == 1e20
+        hist = Histogram(8, 5, 1)
+        grad, hess = hist.grad_view(), hist.hess_view()
+        grad[3, :4, 0] = [1e20, 1.0, -1e20, 2.0]   # bin 1 is absorbed
+        hess[3, :4, 0] = [1.0, 0.0, 1.0, 1.0]
+        full_scans = spy_full_scans(monkeypatch)
+        monkeypatch.setattr(split_module, "STACKED_MAX_SLOTS", 0)
+        args = (np.array([3.0]), np.array([4.0]), 1.0, 0.0, np.full(8, 5))
+        split = one_node(hist, *args)
+        assert split == reference_find_best_split(hist, *args)
+        assert split.gain.hex() == split_module.split_gain_of(
+            hist, *args[:4], split.feature, 1, split.default_left).hex()
+        assert (split.feature, split.bin) == (3, 0)
+        assert full_scans == []
 
     def test_wide_stack_mixes_compact_and_full_nodes(self, rng):
         """Past the stacking width each node takes its own route; a
