@@ -161,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(numpy/numba/pyloop/auto; default numpy)")
     serve.add_argument("--quantized", action="store_true",
                        help="also benchmark the uint8 bin-quantized "
-                            "predictor (in-process models only)")
+                            "predictor (in-process models only: it needs "
+                            "their training cuts, so --model refuses it)")
 
     advise = sub.add_parser(
         "advise", help="recommend a data-management quadrant"
@@ -445,11 +446,8 @@ def cmd_predict(args) -> int:
 def cmd_serve_bench(args) -> int:
     import time as _time
 
-    import numpy as _np
-
     from .serve import (BatchPolicy, MicroBatcher, ModelRegistry,
-                        compile_ensemble, publish_trained,
-                        reduce_shard_scores, synthetic_trace)
+                        compile_ensemble, publish_trained, synthetic_trace)
     from .serve.sharded import fleet_class
     from .systems.costmodel import (price_serving_layouts,
                                     recommend_serving_layout)
@@ -463,6 +461,10 @@ def cmd_serve_bench(args) -> int:
         args.serve_workers = min(args.serve_workers, 2)
     if args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
+    if args.quantized and args.model:
+        raise SystemExit(
+            "--quantized needs the training cuts of the in-process model; "
+            "a --model file does not carry them")
     if args.serve_workers % args.shards:
         args.serve_workers = (args.serve_workers // args.shards
                               + 1) * args.shards
@@ -504,7 +506,7 @@ def cmd_serve_bench(args) -> int:
     print(f"batch of {trace.num_requests}: naive={naive_s * 1e3:.1f}ms "
           f"compiled={fast_s * 1e3:.1f}ms "
           f"({naive_s / max(fast_s, 1e-12):.2f}x), exact={exact}")
-    if args.quantized and not args.model:
+    if args.quantized:
         from .data.dataset import bin_dataset
         from .serve import quantize_ensemble
 
@@ -547,12 +549,6 @@ def cmd_serve_bench(args) -> int:
               f"{report.versions_served()}, "
               f"single-version batches={report.single_version_batches()}")
     shards = registry.shards(entry.version, args.shards)
-    chained = reduce_shard_scores(
-        [shard.compiled for shard in shards], trace.features)
-    direct = registry.get(entry.version).compiled.raw_scores(
-        trace.features)
-    print(f"chain fold over {args.shards} shard(s) bit-identical to the "
-          f"full predictor: {bool(_np.array_equal(chained, direct))}")
     # the same rollouts priced fully replicated (S = 1 on these workers)
     replicated = sum(e.nbytes for e in registry.versions()) \
         * args.serve_workers
@@ -562,15 +558,13 @@ def cmd_serve_bench(args) -> int:
           f"footprint {replicas.model_bytes_per_worker()} of "
           f"{entry.nbytes}")
     print(f"score reduction traffic: serve:partial="
-          f"{replicas.partial_bytes} serve:reduce="
-          f"{replicas.reduce_bytes} bytes over "
+          f"{replicas.partial_bytes} bytes over "
           f"{report.batch_size.size} batches")
     network = NetworkModel()
     layouts = price_serving_layouts(
         entry.nbytes,
         {1: [entry.nbytes], args.shards: [s.nbytes for s in shards]},
-        args.serve_workers, args.max_batch,
-        shards[0].compiled.gradient_dim,
+        args.serve_workers, args.max_batch, entry.compiled.gradient_dim,
         network.bytes_per_second, network.latency_s,
     )
     pick = recommend_serving_layout(layouts)

@@ -35,7 +35,7 @@ output is never larger than the dense baseline (plus one scheme byte).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -78,7 +78,7 @@ class CodecPayloadError(ValueError):
 def _narrow(values: np.ndarray, dtype: np.dtype, codec: str) -> np.ndarray:
     """``values`` rounded to the narrow wire ``dtype``; fails loud when
     that turns a finite value into ``inf``, which would otherwise flow
-    silently into split finding or served scores."""
+    silently into split finding."""
     with np.errstate(over="ignore"):
         narrow = values.astype(dtype)
     finite = np.isfinite(narrow)
@@ -353,75 +353,6 @@ class LowPrecisionHistogramCodec(HistogramCodec):
 
 
 # ---------------------------------------------------------------------------
-# score codec (partial score vectors of sharded serving)
-# ---------------------------------------------------------------------------
-
-class ScoreCodec:
-    """Encode one partial raw-score vector ``(rows, gradient_dim)``.
-
-    Sharded serving (:mod:`repro.serve.sharded`) carries a running score
-    accumulator between shard groups; this codec is what that carry
-    ships as.  Lossy variants quantize the carried accumulator at every
-    hop, so the precision cost of shipping narrow partials — the serving
-    mirror of DimBoost's low-precision histograms — is real and
-    measured, not modeled.
-    """
-
-    name: str = "abstract"
-    lossless = True
-    #: wire bytes of one score value
-    itemsize = 8
-
-    def wire_nbytes(self, shape: Tuple[int, ...]) -> int:
-        """``encode(scores).nbytes`` for any ``scores`` of ``shape`` —
-        the encoded size depends on the shape alone."""
-        return int(np.prod(shape)) * self.itemsize
-
-    def encode(self, scores: np.ndarray) -> Encoded:
-        raise NotImplementedError
-
-    def decode(self, enc: Encoded) -> np.ndarray:
-        raise NotImplementedError
-
-
-class RawScoreCodec(ScoreCodec):
-    """float64 pass-through — the exact (bit-identical) wire format."""
-
-    name = "raw"
-
-    def encode(self, scores: np.ndarray) -> Encoded:
-        arr = np.ascontiguousarray(scores, dtype=np.float64)
-        return Encoded(self.name, arr.nbytes, arr.nbytes, (arr,))
-
-    def decode(self, enc: Encoded) -> np.ndarray:
-        return enc.payload[0]
-
-
-class LowPrecisionScoreCodec(ScoreCodec):
-    """Lossy float32/float16 partial scores.
-
-    Values round to the narrow dtype on encode and widen back on decode,
-    so downstream consumers (and the served scores themselves) see the
-    quantization error.
-    """
-
-    lossless = False
-
-    def __init__(self, dtype, name: str) -> None:
-        self.dtype = np.dtype(dtype)
-        self.itemsize = self.dtype.itemsize
-        self.name = name
-
-    def encode(self, scores: np.ndarray) -> Encoded:
-        arr = np.ascontiguousarray(scores, dtype=np.float64)
-        narrow = _narrow(arr, self.dtype, self.name)
-        return Encoded(self.name, narrow.nbytes, arr.nbytes, (narrow,))
-
-    def decode(self, enc: Encoded) -> np.ndarray:
-        return enc.payload[0].astype(np.float64)
-
-
-# ---------------------------------------------------------------------------
 # placement codec (bitmap vs varint-packed minority indices)
 # ---------------------------------------------------------------------------
 
@@ -655,9 +586,6 @@ class CodecStack:
     histogram: HistogramCodec
     placement: PlacementCodec
     index: IndexCodec
-    #: partial score vectors of sharded serving ride the same ``--codec``
-    #: choice: lossless stacks ship exact float64, lossy stacks quantize
-    scores: ScoreCodec = field(default_factory=RawScoreCodec)
 
     @property
     def is_identity(self) -> bool:
@@ -671,21 +599,18 @@ def _build_stacks() -> Dict[str, CodecStack]:
     adaptive = AdaptivePlacementCodec()
     raw = RawIndexCodec()
     delta = DeltaIndexCodec()
-    raw_scores = RawScoreCodec()
     return {
-        "none": CodecStack("none", True, dense, bitmap, raw, raw_scores),
-        "sparse": CodecStack("sparse", True, sparse, adaptive, delta,
-                             raw_scores),
-        "delta": CodecStack("delta", True, dense, adaptive, delta,
-                            raw_scores),
+        "none": CodecStack("none", True, dense, bitmap, raw),
+        "sparse": CodecStack("sparse", True, sparse, adaptive, delta),
+        "delta": CodecStack("delta", True, dense, adaptive, delta),
         "f32": CodecStack(
             "f32", False,
             LowPrecisionHistogramCodec(np.float32, "f32"), adaptive,
-            delta, LowPrecisionScoreCodec(np.float32, "f32")),
+            delta),
         "f16": CodecStack(
             "f16", False,
             LowPrecisionHistogramCodec(np.float16, "f16"), adaptive,
-            delta, LowPrecisionScoreCodec(np.float16, "f16")),
+            delta),
     }
 
 

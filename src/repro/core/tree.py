@@ -126,21 +126,6 @@ class Tree:
                 break
         return position
 
-    def predict_row(self, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """Leaf weight of a single sparse row (used by examples)."""
-        lookup = dict(zip(cols.tolist(), vals.tolist()))
-        node_id = 0
-        while True:
-            node = self.nodes[node_id]
-            if node.is_leaf:
-                return node.weight
-            value = lookup.get(node.split.feature)
-            if value is None:
-                go_left = node.split.default_left
-            else:
-                go_left = value <= node.threshold
-            node_id = node.left_child if go_left else node.right_child
-
 
 def leaf_matrix(tree: Tree, leaf_of_instance: np.ndarray) -> np.ndarray:
     """Per-instance leaf weights, shape ``(N, gradient_dim)``, from each

@@ -21,12 +21,13 @@ package turns them into production-shaped inference:
 - :mod:`~repro.serve.replica` — replicated serving over the simulated
   cluster with ``deploy:model`` byte accounting and load balancing;
 - :mod:`~repro.serve.sharded` — tree-sharded (vertically partitioned)
-  serving: the ensemble splits into ``S`` tree-range shards
-  (:func:`shard_ensemble`), each replica row holds one worker per shard
-  group, per-shard canonical payloads deploy under ``deploy:shard``, and
-  partial scores reduce through the comm collectives
-  (``serve:partial``/``serve:reduce``) with an ordered carry-in fold
-  that keeps sharded scores bit-identical to the full predictor;
+  serving: the payload splits into ``S`` tree-range shards
+  (:func:`shard_bounds`, :meth:`ModelRegistry.shards`), each replica row
+  holds one worker per shard group, per-shard canonical payloads deploy
+  under ``deploy:shard``, and a batch's ordered carry-in fold — one
+  traversal of the version's compiled ensemble, bit-identical to the
+  full predictor — is charged through the comm collectives under
+  ``serve:partial``;
 - :mod:`~repro.serve.cache` — opt-in exact-hit
   :class:`PredictionCache` keyed on quantized bin ids, with an LRU
   bound, version invalidation and a full hit/miss/eviction ledger;
@@ -49,8 +50,7 @@ from .batcher import (BatchPolicy, DispatchResult, LatencyStats,
                       synthetic_trace)
 from .cache import CacheStats, PredictionCache
 from .compiler import (CompiledEnsemble, QuantizedEnsemble,
-                       compile_ensemble, quantize_ensemble,
-                       shard_bounds, shard_ensemble, slice_trees)
+                       compile_ensemble, quantize_ensemble, shard_bounds)
 from .deploy import (CANARY_KIND, DECISION_KIND, ROLLBACK_KIND,
                      CanaryPolicy, CanaryRouter, DeployController,
                      DeployDecision, DriftMonitor, RollbackPolicy,
@@ -58,8 +58,7 @@ from .deploy import (CANARY_KIND, DECISION_KIND, ROLLBACK_KIND,
 from .registry import (ModelRegistry, ModelShard, ModelVersion,
                        publish_trained, shard_payload)
 from .replica import DEPLOY_KIND, ReplicaSet
-from .sharded import (PARTIAL_KIND, REDUCE_KIND, SHARD_DEPLOY_KIND,
-                      ShardedReplicaSet, reduce_shard_scores)
+from .sharded import PARTIAL_KIND, SHARD_DEPLOY_KIND, ShardedReplicaSet
 from .scenarios import (SCENARIO_SCHEMA, SCENARIOS, LabelStream,
                         LoadShape, Scenario, ScenarioRunner, TenantSpec,
                         audit_priority_admission, build_trace,
@@ -88,7 +87,6 @@ __all__ = [
     "PARTIAL_KIND",
     "PredictionCache",
     "QuantizedEnsemble",
-    "REDUCE_KIND",
     "ROLLBACK_KIND",
     "ReplicaSet",
     "SHARD_DEPLOY_KIND",
@@ -109,12 +107,9 @@ __all__ = [
     "get_scenario",
     "publish_trained",
     "quantize_ensemble",
-    "reduce_shard_scores",
     "run_deploy",
     "run_scenario",
     "shard_bounds",
-    "shard_ensemble",
     "shard_payload",
-    "slice_trees",
     "synthetic_trace",
 ]

@@ -363,7 +363,7 @@ def _compile_tree(tree: Tree, slots: List[dict],
 
 
 # ---------------------------------------------------------------------------
-# Tree-range slicing (vertically partitioned / sharded serving)
+# Tree ranges (vertically partitioned / sharded serving)
 # ---------------------------------------------------------------------------
 
 def shard_bounds(num_trees: int, num_shards: int) -> List[tuple]:
@@ -384,73 +384,6 @@ def shard_bounds(num_trees: int, num_shards: int) -> List[tuple]:
         bounds.append((start, stop))
         start = stop
     return bounds
-
-
-def slice_trees(compiled: CompiledEnsemble, start: int,
-                stop: int) -> CompiledEnsemble:
-    """The sub-ensemble of trees ``start..stop`` (exclusive) as its own
-    :class:`CompiledEnsemble`.
-
-    Slot arrays are sliced and rebased (children, roots, leaf rows), not
-    recompiled, so the shard's per-slot data — thresholds, default
-    directions, shrinkage-scaled leaf weights — is byte-for-byte the
-    parent's.  ``num_features`` is inherited from the parent so every
-    shard densifies a batch to the same width.  The ordered carry-in
-    fold of the shards' scores (:meth:`CompiledEnsemble.add_raw_scores`)
-    is therefore bit-identical to the parent's :meth:`raw_scores`.
-    """
-    if not 0 <= start <= stop <= compiled.num_trees:
-        raise ValueError(
-            f"tree range [{start}, {stop}) out of bounds for "
-            f"{compiled.num_trees} trees"
-        )
-    lo = int(compiled.tree_root[start])
-    hi = int(compiled.tree_root[stop])
-    leaf_slot = compiled.leaf_slot[lo:hi].copy()
-    leafy = leaf_slot >= 0
-    if leafy.any():
-        # leaf rows are appended in slot order at compile time, so a
-        # contiguous slot range owns a contiguous leaf-row range
-        leaf_base = int(leaf_slot[leafy].min())
-        leaf_count = int(leaf_slot[leafy].max()) + 1 - leaf_base
-        leaf_weights = compiled.leaf_weights[
-            leaf_base:leaf_base + leaf_count].copy()
-        leaf_slot[leafy] -= leaf_base
-    else:
-        leaf_weights = np.zeros((0, compiled.gradient_dim))
-    num_trees = stop - start
-    tree_depth = (compiled.tree_depth[start:stop].copy() if num_trees
-                  else np.zeros(1, dtype=np.int32))
-    return CompiledEnsemble(
-        num_trees=num_trees,
-        gradient_dim=compiled.gradient_dim,
-        learning_rate=compiled.learning_rate,
-        num_features=compiled.num_features,
-        feature=compiled.feature[lo:hi].copy(),
-        threshold=compiled.threshold[lo:hi].copy(),
-        left=compiled.left[lo:hi] - np.int32(lo),
-        right=compiled.right[lo:hi] - np.int32(lo),
-        default_left=compiled.default_left[lo:hi].copy(),
-        leaf_slot=leaf_slot,
-        leaf_weights=leaf_weights,
-        tree_root=(compiled.tree_root[start:stop + 1]
-                   - np.int32(lo)).astype(np.int32),
-        tree_depth=tree_depth,
-        backend=compiled.backend,
-    )
-
-
-def shard_ensemble(compiled: CompiledEnsemble,
-                   num_shards: int) -> List[CompiledEnsemble]:
-    """Partition an ensemble into ``S`` contiguous tree-range shards.
-
-    The shards cover every tree exactly once, in order; reducing their
-    scores with the ordered carry-in fold
-    (:func:`repro.serve.sharded.reduce_shard_scores`) is bit-identical
-    to ``compiled.raw_scores`` on any batch.
-    """
-    return [slice_trees(compiled, a, b)
-            for a, b in shard_bounds(compiled.num_trees, num_shards)]
 
 
 # ---------------------------------------------------------------------------

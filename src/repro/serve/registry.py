@@ -41,8 +41,7 @@ from ..core.gbdt import GBDT
 from ..core.serialize import (canonical_payload_bytes, ensemble_from_dict,
                               ensemble_to_dict, payload_checksum)
 from ..core.tree import TreeEnsemble
-from .compiler import (CompiledEnsemble, compile_ensemble, shard_bounds,
-                       slice_trees)
+from .compiler import CompiledEnsemble, compile_ensemble, shard_bounds
 
 
 def shard_payload(payload: dict, start: int, stop: int) -> dict:
@@ -63,9 +62,10 @@ class ModelShard:
     holds trees ``start_tree..stop_tree`` of ``version``.  ``payload``
     is the canonical serialize-format slice, independently checksummed,
     and ``nbytes`` its canonical encoding size — the wire cost of
-    shipping this shard to one worker.  ``compiled`` is sliced from the
-    parent's compiled arrays, so the ordered carry-in fold of the
-    shards' scores is bit-identical to the full predictor.
+    shipping this shard to one worker.  Each shard's payload, compiled on
+    its own and folded into the carry in shard order
+    (:meth:`~repro.serve.compiler.CompiledEnsemble.add_raw_scores`),
+    reproduces the version's compiled scores bit for bit.
     """
 
     version: int
@@ -75,7 +75,6 @@ class ModelShard:
     stop_tree: int
     checksum: str
     nbytes: int
-    compiled: CompiledEnsemble = field(repr=False)
     payload: dict = field(repr=False)
 
     @property
@@ -126,7 +125,7 @@ class ModelRegistry:
         self._stages: Dict[int, str] = {}
         self._stage_log: List[tuple] = []
         self._caches: List = []
-        #: (version, num_shards) -> sliced ModelShard list; slicing and
+        #: (version, num_shards) -> ModelShard list; slicing and
         #: checksumming a big payload is not free, and a fleet deploys
         #: the same sharding many times (rows x rollouts)
         self._shard_cache: Dict[tuple, List[ModelShard]] = {}
@@ -339,7 +338,6 @@ class ModelRegistry:
                 stop_tree=stop,
                 checksum=payload_checksum(piece),
                 nbytes=len(canonical_payload_bytes(piece)),
-                compiled=slice_trees(entry.compiled, start, stop),
                 payload=piece,
             ))
         self._shard_cache[key] = shards

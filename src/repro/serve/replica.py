@@ -18,11 +18,10 @@ traffic — a deploy ships each shard's canonical payload bytes through
 :class:`~repro.cluster.network.SimulatedNetwork` under ``deploy:model``
 (``deploy:shard`` when ``S >= 2``, so the layouts' rollout bytes stay
 separable), and a batch's partial scores chain along its row under
-``serve:partial`` / ``serve:reduce``.  An ``S = 1`` row has no link to
-cross: it pays no collective and writes neither key.  Because the hop
-is simulated, a row whose score codec is lossless computes its chain
-fold in one traversal of all its trees; a lossy codec walks shard by
-shard, quantizing the carry between them.
+``serve:partial``.  An ``S = 1`` row has no link to cross: it pays no
+collective and writes no such key.  Because the hop is simulated and
+the float64 carry crosses it unchanged, a row computes its chain fold
+in one traversal of all its trees.
 
 Balancers: ``round-robin`` (rows in a fixed cycle, oblivious to
 stragglers) and ``least-loaded`` (the row ready earliest, ties to the
@@ -45,8 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..config import ClusterConfig
-from ..cluster.codecs import (CodecStack, apply_model_delta,
-                              encode_model_delta, get_codec_stack)
+from ..cluster.codecs import apply_model_delta, encode_model_delta
 from ..cluster.comm import record_collective
 from ..cluster.network import SimulatedNetwork
 from ..core.serialize import canonical_payload_bytes, payload_checksum
@@ -55,12 +53,10 @@ from .registry import ModelRegistry, ModelShard, ModelVersion
 
 #: ledger kinds of model distribution: an ``S = 1`` fleet's, a sharded one's
 DEPLOY_KIND, SHARD_DEPLOY_KIND = "deploy:model", "deploy:shard"
-#: ledger kinds of the partial-score carry (the reduce half) and of the
-#: reduced-score redistribution (the all-gather half)
-PARTIAL_KIND, REDUCE_KIND = "serve:partial", "serve:reduce"
+#: ledger kind of the partial-score carry along a sharded row
+PARTIAL_KIND = "serve:partial"
 
 _BALANCERS = ("round-robin", "least-loaded")
-_REDUCTIONS = ("gather", "allreduce")
 
 #: why a fleet (and a scenario) refuses ``cache`` with ``num_shards > 1``
 CACHE_SHARDING_CONFLICT = (
@@ -107,10 +103,7 @@ class ReplicaSet:
     full model* (the row's wall-clocked folds when omitted); each row
     member is billed its tree fraction of that over
     ``cluster.speed_of(w)``, so stragglers serve slower exactly as they
-    train slower.  ``reduction`` is ``"gather"`` (result on the row's
-    last worker) or ``"allreduce"`` (plus redistribution); ``codec`` is
-    the partial-score wire format (``f32``/``f16`` quantize the carry at
-    every hop).
+    train slower.  The reduced scores end on the row's last worker.
     """
 
     def __init__(self, registry: ModelRegistry,
@@ -119,13 +112,10 @@ class ReplicaSet:
                  balancer: str = "round-robin",
                  service_model: Optional[Callable[[int], float]] = None,
                  delta_deploys: bool = False, cache=None,
-                 num_shards: int = 1, reduction: str = "gather",
-                 codec: Union[str, CodecStack, None] = None) -> None:
-        for option, value, allowed in (("balancer", balancer, _BALANCERS),
-                                       ("reduction", reduction, _REDUCTIONS)):
-            if value not in allowed:
-                raise ValueError(
-                    f"unknown {option} {value!r}; choose from {allowed}")
+                 num_shards: int = 1) -> None:
+        if balancer not in _BALANCERS:
+            raise ValueError(
+                f"unknown balancer {balancer!r}; choose from {_BALANCERS}")
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         if num_shards > 1 and cache is not None:
@@ -145,9 +135,6 @@ class ReplicaSet:
         #: (``S = 1`` only): only rows that miss are billed
         self.cache = cache
         self.num_shards = num_shards
-        self.reduction = reduction
-        self.codec = (codec if isinstance(codec, CodecStack)
-                      else get_codec_stack(codec))
         self.num_workers = self.cluster.num_workers
         self.num_rows = self.num_workers // num_shards
         #: kind of a fleet-wide rollout, read by :attr:`deploy_bytes` —
@@ -334,39 +321,19 @@ class ReplicaSet:
         row = self._pick_row(pool, take=True)
         shards = self._row_shards(row)
         version = shards[0].version
-        score_codec = self.codec.scores
 
-        # the chain fold: a lossless carry crosses every hop unchanged,
+        # the chain fold: the float64 carry crosses every hop unchanged,
         # so the row — trees [0, T) in order — is one traversal of the
-        # version's compiled ensemble; a lossy carry is quantized at each
-        # hop, so the row walks shard by shard.  Either way every tree is
-        # one ``+=`` in tree order (fold_scores)
-        if score_codec.lossless:
-            fold = self.registry.get(version).compiled.raw_scores
-        else:
-            def fold(rows: np.ndarray) -> np.ndarray:
-                acc = shards[0].compiled.raw_scores(rows)
-                for shard in shards[1:]:
-                    acc = score_codec.decode(score_codec.encode(acc))
-                    shard.compiled.add_raw_scores(rows, acc)
-                return acc
-
+        # version's compiled ensemble, every tree one ``+=`` in tree
+        # order (fold_scores), exactly what the shards fold one by one
         acc, full_model_seconds = billed_scores(
-            fold, features, self.service_model, self.cache, version)
+            self.registry.get(version).compiled.raw_scores, features,
+            self.service_model, self.cache, version)
 
         # the carry crosses S - 1 links; a one-worker row has none
-        reduce_seconds = 0.0
-        if self.num_shards > 1:
-            payload = acc.nbytes   # the dense float64 baseline
-            encoded = (None if self.codec.is_identity
-                       else [score_codec.wire_nbytes(acc.shape)]
-                       * self.num_shards)
-            kinds = ((PARTIAL_KIND, REDUCE_KIND)
-                     if self.reduction == "allreduce" else (PARTIAL_KIND,))
-            for kind in kinds:
-                reduce_seconds += record_collective(
-                    self.network, kind, payload, self.num_shards,
-                    "reducescatter", encoded_worker_bytes=encoded)
+        reduce_seconds = (record_collective(
+            self.network, PARTIAL_KIND, acc.nbytes, self.num_shards,
+            "reducescatter") if self.num_shards > 1 else 0.0)
         start, done = self._bill(row, close_s, self._tree_shares(
             shards, full_model_seconds), reduce_seconds)
         return DispatchResult(
@@ -400,11 +367,6 @@ class ReplicaSet:
         """Wire bytes of the partial-score carries (``serve:partial``)."""
         return self._ledger_bytes(PARTIAL_KIND)
 
-    @property
-    def reduce_bytes(self) -> int:
-        """Wire bytes of reduced-score redistribution (``serve:reduce``)."""
-        return self._ledger_bytes(REDUCE_KIND)
-
     def model_bytes_per_worker(self) -> int:
         """Largest deployed shard payload — the per-worker model wire
         footprint sharding buys down to ``~1/S``."""
@@ -424,5 +386,4 @@ class ReplicaSet:
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(rows={self.num_rows}, "
                 f"shards={self.num_shards}, balancer={self.balancer!r}, "
-                f"reduction={self.reduction!r}, "
                 f"deployed={self.deployed_versions()})")

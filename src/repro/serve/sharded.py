@@ -14,8 +14,7 @@ replicate-vs-partition question:
 - every batch occupies one whole row: its score is the row's chain fold
   over the shards' trees (real, wall-clocked), and the carry's hops are
   simulated traffic through the :mod:`repro.cluster.comm` collective
-  cost models under the ``serve:partial`` / ``serve:reduce`` ledger
-  kinds.
+  cost models under the ``serve:partial`` ledger kind.
 
 Exactness
 ---------
@@ -23,74 +22,39 @@ Float addition is not associative, so summing independently computed
 shard partials would *not* reproduce the monolithic predictor bit for
 bit.  The reduction is therefore an **ordered chain fold** (the
 reduce-scatter ring pass, specialized to one logical chunk): the running
-accumulator starts at shard group 0 and hops along the row in shard
-order, each worker folding its trees' contributions into the carry
-tree-by-tree (:meth:`CompiledEnsemble.add_raw_scores`).  Per element the
+float64 accumulator starts at shard group 0 and hops along the row in
+shard order, each worker folding its trees' contributions into the carry
+tree by tree (:meth:`CompiledEnsemble.add_raw_scores`).  Per element the
 fold performs literally the same float64 additions, in the same order,
 as ``CompiledEnsemble.raw_scores`` — so sharded serving is bit-identical
-to replicated serving for every ``S`` (with the lossless score codec).
-The exactness lives in that per-tree order, not in splitting the walk:
-with a lossless score codec the carry crosses every hop unchanged, so
-dispatch folds a row's trees — ``[0, T)`` in order — in one traversal
-of the version's full compiled ensemble.  Only a lossy codec, which
-really quantizes the carry between shards, walks shard by shard.
+to replicated serving for every ``S``.  The exactness lives in that
+per-tree order, not in splitting the walk: the carry crosses every hop
+unchanged, so dispatch folds a row's trees — ``[0, T)`` in order — in
+one traversal of the version's compiled ensemble.  What a shard worker
+holds is its shipped payload (:class:`~repro.serve.registry.ModelShard`),
+and compiling that payload and folding it into the carry gives the same
+bytes.
 
 Accounting
 ----------
 The carry crosses ``S - 1`` links, one full score vector each — exactly
 the ring reduce-scatter decomposition ``(S-1)/S * payload`` per worker
 over ``S - 1`` rounds, charged per batch under ``serve:partial`` via
-:func:`~repro.cluster.comm.record_collective`.  With
-``reduction="allreduce"`` the reduced vector is additionally
-redistributed so every shard worker ends with the full scores (the
-all-gather half of a ring all-reduce, same decomposition again) under
-``serve:reduce`` — the two kinds together equal the closed-form ring
-all-reduce bytes ``2 (S-1)/S * payload`` per worker.  Partial-score
-payloads ride the :class:`~repro.cluster.codecs.ScoreCodec` of the
-chosen codec stack: ``f32``/``f16`` quantize the carried accumulator at
-every hop (the error is real, opt-in, and raw-vs-wire accounted);
-lossless stacks keep the exact pre-codec accounting.  An encoded
-carry's size depends on its shape alone
-(:meth:`~repro.cluster.codecs.ScoreCodec.wire_nbytes`), so the ledger
-prices every hop without encoding it.  Compute is billed by one rule:
-each row member's tree share of one full-model figure.
+:func:`~repro.cluster.comm.record_collective`; the reduced scores end
+on the row's last worker.  Compute is billed by one rule: each row
+member's tree share of one full-model figure.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from ..config import ClusterConfig
-from .compiler import CompiledEnsemble
 from .registry import ModelRegistry
-from .replica import (PARTIAL_KIND, REDUCE_KIND, SHARD_DEPLOY_KIND,
-                      ReplicaSet)
+from .replica import PARTIAL_KIND, SHARD_DEPLOY_KIND, ReplicaSet
 
-__all__ = ["PARTIAL_KIND", "REDUCE_KIND", "SHARD_DEPLOY_KIND",
-           "ShardedReplicaSet", "fleet_class", "reduce_shard_scores"]
-
-
-def reduce_shard_scores(shards: Sequence[CompiledEnsemble],
-                        features,
-                        out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Ordered carry-in fold of tree-range shard scores.
-
-    Bit-identical to the unsharded ``CompiledEnsemble.raw_scores`` on
-    the same rows, for any shard count — the fold visits shards in tree
-    order and accumulates tree by tree, preserving the monolithic
-    predictor's exact summation order.
-    """
-    if not shards:
-        raise ValueError("need at least one shard")
-    if out is None:
-        rows = (features.shape[0] if isinstance(features, np.ndarray)
-                else features.num_rows)
-        out = np.zeros((rows, shards[0].gradient_dim), dtype=np.float64)
-    for shard in shards:
-        shard.add_raw_scores(features, out)
-    return out
+__all__ = ["PARTIAL_KIND", "SHARD_DEPLOY_KIND", "ShardedReplicaSet",
+           "fleet_class"]
 
 
 class ShardedReplicaSet(ReplicaSet):

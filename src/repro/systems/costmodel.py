@@ -261,40 +261,28 @@ def replicated_serving_deploy_bytes(model_nbytes: int,
 
 
 def score_reduction_bytes_per_batch(batch_rows: int, gradient_dim: int,
-                                    num_shards: int,
-                                    reduction: str = "gather") -> int:
+                                    num_shards: int) -> int:
     """Wire bytes one batch's score reduction puts on the ledger.
 
-    The sharded dispatch charges the ring reduce-scatter decomposition
-    per kind: the ``serve:partial`` carry is ``(S-1)/S * payload`` per
-    worker over the float64 score vector (``batch * C * 8`` bytes), and
-    ``reduction="allreduce"`` adds the all-gather half again under
-    ``serve:reduce`` — together the closed-form ring all-reduce.  This
-    is the exact number the ledger records (``S = 1`` charges nothing).
+    The sharded dispatch charges the ring reduce-scatter decomposition:
+    the ``serve:partial`` carry is ``(S-1)/S * payload`` per worker over
+    the float64 score vector (``batch * C * 8`` bytes).  This is the
+    exact number the ledger records (``S = 1`` charges nothing).
     """
-    if reduction not in ("gather", "allreduce"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
     if num_shards == 1:
         return 0
     payload = batch_rows * gradient_dim * 8
     per_worker = (num_shards - 1) / num_shards * payload
-    half = int(per_worker * num_shards)
-    return half if reduction == "gather" else 2 * half
+    return int(per_worker * num_shards)
 
 
-def score_reduction_rounds(num_shards: int,
-                           reduction: str = "gather") -> int:
-    """Latency rounds the score reduction adds to every batch:
-    ``S - 1`` sequential carry hops (``2 (S-1)`` with the all-gather
-    half) — the bounded latency cost sharding pays per batch."""
-    if reduction not in ("gather", "allreduce"):
-        raise ValueError(f"unknown reduction {reduction!r}")
-    if num_shards <= 1:
-        return 0
-    hops = num_shards - 1
-    return hops if reduction == "gather" else 2 * hops
+def score_reduction_rounds(num_shards: int) -> int:
+    """Latency rounds the score reduction adds to every batch: ``S - 1``
+    sequential carry hops — the bounded latency cost sharding pays per
+    batch."""
+    return max(num_shards - 1, 0)
 
 
 def score_reduction_seconds_per_batch(
@@ -303,7 +291,6 @@ def score_reduction_seconds_per_batch(
     num_shards: int,
     bytes_per_second: float,
     latency_s: float,
-    reduction: str = "gather",
 ) -> float:
     """Simulated seconds the reduction adds to one batch: per-worker
     wire time plus one latency per round (the
@@ -312,9 +299,8 @@ def score_reduction_seconds_per_batch(
         return 0.0
     payload = batch_rows * gradient_dim * 8
     per_worker = (num_shards - 1) / num_shards * payload
-    rounds = score_reduction_rounds(num_shards, reduction)
-    factor = 1 if reduction == "gather" else 2
-    return factor * per_worker / bytes_per_second + rounds * latency_s
+    return (per_worker / bytes_per_second
+            + score_reduction_rounds(num_shards) * latency_s)
 
 
 def price_serving_layouts(
@@ -325,7 +311,6 @@ def price_serving_layouts(
     gradient_dim: int,
     bytes_per_second: float,
     latency_s: float,
-    reduction: str = "gather",
 ):
     """Replicate-vs-shard price list for one model and fleet.
 
@@ -357,13 +342,12 @@ def price_serving_layouts(
                 if num_shards == 1
                 else sharded_serving_deploy_bytes(shard_nbytes, rows)),
             "reduction_bytes_per_batch": score_reduction_bytes_per_batch(
-                batch_rows, gradient_dim, num_shards, reduction),
-            "reduction_rounds": score_reduction_rounds(
-                num_shards, reduction),
+                batch_rows, gradient_dim, num_shards),
+            "reduction_rounds": score_reduction_rounds(num_shards),
             "reduction_seconds_per_batch":
                 score_reduction_seconds_per_batch(
                     batch_rows, gradient_dim, num_shards,
-                    bytes_per_second, latency_s, reduction),
+                    bytes_per_second, latency_s),
         })
     return layouts
 

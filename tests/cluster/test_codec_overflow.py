@@ -1,6 +1,6 @@
 """Lossy codecs fail loud: a finite value that the narrow wire dtype
 turns into ``inf`` raises :class:`CodecOverflowError` instead of flowing
-into split finding or served scores."""
+into split finding."""
 
 from __future__ import annotations
 
@@ -84,22 +84,3 @@ class TestHistogramCodec:
         assert decoded.hess[5, 0] == np.inf
         assert np.isnan(decoded.grad[0, 0])
         assert decoded.grad[1, 0] == -np.inf
-
-
-class TestScoreCodec:
-    def test_f16_boundary(self):
-        codec = get_codec_stack("f16").scores
-        scores = np.array([[1.5], [-F16_MAX], [F16_MAX]])
-        assert np.array_equal(codec.decode(codec.encode(scores)), scores)
-        with pytest.raises(CodecOverflowError, match="f16"):
-            codec.encode(np.array([[1.5], [F16_TIE]]))
-        with pytest.raises(CodecOverflowError):
-            codec.encode(np.array([[-F16_TIE]]))
-
-    def test_f32_in_range_unaffected(self):
-        codec = get_codec_stack("f32").scores
-        scores = np.array([[70_000.0, -3.25], [0.1, 1e30]])
-        assert np.array_equal(codec.decode(codec.encode(scores)),
-                              scores.astype(np.float32).astype(np.float64))
-        with pytest.raises(CodecOverflowError, match="f32"):
-            codec.encode(np.array([[1e39]]))

@@ -98,22 +98,6 @@ class TestPrediction:
         features = CSRMatrix.from_dense(np.array([[0.1], [0.9]])).to_csc()
         np.testing.assert_array_equal(tree.assign_leaves(features), [1, 2])
 
-    def test_predict_row_matches_batch(self, rng):
-        tree = Tree(3, 1)
-        tree.set_split(0, SplitInfo(2, 0, True, 1.0), threshold=0.1)
-        tree.set_split(1, SplitInfo(0, 0, False, 1.0), threshold=-0.3)
-        tree.set_leaf(2, np.array([5.0]))
-        tree.set_leaf(3, np.array([-1.0]))
-        tree.set_leaf(4, np.array([1.0]))
-        dense = rng.standard_normal((20, 4))
-        dense[rng.random((20, 4)) < 0.3] = 0.0
-        csr = CSRMatrix.from_dense(dense)
-        batch = tree.predict(csr.to_csc())
-        for i in range(20):
-            cols, vals = csr.row(i)
-            np.testing.assert_allclose(tree.predict_row(cols, vals),
-                                       batch[i])
-
     def test_vector_leaves(self):
         tree = Tree(2, 3)
         tree.set_split(0, SplitInfo(0, 0, False, 1.0), threshold=0.0)

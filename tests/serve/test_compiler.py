@@ -18,8 +18,7 @@ from repro.core.split import SplitInfo
 from repro.core.tree import Tree, TreeEnsemble
 from repro.data.matrix import CSRMatrix
 from repro.serve import (ModelRegistry, RequestTrace, compile_ensemble,
-                         quantize_ensemble, shard_ensemble)
-from repro.serve.sharded import reduce_shard_scores
+                         quantize_ensemble)
 from repro.systems import PLANS
 
 
@@ -398,38 +397,38 @@ class TestAllTreesTraversal:
 
 
 class TestLoopBackendChainFold:
-    """A model compiled for a loop backend runs *its* kernel on every
-    member of a sharded chain, not only on the head."""
+    """A loop backend folds into a nonzero carry — the hop a sharded
+    row's worker takes — exactly as numpy and the tree-at-a-time fold
+    do."""
 
     @pytest.mark.parametrize("dim", [1, 3])
-    @pytest.mark.parametrize("num_shards", [2, 3, 4])
-    def test_pyloop_chain_equals_numpy_equals_monolithic(self, dim,
-                                                         num_shards):
+    @pytest.mark.parametrize("with_nan", [False, True])
+    def test_pyloop_carry_in_equals_numpy_equals_tree_at_a_time(
+            self, dim, with_nan):
         ensemble = grown_ensemble(dim)
-        dense = grid_batch(6, with_nan=True)
+        dense = grid_batch(6, with_nan)
+        carry = np.random.default_rng(3).standard_normal((6, dim)) * 1e3
         folds = {}
         for backend in ("numpy", "pyloop"):
-            compiled = compile_ensemble(ensemble, backend=backend)
-            shards = shard_ensemble(compiled, num_shards)
-            assert all(s.backend.name == backend for s in shards)
-            folds[backend] = reduce_shard_scores(shards, dense)
-            np.testing.assert_array_equal(folds[backend],
-                                          compiled.raw_scores(dense))
-        np.testing.assert_array_equal(folds["pyloop"], folds["numpy"])
-        np.testing.assert_array_equal(folds["numpy"],
-                                      tree_at_a_time(ensemble, dense))
+            out = carry.copy()
+            compile_ensemble(ensemble, backend=backend).add_raw_scores(
+                dense, out)
+            folds[backend] = out
+        assert folds["pyloop"].tobytes() == folds["numpy"].tobytes()
+        assert folds["numpy"].tobytes() \
+            == tree_at_a_time(ensemble, dense, carry=carry).tobytes()
 
-    def test_non_head_shards_run_the_loop_kernel(self, monkeypatch):
+    def test_carry_in_runs_the_loop_kernel(self, monkeypatch):
         compiled = compile_ensemble(grown_ensemble(1), backend="pyloop")
         calls = []
         real = kernels.LOOP_KERNELS["fold"]
         monkeypatch.setitem(
             compiled.backend._kernels, "fold",
             lambda *args: (calls.append(args[8]), real(*args))[1])
-        shards = shard_ensemble(compiled, 3)
-        reduce_shard_scores(shards, grid_batch(6, with_nan=True))
-        # one kernel launch per chain member, over that member's trees
-        assert calls == [s.num_trees for s in shards]
+        compiled.add_raw_scores(grid_batch(6, with_nan=True),
+                                np.ones((6, 1)))
+        # one kernel launch over every tree of the ensemble
+        assert calls == [compiled.num_trees]
 
 
 class TestEveryPlan:

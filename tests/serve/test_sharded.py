@@ -1,11 +1,14 @@
-"""Tree-sharded serving: bit-identity, conservation, ledger formulas.
+"""Tree-sharded serving: exact shipped shards, conservation, ledgers.
 
 The headline property is exactness under partition: for any shard count
-the ordered chain fold must reproduce the monolithic compiled predictor
-bit for bit — on hypothesis-built adversarial ensembles, and on a model
-trained by every execution plan in the registry.  The dispatch path is
-then held to the collective cost model: ``serve:partial`` bytes must
-equal the ring reduce-scatter closed form exactly, per batch.
+the payloads a sharded deploy ships — each compiled on its own and
+folded into the carry in shard order — must reproduce the version's
+compiled predictor bit for bit, and what dispatch served, on
+hypothesis-built adversarial ensembles and on a model trained by every
+execution plan in the registry.  The dispatch path is then held to the
+collective cost model: ``serve:partial`` bytes must equal the ring
+reduce-scatter closed form exactly, per batch, and the serving price
+list must quote what the ledger records.
 """
 
 from __future__ import annotations
@@ -16,15 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ClusterConfig, GBDT, TrainConfig
-from repro.cluster.comm import RingAllReduce, RingReduceScatter
+from repro.cluster.comm import RingReduceScatter
 from repro.config import NetworkModel
+from repro.core.kernels import available_backends
+from repro.core.serialize import ensemble_from_dict
 from repro.serve import (BatchPolicy, MicroBatcher, ModelRegistry,
-                         PARTIAL_KIND, REDUCE_KIND, SHARD_DEPLOY_KIND,
-                         ShardedReplicaSet, compile_ensemble,
-                         reduce_shard_scores, shard_bounds,
-                         shard_ensemble, shard_payload, synthetic_trace)
+                         PARTIAL_KIND, SHARD_DEPLOY_KIND, ReplicaSet,
+                         ShardedReplicaSet, compile_ensemble, shard_bounds,
+                         shard_payload, synthetic_trace)
 from repro.serve.registry import payload_checksum
-from repro.systems.costmodel import score_reduction_bytes_per_batch
+from repro.systems.costmodel import (price_serving_layouts,
+                                     score_reduction_bytes_per_batch)
 from repro.systems.plans import PLANS
 
 from .test_property import ensembles_and_batches
@@ -58,50 +63,53 @@ class TestShardBounds:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity: hypothesis-built adversarial ensembles
+# Bit-identity of the shipped shards
 # ---------------------------------------------------------------------------
 
-class TestBitIdentity:
+def shipped_chain(registry, version, num_shards, features, backend=None):
+    """The chain fold over what a deploy ships: each shard's payload,
+    compiled on its own, folds into the carry in shard order."""
+    acc = np.zeros((features.shape[0],
+                    registry.get(version).compiled.gradient_dim))
+    for shard in registry.shards(version, num_shards):
+        compile_ensemble(ensemble_from_dict(shard.payload),
+                         backend=backend).add_raw_scores(features, acc)
+    return acc
+
+
+def served(registry, version, num_shards, features):
+    """What a one-row fleet of ``num_shards`` workers serves."""
+    fleet = ReplicaSet(registry, ClusterConfig(num_workers=num_shards),
+                       num_shards=num_shards,
+                       service_model=lambda k: 1e-4)
+    fleet.deploy(version)
+    return fleet.dispatch(features, 0.0).scores
+
+
+def assert_shards_exact(registry, version, num_shards, features,
+                        backend=None, label=""):
+    """Chained shipped shards == the compiled predictor == dispatch, as
+    bytes; the shards cover the version's trees once, in order."""
+    shards = registry.shards(version, num_shards)
+    compiled = registry.get(version).compiled
+    assert [(s.start_tree, s.stop_tree) for s in shards] \
+        == shard_bounds(compiled.num_trees, num_shards)
+    want = compiled.raw_scores(features).tobytes()
+    assert shipped_chain(registry, version, num_shards, features,
+                         backend).tobytes() == want, label
+    assert served(registry, version, num_shards,
+                  features).tobytes() == want, label
+
+
+class TestShippedShards:
     @settings(max_examples=60, deadline=None)
     @given(case=ensembles_and_batches(), num_shards=st.integers(1, 8))
-    def test_chain_fold_bit_identical(self, case, num_shards):
+    def test_adversarial_ensembles(self, case, num_shards):
         ensemble, dense = case
-        compiled = compile_ensemble(ensemble)
-        shards = shard_ensemble(compiled, num_shards)
-        assert len(shards) == num_shards
-        np.testing.assert_array_equal(
-            reduce_shard_scores(shards, dense),
-            compiled.raw_scores(dense),
-        )
+        registry = ModelRegistry()
+        version = registry.publish(ensemble).version
+        assert_shards_exact(registry, version, num_shards, dense)
 
-    @settings(max_examples=30, deadline=None)
-    @given(case=ensembles_and_batches(), num_shards=st.integers(2, 8))
-    def test_shard_tree_counts_partition_the_ensemble(self, case,
-                                                      num_shards):
-        ensemble, _ = case
-        compiled = compile_ensemble(ensemble)
-        shards = shard_ensemble(compiled, num_shards)
-        assert sum(s.num_trees for s in shards) == compiled.num_trees
-
-    def test_empty_shards_are_harmless(self):
-        rng = np.random.default_rng(3)
-        dataset_rows = rng.standard_normal((17, 6))
-        from repro.data.synthetic import make_classification
-
-        data = make_classification(300, 6, seed=3)
-        compiled = compile_ensemble(GBDT(TrainConfig(
-            num_trees=2, num_layers=3, num_candidates=8,
-        )).fit(data).ensemble)
-        shards = shard_ensemble(compiled, 8)   # 6 of them hold no trees
-        np.testing.assert_array_equal(
-            reduce_shard_scores(shards, dataset_rows),
-            compiled.raw_scores(dataset_rows),
-        )
-
-
-# ---------------------------------------------------------------------------
-# Bit-identity: every execution plan's trained model
-# ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def plan_models(binned_binary, cluster4):
@@ -117,22 +125,18 @@ def plan_models(binned_binary, cluster4):
 
 
 class TestEveryPlan:
+    @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 4, 8])
-    def test_sharded_scores_exact_for_all_plans(self, plan_models,
-                                                num_shards):
+    def test_shipped_shards_exact_for_all_plans(self, plan_models,
+                                                num_shards, backend):
         registry, versions = plan_models
         rng = np.random.default_rng(17)
         features = rng.standard_normal((41, 25))
         features[rng.random(features.shape) < 0.2] = np.nan
         for key, version in versions.items():
-            compiled = registry.get(version).compiled
-            shards = registry.shards(version, num_shards)
-            np.testing.assert_array_equal(
-                reduce_shard_scores(
-                    [s.compiled for s in shards], features),
-                compiled.raw_scores(features),
-                err_msg=f"plan {key} diverged at S={num_shards}",
-            )
+            assert_shards_exact(
+                registry, version, num_shards, features, backend,
+                label=f"plan {key} diverged at S={num_shards}")
 
 
 # ---------------------------------------------------------------------------
@@ -152,24 +156,15 @@ def registry(small_binary):
 
 
 class TestRegistryShards:
-    def test_shard_payloads_checksum_and_recompile(self, registry):
+    def test_shard_payloads_are_checksummed_slices(self, registry):
         entry = registry.get(1)
-        shards = registry.shards(1, 3)
-        rng = np.random.default_rng(5)
-        features = rng.standard_normal((19, entry.compiled.num_features))
-        for shard in shards:
+        for shard in registry.shards(1, 3):
             piece = shard_payload(entry.payload, shard.start_tree,
                                   shard.stop_tree)
+            assert shard.payload == piece
             assert shard.checksum == payload_checksum(piece)
             assert piece["trees"] == \
                 entry.payload["trees"][shard.start_tree:shard.stop_tree]
-            # the sliced compiled shard serves what the payload says
-            from repro.core.serialize import ensemble_from_dict
-
-            recompiled = compile_ensemble(ensemble_from_dict(piece))
-            np.testing.assert_array_equal(
-                recompiled.raw_scores(features),
-                shard.compiled.raw_scores(features))
 
     def test_shards_cached_per_version_and_count(self, registry):
         assert registry.shards(1, 2) is registry.shards(1, 2)
@@ -248,40 +243,16 @@ class TestShardedDispatch:
             for size in report.batch_size.tolist()
         )
         assert replicas.partial_bytes == expected
-        assert replicas.reduce_bytes == 0   # gather mode
         # the layout pricer quotes the same number
         assert expected == sum(
             score_reduction_bytes_per_batch(size, 1, num_shards)
             for size in report.batch_size.tolist())
 
-    def test_allreduce_charges_both_halves(self, registry):
-        num_shards = 4
-        replicas = make_fleet(registry, num_shards,
-                              workers=num_shards,
-                              reduction="allreduce")
-        _, report = run_trace(registry, replicas)
-        assert replicas.reduce_bytes == replicas.partial_bytes > 0
-        ring = RingAllReduce()
-        expected = sum(
-            int(RingReduceScatter().per_worker_bytes(
-                size * 8, num_shards) * num_shards)
-            for size in report.batch_size.tolist()
-        ) * 2
-        assert replicas.partial_bytes + replicas.reduce_bytes == expected
-        assert expected == sum(
-            int(ring.per_worker_bytes(size * 8, num_shards) / 2
-                * num_shards) * 2
-            for size in report.batch_size.tolist()
-        )
-
     def test_single_shard_pays_no_reduction(self, registry):
         replicas = make_fleet(registry, 1, workers=2)
         _, report = run_trace(registry, replicas)
         assert replicas.partial_bytes == 0
-        assert replicas.reduce_bytes == 0
-        snapshot = replicas.network.snapshot().bytes_by_kind
-        assert PARTIAL_KIND not in snapshot
-        assert REDUCE_KIND not in snapshot
+        assert PARTIAL_KIND not in replicas.network.snapshot().bytes_by_kind
 
     def test_batch_occupies_a_whole_row(self, registry):
         replicas = make_fleet(registry, 2, workers=4)
@@ -305,44 +276,36 @@ class TestShardedDispatch:
 
 
 # ---------------------------------------------------------------------------
-# Score codecs on the carry
+# The serving price list against the ledger
 # ---------------------------------------------------------------------------
 
-class TestScoreCodec:
-    def test_f16_carries_save_wire_bytes(self, registry):
-        narrow = make_fleet(registry, 4, workers=4, codec="f16")
-        _, report = run_trace(registry, narrow)
-        ring = RingReduceScatter()
-        raw_expected = sum(
-            int(ring.per_worker_bytes(size * 8, 4) * 4)
-            for size in report.batch_size.tolist())
-        wire_expected = sum(
-            int(sum(ring.per_worker_bytes(size * 2, 4)
-                    for _ in range(4)))
-            for size in report.batch_size.tolist())
-        assert narrow.partial_bytes == wire_expected < raw_expected
-        # raw accounting keeps the dense float64 baseline
-        snapshot = narrow.network.snapshot()
-        assert snapshot.raw_bytes_by_kind[PARTIAL_KIND] == raw_expected
-        assert snapshot.codec_savings_by_kind()[
-            "codec:" + PARTIAL_KIND] == raw_expected - wire_expected
-
-    def test_lossy_carry_changes_scores_lossless_does_not(self,
-                                                          registry):
-        features = np.random.default_rng(9).standard_normal(
-            (32, registry.get(1).compiled.num_features))
-        direct = registry.get(1).compiled.raw_scores(features)
-        for codec, lossless in (("none", True), ("sparse", True),
-                                ("f16", False)):
-            replicas = make_fleet(registry, 4, workers=4, codec=codec)
-            replicas.deploy(1)
-            scores = replicas.dispatch(features, 0.0).scores
-            if lossless:
-                np.testing.assert_array_equal(scores, direct)
-            else:
-                assert not np.array_equal(scores, direct)
-                np.testing.assert_allclose(scores, direct, rtol=2e-3,
-                                           atol=2e-3)
+class TestServingPriceList:
+    @pytest.mark.parametrize("network", [
+        NetworkModel(), NetworkModel(bandwidth_gbps=1.0, latency_s=0.01)])
+    @pytest.mark.parametrize("num_shards", [2, 4, 8])
+    def test_quote_is_what_the_ledger_records(self, registry, num_shards,
+                                              network):
+        rows, entry = 7, registry.get(1)
+        replicas = ShardedReplicaSet(
+            registry, ClusterConfig(num_workers=num_shards,
+                                    network=network),
+            num_shards=num_shards, service_model=lambda k: 1e-4)
+        replicas.deploy(1)
+        replicas.dispatch(np.zeros((rows, entry.compiled.num_features)),
+                          0.0)
+        ledger = replicas.network.snapshot()
+        shards = registry.shards(1, num_shards)
+        layout, = price_serving_layouts(
+            entry.nbytes, {num_shards: [s.nbytes for s in shards]},
+            num_shards, rows, entry.compiled.gradient_dim,
+            network.bytes_per_second, network.latency_s)
+        assert layout["reduction_bytes_per_batch"] \
+            == ledger.bytes_by_kind[PARTIAL_KIND] > 0
+        assert layout["reduction_seconds_per_batch"] \
+            == ledger.seconds_by_kind[PARTIAL_KIND] > 0
+        assert layout["reduction_rounds"] == num_shards - 1
+        assert layout["deploy_bytes"] \
+            == ledger.bytes_by_kind[SHARD_DEPLOY_KIND]
 
 
 # ---------------------------------------------------------------------------
@@ -415,19 +378,13 @@ class TestValidation:
                               ClusterConfig(num_workers=3),
                               num_shards=2)
 
-    def test_unknown_balancer_and_reduction(self, registry):
+    def test_unknown_balancer(self, registry):
         with pytest.raises(ValueError, match="unknown balancer"):
             ShardedReplicaSet(registry, ClusterConfig(num_workers=2),
                               num_shards=2, balancer="random")
-        with pytest.raises(ValueError, match="unknown reduction"):
-            ShardedReplicaSet(registry, ClusterConfig(num_workers=2),
-                              num_shards=2, reduction="tree")
 
     def test_serving_before_deploy_rejected(self, registry):
         replicas = make_fleet(registry, 2, workers=2)
         with pytest.raises(RuntimeError, match="undeployed"):
             replicas.dispatch(np.zeros((1, 4)), 0.0)
 
-    def test_empty_shard_list_rejected(self):
-        with pytest.raises(ValueError, match="at least one shard"):
-            reduce_shard_scores([], np.zeros((1, 2)))

@@ -1,15 +1,15 @@
 """One traversal per sharded row: exactness, call count, billing, golden.
 
-A lossless score codec carries the partial sum across every hop
-unchanged, so a row's ``S`` shards (trees ``[0, T)`` in order) fold as
-one run over the deployed version's compiled ensemble; only a lossy
-codec splits the walk at each hop.  These tests hold that dispatch to:
+The float64 carry crosses every hop unchanged, so a row's ``S`` shards
+(trees ``[0, T)`` in order) fold as one run over the deployed version's
+compiled ensemble.  These tests hold that dispatch to:
 
-- a test-local reference chain (one ``add_raw_scores`` per shard, with
-  encode -> decode between hops under a lossy codec), byte for byte, on
-  every shard count, score codec and available kernel backend;
-- the ring reduce-scatter closed forms for the per-kind ledger bytes;
-- the number of backend ``fold_scores`` calls per batch;
+- the chain fold over the shipped shard payloads (each compiled on its
+  own, one ``add_raw_scores`` per shard), byte for byte, on every shard
+  count, replica row count, balancer and available kernel backend;
+- the ring reduce-scatter closed form for the ``serve:partial`` ledger
+  bytes;
+- one backend ``fold_scores`` call per batch;
 - one billing rule: each member's tree share of one full-model figure;
 - the byte-exact smoke-scale ``sharded-steady`` scenario reports, and
   beside them the other smoke scenario and ``deploy --scale 0.25``
@@ -26,18 +26,21 @@ import numpy as np
 import pytest
 
 from repro import ClusterConfig, GBDT, TrainConfig
-from repro.cluster.codecs import get_codec_stack
 from repro.cluster.comm import RingReduceScatter
 from repro.core.kernels import available_backends, make_backend
+from repro.core.serialize import ensemble_from_dict
 from repro.ledger import report_bytes
-from repro.serve import (PARTIAL_KIND, REDUCE_KIND, ModelRegistry,
-                         ReplicaSet)
+from repro.serve import (PARTIAL_KIND, ModelRegistry, ReplicaSet,
+                         compile_ensemble)
 from repro.serve import batcher as batcher_module
 from repro.serve.deploy import CanaryPolicy, DeployController
 from repro.serve.scenarios import ScenarioRunner, get_scenario
 
 SHARD_COUNTS = (1, 2, 3, 4, 8)
-STACKS = ("none", "sparse", "f32", "f16")
+#: replica rows ``R`` of the ``R x S`` grid; round-robin sends each of
+#: a test's batches to the next row, so every row's shards are read
+FLEET_ROWS = (1, 2, 3)
+BALANCERS = ("round-robin", "least-loaded")
 #: one binary and one multiclass model, so the carry is (rows, 1) and
 #: (rows, 4); both have fewer trees than S = 8, so empty shards occur
 MODELS = {"binary": 1, "multiclass": 2}
@@ -56,8 +59,8 @@ def ensembles(small_binary, small_multiclass):
 
 @pytest.fixture(scope="module", params=available_backends())
 def registry(request, ensembles):
-    """Both models on one kernel backend: every shard is sliced from
-    the version's compiled ensemble and shares its backend instance."""
+    """Both models, each version's compiled ensemble on one kernel
+    backend."""
     registry = ModelRegistry()
     for ensemble in ensembles:
         registry.publish(ensemble).compiled.backend = \
@@ -73,47 +76,38 @@ def nan_batch(registry, version, rows=13, seed=5):
     return features
 
 
-def fleet(registry, num_shards, codec="none", rows=2, **options):
+def fleet(registry, num_shards, rows=2, **options):
     options.setdefault("service_model", lambda k: 1e-4 * k)
     return ReplicaSet(
         registry, ClusterConfig(num_workers=rows * num_shards),
-        num_shards=num_shards, codec=codec, **options)
+        num_shards=num_shards, **options)
 
 
-def reference_chain(registry, version, num_shards, codec, features):
-    """The per-shard chain fold: each shard folds its trees into the
-    carry, which crosses the hop encoded when the codec is lossy."""
-    scores = get_codec_stack(codec).scores
-    shards = registry.shards(version, num_shards)
+def shipped_chain(registry, version, num_shards, features):
+    """The per-shard chain fold over what a deploy ships: each shard's
+    payload, compiled on its own for the version's backend, folds its
+    trees into the carry."""
+    backend = registry.get(version).compiled.backend.name
     acc = np.zeros((features.shape[0],
                     registry.get(version).compiled.gradient_dim))
-    for j, shard in enumerate(shards):
-        if j and not scores.lossless:
-            acc = scores.decode(scores.encode(acc))
-        shard.compiled.add_raw_scores(features, acc)
+    for shard in registry.shards(version, num_shards):
+        compile_ensemble(ensemble_from_dict(shard.payload),
+                         backend=backend).add_raw_scores(features, acc)
     return acc
 
 
-def closed_form(num_shards, rows, dim, codec):
-    """``(wire, raw)`` bytes of one batch's carry under one kind."""
+def closed_form(num_shards, rows, dim):
+    """Bytes of one batch's carry (wire and raw alike)."""
     if num_shards == 1:
-        return 0, 0
-    ring = RingReduceScatter()
-    raw = int(ring.per_worker_bytes(rows * dim * 8, num_shards)
-              * num_shards)
-    stack = get_codec_stack(codec)
-    if stack.is_identity:
-        return raw, raw
-    itemsize = {"f32": 4, "f16": 2}.get(codec, 8)
-    wire = int(sum(ring.per_worker_bytes(rows * dim * itemsize,
-                                         num_shards)
-                   for _ in range(num_shards)))
-    return wire, max(raw, wire)
+        return 0
+    return int(RingReduceScatter().per_worker_bytes(rows * dim * 8,
+                                                    num_shards)
+               * num_shards)
 
 
 def count_folds(monkeypatch, registry):
     """Count every backend ``fold_scores`` call of the registry's
-    models (shards share the version's backend instance)."""
+    models."""
     calls = []
     for backend in {id(entry.compiled.backend): entry.compiled.backend
                     for entry in registry.versions()}.values():
@@ -128,50 +122,51 @@ def count_folds(monkeypatch, registry):
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity and per-kind ledger bytes
+# Bit-identity and ledger bytes
 # ---------------------------------------------------------------------------
 
 class TestBitIdentityMatrix:
+    @pytest.mark.parametrize("fleet_rows", FLEET_ROWS)
+    @pytest.mark.parametrize("balancer", BALANCERS)
     @pytest.mark.parametrize("model", sorted(MODELS))
-    @pytest.mark.parametrize("codec", STACKS)
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_scores_equal_reference_chain(self, registry, model, codec,
-                                          num_shards):
+    def test_scores_equal_shipped_chain(self, registry, model,
+                                        num_shards, balancer,
+                                        fleet_rows):
         version = MODELS[model]
-        replicas = fleet(registry, num_shards, codec=codec)
+        replicas = fleet(registry, num_shards, rows=fleet_rows,
+                         balancer=balancer)
         replicas.deploy(version)
         for seed, rows in ((5, 13), (6, 1), (7, 6)):
             features = nan_batch(registry, version, rows, seed)
             got = replicas.dispatch(features, 0.0).scores
-            want = reference_chain(registry, version, num_shards, codec,
-                                   features)
+            want = shipped_chain(registry, version, num_shards, features)
             assert got.tobytes() == want.tobytes(), (
-                f"{model} S={num_shards} codec={codec} rows={rows}")
+                f"{model} R={fleet_rows} S={num_shards} {balancer} "
+                f"rows={rows}")
 
-    @pytest.mark.parametrize("reduction", ("gather", "allreduce"))
-    @pytest.mark.parametrize("codec", STACKS)
+    @pytest.mark.parametrize("fleet_rows", FLEET_ROWS)
+    @pytest.mark.parametrize("model", sorted(MODELS))
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_ledger_bytes_match_closed_forms(self, registry, codec,
-                                             num_shards, reduction):
-        version = MODELS["multiclass"]
+    def test_ledger_bytes_match_closed_forms(self, registry, model,
+                                             num_shards, fleet_rows):
+        """The carry's bytes depend on the batch shape and ``S`` only:
+        which of the ``R`` rows scores a batch moves none of them."""
+        version = MODELS[model]
         dim = registry.get(version).compiled.gradient_dim
-        replicas = fleet(registry, num_shards, codec=codec,
-                         reduction=reduction)
+        replicas = fleet(registry, num_shards, rows=fleet_rows)
         replicas.deploy(version)
-        wire = raw = 0
+        expected = 0
         for seed, rows in ((5, 13), (6, 1), (7, 6)):
             replicas.dispatch(nan_batch(registry, version, rows, seed),
                               0.0)
-            batch_wire, batch_raw = closed_form(num_shards, rows, dim,
-                                                codec)
-            wire, raw = wire + batch_wire, raw + batch_raw
+            expected += closed_form(num_shards, rows, dim)
         snapshot = replicas.network.snapshot()
-        kinds = ((PARTIAL_KIND, REDUCE_KIND) if reduction == "allreduce"
-                 else (PARTIAL_KIND,))
-        for kind in (PARTIAL_KIND, REDUCE_KIND):
-            expected = (wire, raw) if kind in kinds else (0, 0)
-            assert (snapshot.bytes_by_kind.get(kind, 0),
-                    snapshot.raw_bytes_by_kind.get(kind, 0)) == expected
+        assert (snapshot.bytes_by_kind.get(PARTIAL_KIND, 0),
+                snapshot.raw_bytes_by_kind.get(PARTIAL_KIND, 0)) \
+            == (expected, expected)
+        assert set(snapshot.bytes_by_kind) <= {PARTIAL_KIND,
+                                               replicas.deploy_kind}
 
 
 # ---------------------------------------------------------------------------
@@ -179,26 +174,27 @@ class TestBitIdentityMatrix:
 # ---------------------------------------------------------------------------
 
 class TestOneTraversalPerRow:
-    @pytest.mark.parametrize("codec", STACKS)
+    @pytest.mark.parametrize("balancer", BALANCERS)
+    @pytest.mark.parametrize("model", sorted(MODELS))
     @pytest.mark.parametrize("num_shards", (2, 4, 8))
-    def test_fold_calls_per_batch(self, registry, monkeypatch, codec,
-                                  num_shards):
-        version = MODELS["binary"]
-        replicas = fleet(registry, num_shards, codec=codec)
+    def test_fold_calls_per_batch(self, registry, monkeypatch, model,
+                                  num_shards, balancer):
+        version = MODELS[model]
+        replicas = fleet(registry, num_shards, balancer=balancer)
         replicas.deploy(version)
         calls = count_folds(monkeypatch, registry)
         batches = 5
         for seed in range(batches):
             replicas.dispatch(nan_batch(registry, version, 6, seed), 0.0)
-        per_batch = 1 if get_codec_stack(codec).scores.lossless \
-            else num_shards
-        assert len(calls) == batches * per_batch
+        assert len(calls) == batches
 
-    def test_single_shard_row_is_one_call(self, registry, monkeypatch):
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_single_shard_row_is_one_call(self, registry, monkeypatch,
+                                          model):
         replicas = fleet(registry, 1)
-        replicas.deploy(MODELS["binary"])
+        replicas.deploy(MODELS[model])
         calls = count_folds(monkeypatch, registry)
-        replicas.dispatch(nan_batch(registry, MODELS["binary"]), 0.0)
+        replicas.dispatch(nan_batch(registry, MODELS[model]), 0.0)
         assert len(calls) == 1
 
 
@@ -220,13 +216,13 @@ def billed(monkeypatch, replicas):
 
 
 class TestBilling:
-    @pytest.mark.parametrize("codec", ("none", "f16"))
+    @pytest.mark.parametrize("fleet_rows", FLEET_ROWS)
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_service_model_split_by_tree_share(self, registry,
-                                               monkeypatch, codec,
-                                               num_shards):
+                                               monkeypatch, num_shards,
+                                               fleet_rows):
         version = MODELS["binary"]
-        replicas = fleet(registry, num_shards, codec=codec,
+        replicas = fleet(registry, num_shards, rows=fleet_rows,
                          service_model=lambda k: 1e-3 + 2e-4 * k)
         replicas.deploy(version)
         seen = billed(monkeypatch, replicas)
@@ -236,17 +232,17 @@ class TestBilling:
         trees = registry.get(version).compiled.num_trees
         assert seen == [[full * (s.num_trees / trees) for s in shards]]
 
-    @pytest.mark.parametrize("codec", ("none", "sparse", "f32"))
+    @pytest.mark.parametrize("balancer", BALANCERS)
     @pytest.mark.parametrize("num_shards", (2, 3, 8))
     def test_measured_interval_split_by_tree_count(self, registry,
-                                                   monkeypatch, codec,
-                                                   num_shards):
+                                                   monkeypatch,
+                                                   num_shards, balancer):
         """Without a service model the row is billed one wall-clocked
         interval — here a fake clock that ticks 1 s per read — split by
         tree count, not one interval per member."""
         version = MODELS["binary"]
-        replicas = fleet(registry, num_shards, codec=codec,
-                         service_model=None)
+        replicas = fleet(registry, num_shards, service_model=None,
+                         balancer=balancer)
         replicas.deploy(version)
         ticks = iter(range(100))
         monkeypatch.setattr(batcher_module, "time", types.SimpleNamespace(

@@ -159,8 +159,8 @@ def test_the_class_name_changes_nothing(registry, num_shards):
 def test_one_shard_group_is_a_replicated_fleet(registry, fleet_class):
     fleet, _, _ = _replay(fleet_class, registry, 1)
     kinds = set(fleet.network.snapshot().bytes_by_kind)
-    assert kinds == {"deploy:model"}        # no serve:partial / :reduce
-    assert fleet.partial_bytes == fleet.reduce_bytes == 0
+    assert kinds == {"deploy:model"}        # no serve:partial
+    assert fleet.partial_bytes == 0
     assert fleet.deploy_bytes == 4 * (registry.get(1).nbytes
                                       + registry.get(2).nbytes)
     shard = registry.shards(1, 1)[0]       # the whole payload, verbatim

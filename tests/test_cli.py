@@ -128,6 +128,23 @@ class TestServeBench:
         # a single published version means no hot-swap leg
         assert "hot-swap" not in out
 
+    def test_quantized_refuses_a_saved_model(self, tmp_path, capsys):
+        # quantizing needs the in-process model's training cuts; with a
+        # saved model the flag must fail loud, not be dropped
+        data = tmp_path / "train.libsvm"
+        main(["datagen", str(data), "--instances", "200",
+              "--features", "8", "--density", "0.6"])
+        model = tmp_path / "model.json"
+        main(["train", "--data", str(data), "--trees", "2",
+              "--layers", "3", "--workers", "2",
+              "--model-out", str(model)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit, match="--quantized needs the "
+                                             "training cuts"):
+            main(["serve-bench", "--smoke", "--model", str(model),
+                  "--quantized"])
+        assert "serving" not in capsys.readouterr().out
+
 
 class TestPredictMetadata:
     def test_multiclass_routed_by_model_metadata(self, tmp_path):
