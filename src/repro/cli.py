@@ -446,8 +446,9 @@ def cmd_predict(args) -> int:
 def cmd_serve_bench(args) -> int:
     import time as _time
 
+    from .core.kernels import make_backend
     from .serve import (BatchPolicy, MicroBatcher, ModelRegistry,
-                        compile_ensemble, publish_trained, synthetic_trace)
+                        publish_trained, synthetic_trace)
     from .serve.sharded import fleet_class
     from .systems.costmodel import (price_serving_layouts,
                                     recommend_serving_layout)
@@ -483,9 +484,13 @@ def cmd_serve_bench(args) -> int:
         # v2 is the hot-swap candidate: same data, half the trees
         entry = publish_trained(registry, dataset, config, "in-process v1",
                                 successor="in-process v2")
-    compiled = entry.compiled
     if args.backend:
-        compiled = compile_ensemble(entry.ensemble, backend=args.backend)
+        # the fleet scores on what it serves: every version's compiled
+        # ensemble, so the backend goes there
+        backend = make_backend(args.backend)
+        for version in registry.versions():
+            version.compiled.backend = backend
+    compiled = entry.compiled
     print(f"serving {entry} from {args.serve_workers} workers "
           f"({args.balancer}, backend={compiled.backend.name})")
 

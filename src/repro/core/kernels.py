@@ -223,6 +223,12 @@ class WalkTables:
     width: int
 
 
+def walk_block_rows(span: int) -> int:
+    """Rows of ``span`` float64 columns that fill one walk row block
+    (``4 * WALK_BLOCK`` values, about 2 MB; at least one row)."""
+    return max((WALK_BLOCK << 2) // max(span, 1), 1)
+
+
 def walk_blocks(tables: WalkTables, batch: np.ndarray):
     """Row blocks of a row-major ``(rows, width)`` batch, as ``(lo, hi,
     flat, lanes)``: rows ``lo..hi`` with their extension columns
@@ -238,7 +244,7 @@ def walk_blocks(tables: WalkTables, batch: np.ndarray):
     """
     num = batch.shape[0]
     span = tables.width + tables.extension.size
-    step = max((WALK_BLOCK << 2) // span, 1)
+    step = walk_block_rows(span)
     for lo in range(0, num, step):
         hi = min(lo + step, num)
         features = batch[lo:hi, :tables.width]

@@ -13,7 +13,8 @@ package turns them into production-shaped inference:
   batches (still bit-identical);
 - :mod:`~repro.serve.batcher` — micro-batching request scheduler on the
   simulated clock with a columnar ledger (per batch, per served
-  request, per drop);
+  request, per drop), and the per-version :class:`ScoreBook` that
+  scores served rows a walk block at a time;
 - :mod:`~repro.serve.registry` — versioned model registry with payload
   checksums, atomic hot-swap, and rollback, plus
   :func:`publish_trained`, the one place a served model and its
@@ -46,7 +47,7 @@ package turns them into production-shaped inference:
 """
 
 from .batcher import (BatchPolicy, DispatchResult, LatencyStats,
-                      MicroBatcher, RequestTrace, ServingReport,
+                      MicroBatcher, RequestTrace, ScoreBook, ServingReport,
                       synthetic_trace)
 from .cache import CacheStats, PredictionCache
 from .compiler import (CompiledEnsemble, QuantizedEnsemble,
@@ -96,6 +97,7 @@ __all__ = [
     "SCENARIO_SCHEMA",
     "Scenario",
     "ScenarioRunner",
+    "ScoreBook",
     "ServingReport",
     "ShardedReplicaSet",
     "TenantSpec",

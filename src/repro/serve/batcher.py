@@ -6,10 +6,12 @@ the classic policy pair: a batch dispatches when it reaches
 ``max_batch_size`` requests **or** when its oldest request has waited
 ``max_delay_s``, whichever comes first.  Following the repo's simulation
 discipline (computation real, coordination simulated), time is a simulated
-clock driven by the trace's arrival process — by default the *service*
-time of each batch is the measured wall-clock of the compiled predictor,
-while tests substitute a deterministic ``service_model`` so schedules are
-reproducible down to the float.
+clock driven by the trace's arrival process.  A batch's *service* time
+is a deterministic ``service_model(rows)``, so its scores never move the
+schedule: each model version's rows collect in a :class:`ScoreBook`,
+which scores them a walk block at a time.  A fleet without a service
+model scores each batch as it dispatches and bills that call's wall
+clock instead.
 
 The run's ledger is a :class:`ServingReport` of columns: one row per
 batch (close, dispatch start, completion, worker, model version), one
@@ -33,6 +35,7 @@ from typing import (Callable, Deque, Dict, Iterator, List, Optional,
 
 import numpy as np
 
+from ..core.kernels import walk_block_rows
 from ..ledger import percentile_summary
 
 #: a hot-swap scheduled on the simulated clock: ``(time_s, action)``;
@@ -149,25 +152,31 @@ class RequestTrace:
         return (0 if self.priorities is None
                 else int(self.priorities[request_id]))
 
-    def csc(self):
-        """The trace rows as a :class:`~repro.data.matrix.CSCMatrix`.
+    def csc(self, ids: Optional[np.ndarray] = None):
+        """The trace rows (the requests ``ids``, in that order, when
+        given) as a :class:`~repro.data.matrix.CSCMatrix`.
 
         Non-``NaN`` entries become stored entries — the format
         ``TreeEnsemble.raw_scores`` consumes, used by the bench's naive
-        baseline and the exactness tests.  (A dense trace cannot carry a
+        baseline and the exactness checks.  (A dense trace cannot carry a
         *stored* exact zero; synthetic Gaussian traces never hit one.)
         """
         from ..data.matrix import CSCMatrix
 
-        mask = ~np.isnan(self.features)
-        by_col = mask.T
-        cols, rows = np.nonzero(by_col)
-        indptr = np.concatenate(
-            ([0], np.cumsum(by_col.sum(axis=1)))
-        ).astype(np.int64)
-        return CSCMatrix(indptr, rows.astype(np.int64),
-                         np.ascontiguousarray(self.features.T[by_col]),
-                         self.features.shape[0])
+        features = self.features if ids is None else self.features[ids]
+        # one contiguous copy per column: scanning a strided transpose
+        # costs twice as much
+        columns = np.ascontiguousarray(features.T)
+        rows = [np.flatnonzero(~np.isnan(column)).astype(np.int32)
+                for column in columns]
+        values = [column[r] for column, r in zip(columns, rows)]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([r.size for r in rows], out=indptr[1:])
+        # the leading empty pieces type a trace without columns
+        return CSCMatrix(indptr,
+                         np.concatenate([np.zeros(0, np.int32)] + rows),
+                         np.concatenate([np.zeros(0)] + values),
+                         features.shape[0])
 
 
 def synthetic_trace(num_requests: int, num_features: int,
@@ -189,15 +198,108 @@ def synthetic_trace(num_requests: int, num_features: int,
     return RequestTrace(features=features, arrivals=arrivals)
 
 
+class ScoreBook:
+    """The served scores of one model version, scored a block at a time.
+
+    :meth:`append` copies a batch's rows into the book's pending block
+    and returns their positions in the book.  The book runs one
+    ``compiled.raw_scores`` call over every pending row when one of
+    them is :meth:`read`, or when they fill the block — one compiler
+    walk block of rows (:func:`~repro.core.kernels.walk_block_rows`,
+    about 2 MB) — so it holds at most one block of rows.  A row's score
+    depends on that row alone, so a book reads bit for bit what one call
+    per batch returns.  Scores stay in the book for its life.
+    """
+
+    def __init__(self, compiled) -> None:
+        self.compiled = compiled
+        self._block = np.empty((0, 0))     # pending rows, then room
+        self._pending = 0
+        self._scores = np.empty((0, compiled.gradient_dim))
+        self._scored = 0
+
+    def __len__(self) -> int:
+        """Rows appended so far, scored or pending."""
+        return self._scored + self._pending
+
+    def append(self, rows: np.ndarray) -> np.ndarray:
+        """Book a dense batch; returns its rows' positions."""
+        first = len(self)
+        width = rows.shape[1]
+        if not self._block.shape[0] or self._block.shape[1] != width:
+            self.flush()
+            self._block = np.empty((walk_block_rows(width), width))
+        done = 0
+        while done < rows.shape[0]:
+            take = min(rows.shape[0] - done,
+                       self._block.shape[0] - self._pending)
+            self._block[self._pending:self._pending + take] = \
+                rows[done:done + take]
+            self._pending += take
+            done += take
+            if self._pending == self._block.shape[0]:
+                self.flush()
+        return np.arange(first, first + rows.shape[0], dtype=np.int64)
+
+    def flush(self) -> None:
+        """Score every pending row in one predictor call."""
+        if not self._pending:
+            return
+        scores = self.compiled.raw_scores(self._block[:self._pending])
+        self._pending = 0
+        end = self._scored + scores.shape[0]
+        if end > self._scores.shape[0]:
+            grown = np.empty((max(end, 2 * self._scores.shape[0]),
+                              self._scores.shape[1]))
+            grown[:self._scored] = self._scores[:self._scored]
+            self._scores = grown
+        self._scores[self._scored:end] = scores
+        self._scored = end
+
+    def read(self, positions: np.ndarray) -> np.ndarray:
+        """Scores of the rows at ``positions`` (pending rows are scored
+        first when one of them is asked for)."""
+        positions = np.asarray(positions, dtype=np.int64)
+        if positions.size and positions.max() >= self._scored:
+            self.flush()
+        if positions.size and not (0 <= positions.min()
+                                   and positions.max() < self._scored):
+            raise IndexError(f"score book holds {self._scored} rows; "
+                             "a position is out of range")
+        return self._scores[positions]
+
+
+def read_scores(books: Sequence[ScoreBook], owner: np.ndarray,
+                positions: np.ndarray) -> np.ndarray:
+    """Row ``i`` is ``books[owner[i]]``'s score at ``positions[i]``;
+    each distinct book is read once."""
+    distinct = list(dict.fromkeys(books))
+    if not distinct:
+        return np.zeros((0, 0))
+    slot = np.array([distinct.index(book) for book in books])[owner]
+    scores = np.empty((positions.size, distinct[0].compiled.gradient_dim))
+    for k, book in enumerate(distinct):
+        mask = slot == k
+        scores[mask] = book.read(positions[mask])
+    return scores
+
+
 @dataclass(frozen=True)
 class DispatchResult:
-    """What a backend reports for one batch it executed."""
+    """What a backend reports for one batch it executed: its schedule,
+    and where its scores are — ``positions`` in ``book``."""
 
     start_s: float
     completion_s: float
     worker: int
     model_version: int
-    scores: np.ndarray
+    book: ScoreBook
+    positions: np.ndarray
+
+    @property
+    def scores(self) -> np.ndarray:
+        """The batch's raw scores, read from its book."""
+        return self.book.read(self.positions)
 
 
 @dataclass(frozen=True)
@@ -357,24 +459,25 @@ class ServingReport:
         return bool((np.bincount(ids, minlength=self.offered) == 1).all())
 
 
-def billed_scores(score: Callable[[np.ndarray], np.ndarray],
-                  features: np.ndarray,
+def billed_scores(book: ScoreBook, features: np.ndarray,
                   service_model: Optional[Callable[[int], float]],
                   cache=None, version: int = 0) -> Tuple[np.ndarray, float]:
-    """``(scores, service seconds)`` of one batch: ``score(features)``
-    (through ``cache`` when given, which scores and bills only its
-    misses), priced ``service_model(billable rows)`` or, without a
-    service model, the scoring's wall clock.  Every serving backend
-    bills here; it is the one place serving reads the wall clock."""
+    """``(positions in book, service seconds)`` of one batch: its rows
+    go into ``book`` (through ``cache`` when given, which books and
+    bills only its misses), priced ``service_model(billable rows)``.
+    Without a service model the book scores the batch here, inside the
+    timed region, so the wall clock billed is that batch's own scoring.
+    Every serving backend bills here; it is the one place serving reads
+    the wall clock."""
     began = time.perf_counter()
     if cache is None:
-        scores, billable = score(features), features.shape[0]
+        positions, billable = book.append(features), features.shape[0]
     else:
-        scores, billable = cache.serve(version, features, score)
-    measured = time.perf_counter() - began
-    if service_model is None:
-        return scores, measured
-    return scores, float(service_model(billable))
+        positions, billable = cache.serve(version, features, book)
+    if service_model is not None:
+        return positions, float(service_model(billable))
+    book.flush()
+    return positions, time.perf_counter() - began
 
 
 class MicroBatcher:
@@ -383,7 +486,8 @@ class MicroBatcher:
     The backend contract is two methods: ``next_free_s()`` (earliest
     simulated start for the next batch — used to keep collecting arrivals
     while all capacity is busy) and ``dispatch(features, close_s)``
-    returning a :class:`DispatchResult`.  The serving fleet,
+    returning a :class:`DispatchResult` (the batch's schedule and its
+    positions in a :class:`ScoreBook`).  The serving fleet,
     :class:`~repro.serve.replica.ReplicaSet`, satisfies it; a one-worker
     fleet is the single-model server.  A backend that sets
     ``accepts_ids = True`` is additionally passed the request ids of each
@@ -418,14 +522,17 @@ class MicroBatcher:
         (:meth:`_batches`): requests that overflow a bounded queue are
         dropped per ``policy.overload`` and appear in the report's drop
         columns; an unbounded queue drops nobody.  The ledger is
-        appended once per batch and joined into columns at the end, so
-        ``report.scores`` rows line up with the request columns.
+        appended once per batch and joined into columns at the end;
+        with ``collect_scores`` the batches' book positions are read
+        then too, so ``report.scores`` rows line up with the request
+        columns.
         """
         pending_swaps = sorted(swaps, key=lambda s: s[0])
         drops: Dict[str, list] = {name: [] for name in DROP_COLUMNS}
         batch_rows: List[tuple] = []
         id_chunks: List[np.ndarray] = []
-        scores: List[np.ndarray] = []
+        books: List[ScoreBook] = []
+        positions: List[np.ndarray] = []
         swap_i = 0
         for features, ids, close in self._batches(trace, drops):
             while swap_i < len(pending_swaps) \
@@ -439,7 +546,8 @@ class MicroBatcher:
                                result.model_version))
             id_chunks.append(ids)
             if collect_scores:
-                scores.append(result.scores)
+                books.append(result.book)
+                positions.append(result.positions)
         # late swaps (after the last close) still fire so a scheduled
         # deploy is never silently skipped
         for when, action in pending_swaps[swap_i:]:
@@ -455,8 +563,10 @@ class MicroBatcher:
             request_arrival_s=trace.arrivals[request_id],
             offered=trace.num_requests)
         if collect_scores:
-            report.scores = (np.concatenate(scores, axis=0) if scores
-                             else np.zeros((0, 0)))
+            report.scores = read_scores(
+                books, report.request_batch,
+                np.concatenate(positions) if positions
+                else np.zeros(0, dtype=np.int64))
         return report
 
     def _batches(self, trace: RequestTrace,

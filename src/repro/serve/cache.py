@@ -34,10 +34,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .batcher import ScoreBook
 from .compiler import bin_uint8, uint8_cuts
 
 
@@ -70,12 +71,13 @@ class CacheStats:
 
 
 class PredictionCache:
-    """LRU map from a request row's key to its raw score vector.
+    """LRU map from a request row's key to its score's position in the
+    served version's :class:`~repro.serve.batcher.ScoreBook`.
 
     ``capacity`` bounds the number of cached rows; ``cuts`` (optional)
     enables quantized-bin-id keys — see the module docstring for why
-    that is exact.  The cache itself never runs a model: callers hand
-    :meth:`serve` a ``compute`` callback for the rows that miss.
+    that is exact.  The cache itself never runs a model: :meth:`serve`
+    appends the rows that miss to the book it is handed.
     """
 
     def __init__(self, capacity: int,
@@ -84,7 +86,7 @@ class PredictionCache:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.cuts = None if cuts is None else uint8_cuts(cuts)
-        self._store: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
+        self._store: "OrderedDict[bytes, int]" = OrderedDict()
         self._version: Optional[int] = None
         self.stats = CacheStats()
 
@@ -126,14 +128,13 @@ class PredictionCache:
     # -- the serve path ----------------------------------------------------
 
     def serve(self, version: int, features: np.ndarray,
-              compute: Callable[[np.ndarray], np.ndarray]
-              ) -> Tuple[np.ndarray, int]:
-        """Scores for a batch, answering repeats from the cache.
+              book: ScoreBook) -> Tuple[np.ndarray, int]:
+        """Book positions for a batch, answering repeats from the cache.
 
-        Returns ``(scores, misses)`` where ``scores`` has one row per
-        input row (hit rows gathered from the store, miss rows freshly
-        computed via ``compute`` on exactly the missing subset and then
-        inserted) and ``misses`` is how many rows had to be computed —
+        Returns ``(positions, misses)``: one position in ``book`` (the
+        score book of ``version``) per input row — a hit row's from the
+        store, a miss row's from appending exactly the missing subset to
+        the book, after which it is inserted — and how many rows missed,
         what a deterministic service model should bill for.
 
         The first call after a version change invalidates the store, so
@@ -143,41 +144,32 @@ class PredictionCache:
             self.invalidate()
             self._version = version
         keys = self.key_batch(features)
-        hit_rows: List[Optional[np.ndarray]] = []
+        positions = np.empty(len(keys), dtype=np.int64)
         miss_idx: List[int] = []
         for idx, key in enumerate(keys):
             cached = self._store.get(key)
             if cached is None:
-                hit_rows.append(None)
                 miss_idx.append(idx)
             else:
                 self._store.move_to_end(key)
-                hit_rows.append(cached)
+                positions[idx] = cached
         self.stats.hits += len(keys) - len(miss_idx)
         self.stats.misses += len(miss_idx)
         if miss_idx:
-            computed = np.asarray(
-                compute(features[np.asarray(miss_idx, dtype=np.int64)]))
-            dim = computed.shape[1]
-        else:
-            computed = None
-            dim = hit_rows[0].shape[0] if hit_rows else 0
-        scores = np.empty((len(keys), dim), dtype=np.float64)
-        for idx, row in enumerate(hit_rows):
-            if row is not None:
-                scores[idx] = row
-        for pos, idx in enumerate(miss_idx):
-            scores[idx] = computed[pos]
-            self._insert(keys[idx], computed[pos])
-        return scores, len(miss_idx)
+            booked = book.append(
+                features[np.asarray(miss_idx, dtype=np.int64)])
+            for idx, position in zip(miss_idx, booked.tolist()):
+                positions[idx] = position
+                self._insert(keys[idx], position)
+        return positions, len(miss_idx)
 
-    def _insert(self, key: bytes, score_row: np.ndarray) -> None:
+    def _insert(self, key: bytes, position: int) -> None:
         if key in self._store:
             # a duplicate miss inside one batch: same key, same score —
             # refresh recency, nothing new to store
             self._store.move_to_end(key)
             return
-        self._store[key] = np.array(score_row, dtype=np.float64)
+        self._store[key] = position
         self.stats.inserts += 1
         while len(self._store) > self.capacity:
             self._store.popitem(last=False)

@@ -55,7 +55,7 @@ from ..core.metrics import logloss as _logloss
 from ..core.serialize import canonical_payload_bytes
 from ..ledger import DEPLOY_SCHEMA
 from .batcher import (DispatchResult, LatencyStats, MicroBatcher,
-                      ServingReport, billed_scores)
+                      ServingReport, billed_scores, read_scores)
 from .registry import ModelRegistry, publish_trained
 from .replica import ReplicaSet
 from .scenarios import (LabelStream, Scenario, build_fleet, build_trace,
@@ -308,9 +308,11 @@ class CanaryRouter:
 
     The router is also the label join point: it advertises
     ``accepts_ids`` so the batcher passes request ids, pushes each
-    served request's ``(available_s, label, probability, version)`` onto
-    a heap, and drains every label whose availability time has passed
-    before routing the next batch.  Each drained label feeds the
+    served request's ``(available_s, request id, version, book
+    position)`` onto a heap, and drains every label whose availability
+    time has passed before routing the next batch.  A drained label's
+    probability is read from its version's score book
+    (:meth:`ReplicaSet.book`) and fed with the label to the
     :class:`DriftMonitor`; a ``"rollback"`` verdict fires the
     controller's rollback hook *at the label's timestamp*, before any
     further batch is routed — which is exactly why zero requests reach
@@ -324,7 +326,6 @@ class CanaryRouter:
                  rollback_policy: RollbackPolicy,
                  labels: LabelStream,
                  incumbent_version: int, canary_version: int,
-                 canary_compiled=None,
                  on_rollback=None) -> None:
         # pools name replica rows: a canary lands on whole rows, and a
         # row is one worker on a replicated (``S = 1``) fleet
@@ -341,14 +342,11 @@ class CanaryRouter:
         self.labels = labels
         self.incumbent_version = incumbent_version
         self.canary_version = canary_version
-        #: compiled canary for shadow scoring (resolved by the caller so
-        #: the router never touches the registry on the hot path)
-        self.canary_compiled = canary_compiled
         self.on_rollback = on_rollback
         self.incumbent_pool = list(range(rows - k))
         self.canary_pool = list(range(rows - k, rows))
         self._rng = np.random.default_rng(canary_policy.seed)
-        self._heap: List[Tuple[float, int, int, float]] = []
+        self._heap: List[Tuple[float, int, int, int]] = []
         self.canary_live = False
         self.rolled_back = False
         self.dispatches = 0
@@ -383,8 +381,11 @@ class CanaryRouter:
         """Feed the monitor every label available by ``now_s``; execute
         a mid-flight rollback the instant the evidence condemns the
         canary."""
+        ready = []
         while self._heap and self._heap[0][0] <= now_s:
-            at_s, request_id, version, prob = heapq.heappop(self._heap)
+            ready.append(heapq.heappop(self._heap))
+        for (at_s, request_id, version, _), prob in zip(
+                ready, self._probabilities(ready)):
             self.monitor.observe(version,
                                  int(self.labels.labels[request_id]),
                                  prob)
@@ -400,6 +401,18 @@ class CanaryRouter:
                 self.rollback_seq = self.dispatches
                 if self.on_rollback is not None:
                     self.on_rollback(at_s)
+
+    def _probabilities(self, entries: Sequence[tuple]) -> List[float]:
+        """Served probability of each heap entry, read from its
+        version's score book."""
+        if not entries:
+            return []
+        _, _, versions, positions = zip(*entries)
+        distinct = sorted(set(versions))
+        raw = read_scores([self.replicas.book(v) for v in distinct],
+                          np.searchsorted(distinct, versions),
+                          np.asarray(positions, dtype=np.int64))
+        return served_probability(raw).tolist()
 
     def final_verdict(self) -> str:
         """Episode outcome after draining every remaining label."""
@@ -429,37 +442,37 @@ class CanaryRouter:
             pool = self._serve_pool()
         result = self.replicas.dispatch(features, close_s, pool=pool)
         self.dispatches += 1
-        self._await_labels(ids, result.model_version, result.scores)
+        self._await_labels(ids, result.model_version, result.positions)
         if self._split_active and self.canary_policy.shadow:
             self._shadow_score(features, ids, close_s)
         return result
 
     def _await_labels(self, ids: np.ndarray, version: int,
-                      scores: np.ndarray) -> None:
-        """Hold each request's served probability under ``version``
-        until its label becomes available."""
-        probs = served_probability(scores)
-        for pos, request_id in enumerate(ids):
-            heapq.heappush(self._heap, (
-                float(self.labels.available_s[request_id]),
-                int(request_id), version, float(probs[pos]),
-            ))
+                      positions: np.ndarray) -> None:
+        """Hold each request's book position under ``version`` until
+        its label becomes available."""
+        for at_s, request_id, position in zip(
+                self.labels.available_s[ids].tolist(), ids.tolist(),
+                positions.tolist()):
+            heapq.heappush(self._heap,
+                           (at_s, request_id, version, position))
 
     def _shadow_score(self, features: np.ndarray, ids: np.ndarray,
                       close_s: float) -> None:
         """Score the batch on the canary slice without serving it.
 
-        The canary's answers go to the monitor only; its compute is
-        billed to the least-loaded canary worker via
-        :meth:`ReplicaSet.occupy` — priced by
+        The rows go into the canary version's score book and its answers
+        to the monitor only; its compute is billed to the least-loaded
+        canary worker via :meth:`ReplicaSet.occupy` — priced by
         :func:`~repro.serve.batcher.billed_scores` like a served batch —
         so shadow capacity cost is real in the clock even though no
         client ever sees a shadow score.
         """
-        raw, baseline = billed_scores(self.canary_compiled.raw_scores,
-                                      features, self.replicas.service_model)
+        positions, baseline = billed_scores(
+            self.replicas.book(self.canary_version), features,
+            self.replicas.service_model)
         self.replicas.occupy(self.canary_pool, close_s, baseline)
-        self._await_labels(ids, self.canary_version, raw)
+        self._await_labels(ids, self.canary_version, positions)
         self.shadow_batches += 1
         self.shadow_rows += int(features.shape[0])
 
@@ -696,7 +709,6 @@ class DeployController:
         self.router = CanaryRouter(
             self.replicas, self.monitor, self.canary, self.policy,
             labels, INCUMBENT_VERSION, CANARY_VERSION,
-            canary_compiled=self.registry.get(CANARY_VERSION).compiled,
             on_rollback=self._on_rollback,
         )
 

@@ -12,9 +12,12 @@ The layout is a parameter, not a second code base, so a
 replicate-vs-shard comparison isolates the layout alone.
 
 The training-side simulation contract holds: prediction *computation*
-is real (wall-clocked, unless a deterministic ``service_model``
-substitutes); *model distribution* and *score reduction* are simulated
-traffic — a deploy ships each shard's canonical payload bytes through
+is real — each version's served rows are scored in its
+:class:`~repro.serve.batcher.ScoreBook`, a walk block at a time, and
+billed by a deterministic ``service_model`` (or, without one, scored at
+dispatch and billed that call's wall clock); *model distribution* and
+*score reduction* are simulated traffic — a deploy ships each shard's
+canonical payload bytes through
 :class:`~repro.cluster.network.SimulatedNetwork` under ``deploy:model``
 (``deploy:shard`` when ``S >= 2``, so the layouts' rollout bytes stay
 separable), and a batch's partial scores chain along its row under
@@ -48,7 +51,7 @@ from ..cluster.codecs import apply_model_delta, encode_model_delta
 from ..cluster.comm import record_collective
 from ..cluster.network import SimulatedNetwork
 from ..core.serialize import canonical_payload_bytes, payload_checksum
-from .batcher import DispatchResult, billed_scores
+from .batcher import DispatchResult, ScoreBook, billed_scores
 from .registry import ModelRegistry, ModelShard, ModelVersion
 
 #: ledger kinds of model distribution: an ``S = 1`` fleet's, a sharded one's
@@ -100,10 +103,11 @@ class ReplicaSet:
     multiple of ``num_shards``.
 
     ``service_model`` maps a batch size to baseline seconds *for the
-    full model* (the row's wall-clocked folds when omitted); each row
-    member is billed its tree fraction of that over
+    full model* (the wall clock of the row's fold when omitted); each
+    row member is billed its tree fraction of that over
     ``cluster.speed_of(w)``, so stragglers serve slower exactly as they
-    train slower.  The reduced scores end on the row's last worker.
+    train slower.  The reduced scores end on the row's last worker; a
+    dispatch returns their positions in the version's :meth:`book`.
     """
 
     def __init__(self, registry: ModelRegistry,
@@ -148,6 +152,7 @@ class ReplicaSet:
         #: round-robin cursors: ``None`` is the whole fleet's; each row
         #: pool keeps its own, so canary and incumbent cycle fairly
         self._rr_cursors: Dict[Optional[Tuple[int, ...]], int] = {}
+        self._books: Dict[int, ScoreBook] = {}
 
     # -- the grid ----------------------------------------------------------
 
@@ -297,6 +302,15 @@ class ReplicaSet:
         return [w for w, held in enumerate(self.deployed_versions())
                 if held == version]
 
+    def book(self, version: int) -> ScoreBook:
+        """The score book of ``version``: every row the fleet serves
+        (or shadow-scores) on it, one book per version."""
+        book = self._books.get(version)
+        if book is None:
+            book = self._books[version] = ScoreBook(
+                self.registry.get(version).compiled)
+        return book
+
     # -- MicroBatcher backend contract -------------------------------------
 
     def next_free_s(self, pool: Optional[Sequence[int]] = None) -> float:
@@ -321,25 +335,29 @@ class ReplicaSet:
         row = self._pick_row(pool, take=True)
         shards = self._row_shards(row)
         version = shards[0].version
+        book = self.book(version)
 
         # the chain fold: the float64 carry crosses every hop unchanged,
         # so the row — trees [0, T) in order — is one traversal of the
         # version's compiled ensemble, every tree one ``+=`` in tree
-        # order (fold_scores), exactly what the shards fold one by one
-        acc, full_model_seconds = billed_scores(
-            self.registry.get(version).compiled.raw_scores, features,
-            self.service_model, self.cache, version)
+        # order (fold_scores), exactly what the shards fold one by one;
+        # the book runs that traversal for many batches at once
+        positions, full_model_seconds = billed_scores(
+            book, features, self.service_model, self.cache, version)
 
-        # the carry crosses S - 1 links; a one-worker row has none
+        # the float64 carry, (rows, gradient_dim), crosses S - 1 links;
+        # a one-worker row has none
         reduce_seconds = (record_collective(
-            self.network, PARTIAL_KIND, acc.nbytes, self.num_shards,
-            "reducescatter") if self.num_shards > 1 else 0.0)
+            self.network, PARTIAL_KIND,
+            features.shape[0] * book.compiled.gradient_dim * 8,
+            self.num_shards, "reducescatter")
+            if self.num_shards > 1 else 0.0)
         start, done = self._bill(row, close_s, self._tree_shares(
             shards, full_model_seconds), reduce_seconds)
         return DispatchResult(
             start_s=start, completion_s=done, model_version=version,
             worker=(row + 1) * self.num_shards - 1,   # the chain's tail
-            scores=acc)
+            book=book, positions=positions)
 
     # -- introspection -----------------------------------------------------
 

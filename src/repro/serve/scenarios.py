@@ -52,6 +52,7 @@ import numpy as np
 from ..config import ClusterConfig, NetworkModel, TrainConfig
 from ..cluster.faults import FaultInjector, FaultPlan
 from ..cluster.network import SimulatedNetwork
+from ..core.kernels import walk_block_rows
 from ..data.dataset import bin_dataset
 from ..data.synthetic import make_classification
 from ..ledger import SCENARIO_SCHEMA, percentile_summary
@@ -641,19 +642,26 @@ class ScenarioRunner:
 
     def _scores_exact(self, trace: RequestTrace,
                       report: ServingReport) -> bool:
-        """Every served score equals a direct, cache-free recompute on
-        the version that served it — the exactness conformance check
-        that makes the prediction cache (and the whole dispatch path)
-        trustworthy."""
-        if report.scores is None or not report.request_id.size:
+        """Every served score equals the naive tree walk
+        (:meth:`TreeEnsemble.raw_scores`) of the version that served it
+        — a predictor that shares no code with the compiled one, so the
+        check never holds a call up against itself.  Rows are checked a
+        walk block at a time, which bounds the check's memory.  A run
+        that served requests without collecting their scores fails."""
+        if not report.request_id.size:
             return True
+        if report.scores is None:
+            return False
         ids, versions = report.request_id, report.request_version
+        step = walk_block_rows(trace.features.shape[1])
         for version in np.unique(versions):
-            compiled = self.registry.get(int(version)).compiled
-            mask = versions == version
-            direct = compiled.raw_scores(trace.features[ids[mask]])
-            if not np.array_equal(report.scores[mask], direct):
-                return False
+            ensemble = self.registry.get(int(version)).ensemble
+            rows = np.flatnonzero(versions == version)
+            for lo in range(0, rows.size, step):
+                chunk = rows[lo:lo + step]
+                direct = ensemble.raw_scores(trace.csc(ids[chunk]))
+                if not np.array_equal(report.scores[chunk], direct):
+                    return False
         return True
 
     def _build_report(self, trace: RequestTrace, report: ServingReport,

@@ -12,8 +12,8 @@ replicate-vs-partition question:
   range ``j`` of the deployed version), so each worker stores ``~1/S``
   of the model and a rollout ships each shard to its group only;
 - every batch occupies one whole row: its score is the row's chain fold
-  over the shards' trees (real, wall-clocked), and the carry's hops are
-  simulated traffic through the :mod:`repro.cluster.comm` collective
+  over the shards' trees (real, run by the version's score book), and
+  the carry's hops are simulated traffic through the :mod:`repro.cluster.comm` collective
   cost models under the ``serve:partial`` ledger kind.
 
 Exactness
@@ -29,8 +29,9 @@ fold performs literally the same float64 additions, in the same order,
 as ``CompiledEnsemble.raw_scores`` — so sharded serving is bit-identical
 to replicated serving for every ``S``.  The exactness lives in that
 per-tree order, not in splitting the walk: the carry crosses every hop
-unchanged, so dispatch folds a row's trees — ``[0, T)`` in order — in
-one traversal of the version's compiled ensemble.  What a shard worker
+unchanged, so a row's trees — ``[0, T)`` in order — fold in one
+traversal of the version's compiled ensemble, run by its score book
+over many batches at once.  What a shard worker
 holds is its shipped payload (:class:`~repro.serve.registry.ModelShard`),
 and compiling that payload and folding it into the carry gives the same
 bytes.

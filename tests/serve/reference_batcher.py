@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.serve.batcher import (BATCH_COLUMNS, DROP_COLUMNS, Batch,
                                  BatchPolicy, DispatchResult,
-                                 RequestTrace, ServingReport)
+                                 RequestTrace, ScoreBook, ServingReport)
 from repro.serve.compiler import CompiledEnsemble
 
 
@@ -56,19 +56,22 @@ class SimulatedWorker:
         counts the batches served, so every batch has its own."""
         start = max(close_s, self.free_s)
         done = self.serve(features.shape[0], close_s)
+        # batch formation reads no scores: the worker books none
         return DispatchResult(
             start_s=start, completion_s=done, worker=self.served % 3,
-            model_version=self.served, scores=np.zeros((0, 1)))
+            model_version=self.served, book=None,
+            positions=np.zeros(0, dtype=np.int64))
 
 
 class FixedServiceServer:
     """The backend contract at its smallest, for schedules computed by
-    hand: one worker free from t=0 that scores every batch with
-    ``compiled`` and holds it for ``service(batch rows)`` seconds."""
+    hand: one worker free from t=0 that books every batch in one
+    :class:`ScoreBook` of ``compiled`` and holds it for
+    ``service(batch rows)`` seconds."""
 
     def __init__(self, compiled: CompiledEnsemble,
                  service: Callable[[int], float]) -> None:
-        self.compiled = compiled
+        self.book = ScoreBook(compiled)
         self.service = service
         self.free_s = 0.0
 
@@ -81,7 +84,8 @@ class FixedServiceServer:
         self.free_s = start + self.service(features.shape[0])
         return DispatchResult(
             start_s=start, completion_s=self.free_s, worker=0,
-            model_version=0, scores=self.compiled.raw_scores(features))
+            model_version=0, book=self.book,
+            positions=self.book.append(features))
 
 
 def reference_shed_victim(trace: RequestTrace, backlog: List[int],

@@ -15,7 +15,7 @@ from repro import ClusterConfig, GBDT, TrainConfig
 from repro.core.kernels import MISSING_BIN
 from repro.data.dataset import bin_dataset
 from repro.serve import (CacheStats, ModelRegistry, PredictionCache,
-                         ReplicaSet, compile_ensemble)
+                         ReplicaSet, ScoreBook, compile_ensemble)
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +28,12 @@ def ensemble(small_binary):
 def trained(small_binary, ensemble):
     cuts = bin_dataset(small_binary, 8).cuts
     return compile_ensemble(ensemble), cuts
+
+
+def served(cache, version, rows, book):
+    """``(scores, misses)`` of one cached batch, read from ``book``."""
+    positions, misses = cache.serve(version, rows, book)
+    return book.read(positions), misses
 
 
 def batch(num_rows, num_features, seed=0, missing=0.3):
@@ -98,26 +104,30 @@ class TestKeys:
 class TestServe:
     def test_scores_bit_identical_with_and_without_cache(self, trained):
         compiled, cuts = trained
+        book = ScoreBook(compiled)
         cache = PredictionCache(64, cuts=cuts)
         rows = batch(40, compiled.num_features, seed=2)
         rows = np.vstack([rows, rows[:13]])   # guaranteed repeats
         direct = compiled.raw_scores(rows)
-        cached, misses = cache.serve(1, rows, compiled.raw_scores)
+        cached, misses = served(cache, 1, rows, book)
         np.testing.assert_array_equal(cached, direct)
         # repeats inside one batch miss together (lookup precedes
         # insert); hits come from earlier batches
         assert misses == rows.shape[0]
         # a second pass over the same rows is all hits, still exact
-        again, misses2 = cache.serve(1, rows, compiled.raw_scores)
+        again, misses2 = served(cache, 1, rows, book)
         np.testing.assert_array_equal(again, direct)
         assert misses2 == 0
+        # a hit answers its miss row's book position: nothing new booked
+        assert len(book) == rows.shape[0]
 
     def test_ledger_counts(self, trained):
         compiled, cuts = trained
+        book = ScoreBook(compiled)
         cache = PredictionCache(64, cuts=cuts)
         rows = batch(10, compiled.num_features, seed=3, missing=0.0)
-        cache.serve(1, rows, compiled.raw_scores)
-        cache.serve(1, rows, compiled.raw_scores)
+        cache.serve(1, rows, book)
+        cache.serve(1, rows, book)
         assert cache.stats.hits == 10
         assert cache.stats.misses == 10
         assert cache.stats.inserts == 10
@@ -126,26 +136,28 @@ class TestServe:
 
     def test_lru_eviction_order(self, trained):
         compiled, cuts = trained
+        book = ScoreBook(compiled)
         cache = PredictionCache(2, cuts=cuts)
         rows = batch(3, compiled.num_features, seed=4, missing=0.0)
-        cache.serve(1, rows[:1], compiled.raw_scores)   # A
-        cache.serve(1, rows[1:2], compiled.raw_scores)  # B
-        cache.serve(1, rows[:1], compiled.raw_scores)   # touch A
-        cache.serve(1, rows[2:3], compiled.raw_scores)  # C evicts B
+        cache.serve(1, rows[:1], book)   # A
+        cache.serve(1, rows[1:2], book)  # B
+        cache.serve(1, rows[:1], book)   # touch A
+        cache.serve(1, rows[2:3], book)  # C evicts B
         assert cache.stats.evictions == 1
         before = cache.stats.hits
-        cache.serve(1, rows[:1], compiled.raw_scores)   # A still hits
+        cache.serve(1, rows[:1], book)   # A still hits
         assert cache.stats.hits == before + 1
-        cache.serve(1, rows[1:2], compiled.raw_scores)  # B was evicted
+        cache.serve(1, rows[1:2], book)  # B was evicted
         assert cache.stats.misses == 3 + 1
 
     def test_version_change_invalidates(self, trained):
         compiled, cuts = trained
+        book = ScoreBook(compiled)
         cache = PredictionCache(32, cuts=cuts)
         rows = batch(5, compiled.num_features, seed=5)
-        cache.serve(1, rows, compiled.raw_scores)
+        cache.serve(1, rows, book)
         assert len(cache) == 5 and cache.version == 1
-        cache.serve(2, rows, compiled.raw_scores)
+        cache.serve(2, rows, book)
         assert cache.version == 2
         assert cache.stats.invalidations == 1
         # post-swap lookups recomputed, not served stale
@@ -153,10 +165,11 @@ class TestServe:
 
     def test_duplicate_rows_inside_one_batch(self, trained):
         compiled, cuts = trained
+        book = ScoreBook(compiled)
         cache = PredictionCache(32, cuts=cuts)
         row = batch(1, compiled.num_features, seed=6)
         rows = np.vstack([row, row, row])
-        scores, misses = cache.serve(1, rows, compiled.raw_scores)
+        scores, misses = served(cache, 1, rows, book)
         # duplicates miss together (they are computed in one batch)
         # but only one entry is stored
         assert misses == 3 and len(cache) == 1
@@ -165,12 +178,13 @@ class TestServe:
 
     def test_float_fallback_without_cuts(self, trained):
         compiled, _ = trained
+        book = ScoreBook(compiled)
         cache = PredictionCache(32)
         rows = batch(8, compiled.num_features, seed=7)
         direct = compiled.raw_scores(rows)
-        got, _ = cache.serve(1, rows, compiled.raw_scores)
+        got, _ = served(cache, 1, rows, book)
         np.testing.assert_array_equal(got, direct)
-        _, misses = cache.serve(1, rows, compiled.raw_scores)
+        _, misses = served(cache, 1, rows, book)
         assert misses == 0
 
 
@@ -223,7 +237,7 @@ class TestRollbackInvalidation:
         registry, cache = self.build(small_binary)
         registry.activate(2)
         rows = batch(8, registry.active.compiled.num_features, seed=11)
-        cache.serve(2, rows, registry.active.compiled.raw_scores)
+        cache.serve(2, rows, ScoreBook(registry.active.compiled))
         assert len(cache) > 0 and cache.version == 2
         registry.rollback()
         # flushed eagerly — no serve() call in between
@@ -235,7 +249,7 @@ class TestRollbackInvalidation:
         registry.stage_canary(2)
         registry.promote(2)
         rows = batch(8, registry.active.compiled.num_features, seed=12)
-        cache.serve(2, rows, registry.active.compiled.raw_scores)
+        cache.serve(2, rows, ScoreBook(registry.active.compiled))
         registry.roll_back(2)
         assert len(cache) == 0 and cache.version == 1
 
@@ -244,7 +258,7 @@ class TestRollbackInvalidation:
         registry, cache = self.build(small_binary)
         registry.stage_canary(2)
         rows = batch(8, registry.active.compiled.num_features, seed=13)
-        cache.serve(1, rows, registry.active.compiled.raw_scores)
+        cache.serve(1, rows, ScoreBook(registry.active.compiled))
         stored = len(cache)
         registry.roll_back(2)  # incumbent keeps serving: no flush
         assert len(cache) == stored and cache.version == 1

@@ -72,7 +72,7 @@ def run_episode(models, fraction, seed, num_workers=3,
         # the split property needs the full canary window
         RollbackPolicy(window=64, min_labels=20, logloss_margin=50.0,
                        auc_margin=0.999),
-        labels, 1, 2, canary_compiled=registry.get(2).compiled,
+        labels, 1, 2,
     )
 
     def on_rollback(at_s):

@@ -9,7 +9,9 @@ compiled ensemble.  These tests hold that dispatch to:
   count, replica row count, balancer and available kernel backend;
 - the ring reduce-scatter closed form for the ``serve:partial`` ledger
   bytes;
-- one backend ``fold_scores`` call per batch;
+- no backend ``fold_scores`` call at dispatch under a service model,
+  and one per read of the version's score book, however many batches
+  it pools;
 - one billing rule: each member's tree share of one full-model figure;
 - the byte-exact smoke-scale ``sharded-steady`` scenario reports, and
   beside them the other smoke scenario and ``deploy --scale 0.25``
@@ -177,16 +179,21 @@ class TestOneTraversalPerRow:
     @pytest.mark.parametrize("balancer", BALANCERS)
     @pytest.mark.parametrize("model", sorted(MODELS))
     @pytest.mark.parametrize("num_shards", (2, 4, 8))
-    def test_fold_calls_per_batch(self, registry, monkeypatch, model,
-                                  num_shards, balancer):
+    def test_one_fold_per_book_read(self, registry, monkeypatch, model,
+                                    num_shards, balancer):
         version = MODELS[model]
         replicas = fleet(registry, num_shards, balancer=balancer)
         replicas.deploy(version)
         calls = count_folds(monkeypatch, registry)
-        batches = 5
-        for seed in range(batches):
+        results = [
             replicas.dispatch(nan_batch(registry, version, 6, seed), 0.0)
-        assert len(calls) == batches
+            for seed in range(5)]
+        assert calls == []          # billing reads no score
+        got = [result.scores for result in results]
+        assert len(calls) == 1      # one traversal over all five batches
+        for result, scores in zip(results, got):
+            assert result.scores.tobytes() == scores.tobytes()
+        assert len(calls) == 1      # scored rows are read, not rescored
 
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_single_shard_row_is_one_call(self, registry, monkeypatch,
@@ -194,7 +201,7 @@ class TestOneTraversalPerRow:
         replicas = fleet(registry, 1)
         replicas.deploy(MODELS[model])
         calls = count_folds(monkeypatch, registry)
-        replicas.dispatch(nan_batch(registry, MODELS[model]), 0.0)
+        replicas.dispatch(nan_batch(registry, MODELS[model]), 0.0).scores
         assert len(calls) == 1
 
 

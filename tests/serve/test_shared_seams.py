@@ -5,6 +5,7 @@ served model and its hot-swap successor."""
 from __future__ import annotations
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from repro.serve import (BatchPolicy, CanaryPolicy, CanaryRouter,
                          RollbackPolicy, ScenarioRunner, ServingReport,
                          ShardedReplicaSet, emit_labels, get_scenario,
                          publish_trained, synthetic_trace)
+from repro.serve import batcher as batcher_module
+from repro.serve.compiler import CompiledEnsemble
 from repro.serve.replica import deployer, resolve_version
 
 
@@ -273,7 +276,12 @@ def test_a_deploy_episode_canaries_whole_rows_of_a_sharded_fleet():
 
 # -- satellites: shadow billing, per-batch polling -------------------------
 
-def test_shadow_compute_is_billed_under_wall_clock_service(registry):
+def test_shadow_compute_is_billed_under_wall_clock_service(
+        registry, monkeypatch):
+    """Without a service model every batch — served or shadow-scored —
+    is billed its own scoring's wall clock: a fake clock that ticks one
+    second per row the compiled predictor scores bills each batch
+    exactly its row count, so no book defers or pools a batch."""
     fleet = ReplicaSet(registry, ClusterConfig(num_workers=2))
     assert fleet.service_model is None
     trace = synthetic_trace(
@@ -282,16 +290,33 @@ def test_shadow_compute_is_billed_under_wall_clock_service(registry):
         fleet, DriftMonitor(window=8),
         CanaryPolicy(fraction=0.5, canary_workers=1, shadow=True, seed=1),
         RollbackPolicy(window=8, min_labels=4),
-        emit_labels(trace, registry.get(1).compiled, 0.01, 1), 1, 2,
-        canary_compiled=registry.get(2).compiled)
+        emit_labels(trace, registry.get(1).compiled, 0.01, 1), 1, 2)
     fleet.deploy(1)
     fleet.deploy(2, workers=router.canary_pool, kind="deploy:canary")
     router.mark_canary_started(0.0)
-    close_s = 10.0
-    result = router.dispatch(trace.features, close_s,
-                             ids=np.arange(8, dtype=np.int64))
-    assert result.model_version == 1 and router.shadow_batches == 1
-    assert fleet._free[router.canary_pool[0]] > close_s
+    clock = [0.0]
+    monkeypatch.setattr(batcher_module, "time", types.SimpleNamespace(
+        perf_counter=lambda: clock[0]))
+    score = CompiledEnsemble.raw_scores
+
+    def ticking(self, features, *args):
+        clock[0] += features.shape[0]
+        return score(self, features, *args)
+
+    monkeypatch.setattr(CompiledEnsemble, "raw_scores", ticking)
+    canary = router.canary_pool[0]
+    for rows, close_s in ((3, 10.0), (5, 100.0)):
+        ids = np.arange(rows, dtype=np.int64)
+        result = router.dispatch(trace.features[:rows], close_s, ids=ids)
+        assert result.model_version == 1
+        assert result.completion_s - result.start_s == rows
+        # the shadow copy went to the canary row, billed the same way
+        assert fleet._free[canary] == close_s + rows
+    assert router.shadow_batches == 2
+    assert clock[0] == 2 * (3 + 5)
+    np.testing.assert_array_equal(
+        result.scores, registry.get(1).compiled.raw_scores(
+            trace.features[:5]))
 
 
 def test_the_bounded_batcher_asks_for_free_time_once_per_batch(registry):

@@ -112,6 +112,24 @@ class TestServeBench:
         assert "single-version batches=True" in out
         assert "deploy:model traffic:" in out
 
+    def test_backend_flag_is_the_backend_the_fleet_scores_on(
+            self, capsys, monkeypatch):
+        from repro.serve.compiler import CompiledEnsemble
+
+        scored_on = []
+        score = CompiledEnsemble.raw_scores
+
+        def spy(self, features, *args, **kwargs):
+            scored_on.append(self.backend.name)
+            return score(self, features, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledEnsemble, "raw_scores", spy)
+        assert main(["serve-bench", "--smoke", "--backend", "pyloop"]) == 0
+        out = capsys.readouterr().out
+        assert "backend=pyloop" in out
+        # the header's timed batch, then the fleet's served batches
+        assert len(scored_on) > 2 and set(scored_on) == {"pyloop"}
+
     def test_saved_model_served(self, tmp_path, capsys):
         data = tmp_path / "train.libsvm"
         main(["datagen", str(data), "--instances", "300",
