@@ -28,9 +28,12 @@ boundary.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import (Callable, Deque, Dict, Iterator, List, Optional,
+from itertools import chain, islice
+from numbers import Integral
+from typing import (Callable, Dict, Iterator, List, Optional,
                     Sequence, Tuple)
 
 import numpy as np
@@ -61,7 +64,8 @@ class BatchPolicy:
     request most likely to already be uselessly stale is sacrificed,
     as in SEDA-style load shedding).  Dropped requests appear in the
     :class:`ServingReport` ledger and the drop rate in
-    :class:`LatencyStats`.
+    :class:`LatencyStats`.  Sizes must be integers and ``max_delay_s``
+    finite; anything else raises ``ValueError`` naming the field.
     """
 
     max_batch_size: int = 64
@@ -70,10 +74,14 @@ class BatchPolicy:
     overload: str = "reject"
 
     def __post_init__(self) -> None:
+        for name in ("max_batch_size", "max_queue"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if not (self.max_delay_s >= 0.0):
-            raise ValueError("max_delay_s must be >= 0")
+        if not (0.0 <= self.max_delay_s < float("inf")):
+            raise ValueError("max_delay_s must be finite and >= 0")
         if self.max_queue < 0:
             raise ValueError("max_queue must be >= 0 (0 = unbounded)")
         if 0 < self.max_queue < self.max_batch_size:
@@ -591,13 +599,24 @@ class MicroBatcher:
         dispatch order (with shedding this is not request order);
         ``report.scores`` rows align with it.
 
-        The queue is kept twice: ``backlog`` in arrival order (what a
-        batch is cut from) and one arrival-ordered deque per priority
-        class (whose lowest non-empty head is the victim, found without
-        scanning the backlog).  A batch takes the oldest queued ids, so
-        each of them is the head of its class deque when it leaves.
+        The queue is one arrival-ordered deque per priority class: the
+        lowest non-empty class's head is the shed victim, and a batch
+        takes the ``size`` oldest ids across the class heads.  Each loop
+        turn handles one event under one ``close``.  While the queue has
+        room, every arrival up to ``close`` is admitted as one run (a
+        bisect: arrivals are nondecreasing).  A run may carry past the
+        arrival that fills the batch; the extras are newer than the
+        batch, so its ids and close stay as they are, and each is within
+        the delay budget of every later head, so admitting one arrival
+        at a time would queue them all the same, before any later
+        arrival, and cut the same batches.  With the queue full, every
+        arrival up to ``close`` is an overload event and none moves
+        ``close``: each queued arrival is at or before the newcomer,
+        which is at or before ``close``, and an eviction only shifts
+        such an arrival into position ``max_batch_size - 1``.
         """
         policy = self.policy
+        full = policy.max_batch_size
         total = trace.num_requests
         room = policy.max_queue or total
         # read once as Python lists: the loop below touches single
@@ -612,59 +631,55 @@ class MicroBatcher:
         shed = policy.overload == "shed-oldest"
         drop_id, drop_s, drop_reason, drop_tenant, drop_priority = (
             drops[name] for name in DROP_COLUMNS)
-        backlog: Deque[int] = deque()
-        i = 0
+
+        def oldest(k: int) -> List[int]:
+            """The ``k`` oldest queued ids, oldest first."""
+            heads = [list(islice(q, k)) for q in queue_of.values() if q]
+            return heads[0] if len(heads) == 1 else \
+                sorted(chain.from_iterable(heads))[:k]
+
+        queued = i = 0
         # asked once per batch, not per admission event: backend free
         # time (and a router's serve pool) only changes at a dispatch or
         # a swap, and both happen while this generator is suspended
         free = self.backend.next_free_s()
-        while i < total or backlog:
-            if not backlog:
-                backlog.append(i)
-                queue_of[priorities[i]].append(i)
-                i += 1
-            if len(backlog) >= policy.max_batch_size:
-                # a full batch closes as soon as capacity frees (its
-                # fill arrival is necessarily in the past)
-                close = max(arrivals[backlog[policy.max_batch_size - 1]],
-                            free)
-            else:
-                close = max(arrivals[backlog[0]] + policy.max_delay_s,
-                            free)
-            if i < total and arrivals[i] <= close:
-                # the next arrival lands before this batch dispatches:
-                # an admission event — the queue absorbs it while there
-                # is room, otherwise the overload policy picks a victim
-                now = arrivals[i]
-                if len(backlog) < room:
-                    backlog.append(i)
-                    queue_of[priorities[i]].append(i)
-                else:
-                    # the lowest class queued (a full queue holds someone)
-                    lowest, queued = next(
-                        entry for entry in queue_of.items() if entry[1])
-                    if shed and priorities[i] >= lowest:
-                        dropped, reason = queued.popleft(), "shed-oldest"
-                        backlog.remove(dropped)
-                        backlog.append(i)
-                        queue_of[priorities[i]].append(i)
-                    else:
-                        # drop-tail — by policy, or because the newcomer
-                        # is strictly the lowest admission class present
-                        # and is turned away instead of evicting anyone
-                        # more important
-                        dropped, reason = i, "reject"
-                    drop_id.append(dropped)
-                    drop_s.append(now)
-                    drop_reason.append(reason)
-                    drop_tenant.append(tenants[dropped])
-                    drop_priority.append(priorities[dropped])
-                i += 1
-                continue
-            size = min(len(backlog), policy.max_batch_size)
-            batch_ids = [backlog.popleft() for _ in range(size)]
-            for request in batch_ids:
+        while i < total or queued:
+            filling = queued < full
+            if filling:     # the head's delay budget; i heads an empty queue
+                head = oldest(1)[0] if queued else i
+                close = max(arrivals[head] + policy.max_delay_s, free)
+            else:           # a full batch closes as soon as capacity frees
+                close = max(arrivals[oldest(full)[-1]], free)
+            # the queue admits the arrivals up to close while it has room
+            end = bisect_right(arrivals, close, i)
+            stop = min(end, i + room - queued)
+            for j in range(i, stop):
+                queue_of[priorities[j]].append(j)
+            queued += stop - i
+            i = stop
+            if filling and queued >= full:
+                continue        # the batch filled: its close comes forward
+            for j in range(i, end):
+                # a full queue drops the newcomer, or sheds the oldest of
+                # the lowest class queued if the newcomer is not below it
+                dropped, reason = j, "reject"
+                if shed:
+                    for lowest, victims in queue_of.items():
+                        if victims:
+                            break
+                    if priorities[j] >= lowest:
+                        dropped, reason = victims.popleft(), "shed-oldest"
+                        queue_of[priorities[j]].append(j)
+                drop_id.append(dropped)
+                drop_s.append(arrivals[j])
+                drop_reason.append(reason)
+                drop_tenant.append(tenants[dropped])
+                drop_priority.append(priorities[dropped])
+            i = end
+            batch = oldest(min(queued, full))
+            for request in batch:
                 queue_of[priorities[request]].popleft()
-            ids = np.asarray(batch_ids, dtype=np.int64)
+            queued -= len(batch)
+            ids = np.asarray(batch, dtype=np.int64)
             yield trace.features.take(ids, axis=0), ids, float(close)
             free = self.backend.next_free_s()

@@ -72,6 +72,30 @@ class TestPolicy:
         with pytest.raises(ValueError, match="max_delay"):
             BatchPolicy(max_delay_s=float("nan"))
 
+    def test_integral_batch_size(self):
+        # a float size used to crash deep in the admission loop
+        with pytest.raises(ValueError, match="max_batch_size"):
+            BatchPolicy(max_batch_size=4.0)
+        with pytest.raises(ValueError, match="max_batch_size"):
+            BatchPolicy(max_batch_size=True)
+
+    def test_integral_queue_bound(self):
+        # 8.5 used to act as a 9-slot queue
+        with pytest.raises(ValueError, match="max_queue"):
+            BatchPolicy(max_batch_size=4, max_queue=8.5)
+        with pytest.raises(ValueError, match="max_queue"):
+            BatchPolicy(max_batch_size=1, max_queue=True)
+
+    def test_finite_delay(self):
+        # an infinite budget closed the last batch at inf
+        with pytest.raises(ValueError, match="max_delay_s"):
+            BatchPolicy(max_delay_s=float("inf"))
+
+    def test_numpy_integers_accepted(self):
+        policy = BatchPolicy(max_batch_size=np.int64(4),
+                             max_queue=np.int32(8), max_delay_s=0)
+        assert (policy.max_batch_size, policy.max_queue) == (4, 8)
+
 
 class TestTrace:
     def test_synthetic_trace_seeded(self):
@@ -485,6 +509,71 @@ class TestBoundedQueueAgainstReference:
         assert drops(report, "drop_id", "drop_reason", "drop_s") == [
             (1, "shed-oldest", 0.004), (2, "shed-oldest", 0.005)]
         assert report.request_id.tolist() == [0, 3, 4, 5]
+
+
+def swept_trace(rng, batch, rate_x, classes, tied):
+    """~150 Poisson arrivals at ``rate_x`` times the full-batch capacity
+    of :class:`SimulatedWorker`; ``tied`` snaps them to a clock of two
+    mean gaps, so many arrive together; ``classes`` distinct priority
+    values (0: an unprioritized trace)."""
+    rate = rate_x * batch / (0.002 + 0.0001 * batch)
+    num = 150
+    arrivals = np.cumsum(rng.exponential(1.0 / rate, num))
+    if tied:
+        tick = 2.0 / rate
+        arrivals = np.round(arrivals / tick) * tick
+    annotations = {}
+    if classes:
+        values = rng.choice(8, classes, replace=False).astype(np.int32)
+        annotations = dict(priorities=rng.choice(values, num),
+                           tenants=rng.integers(0, 3, num).astype(np.int32))
+    return RequestTrace(features=rng.standard_normal((num, 2)),
+                        arrivals=arrivals, **annotations)
+
+
+class TestAdmissionSweepAgainstReference:
+    """Event-run admission forms the reference's batches, closes and
+    drop columns over the regimes the runs change: in-capacity to
+    overloaded, batch sizes down to one, zero and long delay budgets,
+    queues from one batch to three (and unbounded), ties, stalls and up
+    to three priority classes.  Eight seeded draws per cell."""
+
+    @pytest.mark.parametrize("delay", [0.0, 0.0005, 0.002, 0.01])
+    @pytest.mark.parametrize("queue", ["unbounded", "B", "B+1", "2B",
+                                       "3B"])
+    @pytest.mark.parametrize("batch", [1, 2, 5, 16])
+    def test_same_batches_closes_and_drops(self, batch, queue, delay):
+        max_queue = {"unbounded": 0, "B": batch, "B+1": batch + 1,
+                     "2B": 2 * batch, "3B": 3 * batch}[queue]
+        rng = np.random.default_rng(
+            [batch, max_queue, int(delay * 1e4)])
+        dropped = 0
+        for draw in range(8):
+            policy = BatchPolicy(
+                batch, max_delay_s=delay, max_queue=max_queue,
+                overload=("reject", "shed-oldest")[draw % 2])
+            stall_every = (0, 3)[draw // 2 % 2]
+            trace = swept_trace(rng, batch,
+                                rate_x=(0.3, 0.8, 1.3, 3.0)[draw % 4],
+                                classes=int(rng.integers(0, 4)),
+                                tied=draw // 4 == 1)
+            # the reference reads max_queue literally: 0 admits nobody
+            bounded = policy if max_queue else BatchPolicy(
+                batch, max_delay_s=delay,
+                max_queue=max(trace.num_requests, batch))
+            got_backend = SimulatedWorker(stall_every)
+            got_drops = {name: [] for name in DROP_COLUMNS}
+            got = formed(MicroBatcher(got_backend, policy)._batches(
+                trace, got_drops), got_backend)
+            want_backend = SimulatedWorker(stall_every)
+            want_drops = {name: [] for name in DROP_COLUMNS}
+            want = formed(reference_bounded_batches(
+                want_backend, bounded, trace, want_drops), want_backend)
+            assert got == want
+            assert got_drops == want_drops
+            dropped += len(got_drops["drop_id"])
+        # the 3x-overloaded draws fill any bounded queue
+        assert (dropped > 0) == (max_queue > 0)
 
 
 class TestLedgerAgainstReference:

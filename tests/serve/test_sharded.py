@@ -13,6 +13,8 @@ list must quote what the ledger records.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from repro import ClusterConfig, GBDT, TrainConfig
 from repro.cluster.comm import RingReduceScatter
 from repro.config import NetworkModel
 from repro.core.kernels import available_backends
-from repro.core.serialize import ensemble_from_dict
+from repro.core.serialize import canonical_payload_bytes, ensemble_from_dict
 from repro.serve import (BatchPolicy, MicroBatcher, ModelRegistry,
                          PARTIAL_KIND, SHARD_DEPLOY_KIND, ReplicaSet,
                          ShardedReplicaSet, compile_ensemble, shard_bounds,
@@ -165,6 +167,34 @@ class TestRegistryShards:
             assert shard.checksum == payload_checksum(piece)
             assert piece["trees"] == \
                 entry.payload["trees"][shard.start_tree:shard.stop_tree]
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_corrupted_shard_bytes_never_verify(self, registry,
+                                                num_shards):
+        """Every truncation and 400 seeded single-bit flips of each
+        shard's canonical bytes: decoding raises ``ValueError`` (not
+        UTF-8, not JSON, or refused by ``ensemble_from_dict``), or the
+        decoded payload's checksum is not the shard's — unless JSON
+        reading absorbs the flip (a 17th significant digit that parses
+        to the same float), so it decodes to the shard's own payload."""
+        rng = np.random.default_rng(num_shards)
+        for shard in registry.shards(1, num_shards):
+            data = canonical_payload_bytes(shard.payload)
+            copies = [data[:cut] for cut in range(len(data))]
+            for at, bit in zip(rng.integers(0, len(data), 400),
+                               rng.integers(0, 8, 400)):
+                flipped = bytearray(data)
+                flipped[at] ^= 1 << int(bit)
+                copies.append(bytes(flipped))
+            for copy in copies:
+                try:
+                    payload = json.loads(copy)
+                    ensemble_from_dict(payload)
+                except ValueError:
+                    continue
+                if payload == shard.payload:
+                    continue
+                assert payload_checksum(payload) != shard.checksum, copy
 
     def test_shards_cached_per_version_and_count(self, registry):
         assert registry.shards(1, 2) is registry.shards(1, 2)
