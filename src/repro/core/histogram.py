@@ -295,7 +295,9 @@ class HistogramBuilder:
         Returns the histogram and the number of stored entries touched.
         A node holding every shard row (each tree's root) takes the fast
         path: scatter keys and entry-row ids come straight from the shard's
-        cached invariants, skipping the gather machinery entirely.
+        cached invariants, skipping the gather machinery entirely.  On a
+        full shard (every row stores all ``D`` features) any other node
+        takes its keys as whole ``D``-entry rows of the shard's keys.
 
         On a shard with a :meth:`~repro.data.matrix.CSRMatrix.hist_basis`
         the histogram lives in that basis (its ``slots`` is the shard's):
@@ -337,27 +339,32 @@ class HistogramBuilder:
     def _rowstore_gather(self, shard: CSRMatrix, rows: np.ndarray,
                          grad: np.ndarray, hess: np.ndarray,
                          num_bins: int) -> Tuple[Histogram, int]:
-        """Generic path: gather the node's entries, then scatter."""
+        """Non-root path: gather the node's entries, then scatter."""
         gradient_dim = grad.shape[1]
         shard_keys, slots = self._rowstore_keys(shard, num_bins)
-        lengths = shard.row_lengths()[rows]
-        total = int(lengths.sum())
+        full = shard.nnz == shard.num_rows * shard.num_cols
+        lengths = shard.num_cols if full else shard.row_lengths()[rows]
+        total = int(rows.size * shard.num_cols if full else lengths.sum())
         if total == 0:
             return Histogram(shard.num_cols, num_bins, gradient_dim,
                              slots=slots), 0
         hist = Histogram.empty(shard.num_cols, num_bins, gradient_dim,
                                slots=slots)
-        starts = shard.indptr[rows]
-        # position of each selected entry: repeat each row's start shifted
-        # by the entries already emitted, then add a flat ramp
-        entry_pos = np.repeat(starts - np.cumsum(lengths) + lengths,
-                              lengths)
-        entry_pos += np.arange(total)
-        entry_rows = np.repeat(rows, lengths)
         # gather precomposed scatter keys from the shard cache: one take
         # instead of re-deriving feature*num_bins + bin per entry
-        keys = shard_keys.take(entry_pos)
-        self._scatter(hist, keys, entry_rows, grad, hess, len(hist.grad))
+        if full:
+            # every row holds all D entries: take the node's rows whole
+            keys = shard_keys.reshape(-1, shard.num_cols).take(
+                rows, axis=0).ravel()
+        else:
+            # position of each selected entry: repeat each row's start
+            # shifted by the entries already emitted, then add a ramp
+            entry_pos = np.repeat(
+                shard.indptr[rows] - np.cumsum(lengths) + lengths, lengths)
+            entry_pos += np.arange(total)
+            keys = shard_keys.take(entry_pos)
+        self._scatter(hist, keys, np.repeat(rows, lengths), grad, hess,
+                      len(hist.grad))
         return hist, total
 
     # -- column-store + instance-to-node kernel (QD1) -------------------------

@@ -7,9 +7,11 @@ boolean ``go_left`` array aligned with the node's row list.
 The row-store variant handles a whole layer in one pass: every row of
 every split node bisects its own CSR row for the node's split feature,
 all rows in lockstep, so node splitting costs ``O(rows * log(row nnz))``
-per layer — the Section 3.2.4 bound.  The column-store variant reads the
-split feature's column per node.  The vertical quadrants encode the
-result as bitmaps (:mod:`repro.cluster.bitmap`) before broadcasting it.
+per layer — the Section 3.2.4 bound — and ``O(rows)`` on a full shard
+(every row stores all D features), whose entries are addressed directly.
+The column-store variant reads the split feature's column per node.  The
+vertical quadrants encode the result as bitmaps
+(:mod:`repro.cluster.bitmap`) before broadcasting it.
 """
 
 from __future__ import annotations
@@ -46,9 +48,12 @@ def layer_placements_rowstore(
     rows, offsets = index.rows_of_nodes(nodes)
     seg = np.repeat(np.arange(len(nodes)), np.diff(offsets))
     chosen = [splits[node] for node in nodes]
-    go_left = np.array([s.default_left for s in chosen])[seg]
-    if shard.nnz:
-        feature = np.array([s.feature - feature_offset for s in chosen])[seg]
+    feature = np.array([s.feature - feature_offset for s in chosen])[seg]
+    bins = np.array([s.bin for s in chosen])[seg]
+    if shard.nnz == shard.num_rows * shard.num_cols:
+        # a full shard stores feature f of row r at entry r * D + f
+        go_left = shard.values.take(rows * shard.num_cols + feature) <= bins
+    elif shard.nnz:
         columns = shard.indices
         # A row's column ids ascend and are distinct in [0, D), so
         # feature f can only sit among entries f - (D - len) .. f of it:
@@ -68,10 +73,11 @@ def layer_placements_rowstore(
                           probe, lo)
             size -= half
         present = (length > 0) & (columns.take(lo, mode="clip") == feature)
-        bins = np.array([s.bin for s in chosen])[seg]
         go_left = np.where(present,
                            shard.values.take(lo, mode="clip") <= bins,
-                           go_left)
+                           np.array([s.default_left for s in chosen])[seg])
+    else:
+        go_left = np.array([s.default_left for s in chosen])[seg]
     return {node: go_left[offsets[i]:offsets[i + 1]]
             for i, node in enumerate(nodes)}
 

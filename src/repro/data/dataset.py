@@ -48,6 +48,13 @@ class Dataset:
             )
         if task not in ("binary", "multiclass", "regression"):
             raise ValueError(f"unknown task: {task!r}")
+        # the row-store kernels find feature f of a row by its position
+        step = np.diff(features.indices.astype(np.int64))
+        bounds = features.indptr[1:-1]  # pairs that straddle two rows
+        step[bounds[(bounds > 0) & (bounds <= step.size)] - 1] = 1
+        if step.size and step.min() <= 0:
+            raise ValueError("feature ids must ascend strictly within a "
+                             "row (no repeated or unsorted ids)")
         if task == "binary" and not np.isin(labels, (0, 1)).all():
             raise ValueError("binary task requires labels in {0, 1}")
         if task == "multiclass":

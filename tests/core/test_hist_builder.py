@@ -1,9 +1,10 @@
 """HistogramBuilder engine tests.
 
 Covers the builder around the kernels: repeated builds carry no stale
-state, the root fast path of the row-store kernel is bit-for-bit
-identical to the generic gather path, all four kernels agree on random
-sparse shards for 1- and 3-dimensional gradients, the histogram store
+state, the root fast path of the row-store kernel and its whole-row
+gather on full shards are bit-for-bit identical to the entry-position
+gather, all four kernels agree on random sparse shards for 1- and
+3-dimensional gradients, the histogram store
 tracks live and peak bytes, and the lookup-table leaf gathers match the
 masked loops they replaced.
 """
@@ -100,6 +101,71 @@ class TestRootFastPath:
             csr, np.arange(4), grad, grad, 5)
         assert touched == 0
         assert np.all(hist.grad == 0.0)
+
+
+def full_binned(rng, num_rows, num_features, num_bins, bins_used=None):
+    """A binned CSR storing every feature of every row (the full-row
+    route), its bins drawn from the first ``bins_used`` bins."""
+    dense = rng.integers(0, bins_used or num_bins,
+                         size=(num_rows, num_features))
+    rows = [[(f, int(b)) for f, b in enumerate(row)] for row in dense]
+    return CSRMatrix.from_rows(rows, num_features, dtype=np.int32)
+
+
+def with_empty_row(csr):
+    """``csr`` plus one trailing empty row: the same entries, not full."""
+    return CSRMatrix(np.append(csr.indptr, csr.indptr[-1]), csr.indices,
+                     csr.values, csr.num_cols)
+
+
+class TestFullShardGather:
+    """A non-root node of a full shard takes whole rows of the shard's
+    keys; the same shard with one empty row appended takes the
+    entry-position gather.  Same keys in the same order: every bin must
+    be bit for bit the same."""
+
+    @pytest.mark.parametrize("gradient_dim", [1, 3])
+    @pytest.mark.parametrize("bins_used", [None, 2])
+    def test_bit_for_bit_vs_entry_position_gather(self, rng, gradient_dim,
+                                                  bins_used):
+        num_rows, num_features, num_bins = 50, 6, 7
+        full = full_binned(rng, num_rows, num_features, num_bins, bins_used)
+        padded = with_empty_row(full)
+        assert full.nnz == num_rows * num_features
+        assert padded.nnz < padded.num_rows * num_features
+        # two of seven bins used: the slots basis; all seven: dense keys
+        assert (full.hist_basis(num_bins) is None) == (bins_used is None)
+        grad = rng.standard_normal((num_rows + 1, gradient_dim))
+        hess = rng.random((num_rows + 1, gradient_dim))
+        builder = HistogramBuilder()
+        picks = [np.sort(rng.choice(num_rows, size, replace=False))
+                 for size in (1, 17, num_rows - 1)]
+        picks += [rng.permutation(num_rows)[:23],
+                  np.array([], dtype=np.int64)]
+        for rows in picks:
+            a, touched_a = builder.build_rowstore(full, rows, grad, hess,
+                                                  num_bins)
+            b, touched_b = builder.build_rowstore(padded, rows, grad, hess,
+                                                  num_bins)
+            assert touched_a == touched_b == rows.size * num_features
+            assert np.array_equal(a.slots, b.slots)
+            assert np.array_equal(a.grad, b.grad)
+            assert np.array_equal(a.hess, b.hess)
+
+    def test_full_shard_never_reads_row_lengths(self, rng, monkeypatch):
+        """Only the entry-position gather reads ``row_lengths``."""
+        calls = []
+        real = CSRMatrix.row_lengths
+        monkeypatch.setattr(CSRMatrix, "row_lengths",
+                            lambda m: calls.append(m) or real(m))
+        full = full_binned(rng, 30, 5, 6)
+        grad = rng.standard_normal((31, 1))
+        builder = HistogramBuilder()
+        builder.build_rowstore(full, np.arange(0, 30, 2), grad, grad, 6)
+        assert calls == []
+        builder.build_rowstore(with_empty_row(full), np.arange(0, 30, 2),
+                               grad, grad, 6)
+        assert calls
 
 
 class TestFourKernelAgreement:

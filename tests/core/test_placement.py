@@ -1,5 +1,6 @@
 """Placement computation tests (node splitting, Section 2.2.1): both
-layouts against a brute-force dense lookup on random sparse shards."""
+layouts against a brute-force dense lookup on random sparse shards
+and on full shards (every feature of every row stored)."""
 
 from __future__ import annotations
 
@@ -30,9 +31,23 @@ def random_shard(rng, num_rows, num_cols, density, num_bins=6,
         mask[-1] = False
         mask[-1, rng.integers(num_cols)] = True
     dense[mask] = rng.integers(0, num_bins, size=mask.sum())
+    return binned_csr(dense), dense
+
+
+def full_shard(rng, num_rows, num_cols, num_bins=6, short=False):
+    """Binned CSR storing every feature of every row (``nnz == N * D``,
+    the full-row route), or one entry short of that when ``short``."""
+    dense = rng.integers(0, num_bins, size=(num_rows, num_cols))
+    if short:
+        dense[rng.integers(num_rows), rng.integers(num_cols)] = -1
+    return binned_csr(dense), dense
+
+
+def binned_csr(dense):
+    """The CSR of a dense bin matrix (-1 = missing)."""
     rows = [[(int(c), int(dense[i, c])) for c in np.flatnonzero(row >= 0)]
             for i, row in enumerate(dense)]
-    return CSRMatrix.from_rows(rows, num_cols, dtype=np.int32), dense
+    return CSRMatrix.from_rows(rows, dense.shape[1], dtype=np.int32)
 
 
 def expected_go_left(dense, rows, feature, bin_id, default_left):
@@ -57,6 +72,27 @@ def test_both_layouts_equal_the_dense_lookup(seed, num_rows, num_cols,
                                              density, layers, offset):
     rng = np.random.default_rng(seed)
     shard, dense = random_shard(rng, num_rows, num_cols, density)
+    check_layer_against_dense(rng, shard, dense, layers, offset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), num_rows=st.integers(1, 40),
+       num_cols=st.integers(1, 13), short=st.booleans(),
+       layers=st.integers(0, 3), offset=st.integers(0, 5))
+def test_full_and_one_short_shards_equal_the_dense_lookup(
+        seed, num_rows, num_cols, short, layers, offset):
+    """A full shard takes the direct ``r * D + f`` lookup; one entry
+    short of full, the same rows take the bisection."""
+    rng = np.random.default_rng(seed)
+    shard, dense = full_shard(rng, num_rows, num_cols, short=short)
+    assert (shard.nnz == num_rows * num_cols) != short
+    check_layer_against_dense(rng, shard, dense, layers, offset)
+
+
+def check_layer_against_dense(rng, shard, dense, layers, offset):
+    """One layer of random splits, some on features of other shards,
+    placed by both layouts and compared with the dense lookup."""
+    num_rows, num_cols = dense.shape
     index = NodeToInstanceIndex(num_rows)
     split_some_layers(rng, index, layers)
     nodes = index.active_nodes()
@@ -115,3 +151,19 @@ class TestRowstorePlacements:
         split = {0: SplitInfo(feature=100, bin=1, default_left=False,
                               gain=1.0)}
         assert layer_placements_rowstore(shard, index, split) == {}
+
+    def test_full_shard_never_reads_row_lengths(self, rng, monkeypatch):
+        """The full-row route addresses entries without the per-row
+        bounds; only the bisection reads ``row_lengths``."""
+        calls = []
+        real = CSRMatrix.row_lengths
+        monkeypatch.setattr(CSRMatrix, "row_lengths",
+                            lambda m: calls.append(m) or real(m))
+        index = NodeToInstanceIndex(30)
+        index.split_nodes({0: rng.random(30) < 0.5})
+        splits = {1: SplitInfo(2, 3, False, 1.0),
+                  2: SplitInfo(4, 1, True, 1.0)}
+        for short in (False, True):
+            shard, _ = full_shard(rng, 30, 5, short=short)
+            layer_placements_rowstore(shard, index, splits)
+            assert bool(calls) == short

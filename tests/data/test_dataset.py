@@ -37,6 +37,25 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="task"):
             Dataset(features, np.array([0, 1]), task="ranking")
 
+    @pytest.mark.parametrize("indptr, indices", [
+        ([0, 2, 4], [0, 0, 0, 1]),       # a repeated id in a full row
+        ([0, 0, 2, 2], [1, 0]),          # an unsorted row
+        ([0, 0, 2, 4], [0, 1, 1, 1]),    # a repeat in the last row
+    ])
+    def test_row_feature_ids_must_ascend(self, indptr, indices):
+        """The row-store kernels address feature f of a full row at
+        entry f, so every row must hold each feature at most once, in
+        order."""
+        features = CSRMatrix(indptr, indices, np.ones(len(indices)), 2)
+        with pytest.raises(ValueError, match="ascend strictly"):
+            Dataset(features, np.zeros(len(indptr) - 1, dtype=np.int64))
+
+    def test_ids_restart_at_each_row(self):
+        features = CSRMatrix([0, 0, 2, 3, 4, 4], [0, 1, 0, 1],
+                             np.ones(4), 2)
+        dataset = Dataset(features, np.zeros(5, dtype=np.int64))
+        assert dataset.num_instances == 5
+
     def test_properties(self, small_binary):
         assert small_binary.num_instances == 1200
         assert small_binary.num_features == 25

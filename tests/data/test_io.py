@@ -79,6 +79,12 @@ class TestReader:
         with pytest.raises(ValueError, match=">= 1"):
             read_libsvm(path)
 
+    def test_repeated_index_rejected(self, tmp_path):
+        path = tmp_path / "repeat.libsvm"
+        path.write_text("1 1:0.5 1:0.7\n0 1:0.3 2:0.9\n")
+        with pytest.raises(ValueError, match="ascend strictly"):
+            read_libsvm(path)
+
     def test_num_features_too_small(self, tmp_path):
         path = tmp_path / "wide.libsvm"
         path.write_text("1 5:1.0\n0 1:1.0\n")
