@@ -2,9 +2,7 @@
 
 Shows each of the five steps on a sparse dataset and the effect of the two
 optimizations (pair compression, blockify) on the repartition cost —
-Appendix A / Table 5 in miniature — then ships group 0 as one block per
-horizontal row range, as Vero's repartition does, and verifies the
-two-phase index of Figure 9 resolves instances correctly.
+Appendix A / Table 5 in miniature — and the column groups' balance.
 
 Usage::
 
@@ -16,8 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import ClusterConfig, load_catalog
-from repro.cluster.blocks import BlockedColumnGroup, blockify_shard
-from repro.cluster.partition import horizontal_row_ranges
 from repro.cluster.transform import horizontal_to_vertical
 
 
@@ -54,26 +50,6 @@ def main() -> None:
               f"{load:8d} key-value pairs")
     imbalance = max(loads) / (sum(loads) / len(loads))
     print(f"  imbalance (max/mean): {imbalance:.3f}")
-
-    print("\ntwo-phase index check (Figure 9):")
-    group = result.groups[0]
-    blocks = [
-        blockify_shard(binned.binned.select_rows(rows).select_cols(group),
-                       int(rows[0]))
-        for rows in horizontal_row_ranges(dataset.num_instances,
-                                          cluster.num_workers)
-        if rows.size
-    ]
-    blocked = BlockedColumnGroup(blocks, group.size).merge(max_blocks=5)
-    shard = binned.select_features(group)
-    for instance in (0, dataset.num_instances // 2,
-                     dataset.num_instances - 1):
-        cols, bins = blocked.lookup(instance)
-        ref_cols, ref_bins = shard.binned.row(instance)
-        ok = np.array_equal(cols, ref_cols) and np.array_equal(bins, ref_bins)
-        print(f"  instance {instance:6d}: {cols.size:3d} pairs in "
-              f"{blocked.num_blocks} blocks -> "
-              f"{'consistent' if ok else 'MISMATCH'}")
 
 
 if __name__ == "__main__":

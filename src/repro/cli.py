@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "qd3/yggdrasil, qd4/vero, lightgbm-fp")
     train.add_argument("--plan",
                        help="execution-plan registry key (e.g. qd2-ps, "
-                            "qd3-pure, qd4-blocked) or 'auto-adapt' for "
+                            "qd3-pure) or 'auto-adapt' for "
                             "mid-run re-planning; overrides --system")
     train.add_argument("--adapt-every", type=int, default=4,
                        help="with --plan auto-adapt: recalibrate the "

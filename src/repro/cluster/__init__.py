@@ -1,2 +1,2 @@
 """Distributed-cluster simulation: network, collectives, partitioning,
-the horizontal-to-vertical transformation, blocks and bitmaps."""
+the horizontal-to-vertical transformation and bitmaps."""

@@ -5,8 +5,8 @@ storage layout, index plan, aggregation — and can build a ready-to-train
 :class:`~repro.systems.executor.PlanExecutor`.  The paper's quadrants
 (and the bolted-on variants of its Section 5 study) are entries in
 :data:`PLANS`; adding a system variant means adding an entry, not a
-subclass, and mixed layouts beyond the four quadrants (e.g. the
-blockified ``qd4-blocked``) are just new axis combinations.
+subclass, and mixed layouts beyond the four quadrants are just new axis
+combinations.
 
 Use :func:`get_plan` to resolve a registry key or alias, and
 ``plan.build(config, cluster).fit(binned)`` to train with it::
@@ -154,13 +154,6 @@ PLANS: Dict[str, ExecutionPlan] = _plans(
                      "broadcast (the paper's system)"),
         partition="vertical", storage="row",
         index="node-to-instance", aggregation="bitmap-broadcast",
-    ),
-    ExecutionPlan(
-        key="qd4-blocked", quadrant="QD4", name="vero-blocked",
-        description=("Vero over blockified column groups merged to one "
-                     "block; kernels read its CSR (Figure 9 layout)"),
-        partition="vertical", storage="blocked-row",
-        index="two-phase", aggregation="bitmap-broadcast",
     ),
 )
 

@@ -8,14 +8,12 @@ strategy object:
   (horizontal row shards / vertical column groups / full replicas) and,
   consequently, where gradients and node statistics live.
 * :class:`StorageLayout` — how a worker lays out its shard (CSR row
-  store / CSC column store / blockified column group) and which
-  histogram-construction and placement kernels that layout admits.
+  store / CSC column store) and which histogram-construction and
+  placement kernels that layout admits.
 * :class:`IndexPlan` — which node/instance index drives histogram
   construction (level-wise instance-to-node pass, node-to-instance with
-  subtraction scheduling, per-column node-to-instance, the hybrid plan
-  of Section 5.2.2, or Figure 9's ``two-phase`` key, which runs
-  node-to-instance over the merged one-block CSR — no kernel calls the
-  block ``lookup``).
+  subtraction scheduling, per-column node-to-instance, or the hybrid
+  plan of Section 5.2.2).
 * :class:`AggregationStrategy` — how per-worker histograms become global
   split decisions (ring all-reduce, reduce-scatter, parameter-server
   push, or no aggregation at all with local election plus placement
@@ -432,20 +430,6 @@ class ColumnStore(StorageLayout):
         return layer_placements_colstore(ex.stored[worker], index, splits)
 
 
-class BlockifiedRowStore(RowStore):
-    """Blockified column group (Figure 9): the post-repartition layout.
-
-    A worker's shipped blocks merge down to one CSR block per column
-    group (the paper's training representation,
-    :class:`~repro.cluster.blocks.BlockedColumnGroup`), which holds entry
-    for entry the plain row store's CSR and bytes: the layout stores the
-    shard as :class:`RowStore` does, so trees are bit-identical to QD4's
-    and the memory report is the block arrays a worker holds.
-    """
-
-    key = "blocked-row"
-
-
 # ---------------------------------------------------------------------------
 # Index plan
 # ---------------------------------------------------------------------------
@@ -595,18 +579,6 @@ class ColumnwiseIndexPlan(NodeToInstancePlan):
                     column_index.update_after_split(index.node_of_instance,
                                                     children)
         super().after_layer(ex, nodes, split_nodes, clock)
-
-
-class TwoPhaseIndexPlan(NodeToInstancePlan):
-    """Subtraction scheduling over a blockified group (Figure 9).
-
-    The storage merges each group down to one block and the kernels read
-    that merged CSR, so no kernel calls the two-phase block index
-    (:meth:`~repro.cluster.blocks.BlockedColumnGroup.lookup`); the key
-    names the paper's layout.
-    """
-
-    key = "two-phase"
 
 
 # ---------------------------------------------------------------------------
@@ -897,12 +869,12 @@ PARTITIONS: Dict[str, PartitionStrategy] = _registry(
 )
 
 STORAGES: Dict[str, StorageLayout] = _registry(
-    RowStore, ColumnStore, BlockifiedRowStore,
+    RowStore, ColumnStore,
 )
 
 INDEX_PLANS: Dict[str, IndexPlan] = _registry(
     InstanceToNodePlan, NodeToInstancePlan, HybridIndexPlan,
-    ColumnwiseIndexPlan, TwoPhaseIndexPlan,
+    ColumnwiseIndexPlan,
 )
 
 AGGREGATIONS: Dict[str, AggregationStrategy] = _registry(

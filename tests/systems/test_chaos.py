@@ -1,7 +1,8 @@
 """Chaos/conformance harness for the fault-injection subsystem.
 
 The contract under test (DESIGN.md §9): for *any* recoverable seeded
-fault schedule, on *every* plan in the registry,
+fault schedule, on *every* plan in the registry and every runnable
+composition of the strategy grid,
 
 1. the final model is bit-identical to the fault-free run,
 2. the traffic ledger's unprefixed kinds equal the fault-free ledger
@@ -31,6 +32,7 @@ from repro.data.dataset import bin_dataset
 from repro.systems.executor import TreeCheckpoint
 from repro.systems.plans import get_plan, plan_keys
 from repro.systems.strategies import AGGREGATIONS
+from tests.systems.test_plans import RUNNABLE, compose, composition_id
 
 #: the CI chaos job's pinned fault seeds
 PINNED_SEEDS = (101, 202, 303)
@@ -67,16 +69,59 @@ def binned():
 
 def run_pair(plan_key, binned, faults, num_workers=4, num_trees=3,
              num_layers=4, codec=""):
-    """(fault-free result, faulty result, faulty system)."""
+    """(fault-free result, faulty result, faulty system); ``plan_key`` is
+    a registry key or an :class:`ExecutionPlan`."""
+    plan = get_plan(plan_key) if isinstance(plan_key, str) else plan_key
     base_cfg = TrainConfig(num_trees=num_trees, num_layers=num_layers,
                            num_candidates=8, codec=codec)
     fault_cfg = TrainConfig(num_trees=num_trees, num_layers=num_layers,
                             num_candidates=8, faults=faults, codec=codec)
     cluster = ClusterConfig(num_workers=num_workers)
-    clean = get_plan(plan_key).build(base_cfg, cluster).fit(binned)
-    system = get_plan(plan_key).build(fault_cfg, cluster)
+    clean = plan.build(base_cfg, cluster).fit(binned)
+    system = plan.build(fault_cfg, cluster)
     faulty = system.fit(binned)
     return clean, faulty, system
+
+
+def assert_recovers_exactly(plan, binned, fault_seed):
+    """Contract points 1-3 for one plan under one pinned schedule."""
+    faults = f"{fault_seed}:crash=2,drop=0.08,timeout=0.03"
+    clean, faulty, system = run_pair(plan, binned, faults)
+
+    # 1. bit-identical model
+    assert len(clean.ensemble.trees) == len(faulty.ensemble.trees)
+    for t_clean, t_faulty in zip(clean.ensemble.trees,
+                                 faulty.ensemble.trees):
+        assert tree_signature(t_clean) == tree_signature(t_faulty)
+
+    # 2. exact traffic accounting: base kinds unchanged, delta is
+    #    exactly the dedicated retry/recovery kinds
+    base_kinds, fault_kinds = split_kinds(faulty.comm)
+    assert base_kinds == clean.comm.bytes_by_kind
+    assert faulty.comm.total_bytes - clean.comm.total_bytes == \
+        sum(fault_kinds.values())
+    clean_seconds = clean.comm.seconds_by_kind
+    for kind, seconds in faulty.comm.seconds_by_kind.items():
+        if not kind.startswith(FAULT_PREFIXES):
+            assert seconds == pytest.approx(clean_seconds[kind],
+                                            rel=1e-12)
+
+    # 3. faults only ever cost simulated time
+    assert faulty.comm.total_seconds >= clean.comm.total_seconds
+
+    # every fired crash produced exactly one recovery record
+    counters = system.injector.counters
+    assert len(system.recovery_log) == counters.crashes
+    expected_policy = AGGREGATIONS[plan.aggregation].recovery_policy
+    assert all(rec.policy == expected_policy
+               for rec in system.recovery_log)
+    # the retry ledger matches the injected transport faults
+    retries = sum(
+        1 for rec in faulty.comm.bytes_by_kind
+        if rec.startswith("retry:")
+    )
+    if counters.transport_events == 0:
+        assert retries == 0
 
 
 class TestChaosConformance:
@@ -86,44 +131,13 @@ class TestChaosConformance:
     @pytest.mark.parametrize("fault_seed", PINNED_SEEDS)
     def test_recoverable_schedule_is_exact(self, binned, plan_key,
                                            fault_seed):
-        faults = f"{fault_seed}:crash=2,drop=0.08,timeout=0.03"
-        clean, faulty, system = run_pair(plan_key, binned, faults)
+        assert_recovers_exactly(get_plan(plan_key), binned, fault_seed)
 
-        # 1. bit-identical model
-        assert len(clean.ensemble.trees) == len(faulty.ensemble.trees)
-        for t_clean, t_faulty in zip(clean.ensemble.trees,
-                                     faulty.ensemble.trees):
-            assert tree_signature(t_clean) == tree_signature(t_faulty)
-
-        # 2. exact traffic accounting: base kinds unchanged, delta is
-        #    exactly the dedicated retry/recovery kinds
-        base_kinds, fault_kinds = split_kinds(faulty.comm)
-        assert base_kinds == clean.comm.bytes_by_kind
-        assert faulty.comm.total_bytes - clean.comm.total_bytes == \
-            sum(fault_kinds.values())
-        clean_seconds = clean.comm.seconds_by_kind
-        for kind, seconds in faulty.comm.seconds_by_kind.items():
-            if not kind.startswith(FAULT_PREFIXES):
-                assert seconds == pytest.approx(clean_seconds[kind],
-                                                rel=1e-12)
-
-        # 3. faults only ever cost simulated time
-        assert faulty.comm.total_seconds >= clean.comm.total_seconds
-
-        # every fired crash produced exactly one recovery record
-        counters = system.injector.counters
-        assert len(system.recovery_log) == counters.crashes
-        expected_policy = AGGREGATIONS[
-            get_plan(plan_key).aggregation].recovery_policy
-        assert all(rec.policy == expected_policy
-                   for rec in system.recovery_log)
-        # the retry ledger matches the injected transport faults
-        retries = sum(
-            1 for rec in faulty.comm.bytes_by_kind
-            if rec.startswith("retry:")
-        )
-        if counters.transport_events == 0:
-            assert retries == 0
+    @pytest.mark.parametrize("axes", RUNNABLE, ids=composition_id)
+    def test_every_composition_recovers_exactly(self, binned, axes):
+        """Recovery belongs to the strategies, not to the registry: a
+        composition no plan names meets the same contract."""
+        assert_recovers_exactly(compose(axes), binned, PINNED_SEEDS[0])
 
     @pytest.mark.parametrize("plan_key", ["qd2", "vero"])
     def test_schedule_replays_bit_identical(self, binned, plan_key):

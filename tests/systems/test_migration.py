@@ -12,7 +12,7 @@ registry plans at a tree boundary
    *migrated* baseline), including a crash injected mid-migration, and
 4. replays bit-for-bit.
 
-All 20 ordered pairs from {qd1, qd2, qd3, vero, qd4-blocked} run the
+All 20 ordered pairs from {qd1, qd2, qd2-fp, qd3, vero} run the
 fault-free contract; the chaos and crash-mid-migration rows use the CI
 ``adapt`` job's pinned seeds.
 """
@@ -32,7 +32,7 @@ from repro.systems.plans import get_plan, plan_keys
 
 from .test_chaos import PINNED_SEEDS, tree_signature
 
-MIGRATION_PLANS = ("qd1", "qd2", "qd3", "vero", "qd4-blocked")
+MIGRATION_PLANS = ("qd1", "qd2", "qd2-fp", "qd3", "vero")
 ORDERED_PAIRS = [(a, b) for a in MIGRATION_PLANS for b in MIGRATION_PLANS
                  if a != b]
 
@@ -224,7 +224,7 @@ class TestMigrationBitIdentity:
 
 #: the CI adapt job's chaos rows: ≥3 plan pairs x the pinned seeds
 CHAOS_PAIRS = (("qd1", "qd3"), ("qd2", "vero"), ("vero", "qd2"),
-               ("qd3", "qd4-blocked"))
+               ("qd3", "qd2-fp"))
 
 
 class TestMigrationUnderChaos:

@@ -38,7 +38,7 @@ from repro.systems.strategies import (AGGREGATIONS, INDEX_PLANS, PARTITIONS,
 
 #: every registry plan with a pre-refactor equivalent
 ALL_PLANS = ["qd1", "qd2", "qd2-ps", "qd2-fp", "qd3", "qd3-pure", "vero"]
-VERTICAL_PLANS = ["qd2-fp", "qd3", "qd3-pure", "vero", "qd4-blocked"]
+VERTICAL_PLANS = ["qd2-fp", "qd3", "qd3-pure", "vero"]
 HORIZONTAL_PLANS = ["qd1", "qd2", "qd2-ps"]
 
 #: what the frozen pre-refactor quadrant classes trained, one record per
@@ -99,6 +99,45 @@ def case_id(workload, workers, key):
     return f"{workload}-W{workers}-{key}"
 
 
+#: every point of the partition x storage x index x aggregation grid
+GRID = list(itertools.product(PARTITIONS, STORAGES, INDEX_PLANS,
+                              AGGREGATIONS))
+
+
+def compose(axes):
+    """An unregistered plan from one grid point; ``ValueError`` when its
+    strategies cannot run together."""
+    return ExecutionPlan("x", "QD0", "x", "", *axes)
+
+
+def composes(axes):
+    try:
+        compose(axes)
+    except ValueError:
+        return False
+    return True
+
+
+#: the grid points a plan can be composed from (42 of the 120)
+RUNNABLE = [axes for axes in GRID if composes(axes)]
+
+
+def composition_id(axes):
+    return "-".join(axes)
+
+
+def twin_checksums(cfg, binned, cluster):
+    """Model checksum each partition family must reproduce.
+
+    Node totals are per-replica partial sums on horizontal plans and one
+    sum otherwise: the only float difference between plans."""
+    twins = {key: payload_checksum(ensemble_to_dict(
+        get_plan(key).build(cfg, cluster).fit(binned).ensemble))
+        for key in ("qd2", "vero")}
+    return {partition: twins["qd2" if partition == "horizontal" else "vero"]
+            for partition in PARTITIONS}
+
+
 def golden_record(result):
     """What one golden case pins: the model (gains included) by
     checksum, the per-kind traffic and both memory buckets."""
@@ -142,10 +181,8 @@ class TestRegistry:
                           aggregation="all-reduce")
 
     def test_replace_derives_custom_plan(self):
-        custom = get_plan("vero").replace(key="custom",
-                                          storage="blocked-row",
-                                          index="two-phase")
-        assert custom.axes()["storage"] == "blocked-row"
+        custom = get_plan("vero").replace(key="custom", storage="column")
+        assert custom.axes()["storage"] == "column"
         assert get_plan("vero").storage == "row"  # original untouched
 
     def test_build_returns_executor(self, workload):
@@ -166,7 +203,7 @@ class TestRegistry:
 
 
 class TestCompositions:
-    """Every point of the 3 x 3 x 5 x 5 plan space either is refused when
+    """Every point of the 3 x 2 x 4 x 5 plan space either is refused when
     the plan is composed (a ``ValueError`` naming both axes) or trains to
     completion — never a failure partway through ``fit``."""
 
@@ -176,19 +213,42 @@ class TestCompositions:
         cfg = TrainConfig(num_trees=2, num_layers=3, num_candidates=6)
         binned = bin_dataset(dataset, cfg.num_candidates)
         cluster = ClusterConfig(num_workers=2)
-        # node totals are per-replica partial sums on horizontal plans and
-        # one sum otherwise: the only float difference between plans
-        twins = {
-            key: payload_checksum(ensemble_to_dict(
-                get_plan(key).build(cfg, cluster).fit(binned).ensemble))
-            for key in ("qd2", "vero")
-        }
-        return cfg, binned, cluster, twins
+        return cfg, binned, cluster, twin_checksums(cfg, binned, cluster)
 
-    @pytest.mark.parametrize("partition,storage,index,aggregation",
-                             list(itertools.product(
-                                 PARTITIONS, STORAGES, INDEX_PLANS,
-                                 AGGREGATIONS)))
+    @pytest.fixture(scope="class")
+    def uneven(self):
+        """83 rows and 7 features on 3 workers: no partition divides
+        evenly, so every shard boundary is exercised."""
+        dataset = make_classification(83, 7, density=0.6, seed=4)
+        cfg = TrainConfig(num_trees=2, num_layers=3, num_candidates=6)
+        binned = bin_dataset(dataset, cfg.num_candidates)
+        cluster = ClusterConfig(num_workers=3)
+        return cfg, binned, cluster, twin_checksums(cfg, binned, cluster)
+
+    @pytest.fixture(scope="class")
+    def multiclass(self):
+        dataset = make_classification(90, 6, num_classes=3, density=0.6,
+                                      seed=2)
+        cfg = TrainConfig(num_trees=2, num_layers=3, num_candidates=6,
+                          objective="multiclass", num_classes=3)
+        binned = bin_dataset(dataset, cfg.num_candidates)
+        cluster = ClusterConfig(num_workers=2)
+        return cfg, binned, cluster, twin_checksums(cfg, binned, cluster)
+
+    @pytest.fixture(scope="class")
+    def costs(self, tiny):
+        """(traffic by kind, data bytes, histogram bytes) of every
+        runnable grid point on the tiny workload."""
+        cfg, binned, cluster, _ = tiny
+        costs = {}
+        for axes in RUNNABLE:
+            result = compose(axes).build(cfg, cluster).fit(binned)
+            costs[axes] = (dict(result.comm.bytes_by_kind),
+                           result.memory.data_bytes,
+                           result.memory.histogram_bytes)
+        return costs
+
+    @pytest.mark.parametrize("partition,storage,index,aggregation", GRID)
     def test_composition_is_refused_or_runs(self, tiny, partition, storage,
                                             index, aggregation):
         cfg, binned, cluster, twins = tiny
@@ -204,13 +264,52 @@ class TestCompositions:
             assert len(named) == 2, message
             return
         result = plan.build(cfg, cluster).fit(binned)
-        twin = twins["qd2" if partition == "horizontal" else "vero"]
-        assert payload_checksum(ensemble_to_dict(result.ensemble)) == twin
+        assert payload_checksum(ensemble_to_dict(result.ensemble)) == \
+            twins[partition]
+
+    @pytest.mark.parametrize("axes", RUNNABLE, ids=composition_id)
+    def test_composition_runs_on_uneven_shards(self, uneven, axes):
+        cfg, binned, cluster, twins = uneven
+        result = compose(axes).build(cfg, cluster).fit(binned)
+        assert payload_checksum(ensemble_to_dict(result.ensemble)) == \
+            twins[axes[0]]
+
+    @pytest.mark.parametrize("axes", RUNNABLE, ids=composition_id)
+    def test_composition_trains_multiclass_or_refuses_at_build(
+            self, multiclass, axes):
+        """Only the parameter server refuses multiclass (Section 5.3), and
+        it does so when the plan is built, before any training."""
+        cfg, binned, cluster, twins = multiclass
+        plan = compose(axes)
+        if plan.aggregation == "parameter-server":
+            with pytest.raises(ValueError, match="multi-classification"):
+                plan.build(cfg, cluster)
+            return
+        result = plan.build(cfg, cluster).fit(binned)
+        assert payload_checksum(ensemble_to_dict(result.ensemble)) == \
+            twins[plan.partition]
+
+    @pytest.mark.parametrize("axes", RUNNABLE, ids=composition_id)
+    def test_each_axis_owns_its_cost(self, costs, axes):
+        """Within a partition, the traffic ledger is set by the
+        aggregation, the data bytes by the storage and the histogram
+        bytes by the index plan: swapping any other axis leaves them
+        as they are."""
+        partition, storage, index, aggregation = axes
+        traffic, data_bytes, histogram_bytes = costs[axes]
+        for other, (o_traffic, o_data, o_hist) in costs.items():
+            if other[0] != partition:
+                continue
+            if other[3] == aggregation:
+                assert o_traffic == traffic, other
+            if other[1] == storage:
+                assert o_data == data_bytes, other
+            if other[2] == index:
+                assert o_hist == histogram_bytes, other
 
     def test_refusals_follow_the_declared_requirements(self):
         runnable = 0
-        for axes in itertools.product(PARTITIONS, STORAGES, INDEX_PLANS,
-                                      AGGREGATIONS):
+        for axes in GRID:
             partition, storage, index, aggregation = axes
             fits = ((partition == "horizontal")
                     == (aggregation in ("all-reduce", "reduce-scatter",
@@ -225,7 +324,7 @@ class TestCompositions:
             else:
                 assert fits, axes
                 runnable += 1
-        assert runnable == 7 * 11
+        assert runnable == 7 * 6
 
 
 class TestOracleEquivalence:
@@ -320,17 +419,6 @@ class TestLegacyEquivalence:
             .fit(binned)
         assert golden_record(result) == golden[case_id(*case)]
 
-    def test_blocked_plan_matches_vero_trees(self, workload):
-        """The blockified layout holds the same entries, so qd4-blocked
-        must reproduce Vero's trees and traffic exactly."""
-        cfg, _, binned = workload
-        vero = get_plan("vero").build(cfg, ClusterConfig(4)).fit(binned)
-        blocked = get_plan("qd4-blocked").build(cfg, ClusterConfig(4)) \
-            .fit(binned)
-        assert ensemble_signature(vero.ensemble) == \
-            ensemble_signature(blocked.ensemble)
-        assert vero.comm.total_bytes == blocked.comm.total_bytes
-
 
 class TestCommAccounting:
     """Per-plan comm_bytes stays inside the Section 3 cost model, with
@@ -353,8 +441,7 @@ class TestCommAccounting:
             bound *= 2 * (4 - 1) / 4
         assert per_tree <= bound * 1.05
 
-    @pytest.mark.parametrize("key", ["qd3", "qd3-pure", "vero",
-                                     "qd4-blocked"])
+    @pytest.mark.parametrize("key", ["qd3", "qd3-pure", "vero"])
     def test_vertical_plans_bounded_by_model(self, key):
         dataset = make_classification(3000, 100, density=0.3, seed=6)
         cfg = TrainConfig(num_trees=2, num_layers=4, num_candidates=8)
@@ -401,12 +488,11 @@ class TestAdvisorPlans:
 class TestHarnessPlans:
     def test_run_point_accepts_plan_object(self, workload):
         cfg, _, binned = workload
-        custom = get_plan("vero").replace(key="custom-blocked",
-                                          storage="blocked-row",
-                                          index="two-phase")
+        custom = get_plan("vero").replace(key="custom-column",
+                                          storage="column")
         point = run_point(custom, binned, cfg, ClusterConfig(3),
                           num_trees=2, label="custom")
-        assert point.system == "custom-blocked"
+        assert point.system == "custom-column"
         assert point.comp_seconds > 0
 
     def test_run_point_accepts_plan_key(self, workload):

@@ -32,8 +32,7 @@ def tree_signature(tree):
     num_layers=st.integers(2, 5),
     num_classes=st.sampled_from([2, 3]),
     density=st.floats(0.1, 0.9),
-    system=st.sampled_from(["qd3", "qd3-pure", "qd4", "qd4-blocked",
-                            "lightgbm-fp"]),
+    system=st.sampled_from(["qd3", "qd3-pure", "qd4", "lightgbm-fp"]),
 )
 def test_property_vertical_equals_oracle(seed, num_workers, num_layers,
                                          num_classes, density, system):

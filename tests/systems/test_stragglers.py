@@ -40,7 +40,7 @@ class TestClusterConfig:
 
 
 #: one representative plan per partitioning/storage/aggregation corner
-STRAGGLER_PLANS = ("qd1", "qd2", "qd2-ps", "qd3", "vero", "qd4-blocked")
+STRAGGLER_PLANS = ("qd1", "qd2", "qd2-ps", "qd2-fp", "qd3", "vero")
 
 
 def _split_signature(tree):

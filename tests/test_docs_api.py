@@ -2,7 +2,8 @@
 
 The API listing quotes import statements; a name that is deleted or
 moved must take its listing with it.  A ``...`` in a name list is the
-listing's "and more" placeholder and is skipped.
+listing's "and more" placeholder and is skipped.  The plan keys it
+quotes must be the registry's.
 """
 
 from __future__ import annotations
@@ -44,3 +45,17 @@ def test_listing_quotes_imports():
 def test_doc_import_runs(module, names):
     statement = f"from {module} import {', '.join(names)}"
     exec(compile(statement, str(API_MD), "exec"), {})
+
+
+def test_quoted_plan_keys_match_the_registry():
+    """The ``get_plan(...)`` union names every key and alias, and the
+    ``plan_keys()`` comment lists the registry keys in order."""
+    from repro.systems.plans import ALIASES, plan_keys
+
+    text = API_MD.read_text(encoding="utf-8")
+    union = re.search(r"system = get_plan\((.*?)\)\.build", text, re.S)
+    assert set(re.findall(r'"([\w-]+)"', union.group(1))) == \
+        set(plan_keys()) | set(ALIASES)
+    comment = re.search(r"^plan_keys\(\)\s+#(.*(?:\n\s+#.*)*)", text, re.M)
+    listed = re.sub(r"\s*#\s*", " ", comment.group(1))
+    assert [key.strip() for key in listed.split(",")] == plan_keys()

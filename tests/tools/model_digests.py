@@ -4,9 +4,9 @@
     PYTHONPATH=src python tests/tools/model_digests.py \
         --check tests/data/golden/model_digests_v1.json
 
-Prints one sha256 per case (306 cases) over the model plus, for the
+Prints one sha256 per case (270 cases) over the model plus, for the
 distributed plans, the traffic ledger's ``bytes_by_kind`` and
-``raw_bytes_by_kind`` and the memory report: all 8 plans x {binary,
+``raw_bytes_by_kind`` and the memory report: all 7 plans x {binary,
 multiclass, dense, wide, tied features (every feature twice, so every
 best split ties with its copy)} at W 1/3/4, plus faults (raw, ``sparse``
 and ``delta`` codecs), leaf-wise, subsampled/colsampled,
