@@ -54,7 +54,7 @@ from .data.io import read_libsvm, write_libsvm
 from .data.synthetic import make_classification
 from .systems.advisor import recommend
 from .systems.costmodel import WorkloadShape, workload_of
-from .systems.plans import get_plan
+from .systems.plans import ALIASES, get_plan, plan_keys
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,13 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--data", help="libsvm training file")
     train.add_argument("--catalog", help="or: catalog surrogate name")
     train.add_argument("--scale", type=float, default=1.0)
-    train.add_argument("--system", default="vero",
-                       help="qd1/xgboost, qd2/lightgbm, dimboost, "
-                            "qd3/yggdrasil, qd4/vero, lightgbm-fp")
-    train.add_argument("--plan",
-                       help="execution-plan registry key (e.g. qd2-ps, "
-                            "qd3-pure) or 'auto-adapt' for "
-                            "mid-run re-planning; overrides --system")
+    train.add_argument("--plan", "--system", dest="plan", default="vero",
+                       help=f"execution plan: {', '.join(plan_keys())}; "
+                            f"aliases {', '.join(ALIASES)}; or "
+                            "auto-adapt for mid-run re-planning "
+                            "(default vero)")
     train.add_argument("--adapt-every", type=int, default=4,
                        help="with --plan auto-adapt: recalibrate the "
                             "cost model every N trees (default 4)")
@@ -334,7 +332,7 @@ def cmd_train(args) -> int:
         system = session.system
     else:
         try:
-            plan = get_plan(args.plan or args.system)
+            plan = get_plan(args.plan)
         except KeyError as err:
             print(err.args[0], file=sys.stderr)
             raise SystemExit(2) from None

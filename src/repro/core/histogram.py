@@ -20,10 +20,11 @@ combination analyzed in Section 3.2:
   instance-to-node index (QD1 / XGBoost): one pass over *all* entries per
   tree layer, scattering into the histograms of every active node; no
   subtraction possible.
-* :meth:`HistogramBuilder.build_colstore_hybrid` — column-store + the
-  hybrid index of Section 5.2.2 (our QD3): per column, either linear-scan
-  the column and filter by instance-to-node lookups, or binary-search the
-  node's instance list inside the column — whichever is predicted cheaper.
+* :meth:`HistogramBuilder.build_colstore_hybrid` — column-store +
+  node-to-instance index, the hybrid kernel of Section 5.2.2 (our QD3):
+  per column, either linear-scan the column and filter by instance-to-node
+  lookups, or binary-search the node's instance list inside the column —
+  whichever is predicted cheaper.
 * :meth:`HistogramBuilder.build_colstore_columnwise` — column-store +
   column-wise node-to-instance index (pure Yggdrasil mode, Appendix C):
   direct slices, but the index itself costs ``O(nnz)`` per layer to
@@ -427,7 +428,7 @@ class HistogramBuilder:
                                      size, num_slots,
                                      hess_const=self.constant_hessian)
 
-    # -- column-store + hybrid index kernel (QD3) -----------------------------
+    # -- column-store + node-to-instance: the hybrid kernel (QD3) -------------
 
     def build_colstore_hybrid(
         self,

@@ -427,10 +427,6 @@ class KernelBackend:
                 out[lo:hi] = stack[-1]
 
 
-class NumpyBackend(KernelBackend):
-    """The portable default — exactly the base-class implementation."""
-
-
 def _loop_scatter_dispatch(backend, hist, keys, entry_rows, grad, hess,
                            size, hess_const) -> None:
     """Shared scatter driver of the loop backends (pyloop + numba).
@@ -584,7 +580,7 @@ def register_backend(cls: Type[KernelBackend]) -> Type[KernelBackend]:
     return cls
 
 
-for _cls in (NumpyBackend, PyLoopBackend, NumbaBackend):
+for _cls in (KernelBackend, PyLoopBackend, NumbaBackend):
     register_backend(_cls)
 
 #: the always-available portable default
@@ -613,7 +609,7 @@ def resolve_backend_name(name: str = "") -> str:
         best = max(
             (cls for cls in BACKENDS.values() if cls.is_available()),
             key=lambda cls: cls.priority,
-            default=NumpyBackend,
+            default=KernelBackend,
         )
         return best.name
     if name not in BACKENDS:

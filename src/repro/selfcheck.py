@@ -168,8 +168,7 @@ def check_backend(name: str, reference: str = "numpy") -> CheckResult:
                     name, False, checks,
                     f"{objective} training trees diverged from "
                     f"{reference}")
-        # 3-4: distributed plans — slotted scatter (qd1) + subtraction
-        # plus the hybrid/columnwise kernels (qd3-pure covers columnwise)
+        # 3-4: distributed plans — slotted scatter (qd1), subtraction (vero)
         from .systems.plans import get_plan
 
         cluster = ClusterConfig(num_workers=3)

@@ -298,13 +298,15 @@ class ModelRegistry:
         scored by the condemned version are flushed at the decision
         instant.
         """
-        stage = self.stage_of(version)
+        if self.stage_of(version) == "active":
+            left = self.rollback()
+        else:
+            left = self.active
+            self._notify_caches()
+        # recorded only once nothing above has refused
         self._stages[version] = "retired"
         self._stage_log.append((version, "retired"))
-        if stage == "active":
-            return self.rollback()
-        self._notify_caches()
-        return self.active
+        return left
 
     # -- tree-range shards -------------------------------------------------
 

@@ -11,7 +11,7 @@ qd1       horizontal    column     inst-to-node  all-reduce
 qd2       horizontal    row        node-to-inst  reduce-scatter
 qd2-ps    horizontal    row        node-to-inst  parameter-server
 qd2-fp    replicated    row        node-to-inst  local
-qd3       vertical      column     hybrid        bitmap-broadcast
+qd3       vertical      column     node-to-inst  bitmap-broadcast
 qd3-pure  vertical      column     columnwise    bitmap-broadcast
 vero      vertical      row        node-to-inst  bitmap-broadcast
 ========  ============  =========  ============  =================

@@ -231,7 +231,6 @@ class PlanExecutor:
         self.stores = [HistogramStore()
                        for _ in range(self.cluster.num_workers)]
         self.storage.setup(self)
-        self.index_plan.setup(self)
         self.reset_tree_state()
 
     def reset_tree_state(self) -> None:

@@ -3,7 +3,7 @@
 :class:`PlanMigrator` tears down the current
 :class:`~repro.systems.plans.ExecutionPlan`'s partition/index/aggregation
 state and rebuilds it for a target plan, mid-session, without touching
-the model: all eight registry plans train bit-identical trees, so a
+the model: every registry plan trains bit-identical trees, so a
 migrated run's ensemble equals the prefix of the source plan followed by
 the suffix of the target plan, and the only ledger difference is the
 migration traffic itself.

@@ -138,7 +138,7 @@ PLANS: Dict[str, ExecutionPlan] = _plans(
         description=("vertical column groups in CSC; hybrid scan/search "
                      "kernel; local election + bitmap broadcast"),
         partition="vertical", storage="column",
-        index="hybrid", aggregation="bitmap-broadcast",
+        index="node-to-instance", aggregation="bitmap-broadcast",
     ),
     ExecutionPlan(
         key="qd3-pure", quadrant="QD3", name="yggdrasil-style",

@@ -12,8 +12,7 @@ strategy object:
   placement kernels that layout admits.
 * :class:`IndexPlan` — which node/instance index drives histogram
   construction (level-wise instance-to-node pass, node-to-instance with
-  subtraction scheduling, per-column node-to-instance, or the hybrid
-  plan of Section 5.2.2).
+  subtraction scheduling, or per-column node-to-instance).
 * :class:`AggregationStrategy` — how per-worker histograms become global
   split decisions (ring all-reduce, reduce-scatter, parameter-server
   push, or no aggregation at all with local election plus placement
@@ -444,9 +443,6 @@ class IndexPlan:
     #: composed); an axis not named here admits every strategy
     requires: Dict[str, FrozenSet[str]] = {}
 
-    def setup(self, ex: "PlanExecutor") -> None:
-        """One-time structures next to the storage layout."""
-
     def reset(self, ex: "PlanExecutor") -> None:
         """Per-tree reset of index-plan-owned structures."""
 
@@ -495,11 +491,13 @@ class InstanceToNodePlan(IndexPlan):
 
 
 class NodeToInstancePlan(IndexPlan):
-    """Node-to-instance index with histogram subtraction (QD2/QD4).
+    """Node-to-instance index with histogram subtraction (QD2/QD3/QD4).
 
     The master plans each layer's schema from global node counts
     (Section 4.2.2): for every sibling pair whose parent histogram is
     retained, only the smaller child is built and the other is derived.
+    Over a column store a node is built by the storage's scan-or-search
+    kernel, the hybrid of Section 5.2.2 (QD3).
     """
 
     key = "node-to-instance"
@@ -540,13 +538,6 @@ class NodeToInstancePlan(IndexPlan):
             for store in ex.stores:
                 for node in nodes:
                     store.pop(node)
-
-
-class HybridIndexPlan(NodeToInstancePlan):
-    """The paper's own QD3 plan (Section 5.2.2): subtraction scheduling
-    over the column store's hybrid scan/search kernel."""
-
-    key = "hybrid"
 
 
 class ColumnwiseIndexPlan(NodeToInstancePlan):
@@ -873,8 +864,7 @@ STORAGES: Dict[str, StorageLayout] = _registry(
 )
 
 INDEX_PLANS: Dict[str, IndexPlan] = _registry(
-    InstanceToNodePlan, NodeToInstancePlan, HybridIndexPlan,
-    ColumnwiseIndexPlan,
+    InstanceToNodePlan, NodeToInstancePlan, ColumnwiseIndexPlan,
 )
 
 AGGREGATIONS: Dict[str, AggregationStrategy] = _registry(

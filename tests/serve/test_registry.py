@@ -166,6 +166,19 @@ class TestDeploymentStages:
         with pytest.raises(ValueError, match="refusing to re-stage"):
             registry.stage_canary(2)
 
+    def test_refused_roll_back_records_nothing(self, models):
+        """Rolling back the only activation is refused before the
+        version is marked retired, so it can still be staged later."""
+        registry = ModelRegistry()
+        registry.publish(models[0])
+        with pytest.raises(LookupError, match="no previous activation"):
+            registry.roll_back(1)
+        assert registry.stage_log == []
+        registry.publish(models[1])
+        registry.activate(2)
+        assert registry.stage_of(1) == "published"
+        registry.stage_canary(1)
+
 
 class TestCacheNotification:
     class SpyCache:

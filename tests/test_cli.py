@@ -69,6 +69,17 @@ class TestTrainPredict:
         assert "unknown plan 'bogus'; known: " in err
         assert "Traceback" not in err
 
+    def test_system_is_a_second_spelling_of_plan(self, tmp_path, capsys):
+        models = []
+        for flag in ("--system", "--plan"):
+            model = tmp_path / f"{flag[2:]}.json"
+            assert main(["train", "--catalog", "higgs", "--scale", "0.02",
+                         flag, "qd2", "--trees", "2", "--layers", "3",
+                         "--workers", "2", "--model-out", str(model)]) == 0
+            assert "plan=qd2 " in capsys.readouterr().out
+            models.append(model.read_bytes())
+        assert models[0] == models[1]
+
     def test_auto_adapt_consults_at_the_cadence(self, capsys):
         assert main([
             "train", "--catalog", "rcv1", "--scale", "0.05",

@@ -3,7 +3,8 @@
 The API listing quotes import statements; a name that is deleted or
 moved must take its listing with it.  A ``...`` in a name list is the
 listing's "and more" placeholder and is skipped.  The plan keys it
-quotes must be the registry's.
+quotes must be the registry's, and so must the strategy keys of
+DESIGN.md's axis table.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-API_MD = Path(__file__).resolve().parent.parent / "docs" / "api.md"
+ROOT = Path(__file__).resolve().parent.parent
+API_MD = ROOT / "docs" / "api.md"
+DESIGN_MD = ROOT / "DESIGN.md"
 BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
 FROM_IMPORT = re.compile(r"^from\s+([\w.]+)\s+import\s+(\([^)]*\)|.*)$",
                          re.M)
@@ -59,3 +62,18 @@ def test_quoted_plan_keys_match_the_registry():
     comment = re.search(r"^plan_keys\(\)\s+#(.*(?:\n\s+#.*)*)", text, re.M)
     listed = re.sub(r"\s*#\s*", " ", comment.group(1))
     assert [key.strip() for key in listed.split(",")] == plan_keys()
+
+
+@pytest.mark.parametrize("axis, registry", [
+    ("PartitionStrategy", "PARTITIONS"), ("StorageLayout", "STORAGES"),
+    ("IndexPlan", "INDEX_PLANS"), ("AggregationStrategy", "AGGREGATIONS"),
+])
+def test_design_axis_rows_list_the_registry_keys(axis, registry):
+    """Each row of DESIGN.md's axis table quotes exactly its registry's
+    keys, in registry order."""
+    from repro.systems import strategies
+
+    text = DESIGN_MD.read_text(encoding="utf-8")
+    row = re.search(rf"^\| `{axis}` \| (.*?) \|", text, re.M)
+    assert re.findall(r"`([\w-]+)`", row.group(1)) == \
+        list(getattr(strategies, registry))
