@@ -14,6 +14,7 @@ Three layers of protection around the strategy refactor:
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import itertools
 import json
@@ -324,6 +325,30 @@ class TestCompositions:
                 assert o_data == data_bytes, other
             if other[2] == index:
                 assert o_hist == histogram_bytes, other
+
+    @pytest.mark.parametrize("axes", RUNNABLE, ids=composition_id)
+    def test_composition_trains_the_same_model_on_pyloop(self, tiny, axes):
+        """The storage and index axes pick the histogram kernels; the
+        reference-loop backend builds the same histograms there as numpy,
+        whatever partition and aggregation surround them."""
+        cfg, binned, cluster, twins = tiny
+        result = compose(axes).build(
+            dataclasses.replace(cfg, backend="pyloop"), cluster).fit(binned)
+        assert payload_checksum(ensemble_to_dict(result.ensemble)) == \
+            twins[axes[0]]
+
+    @pytest.mark.parametrize("axes", RUNNABLE, ids=composition_id)
+    def test_straggler_changes_neither_traffic_nor_model(self, tiny, costs,
+                                                        axes):
+        """A slow worker only stretches the computation clock: the model
+        and the traffic ledger are functions of the data and the plan."""
+        cfg, binned, cluster, twins = tiny
+        skewed = ClusterConfig(num_workers=cluster.num_workers,
+                               worker_speeds=(0.25, 1.0))
+        result = compose(axes).build(cfg, skewed).fit(binned)
+        assert payload_checksum(ensemble_to_dict(result.ensemble)) == \
+            twins[axes[0]]
+        assert dict(result.comm.bytes_by_kind) == costs[axes][0]
 
     def test_refusals_follow_the_declared_requirements(self):
         runnable = 0

@@ -11,6 +11,7 @@ from repro.core import split as split_module
 from repro.core.serialize import ensemble_to_dict
 from repro.data.dataset import bin_dataset
 from repro.systems.plans import get_plan, plan_keys
+from tests.systems.test_plans import RUNNABLE, compose, composition_id
 
 
 @pytest.fixture(scope="module", params=["binary", "multiclass"])
@@ -23,8 +24,11 @@ def task(request):
     return bin_dataset(dataset, 10), config
 
 
-def fit(plan_key, binned, config):
-    system = get_plan(plan_key).build(config, ClusterConfig(num_workers=3))
+def fit(plan, binned, config):
+    """Train a plan, given by key or as an :class:`ExecutionPlan`."""
+    if isinstance(plan, str):
+        plan = get_plan(plan)
+    system = plan.build(config, ClusterConfig(num_workers=3))
     result = system.fit(binned)
     return ensemble_to_dict(result.ensemble), system.net.snapshot()
 
@@ -38,6 +42,22 @@ def test_stacked_and_per_node_search_grow_the_same_model(
     stacked_model, stacked_ledger = fit(plan_key, binned, config)
     monkeypatch.setattr(split_module, "STACKED_MAX_SLOTS", 0)
     model, ledger = fit(plan_key, binned, config)
+    assert model == stacked_model
+    assert ledger.bytes_by_kind == stacked_ledger.bytes_by_kind
+
+
+@pytest.mark.parametrize("axes", RUNNABLE, ids=composition_id)
+def test_every_composition_searches_stacked_or_per_node_alike(
+        axes, monkeypatch):
+    """The search is the aggregation's, run on histograms the storage and
+    index axes built: a composition no plan names elects the same splits
+    either way, and moves the same bytes."""
+    dataset = make_classification(300, 20, density=0.3, seed=21)
+    config = TrainConfig(num_trees=2, num_layers=4, num_candidates=10)
+    binned = bin_dataset(dataset, 10)
+    stacked_model, stacked_ledger = fit(compose(axes), binned, config)
+    monkeypatch.setattr(split_module, "STACKED_MAX_SLOTS", 0)
+    model, ledger = fit(compose(axes), binned, config)
     assert model == stacked_model
     assert ledger.bytes_by_kind == stacked_ledger.bytes_by_kind
 
