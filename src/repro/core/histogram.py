@@ -18,8 +18,8 @@ combination analyzed in Section 3.2:
   entries.
 * :meth:`HistogramBuilder.build_colstore_layer` — column-store +
   instance-to-node index (QD1 / XGBoost): one pass over *all* entries per
-  tree layer, scattering into the histograms of every active node; no
-  subtraction possible.
+  tree layer, scattering into one histogram of every active node's bins,
+  handed back as one zero-copy view per node; no subtraction possible.
 * :meth:`HistogramBuilder.build_colstore_hybrid` — column-store +
   node-to-instance index, the hybrid kernel of Section 5.2.2 (our QD3):
   per column, either linear-scan the column and filter by instance-to-node
@@ -51,8 +51,9 @@ finder) read :meth:`Histogram.to_dense`.
 * :class:`HistogramBuilder` implements all four kernels, with a
   dedicated **root fast path** (a node holding every shard row keys
   directly off the shard's cached entry keys);
-* the innermost scatter-add dispatches to a pluggable
-  :class:`~repro.core.kernels.KernelBackend` — the numpy default's
+* the innermost scatter-add dispatches to the one entry point of a
+  pluggable :class:`~repro.core.kernels.KernelBackend`,
+  :meth:`~repro.core.kernels.KernelBackend.scatter` — the numpy default's
   **fused scatter** collapses the 2·C per-class ``bincount`` calls into C
   single passes over stacked gradient/hessian weights, while the
   optional numba backend compiles unrolled per-entry loops with a
@@ -268,16 +269,16 @@ class HistogramBuilder:
 
     def _scatter(self, hist: Histogram, keys: np.ndarray,
                  entry_rows: np.ndarray, grad: np.ndarray,
-                 hess: np.ndarray, size: int) -> None:
+                 hess: np.ndarray) -> None:
         """Scatter-add gradients and hessians of ``entry_rows`` at ``keys``.
 
         Dispatches to the builder's kernel backend (see
         :meth:`repro.core.kernels.KernelBackend.scatter` — the numpy
         default fuses the grad/hess passes into one ``bincount`` over
-        stacked weights for small nodes).  Every bin of ``hist`` is
+        stacked weights for small scatters).  Every row of ``hist`` is
         assigned, so callers may pass a :meth:`Histogram.empty` one.
         """
-        self.backend.scatter(hist, keys, entry_rows, grad, hess, size,
+        self.backend.scatter(hist, keys, entry_rows, grad, hess,
                              hess_const=self.constant_hessian)
 
     # -- row-store kernel (QD2 / QD4) -----------------------------------------
@@ -333,8 +334,7 @@ class HistogramBuilder:
                              slots=slots), 0
         hist = Histogram.empty(shard.num_cols, num_bins, gradient_dim,
                                slots=slots)
-        self._scatter(hist, keys, shard.row_of_entries(), grad, hess,
-                      len(hist.grad))
+        self._scatter(hist, keys, shard.row_of_entries(), grad, hess)
         return hist, total
 
     def _rowstore_gather(self, shard: CSRMatrix, rows: np.ndarray,
@@ -364,8 +364,7 @@ class HistogramBuilder:
                 shard.indptr[rows] - np.cumsum(lengths) + lengths, lengths)
             entry_pos += np.arange(total)
             keys = shard_keys.take(entry_pos)
-        self._scatter(hist, keys, np.repeat(rows, lengths), grad, hess,
-                      len(hist.grad))
+        self._scatter(hist, keys, np.repeat(rows, lengths), grad, hess)
         return hist, total
 
     # -- column-store + instance-to-node kernel (QD1) -------------------------
@@ -386,18 +385,21 @@ class HistogramBuilder:
         layer — or ``-1`` for rows no longer on any active node.  This is
         the instance-to-node index of Section 3.2.3: the whole shard is
         scanned and histogram subtraction cannot skip any entries.
+
+        The entries scatter at slot-prefixed keys into one
+        ``num_slots·D``-feature histogram; slot ``s`` comes back as its
+        read-only, zero-copy :meth:`Histogram.feature_view` of features
+        ``[s·D, (s+1)·D)``.
         """
-        gradient_dim = grad.shape[1]
-        if shard.nnz == 0 or num_slots == 0:
-            return [
-                Histogram(shard.num_cols, num_bins, gradient_dim)
-                for _ in range(num_slots)
-            ], 0
+        if num_slots == 0:
+            return [], 0
+        num_features = shard.num_cols
+        size = num_features * num_bins
+        layer = Histogram.empty(num_slots * num_features, num_bins,
+                                grad.shape[1])
         slot_arr = np.asarray(slot_of_instance)
         if slot_arr.dtype != np.int64:
             slot_arr = slot_arr.astype(np.int64)
-        nnz = int(shard.nnz)
-        size = shard.num_cols * num_bins
         slots = slot_arr.take(shard.indices)
         base_keys = shard.hist_keys(num_bins)
         active = slots >= 0
@@ -410,23 +412,9 @@ class HistogramBuilder:
             keys *= size
             keys += base_keys[active]
             entry_rows = shard.indices[active]
-        hists = [
-            Histogram.empty(shard.num_cols, num_bins, gradient_dim)
-            for _ in range(num_slots)
-        ]
-        self._scatter_slotted(hists, keys, entry_rows, grad, hess, size,
-                              num_slots)
-        return hists, nnz
-
-    def _scatter_slotted(self, hists: List[Histogram], keys: np.ndarray,
-                         entry_rows: np.ndarray, grad: np.ndarray,
-                         hess: np.ndarray, size: int,
-                         num_slots: int) -> None:
-        """Scatter across a whole layer of slot-prefixed keys (backend
-        dispatch; the numpy default fuses all slots into one bincount)."""
-        self.backend.scatter_slotted(hists, keys, entry_rows, grad, hess,
-                                     size, num_slots,
-                                     hess_const=self.constant_hessian)
+        self._scatter(layer, keys, entry_rows, grad, hess)
+        return [layer.feature_view(s * num_features, (s + 1) * num_features)
+                for s in range(num_slots)], int(shard.nnz)
 
     # -- column-store + node-to-instance: the hybrid kernel (QD3) -------------
 
@@ -492,8 +480,7 @@ class HistogramBuilder:
             keys_parts.append(bins.astype(np.int64) + j * num_bins)
         if keys_parts:
             self._scatter(hist, np.concatenate(keys_parts),
-                          np.concatenate(rows_parts), grad, hess,
-                          shard.num_cols * num_bins)
+                          np.concatenate(rows_parts), grad, hess)
         return hist, scanned, searched
 
     # -- column-store + column-wise index kernel (Yggdrasil mode) -------------
@@ -523,8 +510,7 @@ class HistogramBuilder:
             keys_parts.append(bins + j * num_bins)
         if keys_parts:
             self._scatter(hist, np.concatenate(keys_parts),
-                          np.concatenate(rows_parts), grad, hess,
-                          shard.num_cols * num_bins)
+                          np.concatenate(rows_parts), grad, hess)
         return hist, touched
 
 

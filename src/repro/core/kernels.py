@@ -7,8 +7,11 @@ module makes the two hot paths *pluggable*: a :class:`KernelBackend`
 owns the innermost kernels —
 
 * the **histogram scatter** behind every
-  :class:`~repro.core.histogram.HistogramBuilder` construction kernel
-  (scatter-add gradients/hessians of binned entries into per-node bins);
+  :class:`~repro.core.histogram.HistogramBuilder` construction kernel:
+  one entry point, :meth:`KernelBackend.scatter`, scatter-adds the
+  gradients/hessians of binned entries into every row of one output
+  histogram (a node's bins, or a whole layer's slot-prefixed ones that
+  the builder then views per node);
 * the **level-synchronous predictor** behind
   :class:`~repro.serve.compiler.CompiledEnsemble` and its uint8
   bin-quantized variant: one entry point,
@@ -317,15 +320,20 @@ class KernelBackend:
     # -- histogram scatter -------------------------------------------------
 
     def scatter(self, hist, keys: np.ndarray, entry_rows: np.ndarray,
-                grad: np.ndarray, hess: np.ndarray, size: int,
+                grad: np.ndarray, hess: np.ndarray,
                 hess_const: Optional[float] = None) -> None:
         """Scatter-add gradients/hessians of ``entry_rows`` at ``keys``.
 
-        Fills **every** bin of ``hist`` (callers may pass a
-        :meth:`~repro.core.histogram.Histogram.empty` one).  ``hess_const`` hints that all hessians equal that
-        constant; backends may take a no-hessian fast path when the
-        result stays bit-identical (only ``1.0`` qualifies).
+        The one histogram entry point of a backend.  Fills **every** row
+        of ``hist`` (callers may pass a
+        :meth:`~repro.core.histogram.Histogram.empty` one): one node's
+        ``D·q`` rows, its slot basis, or a whole layer's slot-prefixed
+        ``num_slots·D·q`` rows alike.  ``hess_const`` hints that all
+        hessians equal that constant; backends may take a no-hessian
+        fast path when the result stays bit-identical (only ``1.0``
+        qualifies).
         """
+        size = len(hist.grad)
         n = keys.size
         if n <= self.FUSE_THRESHOLD:
             kk = self._buf("fused_keys", 2 * n, np.int64)
@@ -345,26 +353,6 @@ class KernelBackend:
             hist.grad[:, c] = np.bincount(keys, weights=w, minlength=size)
             np.take(hess[:, c], entry_rows, out=w)
             hist.hess[:, c] = np.bincount(keys, weights=w, minlength=size)
-
-    def scatter_slotted(self, hists, keys: np.ndarray,
-                        entry_rows: np.ndarray, grad: np.ndarray,
-                        hess: np.ndarray, size: int, num_slots: int,
-                        hess_const: Optional[float] = None) -> None:
-        """Fused scatter across a whole layer of slot-prefixed keys."""
-        n = keys.size
-        total_size = num_slots * size
-        kk = self._buf("fused_keys", 2 * n, np.int64)
-        kk[:n] = keys
-        np.add(keys, total_size, out=kk[n:])
-        w = self._buf("fused_weights", 2 * n, np.float64)
-        for c in range(grad.shape[1]):
-            np.take(grad[:, c], entry_rows, out=w[:n])
-            np.take(hess[:, c], entry_rows, out=w[n:])
-            flat = np.bincount(kk, weights=w, minlength=2 * total_size)
-            for s, hist in enumerate(hists):
-                hist.grad[:, c] = flat[s * size:(s + 1) * size]
-                hist.hess[:, c] = flat[total_size + s * size:
-                                       total_size + (s + 1) * size]
 
     # -- predictor ---------------------------------------------------------
 
@@ -427,24 +415,6 @@ class KernelBackend:
                 out[lo:hi] = stack[-1]
 
 
-def _loop_scatter_dispatch(backend, hist, keys, entry_rows, grad, hess,
-                           size, hess_const) -> None:
-    """Shared scatter driver of the loop backends (pyloop + numba).
-
-    The loop kernels add into their output in place, so the buffers are
-    zeroed here first — preserving the builder's contract that every
-    bin of an un-zeroed (:meth:`Histogram.empty`) output gets written.
-    """
-    hist.grad[:] = 0.0
-    hist.hess[:] = 0.0
-    if hess_const is not None and hess_const == 1.0:
-        backend._kernels["scatter_no_hess"](
-            hist.grad, hist.hess, keys, entry_rows, grad, hess_const)
-    else:
-        backend._kernels["scatter"](
-            hist.grad, hist.hess, keys, entry_rows, grad, hess)
-
-
 class PyLoopBackend(KernelBackend):
     """The numba kernels, interpreted — a correctness oracle, not a
     performance backend (advisor prices it ~50x slower than numpy)."""
@@ -461,33 +431,17 @@ class PyLoopBackend(KernelBackend):
     def version(cls) -> str:
         return "interpreted loop kernels (reference)"
 
-    def scatter(self, hist, keys, entry_rows, grad, hess, size,
-                hess_const=None):
-        _loop_scatter_dispatch(self, hist, keys, entry_rows, grad, hess,
-                               size, hess_const)
-
-    def scatter_slotted(self, hists, keys, entry_rows, grad, hess, size,
-                        num_slots, hess_const=None):
-        # slot-prefixed keys address one logical (num_slots*size, C)
-        # histogram; scatter into a contiguous scratch pair, then slice
-        # per slot — the same arithmetic the numba kernel vectorizes
-        total = num_slots * size
-        dim = grad.shape[1]
-        grad_out = self._buf("slot_grad", total * dim,
-                             np.float64).reshape(total, dim)
-        hess_out = self._buf("slot_hess", total * dim,
-                             np.float64).reshape(total, dim)
-        grad_out[:] = 0.0
-        hess_out[:] = 0.0
-        if hess_const is not None and hess_const == 1.0:
-            self._kernels["scatter_no_hess"](grad_out, hess_out, keys,
-                                             entry_rows, grad, hess_const)
+    def scatter(self, hist, keys, entry_rows, grad, hess, hess_const=None):
+        # the loop kernels add in place: zero first, so every row of an
+        # un-zeroed (Histogram.empty) output is written
+        hist.grad[:] = 0.0
+        hist.hess[:] = 0.0
+        if hess_const == 1.0:
+            self._kernels["scatter_no_hess"](
+                hist.grad, hist.hess, keys, entry_rows, grad, hess_const)
         else:
-            self._kernels["scatter"](grad_out, hess_out, keys, entry_rows,
-                                     grad, hess)
-        for s, hist in enumerate(hists):
-            hist.grad[:] = grad_out[s * size:(s + 1) * size]
-            hist.hess[:] = hess_out[s * size:(s + 1) * size]
+            self._kernels["scatter"](
+                hist.grad, hist.hess, keys, entry_rows, grad, hess)
 
     def fold_scores(self, tables, batch, use, out):
         # the loop kernel accumulates into ``out`` row by row, tree by
@@ -571,25 +525,12 @@ class BackendUnavailableError(RuntimeError):
 
 
 #: registry key -> backend class
-BACKENDS: Dict[str, Type[KernelBackend]] = {}
-
-
-def register_backend(cls: Type[KernelBackend]) -> Type[KernelBackend]:
-    """Add a backend class to the registry (idempotent by name)."""
-    BACKENDS[cls.name] = cls
-    return cls
-
-
-for _cls in (KernelBackend, PyLoopBackend, NumbaBackend):
-    register_backend(_cls)
+BACKENDS: Dict[str, Type[KernelBackend]] = {
+    cls.name: cls for cls in (KernelBackend, PyLoopBackend, NumbaBackend)
+}
 
 #: the always-available portable default
 DEFAULT_BACKEND = "numpy"
-
-
-def backend_names() -> List[str]:
-    """Registered backend names, registry order."""
-    return list(BACKENDS)
 
 
 def available_backends() -> List[str]:

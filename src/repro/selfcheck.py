@@ -5,7 +5,7 @@ backend that *imports* on this machine also *compute* the same bits as
 the numpy baseline?" — a numba install with a miscompiling LLVM is far
 worse than no numba at all, because training would silently diverge.
 This module runs each backend through every hot path the registry plans
-exercise (all four histogram kernels via a small training run, the
+exercise (all four histogram kernels via small training runs, the
 no-hessian fast path, the compiled float predictor, the bin-quantized
 predictor, both predictors again on an adversarial batch) and compares
 against the numpy reference with **exact** float equality, mirroring the
@@ -19,14 +19,14 @@ invocation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import ClusterConfig, TrainConfig
 from .core.gbdt import GBDT
 from .core.histogram import HistogramBuilder
-from .core.kernels import available_backends, make_backend
+from .core.kernels import make_backend
 from .core.split import SplitInfo
 from .core.tree import Tree, TreeEnsemble
 from .data.dataset import Dataset, bin_dataset
@@ -141,11 +141,13 @@ def check_backend(name: str, reference: str = "numpy") -> CheckResult:
     """Run one backend's bit-identity battery against ``reference``.
 
     Covers the reference trainer's scatter path (logistic hessians), the
-    no-hessian fast path (square loss), a layer-synchronous plan that
-    exercises the slotted scatter (QD1) plus the subtraction-heavy plan
-    (Vero), both serving traversals, a row-store build plus subtraction
-    in a sparse shard's slot basis, and both traversals again on the
-    :func:`adversarial_case` batch.  Every comparison is exact.
+    no-hessian fast path (square loss), one plan per construction
+    kernel — the layer scatter (QD1), the row-store gather with
+    subtraction (Vero), the column store's scan-or-search (QD3) and its
+    column-wise index (QD3-pure) — both serving traversals, a row-store
+    build plus subtraction in a sparse shard's slot basis, and both
+    traversals again on the :func:`adversarial_case` batch.  Every
+    comparison is exact.
     """
     checks = 0
     try:
@@ -168,11 +170,11 @@ def check_backend(name: str, reference: str = "numpy") -> CheckResult:
                     name, False, checks,
                     f"{objective} training trees diverged from "
                     f"{reference}")
-        # 3-4: distributed plans — slotted scatter (qd1), subtraction (vero)
+        # 3-6: distributed plans, one per construction kernel
         from .systems.plans import get_plan
 
         cluster = ClusterConfig(num_workers=3)
-        for plan_key in ("qd1", "vero"):
+        for plan_key in ("qd1", "vero", "qd3", "qd3-pure"):
             sigs = []
             for candidate in (reference, name):
                 cfg = TrainConfig(num_trees=2, num_layers=4,
@@ -185,7 +187,7 @@ def check_backend(name: str, reference: str = "numpy") -> CheckResult:
                 return CheckResult(
                     name, False, checks,
                     f"plan {plan_key} trees diverged from {reference}")
-        # 5: compiled float predictor
+        # 7: compiled float predictor
         _, ens = _train_signature(clf, clf_binned, "binary", reference)
         batch = clf.csc()
         ref_scores = compile_ensemble(ens, backend=reference).raw_scores(
@@ -195,14 +197,14 @@ def check_backend(name: str, reference: str = "numpy") -> CheckResult:
         if not np.array_equal(ref_scores, got_scores):
             return CheckResult(name, False, checks,
                                "compiled predictor scores diverged")
-        # 6: bin-quantized predictor
+        # 8: bin-quantized predictor
         quant = quantize_ensemble(compile_ensemble(ens, backend=name),
                                   clf_binned.cuts)
         checks += 1
         if not np.array_equal(ref_scores, quant.raw_scores(batch)):
             return CheckResult(name, False, checks,
                                "quantized predictor scores diverged")
-        # 7: raw scatter parity on a standalone builder (pool + dtype)
+        # 9: row-store scatter parity on a standalone builder
         builder = HistogramBuilder(backend=name)
         ref_builder = HistogramBuilder(backend=reference)
         grad = np.ascontiguousarray(
@@ -220,7 +222,7 @@ def check_backend(name: str, reference: str = "numpy") -> CheckResult:
                 and np.array_equal(ref_hist.hess, got_hist.hess)):
             return CheckResult(name, False, checks,
                                "row-store scatter bins diverged")
-        # 8: a sparse shard's slot-basis build, and a subtraction in it,
+        # 10-11: a sparse shard's slot-basis build, and a subtraction in it,
         # under both the scattered and the constant (no-hess) hessian
         sparse = bin_dataset(make_classification(
             300, 200, density=0.01, num_informative=10,
@@ -245,7 +247,7 @@ def check_backend(name: str, reference: str = "numpy") -> CheckResult:
                     and np.array_equal(pair[0].hess, pair[1].hess)):
                 return CheckResult(name, False, checks,
                                    "slot-basis build or subtract diverged")
-        # 10: both traversals on the adversarial batch, from zeros and
+        # 12: both traversals on the adversarial batch, from zeros and
         # from a carry: the reference's scores, which must also be the
         # node-dict ensemble's own tree-at-a-time fold
         ens, dense = adversarial_case()
@@ -271,9 +273,3 @@ def check_backend(name: str, reference: str = "numpy") -> CheckResult:
     except Exception as exc:
         return CheckResult(name, False, checks, f"check crashed: {exc}")
     return CheckResult(name, True, checks)
-
-
-def check_available_backends(reference: str = "numpy") -> List[CheckResult]:
-    """Bit-identity battery for every backend detection reports."""
-    return [check_backend(name, reference=reference)
-            for name in available_backends()]

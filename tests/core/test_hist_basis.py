@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.codecs import CODEC_STACKS
 from repro.core.histogram import Histogram, HistogramBuilder
+from repro.core.kernels import available_backends
 from repro.data.matrix import CSRMatrix
 
 #: the lossless and lossy histogram codecs of the registered stacks
@@ -38,8 +39,7 @@ def dense_build(builder: HistogramBuilder, shard: CSRMatrix,
             shard.indptr[rows] - np.cumsum(lengths) + lengths, lengths)
         entry_pos += np.arange(total)
         builder._scatter(hist, shard.hist_keys(num_bins).take(entry_pos),
-                         np.repeat(rows, lengths), grad, hess,
-                         len(hist.grad))
+                         np.repeat(rows, lengths), grad, hess)
     return hist
 
 
@@ -106,7 +106,7 @@ def one_entry_shard(slots, num_features: int, num_bins: int) -> CSRMatrix:
                        st.integers(2, 8)),
        density=st.sampled_from([0.0, 0.03, 0.1, 0.3, 0.7]),
        dim=st.sampled_from([1, 3]),
-       backend=st.sampled_from(["numpy", "pyloop"]),
+       backend=st.sampled_from(available_backends()),
        unit_hessian=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_property_basis_build_matches_the_dense_build(

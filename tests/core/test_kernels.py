@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import ClusterConfig, TrainConfig
@@ -23,15 +23,15 @@ from repro.core.gbdt import GBDT
 from repro.core.histogram import (ColumnwiseIndex, Histogram,
                                   HistogramBuilder)
 from repro.core.kernels import (BACKENDS, DISABLE_ENV, BackendUnavailableError,
-                                NumbaBackend, available_backends,
-                                backend_names, compute_factor,
+                                KernelBackend, NumbaBackend,
+                                available_backends, compute_factor,
                                 detect_backends, make_backend,
                                 resolve_backend_name)
 from repro.core.loss import make_loss
 from repro.core.serialize import ensemble_to_dict
 from repro.data.dataset import Dataset, bin_dataset
 from repro.data.synthetic import make_classification
-from repro.selfcheck import check_available_backends, check_backend
+from repro.selfcheck import check_backend
 from repro.systems.plans import get_plan, plan_keys
 
 from .test_hist_builder import make_binned
@@ -44,13 +44,13 @@ CANDIDATES = [b for b in AVAILABLE if b != "numpy"]
 
 class TestRegistry:
     def test_numpy_always_registered_and_available(self):
-        assert "numpy" in backend_names()
+        assert "numpy" in BACKENDS
         assert "numpy" in AVAILABLE
         assert AVAILABLE[0] == "numpy"
 
     def test_all_three_backends_registered(self):
         for name in ("numpy", "pyloop", "numba"):
-            assert name in backend_names()
+            assert name in BACKENDS
 
     def test_resolve_default_and_aliases(self):
         assert resolve_backend_name("") == "numpy"
@@ -98,7 +98,7 @@ class TestRegistry:
 
     def test_detect_backends_reports_all(self):
         infos = {i.name: i for i in detect_backends()}
-        assert set(infos) == set(backend_names())
+        assert set(infos) == set(BACKENDS)
         assert infos["numpy"].available
         assert infos["numpy"].default
         for info in infos.values():
@@ -125,6 +125,10 @@ class TestScatterBitIdentity:
     @given(seed=st.integers(0, 2**32 - 1),
            density=st.floats(0.05, 0.95),
            gradient_dim=st.sampled_from([1, 3]))
+    # a full shard (every row stores all D features): a non-root
+    # row-store node gathers its keys as whole rows of the shard's keys
+    @example(seed=7, density=1.0, gradient_dim=1)
+    @example(seed=8, density=1.0, gradient_dim=3)
     def test_all_four_kernels_exact(self, backend, seed, density,
                                     gradient_dim):
         rng = np.random.default_rng(seed)
@@ -163,6 +167,34 @@ class TestScatterBitIdentity:
         for expect, actual in pairs:
             assert np.array_equal(expect.grad, actual.grad)
             assert np.array_equal(expect.hess, actual.hess)
+
+    def test_layer_scatter_above_the_fuse_threshold_exact(self, backend):
+        """A layer of more than ``FUSE_THRESHOLD`` entries takes numpy's
+        unfused scatter; every node's view is still exact, and equals
+        that node's own column-store build (each bin's entries add in
+        ascending row order either way)."""
+        rng = np.random.default_rng(11)
+        num_rows, num_features, num_bins = 1200, 60, 8
+        csr, _ = make_binned(rng, num_rows=num_rows,
+                             num_features=num_features, num_bins=num_bins,
+                             density=1.0)
+        csc = csr.to_csc()
+        assert csc.nnz > KernelBackend.FUSE_THRESHOLD
+        grad = rng.standard_normal((num_rows, 1))
+        hess = rng.random((num_rows, 1))
+        node_of = rng.integers(0, 3, size=num_rows).astype(np.int64)
+        ref = HistogramBuilder(backend="numpy")
+        ref_layer, _ = ref.build_colstore_layer(csc, node_of, 3, grad,
+                                                hess, num_bins)
+        got_layer, _ = HistogramBuilder(backend=backend).build_colstore_layer(
+            csc, node_of, 3, grad, hess, num_bins)
+        for slot, (expect, actual) in enumerate(zip(ref_layer, got_layer)):
+            node_rows = np.flatnonzero(node_of == slot)
+            alone, _, _ = ref.build_colstore_hybrid(
+                csc, node_rows, node_of, slot, grad, hess, num_bins)
+            for want in (expect, alone):
+                assert np.array_equal(want.grad, actual.grad)
+                assert np.array_equal(want.hess, actual.hess)
 
     def test_no_hessian_fast_path_exact(self, backend):
         """With ``constant_hessian == 1.0`` (square loss) the hessian
@@ -228,11 +260,9 @@ class TestBuilderWiring:
 
 class TestSelfCheck:
     def test_every_available_backend_passes(self):
-        results = check_available_backends()
-        assert [r.backend for r in results] == AVAILABLE
-        for result in results:
+        for result in map(check_backend, AVAILABLE):
             assert result.passed, result.describe()
-            assert result.checks == 10
+            assert result.checks == 12
             assert "bit-identical" in result.describe()
 
     def test_unknown_backend_fails_cleanly(self):
@@ -249,9 +279,9 @@ class TestSelfCheck:
 
         original = PyLoopBackend.scatter
 
-        def corrupt(self, hist, keys, entry_rows, grad, hess, size,
+        def corrupt(self, hist, keys, entry_rows, grad, hess,
                     hess_const=None):
-            original(self, hist, keys, entry_rows, grad, hess, size,
+            original(self, hist, keys, entry_rows, grad, hess,
                      hess_const=hess_const)
             hist.grad += 1e-9
 
@@ -259,3 +289,23 @@ class TestSelfCheck:
         result = check_backend("pyloop")
         assert not result.passed
         assert "diverged" in result.detail
+
+    def test_column_store_kernels_are_checked(self, monkeypatch):
+        """A backend that miscomputes only the column store's
+        scan-or-search kernel (qd3) must be flagged by name."""
+        if "pyloop" not in available_backends():
+            pytest.skip("pyloop masked on this run")
+
+        original = HistogramBuilder.build_colstore_hybrid
+
+        def corrupt(self, *args):
+            hist, scanned, searched = original(self, *args)
+            if self.backend.name == "pyloop":
+                hist.grad[:] = hist.grad[::-1].copy()
+            return hist, scanned, searched
+
+        monkeypatch.setattr(HistogramBuilder, "build_colstore_hybrid",
+                            corrupt)
+        result = check_backend("pyloop")
+        assert not result.passed
+        assert "qd3" in result.detail

@@ -374,9 +374,9 @@ class TestDoctor:
 
         original = PyLoopBackend.scatter
 
-        def corrupt(self, hist, keys, entry_rows, grad, hess, size,
+        def corrupt(self, hist, keys, entry_rows, grad, hess,
                     hess_const=None):
-            original(self, hist, keys, entry_rows, grad, hess, size,
+            original(self, hist, keys, entry_rows, grad, hess,
                      hess_const=hess_const)
             hist.grad += 1e-9
 
