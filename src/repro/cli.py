@@ -220,10 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     scen_run.add_argument("--smoke", action="store_true",
                           help="tiny CI run: every scenario at "
                                "--scale 0.2, invariants enforced")
-    scen_run.add_argument("--shards", type=int, default=0,
+    scen_run.add_argument("--shards", type=int,
                           help="override every selected scenario to "
-                               "serve tree-sharded with S shard groups "
-                               "(workers round up to a multiple of S; "
+                               "serve with S shard groups (workers "
+                               "round up to a multiple of S; S > 1 "
                                "disables the prediction cache)")
     scen_run.add_argument("--report-out",
                           help="save the scenario report JSON here "
@@ -732,22 +732,21 @@ def cmd_scenarios(args) -> int:
 
     names = args.names or list(SCENARIOS)
     scale = 0.2 if args.smoke else args.scale
-    if args.shards < 0:
+    if args.shards is not None and args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     failed = False
     for position, name in enumerate(names):
         scenario = get_scenario(name, scale=scale)
-        if args.shards > 1:
+        if args.shards is not None:
             import dataclasses
 
-            workers = scenario.num_workers
-            if workers % args.shards:
-                workers = (workers // args.shards + 1) * args.shards
+            workers = -(-scenario.num_workers // args.shards) * args.shards
             # the cache holds full-model scores; sharded rows only ever
-            # compute partials, so the override drops it
+            # compute partials, so a sharded override drops it
             scenario = dataclasses.replace(
                 scenario, num_shards=args.shards, num_workers=workers,
-                cache_capacity=0)
+                cache_capacity=(scenario.cache_capacity
+                                if args.shards == 1 else 0))
         report = ScenarioRunner(scenario).run()
         print(format_report(report))
         if position + 1 < len(names):

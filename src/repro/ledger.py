@@ -160,19 +160,9 @@ def _format_scenario_report(report: dict) -> str:
     if report.get("description"):
         lines.append(f"  {report['description']}")
     lines.append(
-        f"  arrivals: {totals['arrivals']:,}   served: "
-        f"{totals['served']:,}   dropped: {totals['dropped']:,} "
-        f"({totals['drop_rate']:.1%})   batches: {totals['batches']:,}"
-    )
-    lines.append(
-        f"  latency: p50 {totals['p50_s'] * 1e3:.2f} ms   "
-        f"p95 {totals['p95_s'] * 1e3:.2f} ms   "
-        f"p99 {totals['p99_s'] * 1e3:.2f} ms   "
-        f"max {totals['max_s'] * 1e3:.2f} ms"
-    )
-    lines.append(
-        f"  throughput: {totals['throughput_rps']:,.0f} req/s over "
-        f"{totals['makespan_s']:.3f} s   SLO violations: "
+        f"  drop rate {totals['drop_rate']:.1%}   max "
+        f"{totals['max_s'] * 1e3:.2f} ms   throughput "
+        f"{totals['throughput_rps']:,.0f} req/s   SLO violations: "
         f"{totals['slo_violations']:,} "
         f"({totals['slo_violation_rate']:.1%})"
     )
@@ -204,12 +194,27 @@ def _format_scenario_report(report: dict) -> str:
             f"(raw {_fmt_bytes(wire['deploy_raw_bytes'])}), "
             f"retries {_fmt_bytes(wire['retry_bytes'])}"
         )
-    lines.append(
-        f"  versions served: {report['versions_served']}   invariants: "
-        + ", ".join(f"{k}={'ok' if v else 'VIOLATED'}"
-                    for k, v in sorted(report["invariants"].items()))
-    )
+    lines.append(f"  versions served: {report['versions_served']}")
+    lines.extend(_serving_footer(totals, report["invariants"]))
     return "\n".join(lines)
+
+
+def _serving_footer(totals: dict, invariants: dict) -> List[str]:
+    """The last two lines of both serving reports: the ledger totals
+    and the invariants.  They read only keys that every saved scenario
+    and deploy report carries."""
+    return [
+        f"  serving: {totals['arrivals']:,} arrivals   "
+        f"{totals['served']:,} served   {totals['dropped']:,} dropped   "
+        f"{totals['batches']:,} batches   "
+        f"p50 {totals['p50_s'] * 1e3:.2f} ms   "
+        f"p95 {totals['p95_s'] * 1e3:.2f} ms   "
+        f"p99 {totals['p99_s'] * 1e3:.2f} ms over "
+        f"{totals['makespan_s']:.3f} s",
+        "  invariants: " + ", ".join(
+            f"{k}={'ok' if v else 'VIOLATED'}"
+            for k, v in sorted(invariants.items())),
+    ]
 
 
 def _fmt_metric(value) -> str:
@@ -255,14 +260,6 @@ def _format_deploy_report(report: dict) -> str:
         f"{split['observed_fraction']:.1%} ({split['canary_batches']} "
         f"canary of {split['window_batches']} batches in window)"
     )
-    serving = report["serving"]
-    lines.append(
-        f"  serving: {serving['arrivals']:,} arrivals   "
-        f"{serving['served']:,} served   {serving['dropped']:,} dropped"
-        f"   p50 {serving['p50_s'] * 1e3:.2f} ms   "
-        f"p99 {serving['p99_s'] * 1e3:.2f} ms over "
-        f"{serving['makespan_s']:.3f} s"
-    )
     wire = report["wire"]
     deploy_kinds = sorted(k for k in wire["bytes_by_kind"]
                           if k.startswith("deploy:"))
@@ -272,11 +269,7 @@ def _format_deploy_report(report: dict) -> str:
         f"  wire: {'   '.join(parts)}   retries "
         f"{_fmt_bytes(wire['retry_bytes'])}"
     )
-    lines.append(
-        "  invariants: "
-        + ", ".join(f"{k}={'ok' if v else 'VIOLATED'}"
-                    for k, v in sorted(report["invariants"].items()))
-    )
+    lines.extend(_serving_footer(report["serving"], report["invariants"]))
     return "\n".join(lines)
 
 

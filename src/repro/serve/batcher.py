@@ -150,16 +150,6 @@ class RequestTrace:
     def num_requests(self) -> int:
         return self.features.shape[0]
 
-    def tenant_of(self, request_id: int) -> int:
-        """Tenant index of one request (0 for single-tenant traces)."""
-        return (0 if self.tenants is None
-                else int(self.tenants[request_id]))
-
-    def priority_of(self, request_id: int) -> int:
-        """Admission priority of one request (0 when unprioritized)."""
-        return (0 if self.priorities is None
-                else int(self.priorities[request_id]))
-
     def csc(self, ids: Optional[np.ndarray] = None):
         """The trace rows (the requests ``ids``, in that order, when
         given) as a :class:`~repro.data.matrix.CSCMatrix`.

@@ -54,12 +54,13 @@ from ..core.metrics import auc as _auc
 from ..core.metrics import logloss as _logloss
 from ..core.serialize import canonical_payload_bytes
 from ..ledger import DEPLOY_SCHEMA
-from .batcher import (DispatchResult, LatencyStats, MicroBatcher,
-                      ServingReport, billed_scores, read_scores)
+from .batcher import (DispatchResult, MicroBatcher, ServingReport,
+                      billed_scores, read_scores)
 from .registry import ModelRegistry, publish_trained
 from .replica import ReplicaSet
 from .scenarios import (LabelStream, Scenario, build_fleet, build_trace,
-                        emit_labels, served_probability, wire_ledger)
+                        emit_labels, served_probability, serving_invariants,
+                        serving_summary, wire_ledger)
 
 #: wire ledger kinds of the deployment control plane
 CANARY_KIND = "deploy:canary"
@@ -739,12 +740,13 @@ class DeployController:
 
         start_s = self.canary.start_frac * s.duration_s
         batcher = MicroBatcher(self.router, s.policy)
-        serving = batcher.run(trace, swaps=[(start_s, start_canary)])
+        serving = batcher.run(trace, swaps=[(start_s, start_canary)],
+                              collect_scores=True)
         self.serving_report = serving
 
         verdict = self.router.final_verdict()
-        stats = serving.latency_stats()
-        makespan = stats.makespan_s
+        summary = serving_summary(trace, serving)
+        makespan = summary["makespan_s"]
         window = self._window()
         if verdict == "promote":
             wire0 = dict(network.snapshot().bytes_by_kind)
@@ -765,12 +767,12 @@ class DeployController:
                 "canary stays staged",
                 window=window,
             )
-        return self._build_report(trace, labels, serving, stats, verdict)
+        return self._build_report(trace, labels, serving, summary, verdict)
 
     # -- report assembly ---------------------------------------------------
 
     def _build_report(self, trace, labels: LabelStream,
-                      serving: ServingReport, stats: LatencyStats,
+                      serving: ServingReport, summary: dict,
                       verdict: str) -> dict:
         s = self.scenario
         router = self.router
@@ -814,14 +816,7 @@ class DeployController:
                 "mean_delay_s": labels.mean_delay_s,
             },
             "serving": {
-                "arrivals": trace.num_requests,
-                "served": stats.count,
-                "dropped": stats.dropped,
-                "batches": serving.batch_size.size,
-                "makespan_s": stats.makespan_s,
-                "p50_s": stats.p50_s,
-                "p95_s": stats.p95_s,
-                "p99_s": stats.p99_s,
+                **summary,
                 "shadow_batches": router.shadow_batches,
                 "shadow_rows": router.shadow_rows,
             },
@@ -838,7 +833,7 @@ class DeployController:
             },
             "wire": {"deploy_bytes": deploy_bytes, **wire},
             "invariants": {
-                "conservation_ok": serving.exactly_once(),
+                **serving_invariants(trace, serving, self.registry),
                 **audit,
             },
         }

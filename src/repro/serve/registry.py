@@ -196,10 +196,6 @@ class ModelRegistry:
             raise LookupError("registry has no active model")
         return self._active
 
-    @property
-    def has_active(self) -> bool:
-        return self._active is not None
-
     def activate(self, version: int) -> ModelVersion:
         """Atomically flip the active pointer to ``version``."""
         entry = self.get(version)

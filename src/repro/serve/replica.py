@@ -156,11 +156,6 @@ class ReplicaSet:
 
     # -- the grid ----------------------------------------------------------
 
-    def row_workers(self, row: int) -> range:
-        """Worker ids of replica row ``row`` (one per shard group)."""
-        self._check_pool((row,))
-        return range(row * self.num_shards, (row + 1) * self.num_shards)
-
     def row_ready_s(self, row: int) -> float:
         """Instant every worker of ``row`` is free — a batch needs the
         whole row, so the row's readiness is its slowest member's."""
@@ -295,12 +290,6 @@ class ReplicaSet:
         """Per-worker deployed version id (``None`` before any deploy)."""
         return [None if shard is None else shard.version
                 for shard in self._deployed]
-
-    def workers_serving(self, version: int) -> list:
-        """Worker ids holding (a shard of) ``version`` — row ids, which
-        ``workers=`` / ``pool=`` take, are these ``// num_shards``."""
-        return [w for w, held in enumerate(self.deployed_versions())
-                if held == version]
 
     def book(self, version: int) -> ScoreBook:
         """The score book of ``version``: every row the fleet serves

@@ -43,7 +43,6 @@ bit-identical to replicated serving.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -528,6 +527,52 @@ def audit_priority_admission(trace: RequestTrace,
     return True
 
 
+def audit_scores(trace: RequestTrace, report: ServingReport,
+                 registry: ModelRegistry) -> bool:
+    """Every served score equals the naive tree walk
+    (:meth:`TreeEnsemble.raw_scores`) of the version that served it
+    — a predictor that shares no code with the compiled one, so the
+    check never holds a call up against itself.  Rows are checked a
+    walk block at a time, which bounds the check's memory.  A run
+    that served requests without collecting their scores fails."""
+    if not report.request_id.size:
+        return True
+    if report.scores is None:
+        return False
+    ids, versions = report.request_id, report.request_version
+    step = walk_block_rows(trace.features.shape[1])
+    for version in np.unique(versions):
+        ensemble = registry.get(int(version)).ensemble
+        rows = np.flatnonzero(versions == version)
+        for lo in range(0, rows.size, step):
+            chunk = rows[lo:lo + step]
+            direct = ensemble.raw_scores(trace.csc(ids[chunk]))
+            if not np.array_equal(report.scores[chunk], direct):
+                return False
+    return True
+
+
+def serving_invariants(trace: RequestTrace, report: ServingReport,
+                       registry: ModelRegistry) -> dict:
+    """The ledger invariants every serving report carries (DESIGN §14,
+    "Conformance harness"): exactly-once conservation, priority
+    admission, the request -> batch join and score exactness."""
+    return {
+        "conservation_ok": report.exactly_once(),
+        "priority_admission_ok": audit_priority_admission(trace, report),
+        "single_version_batches": report.single_version_batches(),
+        "scores_exact": audit_scores(trace, report, registry),
+    }
+
+
+def serving_summary(trace: RequestTrace, report: ServingReport) -> dict:
+    """The ledger totals every serving report carries: arrivals, what
+    was served, dropped and batched, and the latency distribution."""
+    stats = report.latency_stats().to_dict()
+    return {"arrivals": trace.num_requests, "served": stats.pop("count"),
+            "batches": report.batch_size.size, **stats}
+
+
 # ---------------------------------------------------------------------------
 # The runner
 # ---------------------------------------------------------------------------
@@ -640,35 +685,10 @@ class ScenarioRunner:
 
     # -- report assembly ---------------------------------------------------
 
-    def _scores_exact(self, trace: RequestTrace,
-                      report: ServingReport) -> bool:
-        """Every served score equals the naive tree walk
-        (:meth:`TreeEnsemble.raw_scores`) of the version that served it
-        — a predictor that shares no code with the compiled one, so the
-        check never holds a call up against itself.  Rows are checked a
-        walk block at a time, which bounds the check's memory.  A run
-        that served requests without collecting their scores fails."""
-        if not report.request_id.size:
-            return True
-        if report.scores is None:
-            return False
-        ids, versions = report.request_id, report.request_version
-        step = walk_block_rows(trace.features.shape[1])
-        for version in np.unique(versions):
-            ensemble = self.registry.get(int(version)).ensemble
-            rows = np.flatnonzero(versions == version)
-            for lo in range(0, rows.size, step):
-                chunk = rows[lo:lo + step]
-                direct = ensemble.raw_scores(trace.csc(ids[chunk]))
-                if not np.array_equal(report.scores[chunk], direct):
-                    return False
-        return True
-
     def _build_report(self, trace: RequestTrace, report: ServingReport,
                       replicas: ReplicaSet,
                       cache: Optional[PredictionCache]) -> dict:
         s = self.scenario
-        stats = report.latency_stats()
         arrivals_per_tenant = np.bincount(
             trace.tenants, minlength=len(s.tenants))
         # each tenant's latencies are a mask over the request columns,
@@ -711,19 +731,7 @@ class ScenarioRunner:
             "seed": s.seed,
             "config": s.config_dict(),
             "totals": {
-                "arrivals": trace.num_requests,
-                "served": stats.count,
-                "dropped": stats.dropped,
-                "drop_rate": stats.drop_rate,
-                "batches": report.batch_size.size,
-                "p50_s": stats.p50_s,
-                "p95_s": stats.p95_s,
-                "p99_s": stats.p99_s,
-                "mean_s": stats.mean_s,
-                "max_s": stats.max_s,
-                "mean_queue_s": stats.mean_queue_s,
-                "throughput_rps": stats.throughput_rps,
-                "makespan_s": stats.makespan_s,
+                **serving_summary(trace, report),
                 "slo_violations": total_violations,
                 "slo_violation_rate": (
                     total_violations / trace.num_requests
@@ -737,13 +745,7 @@ class ScenarioRunner:
                 **wire_ledger(replicas.network),
             },
             "versions_served": report.versions_served(),
-            "invariants": {
-                "conservation_ok": report.exactly_once(),
-                "priority_admission_ok":
-                    audit_priority_admission(trace, report),
-                "single_version_batches": report.single_version_batches(),
-                "scores_exact": self._scores_exact(trace, report),
-            },
+            "invariants": serving_invariants(trace, report, self.registry),
         }
 
 
@@ -928,21 +930,3 @@ def get_scenario(name: str, scale: float = 1.0) -> Scenario:
         ) from None
     scenario = builder()
     return scenario if scale == 1.0 else scenario.scaled(scale)
-
-
-def expected_requests(scenario: Scenario) -> float:
-    """Mean offered load of a scenario (for sizing sanity checks)."""
-    total = 0.0
-    for tenant in scenario.tenants:
-        base = tenant.rate_rps * scenario.duration_s
-        if scenario.shape.kind == "flash":
-            base += (tenant.rate_rps * (scenario.shape.flash_x - 1.0)
-                     * min(scenario.shape.flash_len_s,
-                           max(scenario.duration_s
-                               - scenario.shape.flash_at_s, 0.0)))
-        elif scenario.shape.kind == "diurnal":
-            w = 2.0 * np.pi / scenario.shape.period_s
-            base += (tenant.rate_rps * scenario.shape.amplitude
-                     * (1.0 - math.cos(w * scenario.duration_s)) / w)
-        total += base
-    return total

@@ -88,6 +88,12 @@ class FixedServiceServer:
             positions=self.book.append(features))
 
 
+def entry_of(column: Optional[np.ndarray], request: int) -> int:
+    """One request's entry of an optional trace column (``tenants`` or
+    ``priorities``); 0 when the trace leaves the column out."""
+    return 0 if column is None else int(column[request])
+
+
 def reference_shed_victim(trace: RequestTrace, backlog: List[int],
                           newcomer: int) -> Optional[int]:
     """Backlog position the shed policy evicts to admit ``newcomer``,
@@ -96,11 +102,11 @@ def reference_shed_victim(trace: RequestTrace, backlog: List[int],
     below every queued class."""
     if trace.priorities is None:
         return 0
-    lowest = min(trace.priority_of(r) for r in backlog)
-    if trace.priority_of(newcomer) < lowest:
+    lowest = min(entry_of(trace.priorities, r) for r in backlog)
+    if entry_of(trace.priorities, newcomer) < lowest:
         return None
     for pos, request in enumerate(backlog):
-        if trace.priority_of(request) == lowest:
+        if entry_of(trace.priorities, request) == lowest:
             return pos
     raise AssertionError("unreachable: lowest class vanished")
 
@@ -140,13 +146,13 @@ def reference_bounded_batches(backend, policy: BatchPolicy,
                 victim_pos = None if policy.overload == "reject" \
                     else shed_victim(trace, backlog, i)
                 if victim_pos is None:
-                    drop = (i, now, "reject", trace.tenant_of(i),
-                            trace.priority_of(i))
+                    drop = (i, now, "reject", entry_of(trace.tenants, i),
+                            entry_of(trace.priorities, i))
                 else:
                     victim = backlog.pop(victim_pos)
                     drop = (victim, now, "shed-oldest",
-                            trace.tenant_of(victim),
-                            trace.priority_of(victim))
+                            entry_of(trace.tenants, victim),
+                            entry_of(trace.priorities, victim))
                     backlog.append(i)
                 for name, value in zip(DROP_COLUMNS, drop):
                     drops[name].append(value)

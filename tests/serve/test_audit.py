@@ -28,8 +28,8 @@ from repro.serve.scenarios import (SCENARIOS, ScenarioRunner,
                                    audit_priority_admission, get_scenario)
 
 from .reference_audit import reference_audit_priority_admission
-from .reference_batcher import (SimulatedWorker, reference_ledger,
-                                reference_shed_victim)
+from .reference_batcher import (SimulatedWorker, entry_of,
+                                reference_ledger, reference_shed_victim)
 
 
 def verdict(trace, report):
@@ -98,15 +98,15 @@ def replay(trace, policy, shed_victim):
 
 
 def evict_highest_class(trace, backlog, newcomer):
-    top = max(trace.priority_of(r) for r in backlog)
+    top = max(entry_of(trace.priorities, r) for r in backlog)
     return next(pos for pos, r in enumerate(backlog)
-                if trace.priority_of(r) == top)
+                if entry_of(trace.priorities, r) == top)
 
 
 def never_refuse_the_newcomer(trace, backlog, newcomer):
-    lowest = min(trace.priority_of(r) for r in backlog)
+    lowest = min(entry_of(trace.priorities, r) for r in backlog)
     return next(pos for pos, r in enumerate(backlog)
-                if trace.priority_of(r) == lowest)
+                if entry_of(trace.priorities, r) == lowest)
 
 
 def evict_the_head(trace, backlog, newcomer):

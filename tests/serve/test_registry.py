@@ -80,7 +80,6 @@ class TestPublish:
 class TestActivePointer:
     def test_no_active_raises(self):
         registry = ModelRegistry()
-        assert not registry.has_active
         with pytest.raises(LookupError, match="no active"):
             registry.active
 

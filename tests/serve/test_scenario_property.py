@@ -152,5 +152,5 @@ def test_shed_respects_priority_classes(scenario, served):
     for request, tenant, priority in zip(ledger.drop_id.tolist(),
                                          ledger.drop_tenant.tolist(),
                                          ledger.drop_priority.tolist()):
-        assert tenant == trace.tenant_of(request)
-        assert priority == trace.priority_of(request)
+        assert tenant == trace.tenants[request]
+        assert priority == trace.priorities[request]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +22,32 @@ from repro.serve.batcher import ServingReport
 from repro.serve.scenarios import (SCENARIOS, LoadShape, Scenario,
                                    ScenarioRunner, TenantSpec,
                                    audit_priority_admission, build_trace,
-                                   expected_requests, get_scenario)
+                                   get_scenario)
 
 from .reference_audit import reference_audit_priority_admission
 
 GOLDEN = Path(__file__).resolve().parent.parent / "data" / "golden" \
     / "scenario_flash_crowd_v1.json"
+
+
+def expected_requests(scenario: Scenario) -> float:
+    """Mean offered load of a scenario: each tenant's rate integrated
+    over the window under the load shape."""
+    total = 0.0
+    shape = scenario.shape
+    for tenant in scenario.tenants:
+        base = tenant.rate_rps * scenario.duration_s
+        if shape.kind == "flash":
+            base += (tenant.rate_rps * (shape.flash_x - 1.0)
+                     * min(shape.flash_len_s,
+                           max(scenario.duration_s - shape.flash_at_s,
+                               0.0)))
+        elif shape.kind == "diurnal":
+            w = 2.0 * np.pi / shape.period_s
+            base += (tenant.rate_rps * shape.amplitude
+                     * (1.0 - math.cos(w * scenario.duration_s)) / w)
+        total += base
+    return total
 
 
 class TestDeclarations:
@@ -104,8 +125,8 @@ class TestTraceBuilder:
         assert set(np.unique(trace.tenants)) <= set(range(8))
         # priorities follow the tenant table
         for i in range(min(trace.num_requests, 200)):
-            tenant = scenario.tenants[trace.tenant_of(i)]
-            assert trace.priority_of(i) == tenant.priority
+            tenant = scenario.tenants[trace.tenants[i]]
+            assert trace.priorities[i] == tenant.priority
 
     def test_volume_tracks_expected_load(self):
         scenario = get_scenario("flash-crowd")
@@ -197,7 +218,7 @@ class TestRunner:
                      ledger.request_id.tolist(),
                      ledger.request_batch.tolist(),
                      ledger.request_arrival_s.tolist())
-                 if trace.tenant_of(request) == index])
+                 if trace.tenants[request] == index])
             stats = report["tenants"][tenant.name]
             summary = percentile_summary(lat)
             assert stats["served"] == lat.size > 0

@@ -12,9 +12,10 @@ at a time.  These tests hold it to:
   not one per batch;
 - every shipped scenario: resolved scores equal a per-batch eager
   replay bit for bit, and the two cache scenarios keep their ledgers;
-- the ``scores_exact`` invariant: it fails for rows read from the
-  wrong version's book, for positions shifted by one, and for a run
-  that served requests without collecting their scores.
+- the ``scores_exact`` invariant, on scenario and deploy reports alike:
+  it fails for rows read from the wrong version's book, for positions
+  shifted by one, and for a run that served requests without collecting
+  their scores.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import pytest
 
 from repro import GBDT, TrainConfig
 from repro.core.kernels import available_backends, walk_block_rows
-from repro.serve import (MicroBatcher, ModelRegistry, ReplicaSet,
-                         ScoreBook, ScenarioRunner, compile_ensemble,
-                         get_scenario)
+from repro.serve import (DeployController, MicroBatcher, ModelRegistry,
+                         ReplicaSet, ScoreBook, ScenarioRunner,
+                         compile_ensemble, get_scenario)
 from repro.serve.compiler import CompiledEnsemble
 from repro.serve.scenarios import SCENARIOS
 
@@ -198,39 +199,60 @@ def test_scores_equal_a_per_batch_eager_replay(name):
 # scores_exact fails closed
 # ---------------------------------------------------------------------------
 
-def test_rows_read_from_the_next_versions_book_fail(monkeypatch):
+def scenario_run(name):
+    """A scale-0.2 scenario run: ``(report, serving ledger, totals)``."""
+    def run():
+        runner = ScenarioRunner(get_scenario(name, scale=0.2))
+        report = runner.run()
+        return report, runner.serving_report, report["totals"]
+    return run
+
+
+def deploy_run():
+    """A serve-mode ``canary-under-fire`` episode at scale 0.25."""
+    controller = DeployController(get_scenario("canary-under-fire",
+                                               scale=0.25))
+    report = controller.run()
+    return report, controller.serving_report, report["serving"]
+
+
+@pytest.mark.parametrize("run", [scenario_run("hot-swap-under-fire"),
+                                 deploy_run], ids=["scenario", "deploy"])
+def test_rows_read_from_the_next_versions_book_fail(monkeypatch, run):
     book = ReplicaSet.book
 
     def next_versions_book(fleet, version):
         return book(fleet, version % 2 + 1)
 
     monkeypatch.setattr(ReplicaSet, "book", next_versions_book)
-    report = ScenarioRunner(get_scenario("hot-swap-under-fire",
-                                         scale=0.2)).run()
-    assert report["versions_served"] == [1, 2]
+    report, serving, _ = run()
+    assert serving.versions_served() == [1, 2]
     assert report["invariants"]["scores_exact"] is False
 
 
-def test_positions_shifted_by_one_fail(monkeypatch):
+@pytest.mark.parametrize("run", [scenario_run("steady"), deploy_run],
+                         ids=["scenario", "deploy"])
+def test_positions_shifted_by_one_fail(monkeypatch, run):
     read = ScoreBook.read
 
     def shifted(book, positions):
         return read(book, (np.asarray(positions) + 1) % len(book))
 
     monkeypatch.setattr(ScoreBook, "read", shifted)
-    report = ScenarioRunner(get_scenario("steady", scale=0.2)).run()
+    report, _, _ = run()
     assert report["invariants"]["scores_exact"] is False
 
 
-def test_serving_without_collected_scores_fails(monkeypatch):
-    run = MicroBatcher.run
+@pytest.mark.parametrize("run", [scenario_run("steady"), deploy_run],
+                         ids=["scenario", "deploy"])
+def test_serving_without_collected_scores_fails(monkeypatch, run):
+    run_batcher = MicroBatcher.run
 
     def uncollected(batcher, trace, swaps=(), collect_scores=False):
-        return run(batcher, trace, swaps)
+        return run_batcher(batcher, trace, swaps)
 
     monkeypatch.setattr(MicroBatcher, "run", uncollected)
-    runner = ScenarioRunner(get_scenario("steady", scale=0.2))
-    report = runner.run()
-    assert runner.serving_report.scores is None
-    assert report["totals"]["served"] > 0
+    report, serving, totals = run()
+    assert serving.scores is None
+    assert totals["served"] > 0
     assert report["invariants"]["scores_exact"] is False

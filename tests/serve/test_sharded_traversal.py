@@ -20,6 +20,7 @@ compiled ensemble.  These tests hold that dispatch to:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import types
@@ -313,12 +314,41 @@ SCENARIO_SMOKE_SHA256 = {
 #: degraded canary, the healthy one, and the degraded one in shadow mode
 DEPLOY_QUARTER_SHA256 = {
     "degraded":
+        "be7d129f8c6a360e1ea7ef288e929af47a6aa6559cbe955ad575da1876f41f68",
+    "healthy":
+        "360b81a8f1ab74800813e93d6d0b3aaa0c4d70d2b1d9b0f5b545ffb192d7bb37",
+    "shadow":
+        "3196bc4fe400cf7db95d7987abdf6ca239c7c86fdb4af0d6e03db81b4e465574",
+}
+
+#: the keys deploy reports took from the serving summary and invariants
+#: both serving reports share, by block
+DEPLOY_KEYS_ADDED = {
+    "serving": ("drop_rate", "max_s", "mean_queue_s", "mean_s",
+                "throughput_rps"),
+    "invariants": ("priority_admission_ok", "scores_exact",
+                   "single_version_batches"),
+}
+
+#: the same episodes' sha256 as saved before deploy reports took those
+#: keys: each report less :data:`DEPLOY_KEYS_ADDED` hashes to these
+DEPLOY_QUARTER_EARLIER_SHA256 = {
+    "degraded":
         "d63e70568114a8b1c863a5e7c3a09360effa5b49446e44538b73104b72099efa",
     "healthy":
         "a5bc75c49db81c2fb5f072590d097bde8b181ca336bc7a86e8fd341905553f95",
     "shadow":
         "e7f2a366b02e3da4f0db8dd5bb923dc88254e18fc03a3d596cd5fdd5fe2ecebc",
 }
+
+
+def without_shared_keys(report: dict) -> dict:
+    """A deploy report as saved before it took the shared keys."""
+    old = copy.deepcopy(report)
+    for block, keys in DEPLOY_KEYS_ADDED.items():
+        for key in keys:
+            del old[block][key]
+    return old
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_SMOKE_SHA256))
@@ -339,3 +369,6 @@ def test_deploy_quarter_scale_report_is_pinned(episode):
     assert all(report["invariants"].values())
     assert hashlib.sha256(report_bytes(report)).hexdigest() \
         == DEPLOY_QUARTER_SHA256[episode]
+    earlier = report_bytes(without_shared_keys(report))
+    assert hashlib.sha256(earlier).hexdigest() \
+        == DEPLOY_QUARTER_EARLIER_SHA256[episode]

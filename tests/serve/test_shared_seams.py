@@ -1,11 +1,14 @@
 """The serving seams that used to be copied: the single-version audit,
-version resolution, the deployer swap action, and provisioning — the
-served model and its hot-swap successor."""
+version resolution, the deployer swap action, provisioning — the
+served model and its hot-swap successor — and the serving summary and
+invariants both serving reports carry."""
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +20,14 @@ from repro.serve import (BatchPolicy, CanaryPolicy, CanaryRouter,
                          RollbackPolicy, ScenarioRunner, ServingReport,
                          ShardedReplicaSet, emit_labels, get_scenario,
                          publish_trained, synthetic_trace)
+from repro.ledger import format_report, load_report, report_bytes
 from repro.serve import batcher as batcher_module
 from repro.serve.compiler import CompiledEnsemble
 from repro.serve.replica import deployer, resolve_version
+from repro.serve.scenarios import serving_invariants, serving_summary
+
+from .test_sharded_traversal import (DEPLOY_QUARTER_EARLIER_SHA256,
+                                     without_shared_keys)
 
 
 @pytest.fixture(scope="module")
@@ -186,13 +194,14 @@ def test_pools_name_replica_rows(registry):
     fleet = ReplicaSet(registry, ClusterConfig(num_workers=8),
                        num_shards=2, service_model=lambda k: 1e-4)
     assert fleet.num_rows == 4
-    assert list(fleet.row_workers(1)) == [2, 3]
     fleet.deploy(1)
     steady = fleet.deploy_bytes
     free = list(fleet._free)
     fleet.deploy(2, workers=[1], kind="deploy:canary", at_s=1.0)
-    assert fleet.deployed_versions() == [1, 1, 2, 2, 1, 1, 1, 1]
-    assert fleet.workers_serving(2) == [2, 3]
+    held = fleet.deployed_versions()
+    assert held == [1, 1, 2, 2, 1, 1, 1, 1]
+    # row 1 is workers 2 and 3
+    assert [w for w, v in enumerate(held) if v == 2] == [2, 3]
     assert [w for w in range(8) if fleet._free[w] != free[w]] == [2, 3]
     by_kind = fleet.deploy_bytes_by_kind()
     assert by_kind["deploy:canary"][0] == sum(
@@ -380,3 +389,46 @@ def test_a_scenario_run_and_a_deploy_episode_publish_one_model():
     half = dataclasses.replace(
         config, num_trees=max(config.num_trees // 2, 1))
     assert served.get(2).checksum == _direct_checksum(dataset, half)
+
+
+# -- one serving report core ----------------------------------------------
+
+GOLDEN_DEPLOY = Path(__file__).resolve().parent.parent / "data" \
+    / "golden" / "deploy_canary_v1.json"
+
+
+def test_both_serving_reports_hold_the_summary_and_the_invariants():
+    scenario = get_scenario("canary-under-fire", scale=0.25)
+    runner = ScenarioRunner(scenario)
+    scenario_report = runner.run()
+    trace = runner.trace
+    summary = serving_summary(trace, runner.serving_report)
+    invariants = serving_invariants(trace, runner.serving_report,
+                                    runner.registry)
+    assert set(invariants) == {"conservation_ok", "priority_admission_ok",
+                               "single_version_batches", "scores_exact"}
+    assert {k: scenario_report["totals"][k] for k in summary} == summary
+    assert scenario_report["invariants"] == invariants
+
+    controller = DeployController(scenario)
+    deploy_report = controller.run()
+    served = controller.serving_report
+    summary = serving_summary(trace, served)
+    invariants = serving_invariants(trace, served, controller.registry)
+    assert {k: deploy_report["serving"][k] for k in summary} == summary
+    assert {k: deploy_report["invariants"][k]
+            for k in invariants} == invariants
+    assert all(deploy_report["invariants"].values())
+
+
+def test_a_deploy_report_saved_without_the_shared_keys_renders():
+    golden = load_report(str(GOLDEN_DEPLOY))
+    old = without_shared_keys(golden)
+    assert hashlib.sha256(report_bytes(old)).hexdigest() \
+        == DEPLOY_QUARTER_EARLIER_SHA256["degraded"]
+    text = format_report(old).splitlines()
+    assert text[-2].startswith("  serving: 759 arrivals   759 served")
+    assert text[-1].startswith("  invariants: conservation_ok=ok")
+    assert "scores_exact" not in text[-1]
+    # every line but the invariants reads the keys both formats carry
+    assert format_report(golden).splitlines()[:-1] == text[:-1]

@@ -313,6 +313,29 @@ class TestParser:
             main(["frobnicate"])
 
 
+class TestScenarios:
+    def test_one_shard_group_overrides_a_sharded_scenario(self, tmp_path,
+                                                          capsys):
+        from repro.ledger import load_report
+
+        path = tmp_path / "steady.json"
+        assert main(["scenarios", "run", "sharded-steady", "--scale", "0.1",
+                     "--shards", "1", "--report-out", str(path)]) == 0
+        capsys.readouterr()
+        report = load_report(str(path))
+        assert "num_shards" not in report["config"]    # echoed when > 1
+        assert report["config"]["num_workers"] == 4
+        assert set(report["wire"]["bytes_by_kind"]) == {"deploy:model"}
+        assert all(report["invariants"].values())
+
+    @pytest.mark.parametrize("shards", ["0", "-2"])
+    def test_a_shard_count_below_one_is_refused(self, shards, capsys):
+        with pytest.raises(SystemExit, match="must be >= 1"):
+            main(["scenarios", "run", "steady", "--scale", "0.1",
+                  "--shards", shards])
+        assert capsys.readouterr().out == ""
+
+
 class TestLedger:
     """``repro ledger`` is the one report reader, whatever the schema."""
 
