@@ -36,7 +36,7 @@ output is never larger than the dense baseline (plus one scheme byte).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -55,13 +55,6 @@ PLACEMENT_SCHEME_BYTES = 1
 def sparse_entry_bytes(gradient_dim: int) -> int:
     """Wire bytes of one occupied slot in the sparse layout."""
     return SPARSE_INDEX_BYTES + 2 * 8 * gradient_dim
-
-
-def sparse_cutoff_density(gradient_dim: int) -> float:
-    """Density above which the sparse layout stops paying for itself:
-    ``16 C / (4 + 16 C)`` (the docstring's cutoff math)."""
-    dense_slot = 2 * 8 * gradient_dim
-    return dense_slot / sparse_entry_bytes(gradient_dim)
 
 
 class CodecOverflowError(OverflowError):
@@ -114,10 +107,6 @@ class Encoded:
     nbytes: int
     raw_nbytes: int
     payload: tuple
-
-    @property
-    def saved_bytes(self) -> int:
-        return self.raw_nbytes - self.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +233,9 @@ class SparseHistogramCodec(HistogramCodec):
 
     Occupied slots (any nonzero grad or hess component: NaN is, ``-0.0``
     is not) ship as ``(int32 index, float64 grad[C], float64 hess[C])``;
-    payloads whose density exceeds :func:`sparse_cutoff_density` fall back
-    to the dense layout, so the encoded size never exceeds dense + 1
+    payloads whose density exceeds ``16 C / (4 + 16 C)`` (a dense slot's
+    ``16 C`` bytes over a sparse entry's ``4 + 16 C``) fall back to the
+    dense layout, so the encoded size never exceeds dense + 1
     scheme byte.  Decoding scatters into a zeroed histogram — exact zeros
     restore as exact zeros, so the round trip is bit-identical — or adds
     the occupied slots to ``into`` without materializing the empty ones.
@@ -616,10 +606,6 @@ def _build_stacks() -> Dict[str, CodecStack]:
 
 #: registered codec stacks, by ``--codec`` name
 CODEC_STACKS: Dict[str, CodecStack] = _build_stacks()
-
-
-def codec_names() -> Tuple[str, ...]:
-    return tuple(CODEC_STACKS)
 
 
 def get_codec_stack(name: str) -> CodecStack:

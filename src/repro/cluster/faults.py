@@ -27,6 +27,7 @@ exactly the fault-free ledger plus those dedicated kinds — the invariant
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -95,8 +96,11 @@ class FaultPlan:
                 "drop_rate + timeout_rate must be < 1 (an operation "
                 "must eventually succeed)"
             )
-        if self.backoff_s < 0 or self.timeout_s < 0:
-            raise ValueError("backoff_s and timeout_s must be >= 0")
+        for name in ("backoff_s", "timeout_s"):
+            delay = getattr(self, name)
+            if not 0.0 <= delay < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {delay}")
         if self.max_retries < 1:
             raise ValueError(
                 f"max_retries must be >= 1, got {self.max_retries}"
@@ -119,7 +123,8 @@ class FaultPlan:
 
         ``SPEC`` is a comma-separated list of ``key=value`` entries with
         keys ``crash``, ``drop``, ``timeout``, ``backoff``, ``timeout-s``
-        and ``retries``, e.g. ``"42:crash=2,drop=0.05"``.
+        and ``retries``, e.g. ``"42:crash=2,drop=0.05"``.  Each key may
+        appear once, and ``crash`` / ``retries`` take whole counts.
         """
         head, sep, tail = spec.partition(":")
         if not sep or not head.strip():
@@ -143,24 +148,31 @@ class FaultPlan:
         }
         for item in filter(None, (p.strip() for p in tail.split(","))):
             key, eq, value = item.partition("=")
-            if not eq or key.strip() not in keys:
+            attr = keys.get(key.strip())
+            if not eq or attr is None:
                 raise ValueError(
                     f"fault spec entry {item!r} must be one of "
                     f"{', '.join(sorted(keys))} followed by '=value'"
                 )
+            if attr in fields:
+                raise ValueError(
+                    f"fault spec entry {item!r} repeats {key.strip()!r}")
             try:
-                fields[keys[key.strip()]] = float(value)
+                number = float(value)
             except ValueError:
                 raise ValueError(
                     f"fault spec entry {item!r} has a non-numeric value"
                 ) from None
+            if attr in ("crashes", "max_retries"):
+                if not number.is_integer():
+                    raise ValueError(
+                        f"fault spec entry {item!r} needs a whole count")
+                number = int(number)
+            fields[attr] = number
         if not fields:
             raise ValueError(
                 f"fault spec {spec!r} names no fault (e.g. 'crash=1')"
             )
-        for int_key in ("crashes", "max_retries"):
-            if int_key in fields:
-                fields[int_key] = int(fields[int_key])
         return cls(seed=seed, **fields)
 
     def describe(self) -> str:
@@ -199,10 +211,6 @@ class FaultCounters:
     crashes: int = 0
     drops: int = 0
     timeouts: int = 0
-
-    @property
-    def transport_events(self) -> int:
-        return self.drops + self.timeouts
 
 
 class FaultInjector:

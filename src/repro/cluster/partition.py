@@ -93,19 +93,6 @@ def hash_column_groups(
     ]
 
 
-def group_imbalance(
-    groups: List[np.ndarray], pairs_per_feature: np.ndarray
-) -> float:
-    """Max group load over mean group load (1.0 = perfectly balanced)."""
-    loads = np.array(
-        [pairs_per_feature[g].sum() for g in groups], dtype=np.float64
-    )
-    mean = loads.mean()
-    if mean == 0:
-        return 1.0
-    return float(loads.max() / mean)
-
-
 def column_groups(
     binned: BinnedDataset,
     num_workers: int,

@@ -12,7 +12,17 @@ Two dataclasses drive every experiment in the paper:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+
+def _require_finite(config, *names: str) -> None:
+    """Refuse ``nan`` and ``inf`` up front: every comparison with ``nan``
+    is false, so a range check alone lets it through."""
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -104,6 +114,11 @@ class TrainConfig:
     backend: str = ""
 
     def __post_init__(self) -> None:
+        _require_finite(self, "num_trees", "num_layers", "num_candidates",
+                        "learning_rate", "reg_lambda", "reg_gamma",
+                        "min_split_gain", "min_node_instances",
+                        "num_classes", "max_leaves", "subsample",
+                        "colsample")
         if self.num_trees < 1:
             raise ValueError(f"num_trees must be >= 1, got {self.num_trees}")
         if self.num_layers < 2:
@@ -151,11 +166,6 @@ class TrainConfig:
         return 1
 
     @property
-    def max_nodes(self) -> int:
-        """Total nodes of a complete tree with ``num_layers`` layers."""
-        return 2 ** self.num_layers - 1
-
-    @property
     def effective_max_leaves(self) -> int:
         """Leaf budget for leaf-wise growth."""
         if self.max_leaves > 0:
@@ -180,6 +190,7 @@ class NetworkModel:
     latency_s: float = 0.0005
 
     def __post_init__(self) -> None:
+        _require_finite(self, "bandwidth_gbps", "latency_s")
         if self.bandwidth_gbps <= 0:
             raise ValueError(
                 f"bandwidth_gbps must be > 0, got {self.bandwidth_gbps}"
@@ -236,8 +247,9 @@ class ClusterConfig:
                     f"worker_speeds needs {self.num_workers} entries, "
                     f"got {len(speeds)}"
                 )
-            if any(s <= 0 for s in speeds):
-                raise ValueError("worker speeds must be > 0")
+            if not all(0 < s < math.inf for s in speeds):
+                raise ValueError(
+                    f"worker speeds must be finite and > 0, got {speeds}")
             object.__setattr__(self, "worker_speeds", speeds)
 
     def speed_of(self, worker: int) -> float:

@@ -143,18 +143,6 @@ class Histogram:
 
     # -- views ---------------------------------------------------------------
 
-    def grad_view(self) -> np.ndarray:
-        """``(num_features, num_bins, gradient_dim)`` view of the dense
-        ``grad``."""
-        return self.to_dense().grad.reshape(
-            self.num_features, self.num_bins, self.gradient_dim
-        )
-
-    def hess_view(self) -> np.ndarray:
-        return self.to_dense().hess.reshape(
-            self.num_features, self.num_bins, self.gradient_dim
-        )
-
     def feature_view(self, lo: int, hi: int) -> "Histogram":
         """Read-only view of features ``[lo, hi)`` of the dense
         histogram, renumbered from 0: a feature is ``num_bins``
@@ -207,14 +195,6 @@ class Histogram:
                 or (self.slots is not None and other.slots is not None
                     and np.array_equal(self.slots, other.slots))):
             raise ValueError("histogram slot bases do not match")
-
-    def allclose(self, other: "Histogram", rtol: float = 1e-9,
-                 atol: float = 1e-12) -> bool:
-        mine, theirs = self.to_dense(), other.to_dense()
-        return (
-            np.allclose(mine.grad, theirs.grad, rtol=rtol, atol=atol)
-            and np.allclose(mine.hess, theirs.hess, rtol=rtol, atol=atol)
-        )
 
     def __repr__(self) -> str:
         return (

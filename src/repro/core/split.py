@@ -341,30 +341,3 @@ class _Search:
         return self.split_of(float(gains[direction, i]), direction,
                              int(positions[i]))
 
-
-def split_gain_of(
-    hist: Histogram,
-    grad_total: np.ndarray,
-    hess_total: np.ndarray,
-    reg_lambda: float,
-    reg_gamma: float,
-    feature: int,
-    bin_id: int,
-    default_left: bool,
-) -> float:
-    """Gain of one specific split — used by tests against the brute force."""
-    grad = hist.grad_view()[feature]
-    hess = hist.hess_view()[feature]
-    gl = grad[: bin_id + 1].sum(axis=0)
-    hl = hess[: bin_id + 1].sum(axis=0)
-    if default_left:
-        gl = gl + (np.asarray(grad_total) - grad.sum(axis=0))
-        hl = hl + (np.asarray(hess_total) - hess.sum(axis=0))
-    gr = np.asarray(grad_total) - gl
-    hr = np.asarray(hess_total) - hl
-    parent = node_score(np.asarray(grad_total), np.asarray(hess_total),
-                        reg_lambda)
-    return float(
-        0.5 * (node_score(gl, hl, reg_lambda)
-               + node_score(gr, hr, reg_lambda) - parent) - reg_gamma
-    )

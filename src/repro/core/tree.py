@@ -39,11 +39,6 @@ class TreeNode:
         return 2 * self.node_id + 2
 
 
-def layer_of(node_id: int) -> int:
-    """0-based layer of a heap-ordered node id."""
-    return int(np.log2(node_id + 1))
-
-
 def layer_nodes(layer: int) -> range:
     """Node ids of one 0-based layer."""
     return range(2 ** layer - 1, 2 ** (layer + 1) - 1)

@@ -374,17 +374,6 @@ class CSCMatrix:
         dense[self.indices, col_of] = self.values
         return dense
 
-    def to_csr(self) -> CSRMatrix:
-        col_of = np.repeat(
-            np.arange(self.num_cols, dtype=np.int32), np.diff(self.indptr)
-        )
-        order = np.argsort(self.indices, kind="stable")
-        row_counts = np.bincount(self.indices, minlength=self.num_rows)
-        indptr = np.concatenate(([0], np.cumsum(row_counts))).astype(np.int64)
-        return CSRMatrix(
-            indptr, col_of[order], self.values[order], self.num_cols
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CSCMatrix):
             return NotImplemented

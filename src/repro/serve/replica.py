@@ -359,7 +359,7 @@ class ReplicaSet:
     def deploy_bytes(self) -> int:
         """Wire bytes shipped under :attr:`deploy_kind` so far — **only**
         that kind: a subset deploy under a caller-chosen kind is
-        attributed to its own (see :meth:`deploy_bytes_by_kind`)."""
+        attributed to its own ``network`` ledger kind."""
         return self._ledger_bytes(self.deploy_kind)
 
     @property
@@ -379,16 +379,6 @@ class ReplicaSet:
         footprint sharding buys down to ``~1/S``."""
         return max((shard.nbytes for shard in self._deployed
                     if shard is not None), default=0)
-
-    def deploy_bytes_by_kind(self) -> Dict[str, Tuple[int, int]]:
-        """``kind -> (wire_bytes, raw_bytes)`` of every ``deploy:*``
-        kind (rollouts, canary slices), raw the pre-delta baseline."""
-        snapshot = self.network.snapshot()
-        return {
-            kind: (nbytes, snapshot.raw_bytes_by_kind.get(kind, nbytes))
-            for kind, nbytes in sorted(snapshot.bytes_by_kind.items())
-            if kind.startswith("deploy:")
-        }
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(rows={self.num_rows}, "

@@ -22,8 +22,7 @@ from repro.cluster.codecs import (CODEC_STACKS, AdaptivePlacementCodec,
                                   DenseHistogramCodec,
                                   LowPrecisionHistogramCodec, RawIndexCodec,
                                   SparseHistogramCodec, apply_model_delta,
-                                  codec_names, encode_model_delta,
-                                  get_codec_stack, sparse_cutoff_density,
+                                  encode_model_delta, get_codec_stack,
                                   sparse_entry_bytes, varint_decode,
                                   varint_encode, varint_length,
                                   zigzag_decode, zigzag_encode)
@@ -118,7 +117,6 @@ class TestHistogramCodecs:
         hist = make_hist(features, bins, dim, density, seed)
         enc = SparseHistogramCodec().encode(hist)
         assert enc.nbytes <= enc.raw_nbytes == hist.nbytes
-        assert enc.saved_bytes >= 0
 
     def test_sparse_wins_below_cutoff_density(self):
         dim = 1
@@ -138,8 +136,17 @@ class TestHistogramCodecs:
         assert enc.nbytes == hist.nbytes
 
     def test_cutoff_density_formula(self):
-        assert sparse_cutoff_density(1) == pytest.approx(16 / 20)
-        assert sparse_cutoff_density(10) == pytest.approx(160 / 164)
+        """Sparse wins up to a density of ``16 C / (4 + 16 C)``, less the
+        header, and falls back one entry past it."""
+        features, bins = 8, 25
+        slots = features * bins
+        for dim in (1, 10):
+            last = (16 * dim * slots - 16 - 1) // sparse_entry_bytes(dim)
+            assert abs(last / slots - 16 * dim / (4 + 16 * dim)) < 2 / slots
+            for nnz, codec in ((last, "sparse"),
+                               (last + 1, "sparse/dense-fallback")):
+                hist = make_hist(features, bins, dim, nnz / slots, seed=0)
+                assert SparseHistogramCodec().encode(hist).codec == codec
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 16), st.integers(1, 4),
@@ -349,8 +356,8 @@ class TestModelDeltaFailsClosed:
 
 class TestCodecStacks:
     def test_registry_names(self):
-        assert set(codec_names()) == {"none", "sparse", "delta", "f32",
-                                      "f16"}
+        assert set(CODEC_STACKS) == {"none", "sparse", "delta", "f32",
+                                     "f16"}
 
     def test_lossless_flags(self):
         for name in ("none", "sparse", "delta"):

@@ -50,6 +50,31 @@ class TestFaultPlanParse:
         with pytest.raises(ValueError):
             FaultPlan.parse(bad)
 
+    @pytest.mark.parametrize("entry, why", [
+        ("crash=1.9", "whole count"),
+        ("crash=inf", "whole count"),
+        ("crash=nan", "whole count"),
+        ("retries=2.5", "whole count"),
+        ("crash=1,crash=2", "repeats"),
+        ("drop=0.1,drop=0.2", "repeats"),
+    ])
+    def test_counts_are_whole_and_keys_single(self, entry, why):
+        last = entry.split(",")[-1]
+        with pytest.raises(ValueError, match=f"{last!r}.*{why}"):
+            FaultPlan.parse(f"42:{entry}")
+
+    @pytest.mark.parametrize("spec", [
+        "42:drop=0.5,backoff=inf",
+        "42:timeout=0.3,timeout-s=nan",
+        "42:drop=0.5,backoff=nan",
+        "42:timeout=0.3,timeout-s=inf",
+    ])
+    def test_delays_must_be_finite(self, spec):
+        """A retry commits its delay unchecked, so a non-finite one would
+        turn the run's simulated seconds into ``inf`` or ``nan``."""
+        with pytest.raises(ValueError, match="must be finite"):
+            FaultPlan.parse(spec)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="crashes"):
             FaultPlan(seed=0, crashes=-1)
@@ -128,7 +153,7 @@ class TestFaultInjector:
             sum(1 for f in fired if f.kind == "drop")
         assert a.counters.timeouts == \
             sum(1 for f in fired if f.kind == "timeout")
-        assert a.counters.transport_events == len(fired)
+        assert a.counters.drops + a.counters.timeouts == len(fired)
         # drops are detected instantly; timeouts wait out timeout_s
         for fault in fired:
             expected = 0.0 if fault.kind == "drop" else plan.timeout_s
@@ -140,7 +165,7 @@ class TestFaultInjector:
         injector = FaultInjector(plan, 2, 1, 3)
         for _ in range(20):
             assert injector.transport_faults(prefix + "hist") == []
-        assert injector.counters.transport_events == 0
+        assert injector.counters.drops == injector.counters.timeouts == 0
 
     def test_inactive_transport_is_free(self):
         plan = FaultPlan(seed=5, crashes=1)
@@ -177,7 +202,7 @@ class TestNetworkFaultIntegration:
             net.record("hist", 100, 0.001)
         stats = net.snapshot()
         assert stats.bytes_by_kind["hist"] == 6000
-        fired = injector.counters.transport_events
+        fired = injector.counters.drops + injector.counters.timeouts
         assert fired > 0
         assert stats.bytes_by_kind["retry:hist"] == 100 * fired
         # every retry costs at least the re-send plus one backoff step
@@ -191,4 +216,4 @@ class TestNetworkFaultIntegration:
         # direct recording under a fault prefix must never draw the RNG
         for _ in range(50):
             net.record("retry:hist", 10, 0.001)
-        assert injector.counters.transport_events == 0
+        assert injector.counters.drops == injector.counters.timeouts == 0

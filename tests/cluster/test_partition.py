@@ -7,12 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.partition import (greedy_column_groups, group_imbalance,
+from repro.cluster.partition import (greedy_column_groups,
                                      hash_column_groups,
                                      horizontal_row_ranges,
                                      horizontal_shards,
                                      round_robin_column_groups,
                                      vertical_shards)
+
+
+def group_imbalance(groups, pairs_per_feature):
+    """Max group load over mean group load (1.0 = perfectly balanced)."""
+    loads = np.array([pairs_per_feature[g].sum() for g in groups],
+                     dtype=np.float64)
+    return float(loads.max() / loads.mean())
 
 
 class TestHorizontal:

@@ -2,7 +2,10 @@
 over the full ``(D, q, C)`` histogram, trailing ``C`` axis included.
 
 Kept as the reference ``repro.core.split.find_best_split`` is compared
-against — same :class:`SplitInfo` (gain bit for bit) or both ``None``.
+against — same :class:`SplitInfo` (gain bit for bit) or both ``None`` —
+with the gain of one named split and the ``(D, q, C)`` views and
+tolerance comparison the histogram tests read a :class:`Histogram`
+through.
 """
 
 from __future__ import annotations
@@ -12,7 +15,55 @@ from typing import Optional
 import numpy as np
 
 from repro.core.histogram import Histogram
-from repro.core.split import SplitInfo
+from repro.core.split import SplitInfo, node_score
+
+
+def grad_view(hist: Histogram) -> np.ndarray:
+    """``(num_features, num_bins, gradient_dim)`` view of the dense
+    ``grad``: writes land in ``hist`` unless it holds a slot basis."""
+    return hist.to_dense().grad.reshape(
+        hist.num_features, hist.num_bins, hist.gradient_dim)
+
+
+def hess_view(hist: Histogram) -> np.ndarray:
+    return hist.to_dense().hess.reshape(
+        hist.num_features, hist.num_bins, hist.gradient_dim)
+
+
+def allclose(a: Histogram, b: Histogram, rtol: float = 1e-9,
+             atol: float = 1e-12) -> bool:
+    """Dense ``grad`` and ``hess`` agree within ``rtol`` / ``atol``."""
+    a, b = a.to_dense(), b.to_dense()
+    return (np.allclose(a.grad, b.grad, rtol=rtol, atol=atol)
+            and np.allclose(a.hess, b.hess, rtol=rtol, atol=atol))
+
+
+def split_gain_of(
+    hist: Histogram,
+    grad_total: np.ndarray,
+    hess_total: np.ndarray,
+    reg_lambda: float,
+    reg_gamma: float,
+    feature: int,
+    bin_id: int,
+    default_left: bool,
+) -> float:
+    """Gain of one specific split, for checks against the finder."""
+    grad = grad_view(hist)[feature]
+    hess = hess_view(hist)[feature]
+    gl = grad[: bin_id + 1].sum(axis=0)
+    hl = hess[: bin_id + 1].sum(axis=0)
+    if default_left:
+        gl = gl + (np.asarray(grad_total) - grad.sum(axis=0))
+        hl = hl + (np.asarray(hess_total) - hess.sum(axis=0))
+    gr = np.asarray(grad_total) - gl
+    hr = np.asarray(hess_total) - hl
+    parent = node_score(np.asarray(grad_total), np.asarray(hess_total),
+                        reg_lambda)
+    return float(
+        0.5 * (node_score(gl, hl, reg_lambda)
+               + node_score(gr, hr, reg_lambda) - parent) - reg_gamma
+    )
 
 
 def _score(grad: np.ndarray, hess: np.ndarray,
@@ -50,8 +101,8 @@ def reference_find_best_split(
             "bins_per_feature length must equal the histogram feature count"
         )
 
-    grad = hist.grad_view()          # (D, q, C)
-    hess = hist.hess_view()
+    grad = grad_view(hist)          # (D, q, C)
+    hess = hess_view(hist)
     grad_prefix = np.cumsum(grad, axis=1)
     hess_prefix = np.cumsum(hess, axis=1)
     present_grad = grad_prefix[:, -1:, :]   # (D, 1, C)

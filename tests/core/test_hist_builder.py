@@ -22,6 +22,8 @@ from repro.core.tree import Tree, leaf_matrix
 from repro.data.matrix import CSRMatrix
 from repro.systems.base import HistogramStore
 
+from .reference_split import allclose
+
 
 def make_binned(rng, num_rows=40, num_features=6, num_bins=5,
                 density=0.6):
@@ -202,7 +204,7 @@ class TestFourKernelAgreement:
         )
 
         for other in (via_layer, via_hybrid, via_columnwise):
-            assert via_row.allclose(other, rtol=1e-9, atol=1e-12)
+            assert allclose(via_row, other, rtol=1e-9, atol=1e-12)
 
 
 class TestHistogramStore:

@@ -13,6 +13,8 @@ from repro.core.histogram import (ColumnwiseIndex, Histogram,
                                   subtraction_schedule)
 from repro.data.matrix import CSRMatrix
 
+from .reference_split import allclose, grad_view, hess_view
+
 BUILDER = HistogramBuilder()
 
 
@@ -20,7 +22,7 @@ def brute_force_histogram(dense_bins, rows, grad, hess, num_bins):
     """Reference: iterate entries one by one. -1 marks a missing value."""
     num_features = dense_bins.shape[1]
     hist = Histogram(num_features, num_bins, grad.shape[1])
-    gv, hv = hist.grad_view(), hist.hess_view()
+    gv, hv = grad_view(hist), hess_view(hist)
     for i in rows:
         for f in range(num_features):
             b = dense_bins[i, f]
@@ -64,7 +66,7 @@ class TestHistogramContainer:
         b.grad[:] = rng.standard_normal(b.grad.shape)
         total = a.copy().add_inplace(b)
         back = BUILDER.subtract(total, b)
-        assert back.allclose(a)
+        assert allclose(back, a)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="shapes"):
@@ -72,7 +74,7 @@ class TestHistogramContainer:
 
     def test_views_share_memory(self):
         hist = Histogram(2, 3, 1)
-        hist.grad_view()[1, 2, 0] = 5.0
+        grad_view(hist)[1, 2, 0] = 5.0
         assert hist.grad[1 * 3 + 2, 0] == 5.0
 
 
@@ -86,7 +88,7 @@ class TestRowstoreKernel:
         rows.sort()
         hist, touched = BUILDER.build_rowstore(csr, rows, grad, hess, 5)
         ref = brute_force_histogram(dense, rows, grad, hess, 5)
-        assert hist.allclose(ref, rtol=1e-12)
+        assert allclose(hist, ref, rtol=1e-12)
         assert touched == sum((dense[r] >= 0).sum() for r in rows)
 
     def test_empty_rows(self, rng):
@@ -113,7 +115,7 @@ class TestColstoreLayerKernel:
         for s in range(3):
             rows = np.flatnonzero(slot == s)
             ref = brute_force_histogram(dense, rows, grad, hess, 5)
-            assert hists[s].allclose(ref, rtol=1e-12)
+            assert allclose(hists[s], ref, rtol=1e-12)
 
     def test_no_active_slots(self, rng):
         csr, _ = make_binned(rng)
@@ -136,7 +138,7 @@ class TestColstoreHybridKernel:
             csc, node_rows, node_of, 6, grad, hess, 5
         )
         ref = brute_force_histogram(dense, node_rows, grad, hess, 5)
-        assert hist.allclose(ref, rtol=1e-12)
+        assert allclose(hist, ref, rtol=1e-12)
         assert scanned + searched > 0
 
     def test_uses_both_strategies(self, rng):
@@ -171,7 +173,7 @@ class TestColumnwiseIndexKernel:
         # initial: everything on node 0
         hist, _ = BUILDER.build_colstore_columnwise(index, 0, grad, hess, 5)
         ref = brute_force_histogram(dense, np.arange(50), grad, hess, 5)
-        assert hist.allclose(ref, rtol=1e-12)
+        assert allclose(hist, ref, rtol=1e-12)
         # split node 0 -> nodes 1, 2 and regroup
         node_of = np.where(rng.random(50) < 0.4, 1, 2)
         moved = index.update_after_split(node_of, [1, 2])
@@ -182,7 +184,7 @@ class TestColumnwiseIndexKernel:
             ref = brute_force_histogram(
                 dense, np.flatnonzero(node_of == node), grad, hess, 5
             )
-            assert hist.allclose(ref, rtol=1e-12)
+            assert allclose(hist, ref, rtol=1e-12)
 
     def test_node_entries_empty_for_unknown_node(self, rng):
         csr, _ = make_binned(rng)
@@ -239,7 +241,7 @@ def test_property_subtraction_identity(seed):
     left, _ = BUILDER.build_rowstore(csr, rows[go_left], grad, hess, 4)
     right, _ = BUILDER.build_rowstore(csr, rows[~go_left], grad, hess, 4)
     derived = BUILDER.subtract(parent, left)
-    assert derived.allclose(right, rtol=1e-9, atol=1e-12)
+    assert allclose(derived, right, rtol=1e-9, atol=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
@@ -259,5 +261,5 @@ def test_property_kernels_agree(seed):
     index = ColumnwiseIndex(csc)
     index.update_after_split(node_of, [0, 1])
     col_hist, _ = BUILDER.build_colstore_columnwise(index, 1, grad, hess, 4)
-    assert row_hist.allclose(hyb_hist, rtol=1e-12)
-    assert row_hist.allclose(col_hist, rtol=1e-12)
+    assert allclose(row_hist, hyb_hist, rtol=1e-12)
+    assert allclose(row_hist, col_hist, rtol=1e-12)

@@ -13,9 +13,10 @@ from repro import TrainConfig
 from repro.core import split as split_module
 from repro.core.histogram import Histogram
 from repro.core.split import (SplitInfo, accepted_split, find_best_split,
-                              leaf_weight, split_gain_of)
+                              leaf_weight)
 
-from .reference_split import reference_find_best_split
+from .reference_split import (grad_view, hess_view,
+                              reference_find_best_split, split_gain_of)
 
 
 def one_node(hist, grad_total, hess_total, *args, **kwargs):
@@ -31,11 +32,11 @@ def random_histogram(rng, num_features=4, num_bins=5, gradient_dim=1,
     hist = Histogram(num_features, num_bins, gradient_dim)
     hist.grad[:] = rng.standard_normal(hist.grad.shape)
     hist.hess[:] = rng.random(hist.hess.shape) + 0.01
-    grad_total = hist.grad_view().sum(axis=(0, 1)) / num_features
-    hess_total = hist.hess_view().sum(axis=(0, 1)) / num_features
+    grad_total = grad_view(hist).sum(axis=(0, 1)) / num_features
+    hess_total = hess_view(hist).sum(axis=(0, 1)) / num_features
     # per-feature column sums must each equal the node totals; rescale so
     # the histogram is self-consistent (each feature summarizes the node)
-    gv, hv = hist.grad_view(), hist.hess_view()
+    gv, hv = grad_view(hist), hess_view(hist)
     for f in range(num_features):
         gv[f] += (grad_total - gv[f].sum(axis=0)) / num_bins
         hv[f] += (hess_total - hv[f].sum(axis=0)) / num_bins + 0.01
@@ -55,10 +56,10 @@ def brute_force_best(hist, grad_total, hess_total, lam, gamma, bins):
                 gain = split_gain_of(hist, grad_total, hess_total, lam,
                                      gamma, f, b, default_left)
                 # skip empty children like the vectorized search
-                gl = hist.hess_view()[f, : b + 1].sum(axis=0)
+                gl = hess_view(hist)[f, : b + 1].sum(axis=0)
                 if default_left:
                     gl = gl + (hess_total
-                               - hist.hess_view()[f].sum(axis=0))
+                               - hess_view(hist)[f].sum(axis=0))
                 gr = hess_total - gl
                 if gl.sum() <= 0 or gr.sum() <= 0:
                     continue
@@ -130,8 +131,8 @@ class TestFindBestSplit:
         # all gradient mass in one bin of each feature: any split gives
         # an empty child on one side or no gain
         hist = Histogram(2, 3, 1)
-        hist.grad_view()[:, 0, 0] = -5.0
-        hist.hess_view()[:, 0, 0] = 2.0
+        grad_view(hist)[:, 0, 0] = -5.0
+        hess_view(hist)[:, 0, 0] = 2.0
         g = np.array([-5.0])
         h = np.array([2.0])
         assert one_node(hist, g, h, 1.0, 0.0,
@@ -140,10 +141,10 @@ class TestFindBestSplit:
     def test_missing_values_can_matter(self):
         """A node where the winning arrangement routes missing right."""
         hist = Histogram(1, 2, 1)
-        hist.grad_view()[0, 0, 0] = -4.0   # bin 0: negative gradients
-        hist.hess_view()[0, 0, 0] = 2.0
-        hist.grad_view()[0, 1, 0] = 1.0
-        hist.hess_view()[0, 1, 0] = 1.0
+        grad_view(hist)[0, 0, 0] = -4.0   # bin 0: negative gradients
+        hess_view(hist)[0, 0, 0] = 2.0
+        grad_view(hist)[0, 1, 0] = 1.0
+        hess_view(hist)[0, 1, 0] = 1.0
         # node totals include missing mass aligned with bin-1 gradients
         g = np.array([-4.0 + 1.0 + 3.0])
         h = np.array([2.0 + 1.0 + 1.5])
@@ -174,10 +175,10 @@ class TestDeterminismContract:
         """Two identical features: the lower id must be chosen."""
         hist = Histogram(3, 3, 1)
         for f in (1, 2):  # feature 0 is empty/useless
-            hist.grad_view()[f, 0, 0] = -3.0
-            hist.hess_view()[f, 0, 0] = 1.0
-            hist.grad_view()[f, 1, 0] = 3.0
-            hist.hess_view()[f, 1, 0] = 1.0
+            grad_view(hist)[f, 0, 0] = -3.0
+            hess_view(hist)[f, 0, 0] = 1.0
+            grad_view(hist)[f, 1, 0] = 3.0
+            hess_view(hist)[f, 1, 0] = 1.0
         g = np.array([0.0])
         h = np.array([2.0])
         split = one_node(hist, g, h, 1.0, 0.0, np.array([3, 3, 3]))
@@ -233,13 +234,13 @@ def test_property_equals_reference_finder(
     hist.grad[:] = rng.standard_normal(hist.grad.shape) * occupied
     hist.hess[:] = (rng.random(hist.hess.shape) + 0.01) * occupied
     if duplicate:       # equal features tie on every bin
-        hist.grad_view()[-1] = hist.grad_view()[0]
-        hist.hess_view()[-1] = hist.hess_view()[0]
+        grad_view(hist)[-1] = grad_view(hist)[0]
+        hess_view(hist)[-1] = hess_view(hist)[0]
     if rng.random() < 0.3:
-        hist.grad_view()[num_features // 2] = 0.0
-        hist.hess_view()[num_features // 2] = 0.0
-    grad_total = hist.grad_view()[0].sum(axis=0).astype(np.float64)
-    hess_total = hist.hess_view()[0].sum(axis=0).astype(np.float64)
+        grad_view(hist)[num_features // 2] = 0.0
+        hess_view(hist)[num_features // 2] = 0.0
+    grad_total = grad_view(hist)[0].sum(axis=0).astype(np.float64)
+    hess_total = hess_view(hist)[0].sum(axis=0).astype(np.float64)
     if rng.random() < 0.7:
         grad_total += rng.standard_normal(gradient_dim)
         hess_total += rng.random(gradient_dim)
@@ -273,15 +274,15 @@ def random_stack(rng, size, num_features, num_bins, gradient_dim,
         hist.grad[:] = rng.standard_normal(hist.grad.shape) * occupied
         hist.hess[:] = (rng.random(hist.hess.shape) + 0.01) * occupied
         if kind == 1:
-            hist.grad_view()[-1] = hist.grad_view()[0]
-            hist.hess_view()[-1] = hist.hess_view()[0]
-        grad = hist.grad_view()[0].sum(axis=0).astype(np.float64)
-        hess = hist.hess_view()[0].sum(axis=0).astype(np.float64)
+            grad_view(hist)[-1] = grad_view(hist)[0]
+            hess_view(hist)[-1] = hess_view(hist)[0]
+        grad = grad_view(hist)[0].sum(axis=0).astype(np.float64)
+        hess = hess_view(hist)[0].sum(axis=0).astype(np.float64)
         if kind == 2:        # all mass in one bin: no positive gain
             hist.grad[:] = 0.0
             hist.hess[:] = 0.0
-            hist.grad_view()[:, 0] = grad
-            hist.hess_view()[:, 0] = hess
+            grad_view(hist)[:, 0] = grad
+            hess_view(hist)[:, 0] = hess
         elif rng.random() < 0.7:
             grad = grad + rng.standard_normal(gradient_dim)
             hess = hess + rng.random(gradient_dim)
@@ -322,10 +323,10 @@ class TestStackedFinder:
     def test_ties_across_nodes_keep_each_nodes_own_order(self, route):
         hist = Histogram(3, 3, 1)
         for f in (1, 2):  # feature 0 is empty/useless
-            hist.grad_view()[f, 0, 0] = -3.0
-            hist.hess_view()[f, 0, 0] = 1.0
-            hist.grad_view()[f, 1, 0] = 3.0
-            hist.hess_view()[f, 1, 0] = 1.0
+            grad_view(hist)[f, 0, 0] = -3.0
+            hess_view(hist)[f, 0, 0] = 1.0
+            grad_view(hist)[f, 1, 0] = 3.0
+            hess_view(hist)[f, 1, 0] = 1.0
         g, h = np.array([[0.0]] * 3), np.array([[2.0]] * 3)
         found = find_best_split([hist] * 3, g, h, 1.0, 0.0,
                                 np.array([3, 3, 3]), feature_offset=10)
@@ -374,7 +375,7 @@ class TestStackedFinder:
         bin 0): the tie order picks the lower feature although its bin
         is higher, so no route may read gains in bin-major order."""
         hist = Histogram(3, 4, 1)
-        grad, hess = hist.grad_view(), hist.hess_view()
+        grad, hess = grad_view(hist), hess_view(hist)
         grad[1, 2:, 0], hess[1, 2:, 0] = [-3.0, 3.0], 1.0
         grad[2, :2, 0], hess[2, :2, 0] = [-3.0, 3.0], 1.0
         if route == "per-node full":   # more than half the bins occupied
@@ -395,7 +396,7 @@ class TestStackedFinder:
         bit; the compact scan still equals the reference."""
         assert 1e20 + 1.0 == 1e20
         hist = Histogram(8, 5, 1)
-        grad, hess = hist.grad_view(), hist.hess_view()
+        grad, hess = grad_view(hist), hess_view(hist)
         grad[3, :4, 0] = [1e20, 1.0, -1e20, 2.0]   # bin 1 is absorbed
         hess[3, :4, 0] = [1.0, 0.0, 1.0, 1.0]
         full_scans = spy_full_scans(monkeypatch)
@@ -403,7 +404,7 @@ class TestStackedFinder:
         args = (np.array([3.0]), np.array([4.0]), 1.0, 0.0, np.full(8, 5))
         split = one_node(hist, *args)
         assert split == reference_find_best_split(hist, *args)
-        assert split.gain.hex() == split_module.split_gain_of(
+        assert split.gain.hex() == split_gain_of(
             hist, *args[:4], split.feature, 1, split.default_left).hex()
         assert (split.feature, split.bin) == (3, 0)
         assert full_scans == []
@@ -420,8 +421,8 @@ class TestStackedFinder:
             hist.grad[:] = rng.standard_normal(hist.grad.shape) * occupied
             hist.hess[:] = (rng.random(hist.hess.shape) + 0.01) * occupied
             hists.append(hist)
-            grads.append(hist.grad_view()[0].sum(axis=0) + 0.5)
-            hesses.append(hist.hess_view()[0].sum(axis=0) + 0.5)
+            grads.append(grad_view(hist)[0].sum(axis=0) + 0.5)
+            hesses.append(hess_view(hist)[0].sum(axis=0) + 0.5)
         bins = np.full(width, 4)
         found = find_best_split(hists, grads, hesses, 1.0, 0.0, bins)
         assert found == [

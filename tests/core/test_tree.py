@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.split import SplitInfo
-from repro.core.tree import (Tree, TreeEnsemble, layer_nodes, layer_of)
+from repro.core.tree import Tree, TreeEnsemble, layer_nodes
 from repro.data.matrix import CSRMatrix
 
 
@@ -20,13 +20,9 @@ def build_stump(default_left=False):
 
 
 class TestLayout:
-    def test_layer_of(self):
-        assert layer_of(0) == 0
-        assert layer_of(1) == layer_of(2) == 1
-        assert layer_of(3) == layer_of(6) == 2
-
     def test_layer_nodes(self):
         assert list(layer_nodes(0)) == [0]
+        assert list(layer_nodes(1)) == [1, 2]
         assert list(layer_nodes(2)) == [3, 4, 5, 6]
 
     def test_children_ids(self):

@@ -18,6 +18,7 @@ from repro.core.split import SplitInfo
 from repro.core.tree import Tree, TreeEnsemble
 from repro.data.matrix import CSCMatrix
 from repro.serve import compile_ensemble
+from tests.data.test_matrix import csr_of
 
 #: a small grid shared by thresholds and feature values, so exact
 #: value == threshold collisions (the `<=` boundary) occur routinely
@@ -100,7 +101,7 @@ def test_compiled_bit_identical_to_ensemble(case):
     np.testing.assert_array_equal(compiled.raw_scores(csc), want)
     np.testing.assert_array_equal(compiled.raw_scores(dense), want)
     np.testing.assert_array_equal(
-        compiled.raw_scores(csc.to_csr()), want
+        compiled.raw_scores(csr_of(csc)), want
     )
 
 

@@ -23,6 +23,15 @@ def registry(small_binary):
     return registry
 
 
+def deploy_bytes_by_kind(fleet):
+    """``kind -> (wire_bytes, raw_bytes)`` of every ``deploy:*`` kind of
+    the fleet's network ledger."""
+    snapshot = fleet.network.snapshot()
+    return {kind: (nbytes, snapshot.raw_bytes_by_kind.get(kind, nbytes))
+            for kind, nbytes in snapshot.bytes_by_kind.items()
+            if kind.startswith("deploy:")}
+
+
 def make_trace(registry, n=200, seed=2, rate=5000.0):
     return synthetic_trace(
         n, registry.active.compiled.num_features, rate, seed=seed,
@@ -264,7 +273,7 @@ class TestVersionTargeting:
                               service_model=lambda k: 1e-4)
         replicas.deploy(1)
         replicas.deploy(2, workers=[3], kind="deploy:canary")
-        by_kind = replicas.deploy_bytes_by_kind()
+        by_kind = deploy_bytes_by_kind(replicas)
         assert set(by_kind) == {DEPLOY_KIND, "deploy:canary"}
         assert by_kind[DEPLOY_KIND] == \
             (4 * registry.get(1).nbytes, 4 * registry.get(1).nbytes)
@@ -272,7 +281,7 @@ class TestVersionTargeting:
             (registry.get(2).nbytes, registry.get(2).nbytes)
         # non-deploy kinds never leak into the breakdown
         replicas.network.record("serve:partial", 123, 0.0)
-        assert "serve:partial" not in replicas.deploy_bytes_by_kind()
+        assert "serve:partial" not in deploy_bytes_by_kind(replicas)
 
     def test_delta_subset_deploy_attributes_to_callers_kind(
             self, append_registry):
@@ -288,7 +297,7 @@ class TestVersionTargeting:
                               delta_deploys=True)
         replicas.deploy(1)
         replicas.deploy(2, workers=[3], kind="deploy:canary")
-        by_kind = replicas.deploy_bytes_by_kind()
+        by_kind = deploy_bytes_by_kind(replicas)
         wire, raw = by_kind["deploy:canary"]
         assert raw == v2.nbytes        # full payload baseline
         assert 0 < wire < raw          # the tree-suffix delta shipped

@@ -26,6 +26,7 @@ from repro.serve.compiler import CompiledEnsemble
 from repro.serve.replica import deployer, resolve_version
 from repro.serve.scenarios import serving_invariants, serving_summary
 
+from .test_replica import deploy_bytes_by_kind
 from .test_sharded_traversal import (DEPLOY_QUARTER_EARLIER_SHA256,
                                      without_shared_keys)
 
@@ -152,7 +153,7 @@ def test_the_class_name_changes_nothing(registry, num_shards):
         np.testing.assert_array_equal(getattr(report, field.name),
                                       getattr(report2, field.name))
     assert _ledger(plain) == _ledger(named)
-    assert plain.deploy_bytes_by_kind() == named.deploy_bytes_by_kind()
+    assert deploy_bytes_by_kind(plain) == deploy_bytes_by_kind(named)
     assert plain.deploy_bytes == named.deploy_bytes > 0
     # and the layout never shows in the scores: every S serves what the
     # version's own compiled predictor says
@@ -203,8 +204,7 @@ def test_pools_name_replica_rows(registry):
     # row 1 is workers 2 and 3
     assert [w for w, v in enumerate(held) if v == 2] == [2, 3]
     assert [w for w in range(8) if fleet._free[w] != free[w]] == [2, 3]
-    by_kind = fleet.deploy_bytes_by_kind()
-    assert by_kind["deploy:canary"][0] == sum(
+    assert fleet.network.snapshot().bytes_by_kind["deploy:canary"] == sum(
         shard.nbytes for shard in registry.shards(2, 2))
     assert fleet.deploy_bytes == steady     # the canary kind stays apart
     rows = np.zeros((3, registry.get(1).compiled.num_features))

@@ -120,7 +120,7 @@ def assert_recovers_exactly(plan, binned, fault_seed):
         1 for rec in faulty.comm.bytes_by_kind
         if rec.startswith("retry:")
     )
-    if counters.transport_events == 0:
+    if counters.drops + counters.timeouts == 0:
         assert retries == 0
 
 

@@ -41,9 +41,6 @@ class TestTrainConfig:
         assert TrainConfig(objective="multiclass",
                            num_classes=7).gradient_dim == 7
 
-    def test_max_nodes(self):
-        assert TrainConfig(num_layers=3).max_nodes == 7
-
     def test_frozen(self):
         cfg = TrainConfig()
         with pytest.raises(Exception):
@@ -67,6 +64,30 @@ class TestClusterConfig:
 
     def test_bytes_per_second(self):
         assert NetworkModel(bandwidth_gbps=8.0).bytes_per_second == 1e9
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, name", [
+    pytest.param(lambda v: NetworkModel(bandwidth_gbps=v), "bandwidth_gbps",
+                 id="bandwidth_gbps"),
+    pytest.param(lambda v: NetworkModel(latency_s=v), "latency_s",
+                 id="latency_s"),
+    pytest.param(lambda v: ClusterConfig(num_workers=2,
+                                         worker_speeds=(v, 1.0)),
+                 "worker speeds", id="worker_speeds"),
+    *(pytest.param(lambda v, f=f: TrainConfig(**{f: v}), f, id=f)
+      for f in ("reg_lambda", "reg_gamma", "min_split_gain",
+                "learning_rate", "subsample", "num_trees")),
+])
+@pytest.mark.parametrize("value", [NAN, INF], ids=["nan", "inf"])
+def test_rejects_non_finite_numbers(build, name, value):
+    """A ``nan`` passes every range check, so it is refused by name
+    before it can reach a run (``nan`` bandwidth used to fail deep in
+    training, ``nan`` lambda to grow trees with no split)."""
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        build(value)
 
 
 class TestBackendField:
